@@ -569,3 +569,57 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
         Some(1)
     );
 }
+
+/// A problem line that promises an absurd count must fail like any other
+/// bad file — exit 1 with the parser's message — never a panic (exit
+/// 101) or an allocation abort (killed by a signal, no exit code).
+#[test]
+fn hostile_headers_exit_1_with_a_parse_message() {
+    let dir = workdir("hostile");
+    let cases: &[(&str, &str, &[&str], &str)] = &[
+        (
+            "p graph 3 18446744073709551615\ne 0 1\n",
+            "matching",
+            &[],
+            "promised 18446744073709551615 edges, found 1",
+        ),
+        (
+            "p graph 3 4611686018427387904\ne 0 1\n",
+            "matching",
+            &[],
+            "promised 4611686018427387904 edges, found 1",
+        ),
+        (
+            "p vertex-weighted 1152921504606846976 0\nn 0 1.0\n",
+            "vertex-cover",
+            &[],
+            "line 1, column 19: vertex count 1152921504606846976 exceeds the maximum",
+        ),
+        (
+            "p set-system 3 18446744073709551615\ns 1.0 0\n",
+            "set-cover-f",
+            &[],
+            "promised 18446744073709551615 sets, found 1",
+        ),
+        (
+            "p graph 3 1000000000000\ne 0 1\n",
+            "matching",
+            &["--stream"],
+            "would need 200000000000 machines",
+        ),
+    ];
+    for (i, (text, algorithm, extra, needle)) in cases.iter().enumerate() {
+        let file = format!("hostile-{i}.inst");
+        std::fs::write(dir.join(&file), text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .args(["solve", algorithm, "--input", &file])
+            .args(*extra)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mrlr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text:?}: {stderr}");
+        assert!(stderr.contains(needle), "{text:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{text:?}: {stderr}");
+    }
+}

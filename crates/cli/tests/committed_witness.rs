@@ -7,8 +7,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mrlr-committed-{}", std::process::id()));
+/// A fresh directory per test: the tests of this file run on parallel
+/// threads of one process, so the process id alone would have them
+/// delete each other's files.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mrlr-committed-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -45,7 +48,7 @@ fn rejected(dir: &Path, args: &[&str], needle: &str) {
 
 #[test]
 fn committed_report_round_trips_and_rejects_tampering() {
-    let dir = workdir();
+    let dir = workdir("round-trip");
     ok(
         &dir,
         &[
@@ -227,7 +230,7 @@ fn committed_report_round_trips_and_rejects_tampering() {
 
 #[test]
 fn committed_flag_validation() {
-    let dir = workdir();
+    let dir = workdir("flags");
     let usage = |args: &[&str]| {
         assert_eq!(
             run(&dir, args).status.code(),

@@ -70,6 +70,14 @@ impl From<MrError> for StreamError {
     }
 }
 
+/// Most machines a streamed run will set up blocks for. The machine count
+/// is derived from the header's *claimed* edge count before any edge has
+/// arrived, and hash placement touches machines in no order, so the
+/// per-machine blocks cannot grow with the input — a claim past this is
+/// refused instead. No real instance comes near it: every machine also
+/// holds a ϕ-vector of `n` words.
+const MAX_STREAMED_MACHINES: usize = 1 << 20;
+
 /// A [`RecordSink`] that scatters `e`-records of a `p graph` stream into
 /// the per-machine blocks of a [`StreamedMatching`] distribution.
 struct MatchingSink<F> {
@@ -91,7 +99,19 @@ impl<F: FnOnce(usize, usize) -> MrConfig> RecordSink for MatchingSink<F> {
             });
         };
         let configure = self.configure.take().expect("header delivered once");
-        let built = StreamedMatching::new(n, m, configure(n, m)).map_err(|e| IoError {
+        let cfg = configure(n, m);
+        if cfg.machines > MAX_STREAMED_MACHINES {
+            return Err(IoError {
+                line: 0,
+                col: 0,
+                message: format!(
+                    "problem line claims {m} edges on {n} vertices, which would need {} \
+                     machines; a streamed solve sets up at most {MAX_STREAMED_MACHINES}",
+                    cfg.machines
+                ),
+            });
+        }
+        let built = StreamedMatching::new(n, m, cfg).map_err(|e| IoError {
             line: 0,
             col: 0,
             message: e.to_string(),

@@ -211,6 +211,83 @@ mod tests {
         }
     }
 
+    /// Pins which bytes separate tokens and how columns count: every
+    /// [`char::is_whitespace`] character splits, nothing else does, and
+    /// columns are 1-based *byte* offsets.
+    #[test]
+    fn tokenizer_language_is_pinned() {
+        use crate::io::read_instance;
+
+        let path = parse_instance("p graph 3 2\ne 0 1\ne 1 2 2.5\n").unwrap();
+        let accepted: &[&str] = &[
+            "p\tgraph\t3\t2\ne\t0\t1\ne\t1\t2\t2.5",
+            "p\x0Bgraph\x0C3 2\ne\x0B0\x0C1\ne 1\x0C2\x0B2.5",
+            // A `\r` that does not end the line is plain whitespace.
+            "p graph\r3 2\r\ne\r0\r1\r\r\ne 1 2\r2.5\r",
+            "p\u{85}graph\u{A0}3\u{2003}2\ne\u{3000}0\u{85}1\ne 1 2\u{A0}2.5\u{3000}",
+            // Unicode whitespace indents records, comments and blank lines.
+            "\u{A0}c note\n\u{2003}# note\n\u{3000}\u{85}\n\u{3000}p graph 3 2\n\u{A0}e 0 1\ne 1 2 2.5",
+        ];
+        for text in accepted {
+            assert_eq!(parse_instance(text).unwrap(), path, "case {text:?}");
+        }
+
+        let head = "p graph 3 1\n";
+        let rejected: &[(&[u8], usize, usize, &str)] = &[
+            (b"e\t0\t9", 2, 5, "vertex 9 out of range"),
+            (b"e\x0B0\x0C9", 2, 5, "vertex 9 out of range"),
+            (b"e 0\r9", 2, 5, "vertex 9 out of range"),
+            ("e 0\u{85}9".as_bytes(), 2, 6, "vertex 9 out of range"),
+            ("e 0\u{A0}9".as_bytes(), 2, 6, "vertex 9 out of range"),
+            ("e 0\u{2003}9".as_bytes(), 2, 7, "vertex 9 out of range"),
+            ("e 0\u{3000}9".as_bytes(), 2, 7, "vertex 9 out of range"),
+            // "Missing" points just past the last token, not past the
+            // whitespace after it.
+            ("e 0\u{3000}\t".as_bytes(), 2, 4, "missing endpoint"),
+            // Non-ASCII bytes inside a token stay in it, and later
+            // columns count their bytes.
+            ("e 0 1\u{E9}".as_bytes(), 2, 5, "bad endpoint `1\u{E9}`"),
+            ("e 0 1 2.5\u{E9}".as_bytes(), 2, 7, "bad weight `2.5\u{E9}`"),
+            (
+                "e 0 1 1.0 \u{E9} x".as_bytes(),
+                2,
+                11,
+                "unexpected trailing `\u{E9}`",
+            ),
+            (
+                "\u{E9}e 0 1".as_bytes(),
+                2,
+                1,
+                "unexpected record `\u{E9}e`",
+            ),
+            // Not whitespace: the zero-width space and the ASCII
+            // separator controls.
+            ("e 0\u{200B}1".as_bytes(), 2, 3, "bad endpoint `0\u{200B}1`"),
+            (b"e\x1F0 1", 2, 1, "unexpected record `e\x1F0`"),
+            // `c` comments need whitespace after the `c`.
+            (b"c\x1Fnote", 2, 1, "unexpected record `c\x1Fnote`"),
+            // Invalid UTF-8 fails the whole line at column 0, wherever it
+            // sits — inside a token, a comment or a later token.
+            (b"e 0 \xFF", 2, 0, "invalid UTF-8 in input"),
+            (b"c \xC3(", 2, 0, "invalid UTF-8 in input"),
+            (b"z 0 1 \xE2\x80", 2, 0, "invalid UTF-8 in input"),
+        ];
+        for (body, line, col, needle) in rejected {
+            let bytes = [head.as_bytes(), body].concat();
+            for buf in [1usize, 3, 4096] {
+                let e = read_instance(std::io::Cursor::new(&bytes), buf).unwrap_err();
+                assert!(
+                    e.message.contains(needle),
+                    "case {body:?}: got {e} (wanted `{needle}`)"
+                );
+                assert_eq!((e.line, e.col), (*line, *col), "case {body:?}: got {e}");
+            }
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                assert!(parse_instance(text).is_err(), "case {body:?}");
+            }
+        }
+    }
+
     #[test]
     fn empty_shapes_round_trip() {
         for inst in [

@@ -68,7 +68,7 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, IoError> {
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed == "c" {
             continue;
         }
-        let mut toks = tokens(raw);
+        let mut toks: Vec<(usize, &str)> = tokens(raw).collect();
         let (_, tag) = toks.remove(0);
         match tag {
             "c" => continue,

@@ -22,6 +22,7 @@
 pub mod certificate;
 pub mod instance;
 pub mod json;
+mod keyset;
 pub mod manifest;
 pub mod report;
 pub mod stream;
@@ -70,31 +71,134 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Splits a line into `(1-based column, token)` pairs on whitespace —
-/// the shared tokenizer behind every line-oriented parser in this module
-/// (columns are byte-based, which coincides with characters for the
-/// ASCII formats defined here).
-pub(crate) fn tokens(line: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, ch) in line.char_indices() {
-        if ch.is_whitespace() {
-            if let Some(s) = start.take() {
-                out.push((s + 1, &line[s..i]));
-            }
-        } else if start.is_none() {
-            start = Some(i);
+/// A lazy cursor over the whitespace-separated tokens of one line,
+/// yielding `(1-based column, token)` pairs without allocating — the one
+/// tokenizer behind every line-oriented parser in this module. Whitespace
+/// is [`char::is_whitespace`] (ASCII bytes are tested directly, anything
+/// from `0x80` up is decoded first); columns are byte-based, which
+/// coincides with characters for the ASCII formats defined here.
+pub(crate) struct Tokens<'a> {
+    line: &'a str,
+    /// Byte offset just past the last token yielded.
+    pos: usize,
+}
+
+/// The tokens of `line`.
+pub(crate) fn tokens(line: &str) -> Tokens<'_> {
+    Tokens { line, pos: 0 }
+}
+
+impl Tokens<'_> {
+    /// Column just past the last token yielded (1 before the first) —
+    /// where a "missing token" error points once the line is exhausted.
+    pub(crate) fn end_col(&self) -> usize {
+        self.pos + 1
+    }
+
+    /// Whether the character starting at byte `i` is whitespace, and its
+    /// encoded length.
+    #[inline]
+    fn classify(&self, i: usize) -> (bool, usize) {
+        let b = self.line.as_bytes()[i];
+        if b < 0x80 {
+            (b == b' ' || (0x09..=0x0D).contains(&b), 1)
+        } else {
+            let ch = self.line[i..]
+                .chars()
+                .next()
+                .expect("scan offsets stay on char boundaries inside the line");
+            (ch.is_whitespace(), ch.len_utf8())
         }
     }
-    if let Some(s) = start {
-        out.push((s + 1, &line[s..]));
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = (usize, &'a str);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let len = self.line.len();
+        let mut start = self.pos;
+        while start < len {
+            let (space, width) = self.classify(start);
+            if !space {
+                break;
+            }
+            start += width;
+        }
+        if start == len {
+            return None;
+        }
+        let mut end = start;
+        while end < len {
+            let (space, width) = self.classify(end);
+            if space {
+                break;
+            }
+            end += width;
+        }
+        self.pos = end;
+        Some((start + 1, &self.line[start..end]))
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition the cursor must match: split on every
+    /// [`char::is_whitespace`] character, columns counted in bytes.
+    fn reference_tokens(line: &str) -> Vec<(usize, &str)> {
+        let mut out = Vec::new();
+        let mut start: Option<usize> = None;
+        for (i, ch) in line.char_indices() {
+            if ch.is_whitespace() {
+                if let Some(s) = start.take() {
+                    out.push((s + 1, &line[s..i]));
+                }
+            } else if start.is_none() {
+                start = Some(i);
+            }
+        }
+        if let Some(s) = start {
+            out.push((s + 1, &line[s..]));
+        }
+        out
+    }
+
+    #[test]
+    fn every_ascii_byte_is_classified_like_char_is_whitespace() {
+        for b in 0u8..0x80 {
+            let line = format!("a{}b", b as char);
+            let split = tokens(&line).count() == 2;
+            assert_eq!(split, (b as char).is_whitespace(), "byte {b:#04x}");
+        }
+    }
+
+    proptest! {
+        /// Tokens, columns and the end column agree with the reference on
+        /// lines mixing ASCII and Unicode whitespace with multi-byte
+        /// token characters.
+        #[test]
+        fn cursor_matches_reference_tokenizer(
+            picks in proptest::collection::vec(0usize..20, 0..40),
+        ) {
+            const ALPHABET: [&str; 20] = [
+                "e", "7", "2.5", "#", "c", "é", "\u{200B}", "語", "\u{1F}", "-",
+                " ", "\t", "\x0B", "\x0C", "\r", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}", "\n",
+            ];
+            let line: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let expected = reference_tokens(&line);
+            let mut cursor = tokens(&line);
+            prop_assert_eq!(cursor.end_col(), 1);
+            let got: Vec<(usize, &str)> = cursor.by_ref().collect();
+            prop_assert_eq!(&got, &expected);
+            let end = expected.last().map_or(1, |(col, tok)| col + tok.len());
+            prop_assert_eq!(cursor.end_col(), end);
+            prop_assert_eq!(cursor.next(), None);
+        }
+    }
 
     #[test]
     fn display_includes_position() {

@@ -16,25 +16,46 @@
 //! central copy (see `mrlr_core::api::stream` and
 //! `mrlr_mapreduce::ingest`).
 //!
-//! Central state while streaming is `O(n + m·µ_dedup)` words: the current
-//! line, the header counts, one presence bit per vertex (`n`-line
-//! accounting) and one 64-bit key per edge (duplicate detection — the
-//! format promises simple graphs, and the streaming parser rejects
-//! exactly what the materialized one rejects). Everything `Θ(m)`-sized
-//! beyond that single dedup word per edge lives in the sink.
-
-use std::collections::HashSet;
+//! Central state while streaming is `O(n + m)` words: the current line,
+//! the header counts, one presence flag per vertex (`n`-line accounting)
+//! and one 8-byte slot per edge at load factor ≤ ½ (duplicate detection
+//! in a flat open-addressed table — the format promises simple graphs,
+//! and the streaming parser rejects exactly what the materialized one
+//! rejects). Everything `Θ(m)`-sized beyond that table lives in the sink.
+//! Parsing an `e` or `n` line allocates nothing (an `s` line allocates the
+//! element list its record owns): tokens are sliced lazily off the line's
+//! bytes, and a line is copied only when it straddles two chunks. Edge
+//! lines are checked against the table a small batch at a time, so the
+//! table's cache misses overlap; what the sink sees and which error comes
+//! first are exactly as if each line were settled on arrival.
+//!
+//! The header's counts are a claim, not a fact. No allocation is sized by
+//! them beyond a fixed cap (`PREALLOC_CAP` records for the sinks and the
+//! per-vertex flags, `2^24` keys for the duplicate table); past the cap
+//! every structure grows with the records that actually arrive, and a
+//! header that lied is reported by the end-of-input count checks.
 
 use mrlr_graph::{Edge, Graph, VertexId};
 use mrlr_setsys::{ElemId, SetSystem};
 
-use super::{tokens, IoError};
+use super::keyset::KeySet;
+use super::{tokens, IoError, Tokens};
 use crate::api::{BMatchingInstance, Instance, VertexWeightedGraph};
 
 /// Default chunk size of the buffered drivers ([`read_instance`],
 /// [`stream_records`]): 64 KiB — large enough to amortize syscalls, tiny
 /// against any machine budget `η`.
 pub const DEFAULT_BUF_LEN: usize = 64 * 1024;
+
+/// Most records a header count may make the parser or [`InstanceSink`]
+/// allocate for before any have arrived (16 MiB of edges).
+const PREALLOC_CAP: usize = 1 << 20;
+
+/// Most keys the duplicate-edge table is sized for up front.
+const DEDUP_PREALLOC_CAP: usize = 1 << 24;
+
+/// Vertex ids are [`VertexId`]s, so a graph has at most this many vertices.
+const MAX_VERTICES: usize = VertexId::MAX as usize + 1;
 
 pub(crate) fn err(line: usize, col: usize, message: impl Into<String>) -> IoError {
     IoError {
@@ -47,26 +68,21 @@ pub(crate) fn err(line: usize, col: usize, message: impl Into<String>) -> IoErro
 /// A cursor over the tokens of one line, tracking columns for errors.
 pub(crate) struct Line<'a> {
     pub(crate) no: usize,
-    toks: std::vec::IntoIter<(usize, &'a str)>,
-    /// Column just past the last token, for "missing token" errors.
-    end_col: usize,
+    toks: Tokens<'a>,
 }
 
 impl<'a> Line<'a> {
     pub(crate) fn new(no: usize, raw: &'a str) -> Self {
-        let toks = tokens(raw);
-        let end_col = toks.last().map_or(1, |(c, t)| c + t.len());
         Line {
             no,
-            toks: toks.into_iter(),
-            end_col,
+            toks: tokens(raw),
         }
     }
 
     pub(crate) fn next(&mut self, what: &str) -> Result<(usize, &'a str), IoError> {
         self.toks
             .next()
-            .ok_or_else(|| err(self.no, self.end_col, format!("missing {what}")))
+            .ok_or_else(|| err(self.no, self.toks.end_col(), format!("missing {what}")))
     }
 
     pub(crate) fn maybe_next(&mut self) -> Option<(usize, &'a str)> {
@@ -189,6 +205,10 @@ pub enum Record {
 /// [`RecordSink::finish`] after the end-of-input checks pass. A sink may
 /// reject a record with its own [`IoError`] (e.g. a machine over its word
 /// budget); the parser propagates it unchanged.
+///
+/// Edge records may arrive a few lines after they were read (the
+/// duplicate check runs over small batches), but always in input order,
+/// never past a line that fails, and never once an earlier line has.
 pub trait RecordSink {
     /// What the sink assembles.
     type Out;
@@ -215,11 +235,57 @@ struct GraphBody {
     m: usize,
     edges: usize,
     /// Normalized `(min, max)` endpoint keys of the edges seen so far —
-    /// the one `Θ(m)` structure the central parser keeps (one word per
-    /// edge; everything else it holds is `O(n)` or per-line).
-    seen: HashSet<u64>,
-    /// One presence bit per vertex (`n`-line accounting).
+    /// the one `Θ(m)` structure the central parser keeps (one 8-byte slot
+    /// per edge at load factor ≤ ½; everything else it holds is `O(n)`
+    /// or per-line).
+    seen: KeySet,
+    /// Edge lines that have passed every per-line check and await the
+    /// duplicate check and delivery — see [`GraphBody::settle`].
+    pending: Vec<PendingEdge>,
+    /// One presence flag per vertex that has had its `n` line (vertices
+    /// past the end have not) — grown on demand, never beyond `n`.
     vertex_done: Vec<bool>,
+}
+
+/// A parsed `e` line held back for the batched duplicate check.
+struct PendingEdge {
+    record: Record,
+    key: u64,
+    /// Where a duplicate error points: the line, and its first endpoint.
+    line: usize,
+    col: usize,
+}
+
+/// Edge lines per duplicate-check batch. A lookup in the `Θ(m)` key table
+/// is a cache miss the next line's parse cannot proceed past; looked up
+/// back to back, a batch's misses overlap instead of queueing.
+const DEDUP_BATCH: usize = 32;
+
+impl GraphBody {
+    /// Runs the duplicate check over the held-back edge lines, then
+    /// delivers them in arrival order. Called when the batch fills and
+    /// before anything else that can fail or reach the sink, so the sink
+    /// sees the same record sequence, and the caller the same first
+    /// error, as if every line were settled on arrival.
+    fn settle<S: RecordSink>(&mut self, sink: &mut S) -> Result<(), IoError> {
+        let fresh = self
+            .pending
+            .iter()
+            .position(|e| !self.seen.insert(e.key))
+            .unwrap_or(self.pending.len());
+        let mut pending = self.pending.drain(..);
+        for edge in pending.by_ref().take(fresh) {
+            sink.record(edge.record)?;
+        }
+        match pending.next() {
+            None => Ok(()),
+            Some(PendingEdge { key, line, col, .. }) => Err(err(
+                line,
+                col,
+                format!("duplicate edge ({}, {})", key >> 32, key as u32),
+            )),
+        }
+    }
 }
 
 struct SetBody {
@@ -274,8 +340,7 @@ impl<S: RecordSink> StreamParser<S> {
                 self.handle_raw_line(line)
             } else {
                 self.carry.extend_from_slice(line);
-                let full = std::mem::take(&mut self.carry);
-                self.handle_raw_line(&full)
+                self.handle_carry()
             };
             if let Err(e) = r {
                 self.state = State::Failed(e.clone());
@@ -299,9 +364,9 @@ impl<S: RecordSink> StreamParser<S> {
             return Err(e.clone());
         }
         if !self.carry.is_empty() {
-            let last = std::mem::take(&mut self.carry);
-            self.handle_raw_line(&last)?;
+            self.handle_carry()?;
         }
+        self.settle()?;
         let sink = self.sink.take().expect("sink taken once");
         match self.state {
             State::Failed(e) => Err(e),
@@ -318,8 +383,10 @@ impl<S: RecordSink> StreamParser<S> {
                     ));
                 }
                 if body.kind != GraphKind::Graph {
-                    if let Some(v) = body.vertex_done.iter().position(|&d| !d) {
-                        return Err(err(0, 0, format!("vertex {v} has no `n` line")));
+                    let done = &body.vertex_done;
+                    let first_missing = done.iter().position(|&d| !d).unwrap_or(done.len());
+                    if first_missing < body.n {
+                        return Err(err(0, 0, format!("vertex {first_missing} has no `n` line")));
                     }
                 }
                 sink.finish(&body.header)
@@ -340,29 +407,58 @@ impl<S: RecordSink> StreamParser<S> {
         }
     }
 
+    /// Handles the completed line held in `carry`, keeping its buffer.
+    fn handle_carry(&mut self) -> Result<(), IoError> {
+        let mut full = std::mem::take(&mut self.carry);
+        let r = self.handle_raw_line(&full);
+        full.clear();
+        self.carry = full;
+        r
+    }
+
+    /// Settles the edge lines still held back for the duplicate check.
+    fn settle(&mut self) -> Result<(), IoError> {
+        match &mut self.state {
+            State::Graph(body) => {
+                body.settle(self.sink.as_mut().expect("sink alive while parsing"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Handles one line; on failure, any error owed to an earlier,
+    /// held-back line takes precedence.
     fn handle_raw_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
+        self.parse_raw_line(raw)
+            .map_err(|e| self.settle().err().unwrap_or(e))
+    }
+
+    fn parse_raw_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
         self.line_no += 1;
         // `str::lines()` semantics: a line break is `\n` with one optional
         // preceding `\r` stripped.
         let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-        let line =
+        let text =
             std::str::from_utf8(raw).map_err(|_| err(self.line_no, 0, "invalid UTF-8 in input"))?;
-        let t = line.trim_start();
-        let c_comment = t == "c" || (t.starts_with('c') && t[1..].starts_with(char::is_whitespace));
-        if t.is_empty() || t.starts_with('#') || c_comment {
+        let mut line = Line::new(self.line_no, text);
+        // Blank lines have no first token; comments start with `#` or
+        // have a first token of exactly `c`.
+        let Some(first) = line.maybe_next() else {
+            return Ok(());
+        };
+        if first.1.starts_with('#') || first.1 == "c" {
             return Ok(());
         }
-        self.handle_line(Line::new(self.line_no, line))
+        self.handle_line(first, line)
     }
 
-    fn handle_line(&mut self, mut line: Line<'_>) -> Result<(), IoError> {
+    /// Dispatches one significant line, its first token already consumed.
+    fn handle_line(&mut self, first: (usize, &str), mut line: Line<'_>) -> Result<(), IoError> {
+        let sink = self.sink.as_mut().expect("sink alive while parsing");
         match &mut self.state {
             State::Start => {
-                let (header, kind) = parse_problem_line(&mut line)?;
-                self.sink
-                    .as_mut()
-                    .expect("sink alive while parsing")
-                    .header(&header)?;
+                let (header, kind) = parse_problem_line(first, &mut line)?;
+                sink.header(&header)?;
                 self.state = match header {
                     StreamHeader::SetSystem { universe, n_sets } => State::Sets(SetBody {
                         header,
@@ -378,39 +474,35 @@ impl<S: RecordSink> StreamParser<S> {
                         n,
                         m,
                         edges: 0,
-                        seen: HashSet::with_capacity(m.min(1 << 24) * 2),
+                        seen: KeySet::with_capacity(m.min(DEDUP_PREALLOC_CAP)),
+                        pending: Vec::with_capacity(DEDUP_BATCH),
                         vertex_done: if kind == Some(GraphKind::Graph) {
                             Vec::new()
                         } else {
-                            vec![false; n]
+                            vec![false; n.min(PREALLOC_CAP)]
                         },
                     }),
                 };
                 Ok(())
             }
-            State::Graph(body) => {
-                let record = graph_record(body, &mut line)?;
-                self.sink
-                    .as_mut()
-                    .expect("sink alive while parsing")
-                    .record(record)
-            }
-            State::Sets(body) => {
-                let record = set_record(body, &mut line)?;
-                self.sink
-                    .as_mut()
-                    .expect("sink alive while parsing")
-                    .record(record)
-            }
+            State::Graph(body) => match graph_record(body, first, &mut line)? {
+                None if body.pending.len() < DEDUP_BATCH => Ok(()),
+                None => body.settle(sink),
+                Some(record) => {
+                    body.settle(sink)?;
+                    sink.record(record)
+                }
+            },
+            State::Sets(body) => sink.record(set_record(body, first, &mut line)?),
             State::Failed(e) => Err(e.clone()),
         }
     }
 }
 
 fn parse_problem_line(
+    (pcol, ptag): (usize, &str),
     problem: &mut Line<'_>,
 ) -> Result<(StreamHeader, Option<GraphKind>), IoError> {
-    let (pcol, ptag) = problem.next("problem line")?;
     if ptag != "p" {
         return Err(err(
             problem.no,
@@ -421,7 +513,7 @@ fn parse_problem_line(
     let (kcol, kind) = problem.next("instance kind")?;
     match kind {
         "graph" | "vertex-weighted" | "b-matching" => {
-            let (_, n) = problem.parse::<usize>("vertex count")?;
+            let (ncol, n) = problem.parse::<usize>("vertex count")?;
             let (_, m) = problem.parse::<usize>("edge count")?;
             let (header, gkind) = match kind {
                 "graph" => (StreamHeader::Graph { n, m }, GraphKind::Graph),
@@ -436,6 +528,13 @@ fn parse_problem_line(
                 }
             };
             problem.finish()?;
+            if n > MAX_VERTICES {
+                return Err(err(
+                    problem.no,
+                    ncol,
+                    format!("vertex count {n} exceeds the maximum {MAX_VERTICES}"),
+                ));
+            }
             Ok((header, Some(gkind)))
         }
         "set-system" => {
@@ -455,10 +554,15 @@ fn parse_problem_line(
     }
 }
 
-fn graph_record(body: &mut GraphBody, line: &mut Line<'_>) -> Result<Record, IoError> {
+/// Parses one body line of a graph kind. An `e` line is queued on
+/// `body.pending` (`None`); an `n` line is returned for delivery.
+fn graph_record(
+    body: &mut GraphBody,
+    (tcol, tag): (usize, &str),
+    line: &mut Line<'_>,
+) -> Result<Option<Record>, IoError> {
     let needs_vertex_data = body.kind != GraphKind::Graph;
     let n = body.n;
-    let (tcol, tag) = line.next("record")?;
     match tag {
         "e" => {
             let (ucol, u) = line.parse::<VertexId>("endpoint")?;
@@ -492,12 +596,15 @@ fn graph_record(body: &mut GraphBody, line: &mut Line<'_>) -> Result<Record, IoE
                 return Err(err(line.no, vcol, format!("self-loop at vertex {u}")));
             }
             let (a, b) = (u.min(v), u.max(v));
-            if !body.seen.insert(((a as u64) << 32) | b as u64) {
-                return Err(err(line.no, ucol, format!("duplicate edge ({a}, {b})")));
-            }
             let index = body.edges;
             body.edges += 1;
-            Ok(Record::Edge { index, u, v, w })
+            body.pending.push(PendingEdge {
+                record: Record::Edge { index, u, v, w },
+                key: ((a as u64) << 32) | b as u64,
+                line: line.no,
+                col: ucol,
+            });
+            Ok(None)
         }
         "n" if needs_vertex_data => {
             let (vcol, v) = line.parse::<usize>("vertex id")?;
@@ -520,10 +627,10 @@ fn graph_record(body: &mut GraphBody, line: &mut Line<'_>) -> Result<Record, IoE
                 Record::VertexWeight { v, w }
             };
             line.finish()?;
-            if std::mem::replace(&mut body.vertex_done[v], true) {
+            if std::mem::replace(slot(&mut body.vertex_done, v), true) {
                 return Err(err(line.no, vcol, format!("duplicate data for vertex {v}")));
             }
-            Ok(record)
+            Ok(Some(record))
         }
         other => {
             let expected = if needs_vertex_data {
@@ -540,8 +647,11 @@ fn graph_record(body: &mut GraphBody, line: &mut Line<'_>) -> Result<Record, IoE
     }
 }
 
-fn set_record(body: &mut SetBody, line: &mut Line<'_>) -> Result<Record, IoError> {
-    let (tcol, tag) = line.next("record")?;
+fn set_record(
+    body: &mut SetBody,
+    (tcol, tag): (usize, &str),
+    line: &mut Line<'_>,
+) -> Result<Record, IoError> {
     if tag != "s" {
         return Err(err(
             line.no,
@@ -579,6 +689,15 @@ fn set_record(body: &mut SetBody, line: &mut Line<'_>) -> Result<Record, IoError
     Ok(Record::Set { index, w, elems })
 }
 
+/// Entry `v` of a per-vertex table that was pre-sized from a capped
+/// header count, growing the table (default-filled) to reach it.
+fn slot<T: Clone + Default>(table: &mut Vec<T>, v: usize) -> &mut T {
+    if v >= table.len() {
+        table.resize(v + 1, T::default());
+    }
+    &mut table[v]
+}
+
 /// The materializing sink behind [`super::parse_instance`]: accumulates
 /// records into an [`Instance`]. Central memory is `Θ(n + m)` — use a
 /// distributing sink instead when that exceeds the machine budget.
@@ -597,14 +716,14 @@ impl RecordSink for InstanceSink {
 
     fn header(&mut self, header: &StreamHeader) -> Result<(), IoError> {
         match *header {
-            StreamHeader::Graph { m, .. } => self.edges.reserve(m),
+            StreamHeader::Graph { m, .. } => self.edges.reserve(m.min(PREALLOC_CAP)),
             StreamHeader::VertexWeighted { n, m } | StreamHeader::BMatching { n, m, .. } => {
-                self.edges.reserve(m);
-                self.vertex_data = vec![0.0; n];
+                self.edges.reserve(m.min(PREALLOC_CAP));
+                self.vertex_data = vec![0.0; n.min(PREALLOC_CAP)];
             }
             StreamHeader::SetSystem { n_sets, .. } => {
-                self.sets.reserve(n_sets);
-                self.set_weights.reserve(n_sets);
+                self.sets.reserve(n_sets.min(PREALLOC_CAP));
+                self.set_weights.reserve(n_sets.min(PREALLOC_CAP));
             }
         }
         Ok(())
@@ -613,8 +732,8 @@ impl RecordSink for InstanceSink {
     fn record(&mut self, record: Record) -> Result<(), IoError> {
         match record {
             Record::Edge { u, v, w, .. } => self.edges.push(Edge::new(u, v, w)),
-            Record::VertexWeight { v, w } => self.vertex_data[v] = w,
-            Record::Capacity { v, b } => self.vertex_data[v] = b as f64,
+            Record::VertexWeight { v, w } => *slot(&mut self.vertex_data, v) = w,
+            Record::Capacity { v, b } => *slot(&mut self.vertex_data, v) = b as f64,
             Record::Set { w, elems, .. } => {
                 self.set_weights.push(w);
                 self.sets.push(elems);
@@ -624,13 +743,15 @@ impl RecordSink for InstanceSink {
     }
 
     fn finish(self, header: &StreamHeader) -> Result<Instance, IoError> {
+        // The parser has already proved, record by record, everything
+        // `Graph::new` would re-check.
         Ok(match *header {
-            StreamHeader::Graph { n, .. } => Instance::Graph(Graph::new(n, self.edges)),
+            StreamHeader::Graph { n, .. } => Instance::Graph(Graph::from_validated(n, self.edges)),
             StreamHeader::VertexWeighted { n, .. } => Instance::VertexWeighted(
-                VertexWeightedGraph::new(Graph::new(n, self.edges), self.vertex_data),
+                VertexWeightedGraph::new(Graph::from_validated(n, self.edges), self.vertex_data),
             ),
             StreamHeader::BMatching { n, eps, .. } => Instance::BMatching(BMatchingInstance::new(
-                Graph::new(n, self.edges),
+                Graph::from_validated(n, self.edges),
                 self.vertex_data.into_iter().map(|b| b as u32).collect(),
                 eps,
             )),
@@ -712,6 +833,99 @@ mod tests {
         let e2 = p.feed_str("e 0 1\n").unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(p.finish().unwrap_err(), e1);
+    }
+
+    /// A sink that logs what it is handed and fails on record `fail_at`.
+    struct Logging<'a> {
+        seen: &'a std::cell::RefCell<Vec<Record>>,
+        fail_at: usize,
+    }
+
+    impl RecordSink for Logging<'_> {
+        type Out = ();
+        fn header(&mut self, _: &StreamHeader) -> Result<(), IoError> {
+            Ok(())
+        }
+        fn record(&mut self, record: Record) -> Result<(), IoError> {
+            if self.seen.borrow().len() == self.fail_at {
+                return Err(err(0, 0, "sink full"));
+            }
+            self.seen.borrow_mut().push(record);
+            Ok(())
+        }
+        fn finish(self, _: &StreamHeader) -> Result<(), IoError> {
+            Ok(())
+        }
+    }
+
+    /// The duplicate check runs in batches, but nothing observable may
+    /// show it: the first error is the one the earliest bad line owes,
+    /// and the sink sees exactly the records before it, in order.
+    #[test]
+    fn batched_duplicate_check_keeps_arrival_order() {
+        let mut edges = Vec::new();
+        for u in 0..13u32 {
+            for v in (u + 1)..13 {
+                edges.push((u, v));
+            }
+        }
+        assert!(edges.len() >= 2 * DEDUP_BATCH + 3);
+        // `dup_at` distinct edges, a repeat of the first (endpoints
+        // swapped), three more edges, then a line that does not parse.
+        let document = |dup_at: usize| {
+            let mut text = format!("p graph 13 {}\n", dup_at + 4);
+            for &(u, v) in &edges[..dup_at] {
+                text += &format!("e {u} {v}\n");
+            }
+            text += "e 1 0\n";
+            for &(u, v) in &edges[dup_at..dup_at + 3] {
+                text += &format!("e {u} {v}\n");
+            }
+            text + "e 0 x\n"
+        };
+        for dup_at in [
+            1,
+            DEDUP_BATCH - 2,
+            DEDUP_BATCH,
+            DEDUP_BATCH + 7,
+            2 * DEDUP_BATCH,
+        ] {
+            let text = document(dup_at);
+            let duplicate = err(dup_at + 2, 3, "duplicate edge (0, 1)");
+            for (fail_at, expected, delivered) in [
+                (usize::MAX, duplicate.clone(), dup_at),
+                (dup_at, duplicate.clone(), dup_at),
+                (dup_at - 1, err(0, 0, "sink full"), dup_at - 1),
+            ] {
+                for chunk in [1usize, 9, 1 << 16] {
+                    let seen = std::cell::RefCell::new(Vec::new());
+                    let sink = Logging {
+                        seen: &seen,
+                        fail_at,
+                    };
+                    let got = stream_records(std::io::Cursor::new(text.as_bytes()), chunk, sink);
+                    assert_eq!(
+                        got,
+                        Err(expected.clone()),
+                        "dup_at {dup_at} fail_at {fail_at}"
+                    );
+                    let seen = seen.into_inner();
+                    assert_eq!(seen.len(), delivered, "dup_at {dup_at} fail_at {fail_at}");
+                    for (i, record) in seen.iter().enumerate() {
+                        let (u, v) = edges[i];
+                        assert_eq!(
+                            *record,
+                            Record::Edge {
+                                index: i,
+                                u,
+                                v,
+                                w: 1.0
+                            }
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

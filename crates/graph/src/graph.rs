@@ -68,11 +68,33 @@ impl Graph {
     /// Builds a graph over `n` vertices, validating simplicity (no loops,
     /// no parallel edges), endpoint ranges, and weight positivity.
     ///
+    /// This is the constructor for edge lists built in code — generators,
+    /// tests, drivers. Edge lists read from untrusted bytes are validated
+    /// by the parser instead, which can say *where* the input is wrong,
+    /// and then enter through [`Graph::from_validated`].
+    ///
     /// # Panics
     /// Panics on invalid input; generators and tests construct graphs, so a
     /// malformed graph is a programming error, not a runtime condition.
     pub fn new(n: usize, edges: Vec<Edge>) -> Self {
-        for e in &edges {
+        Self::assert_simple(n, &edges);
+        Graph { n, edges }
+    }
+
+    /// Builds a graph from an edge list its caller has already validated
+    /// against everything [`Graph::new`] checks — the instance parser
+    /// (`mrlr_core::io`) proves range, loops, weights and duplicates record
+    /// by record with located errors, so repeating the `O(m log m)` check
+    /// here would only prove it twice. Debug builds (and so the test
+    /// suite) still run the full check.
+    pub fn from_validated(n: usize, edges: Vec<Edge>) -> Self {
+        #[cfg(debug_assertions)]
+        Self::assert_simple(n, &edges);
+        Graph { n, edges }
+    }
+
+    fn assert_simple(n: usize, edges: &[Edge]) {
+        for e in edges {
             assert!(
                 (e.u as usize) < n && (e.v as usize) < n,
                 "endpoint out of range"
@@ -88,7 +110,6 @@ impl Graph {
         for pair in keys.windows(2) {
             assert_ne!(pair[0], pair[1], "parallel edge {:?}", pair[0]);
         }
-        Graph { n, edges }
     }
 
     /// Builds an unweighted (unit-weight) graph from endpoint pairs.

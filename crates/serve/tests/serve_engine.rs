@@ -237,6 +237,48 @@ fn queued_request_times_out_with_an_error_frame() {
     handle.join().unwrap().unwrap();
 }
 
+/// A hostile problem line in a `Solve` frame is one failed request, not a
+/// dead connection or a dead daemon: the client gets an `Error` frame
+/// with the parser's message, and the same connection — and a fresh one
+/// — still answer.
+#[test]
+fn hostile_instance_headers_answer_with_an_error_frame() {
+    let socket = unique_socket("hostile");
+    let (socket, handle) = start(ServeConfig::new(&socket));
+    let mut client = Client::connect(&socket).unwrap();
+    for (text, needle) in [
+        (
+            "p graph 3 18446744073709551615\ne 0 1\n",
+            "promised 18446744073709551615 edges, found 1",
+        ),
+        (
+            "p graph 3 4611686018427387904\ne 0 1\n",
+            "promised 4611686018427387904 edges, found 1",
+        ),
+        (
+            "p vertex-weighted 1152921504606846976 0\nn 0 1.0\n",
+            "line 1, column 19: vertex count",
+        ),
+        (
+            "p set-system 3 18446744073709551615\ns 1.0 0\n",
+            "promised 18446744073709551615 sets, found 1",
+        ),
+    ] {
+        match client.solve(&solve_request(text, 42, 0), &mut |_| {}) {
+            Err(ClientError::Remote(message)) => {
+                assert!(message.contains(needle), "{text:?}: {message}")
+            }
+            other => panic!("{text:?}: expected an Error frame, got {other:?}"),
+        }
+        assert_eq!(client.ping(7).unwrap(), 7, "connection survives {text:?}");
+    }
+    assert_eq!(Client::connect(&socket).unwrap().ping(8).unwrap(), 8);
+
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!(stats.solver_runs, 0, "no hostile request reached a solver");
+}
+
 #[test]
 fn batch_request_matches_offline_document_shape() {
     let socket = unique_socket("batch");
