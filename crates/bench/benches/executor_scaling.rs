@@ -1,12 +1,8 @@
 //! Executor scaling: the same cluster run under the sequential executor
-//! and 2/4/8-thread pools, on the matching and set-cover drivers — as
-//! `Backend::Mr` (classic engine: dynamic scheduling + merge routing,
-//! the `threads*` rows) and as `Backend::Shard` (sharded runtime: static
-//! shard→thread assignment + per-destination batched routing, the
-//! `shard*` rows). Outputs and round counts are bit-identical across
-//! every row (asserted before timing); what the bench measures is pure
-//! wall-clock — the speedup of running machine supersteps concurrently,
-//! and what the batched shuffle buys over the global merge.
+//! and 2/4/8-thread pools, on the matching and set-cover drivers.
+//! Outputs and round counts are bit-identical across every row (asserted
+//! before timing); what the bench measures is pure wall-clock — the
+//! speedup of running machine supersteps concurrently.
 //!
 //! The rounds of each workload are printed alongside so the timing rows
 //! can be read against the model-level cost they cover, as is the host's
@@ -19,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use mrlr_bench::weighted_graph;
-use mrlr_core::api::{Backend, Instance, Registry};
+use mrlr_core::api::{Instance, Registry};
 use mrlr_core::mr::MrConfig;
 use mrlr_setsys::generators as setgen;
 
@@ -59,28 +55,6 @@ fn scale(
             BenchmarkId::new(format!("threads{threads}"), label),
             &threads,
             |b, _| b.iter(|| registry.solve(algorithm, instance, &cfg).unwrap()),
-        );
-    }
-    // The shard-backend rows: same run on the sharded runtime —
-    // bit-identical reports, so the delta against `threads{t}` is pure
-    // scheduler + routing-plane wall-clock.
-    for threads in THREADS {
-        let cfg = cfg.with_threads(threads);
-        let check = registry
-            .solve_with(algorithm, Backend::Shard, instance, &cfg)
-            .unwrap();
-        assert_eq!(check.solution, reference.solution, "shard x{threads}");
-        assert_eq!(check.metrics, reference.metrics, "shard x{threads}");
-        group.bench_with_input(
-            BenchmarkId::new(format!("shard{threads}"), label),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    registry
-                        .solve_with(algorithm, Backend::Shard, instance, &cfg)
-                        .unwrap()
-                })
-            },
         );
     }
     group.finish();

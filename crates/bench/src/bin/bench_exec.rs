@@ -1,47 +1,37 @@
-//! Routing hot-path benchmark: maintains the committed `BENCH_exec.json`
-//! perf trajectory.
+//! Routing hot-path benchmark: maintains the committed `BENCH_exec.json`.
 //!
-//! Three sections feed the artifact:
+//! Three sections feed the artifact, all on the in-process engine
+//! (backend `shard`) at 1 and 4 threads:
 //!
 //! * `router` — synthetic all-to-all exchange supersteps driven straight
-//!   through [`Cluster::exchange`], comparing the sequential `Merge`
-//!   reference plane (backend `mr`) against the concurrent plane
-//!   (backend `shard`) at 1 and 4 threads, for a one-word and a
-//!   container-payload message shape. Destinations are drawn from the
-//!   machine-local shard RNG stream ([`mrlr_mapreduce::Shard::rng_mut`]);
-//!   final state checksums and `Metrics` are asserted bit-identical
-//!   across every leg before anything is reported.
+//!   through [`Cluster::exchange`], for a one-word and a
+//!   container-payload (`vec3`) message shape. Destinations are drawn
+//!   from the machine-local shard RNG stream
+//!   ([`mrlr_mapreduce::Shard::rng_mut`]); final state checksums and
+//!   `Metrics` are asserted bit-identical across thread counts before
+//!   anything is reported.
 //! * `registry` — three representative algorithm keys solved through
-//!   the registry across threads {1, 4} × backends {mr, shard}, each leg
-//!   asserted bit-identical (solution and `Metrics`) to the `mr`
-//!   reference run.
+//!   the registry, each leg asserted bit-identical (solution and
+//!   `Metrics`) to the 1-thread run.
 //! * `payload` — the vec3 container workload staged on the flat payload
-//!   plane ([`Cluster::exchange_payload`]) against the nested
-//!   `Vec<u64>`-message shape it replaces, plus an `mis2` registry leg
-//!   whose sample shuffles ride that plane. This section re-measures
-//!   BOTH phases every run (the two planes coexist in the same build),
-//!   so the before/after allocation gap is always an apples-to-apples
-//!   pair from one binary.
+//!   plane ([`Cluster::exchange_payload`]), asserted bit-identical to the
+//!   `Vec<u64>`-message shape of the `router` section's `vec3` rows (the
+//!   allocation gap between the two is what the plane buys), plus an
+//!   `mis2` registry leg whose sample shuffles ride that plane.
 //!
 //! Each row records wall-time, peak inbox bytes and allocator traffic
 //! per superstep, counted by a `#[global_allocator]` shim compiled into
-//! this bin only. Rows carry a `phase` tag (`before` / `after`):
-//! regeneration replaces only the rows of the phase being measured and
-//! keeps the other phase's rows (`payload` rows are always re-measured),
-//! so the committed file accumulates the trajectory across PRs instead
-//! of overwriting it.
+//! this bin only.
 //!
 //! Usage:
-//!   `bench_exec [--quick] [--phase before|after] [out.json]`
-//!     measure and rewrite the given phase (default `after`,
-//!     default path `BENCH_exec.json`).
+//!   `bench_exec [--quick] [out.json]`
+//!     measure and rewrite the artifact (default path `BENCH_exec.json`).
 //!   `bench_exec --check [out.json]`
-//!     CI mode: run the quick equivalence assertions (Merge vs the
-//!     concurrent plane, nested vs payload plane) without touching the
-//!     file, then fail unless the committed artifact already has rows
-//!     for both phases of every section, and fail if any freshly
-//!     measured columnar-plane row allocates more than 25% (plus a +16
-//!     absolute grace) over its committed `after` baseline.
+//!     CI mode: run the quick equivalence assertions (thread counts,
+//!     tuple vs payload plane) without touching the file, then fail
+//!     unless the committed artifact has rows for every section, and
+//!     fail if any freshly measured router or payload row allocates more
+//!     than 25% (plus a +16 absolute grace) over its committed baseline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -59,8 +49,8 @@ use mrlr_mapreduce::{DetRng, Metrics, PayloadOutbox, RuntimeKind, Wire, WordSize
 // Counting allocator (this bin only): every heap allocation and
 // reallocation bumps a counter, so a superstep loop's allocator traffic
 // is the counter delta around it. Deallocations are uncounted — the
-// metric is "new memory requests per superstep", the thing the columnar
-// plane's buffer reuse is meant to eliminate.
+// metric is "new memory requests per superstep", the thing the router's
+// buffer reuse is meant to eliminate.
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -148,14 +138,13 @@ struct RouterMeasurement {
     alloc_bytes_per_superstep: u64,
 }
 
-/// Builds the synthetic-workload cluster for one (runtime, threads)
-/// leg, with each machine's destination stream seeded from its own
-/// shard RNG (machine-local coins, not a stateless hash of the
-/// message id).
-fn router_cluster(runtime: RuntimeKind, threads: usize, p: RouterParams) -> Cluster<RouterState> {
+/// Builds the synthetic-workload cluster for one thread count, with
+/// each machine's destination stream seeded from its own shard RNG
+/// (machine-local coins, not a stateless hash of the message id).
+fn router_cluster(threads: usize, p: RouterParams) -> Cluster<RouterState> {
     let capacity = (p.volume + 2) * 64 * p.machines;
     let cfg = ClusterConfig::new(p.machines, capacity)
-        .with_runtime(runtime)
+        .with_runtime(RuntimeKind::Shard)
         .with_threads(threads)
         .with_seed(ROUTER_SEED);
     let states: Vec<RouterState> = (0..p.machines)
@@ -201,23 +190,17 @@ fn measure_router(
     }
 }
 
-/// Runs the synthetic workload on one (runtime, threads) leg. `build`
+/// Runs the synthetic workload at one thread count. `build`
 /// turns a destination-selecting RNG draw into the message payload and
 /// `digest` folds a received message into the checksum; both are pure,
 /// so every leg sees identical traffic.
-fn run_router<M, B, D>(
-    runtime: RuntimeKind,
-    threads: usize,
-    p: RouterParams,
-    build: B,
-    digest: D,
-) -> RouterMeasurement
+fn run_router<M, B, D>(threads: usize, p: RouterParams, build: B, digest: D) -> RouterMeasurement
 where
     M: WordSized + Send + Wire + 'static,
     B: Fn(u64) -> M + Sync,
     D: Fn(&M) -> u64 + Sync,
 {
-    let cluster = router_cluster(runtime, threads, p);
+    let cluster = router_cluster(threads, p);
     let machines = p.machines;
     let volume = p.volume;
     measure_router(cluster, p, |cluster| {
@@ -247,9 +230,9 @@ where
 /// (zero words) plus three `u64` elements, so each message meters
 /// 0 + 1 + 3 = 4 words — exactly the `Vec<u64>` shape it replaces —
 /// and the RNG draws are identical, so checksums and `Metrics` must
-/// match the nested-plane runs bit for bit.
-fn run_router_payload(runtime: RuntimeKind, threads: usize, p: RouterParams) -> RouterMeasurement {
-    let cluster = router_cluster(runtime, threads, p);
+/// match the `Vec<u64>`-message runs bit for bit.
+fn run_router_payload(threads: usize, p: RouterParams) -> RouterMeasurement {
+    let cluster = router_cluster(threads, p);
     let machines = p.machines;
     let volume = p.volume;
     measure_router(cluster, p, |cluster| {
@@ -280,13 +263,9 @@ fn run_router_payload(runtime: RuntimeKind, threads: usize, p: RouterParams) -> 
 }
 
 /// Renders one router-shaped measurement as an artifact row.
-#[allow(clippy::too_many_arguments)]
 fn router_row(
     section: &str,
-    phase: &str,
     workload: &str,
-    backend: &str,
-    plane: &str,
     threads: usize,
     p: RouterParams,
     m: &RouterMeasurement,
@@ -294,8 +273,8 @@ fn router_row(
     let mut row = String::new();
     let _ = write!(
         row,
-        "{{\"section\": \"{section}\", \"phase\": \"{phase}\", \"workload\": \"{workload}\", \
-         \"backend\": \"{backend}\", \"plane\": \"{plane}\", \"threads\": {threads}, \
+        "{{\"section\": \"{section}\", \"workload\": \"{workload}\", \
+         \"backend\": \"shard\", \"threads\": {threads}, \
          \"machines\": {}, \"volume\": {}, \"supersteps\": {}, \
          \"wall_nanos\": {}, \"wall_nanos_per_superstep\": {}, \
          \"allocs_per_superstep\": {}, \"alloc_bytes_per_superstep\": {}, \
@@ -312,11 +291,27 @@ fn router_row(
     row
 }
 
-/// All router legs for one message shape; asserts every leg bit-identical
-/// to the (mr, 1 thread) reference before reporting.
+/// Asserts `m` bit-identical (checksums + `Metrics`) to `reference`.
+fn assert_same_run(
+    what: &str,
+    threads: usize,
+    m: &RouterMeasurement,
+    reference: &RouterMeasurement,
+) {
+    assert_eq!(
+        m.checksums, reference.checksums,
+        "{what}: threads={threads} diverged from reference"
+    );
+    assert_eq!(
+        m.metrics, reference.metrics,
+        "{what}: threads={threads} metrics diverged"
+    );
+}
+
+/// Both thread-count legs for one message shape; asserts the 4-thread
+/// leg bit-identical to the 1-thread one before reporting.
 fn router_rows<M, B, D>(
     rows: &mut Vec<String>,
-    phase: &str,
     workload: &str,
     p: RouterParams,
     build: B,
@@ -326,30 +321,16 @@ fn router_rows<M, B, D>(
     B: Fn(u64) -> M + Sync + Copy,
     D: Fn(&M) -> u64 + Sync + Copy,
 {
-    let legs = [("mr", RuntimeKind::Classic), ("shard", RuntimeKind::Shard)];
-    let reference = run_router::<M, _, _>(RuntimeKind::Classic, 1, p, build, digest);
-    for (backend, runtime) in legs {
-        for threads in [1usize, 4] {
-            let m = run_router::<M, _, _>(runtime, threads, p, build, digest);
-            assert_eq!(
-                m.checksums, reference.checksums,
-                "{workload}: {backend} threads={threads} diverged from reference"
-            );
-            assert_eq!(
-                m.metrics, reference.metrics,
-                "{workload}: {backend} threads={threads} metrics diverged"
-            );
-            let plane = runtime.router().name();
-            rows.push(router_row(
-                "router", phase, workload, backend, plane, threads, p, &m,
-            ));
-            eprintln!(
-                "router/{workload} {backend} t{threads}: \
-                 {} allocs/superstep, {} ns/superstep",
-                m.allocs_per_superstep,
-                m.wall_nanos / p.supersteps as u128
-            );
-        }
+    let reference = run_router::<M, _, _>(1, p, build, digest);
+    for threads in [1usize, 4] {
+        let m = run_router::<M, _, _>(threads, p, build, digest);
+        assert_same_run(workload, threads, &m, &reference);
+        rows.push(router_row("router", workload, threads, p, &m));
+        eprintln!(
+            "router/{workload} t{threads}: {} allocs/superstep, {} ns/superstep",
+            m.allocs_per_superstep,
+            m.wall_nanos / p.supersteps as u128
+        );
     }
 }
 
@@ -364,14 +345,14 @@ fn vec3_digest(m: &Vec<u64>) -> u64 {
     m.iter().fold(0u64, |a, x| a.wrapping_add(*x))
 }
 
-fn router_section(rows: &mut Vec<String>, phase: &str, quick: bool) {
+fn router_section(rows: &mut Vec<String>, quick: bool) {
     let p = if quick { ROUTER_QUICK } else { ROUTER_FULL };
     // One-word messages: the hot shape, where per-message overhead is
     // everything.
-    router_rows::<u64, _, _>(rows, phase, "u64", p, |draw| draw, |m| *m);
+    router_rows::<u64, _, _>(rows, "u64", p, |draw| draw, |m| *m);
     // Container messages: exercises header-word accounting and payload
     // moves through the delivery pass.
-    router_rows::<Vec<u64>, _, _>(rows, phase, "vec3", p, vec3_build, vec3_digest);
+    router_rows::<Vec<u64>, _, _>(rows, "vec3", p, vec3_build, vec3_digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,226 +383,94 @@ fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
     ]
 }
 
-fn registry_section(rows: &mut Vec<String>, phase: &str, quick: bool) {
+/// Solves `key` on `Backend::Shard` at 1 and 4 threads, asserting the
+/// 4-thread report bit-identical (solution and `Metrics`) to the
+/// 1-thread one, and renders one row per leg; `tag` is the row's
+/// leading `"section": …` fields.
+fn registry_rows(rows: &mut Vec<String>, tag: &str, key: &str, instance: &Instance, cfg: MrConfig) {
     let registry = Registry::with_defaults();
+    let reference = registry
+        .solve_with(key, Backend::Shard, instance, &cfg.with_threads(1))
+        .expect("reference run");
+    for threads in [1usize, 4] {
+        let leg_cfg = cfg.with_threads(threads);
+        let (calls0, bytes0) = alloc_snapshot();
+        let report = registry
+            .solve_with(key, Backend::Shard, instance, &leg_cfg)
+            .expect("solve");
+        let (calls1, bytes1) = alloc_snapshot();
+        assert_eq!(
+            report.solution, reference.solution,
+            "{key}: threads={threads} diverged"
+        );
+        assert_eq!(
+            report.metrics, reference.metrics,
+            "{key}: threads={threads} metrics diverged"
+        );
+        let metrics = report.metrics.as_ref().expect("cluster metrics");
+        let supersteps = metrics.supersteps.max(1) as u64;
+        let mut row = String::new();
+        let _ = write!(
+            row,
+            "{{{tag}, \"backend\": \"shard\", \
+             \"threads\": {threads}, \"supersteps\": {}, \"rounds\": {}, \
+             \"wall_nanos\": {}, \"allocs_per_superstep\": {}, \
+             \"alloc_bytes_per_superstep\": {}, \"peak_inbox_bytes\": {}}}",
+            metrics.supersteps,
+            metrics.rounds,
+            report.wall.as_nanos(),
+            (calls1 - calls0) / supersteps,
+            (bytes1 - bytes0) / supersteps,
+            metrics.peak_in_words * 8,
+        );
+        rows.push(row);
+    }
+    eprintln!("{key}: shard at threads {{1,4}}");
+}
+
+fn registry_section(rows: &mut Vec<String>, quick: bool) {
     for (key, instance, cfg) in registry_workloads(quick) {
-        let reference = registry
-            .solve_with(key, Backend::Mr, &instance, &cfg)
-            .expect("reference run");
-        for (backend_name, backend) in [("mr", Backend::Mr), ("shard", Backend::Shard)] {
-            for threads in [1usize, 4] {
-                let leg_cfg = cfg.with_threads(threads);
-                let (calls0, bytes0) = alloc_snapshot();
-                let report = registry
-                    .solve_with(key, backend, &instance, &leg_cfg)
-                    .expect("solve");
-                let (calls1, bytes1) = alloc_snapshot();
-                assert_eq!(
-                    report.solution, reference.solution,
-                    "{key}: {backend_name} threads={threads} diverged"
-                );
-                assert_eq!(
-                    report.metrics, reference.metrics,
-                    "{key}: {backend_name} threads={threads} metrics diverged"
-                );
-                let metrics = report.metrics.as_ref().expect("cluster metrics");
-                let supersteps = metrics.supersteps.max(1) as u64;
-                let mut row = String::new();
-                let _ = write!(
-                    row,
-                    "{{\"section\": \"registry\", \"phase\": \"{phase}\", \
-                     \"algorithm\": \"{key}\", \"backend\": \"{backend_name}\", \
-                     \"threads\": {threads}, \"supersteps\": {}, \"rounds\": {}, \
-                     \"wall_nanos\": {}, \"allocs_per_superstep\": {}, \
-                     \"alloc_bytes_per_superstep\": {}, \"peak_inbox_bytes\": {}}}",
-                    metrics.supersteps,
-                    metrics.rounds,
-                    report.wall.as_nanos(),
-                    (calls1 - calls0) / supersteps,
-                    (bytes1 - bytes0) / supersteps,
-                    metrics.peak_in_words * 8,
-                );
-                rows.push(row);
-            }
-        }
-        eprintln!("registry/{key}: mr + shard at threads {{1,4}}");
+        let tag = format!("\"section\": \"registry\", \"algorithm\": \"{key}\"");
+        registry_rows(rows, &tag, key, &instance, cfg);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Payload section: the flat payload plane against the nested Vec plane
-// it replaces, measured as a before/after pair from the same binary.
+// Payload section: the flat payload plane against the `Vec<u64>` tuple
+// shape it replaces.
 
-/// Router-shaped payload legs plus the `mis2` registry leg. The
-/// `before` rows are the vec3 `Vec<u64>`-message shape (one heap
-/// allocation per staged message plus one per delivered copy); the
-/// `after` rows stage the identical traffic through
-/// [`Cluster::exchange_payload`] writer handles into pooled flat
-/// columns. Head `()` + 3 elements meters 0 + 1 + 3 = 4 words — the
-/// same as `Vec<u64>` with 3 elements — and both planes consume the
-/// same RNG draws, so every leg of both phases is asserted
-/// bit-identical (checksums + `Metrics`) to the nested Classic/t1
-/// reference before any row is emitted.
+/// Router-shaped payload legs plus the `mis2` registry leg. The rows
+/// stage the `router` section's vec3 traffic through
+/// [`Cluster::exchange_payload`] writer handles into pooled flat columns
+/// instead of one heap-allocated `Vec<u64>` per message. Head `()` + 3
+/// elements meters 0 + 1 + 3 = 4 words — the same as `Vec<u64>` with 3
+/// elements — and both shapes consume the same RNG draws, so every leg
+/// is asserted bit-identical (checksums + `Metrics`) to the 1-thread
+/// `Vec<u64>` run before any row is emitted.
 fn payload_section(rows: &mut Vec<String>, quick: bool) {
     let p = if quick { ROUTER_QUICK } else { ROUTER_FULL };
-    let reference =
-        run_router::<Vec<u64>, _, _>(RuntimeKind::Classic, 1, p, vec3_build, vec3_digest);
-    let legs = [("mr", RuntimeKind::Classic), ("shard", RuntimeKind::Shard)];
-    for (backend, runtime) in legs {
-        for threads in [1usize, 4] {
-            let before = run_router::<Vec<u64>, _, _>(runtime, threads, p, vec3_build, vec3_digest);
-            let after = run_router_payload(runtime, threads, p);
-            for (phase, workload, m) in [("before", "vec3", &before), ("after", "payload", &after)]
-            {
-                assert_eq!(
-                    m.checksums, reference.checksums,
-                    "payload/{workload}: {backend} threads={threads} diverged from reference"
-                );
-                assert_eq!(
-                    m.metrics, reference.metrics,
-                    "payload/{workload}: {backend} threads={threads} metrics diverged"
-                );
-                let plane = runtime.router().name();
-                rows.push(router_row(
-                    "payload", phase, workload, backend, plane, threads, p, m,
-                ));
-            }
-            eprintln!(
-                "payload {backend} t{threads}: {} → {} allocs/superstep",
-                before.allocs_per_superstep, after.allocs_per_superstep
-            );
-        }
+    let reference = run_router::<Vec<u64>, _, _>(1, p, vec3_build, vec3_digest);
+    for threads in [1usize, 4] {
+        let m = run_router_payload(threads, p);
+        assert_same_run("payload", threads, &m, &reference);
+        rows.push(router_row("payload", "payload", threads, p, &m));
+        eprintln!(
+            "payload t{threads}: {} → {} allocs/superstep",
+            reference.allocs_per_superstep, m.allocs_per_superstep
+        );
     }
-    payload_registry_rows(rows, quick);
-}
-
-/// The `mis2` solve through the registry: its sample shuffles ride the
-/// payload plane, so this leg records what the flat columns buy at the
-/// whole-algorithm level. Each leg is asserted bit-identical (solution
-/// and `Metrics`) to the `mr` reference run.
-fn payload_registry_rows(rows: &mut Vec<String>, quick: bool) {
-    let registry = Registry::with_defaults();
+    // The `mis2` solve through the registry: its sample shuffles ride
+    // the payload plane, so this leg records what the flat columns buy
+    // at the whole-algorithm level.
     let n = if quick { REG_QUICK_N } else { REG_FULL_N };
     let g = weighted_graph(n, REG_C, REG_SEED);
     let cfg = MrConfig::auto(n, g.m(), REG_MU, REG_SEED);
-    let instance = Instance::Graph(g);
-    let reference = registry
-        .solve_with("mis2", Backend::Mr, &instance, &cfg)
-        .expect("mis2 reference run");
-    for (backend_name, plane, backend) in [
-        ("mr", "merge", Backend::Mr),
-        ("shard", "columnar", Backend::Shard),
-    ] {
-        for threads in [1usize, 4] {
-            let leg_cfg = cfg.with_threads(threads);
-            let (calls0, bytes0) = alloc_snapshot();
-            let report = registry
-                .solve_with("mis2", backend, &instance, &leg_cfg)
-                .expect("mis2 solve");
-            let (calls1, bytes1) = alloc_snapshot();
-            assert_eq!(
-                report.solution, reference.solution,
-                "mis2: {backend_name} threads={threads} diverged"
-            );
-            assert_eq!(
-                report.metrics, reference.metrics,
-                "mis2: {backend_name} threads={threads} metrics diverged"
-            );
-            let metrics = report.metrics.as_ref().expect("cluster metrics");
-            let supersteps = metrics.supersteps.max(1) as u64;
-            let mut row = String::new();
-            let _ = write!(
-                row,
-                "{{\"section\": \"payload\", \"phase\": \"after\", \
-                 \"workload\": \"mis2\", \"backend\": \"{backend_name}\", \
-                 \"plane\": \"{plane}\", \"threads\": {threads}, \
-                 \"supersteps\": {}, \"rounds\": {}, \"wall_nanos\": {}, \
-                 \"allocs_per_superstep\": {}, \"alloc_bytes_per_superstep\": {}, \
-                 \"peak_inbox_bytes\": {}}}",
-                metrics.supersteps,
-                metrics.rounds,
-                report.wall.as_nanos(),
-                (calls1 - calls0) / supersteps,
-                (bytes1 - bytes0) / supersteps,
-                metrics.peak_in_words * 8,
-            );
-            rows.push(row);
-        }
-    }
-    eprintln!("payload/mis2: mr + shard at threads {{1,4}}");
+    let tag = "\"section\": \"payload\", \"workload\": \"mis2\"";
+    registry_rows(rows, tag, "mis2", &Instance::Graph(g), cfg);
 }
 
 // ---------------------------------------------------------------------------
-// Artifact assembly: keep the other phase's rows, replace this phase's.
-
-fn render_value(v: &JsonValue, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        JsonValue::Num(raw) => out.push_str(raw),
-        JsonValue::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                render_value(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{k}\": ");
-                render_value(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Rows already in the artifact whose `phase` differs from the one being
-/// re-measured, re-rendered verbatim. `payload`-section rows are always
-/// dropped: that section re-measures both of its phases on every run,
-/// so keeping the old rows would duplicate them.
-fn kept_rows(path: &str, phase: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let doc = parse_json(&text).expect("existing artifact parses");
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .expect("artifact has a rows array");
-    rows.iter()
-        .filter(|row| {
-            row.get("phase").and_then(JsonValue::as_str) != Some(phase)
-                && row.get("section").and_then(JsonValue::as_str) != Some("payload")
-        })
-        .map(|row| {
-            let mut s = String::new();
-            render_value(row, &mut s);
-            s
-        })
-        .collect()
-}
+// Artifact assembly and the CI gates.
 
 fn write_artifact(path: &str, rows: &[String]) {
     let mut out = String::from("{\n  \"bench\": \"exec\",\n  \"rows\": [\n");
@@ -634,51 +483,39 @@ fn write_artifact(path: &str, rows: &[String]) {
     println!("wrote {path} ({} rows)", rows.len());
 }
 
-/// CI gate: the committed artifact must already carry both phases of
-/// every section, i.e. the trajectory is present and regenerations did
-/// not drop the historical rows.
+/// CI gate: the committed artifact must carry rows for every section.
 fn check_artifact(path: &str, rows: &[JsonValue]) {
     for section in ["router", "registry", "payload"] {
-        for phase in ["before", "after"] {
-            let count = rows
-                .iter()
-                .filter(|r| {
-                    r.get("section").and_then(JsonValue::as_str) == Some(section)
-                        && r.get("phase").and_then(JsonValue::as_str) == Some(phase)
-                })
-                .count();
-            assert!(
-                count > 0,
-                "--check: {path} has no rows for section={section} phase={phase}"
-            );
-            println!("ok: {section}/{phase}: {count} rows");
-        }
+        let count = rows
+            .iter()
+            .filter(|r| r.get("section").and_then(JsonValue::as_str) == Some(section))
+            .count();
+        assert!(
+            count > 0,
+            "--check: {path} has no rows for section={section}"
+        );
+        println!("ok: {section}: {count} rows");
     }
 }
 
-/// CI alloc-regression gate: every freshly measured columnar-plane row
-/// must stay within `max(base * 5/4, base + 16)` of the
-/// allocs-per-superstep its committed `after` baseline records (25%
-/// slack, with an absolute +16 grace so single-digit baselines don't
-/// flake on allocator noise). The fresh rows run at QUICK sizes, which
-/// are never larger than the committed full-size run, so a failure
-/// here means the columnar plane regressed for certain; a pass at
-/// quick size is the conservative direction.
+/// CI alloc-regression gate: every freshly measured router or payload
+/// row must stay within `max(base * 5/4, base + 16)` of the
+/// allocs-per-superstep its committed baseline records (25% slack, with
+/// an absolute +16 grace so single-digit baselines don't flake on
+/// allocator noise). The fresh rows run at QUICK sizes, which are never
+/// larger than the committed full-size run, so a failure here means the
+/// routing path regressed for certain; a pass at quick size is the
+/// conservative direction.
 fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
-    let key_of = |row: &JsonValue| -> Option<(String, String, String, u64)> {
-        if row.get("plane").and_then(JsonValue::as_str) != Some("columnar") {
-            return None;
-        }
+    let key_of = |row: &JsonValue| -> Option<(String, String, u64)> {
         Some((
             row.get("section").and_then(JsonValue::as_str)?.to_string(),
             row.get("workload").and_then(JsonValue::as_str)?.to_string(),
-            row.get("backend").and_then(JsonValue::as_str)?.to_string(),
             row.get("threads").and_then(JsonValue::as_u64)?,
         ))
     };
     let baselines: Vec<_> = committed
         .iter()
-        .filter(|r| r.get("phase").and_then(JsonValue::as_str) == Some("after"))
         .filter_map(|r| {
             let key = key_of(r)?;
             let base = r.get("allocs_per_superstep").and_then(JsonValue::as_u64)?;
@@ -688,9 +525,9 @@ fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
     let mut gated = 0usize;
     for row in measured {
         let row = parse_json(row).expect("measured row renders as JSON");
-        let Some(key) = key_of(&row) else { continue };
+        let key = key_of(&row).expect("router and payload rows name their workload");
         let Some(&(_, base)) = baselines.iter().find(|(k, _)| *k == key) else {
-            continue;
+            panic!("--check: no committed baseline for {key:?}");
         };
         let got = row
             .get("allocs_per_superstep")
@@ -703,34 +540,22 @@ fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
              exceeds allowed {allowed} (committed baseline {base})"
         );
         println!(
-            "ok: allocs {}/{} {} t{}: {got} <= {allowed} (baseline {base})",
-            key.0, key.1, key.2, key.3
+            "ok: allocs {}/{} t{}: {got} <= {allowed} (baseline {base})",
+            key.0, key.1, key.2
         );
         gated += 1;
     }
-    assert!(
-        gated > 0,
-        "--check: no columnar rows were gated — baseline rows missing from the artifact"
-    );
+    assert!(gated > 0, "--check: no rows were measured");
 }
 
 fn main() {
     let mut quick = false;
     let mut check = false;
-    let mut phase = String::from("after");
     let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--phase" => {
-                phase = args.next().expect("--phase needs a value");
-                assert!(
-                    phase == "before" || phase == "after",
-                    "--phase must be before|after"
-                );
-            }
             other if !other.starts_with('-') => out_path = Some(other.to_string()),
             other => panic!("unknown flag {other}"),
         }
@@ -738,12 +563,12 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| "BENCH_exec.json".into());
 
     if check {
-        // Fast equivalence gates first: any Merge-vs-concurrent-plane or
-        // nested-vs-payload-plane divergence panics inside the section
+        // Fast equivalence gates first: any thread-count or
+        // tuple-vs-payload-plane divergence panics inside the section
         // runners before the file is judged.
-        let mut scratch = Vec::new();
-        router_section(&mut scratch, "check", true);
-        payload_section(&mut scratch, true);
+        let mut measured = Vec::new();
+        router_section(&mut measured, true);
+        payload_section(&mut measured, true);
         let text = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {out_path}: {e}"));
         let doc = parse_json(&text).expect("artifact parses");
@@ -752,14 +577,14 @@ fn main() {
             .and_then(JsonValue::as_arr)
             .expect("artifact has a rows array");
         check_artifact(&out_path, rows);
-        alloc_gate(rows, &scratch);
+        alloc_gate(rows, &measured);
         println!("check passed");
         return;
     }
 
-    let mut rows = kept_rows(&out_path, &phase);
-    router_section(&mut rows, &phase, quick);
-    registry_section(&mut rows, &phase, quick);
+    let mut rows = Vec::new();
+    router_section(&mut rows, quick);
+    registry_section(&mut rows, quick);
     payload_section(&mut rows, quick);
     write_artifact(&out_path, &rows);
 }

@@ -74,9 +74,9 @@ Run `mrlr list` for the algorithm keys and generator families (with the
 backends each key supports). The cluster shape is auto-derived from the
 instance and `--mu` exactly as the paper parameterizes it; `--threads`
 (default: MRLR_THREADS, else sequential) changes wall-clock only, and the
-three cluster backends (`mr` on the classic engine, `shard` on the
-sharded runtime, `dist` on the master/worker control plane over real
-processes; MRLR_BACKEND sets the default engine for `mr`) return
+three cluster backends (`shard` on the in-process runtime, `dist` on the
+master/worker control plane over real processes, `mr` on whichever of the
+two MRLR_BACKEND=shard|dist names, `shard` when unset) return
 bit-identical solutions, metrics and witnesses. Under `--backend dist`,
 `--workers` sets the worker-process count (default: MRLR_DIST_WORKERS,
 else 2) and `--kill W@S` kills worker W at superstep S to demonstrate
@@ -125,6 +125,12 @@ fn main() -> ExitCode {
     // serves the shuffle-region protocol instead of parsing a command.
     if std::env::var_os(mrlr_mapreduce::dist::worker::SOCKET_ENV).is_some() {
         std::process::exit(mrlr_mapreduce::dist::worker::worker_main());
+    }
+    // The env defaults are read lazily, deep inside the first cluster
+    // run; a mistyped value is a usage error here, not a panic there.
+    if let Err(e) = mrlr_mapreduce::env_threads().and_then(|_| mrlr_mapreduce::env_runtime()) {
+        eprintln!("mrlr: {e}");
+        return ExitCode::from(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) = match args.split_first() {

@@ -570,6 +570,32 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
     );
 }
 
+/// A mistyped `MRLR_BACKEND` / `MRLR_THREADS` must stop the process at
+/// start-up — exit 2 with the accepted values on stderr — never fall
+/// back to a default engine or panic (exit 101) inside the first solve.
+#[test]
+fn mistyped_env_defaults_exit_2_with_the_accepted_values() {
+    for (var, value, accepted) in [
+        ("MRLR_BACKEND", "dits", "`shard` or `dist`"),
+        ("MRLR_BACKEND", "mr", "`shard` or `dist`"),
+        ("MRLR_THREADS", "four", "positive integer"),
+        ("MRLR_THREADS", "0", "positive integer"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .arg("list")
+            .env(var, value)
+            .output()
+            .expect("spawn mrlr");
+        assert_eq!(out.status.code(), Some(2), "{var}={value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{var}={value:?}")) && stderr.contains(accepted),
+            "{var}={value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{var}={value}: ran anyway");
+    }
+}
+
 /// A problem line that promises an absurd count must fail like any other
 /// bad file — exit 1 with the parser's message — never a panic (exit
 /// 101) or an allocation abort (killed by a signal, no exit code).

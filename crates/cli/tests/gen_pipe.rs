@@ -3,7 +3,7 @@
 //! a pipe (`gen --pipe | solve --input -`), and — for `matching` — from
 //! the streamed ingest path (`solve --stream`) is byte-identical
 //! (witnesses included) to the report solved from the instance file, on
-//! every `MRLR_BACKEND={mr,shard,dist}` × `MRLR_THREADS={1,4}` leg.
+//! every `MRLR_BACKEND={shard,dist}` × `MRLR_THREADS={1,4}` leg.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -112,14 +112,7 @@ fn mrlr_stdin(dir: &Path, engine: &str, threads: &str, args: &[&str], stdin_byte
     String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
-const LEGS: [(&str, &str); 6] = [
-    ("mr", "1"),
-    ("mr", "4"),
-    ("shard", "1"),
-    ("shard", "4"),
-    ("dist", "1"),
-    ("dist", "4"),
-];
+const LEGS: [(&str, &str); 4] = [("shard", "1"), ("shard", "4"), ("dist", "1"), ("dist", "4")];
 
 #[test]
 fn solve_from_generator_is_bit_identical_to_solve_from_file() {
@@ -129,7 +122,7 @@ fn solve_from_generator_is_bit_identical_to_solve_from_file() {
         let mut gen: Vec<&str> = vec!["gen", &row.family];
         gen.extend(row.gen_args.iter().map(String::as_str));
         gen.extend(["--out", &input]);
-        mrlr(&dir, "mr", "1", &gen);
+        mrlr(&dir, "shard", "1", &gen);
 
         let mut reference: Option<String> = None;
         for (engine, threads) in LEGS {
@@ -169,26 +162,26 @@ fn gen_pipe_into_solve_stdin_matches_file_path() {
         let mut gen: Vec<&str> = vec!["gen", &row.family];
         gen.extend(row.gen_args.iter().map(String::as_str));
         gen.extend(["--out", &input]);
-        mrlr(&dir, "mr", "1", &gen);
+        mrlr(&dir, "shard", "1", &gen);
         let on_disk = std::fs::read_to_string(dir.join(&input)).unwrap();
 
         // The piped rendering is byte-identical to the file rendering.
         let mut pipe: Vec<&str> = vec!["gen", &row.family];
         pipe.extend(row.gen_args.iter().map(String::as_str));
         pipe.push("--pipe");
-        let piped = mrlr(&dir, "mr", "1", &pipe);
+        let piped = mrlr(&dir, "shard", "1", &pipe);
         assert_eq!(piped, on_disk, "{}: --pipe diverged from --out", row.family);
 
         // And solving from stdin is byte-identical to solving the file.
         let mut file_args: Vec<&str> = vec!["solve", &row.key, "--input", &input];
         file_args.extend(row.solve_args.iter().map(String::as_str));
         file_args.extend(["--format", "json", "--mask-timings"]);
-        let from_file = mrlr(&dir, "mr", "1", &file_args);
+        let from_file = mrlr(&dir, "shard", "1", &file_args);
 
         let mut stdin_args: Vec<&str> = vec!["solve", &row.key, "--input", "-"];
         stdin_args.extend(row.solve_args.iter().map(String::as_str));
         stdin_args.extend(["--format", "json", "--mask-timings"]);
-        let from_stdin = mrlr_stdin(&dir, "mr", "1", &stdin_args, &piped);
+        let from_stdin = mrlr_stdin(&dir, "shard", "1", &stdin_args, &piped);
         assert_eq!(
             from_stdin, from_file,
             "{}: stdin solve diverged from file solve",
@@ -202,7 +195,7 @@ fn streamed_matching_solve_is_bit_identical_on_every_backend() {
     let dir = workdir("stream");
     mrlr(
         &dir,
-        "mr",
+        "shard",
         "1",
         &["gen", "densified", "--n", "40", "--out", "m.inst"],
     );
@@ -220,25 +213,25 @@ fn streamed_matching_solve_is_bit_identical_on_every_backend() {
             ];
             let materialized = mrlr(
                 &dir,
-                "mr",
+                "shard",
                 threads,
                 &[&base[..], &["--input", "m.inst"]].concat(),
             );
             let streamed_file = mrlr(
                 &dir,
-                "mr",
+                "shard",
                 threads,
                 &[&base[..], &["--input", "m.inst", "--stream"]].concat(),
             );
             let streamed_gen = mrlr(
                 &dir,
-                "mr",
+                "shard",
                 threads,
                 &[&base[..], &["--gen", "densified:n=40", "--stream"]].concat(),
             );
             let streamed_stdin = mrlr_stdin(
                 &dir,
-                "mr",
+                "shard",
                 threads,
                 &[&base[..], &["--input", "-", "--stream"]].concat(),
                 &rendered,
@@ -255,7 +248,7 @@ fn stream_rejects_unsupported_modes_with_usage_errors() {
     let dir = workdir("stream-errors");
     mrlr(
         &dir,
-        "mr",
+        "shard",
         "1",
         &["gen", "densified", "--n", "20", "--out", "g.inst"],
     );

@@ -37,11 +37,12 @@ fn seq_err(e: String) -> MrError {
 }
 
 /// The cluster shape a `Mr`/`Shard`/`Dist` run uses: `Backend::Shard`
-/// forces the sharded runtime ([`RuntimeKind::Shard`]), `Backend::Dist`
-/// the distributed master/worker runtime ([`RuntimeKind::Dist`]);
-/// `Backend::Mr` keeps the config's (env-default) runtime. This is the
-/// single runtime-aware entry every cluster driver dispatches through —
-/// the run itself is the same `mr::*::run` in all cases, so
+/// forces the in-process runtime ([`RuntimeKind::Shard`]),
+/// `Backend::Dist` the distributed master/worker runtime
+/// ([`RuntimeKind::Dist`]); `Backend::Mr` keeps the config's runtime
+/// (`MRLR_BACKEND` by default, else `Shard`). This is the single
+/// runtime-aware entry every cluster driver dispatches through — the
+/// run itself is the same `mr::*::run` in all cases, so
 /// Rlr/Mr/Shard/Dist reports (witnesses included) are bit-identical.
 pub(crate) fn cluster_cfg(backend: Backend, cfg: &MrConfig) -> MrConfig {
     match backend {

@@ -11,9 +11,10 @@
 //!   [`Backend`]s: `Seq` (deterministic sequential reference), `Rlr` (the
 //!   paper's randomized in-memory driver from [`crate::rlr`],
 //!   [`crate::hungry`] or [`crate::colouring`]), `Mr` (the cluster
-//!   implementation from [`crate::mr`] on the classic engine), `Shard`
-//!   (the same cluster implementation on the sharded runtime — static
-//!   shard→thread scheduling with per-destination batched routing) and
+//!   implementation from [`crate::mr`] on whichever runtime the config
+//!   — by default the `MRLR_BACKEND` environment variable — names),
+//!   `Shard` (the same implementation pinned to the in-process runtime:
+//!   static shard→thread scheduling with counting-sort routing) and
 //!   `Dist` (the same implementation again, shuffling through the
 //!   master/worker control plane of [`mrlr_mapreduce::dist`] with
 //!   fault-tolerant re-execution). For identical seeds the `Rlr`, `Mr`,
@@ -30,7 +31,7 @@
 //!   `(algorithm, cfg)` jobs, pre-warming the executor pools the jobs
 //!   name once for the whole batch.
 //!
-//! `Backend::Mr` runs machine supersteps on the pluggable executor
+//! The cluster backends run machine supersteps on the pluggable executor
 //! behind [`crate::mr::MrConfig::exec`] ([`crate::mr::ExecConfig`]):
 //! thread count changes wall-clock only — solutions and [`Metrics`] are
 //! bit-identical at every setting (see `tests/executor_determinism.rs`).
@@ -89,15 +90,17 @@ pub enum Backend {
     /// The paper's randomized driver on an in-memory instance
     /// ([`crate::rlr`], [`crate::hungry`], [`crate::colouring`]).
     Rlr,
-    /// The cluster implementation ([`crate::mr`]) on the classic engine
-    /// (dynamic scheduling + merge routing), metered by the simulator.
-    /// Bit-identical to `Rlr` for identical seeds.
+    /// The cluster implementation ([`crate::mr`]), metered by the
+    /// simulator, on the runtime [`MrConfig::exec`] names — by default
+    /// the `MRLR_BACKEND` environment variable, else the in-process
+    /// runtime, where it is `Shard` under another label. Bit-identical
+    /// to `Rlr` for identical seeds.
     Mr,
-    /// The cluster implementation on the sharded runtime
+    /// The cluster implementation pinned to the in-process runtime
     /// ([`mrlr_mapreduce::RuntimeKind::Shard`]: work-stealing-free
-    /// static shard→thread assignment + per-destination batched
-    /// routing). Same drivers, same coins — `Report`s (solution,
-    /// `Metrics`, witness) are **bit-identical** to `Mr`.
+    /// static shard→thread assignment + counting-sort routing). Same
+    /// drivers, same coins — `Report`s (solution, `Metrics`, witness)
+    /// are **bit-identical** to `Mr`.
     Shard,
     /// The cluster implementation on the distributed runtime
     /// ([`mrlr_mapreduce::RuntimeKind::Dist`]): a master/worker control

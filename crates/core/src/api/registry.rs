@@ -28,8 +28,8 @@
 //! driver's [`Certificate`](super::Certificate) carries, re-checkable
 //! offline via [`super::witness::audit`] / `mrlr verify`. Every key runs
 //! on all five [`Backend`]s ([`AlgorithmInfo::backends`]); the three
-//! cluster backends (`mr` on the classic engine, `shard` on the sharded
-//! runtime, `dist` on the master/worker control plane) return
+//! cluster backends (`mr` on the configured runtime, `shard` on the
+//! in-process runtime, `dist` on the master/worker control plane) return
 //! bit-identical reports.
 
 use std::collections::BTreeMap;
@@ -551,10 +551,9 @@ impl Registry {
     ) -> Vec<Vec<MrResult<Report<Solution>>>> {
         // Warm each *distinct* thread count exactly once and pin the pool
         // handles for the whole batch: consecutive jobs sharing a count
-        // reuse one cached pool instead of re-resolving it per job, and
-        // because the shard scheduler resolves its executor through the
-        // same process-wide cache, classic and sharded jobs in one batch
-        // share a single warm pool per count.
+        // reuse one cached pool instead of re-resolving it per job
+        // (every cluster resolves its executor through the same
+        // process-wide cache).
         let mut counts: Vec<usize> = jobs.iter().map(|(_, cfg)| cfg.exec.threads).collect();
         counts.sort_unstable();
         counts.dedup();

@@ -9,8 +9,7 @@
 //! `d̄(v) = |A| − 1 − |N(v) ∩ A|`, which is exactly what gets communicated —
 //! so each round touches only `O(n^{1+µ})` words even though the
 //! complement is dense. The relabelling scheme of Appendix B is realized
-//! here as the shrinking active set plus per-round removal deltas (see
-//! DESIGN.md, substitutions).
+//! here as the shrinking active set plus per-round removal deltas.
 
 use mrlr_graph::{Graph, VertexId};
 use mrlr_mapreduce::{MrError, MrResult};

@@ -10,8 +10,8 @@
 //! (Theorem A.3).
 //!
 //! Group sampling uses one hash-derived group choice per heavy vertex with
-//! the same expected group size `n^{µ/2}` as the paper's draws (see
-//! DESIGN.md, substitutions) — this keeps sampling machine-local.
+//! the same expected group size `n^{µ/2}` as the paper's draws — this
+//! keeps sampling machine-local.
 
 use mrlr_graph::{Graph, VertexId};
 use mrlr_mapreduce::rng::DetRng;

@@ -34,9 +34,7 @@
 //! ```
 //!
 //! Plus: sequential baselines ([`seq`]), exact solvers ([`exact`]) and
-//! validators/certificates ([`verify`]). The per-module free functions
-//! (`mr::matching::mr_matching`, …) survive as deprecated thin wrappers;
-//! new code should dispatch through [`api`].
+//! validators/certificates ([`verify`]).
 
 #![warn(missing_docs)]
 

@@ -75,57 +75,9 @@ impl WordSized for BMatchState {
 /// Runs Algorithm 7 on the cluster. Output is bit-identical to
 /// [`crate::rlr::bmatching::approx_b_matching`] with the same parameters.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("b-matching", …)`
-/// from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{BMatchingInstance, Instance, Registry};
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_core::rlr::BMatchingParams;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::with_uniform_weights(&generators::densified(14, 0.3, 3), 1.0, 9.0, 3);
-/// let b: Vec<u32> = (0..14).map(|v| 1 + v % 2).collect();
-/// let cfg = MrConfig::auto(14, g.m(), 0.3, 3);
-/// let inst = BMatchingInstance::new(g.clone(), b.clone(), 0.25);
-/// let report = Registry::with_defaults()
-///     .solve("b-matching", &Instance::BMatching(inst), &cfg)
-///     .unwrap();
-/// // The registry derives the paper's parameters from (instance, cfg):
-/// let params = BMatchingParams {
-///     eps: 0.25,
-///     n_mu: (14f64).powf(cfg.mu).max(1.0),
-///     eta: cfg.eta,
-///     seed: cfg.seed,
-/// };
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::bmatching::mr_b_matching(&g, &b, params, cfg).unwrap();
-/// assert_eq!(report.solution.as_matching().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"b-matching\")` or `BMatchingDriver`)"
-)]
-pub fn mr_b_matching(
-    g: &Graph,
-    b: &[u32],
-    params: BMatchingParams,
-    cfg: MrConfig,
-) -> MrResult<(MatchingResult, Metrics)> {
-    run(g, b, params, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_b_matching`] wrapper and the
-/// [`crate::api::BMatchingDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(
+/// [`crate::api::BMatchingDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(
     g: &Graph,
     b: &[u32],
     params: BMatchingParams,
@@ -338,7 +290,6 @@ pub(crate) fn run(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::rlr::bmatching::approx_b_matching;
@@ -360,7 +311,7 @@ mod tests {
             let cfg = MrConfig::auto(40, g.m(), 0.4, seed);
             let mut cfg = cfg;
             cfg.eta = params.eta;
-            let (mr, metrics) = mr_b_matching(&g, &b, params, cfg).unwrap();
+            let (mr, metrics) = run(&g, &b, params, cfg).unwrap();
             let seq = approx_b_matching(&g, &b, params).unwrap();
             assert_eq!(mr.matching, seq.matching, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
@@ -383,7 +334,7 @@ mod tests {
         };
         let cfg = MrConfig::auto(30, g.m(), 0.3, 1).with_capacity(50);
         assert!(matches!(
-            mr_b_matching(&g, &b, params, cfg),
+            run(&g, &b, params, cfg),
             Err(MrError::CapacityExceeded { .. })
         ));
     }

@@ -81,56 +81,9 @@ type SampleMsg = (u64, u64, VertexId, Vec<VertexId>); // (class, group, v, compl
 /// Appendix B's maximal clique on the cluster. Output is bit-identical to
 /// [`crate::hungry::clique::maximal_clique`] with the same parameters.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("clique", …)` from
-/// [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry};
-/// use mrlr_core::hungry::MisParams;
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::gnp(12, 0.5, 1);
-/// let cfg = MrConfig::auto(12, g.m().max(1), 0.35, 1);
-/// let report = Registry::with_defaults()
-///     .solve("clique", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::clique::mr_maximal_clique(
-///     &g,
-///     MisParams::mis2(12, cfg.mu, cfg.seed),
-///     cfg,
-/// )
-/// .unwrap();
-/// assert_eq!(report.solution.as_selection().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"clique\")` or `CliqueDriver`)"
-)]
-pub fn mr_maximal_clique(
-    g: &Graph,
-    params: MisParams,
-    cfg: MrConfig,
-) -> MrResult<(SelectionResult, Metrics)> {
-    run(g, params, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_maximal_clique`] wrapper and the
-/// [`crate::api::CliqueDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(
-    g: &Graph,
-    params: MisParams,
-    cfg: MrConfig,
-) -> MrResult<(SelectionResult, Metrics)> {
+/// [`crate::api::CliqueDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionResult, Metrics)> {
     if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
         return Err(MrError::BadConfig(
             "invalid hungry-greedy parameters".into(),
@@ -336,7 +289,6 @@ pub(crate) fn run(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::hungry::clique::maximal_clique;
@@ -349,7 +301,7 @@ mod tests {
             let g = gnp(40, 0.5, seed);
             let params = MisParams::mis2(40, 0.3, seed);
             let cfg = MrConfig::auto(40, g.m().max(1), 0.3, seed);
-            let (mr, metrics) = mr_maximal_clique(&g, params, cfg).unwrap();
+            let (mr, metrics) = run(&g, params, cfg).unwrap();
             let seq = maximal_clique(&g, params).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_clique(&g, &mr.vertices));
@@ -362,7 +314,7 @@ mod tests {
         let g = gnp(35, 0.8, 3);
         let params = MisParams::mis2(35, 0.4, 3);
         let cfg = MrConfig::auto(35, g.m(), 0.4, 3);
-        let (r, _) = mr_maximal_clique(&g, params, cfg).unwrap();
+        let (r, _) = run(&g, params, cfg).unwrap();
         assert!(r.vertices.len() >= 3);
         assert!(is_maximal_clique(&g, &r.vertices));
     }

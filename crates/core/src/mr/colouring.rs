@@ -58,51 +58,9 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<ColourChunk> {
 /// Algorithm 5 on the cluster. Output is bit-identical to
 /// [`crate::colouring::vertex_colouring`] with the same `(kappa, seed)`.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("vertex-colouring",
-/// …)` from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{ColouringDriver, Instance, Registry};
-/// use mrlr_core::colouring::group_count;
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::densified(16, 0.3, 5);
-/// let cfg = MrConfig::auto(16, g.m().max(1), 0.3, 5);
-/// let report = Registry::with_defaults()
-///     .solve("vertex-colouring", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// // The registry derives κ and the Lemma 6.2 budget from (instance, cfg):
-/// let kappa = group_count(16, g.m().max(1), cfg.mu).max(1);
-/// let limit = Some(ColouringDriver::paper_edge_limit(16, cfg.mu));
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::colouring::mr_vertex_colouring(&g, kappa, limit, cfg).unwrap();
-/// assert_eq!(report.solution.as_colouring().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"vertex-colouring\")` or `ColouringDriver`)"
-)]
-pub fn mr_vertex_colouring(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: Option<usize>,
-    cfg: MrConfig,
-) -> MrResult<(ColouringResult, Metrics)> {
-    run_vertex(g, kappa, edge_limit, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_vertex_colouring`] wrapper and the
-/// [`crate::api::ColouringDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run_vertex(
+/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run_vertex(
     g: &Graph,
     kappa: usize,
     edge_limit: Option<usize>,
@@ -234,51 +192,9 @@ pub(crate) fn run_vertex(
 /// Remark 6.5 on the cluster. Output is bit-identical to
 /// [`crate::colouring::edge_colouring`] with the same `(kappa, seed)`.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("edge-colouring",
-/// …)` from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{ColouringDriver, Instance, Registry};
-/// use mrlr_core::colouring::group_count;
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::densified(16, 0.3, 5);
-/// let cfg = MrConfig::auto(16, g.m().max(1), 0.3, 5);
-/// let report = Registry::with_defaults()
-///     .solve("edge-colouring", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// // The registry derives κ and the Lemma 6.2 budget from (instance, cfg):
-/// let kappa = group_count(16, g.m().max(1), cfg.mu).max(1);
-/// let limit = Some(ColouringDriver::paper_edge_limit(16, cfg.mu));
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::colouring::mr_edge_colouring(&g, kappa, limit, cfg).unwrap();
-/// assert_eq!(report.solution.as_colouring().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"edge-colouring\")` or `ColouringDriver`)"
-)]
-pub fn mr_edge_colouring(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: Option<usize>,
-    cfg: MrConfig,
-) -> MrResult<(ColouringResult, Metrics)> {
-    run_edge(g, kappa, edge_limit, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_edge_colouring`] wrapper and the
-/// [`crate::api::ColouringDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run_edge(
+/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run_edge(
     g: &Graph,
     kappa: usize,
     edge_limit: Option<usize>,
@@ -397,7 +313,6 @@ pub(crate) fn run_edge(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::colouring::{edge_colouring, vertex_colouring};
@@ -409,7 +324,7 @@ mod tests {
         for seed in 0..3 {
             let g = densified(60, 0.5, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-            let (mr, metrics) = mr_vertex_colouring(&g, 4, None, cfg).unwrap();
+            let (mr, metrics) = run_vertex(&g, 4, None, cfg).unwrap();
             let seq = vertex_colouring(&g, 4, None, seed).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert_eq!(mr.num_colours, seq.num_colours);
@@ -424,7 +339,7 @@ mod tests {
         for seed in 0..3 {
             let g = densified(40, 0.4, seed);
             let cfg = MrConfig::auto(40, g.m(), 0.3, seed);
-            let (mr, metrics) = mr_edge_colouring(&g, 3, None, cfg).unwrap();
+            let (mr, metrics) = run_edge(&g, 3, None, cfg).unwrap();
             let seq = edge_colouring(&g, 3, None, seed).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert!(is_proper_edge_colouring(&g, &mr.colours));
@@ -436,7 +351,7 @@ mod tests {
     fn limit_guard_fires() {
         let g = densified(30, 0.6, 1);
         let cfg = MrConfig::auto(30, g.m(), 0.3, 1);
-        assert!(mr_vertex_colouring(&g, 1, Some(5), cfg).is_err());
-        assert!(mr_edge_colouring(&g, 1, Some(5), cfg).is_err());
+        assert!(run_vertex(&g, 1, Some(5), cfg).is_err());
+        assert!(run_edge(&g, 1, Some(5), cfg).is_err());
     }
 }

@@ -76,42 +76,9 @@ impl WordSized for MatchState {
 /// Runs Algorithm 4 on the cluster. Output is bit-identical to
 /// [`crate::rlr::matching::approx_max_matching`] with `(cfg.eta, cfg.seed)`.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("matching", …)` from
-/// [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry};
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::with_uniform_weights(&generators::densified(16, 0.3, 1), 1.0, 9.0, 1);
-/// let cfg = MrConfig::auto(16, g.m(), 0.3, 1);
-/// let report = Registry::with_defaults()
-///     .solve("matching", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::matching::mr_matching(&g, cfg).unwrap();
-/// assert_eq!(report.solution.as_matching().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"matching\")` or `MatchingDriver`)"
-)]
-pub fn mr_matching(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
-    run(g, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_matching`] wrapper and the
-/// [`crate::api::MatchingDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
+/// [`crate::api::MatchingDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
     if cfg.eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
     }
@@ -379,7 +346,6 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::rlr::matching::approx_max_matching;
@@ -391,7 +357,7 @@ mod tests {
         for seed in 0..4 {
             let g = with_uniform_weights(&densified(50, 0.4, seed), 0.5, 10.0, seed + 31);
             let cfg = MrConfig::auto(50, g.m(), 0.3, seed);
-            let (mr, metrics) = mr_matching(&g, cfg).unwrap();
+            let (mr, metrics) = run(&g, cfg).unwrap();
             let seq = approx_max_matching(&g, cfg.eta, seed).unwrap();
             assert_eq!(mr.matching, seq.matching, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
@@ -408,7 +374,7 @@ mod tests {
         let g = with_uniform_weights(&densified(n, 0.5, 2), 1.0, 4.0, 5);
         let mut cfg = MrConfig::auto(n, g.m(), 0.0, 3);
         cfg.eta = n; // Appendix C: η = n
-        let (r, metrics) = mr_matching(&g, cfg).unwrap();
+        let (r, metrics) = run(&g, cfg).unwrap();
         assert!(is_matching(&g, &r.matching));
         assert!(r.iterations <= 60, "iterations {}", r.iterations);
         assert!(metrics.peak_central_words <= cfg.capacity);
@@ -419,7 +385,7 @@ mod tests {
         let g = with_uniform_weights(&densified(40, 0.5, 1), 1.0, 2.0, 1);
         let cfg = MrConfig::auto(40, g.m(), 0.3, 1).with_capacity(60);
         assert!(matches!(
-            mr_matching(&g, cfg),
+            run(&g, cfg),
             Err(MrError::CapacityExceeded { .. })
         ));
     }
@@ -428,7 +394,7 @@ mod tests {
     fn empty_graph() {
         let g = Graph::new(3, vec![]);
         let cfg = MrConfig::auto(3, 1, 0.3, 1);
-        let (r, _) = mr_matching(&g, cfg).unwrap();
+        let (r, _) = run(&g, cfg).unwrap();
         assert!(r.matching.is_empty());
     }
 }

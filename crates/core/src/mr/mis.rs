@@ -231,48 +231,9 @@ fn central_finish(cluster: &mut Cluster<MisChunk>, n: usize) -> MrResult<Vec<Ver
 /// Algorithm 6 (`MIS2`) on the cluster. Output is bit-identical to
 /// [`crate::hungry::mis::mis_fast`] with the same parameters.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("mis2", …)` from
-/// [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry};
-/// use mrlr_core::hungry::MisParams;
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::densified(16, 0.3, 4);
-/// let cfg = MrConfig::auto(16, g.m().max(1), 0.3, 4);
-/// let report = Registry::with_defaults()
-///     .solve("mis2", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) =
-///     mrlr_core::mr::mis::mr_mis_fast(&g, MisParams::mis2(16, cfg.mu, cfg.seed), cfg).unwrap();
-/// assert_eq!(report.solution.as_selection().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"mis2\")` or `MisDriver`)"
-)]
-pub fn mr_mis_fast(
-    g: &Graph,
-    params: MisParams,
-    cfg: MrConfig,
-) -> MrResult<(SelectionResult, Metrics)> {
-    run_fast(g, params, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_mis_fast`] wrapper and the
-/// [`crate::api::MisDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run_fast(
+/// [`crate::api::MisDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run_fast(
     g: &Graph,
     params: MisParams,
     cfg: MrConfig,
@@ -386,48 +347,9 @@ pub(crate) fn run_fast(
 /// Algorithm 2 (`MIS1`) on the cluster. Output is bit-identical to
 /// [`crate::hungry::mis::mis_simple`] with the same parameters.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("mis1", …)` from
-/// [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry};
-/// use mrlr_core::hungry::MisParams;
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::densified(16, 0.3, 4);
-/// let cfg = MrConfig::auto(16, g.m().max(1), 0.3, 4);
-/// let report = Registry::with_defaults()
-///     .solve("mis1", &Instance::Graph(g.clone()), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) =
-///     mrlr_core::mr::mis::mr_mis_simple(&g, MisParams::mis1(16, cfg.mu, cfg.seed), cfg).unwrap();
-/// assert_eq!(report.solution.as_selection().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"mis1\")` or `MisDriver`)"
-)]
-pub fn mr_mis_simple(
-    g: &Graph,
-    params: MisParams,
-    cfg: MrConfig,
-) -> MrResult<(SelectionResult, Metrics)> {
-    run_simple(g, params, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_mis_simple`] wrapper and the
-/// [`crate::api::MisDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run_simple(
+/// [`crate::api::MisDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run_simple(
     g: &Graph,
     params: MisParams,
     cfg: MrConfig,
@@ -553,7 +475,6 @@ pub(crate) fn run_simple(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::hungry::mis::{mis_fast, mis_simple};
@@ -566,7 +487,7 @@ mod tests {
             let g = densified(60, 0.4, seed);
             let params = MisParams::mis2(60, 0.3, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-            let (mr, metrics) = mr_mis_fast(&g, params, cfg).unwrap();
+            let (mr, metrics) = run_fast(&g, params, cfg).unwrap();
             let seq = mis_fast(&g, params).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert_eq!(mr.phases, seq.phases);
@@ -581,7 +502,7 @@ mod tests {
             let g = densified(60, 0.4, seed);
             let params = MisParams::mis1(60, 0.3, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-            let (mr, _) = mr_mis_simple(&g, params, cfg).unwrap();
+            let (mr, _) = run_simple(&g, params, cfg).unwrap();
             let seq = mis_simple(&g, params).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_independent_set(&g, &mr.vertices));
@@ -594,7 +515,7 @@ mod tests {
         let params = MisParams::mis2(50, 0.3, 1);
         let cfg = MrConfig::auto(50, g.m(), 0.3, 1).with_capacity(30);
         assert!(matches!(
-            mr_mis_fast(&g, params, cfg),
+            run_fast(&g, params, cfg),
             Err(MrError::CapacityExceeded { .. })
         ));
     }

@@ -28,7 +28,7 @@ use mrlr_mapreduce::{ClusterConfig, DistParams, Enforcement, RuntimeKind, SpawnK
 
 /// Execution-substrate parameters of a cluster run: how many OS threads
 /// the simulator may use for machine supersteps, and which runtime
-/// (scheduler + routing plane) executes them. Neither knob ever affects
+/// shuffles their exchanges. Neither knob ever affects
 /// results — the runtime contract guarantees bit-identical solutions and
 /// [`mrlr_mapreduce::Metrics`] at every setting — only wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,12 +36,11 @@ pub struct ExecConfig {
     /// Executor threads: `0`/`1` = sequential, `t > 1` = a shared
     /// `t`-thread pool ([`mrlr_mapreduce::executor`]).
     pub threads: usize,
-    /// Cluster runtime: `Classic` (dynamic scheduling + merge routing),
-    /// `Shard` (static shard→thread assignment + per-destination
-    /// batched routing — what `Backend::Shard` forces), or `Dist` (the
-    /// master/worker control plane over real transport — what
-    /// `Backend::Dist` forces). Defaults to the `MRLR_BACKEND`
-    /// environment variable.
+    /// Cluster runtime: `Shard` (the in-process engine — what
+    /// `Backend::Shard` forces) or `Dist` (the master/worker control
+    /// plane over real transport — what `Backend::Dist` forces).
+    /// Defaults to the `MRLR_BACKEND` environment variable, else
+    /// `Shard`.
     pub runtime: RuntimeKind,
     /// Distributed-session parameters (worker count, spawn mode, fault
     /// injection). Only consulted when [`ExecConfig::runtime`] is
@@ -50,11 +49,11 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Sequential execution on the classic runtime (the reference
+    /// Sequential execution on the in-process runtime (the reference
     /// schedule).
     pub const SEQ: ExecConfig = ExecConfig {
         threads: 1,
-        runtime: RuntimeKind::Classic,
+        runtime: RuntimeKind::Shard,
         dist: DistParams::DEFAULT,
     };
 
@@ -68,7 +67,7 @@ impl ExecConfig {
     }
 
     /// The process default: `MRLR_THREADS` / `MRLR_BACKEND` when set,
-    /// else sequential on the classic runtime.
+    /// else sequential on the in-process runtime.
     pub fn from_env() -> Self {
         ExecConfig {
             threads: mrlr_mapreduce::default_threads(),
@@ -188,8 +187,8 @@ impl MrConfig {
     }
 
     /// Overrides the cluster runtime (see [`ExecConfig::runtime`]). The
-    /// `Backend::Shard` drivers apply this with [`RuntimeKind::Shard`];
-    /// outputs and metrics are bit-identical either way.
+    /// `Backend::Shard` and `Backend::Dist` drivers apply this with
+    /// their runtime; outputs and metrics are bit-identical either way.
     pub fn with_runtime(mut self, runtime: RuntimeKind) -> Self {
         self.exec.runtime = runtime;
         self
@@ -277,13 +276,13 @@ mod tests {
 
     #[test]
     fn exec_config_runtime_reaches_the_cluster() {
-        let cfg = MrConfig::auto(50, 1000, 0.3, 9).with_runtime(RuntimeKind::Shard);
-        assert_eq!(cfg.exec.runtime, RuntimeKind::Shard);
-        assert_eq!(cfg.cluster().runtime, RuntimeKind::Shard);
+        let cfg = MrConfig::auto(50, 1000, 0.3, 9).with_runtime(RuntimeKind::Dist);
+        assert_eq!(cfg.exec.runtime, RuntimeKind::Dist);
+        assert_eq!(cfg.cluster().runtime, RuntimeKind::Dist);
         // The shard RNG seed travels with the paper seed…
         assert_eq!(cfg.cluster().seed, 9);
         // …and thread overrides keep the chosen runtime.
-        assert_eq!(cfg.with_threads(4).exec.runtime, RuntimeKind::Shard);
+        assert_eq!(cfg.with_threads(4).exec.runtime, RuntimeKind::Dist);
     }
 
     #[test]

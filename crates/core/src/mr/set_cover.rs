@@ -54,41 +54,9 @@ impl WordSized for ElemChunk {
 /// cluster metrics. Output is bit-identical to
 /// [`crate::rlr::setcover::approx_set_cover_f`] with `(cfg.eta, cfg.seed)`.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("set-cover-f", …)`
-/// from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry};
-/// use mrlr_core::mr::MrConfig;
-///
-/// let sys = mrlr_setsys::generators::bounded_frequency(12, 60, 3, 1);
-/// let cfg = MrConfig::auto(12, 60, 0.5, 1);
-/// let report = Registry::with_defaults()
-///     .solve("set-cover-f", &Instance::SetSystem(sys.clone()), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) = mrlr_core::mr::set_cover::mr_set_cover_f(&sys, cfg).unwrap();
-/// assert_eq!(report.solution.as_cover().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"set-cover-f\")` or `SetCoverFDriver`)"
-)]
-pub fn mr_set_cover_f(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
-    run(sys, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_set_cover_f`] wrapper and the
-/// [`crate::api::SetCoverFDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
+/// [`crate::api::SetCoverFDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     if !sys.is_coverable() {
         return Err(MrError::Infeasible(
             "set cover instance leaves an element uncovered".into(),
@@ -208,7 +176,6 @@ pub(crate) fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metr
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::rlr::setcover::approx_set_cover_f;
@@ -220,7 +187,7 @@ mod tests {
         for seed in 0..4 {
             let sys = with_uniform_weights(bounded_frequency(40, 600, 3, seed), 1.0, 8.0, seed);
             let cfg = MrConfig::auto(40, 600, 0.5, seed);
-            let (mr, metrics) = mr_set_cover_f(&sys, cfg).unwrap();
+            let (mr, metrics) = run(&sys, cfg).unwrap();
             let seq = approx_set_cover_f(&sys, cfg.eta, seed).unwrap();
             assert_eq!(mr.cover, seq.cover, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
@@ -237,7 +204,7 @@ mod tests {
         // multiple rounds each.
         let mut cfg = MrConfig::auto(30, 2000, 0.3, 2).with_machines(16);
         cfg.fanout = 2;
-        let (_, metrics) = mr_set_cover_f(&sys, cfg).unwrap();
+        let (_, metrics) = run(&sys, cfg).unwrap();
         let (_, _, bcast, agg) = metrics.rounds_by_kind();
         assert!(bcast >= 2, "broadcast rounds {bcast}");
         assert!(agg >= 1, "aggregate rounds {agg}");
@@ -248,7 +215,7 @@ mod tests {
     fn undersized_capacity_fails_cleanly() {
         let sys = bounded_frequency(30, 500, 2, 3);
         let cfg = MrConfig::auto(30, 500, 0.3, 3).with_capacity(40);
-        match mr_set_cover_f(&sys, cfg) {
+        match run(&sys, cfg) {
             Err(MrError::CapacityExceeded { .. }) | Err(MrError::AlgorithmFailed { .. }) => {}
             other => panic!("expected capacity failure, got {other:?}"),
         }
@@ -258,7 +225,7 @@ mod tests {
     fn single_machine_degenerate() {
         let sys = bounded_frequency(10, 50, 2, 4);
         let cfg = MrConfig::auto(10, 50, 0.5, 4).with_machines(1);
-        let (r, metrics) = mr_set_cover_f(&sys, cfg).unwrap();
+        let (r, metrics) = run(&sys, cfg).unwrap();
         assert!(is_cover(&sys, &r.cover));
         // One machine: broadcasts are free, gathers still counted.
         assert!(metrics.rounds >= 1);

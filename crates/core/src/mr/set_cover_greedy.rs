@@ -78,49 +78,9 @@ type SampleMsg = (u64, u64, SetId, f64, Vec<ElemId>);
 /// Algorithm 3 on the cluster. Output is bit-identical to
 /// [`crate::hungry::setcover::hungry_set_cover`] with the same parameters.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("set-cover-greedy",
-/// …)` from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry, DEFAULT_GREEDY_SC_EPS};
-/// use mrlr_core::hungry::HungryScParams;
-/// use mrlr_core::mr::MrConfig;
-///
-/// let sys = mrlr_setsys::generators::bounded_set_size(20, 15, 4, 1);
-/// let cfg = MrConfig::auto(20, 15, 0.5, 1);
-/// let report = Registry::with_defaults()
-///     .solve("set-cover-greedy", &Instance::SetSystem(sys.clone()), &cfg)
-///     .unwrap();
-/// // The registry derives the paper's parameters from (instance, cfg):
-/// let params = HungryScParams::new(sys.universe(), cfg.mu, DEFAULT_GREEDY_SC_EPS, cfg.seed);
-/// #[allow(deprecated)]
-/// let (legacy, _trace, _metrics) =
-///     mrlr_core::mr::set_cover_greedy::mr_hungry_set_cover(&sys, params, cfg).unwrap();
-/// assert_eq!(report.solution.as_cover().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"set-cover-greedy\")` or `GreedySetCoverDriver`)"
-)]
-pub fn mr_hungry_set_cover(
-    sys: &SetSystem,
-    params: HungryScParams,
-    cfg: MrConfig,
-) -> MrResult<(CoverResult, HungryScTrace, Metrics)> {
-    run(sys, params, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_hungry_set_cover`] wrapper and the
-/// [`crate::api::GreedySetCoverDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(
+/// [`crate::api::GreedySetCoverDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(
     sys: &SetSystem,
     params: HungryScParams,
     cfg: MrConfig,
@@ -364,7 +324,6 @@ pub(crate) fn run(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::hungry::setcover::hungry_set_cover;
@@ -377,7 +336,7 @@ mod tests {
             let sys = with_uniform_weights(bounded_set_size(100, 60, 8, seed), 1.0, 5.0, seed);
             let params = HungryScParams::new(60, 0.4, 0.2, seed);
             let cfg = MrConfig::auto(60, sys.total_size(), 0.4, seed);
-            let (mr, mr_trace, metrics) = mr_hungry_set_cover(&sys, params, cfg).unwrap();
+            let (mr, mr_trace, metrics) = run(&sys, params, cfg).unwrap();
             let (seq, seq_trace) = hungry_set_cover(&sys, params).unwrap();
             assert_eq!(mr.cover, seq.cover, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
@@ -396,7 +355,7 @@ mod tests {
         let sys = bounded_set_size(200, 100, 12, 5);
         let params = HungryScParams::new(100, 0.5, 0.25, 5);
         let cfg = MrConfig::auto(100, sys.total_size(), 0.5, 5);
-        let (_, trace, _) = mr_hungry_set_cover(&sys, params, cfg).unwrap();
+        let (_, trace, _) = run(&sys, params, cfg).unwrap();
         assert!(!trace.potentials.is_empty());
     }
 }

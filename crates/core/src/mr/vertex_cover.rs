@@ -70,49 +70,9 @@ impl WordSized for VcState {
 /// bit-identical to running [`crate::rlr::setcover::approx_set_cover_f`] on
 /// [`mrlr_setsys::SetSystem::vertex_cover_of`]`(g, weights)`.
 ///
-/// Deprecated entry point: dispatch `Registry::solve("vertex-cover", …)`
-/// from [`crate::api`] instead — same run, plus a verified, witness-bearing [`Report`]
-/// whose [`Certificate`](crate::api::Certificate) can be re-checked
-/// offline (`mrlr verify`, [`crate::api::witness::audit`]).
-///
-/// [`Report`]: crate::api::Report
-///
-/// # Example
-///
-/// ```
-/// use mrlr_core::api::{Instance, Registry, VertexWeightedGraph};
-/// use mrlr_core::mr::MrConfig;
-/// use mrlr_graph::generators;
-///
-/// let g = generators::densified(14, 0.3, 2);
-/// let weights: Vec<f64> = (0..14).map(|v| 1.0 + v as f64).collect();
-/// let cfg = MrConfig::auto(14, g.m().max(1), 0.3, 2);
-/// let inst = VertexWeightedGraph::new(g.clone(), weights.clone());
-/// let report = Registry::with_defaults()
-///     .solve("vertex-cover", &Instance::VertexWeighted(inst), &cfg)
-///     .unwrap();
-/// #[allow(deprecated)]
-/// let (legacy, _metrics) =
-///     mrlr_core::mr::vertex_cover::mr_vertex_cover(&g, &weights, cfg).unwrap();
-/// assert_eq!(report.solution.as_cover().unwrap(), &legacy);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "dispatch through `mrlr_core::api` (`Registry::get(\"vertex-cover\")` or `VertexCoverDriver`)"
-)]
-pub fn mr_vertex_cover(
-    g: &Graph,
-    weights: &[f64],
-    cfg: MrConfig,
-) -> MrResult<(CoverResult, Metrics)> {
-    run(g, weights, cfg)
-}
-
-/// Implementation shared by the deprecated [`mr_vertex_cover`] wrapper and the
-/// [`crate::api::VertexCoverDriver`]. Serves both cluster backends: `Backend::Mr`
-/// runs it on the classic engine, `Backend::Shard` on the sharded
-/// runtime (`MrConfig::exec.runtime`) — bit-identical either way.
-pub(crate) fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
+/// [`crate::api::VertexCoverDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     assert_eq!(weights.len(), g.n());
     if cfg.eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
@@ -218,8 +178,7 @@ pub(crate) fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverR
         let delta = newly_zero;
         // Hop 1 meters central → chosen-vertex delivery; the chosen ids are
         // then available on the vertex machines (captured `delta` stands in
-        // for the delivered values — see DESIGN.md, "metered data, captured
-        // control").
+        // for the delivered values: metered data, captured control).
         cluster.exchange::<VertexId, _, _>(
             |id, _s, out| {
                 if id == central {
@@ -279,7 +238,6 @@ pub(crate) fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverR
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers are themselves under test
 mod tests {
     use super::*;
     use crate::rlr::setcover::approx_set_cover_f;
@@ -299,7 +257,7 @@ mod tests {
             let g = densified(50, 0.4, seed);
             let w = weights(50, seed);
             let cfg = MrConfig::auto(50, g.m(), 0.4, seed);
-            let (mr, metrics) = mr_vertex_cover(&g, &w, cfg).unwrap();
+            let (mr, metrics) = run(&g, &w, cfg).unwrap();
             let sys = SetSystem::vertex_cover_of(&g, w.clone());
             let seq = approx_set_cover_f(&sys, cfg.eta, seed).unwrap();
             let seq_cover: Vec<VertexId> = seq.cover.clone();
@@ -320,7 +278,7 @@ mod tests {
         let w = weights(60, 9);
         let mut cfg = MrConfig::auto(60, g.m(), 0.3, 9);
         cfg.fanout = cfg.machines.max(2);
-        let (r, metrics) = mr_vertex_cover(&g, &w, cfg).unwrap();
+        let (r, metrics) = run(&g, &w, cfg).unwrap();
         assert!(r.iterations >= 1);
         let per_iter = metrics.rounds as f64 / r.iterations as f64;
         assert!(per_iter <= 6.0, "rounds/iter {per_iter}");
@@ -330,7 +288,7 @@ mod tests {
     fn empty_graph_trivial() {
         let g = Graph::new(5, vec![]);
         let cfg = MrConfig::auto(5, 1, 0.3, 1);
-        let (r, _) = mr_vertex_cover(&g, &[1.0; 5], cfg).unwrap();
+        let (r, _) = run(&g, &[1.0; 5], cfg).unwrap();
         assert!(r.cover.is_empty());
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! * [`crate::shard`] — each machine's state, RNG and space accounting
 //!   live in a [`Shard`] that owns them exclusively;
-//! * [`crate::router`] — the routing plane that delivers exchanged
-//!   messages (sequential merge, or a columnar counting sort into a
-//!   pooled flat arena);
+//! * [`crate::router`] / [`crate::payload`] — the routing planes that
+//!   deliver exchanged messages (a counting sort into pooled flat
+//!   arenas);
 //! * [`crate::superstep`] — the scheduler that lays shard tasks onto OS
-//!   threads (dynamic claiming or work-stealing-free static assignment).
+//!   threads in static contiguous blocks.
 //!
-//! [`ClusterConfig::runtime`] picks the (schedule, router) pair; both
+//! [`ClusterConfig::runtime`] picks where the shuffle happens — in
+//! process, or through the [`crate::dist`] master/worker transport; both
 //! [`RuntimeKind`]s are bit-identical in every model-level observable.
 //! What this facade itself owns is the *model*: the communication
 //! primitives and their metering —
@@ -28,7 +29,6 @@
 //! budget. Driver control flow lives in ordinary Rust; any value a driver
 //! reads from the cluster went through a metered `gather`/`aggregate`, and
 //! any value it pushes into closures after a `broadcast` was metered there.
-//! See DESIGN.md ("Simulator honesty model").
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use crate::error::{CapacityKind, MrError, MrResult};
 use crate::executor::{self, Executor};
 use crate::metrics::{Metrics, RoundKind, Violation};
 use crate::payload::{self, PayloadBatch, PayloadInbox, PayloadOutbox, PayloadSink};
-use crate::router::{self, RouterKind, RouterScratch};
+use crate::router::{self, RouterScratch};
 use crate::shard::{shards_from_states, Shard};
 use crate::superstep::{self, RuntimeKind, Scheduler};
 use crate::words::WordSized;
@@ -74,9 +74,10 @@ pub struct ClusterConfig {
     /// [`crate::executor`]). Outputs and metrics are bit-identical either
     /// way; only wall-clock changes.
     pub threads: usize,
-    /// Which runtime executes the supersteps (scheduler + routing plane).
-    /// Bit-identical either way; defaults to the `MRLR_BACKEND`
-    /// environment variable ([`superstep::default_runtime`]).
+    /// Which runtime executes the supersteps (in process, or over the
+    /// dist transport). Bit-identical either way; defaults to the
+    /// `MRLR_BACKEND` environment variable
+    /// ([`superstep::default_runtime`]).
     pub runtime: RuntimeKind,
     /// Seed of the machine-local shard RNG streams
     /// ([`Shard::rng_mut`](crate::shard::Shard::rng_mut)).
@@ -188,7 +189,6 @@ pub struct Cluster<S> {
     metrics: Metrics,
     central_extra: usize,
     sched: Scheduler,
-    router: RouterKind,
     /// Pooled routing buffers, reused across exchange supersteps.
     scratch: RouterScratch,
     /// Live master/worker session when the runtime is [`RuntimeKind::Dist`].
@@ -222,12 +222,11 @@ impl<S: MachineState> Cluster<S> {
             )));
         }
         let metrics = Metrics::new(cfg.machines, cfg.capacity);
-        let sched = Scheduler::new(exec, cfg.runtime.schedule());
-        let router = cfg.runtime.router();
+        let sched = Scheduler::new(exec);
         let shards = shards_from_states(states, cfg.seed);
         let dist = match cfg.runtime {
             RuntimeKind::Dist => Some(DistSession::launch(cfg.machines, cfg.seed, &cfg.dist)?),
-            _ => None,
+            RuntimeKind::Shard => None,
         };
         let mut cluster = Cluster {
             cfg,
@@ -235,7 +234,6 @@ impl<S: MachineState> Cluster<S> {
             metrics,
             central_extra: 0,
             sched,
-            router,
             scratch: RouterScratch::default(),
             dist,
         };
@@ -336,6 +334,31 @@ impl<S: MachineState> Cluster<S> {
         }
     }
 
+    /// Budgets one exchange round: every machine's staged volume, then
+    /// every machine's delivered volume, stopping at the first violation.
+    fn budget_exchange(&mut self, out_words: &[usize], in_words: &[usize]) -> MrResult<()> {
+        for (id, &used) in out_words.iter().enumerate() {
+            self.budget(id, CapacityKind::Outbox, used)?;
+        }
+        for (id, &used) in in_words.iter().enumerate() {
+            self.budget(id, CapacityKind::Inbox, used)?;
+        }
+        Ok(())
+    }
+
+    /// Budgets one gather round: every machine's staged volume, then the
+    /// central machine's resident state plus everything gathered.
+    fn budget_gather(&mut self, out_words: &[usize]) -> MrResult<()> {
+        for (id, &used) in out_words.iter().enumerate() {
+            self.budget(id, CapacityKind::Outbox, used)?;
+        }
+        let central = self.cfg.central;
+        let total: usize = out_words.iter().sum();
+        let central_used = self.shards[central].words() + self.central_extra + total;
+        self.metrics.peak_central_words = self.metrics.peak_central_words.max(central_used);
+        self.budget(central, CapacityKind::CentralGather, central_used)
+    }
+
     /// Drives the dist control plane (when active) through the barrier of
     /// the superstep just counted: every primitive passes through here, so
     /// the open/ack round-trip doubles as the worker heartbeat — and the
@@ -381,12 +404,13 @@ impl<S: MachineState> Cluster<S> {
     /// One round of point-to-point communication. `produce` runs on every
     /// machine and stages messages; `consume` runs on every machine with the
     /// [`Inbox`] of messages addressed to it (ordered by sender id, then
-    /// send order). Delivery goes through the configured routing plane
-    /// ([`ClusterConfig::runtime`]) — for [`RuntimeKind::Dist`], the
-    /// master/worker shuffle over real transport; the inboxes are
-    /// identical either way. Outbox columns and inbox arenas are pooled
-    /// ([`RouterScratch`]), so steady-state exchanges reuse the previous
-    /// superstep's buffers instead of allocating.
+    /// send order). Delivery goes through the configured runtime
+    /// ([`ClusterConfig::runtime`]) — the in-process router, or for
+    /// [`RuntimeKind::Dist`] the master/worker shuffle over real
+    /// transport; the inboxes are identical either way. Outbox columns
+    /// and inbox arenas are pooled ([`RouterScratch`]), so steady-state
+    /// exchanges reuse the previous superstep's buffers instead of
+    /// allocating.
     pub fn exchange<M, P, C>(&mut self, produce: P, consume: C) -> MrResult<()>
     where
         M: WordSized + Send + Wire + 'static,
@@ -418,21 +442,15 @@ impl<S: MachineState> Cluster<S> {
             .record_timing(pass.wall_nanos, &pass.task_nanos);
 
         // Deliver: stable order (sender id, then send order within sender),
-        // identical across routing planes — including the dist shuffle,
-        // whose workers bucket the serialized batches in arrival order.
+        // identical across runtimes — the dist workers bucket the
+        // serialized batches in arrival order.
         let delivery = match self.dist.as_mut() {
             Some(session) => {
                 let d = session.exchange(self.metrics.supersteps, outboxes, &mut self.scratch)?;
                 self.metrics.dist = Some(session.summary());
                 d
             }
-            None => router::route(
-                self.router,
-                &self.sched,
-                machines,
-                outboxes,
-                &mut self.scratch,
-            ),
+            None => router::route(&self.sched, machines, outboxes, &mut self.scratch),
         };
 
         let max_out = out_words.iter().copied().max().unwrap_or(0);
@@ -441,38 +459,23 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_round(RoundKind::Exchange, max_out, max_in, total);
 
-        let mut budget_err = None;
-        for (id, used) in out_words.into_iter().enumerate() {
-            if let Err(e) = self.budget(id, CapacityKind::Outbox, used) {
-                budget_err = Some(e);
-                break;
-            }
-        }
-        if budget_err.is_none() {
-            for (id, used) in delivery.in_words().iter().copied().enumerate() {
-                if let Err(e) = self.budget(id, CapacityKind::Inbox, used) {
-                    budget_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = budget_err {
+        let budget = self.budget_exchange(&out_words, delivery.in_words());
+        // SAFETY: `buffers` (the arena backing flat inboxes) lives until
+        // after every inbox has been dropped — by the early exit just
+        // below, or by the consume pass.
+        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
+        if let Err(e) = budget {
             // A budget violation skips the consume pass but must still
             // return the delivery's pooled buffers — the leak class where
             // an early `?` exit dropped taken scratch on the floor.
-            // SAFETY: the inboxes are dropped before the buffers recycle.
-            let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
             drop(inboxes);
             buffers.recycle(&mut self.scratch);
             return Err(e);
         }
 
         // Consume concurrently: each machine owns its shard and its inbox
-        // (delivery order above was fixed in sender-id order, so neither
-        // the schedule nor the routing plane can leak into observables).
-        // SAFETY: `buffers` (the arena backing flat inboxes) lives until
-        // after the pass below has dropped every inbox.
-        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
+        // (delivery order above was fixed in sender-id order, so the
+        // schedule cannot leak into observables).
         let mut pairs: Vec<(&mut Shard<S>, Inbox<M>)> =
             self.shards.iter_mut().zip(inboxes).collect();
         let pass = self.sched.timed_mut(&mut pairs, |id, (shard, inbox)| {
@@ -495,8 +498,8 @@ impl<S: MachineState> Cluster<S> {
     /// with `(head, Vec<T>)` tuple messages — a payload message costs
     /// `head.words() + 1 + Σ element words` — but steady-state supersteps
     /// perform no per-message allocation on any layer: staging, routing
-    /// ([`RouterKind::Columnar`]'s two-axis counting sort), the dist wire,
-    /// and consumption all run through pooled flat buffers.
+    /// ([`crate::payload`]'s two-axis counting sort), the dist wire, and
+    /// consumption all run through pooled flat buffers.
     pub fn exchange_payload<H, T, P, C>(&mut self, produce: P, consume: C) -> MrResult<()>
     where
         H: Copy + WordSized + Send + Wire + 'static,
@@ -538,13 +541,7 @@ impl<S: MachineState> Cluster<S> {
                 self.metrics.dist = Some(session.summary());
                 d
             }
-            None => payload::route_payload(
-                self.router,
-                &self.sched,
-                machines,
-                outboxes,
-                &mut self.scratch,
-            ),
+            None => payload::route_payload(&self.sched, machines, outboxes, &mut self.scratch),
         };
 
         let max_out = out_words.iter().copied().max().unwrap_or(0);
@@ -553,32 +550,17 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_round(RoundKind::Exchange, max_out, max_in, total);
 
-        let mut budget_err = None;
-        for (id, used) in out_words.into_iter().enumerate() {
-            if let Err(e) = self.budget(id, CapacityKind::Outbox, used) {
-                budget_err = Some(e);
-                break;
-            }
-        }
-        if budget_err.is_none() {
-            for (id, used) in delivery.in_words().iter().copied().enumerate() {
-                if let Err(e) = self.budget(id, CapacityKind::Inbox, used) {
-                    budget_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = budget_err {
-            // SAFETY: the inboxes are dropped before the buffers recycle.
-            let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
+        let budget = self.budget_exchange(&out_words, delivery.in_words());
+        // SAFETY: `buffers` (the arenas the inboxes borrow from) lives
+        // until after every inbox has been dropped — by the early exit
+        // just below, or by the consume pass.
+        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
+        if let Err(e) = budget {
             drop(inboxes);
             buffers.recycle(&mut self.scratch);
             return Err(e);
         }
 
-        // SAFETY: `buffers` (the arenas backing flat inboxes) lives until
-        // after the pass below has dropped every inbox.
-        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
         let mut pairs: Vec<(&mut Shard<S>, PayloadInbox<H, T>)> =
             self.shards.iter_mut().zip(inboxes).collect();
         let pass = self.sched.timed_mut(&mut pairs, |id, (shard, inbox)| {
@@ -609,7 +591,6 @@ impl<S: MachineState> Cluster<S> {
     {
         self.metrics.supersteps += 1;
         self.dist_sync()?;
-        let central = self.cfg.central;
         let pass = self.sched.timed_mut(&mut self.shards, |id, shard| {
             let batch = produce(id, shard.state_mut());
             let words = batch.iter().map(WordSized::words).sum::<usize>();
@@ -623,12 +604,7 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_round(RoundKind::Gather, max_out, total, total);
 
-        for (id, used) in out_words.into_iter().enumerate() {
-            self.budget(id, CapacityKind::Outbox, used)?;
-        }
-        let central_used = self.shards[central].words() + self.central_extra + total;
-        self.metrics.peak_central_words = self.metrics.peak_central_words.max(central_used);
-        self.budget(central, CapacityKind::CentralGather, central_used)?;
+        self.budget_gather(&out_words)?;
 
         Ok(batches.into_iter().flatten().collect())
     }
@@ -648,7 +624,6 @@ impl<S: MachineState> Cluster<S> {
     {
         self.metrics.supersteps += 1;
         self.dist_sync()?;
-        let central = self.cfg.central;
         let machines = self.cfg.machines;
         #[cfg(debug_assertions)]
         let pooled_before = self.scratch.pooled_buffers();
@@ -675,25 +650,12 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_round(RoundKind::Gather, max_out, total, total);
 
-        let mut budget_err = None;
-        for (id, used) in out_words.into_iter().enumerate() {
-            if let Err(e) = self.budget(id, CapacityKind::Outbox, used) {
-                budget_err = Some(e);
-                break;
-            }
-        }
-        if budget_err.is_none() {
-            let central_used = self.shards[central].words() + self.central_extra + total;
-            self.metrics.peak_central_words = self.metrics.peak_central_words.max(central_used);
-            if let Err(e) = self.budget(central, CapacityKind::CentralGather, central_used) {
-                budget_err = Some(e);
-            }
-        }
+        let budget = self.budget_gather(&out_words);
         // Flatten in machine order; the sinks' pooled buffers go back
         // even when a budget violation aborts the gather.
         let mut batch = PayloadBatch::default();
         for mut sink in sinks {
-            if budget_err.is_none() {
+            if budget.is_ok() {
                 batch.append_sink(&mut sink);
             }
             sink.recycle_into(&mut self.scratch);
@@ -703,10 +665,7 @@ impl<S: MachineState> Cluster<S> {
             self.scratch.pooled_buffers() >= pooled_before,
             "router scratch leaked pooled buffers across a payload gather"
         );
-        match budget_err {
-            Some(e) => Err(e),
-            None => Ok(batch),
-        }
+        budget.map(|()| batch)
     }
 
     /// Metered broadcast of a `words`-word payload from the central machine
@@ -806,8 +765,8 @@ mod tests {
     use super::*;
 
     // The behavioural suite of the cluster primitives lives in
-    // `tests/cluster_api.rs` (it exercises only public API and covers
-    // both runtimes); here we keep the facade-level pieces.
+    // `tests/cluster_api.rs` (it exercises only public API); here we
+    // keep the facade-level pieces.
 
     #[test]
     fn tree_depth_examples() {
@@ -837,10 +796,10 @@ mod tests {
     #[test]
     fn config_builders_set_runtime_and_seed() {
         let cfg = ClusterConfig::new(4, 100)
-            .with_runtime(RuntimeKind::Shard)
+            .with_runtime(RuntimeKind::Dist)
             .with_seed(7)
             .with_threads(3);
-        assert_eq!(cfg.runtime, RuntimeKind::Shard);
+        assert_eq!(cfg.runtime, RuntimeKind::Dist);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, 3);
         assert!(cfg.validate().is_ok());

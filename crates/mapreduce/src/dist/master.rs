@@ -283,8 +283,9 @@ impl DistSession {
     /// The payload-plane shuffle: like [`DistSession::exchange`], but the
     /// staged `(head, [element])` messages stream onto the wire directly
     /// from the flat payload columns, and the returned regions decode
-    /// straight into pooled flat arenas — a [`PayloadDelivery`] in its
-    /// zero-copy `Flat` representation, never a nested `Vec<Vec<_>>`.
+    /// straight into pooled flat arenas — the same zero-copy
+    /// [`PayloadDelivery`] the in-process plane builds, never a nested
+    /// `Vec<Vec<_>>`.
     ///
     /// Each message's wire bytes are exactly the canonical encoding of the
     /// `(head, Vec<element>)` tuple it replaces, so workers (which treat
@@ -686,10 +687,7 @@ fn accept_with_timeout(listener: &UnixListener, child: &mut Child) -> MrResult<U
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::SeqExecutor;
-    use crate::router::{route, RouterKind, RouterScratch};
-    use crate::superstep::{SchedulePolicy, Scheduler};
-    use std::sync::Arc;
+    use crate::router::{route_merge, RouterScratch};
 
     fn outboxes(machines: usize, volume: usize, seed: u64) -> Vec<Outbox<u64>> {
         (0..machines)
@@ -704,15 +702,9 @@ mod tests {
             .collect()
     }
 
-    fn reference(machines: usize, volume: usize, seed: u64) -> Delivery<u64> {
-        let sched = Scheduler::new(Arc::new(SeqExecutor), SchedulePolicy::Dynamic);
-        route(
-            RouterKind::Merge,
-            &sched,
-            machines,
-            outboxes(machines, volume, seed),
-            &mut RouterScratch::default(),
-        )
+    /// The router's test oracle on the same traffic: `(inboxes, in_words)`.
+    fn reference(machines: usize, volume: usize, seed: u64) -> (Vec<Vec<u64>>, Vec<usize>) {
+        route_merge(machines, outboxes(machines, volume, seed))
     }
 
     #[test]
@@ -729,9 +721,9 @@ mod tests {
             let got = session
                 .exchange(1, outboxes(machines, 50, 7), &mut scratch)
                 .unwrap();
-            let want = reference(machines, 50, 7);
-            assert_eq!(got.nested(), want.nested(), "workers {workers}");
-            assert_eq!(got.in_words(), want.in_words(), "workers {workers}");
+            let (want, want_words) = reference(machines, 50, 7);
+            assert_eq!(got.nested(), want, "workers {workers}");
+            assert_eq!(got.in_words(), want_words, "workers {workers}");
             let summary = session.summary();
             assert_eq!(summary.workers, workers.min(machines));
             assert!(summary.shuffle.iter().any(|s| s.bytes_out > 0));
@@ -835,16 +827,16 @@ mod tests {
         let d1 = session
             .exchange(1, outboxes(machines, 30, 1), &mut scratch)
             .unwrap();
-        assert_eq!(d1.nested(), reference(machines, 30, 1).nested());
+        assert_eq!(d1.nested(), reference(machines, 30, 1).0);
         // Superstep 2 arms the kill; the worker dies at the flush, after
         // ingesting the batch — recovery must replay it.
         session.open(2).unwrap();
         let d2 = session
             .exchange(2, outboxes(machines, 30, 2), &mut scratch)
             .unwrap();
-        let want = reference(machines, 30, 2);
-        assert_eq!(d2.nested(), want.nested());
-        assert_eq!(d2.in_words(), want.in_words());
+        let (want, want_words) = reference(machines, 30, 2);
+        assert_eq!(d2.nested(), want);
+        assert_eq!(d2.in_words(), want_words);
         let summary = session.summary();
         assert_eq!(summary.recoveries.len(), 1);
         let r = &summary.recoveries[0];
@@ -855,7 +847,7 @@ mod tests {
         let d3 = session
             .exchange(3, outboxes(machines, 30, 3), &mut scratch)
             .unwrap();
-        assert_eq!(d3.nested(), reference(machines, 30, 3).nested());
+        assert_eq!(d3.nested(), reference(machines, 30, 3).0);
     }
 
     #[test]
@@ -881,6 +873,6 @@ mod tests {
         let d = session
             .exchange(2, outboxes(4, 20, 4), &mut RouterScratch::default())
             .unwrap();
-        assert_eq!(d.nested(), reference(4, 20, 4).nested());
+        assert_eq!(d.nested(), reference(4, 20, 4).0);
     }
 }

@@ -1,9 +1,9 @@
 //! The distributed runtime: a master/worker control plane over real OS
 //! transport, with fault-tolerant re-execution.
 //!
-//! The in-process runtimes (`Classic`, `Shard`) proved the engine's
-//! observables are bit-identical across schedules and routers; this
-//! module crosses a real process boundary without giving that up. The
+//! The in-process runtime (`Shard`) keeps the engine's observables
+//! bit-identical across thread counts; this module crosses a real
+//! process boundary without giving that up. The
 //! split follows from one constraint — driver closures cannot be
 //! serialized — so the **master** keeps the shard states, closures and
 //! RNG streams and runs the per-shard compute (it *is* the paper's

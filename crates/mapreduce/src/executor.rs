@@ -3,18 +3,13 @@
 //! An [`Executor`] runs one task per simulated machine, possibly on real
 //! OS threads. The trait's only required operation, [`Executor::run`], is
 //! an *unordered* index-parallel for-loop; every ordered observable is
-//! reconstructed afterwards in machine-id order by the deterministic
-//! helpers layered on top. The cluster's supersteps go through the
-//! scheduling layer ([`crate::superstep::Scheduler`]), which adds the
-//! dynamic-vs-static shard→thread policy; the direct helpers here —
-//! [`map_slice`] / [`map_slice_mut`] (index-ordered maps),
-//! [`for_each_mut`] (mutation without results) and [`fold_slice`]
-//! (extract in parallel, combine sequentially in index order) — remain
-//! the surface for external drivers that program against the executor
-//! directly. Because each task touches only its own machine's state and
-//! its own output slot, and all merges are index-ordered, a run is
-//! **bit-identical** across executors and thread counts — the
-//! determinism contract the equivalence suites assert.
+//! reconstructed afterwards in machine-id order by the scheduling layer
+//! ([`crate::superstep::Scheduler`]), which lays shards onto threads in
+//! static contiguous blocks and owns the index-ordered maps the cluster
+//! runs its supersteps through. Because each task touches only its own
+//! machine's state and its own output slot, and all merges are
+//! index-ordered, a run is **bit-identical** across executors and thread
+//! counts — the determinism contract the equivalence suites assert.
 //!
 //! Two executors ship:
 //!
@@ -33,7 +28,7 @@
 //! process, so batched solves ([`Registry::solve_batch`]-style harnesses)
 //! amortize thread spawning across runs. The default thread count comes
 //! from the `MRLR_THREADS` environment variable (unset or `1` = the
-//! sequential executor).
+//! sequential executor; anything but a positive integer is an error).
 //!
 //! [`Registry::solve_batch`]: https://docs.rs/mrlr-core
 
@@ -50,8 +45,8 @@ use std::thread::JoinHandle;
 /// Implementations must run `task(i)` exactly once for every
 /// `i in 0..count` and return only after all calls have completed. The
 /// order and interleaving are unspecified — callers own determinism by
-/// writing per-index outputs and merging in index order (see the module
-/// helpers).
+/// writing per-index outputs and merging in index order (see
+/// [`crate::superstep::Scheduler`]).
 pub trait Executor: Send + Sync {
     /// Short human-readable name (`"seq"`, `"threads(4)"`, …) for traces
     /// and bench labels.
@@ -109,8 +104,10 @@ struct Job {
 
 // SAFETY: the raw task pointer is only dereferenced while the submitting
 // `ThreadPoolExecutor::run` frame is alive (it blocks on `done`), and the
-// pointee is `Sync`, so shared cross-thread calls are safe.
+// pointee is `Sync`, so shared cross-thread calls are safe; every other
+// field is an atomic, a `Mutex` or a `Condvar`.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send` — workers only share `&Job`.
 unsafe impl Sync for Job {}
 
 impl Job {
@@ -225,8 +222,9 @@ impl Executor for ThreadPoolExecutor {
             }
             return;
         }
-        // SAFETY: `run` blocks on `job.wait()` below, so the borrow of
-        // `task` outlives every dereference (see `Job`).
+        // SAFETY: only the lifetime is transmuted. `run` blocks on
+        // `job.wait()` below, so the borrow of `task` outlives every
+        // dereference (see `Job`).
         let task_static: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&_, &'static (dyn Fn(usize) + Sync)>(task) };
         let job = Arc::new(Job {
@@ -275,10 +273,15 @@ impl Drop for ThreadPoolExecutor {
 /// Pointer wrapper that lets disjoint-index tasks write into a shared
 /// buffer. Soundness: every task touches only its own index. Access goes
 /// through the method (not the field) so 2021-edition closures capture
-/// the `Sync` wrapper rather than the raw pointer inside it. Shared with
-/// the scheduler and router layers ([`crate::superstep`],
-/// [`crate::router`]), which use the same disjoint-index discipline.
+/// the `Sync` wrapper rather than the raw pointer inside it. Shared by
+/// the scheduler and routing layers ([`crate::superstep`],
+/// [`crate::router`], [`crate::payload`]), which all use the same
+/// disjoint-index discipline.
 pub(crate) struct RawSlots<T>(*mut T);
+// SAFETY: sharing the wrapper only shares the base address; every
+// dereference goes through `slot`, whose contract forbids aliasing
+// accesses, and `T: Send` lets the slot values be written or moved from
+// whichever thread owns the index.
 unsafe impl<T: Send> Sync for RawSlots<T> {}
 
 impl<T> RawSlots<T> {
@@ -297,89 +300,41 @@ impl<T> RawSlots<T> {
     }
 }
 
-/// Runs `f(i, &items[i])` on the executor and returns the results **in
-/// index order** regardless of schedule.
-pub fn map_slice<T, R, F>(exec: &dyn Executor, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    // `None`-initialized slots (not `MaybeUninit`): if a task panics,
-    // unwinding drops the vector normally and every already-computed
-    // result is freed rather than leaked.
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let slots = RawSlots(out.as_mut_ptr());
-    exec.run(n, &|i| {
-        // SAFETY: index `i` is claimed exactly once, so each slot is
-        // written exactly once with no aliasing.
-        unsafe { *slots.slot(i) = Some(f(i, &items[i])) };
-    });
-    out.into_iter()
-        .map(|s| s.expect("executor ran every index"))
-        .collect()
+/// The value of environment variable `name` for the strict default
+/// parsers: `None` when unset; bytes that are not UTF-8 are kept
+/// (lossily) so they fail the parse instead of reading as unset.
+pub(crate) fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
-/// Runs `f(i, &mut items[i])` on the executor and returns the results **in
-/// index order** regardless of schedule.
-pub fn map_slice_mut<T, R, F>(exec: &dyn Executor, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let slots = RawSlots(out.as_mut_ptr());
-    let states = RawSlots(items.as_mut_ptr());
-    exec.run(n, &|i| {
-        // SAFETY: disjoint indices — each task gets exclusive access to
-        // `items[i]` and writes its own output slot exactly once.
-        unsafe { *slots.slot(i) = Some(f(i, &mut *states.slot(i))) };
-    });
-    out.into_iter()
-        .map(|s| s.expect("executor ran every index"))
-        .collect()
+/// Interprets an `MRLR_THREADS` value: unset is 1 (sequential), a
+/// positive integer is itself, and anything else is an error — a
+/// mistyped CI leg must fail, not silently run sequentially.
+pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    let Some(text) = value else { return Ok(1) };
+    match text.parse::<usize>() {
+        Ok(threads) if threads >= 1 => Ok(threads),
+        _ => Err(format!(
+            "MRLR_THREADS={text:?} is not a thread count: expected a positive integer (unset = 1)"
+        )),
+    }
 }
 
-/// Runs `f(i, &mut items[i])` on the executor for every index.
-pub fn for_each_mut<T, F>(exec: &dyn Executor, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let states = RawSlots(items.as_mut_ptr());
-    exec.run(items.len(), &|i| {
-        // SAFETY: disjoint indices give exclusive access to `items[i]`.
-        f(i, unsafe { &mut *states.slot(i) });
-    });
+/// [`parse_threads`] applied to the process environment.
+pub fn env_threads() -> Result<usize, String> {
+    parse_threads(env_value("MRLR_THREADS").as_deref())
 }
 
-/// Extracts a value per item on the executor, then folds the extracted
-/// values **sequentially in index order** — non-commutative (and
-/// floating-point) combines stay deterministic across schedules.
-pub fn fold_slice<T, R, E, C>(exec: &dyn Executor, items: &[T], extract: E, combine: C) -> Option<R>
-where
-    T: Sync,
-    R: Send,
-    E: Fn(usize, &T) -> R + Sync,
-    C: Fn(R, R) -> R,
-{
-    map_slice(exec, items, extract).into_iter().reduce(combine)
-}
-
-/// The process-wide default thread count: `MRLR_THREADS` when set to a
-/// positive integer, else 1 (sequential). Read once and cached.
+/// The process-wide default thread count ([`env_threads`]), read once
+/// and cached.
+///
+/// # Panics
+///
+/// With [`parse_threads`]'s message when `MRLR_THREADS` holds anything
+/// but a positive integer.
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("MRLR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    })
+    *DEFAULT.get_or_init(|| env_threads().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// The shared executor for `threads` threads: [`SeqExecutor`] for 0 or 1,
@@ -409,28 +364,31 @@ pub fn default_executor() -> Arc<dyn Executor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::superstep::Scheduler;
 
-    fn squares(exec: &dyn Executor, n: usize) -> Vec<usize> {
+    fn pool_sched(threads: usize) -> Scheduler {
+        Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)))
+    }
+
+    fn squares(sched: &Scheduler, n: usize) -> Vec<usize> {
         let items: Vec<usize> = (0..n).collect();
-        map_slice(exec, &items, |_, &x| x * x)
+        sched.map_ref(&items, |_, &x| x * x)
     }
 
     #[test]
     fn seq_and_pool_agree_on_map() {
-        let seq = SeqExecutor;
-        let expected = squares(&seq, 1000);
+        let expected = squares(&Scheduler::new(Arc::new(SeqExecutor)), 1000);
         for threads in [1usize, 2, 3, 8] {
-            let pool = ThreadPoolExecutor::new(threads);
-            assert_eq!(squares(&pool, 1000), expected, "threads = {threads}");
-            assert_eq!(pool.threads(), threads);
+            let sched = pool_sched(threads);
+            assert_eq!(squares(&sched, 1000), expected, "threads = {threads}");
+            assert_eq!(sched.threads(), threads);
         }
     }
 
     #[test]
     fn map_mut_gives_exclusive_access_and_ordered_results() {
-        let pool = ThreadPoolExecutor::new(4);
         let mut items: Vec<Vec<u64>> = (0..100).map(|i| vec![i as u64]).collect();
-        let lens = map_slice_mut(&pool, &mut items, |i, v| {
+        let lens = pool_sched(4).map_mut(&mut items, |i, v| {
             v.push(i as u64 * 2);
             v.len()
         });
@@ -440,9 +398,8 @@ mod tests {
 
     #[test]
     fn for_each_mut_touches_every_item_once() {
-        let pool = ThreadPoolExecutor::new(8);
         let mut items = vec![0u64; 500];
-        for_each_mut(&pool, &mut items, |i, x| *x += i as u64 + 1);
+        pool_sched(8).map_mut(&mut items, |i, x| *x += i as u64 + 1);
         for (i, x) in items.iter().enumerate() {
             assert_eq!(*x, i as u64 + 1);
         }
@@ -450,24 +407,29 @@ mod tests {
 
     #[test]
     fn fold_is_index_ordered_even_threaded() {
-        let pool = ThreadPoolExecutor::new(4);
+        // Extract in parallel, combine sequentially in index order (the
+        // shape of `Cluster::aggregate`) with a non-commutative combine.
         let items: Vec<usize> = (0..64).collect();
-        // Non-commutative combine: concatenation.
-        let folded = fold_slice(
-            &pool,
-            &items,
-            |_, &x| vec![x],
-            |mut a, b| {
+        let folded = pool_sched(4)
+            .map_ref(&items, |_, &x| vec![x])
+            .into_iter()
+            .reduce(|mut a, b| {
                 a.extend(b);
                 a
-            },
-        )
-        .unwrap();
-        assert_eq!(folded, items);
-        assert_eq!(
-            fold_slice(&pool, &Vec::<usize>::new(), |_, &x: &usize| x, |a, _| a),
-            None
-        );
+            });
+        assert_eq!(folded, Some(items));
+    }
+
+    #[test]
+    fn env_thread_counts_parse_strictly() {
+        assert_eq!(parse_threads(None), Ok(1));
+        assert_eq!(parse_threads(Some("1")), Ok(1));
+        assert_eq!(parse_threads(Some("4")), Ok(4));
+        for bad in ["", "0", "four", "-2", "4 ", "4x"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("positive integer"), "{err}");
+        }
     }
 
     #[test]
@@ -498,7 +460,7 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 s.spawn(move || {
                     let items: Vec<usize> = (0..200).collect();
-                    let out = map_slice(&*pool, &items, |_, &x| x + 1);
+                    let out = Scheduler::new(pool).map_ref(&items, |_, &x| x + 1);
                     assert_eq!(out, (1..=200).collect::<Vec<_>>());
                 });
             }
@@ -557,9 +519,8 @@ mod tests {
     fn work_skew_balances_across_threads() {
         // Tasks with wildly different costs still all complete, and the
         // per-index outputs land in the right slots.
-        let pool = ThreadPoolExecutor::new(4);
         let items: Vec<usize> = (0..40).collect();
-        let out = map_slice(&pool, &items, |_, &x| {
+        let out = pool_sched(4).map_ref(&items, |_, &x| {
             let mut acc = 0u64;
             for k in 0..(x * 1000) {
                 acc = acc.wrapping_add(k as u64);

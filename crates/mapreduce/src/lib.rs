@@ -17,8 +17,9 @@
 //!   round accounting for broadcasts/aggregations (the paper's `n^µ`-ary
 //!   broadcast tree), and full [`metrics::Metrics`]. It is a thin facade
 //!   over three owned runtime layers: [`shard`] (per-machine state, RNG
-//!   and space accounting), [`router`] (the message-delivery plane) and
-//!   [`superstep`] (shard→thread scheduling over the executor seam).
+//!   and space accounting), [`router`] / [`payload`] (the
+//!   message-delivery planes) and [`superstep`] (shard→thread scheduling
+//!   over the executor seam).
 //! * [`job::MapReduceJob`] layers the classic map → shuffle → reduce
 //!   interface on top.
 //! * [`rng`] provides partition-stable hash-derived randomness so that a
@@ -33,16 +34,19 @@
 //!
 //! ## The runtime seam
 //!
-//! [`cluster::ClusterConfig::runtime`] selects which of the three engines
-//! ([`superstep::RuntimeKind`]) executes the supersteps: `Classic`
-//! (dynamic index claiming + sequential global message merge), `Shard`
-//! (work-stealing-free static shard→thread assignment +
-//! [`router::RouterKind::Columnar`] counting-sort routing — the engine
-//! behind the solver API's `Backend::Shard`), or `Dist` (the [`dist`]
-//! master/worker control plane: real OS transport, barrier heartbeats and
-//! fault-tolerant re-execution — the engine behind `Backend::Dist`). All
+//! There is one in-process engine: work-stealing-free static
+//! shard→thread assignment ([`superstep::StaticAssignment`]) plus
+//! counting-sort routing into pooled flat arenas ([`router`] for
+//! fixed-size messages, [`payload`] for `(head, [T])` messages).
+//! [`cluster::ClusterConfig::runtime`] ([`superstep::RuntimeKind`])
+//! selects whether exchanges are shuffled by that engine (`Shard`, the
+//! default — the engine behind the solver API's `Backend::Shard`) or
+//! through the [`dist`] master/worker control plane (`Dist`: real OS
+//! transport, barrier heartbeats and fault-tolerant re-execution over
+//! the same shard blocks — the engine behind `Backend::Dist`). The two
 //! are **bit-identical** in every model-level observable; the
-//! `MRLR_BACKEND` environment variable sets the process default.
+//! `MRLR_BACKEND` environment variable (`shard` or `dist`) sets the
+//! process default, and any other value is an error.
 //!
 //! ## The executor seam
 //!
@@ -100,7 +104,10 @@ pub use cluster::{
 };
 pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader};
 pub use error::{CapacityKind, MrError, MrResult};
-pub use executor::{default_threads, executor_for, Executor, SeqExecutor, ThreadPoolExecutor};
+pub use executor::{
+    default_threads, env_threads, executor_for, parse_threads, Executor, SeqExecutor,
+    ThreadPoolExecutor,
+};
 pub use faults::{
     FaultEvent, FaultKind, FaultPlan, MeasuredRecovery, RecoveryReport, StragglerCost, WorkerKill,
 };
@@ -118,8 +125,9 @@ pub use payload::{
     PayloadBatch, PayloadInbox, PayloadOutbox, PayloadSink, PayloadSinkWriter, PayloadWriter,
 };
 pub use rng::{coin, mix2, mix_tags, unit_f64, DetRng};
-pub use router::RouterKind;
 pub use shard::Shard;
-pub use superstep::{default_runtime, RuntimeKind, SchedulePolicy, Scheduler, StaticAssignment};
+pub use superstep::{
+    default_runtime, env_runtime, parse_runtime, RuntimeKind, Scheduler, StaticAssignment,
+};
 pub use trace::{KindSummary, Timeline, TimelineRow};
 pub use words::{Payload, WordSized};

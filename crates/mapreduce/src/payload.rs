@@ -1,12 +1,11 @@
 //! The variable-size payload plane: flat `(head, &[T])` messages.
 //!
-//! PR 7's columnar router made the *fixed-size* message path
-//! allocation-free, but a driver that ships a list per message — a
-//! neighbour list, a forwarding set — still paid one `Vec` per message
-//! at every layer: the produce closure allocated it, the router moved
-//! it, the dist wire re-encoded it, and the consume pass dropped it.
-//! This module removes that class entirely by storing variable-size
-//! payloads **struct-of-arrays**:
+//! A driver that ships a list per message — a neighbour list, a
+//! forwarding set — would pay one `Vec` per message at every layer if it
+//! sent `(head, Vec<T>)` tuples through [`crate::router`]: the produce
+//! closure allocates it, the router moves it, the dist wire re-encodes
+//! it, and the consume pass drops it. This module stores variable-size
+//! payloads **struct-of-arrays** instead:
 //!
 //! * [`PayloadOutbox`] stages messages as four flat columns — heads,
 //!   destinations, payload lengths, and one flat element arena — either
@@ -21,15 +20,15 @@
 //!   touched twice.
 //! * [`PayloadInbox`] reads messages back as `(head, &[T])` with the
 //!   payload **borrowed zero-copy from the arena**, in the same
-//!   `(sender id, send order)` order every other plane guarantees.
+//!   `(sender id, send order)` order the fixed-size plane guarantees.
 //!
 //! All buffers cycle through the cluster's [`RouterScratch`] exactly
 //! like the fixed-size path: heads and element arenas share the
 //! per-type pools, length/span columns share the `usize`/range pools,
-//! so steady-state supersteps allocate nothing. [`RouterKind::Merge`]
-//! remains the implementation-independent reference: its payload
-//! delivery builds genuinely nested `Vec<(H, Vec<T>)>` inboxes with no
-//! arena or counting sort, and the equivalence tests compare the two.
+//! so steady-state supersteps allocate nothing. The unit tests check
+//! delivery against `route_payload_merge`, a test-only oracle that
+//! builds genuinely nested `Vec<(H, Vec<T>)>` inboxes with no arena or
+//! counting sort.
 //!
 //! Head and element types are `Copy`: that is what lets the scatter be
 //! a raw block copy, the inbox a borrowing view, and the arenas
@@ -37,7 +36,7 @@
 //! drivers ship (vertex ids, scalar tuples) already is.
 
 use crate::executor::RawSlots;
-use crate::router::{RouterKind, RouterScratch};
+use crate::router::RouterScratch;
 use crate::shard::MachineId;
 use crate::superstep::Scheduler;
 use crate::words::WordSized;
@@ -188,42 +187,30 @@ impl<H, T> Drop for PayloadWriter<'_, H, T> {
     }
 }
 
-/// Delivered variable-size messages for one exchange round. The merge
-/// plane (and a dist fallback) holds genuinely nested per-destination
-/// buffers; the columnar plane and the dist fast path hold flat arenas
-/// with per-message spans and per-destination ranges. Both read back
-/// identically through [`PayloadInbox`] views.
+/// Owned nested inboxes: what the test oracle builds and
+/// [`PayloadDelivery::nested`] materializes.
+#[cfg(test)]
+pub(crate) type NestedInboxes<H, T> = Vec<Vec<(H, Vec<T>)>>;
+
+/// Delivered variable-size messages for one exchange round, as flat
+/// columns: destination `d` owns messages
+/// `ranges[d].0 .. ranges[d].0 + ranges[d].1`, and message `i` owns
+/// elements `elems[spans[i].0 ..][.. spans[i].1]`. Read back through
+/// [`PayloadInbox`] views.
 pub(crate) struct PayloadDelivery<H, T> {
-    repr: PayloadRepr<H, T>,
+    heads: Vec<H>,
+    spans: Vec<(usize, usize)>,
+    elems: Vec<T>,
+    ranges: Vec<(usize, usize)>,
     in_words: Vec<usize>,
 }
 
-enum PayloadRepr<H, T> {
-    /// One owned `(head, payload)` buffer per destination.
-    Nested(Vec<Vec<(H, Vec<T>)>>),
-    /// Flat columns: destination `d` owns messages
-    /// `ranges[d].0 .. ranges[d].0 + ranges[d].1`; message `i` owns
-    /// elements `elems[spans[i].0 ..][.. spans[i].1]`.
-    Flat {
-        heads: Vec<H>,
-        spans: Vec<(usize, usize)>,
-        elems: Vec<T>,
-        ranges: Vec<(usize, usize)>,
-    },
-}
-
 impl<H: Copy, T: Copy> PayloadDelivery<H, T> {
-    /// Wraps per-destination nested buffers produced outside the router.
-    pub(crate) fn from_nested(inboxes: Vec<Vec<(H, Vec<T>)>>, in_words: Vec<usize>) -> Self {
-        debug_assert_eq!(inboxes.len(), in_words.len());
-        PayloadDelivery {
-            repr: PayloadRepr::Nested(inboxes),
-            in_words,
-        }
-    }
-
-    /// Wraps flat columns built outside the router (the dist shuffle
-    /// decodes wire payloads straight into these arenas).
+    /// Wraps flat columns ([`route_payload`] scatters into them; the dist
+    /// shuffle decodes wire payloads straight into them). Every range
+    /// must lie inside `heads`/`spans` and every span inside `elems` —
+    /// [`PayloadDelivery::into_inboxes`] hands out raw views that rely
+    /// on it.
     pub(crate) fn from_flat(
         heads: Vec<H>,
         spans: Vec<(usize, usize)>,
@@ -233,13 +220,13 @@ impl<H: Copy, T: Copy> PayloadDelivery<H, T> {
     ) -> Self {
         debug_assert_eq!(heads.len(), spans.len());
         debug_assert_eq!(ranges.len(), in_words.len());
+        debug_assert!(ranges.iter().all(|&(off, n)| off + n <= heads.len()));
+        debug_assert!(spans.iter().all(|&(off, n)| off + n <= elems.len()));
         PayloadDelivery {
-            repr: PayloadRepr::Flat {
-                heads,
-                spans,
-                elems,
-                ranges,
-            },
+            heads,
+            spans,
+            elems,
+            ranges,
             in_words,
         }
     }
@@ -254,97 +241,58 @@ impl<H: Copy, T: Copy> PayloadDelivery<H, T> {
     ///
     /// # Safety
     ///
-    /// For a flat delivery the inboxes borrow straight out of the
-    /// returned [`PayloadDeliveryBuffers`]' arenas; the caller must keep
-    /// the buffers alive until every inbox has been dropped (and only
-    /// then recycle them).
+    /// The inboxes borrow straight out of the returned
+    /// [`PayloadDeliveryBuffers`]' arenas; the caller must keep the
+    /// buffers alive until every inbox has been dropped (and only then
+    /// recycle them).
     pub(crate) unsafe fn into_inboxes(
         self,
     ) -> (Vec<PayloadInbox<H, T>>, PayloadDeliveryBuffers<H, T>) {
-        match self.repr {
-            PayloadRepr::Nested(inboxes) => {
-                let views = inboxes.into_iter().map(PayloadInbox::owned).collect();
-                (
-                    views,
-                    PayloadDeliveryBuffers {
-                        heads: None,
-                        spans: None,
-                        elems: None,
-                        ranges: None,
-                        in_words: self.in_words,
-                    },
+        // Unlike the fixed-size arena (whose elements move out by value),
+        // payload inboxes only *read*: `Copy` heads and elements stay in
+        // the arenas, which keep their length until the recycle clears
+        // them.
+        let views = self
+            .ranges
+            .iter()
+            // SAFETY: every range lies inside `heads`/`spans` and every
+            // span inside `elems` (`from_flat`'s contract); moving the
+            // `Vec`s into the buffers below does not move their heap
+            // allocations, which the caller keeps alive.
+            .map(|&(off, count)| unsafe {
+                PayloadInbox::raw(
+                    self.heads.as_ptr().add(off),
+                    self.spans.as_ptr().add(off),
+                    self.elems.as_ptr(),
+                    count,
                 )
-            }
-            PayloadRepr::Flat {
-                heads,
-                spans,
-                elems,
-                ranges,
-            } => {
-                // Unlike the fixed-size arena (whose elements move out
-                // by value), payload inboxes only *read*: `Copy` heads
-                // and elements stay in the arenas, which keep their
-                // length until the recycle clears them.
-                let views = ranges
-                    .iter()
-                    .map(|&(off, count)| unsafe {
-                        PayloadInbox::raw(
-                            heads.as_ptr().add(off),
-                            spans.as_ptr().add(off),
-                            elems.as_ptr(),
-                            count,
-                        )
-                    })
-                    .collect();
-                (
-                    views,
-                    PayloadDeliveryBuffers {
-                        heads: Some(heads),
-                        spans: Some(spans),
-                        elems: Some(elems),
-                        ranges: Some(ranges),
-                        in_words: self.in_words,
-                    },
-                )
-            }
-        }
+            })
+            .collect();
+        (views, PayloadDeliveryBuffers(self))
     }
 
     /// Materializes every inbox as owned nested data — test-only view
-    /// for comparing planes.
+    /// for comparing against the oracle.
     #[cfg(test)]
-    pub(crate) fn nested(&self) -> Vec<Vec<(H, Vec<T>)>> {
-        match &self.repr {
-            PayloadRepr::Nested(inboxes) => inboxes.clone(),
-            PayloadRepr::Flat {
-                heads,
-                spans,
-                elems,
-                ranges,
-            } => ranges
-                .iter()
-                .map(|&(off, count)| {
-                    (off..off + count)
-                        .map(|i| {
-                            let (eoff, len) = spans[i];
-                            (heads[i], elems[eoff..eoff + len].to_vec())
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
+    pub(crate) fn nested(&self) -> NestedInboxes<H, T> {
+        self.ranges
+            .iter()
+            .map(|&(off, count)| {
+                (off..off + count)
+                    .map(|i| {
+                        let (eoff, len) = self.spans[i];
+                        (self.heads[i], self.elems[eoff..eoff + len].to_vec())
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
-/// The buffers backing a round's [`PayloadInbox`]es, held by the
-/// cluster for the duration of the consume pass and then recycled.
-pub(crate) struct PayloadDeliveryBuffers<H, T> {
-    heads: Option<Vec<H>>,
-    spans: Option<Vec<(usize, usize)>>,
-    elems: Option<Vec<T>>,
-    ranges: Option<Vec<(usize, usize)>>,
-    in_words: Vec<usize>,
-}
+/// The buffers backing a round's [`PayloadInbox`]es — the delivery
+/// itself, once its views are out — held by the cluster for the duration
+/// of the consume pass and then recycled.
+pub(crate) struct PayloadDeliveryBuffers<H, T>(PayloadDelivery<H, T>);
 
 impl<H, T> PayloadDeliveryBuffers<H, T> {
     /// Returns the backing buffers to the pool. Call after the consume
@@ -354,21 +302,20 @@ impl<H, T> PayloadDeliveryBuffers<H, T> {
         H: Send + 'static,
         T: Send + 'static,
     {
-        if let Some(mut heads) = self.heads {
-            heads.clear();
-            scratch.put_arena(heads);
-        }
-        if let Some(spans) = self.spans {
-            scratch.put_ranges(spans);
-        }
-        if let Some(mut elems) = self.elems {
-            elems.clear();
-            scratch.put_arena(elems);
-        }
-        if let Some(ranges) = self.ranges {
-            scratch.put_ranges(ranges);
-        }
-        scratch.put_usizes(self.in_words);
+        let PayloadDelivery {
+            mut heads,
+            spans,
+            mut elems,
+            ranges,
+            in_words,
+        } = self.0;
+        heads.clear();
+        elems.clear();
+        scratch.put_arena(heads);
+        scratch.put_ranges(spans);
+        scratch.put_arena(elems);
+        scratch.put_ranges(ranges);
+        scratch.put_usizes(in_words);
     }
 }
 
@@ -377,49 +324,35 @@ impl<H, T> PayloadDeliveryBuffers<H, T> {
 /// [`PayloadInbox::next_msg`], which hands back each head by value and
 /// its payload as a **zero-copy slice** borrowed from the delivery
 /// arena (valid until the next call).
+///
+/// A borrowing view over the delivery's arenas: `heads` and `spans`
+/// advance per message, payload slices point into the shared element
+/// arena.
 pub struct PayloadInbox<H, T> {
-    repr: PayloadInboxRepr<H, T>,
+    heads: *const H,
+    spans: *const (usize, usize),
+    elems: *const T,
+    remaining: usize,
 }
 
-enum PayloadInboxRepr<H, T> {
-    /// Messages owned outright (merge plane, dist fallback). The
-    /// current message is parked so its payload can be lent out.
-    Owned {
-        iter: std::vec::IntoIter<(H, Vec<T>)>,
-        current: Option<(H, Vec<T>)>,
-    },
-    /// A borrowing view over the columnar plane's arenas: heads and
-    /// spans advance per message, payload slices point into the shared
-    /// element arena.
-    Flat {
-        heads: *const H,
-        spans: *const (usize, usize),
-        elems: *const T,
-        remaining: usize,
-    },
-}
-
-// SAFETY: a flat `PayloadInbox` only reads `Copy` data from arena
-// ranges no other inbox touches (ranges are disjoint and the backing
-// buffers outlive the consume pass per `into_inboxes`' contract).
+// SAFETY: a `PayloadInbox` only reads `Copy` data from arena ranges no
+// other inbox touches (ranges are disjoint and the backing buffers
+// outlive the consume pass per `into_inboxes`' contract).
 unsafe impl<H: Send, T: Send> Send for PayloadInbox<H, T> {}
 
 impl<H, T> Default for PayloadInbox<H, T> {
+    /// The empty inbox: its pointers are never dereferenced.
     fn default() -> Self {
-        PayloadInbox::owned(Vec::new())
+        PayloadInbox {
+            heads: std::ptr::null(),
+            spans: std::ptr::null(),
+            elems: std::ptr::null(),
+            remaining: 0,
+        }
     }
 }
 
 impl<H, T> PayloadInbox<H, T> {
-    pub(crate) fn owned(msgs: Vec<(H, Vec<T>)>) -> Self {
-        PayloadInbox {
-            repr: PayloadInboxRepr::Owned {
-                iter: msgs.into_iter(),
-                current: None,
-            },
-        }
-    }
-
     /// # Safety
     ///
     /// `heads`/`spans` must point at `len` initialized slots, `elems` at
@@ -432,26 +365,21 @@ impl<H, T> PayloadInbox<H, T> {
         len: usize,
     ) -> Self {
         PayloadInbox {
-            repr: PayloadInboxRepr::Flat {
-                heads,
-                spans,
-                elems,
-                remaining: len,
-            },
+            heads,
+            spans,
+            elems,
+            remaining: len,
         }
     }
 
     /// Messages not yet read.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            PayloadInboxRepr::Owned { iter, .. } => iter.len(),
-            PayloadInboxRepr::Flat { remaining, .. } => *remaining,
-        }
+        self.remaining
     }
 
     /// True when every message has been read (or none arrived).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.remaining == 0
     }
 
     /// The next message in delivery order: its head by value and its
@@ -460,31 +388,18 @@ impl<H, T> PayloadInbox<H, T> {
     where
         H: Copy,
     {
-        match &mut self.repr {
-            PayloadInboxRepr::Owned { iter, current } => {
-                *current = iter.next();
-                current.as_ref().map(|(h, v)| (*h, v.as_slice()))
-            }
-            PayloadInboxRepr::Flat {
-                heads,
-                spans,
-                elems,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                // SAFETY: `remaining > 0` slots are in bounds per `raw`'s
-                // contract; every span lies inside the element arena.
-                unsafe {
-                    let head = **heads;
-                    let (off, len) = **spans;
-                    *heads = heads.add(1);
-                    *spans = spans.add(1);
-                    *remaining -= 1;
-                    Some((head, std::slice::from_raw_parts(elems.add(off), len)))
-                }
-            }
+        if self.remaining == 0 {
+            return None;
+        }
+        // SAFETY: `remaining > 0` slots are in bounds per `raw`'s
+        // contract; every span lies inside the element arena.
+        unsafe {
+            let head = *self.heads;
+            let (off, len) = *self.spans;
+            self.heads = self.heads.add(1);
+            self.spans = self.spans.add(1);
+            self.remaining -= 1;
+            Some((head, std::slice::from_raw_parts(self.elems.add(off), len)))
         }
     }
 
@@ -502,43 +417,22 @@ impl<H, T> PayloadInbox<H, T> {
     }
 }
 
-/// Routes all staged payload outboxes to their destinations under
-/// `kind`. Outboxes arrive in sender-id order; delivery order is
-/// `(sender id, send order)` on every plane. Emptied outbox columns
-/// (and, for the columnar plane, the counting scratch) are recycled
-/// into `scratch`.
-pub(crate) fn route_payload<H, T>(
-    kind: RouterKind,
-    sched: &Scheduler,
+/// Test-only reference oracle: a sequential pass appending
+/// `(head, Vec<T>)` pairs into freshly allocated nested inboxes.
+/// Deliberately independent of [`route_payload`]'s machinery so the
+/// equivalence tests compare two genuinely different implementations.
+/// Returns the inboxes and the words received per destination.
+#[cfg(test)]
+pub(crate) fn route_payload_merge<H, T>(
     machines: usize,
     outboxes: Vec<PayloadOutbox<H, T>>,
-    scratch: &mut RouterScratch,
-) -> PayloadDelivery<H, T>
+) -> (NestedInboxes<H, T>, Vec<usize>)
 where
-    H: Copy + WordSized + Send + 'static,
-    T: Copy + WordSized + Send + 'static,
+    H: Copy + WordSized,
+    T: Copy + WordSized,
 {
-    match kind {
-        RouterKind::Merge => route_payload_merge(machines, outboxes, scratch),
-        RouterKind::Columnar => route_payload_columnar(sched, machines, outboxes, scratch),
-    }
-}
-
-/// The reference plane: a sequential pass appending `(head, Vec<T>)`
-/// pairs into freshly allocated nested inboxes. Deliberately independent
-/// of the flat machinery so the equivalence tests compare two genuinely
-/// different implementations.
-fn route_payload_merge<H, T>(
-    machines: usize,
-    outboxes: Vec<PayloadOutbox<H, T>>,
-    scratch: &mut RouterScratch,
-) -> PayloadDelivery<H, T>
-where
-    H: Copy + WordSized + Send + 'static,
-    T: Copy + WordSized + Send + 'static,
-{
-    let mut inboxes: Vec<Vec<(H, Vec<T>)>> = (0..machines).map(|_| Vec::new()).collect();
-    let mut in_words = scratch.take_usizes(machines);
+    let mut inboxes: NestedInboxes<H, T> = (0..machines).map(|_| Vec::new()).collect();
+    let mut in_words = vec![0usize; machines];
     for outbox in outboxes {
         let mut off = 0usize;
         for i in 0..outbox.lens.len() {
@@ -549,19 +443,23 @@ where
             in_words[dst] += outbox.heads[i].words() + payload.words();
             inboxes[dst].push((outbox.heads[i], payload));
         }
-        outbox.recycle_into(scratch);
     }
-    PayloadDelivery::from_nested(inboxes, in_words)
+    (inboxes, in_words)
 }
 
-/// The flat plane: a two-axis counting sort. One counting pass
+/// Routes all staged payload outboxes (one per machine, in sender-id
+/// order) to their destinations; delivery order is `(sender id, send
+/// order)`. Emptied outbox columns and the counting scratch are
+/// recycled into `scratch`.
+///
+/// A two-axis counting sort. One counting pass
 /// accumulates per-destination message counts, element counts and word
 /// volume; the prefix sums lay out both the message columns
 /// (heads/spans) and the element arena; the stable scatter then writes
 /// each head and span once and block-copies each payload once. Dense
 /// rounds run the count and scatter passes concurrently over senders
 /// (disjoint matrix rows / cursor blocks, as in the fixed-size plane).
-fn route_payload_columnar<H, T>(
+pub(crate) fn route_payload<H, T>(
     sched: &Scheduler,
     machines: usize,
     mut outboxes: Vec<PayloadOutbox<H, T>>,
@@ -595,8 +493,10 @@ where
         let ecount_rows = RawSlots::new(ecounts.as_mut_ptr());
         let word_rows = RawSlots::new(words.as_mut_ptr());
         sched.map_mut(&mut outboxes, |s, outbox| {
-            // SAFETY: sender `s` writes only its own `machines`-wide
-            // rows; rows are disjoint and the matrices outlive the pass.
+            // SAFETY: all three matrices hold `senders * machines` cells
+            // and sender `s < senders` takes only its own
+            // `machines`-wide rows; rows are disjoint and the matrices
+            // outlive the pass.
             let (mrow, erow, wrow) = unsafe {
                 (
                     std::slice::from_raw_parts_mut(mcount_rows.slot(s * machines), machines),
@@ -652,8 +552,13 @@ where
         sched.map_mut(&mut outboxes, |s, outbox| {
             let n = outbox.lens.len();
             let mut off = 0usize;
-            // SAFETY: disjoint cursor blocks per the prefix sums; `Copy`
-            // data is duplicated into the arenas, sources just clear.
+            // SAFETY: disjoint cursor blocks per the prefix sums, all
+            // below the `total_msgs`/`total_elems` the arenas reserved
+            // (`spans` is already that long); `i < n` bounds all three
+            // columns, `dst < machines` was checked at staging, and
+            // `off + len` stays within `elems` because `lens` sums to
+            // its length. `Copy` data is duplicated into the arenas,
+            // sources just clear.
             unsafe {
                 let mcur =
                     std::slice::from_raw_parts_mut(mcursor_rows.slot(s * machines), machines);
@@ -678,7 +583,8 @@ where
             }
             outbox.clear();
         });
-        // SAFETY: every slot in both arenas was written exactly once.
+        // SAFETY: both lengths were reserved, and the scatter wrote every
+        // slot below them exactly once.
         unsafe {
             heads.set_len(total_msgs);
             elems.set_len(total_elems);
@@ -723,7 +629,8 @@ where
             let n = outbox.lens.len();
             let mut off = 0usize;
             // SAFETY: as in the parallel scatter — every slot is written
-            // exactly once at its (sender, dst) block cursor.
+            // exactly once at its (sender, dst) block cursor, all indices
+            // bounded the same way.
             unsafe {
                 for i in 0..n {
                     let dst = *outbox.dsts.get_unchecked(i);
@@ -744,7 +651,8 @@ where
             }
             outbox.clear();
         }
-        // SAFETY: every slot in both arenas was written exactly once.
+        // SAFETY: both lengths were reserved, and the scatter wrote every
+        // slot below them exactly once.
         unsafe {
             heads.set_len(total_msgs);
             elems.set_len(total_elems);
@@ -934,11 +842,10 @@ mod tests {
     use super::*;
     use crate::executor::ThreadPoolExecutor;
     use crate::rng::DetRng;
-    use crate::superstep::SchedulePolicy;
     use std::sync::Arc;
 
-    fn sched(threads: usize, policy: SchedulePolicy) -> Scheduler {
-        Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)), policy)
+    fn sched(threads: usize) -> Scheduler {
+        Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)))
     }
 
     fn fill_random(out: &mut PayloadOutbox<u64, u64>, s: usize, volume: usize, seed: u64) {
@@ -969,73 +876,58 @@ mod tests {
             .collect()
     }
 
-    /// Random variable-size traffic: both planes must deliver identical
-    /// messages and word counts at every thread count, whether payloads
-    /// were staged as slices or through writer handles.
+    /// Random variable-size traffic (empty payloads included): the plane
+    /// must deliver the oracle's messages and word counts at every
+    /// thread count, whether payloads were staged as slices or through
+    /// writer handles.
     #[test]
     fn payload_planes_are_bit_identical() {
         for (machines, volume, seed) in [(1usize, 5usize, 1u64), (4, 40, 2), (9, 160, 3)] {
-            let s1 = sched(1, SchedulePolicy::Dynamic);
             let mut scratch = RouterScratch::default();
-            let reference = route_payload(
-                RouterKind::Merge,
-                &s1,
-                machines,
-                random_outboxes(machines, volume, seed),
-                &mut scratch,
-            );
+            let (want, want_words) =
+                route_payload_merge(machines, random_outboxes(machines, volume, seed));
             for threads in [1usize, 2, 4] {
-                for policy in [SchedulePolicy::Dynamic, SchedulePolicy::Static] {
-                    let s = sched(threads, policy);
-                    let got = route_payload(
-                        RouterKind::Columnar,
-                        &s,
-                        machines,
-                        random_outboxes(machines, volume, seed),
-                        &mut scratch,
-                    );
-                    assert_eq!(got.nested(), reference.nested(), "threads {threads}");
-                    assert_eq!(got.in_words(), reference.in_words(), "threads {threads}");
-                }
+                let got = route_payload(
+                    &sched(threads),
+                    machines,
+                    random_outboxes(machines, volume, seed),
+                    &mut scratch,
+                );
+                assert_eq!(got.nested(), want, "threads {threads}");
+                assert_eq!(got.in_words(), want_words, "threads {threads}");
             }
         }
     }
 
-    /// Buffer pooling across rounds must not perturb delivery.
+    /// Buffer pooling across rounds must not perturb delivery; the
+    /// volumes alternate between the sparse (sequential) and dense
+    /// (concurrent) sides of the density cutoff.
     #[test]
     fn pooled_payload_scratch_is_invisible_across_rounds() {
         let machines = 6;
-        let s4 = sched(4, SchedulePolicy::Static);
-        let s1 = sched(1, SchedulePolicy::Dynamic);
+        let s4 = sched(4);
         let mut scratch = RouterScratch::default();
         for round in 0..12u64 {
             let volume = [0usize, 3, 77, 5, 150][round as usize % 5];
-            let mut fresh = RouterScratch::default();
-            let want = route_payload(
-                RouterKind::Merge,
-                &s1,
-                machines,
-                random_outboxes(machines, volume, round),
-                &mut fresh,
-            );
+            let (want, want_words) =
+                route_payload_merge(machines, random_outboxes(machines, volume, round));
             let got = route_payload(
-                RouterKind::Columnar,
                 &s4,
                 machines,
                 random_outboxes(machines, volume, round),
                 &mut scratch,
             );
-            assert_eq!(got.nested(), want.nested(), "round {round}");
-            assert_eq!(got.in_words(), want.in_words(), "round {round}");
+            assert_eq!(got.nested(), want, "round {round}");
+            assert_eq!(got.in_words(), want_words, "round {round}");
         }
     }
 
-    /// Steady state: after the first columnar round warms the pool, a
+    /// Steady state: after the first round warms the pool, a
     /// same-shape round must neither grow nor shrink it.
     #[test]
     fn pool_is_steady_state_stable() {
         let machines = 4;
-        let s = sched(1, SchedulePolicy::Dynamic);
+        let s = sched(1);
         let mut scratch = RouterScratch::default();
         // Stage from the pool, as the cluster does: otherwise every round
         // donates its freshly allocated outbox buffers and the pool grows
@@ -1051,7 +943,7 @@ mod tests {
                     out
                 })
                 .collect();
-            let d = route_payload(RouterKind::Columnar, &s, machines, outboxes, scratch);
+            let d = route_payload(&s, machines, outboxes, scratch);
             // SAFETY: buffers outlive the (unused) views.
             let (views, buffers) = unsafe { d.into_inboxes() };
             drop(views);
@@ -1069,7 +961,7 @@ mod tests {
     #[test]
     #[allow(clippy::identity_op)] // `2 + 0` spells head+len + empty payload
     fn delivery_is_sender_then_send_order_with_zero_copy_views() {
-        let s = sched(4, SchedulePolicy::Static);
+        let s = sched(4);
         let mut scratch = RouterScratch::default();
         let mut outboxes: Vec<PayloadOutbox<u32, u64>> =
             (0..3).map(|_| PayloadOutbox::new(3)).collect();
@@ -1077,7 +969,7 @@ mod tests {
         outboxes[2].send(0, 21, &[]);
         outboxes[0].send(0, 1, &[9]);
         outboxes[1].send(2, 12, &[1, 2, 3]);
-        let d = route_payload(RouterKind::Columnar, &s, 3, outboxes, &mut scratch);
+        let d = route_payload(&s, 3, outboxes, &mut scratch);
         assert_eq!(d.in_words(), &[(2 + 2) + (2 + 0) + (2 + 1), 0, 2 + 3]);
         // SAFETY: buffers outlive the views below.
         let (mut views, buffers) = unsafe { d.into_inboxes() };
@@ -1089,7 +981,7 @@ mod tests {
         assert_eq!(first.next_msg(), None);
         assert!(views.remove(0).is_empty());
         assert_eq!(views.remove(0).into_nested(), vec![(12, vec![1, 2, 3])]);
-        drop(first);
+        // `first` is exhausted and never read again.
         buffers.recycle(&mut scratch);
         assert!(scratch.take_arena::<u64>().capacity() >= 6);
     }
@@ -1099,27 +991,24 @@ mod tests {
     #[test]
     fn payload_in_words_matches_recomputation() {
         let machines = 5;
+        let recount = |inboxes: &[Vec<(u64, Vec<u64>)>]| -> Vec<usize> {
+            inboxes
+                .iter()
+                .map(|inbox| inbox.iter().map(|(h, p)| h.words() + p.words()).sum())
+                .collect()
+        };
+        let (oracle, oracle_words) =
+            route_payload_merge(machines, random_outboxes(machines, 60, 99));
+        assert_eq!(oracle_words, recount(&oracle), "oracle");
         let mut scratch = RouterScratch::default();
-        for (kind, threads) in [(RouterKind::Merge, 1), (RouterKind::Columnar, 4)] {
-            let s = sched(threads, SchedulePolicy::Dynamic);
+        for threads in [1usize, 4] {
             let d = route_payload(
-                kind,
-                &s,
+                &sched(threads),
                 machines,
                 random_outboxes(machines, 60, 99),
                 &mut scratch,
             );
-            let recomputed: Vec<usize> = d
-                .nested()
-                .iter()
-                .map(|inbox| {
-                    inbox
-                        .iter()
-                        .map(|(h, p)| h.words() + p.words())
-                        .sum::<usize>()
-                })
-                .collect();
-            assert_eq!(d.in_words(), &recomputed[..], "{kind:?}");
+            assert_eq!(d.in_words(), recount(&d.nested()), "threads {threads}");
         }
     }
 

@@ -2,35 +2,30 @@
 //!
 //! A superstep's `exchange` has two halves — per-shard *staging* (each
 //! machine fills an [`Outbox`]) and *delivery* (every message lands in
-//! its destination's inbox). The model charges one round either way; what
-//! the router decides is how the host performs the shuffle:
+//! its destination's inbox). The model charges one round; the router is
+//! how the host performs the shuffle, and it is exactly the sort +
+//! prefix-sum every MRC round reduces to. Outboxes are *columnar* (one
+//! flat message column plus a parallel destination column; see
+//! [`Outbox`]), and delivery is a counting sort: count messages per
+//! destination, prefix-sum the counts into per-machine `(offset, len)`
+//! ranges, then scatter every message into a single flat inbox **arena**
+//! at its destination's cursor. Senders are processed in id order and
+//! the scatter is stable, so each destination's range reads back in
+//! exactly `(sender id, send order)` — at every thread count. With
+//! enough traffic the count and scatter passes run concurrently over
+//! senders (each sender owns a disjoint row of the count matrix and a
+//! disjoint set of arena cursors); sparse rounds take a sequential
+//! two-pass counting sort, which is already `O(messages + machines)`
+//! with no nested buffers.
 //!
-//! * [`RouterKind::Merge`] — one sequential global pass over all
-//!   outboxes, appending each message to a freshly allocated inbox per
-//!   destination (the original engine; the reference plane).
-//! * [`RouterKind::Columnar`] — outboxes are *columnar* (one flat
-//!   message column plus a parallel destination column; see [`Outbox`]),
-//!   and delivery is a counting sort: count messages per destination,
-//!   prefix-sum the counts into per-machine `(offset, len)` ranges, then
-//!   scatter every message into a single flat inbox **arena** at its
-//!   destination's cursor. Senders are processed in id order and the
-//!   scatter is stable, so each destination's range reads back in
-//!   exactly `(sender id, send order)` — the same order the merge plane
-//!   produces. With enough traffic the count and scatter passes run
-//!   concurrently over senders (each sender owns a disjoint row of the
-//!   count matrix and a disjoint set of arena cursors); sparse rounds
-//!   take a sequential two-pass counting sort, which is already
-//!   `O(messages + machines)` with no nested buffers.
-//!
-//! Both planes deliver every inbox in exactly the same order — sender id
-//! ascending, send order within a sender — so routing is **bit-identical**
-//! across planes, schedules and thread counts. The equivalence is
-//! asserted here and end-to-end by the cluster's runtime tests.
+//! The unit tests check both paths against `route_merge`, a test-only
+//! oracle that appends message by message into one `Vec` per destination
+//! and shares none of the counting-sort machinery.
 //!
 //! ## Buffer reuse: [`RouterScratch`]
 //!
-//! The columnar plane's buffers — outbox columns, the inbox arena, and
-//! the `usize` count/cursor/range scratch — are pooled in a
+//! The router's buffers — outbox columns, the inbox arena, and the
+//! `usize` count/cursor/range scratch — are pooled in a
 //! [`RouterScratch`] owned by the cluster and threaded through every
 //! exchange. After the consume pass drains the arena, its capacity (and
 //! every outbox column's) goes back to the pool, so steady-state
@@ -57,27 +52,6 @@ use crate::executor::RawSlots;
 use crate::shard::MachineId;
 use crate::superstep::Scheduler;
 use crate::words::WordSized;
-
-/// Which routing plane delivers exchanged messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouterKind {
-    /// Sequential global merge over all outboxes (the reference plane).
-    #[default]
-    Merge,
-    /// Columnar outboxes delivered by a (concurrent) counting sort into
-    /// a flat, pooled inbox arena.
-    Columnar,
-}
-
-impl RouterKind {
-    /// Short name for traces and bench labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            RouterKind::Merge => "merge",
-            RouterKind::Columnar => "columnar",
-        }
-    }
-}
 
 /// Outgoing messages staged by one machine during a superstep, stored
 /// columnar: a flat message column plus a parallel destination column.
@@ -138,13 +112,6 @@ impl<M> Outbox<M> {
         self.staged_words
     }
 
-    /// Drains the staged `(destination, message)` pairs in send order,
-    /// leaving the column buffers empty with capacity intact.
-    pub(crate) fn drain_pairs(&mut self) -> impl Iterator<Item = (MachineId, M)> + '_ {
-        self.staged_words = 0;
-        self.dsts.drain(..).zip(self.msgs.drain(..))
-    }
-
     /// Consumes the outbox, returning its (emptied) column buffers to be
     /// pooled.
     pub(crate) fn into_buffers(mut self) -> (Vec<M>, Vec<MachineId>) {
@@ -158,17 +125,17 @@ impl<M> Outbox<M> {
 /// plus the per-destination word volume the cluster budgets against
 /// machine memory.
 ///
-/// The representation depends on the plane that built it — the merge
-/// plane and the dist shuffle deliver one `Vec` per destination, the
-/// columnar plane one flat arena with per-destination `(offset, len)`
-/// ranges — but both read back identically through [`Inbox`] views.
+/// The representation depends on who built it — the dist shuffle
+/// delivers one `Vec` per destination, [`route`] one flat arena with
+/// per-destination `(offset, len)` ranges — but both read back
+/// identically through [`Inbox`] views.
 pub(crate) struct Delivery<M> {
     repr: Repr<M>,
     in_words: Vec<usize>,
 }
 
 enum Repr<M> {
-    /// One owned buffer per destination (merge plane, dist shuffle).
+    /// One owned buffer per destination (dist shuffle).
     Nested(Vec<Vec<M>>),
     /// One flat arena; destination `d` owns `arena[ranges[d].0 ..][.. ranges[d].1]`.
     Flat {
@@ -217,12 +184,18 @@ impl<M> Delivery<M> {
             }
             Repr::Flat { mut arena, ranges } => {
                 let base = arena.as_mut_ptr();
-                // Ownership of the elements moves to the inboxes (each
-                // element belongs to exactly one range); the arena keeps
-                // only the allocation, for recycling.
+                // SAFETY: 0 is within capacity. Ownership of the elements
+                // moves to the inboxes below (each element belongs to
+                // exactly one range); the arena keeps only the
+                // allocation, for recycling.
                 unsafe { arena.set_len(0) };
                 let views = ranges
                     .iter()
+                    // SAFETY: the ranges tile `0..arena.len()` disjointly
+                    // (prefix sums of the per-destination counts), every
+                    // slot was initialized by the scatter, and the caller
+                    // keeps the allocation alive per this function's
+                    // contract.
                     .map(|&(off, len)| unsafe { Inbox::raw(base.add(off), len) })
                     .collect();
                 (
@@ -238,7 +211,7 @@ impl<M> Delivery<M> {
     }
 
     /// Materializes every inbox as an owned `Vec` — test-only view for
-    /// comparing planes.
+    /// comparing against the oracle.
     #[cfg(test)]
     pub(crate) fn nested(&self) -> Vec<Vec<M>>
     where
@@ -291,9 +264,9 @@ pub struct Inbox<M> {
 }
 
 enum InboxRepr<M> {
-    /// Messages owned outright (merge plane, dist shuffle).
+    /// Messages owned outright (dist shuffle).
     Owned(std::vec::IntoIter<M>),
-    /// A range of the columnar plane's arena; elements are owned by this
+    /// A range of the router's arena; elements are owned by this
     /// inbox (read out by value, leftovers dropped in place) while the
     /// allocation stays with the cluster's [`DeliveryBuffers`].
     Raw { next: *mut M, remaining: usize },
@@ -359,10 +332,15 @@ impl<M> Iterator for Inbox<M> {
                 if *remaining == 0 {
                     return None;
                 }
-                // SAFETY: `next` points at an initialized element this
-                // inbox owns; advancing consumes it exactly once.
-                let msg = unsafe { next.read() };
-                *next = unsafe { next.add(1) };
+                // SAFETY: `remaining > 0`, so `next` points at an
+                // initialized element this inbox owns (`raw`'s contract);
+                // reading it out and stepping past it consumes it exactly
+                // once, and the step stays within or one past the range.
+                let msg = unsafe {
+                    let msg = next.read();
+                    *next = next.add(1);
+                    msg
+                };
                 *remaining -= 1;
                 Some(msg)
             }
@@ -380,10 +358,11 @@ impl<M> ExactSizeIterator for Inbox<M> {}
 impl<M> Drop for Inbox<M> {
     fn drop(&mut self) {
         if let InboxRepr::Raw { next, remaining } = &mut self.repr {
-            // SAFETY: the unread elements are still owned by this inbox;
-            // drop them in place (the allocation itself belongs to the
-            // cluster's DeliveryBuffers).
             while *remaining > 0 {
+                // SAFETY: the `remaining` unread elements from `next` on
+                // are still owned by this inbox; drop each in place
+                // exactly once (the allocation itself belongs to the
+                // cluster's `DeliveryBuffers`).
                 unsafe {
                     next.drop_in_place();
                     *next = next.add(1);
@@ -397,7 +376,7 @@ impl<M> Drop for Inbox<M> {
 /// Pooled buffers reused across exchange rounds (owned by the cluster,
 /// threaded through the crate-internal `route`): outbox columns and inbox arenas per
 /// message type, plus the type-independent `usize` count/cursor/range
-/// scratch. Steady-state supersteps on the columnar plane draw
+/// scratch. Steady-state supersteps draw
 /// everything from here and return it after the consume pass, so they
 /// allocate no message buffers at all.
 #[derive(Default)]
@@ -524,56 +503,41 @@ impl RouterScratch {
     }
 }
 
-/// Routes all staged outboxes to their destinations under `kind`. The
-/// outboxes arrive in sender-id order (one per machine); the returned
-/// inboxes are identical for every plane. Emptied outbox columns (and,
-/// for the columnar plane, count scratch) are recycled into `scratch`.
-pub(crate) fn route<M: WordSized + Send + 'static>(
-    kind: RouterKind,
-    sched: &Scheduler,
+/// Test-only reference oracle: one sequential pass appending into
+/// freshly allocated per-destination buffers, stable by construction.
+/// Deliberately independent of [`route`]'s machinery (no arena, no
+/// counting sort, no scratch) so the equivalence tests compare two
+/// genuinely different implementations. Returns the inboxes and the
+/// words received per destination.
+#[cfg(test)]
+pub(crate) fn route_merge<M: WordSized>(
     machines: usize,
     outboxes: Vec<Outbox<M>>,
-    scratch: &mut RouterScratch,
-) -> Delivery<M> {
-    match kind {
-        RouterKind::Merge => route_merge(machines, outboxes, scratch),
-        RouterKind::Columnar => route_columnar(sched, machines, outboxes, scratch),
-    }
-}
-
-/// The reference plane: one sequential pass appending into freshly
-/// allocated per-destination buffers, stable by construction. Kept
-/// deliberately independent of the columnar machinery (no arena, no
-/// counting sort) so the equivalence tests compare two genuinely
-/// different implementations.
-fn route_merge<M: WordSized + Send + 'static>(
-    machines: usize,
-    outboxes: Vec<Outbox<M>>,
-    scratch: &mut RouterScratch,
-) -> Delivery<M> {
+) -> (Vec<Vec<M>>, Vec<usize>) {
     let mut inboxes: Vec<Vec<M>> = (0..machines).map(|_| Vec::new()).collect();
-    let mut in_words = scratch.take_usizes(machines);
-    for mut outbox in outboxes {
-        for (dst, msg) in outbox.drain_pairs() {
+    let mut in_words = vec![0usize; machines];
+    for outbox in outboxes {
+        for (dst, msg) in outbox.dsts.into_iter().zip(outbox.msgs) {
             in_words[dst] += msg.words();
             inboxes[dst].push(msg);
         }
-        scratch.put_columns(outbox.into_buffers());
     }
-    Delivery::from_nested(inboxes, in_words)
+    (inboxes, in_words)
 }
 
-/// The columnar plane: a counting sort into one flat arena.
+/// Routes all staged outboxes (one per machine, in sender-id order) to
+/// their destinations: a counting sort into one flat arena. Emptied
+/// outbox columns and the count scratch are recycled into `scratch`.
 ///
 /// Counting and word accounting happen in a single pass over the
 /// destination columns; the stable scatter processes senders in id
 /// order, so destination `d`'s range reads back in `(sender id, send
-/// order)` — the merge plane's order. Dense rounds (cell occupancy of
+/// order)`. Dense rounds (cell occupancy of
 /// the sender × machine count matrix at least 1/4) run both passes
 /// concurrently over senders; sparse rounds and single-threaded
 /// schedulers use the sequential two-pass sort, which allocates nothing
 /// beyond the pooled scratch either.
-fn route_columnar<M: WordSized + Send + 'static>(
+pub(crate) fn route<M: WordSized + Send + 'static>(
     sched: &Scheduler,
     machines: usize,
     mut outboxes: Vec<Outbox<M>>,
@@ -597,8 +561,9 @@ fn route_columnar<M: WordSized + Send + 'static>(
         let count_rows = RawSlots::new(counts.as_mut_ptr());
         let word_rows = RawSlots::new(words.as_mut_ptr());
         sched.map_mut(&mut outboxes, |s, outbox| {
-            // SAFETY: sender `s` writes only its own `machines`-wide row;
-            // rows are disjoint and the matrices outlive the pass.
+            // SAFETY: both matrices hold `senders * machines` cells and
+            // sender `s < senders` takes only its own `machines`-wide
+            // row; rows are disjoint and the matrices outlive the pass.
             let (crow, wrow) = unsafe {
                 (
                     std::slice::from_raw_parts_mut(count_rows.slot(s * machines), machines),
@@ -638,7 +603,10 @@ fn route_columnar<M: WordSized + Send + 'static>(
             let msgs = outbox.msgs.as_mut_ptr();
             // SAFETY: the messages are moved out exactly once each (the
             // column's length is zeroed first, so nothing double-drops),
-            // into arena slots this sender's cursors own exclusively.
+            // into arena slots this sender's cursors own exclusively:
+            // `i < n = dsts.len()`, `dst < machines` was checked by
+            // `Outbox::send`, and the prefix sums keep every cursor
+            // below `total`, which the arena reserved.
             unsafe {
                 outbox.msgs.set_len(0);
                 let cursors =
@@ -652,7 +620,8 @@ fn route_columnar<M: WordSized + Send + 'static>(
             outbox.dsts.clear();
             outbox.staged_words = 0;
         });
-        // SAFETY: every slot in 0..total was written exactly once above.
+        // SAFETY: `total` was reserved and every slot in `0..total` was
+        // written exactly once by the scatter above.
         unsafe { arena.set_len(total) };
         scratch.put_usizes(counts);
         scratch.put_usizes(words);
@@ -679,7 +648,8 @@ fn route_columnar<M: WordSized + Send + 'static>(
             let n = outbox.msgs.len();
             let msgs = outbox.msgs.as_mut_ptr();
             // SAFETY: as in the parallel scatter — each message moves
-            // exactly once into a slot owned by its (sender, dst) block.
+            // exactly once into a slot owned by its (sender, dst) block;
+            // `i < n`, `dst < machines`, cursors stay below `total`.
             unsafe {
                 outbox.msgs.set_len(0);
                 for i in 0..n {
@@ -691,7 +661,8 @@ fn route_columnar<M: WordSized + Send + 'static>(
             outbox.dsts.clear();
             outbox.staged_words = 0;
         }
-        // SAFETY: every slot in 0..total was written exactly once above.
+        // SAFETY: `total` was reserved and every slot in `0..total` was
+        // written exactly once by the scatter above.
         unsafe { arena.set_len(total) };
         scratch.put_usizes(cursors);
     }
@@ -709,14 +680,13 @@ mod tests {
     use super::*;
     use crate::executor::ThreadPoolExecutor;
     use crate::rng::DetRng;
-    use crate::superstep::SchedulePolicy;
     use std::sync::Arc;
 
-    fn sched(threads: usize, policy: SchedulePolicy) -> Scheduler {
-        Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)), policy)
+    fn sched(threads: usize) -> Scheduler {
+        Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)))
     }
 
-    /// Random all-to-all traffic: both planes must deliver identical
+    /// Random all-to-all traffic: the router must deliver the oracle's
     /// inboxes and word counts at every thread count.
     #[test]
     fn planes_are_bit_identical() {
@@ -741,28 +711,23 @@ mod tests {
                     })
                     .collect()
             };
-            let s1 = sched(1, SchedulePolicy::Dynamic);
             let mut scratch = RouterScratch::default();
-            let reference = route(RouterKind::Merge, &s1, machines, outboxes(), &mut scratch);
+            let (want, want_words) = route_merge(machines, outboxes());
             for threads in [1usize, 2, 4] {
-                for policy in [SchedulePolicy::Dynamic, SchedulePolicy::Static] {
-                    let s = sched(threads, policy);
-                    let got = route(RouterKind::Columnar, &s, machines, outboxes(), &mut scratch);
-                    assert_eq!(got.nested(), reference.nested(), "threads {threads}");
-                    assert_eq!(got.in_words(), reference.in_words(), "threads {threads}");
-                }
+                let got = route(&sched(threads), machines, outboxes(), &mut scratch);
+                assert_eq!(got.nested(), want, "threads {threads}");
+                assert_eq!(got.in_words(), want_words, "threads {threads}");
             }
         }
     }
 
     /// Buffer pooling across rounds must not perturb delivery: run many
     /// supersteps of varying volume through one scratch and compare each
-    /// against a fresh merge reference.
+    /// against the oracle.
     #[test]
     fn pooled_scratch_is_invisible_across_rounds() {
         let machines = 6;
-        let s4 = sched(4, SchedulePolicy::Static);
-        let s1 = sched(1, SchedulePolicy::Dynamic);
+        let s4 = sched(4);
         let mut scratch = RouterScratch::default();
         for round in 0..12u64 {
             let volume = [0usize, 3, 77, 5, 200][round as usize % 5];
@@ -778,30 +743,23 @@ mod tests {
                     })
                     .collect()
             };
-            let mut fresh = RouterScratch::default();
-            let want = route(RouterKind::Merge, &s1, machines, outboxes(), &mut fresh);
-            let got = route(
-                RouterKind::Columnar,
-                &s4,
-                machines,
-                outboxes(),
-                &mut scratch,
-            );
-            assert_eq!(got.nested(), want.nested(), "round {round}");
-            assert_eq!(got.in_words(), want.in_words(), "round {round}");
+            let (want, want_words) = route_merge(machines, outboxes());
+            let got = route(&s4, machines, outboxes(), &mut scratch);
+            assert_eq!(got.nested(), want, "round {round}");
+            assert_eq!(got.in_words(), want_words, "round {round}");
         }
     }
 
     #[test]
     fn delivery_is_sender_then_send_order() {
-        let s = sched(4, SchedulePolicy::Static);
+        let s = sched(4);
         let mut scratch = RouterScratch::default();
         let mut outboxes: Vec<Outbox<u64>> = (0..3).map(|_| Outbox::new(3)).collect();
         outboxes[2].send(0, 20);
         outboxes[2].send(0, 21);
         outboxes[0].send(0, 1);
         outboxes[1].send(2, 12);
-        let d = route(RouterKind::Columnar, &s, 3, outboxes, &mut scratch);
+        let d = route(&s, 3, outboxes, &mut scratch);
         let inboxes = d.nested();
         assert_eq!(inboxes[0], vec![1, 20, 21]);
         assert!(inboxes[1].is_empty());
@@ -811,10 +769,10 @@ mod tests {
 
     #[test]
     fn sparse_rounds_take_the_sequential_path_and_still_agree() {
-        // Below the density cutoff (cell occupancy under 1/4) the
-        // columnar plane uses the sequential counting sort; delivery and
-        // word counts must be indistinguishable.
-        let s = sched(4, SchedulePolicy::Static);
+        // Below the density cutoff (cell occupancy under 1/4) the router
+        // uses the sequential counting sort; delivery and word counts
+        // must be indistinguishable from the oracle's.
+        let s = sched(4);
         for volume in [0usize, 1, 5] {
             let outboxes = || -> Vec<Outbox<u64>> {
                 let mut obs: Vec<Outbox<u64>> = (0..8).map(|_| Outbox::new(8)).collect();
@@ -824,10 +782,10 @@ mod tests {
                 obs
             };
             let mut scratch = RouterScratch::default();
-            let merge = route(RouterKind::Merge, &s, 8, outboxes(), &mut scratch);
-            let columnar = route(RouterKind::Columnar, &s, 8, outboxes(), &mut scratch);
-            assert_eq!(columnar.nested(), merge.nested(), "volume {volume}");
-            assert_eq!(columnar.in_words(), merge.in_words(), "volume {volume}");
+            let (want, want_words) = route_merge(8, outboxes());
+            let got = route(&s, 8, outboxes(), &mut scratch);
+            assert_eq!(got.nested(), want, "volume {volume}");
+            assert_eq!(got.in_words(), want_words, "volume {volume}");
         }
     }
 
@@ -851,16 +809,18 @@ mod tests {
                 })
                 .collect()
         };
-        let mut scratch = RouterScratch::default();
-        for (kind, threads) in [(RouterKind::Merge, 1), (RouterKind::Columnar, 4)] {
-            let s = sched(threads, SchedulePolicy::Dynamic);
-            let d = route(kind, &s, machines, outboxes(), &mut scratch);
-            let recomputed: Vec<usize> = d
-                .nested()
+        let recount = |inboxes: &[Vec<Vec<u64>>]| -> Vec<usize> {
+            inboxes
                 .iter()
                 .map(|inbox| inbox.iter().map(WordSized::words).sum())
-                .collect();
-            assert_eq!(d.in_words(), &recomputed[..], "{:?}", kind);
+                .collect()
+        };
+        let (oracle, oracle_words) = route_merge(machines, outboxes());
+        assert_eq!(oracle_words, recount(&oracle), "oracle");
+        let mut scratch = RouterScratch::default();
+        for threads in [1usize, 4] {
+            let d = route(&sched(threads), machines, outboxes(), &mut scratch);
+            assert_eq!(d.in_words(), recount(&d.nested()), "threads {threads}");
         }
     }
 
@@ -869,14 +829,14 @@ mod tests {
     /// payload under Miri-style scrutiny in CI's normal test run).
     #[test]
     fn inbox_views_read_back_the_arena() {
-        let s = sched(2, SchedulePolicy::Dynamic);
+        let s = sched(2);
         let mut scratch = RouterScratch::default();
         let mut outboxes: Vec<Outbox<String>> = (0..3).map(|_| Outbox::new(3)).collect();
         outboxes[0].send(1, "a".into());
         outboxes[1].send(1, "b".into());
         outboxes[2].send(0, "c".into());
         outboxes[2].send(1, "d".into());
-        let d = route(RouterKind::Columnar, &s, 3, outboxes, &mut scratch);
+        let d = route(&s, 3, outboxes, &mut scratch);
         // SAFETY: buffers outlive the inboxes below.
         let (mut views, buffers) = unsafe { d.into_inboxes() };
         assert_eq!(views.iter().map(Inbox::len).collect::<Vec<_>>(), [1, 3, 0]);
@@ -907,6 +867,5 @@ mod tests {
         assert_eq!(out.staged_words(), 4); // 1 length word + 3 payload
         out.send(0, vec![9u64]);
         assert_eq!(out.staged_words(), 6); // incremental, still exact
-        assert_eq!(RouterKind::Columnar.name(), "columnar");
     }
 }

@@ -20,20 +20,18 @@
 //! where per-entity stability is not required (e.g. local sampling
 //! without entity ids, synthetic benchmark workloads).
 //!
-//! # Shards and the columnar routing plane
+//! # Shards and the routing plane
 //!
 //! Shards never see the router, but their exchange traffic flows through
 //! it: the cluster stages each shard's sends in an
 //! [`Outbox`](crate::router::Outbox) whose columns (messages +
 //! destinations) are drawn from a pooled
-//! [`RouterScratch`](crate::router::RouterScratch), and
-//! [`RouterKind::Columnar`](crate::router::RouterKind) counting-sorts
-//! them into one flat inbox arena. Steady-state supersteps therefore
+//! [`RouterScratch`](crate::router::RouterScratch), and the router
+//! counting-sorts them into one flat inbox arena. Steady-state supersteps therefore
 //! allocate nothing on the routing path — buffers cycle
 //! outbox → arena → scratch → outbox across rounds. Pooling is purely a
-//! memory-reuse concern: delivery order stays `(sender id, send order)`,
-//! so the shard-observable byte stream is identical to the `Merge`
-//! reference plane. Fault-tolerant replay in `Backend::Dist` is likewise
+//! memory-reuse concern: delivery order stays `(sender id, send order)`
+//! whatever the buffers held before. Fault-tolerant replay in `Backend::Dist` is likewise
 //! unaffected — recovery re-reads retained serialized batch bytes, never
 //! pooled buffers (see [`crate::router`] module docs).
 

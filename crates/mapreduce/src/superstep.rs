@@ -3,111 +3,86 @@
 //! One superstep of the MRC/MPC model runs the same computation on every
 //! machine (the paper's "map" / "reduce" halves of a round). The
 //! [`Scheduler`] decides *which OS thread executes which shard's task*,
-//! on top of the raw [`Executor`] seam:
+//! on top of the raw [`Executor`] seam: shards are partitioned into
+//! `threads` contiguous blocks up front ([`StaticAssignment`]) and each
+//! block is executed by exactly one worker, with **no work stealing**.
+//! This is the schedule of a real sharded deployment, where shard state
+//! is pinned to its worker and cannot migrate mid-superstep — and the
+//! same blocks are what [`crate::dist`] hands its worker processes.
 //!
-//! * [`SchedulePolicy::Dynamic`] — tasks claim shard indices from the
-//!   executor's shared counter (the work-conserving schedule the classic
-//!   runtime uses; good when per-shard work is skewed).
-//! * [`SchedulePolicy::Static`] — shards are partitioned into
-//!   `threads` contiguous blocks up front ([`StaticAssignment`]) and each
-//!   block is executed by exactly one worker, with **no work stealing**.
-//!   This is the schedule of a real sharded deployment, where shard state
-//!   is pinned to its worker and cannot migrate mid-superstep.
-//!
-//! Either way every ordered observable is reconstructed in shard-id
-//! order, so a run is bit-identical across policies, executors and
-//! thread counts; only host wall-clock differs. [`RuntimeKind`] bundles a
-//! schedule with a routing plane ([`crate::router::RouterKind`]) into the
-//! cluster runtimes (`Classic` / `Shard` / `Dist`), selectable per run
-//! via [`crate::cluster::ClusterConfig::runtime`] or process-wide via the
-//! `MRLR_BACKEND` environment variable.
+//! Every ordered observable is reconstructed in shard-id order, so a run
+//! is bit-identical across executors and thread counts; only host
+//! wall-clock differs. [`RuntimeKind`] names where the shuffle happens —
+//! in process (`Shard`) or through the master/worker transport (`Dist`) —
+//! selectable per run via [`crate::cluster::ClusterConfig::runtime`] or
+//! process-wide via the `MRLR_BACKEND` environment variable.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::executor::{Executor, RawSlots};
-use crate::router::RouterKind;
+use crate::executor::{env_value, Executor, RawSlots};
 
-/// How shard tasks are assigned to executor threads within one superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Threads claim shard indices dynamically from a shared counter
-    /// (work-conserving; the classic runtime).
-    #[default]
-    Dynamic,
-    /// Work-stealing-free static shard→thread assignment: contiguous
-    /// blocks of shards, one block per thread ([`StaticAssignment`]).
-    Static,
-}
-
-/// Which cluster runtime executes the supersteps: a (schedule, router)
-/// pair, plus — for [`RuntimeKind::Dist`] — a transport. All runtimes
-/// are **bit-identical** in every model-level observable — solutions,
+/// Which cluster runtime executes the supersteps. Both are
+/// **bit-identical** in every model-level observable — solutions,
 /// message delivery, [`crate::metrics::Metrics`] — so the choice is an
 /// execution-substrate knob exactly like the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeKind {
-    /// Dynamic scheduling + sequential global message merge (the
-    /// pre-shard engine, kept as the reference path).
+    /// The in-process engine: static shard→thread assignment plus the
+    /// counting-sort routing planes ([`crate::router`],
+    /// [`crate::payload`]) over pooled
+    /// [`RouterScratch`](crate::router::RouterScratch) buffers.
     #[default]
-    Classic,
-    /// Static shard→thread assignment + columnar counting-sort routing
-    /// ([`RouterKind::Columnar`]) with pooled
-    /// [`RouterScratch`](crate::router::RouterScratch) buffers — the
-    /// engine behind `Backend::Shard`.
     Shard,
-    /// The distributed master/worker engine ([`crate::dist`]): static
-    /// shard→worker blocks, exchanges shuffled through a real transport
-    /// with barrier heartbeats and fault recovery — the engine behind
-    /// `Backend::Dist`.
+    /// The distributed master/worker engine ([`crate::dist`]): the same
+    /// shard blocks owned by worker threads or processes, exchanges
+    /// shuffled through a real transport with barrier heartbeats and
+    /// fault recovery.
     Dist,
 }
 
 impl RuntimeKind {
-    /// The schedule this runtime uses.
-    pub fn schedule(self) -> SchedulePolicy {
-        match self {
-            RuntimeKind::Classic => SchedulePolicy::Dynamic,
-            RuntimeKind::Shard | RuntimeKind::Dist => SchedulePolicy::Static,
-        }
-    }
-
-    /// The routing plane this runtime uses (for `Dist` the plane that
-    /// backs any exchange the transport does not carry).
-    pub fn router(self) -> RouterKind {
-        match self {
-            RuntimeKind::Classic => RouterKind::Merge,
-            RuntimeKind::Shard | RuntimeKind::Dist => RouterKind::Columnar,
-        }
-    }
-
-    /// Short name for traces and bench labels
-    /// (`"classic"` / `"shard"` / `"dist"`).
+    /// Short name for traces and bench labels (`"shard"` / `"dist"`).
     pub fn name(self) -> &'static str {
         match self {
-            RuntimeKind::Classic => "classic",
             RuntimeKind::Shard => "shard",
             RuntimeKind::Dist => "dist",
         }
     }
 }
 
-/// The process-wide default runtime: `MRLR_BACKEND=shard` selects the
-/// sharded runtime, `MRLR_BACKEND=dist` the distributed one, anything
-/// else (including unset or `mr`) the classic one. Read once and cached,
-/// like [`crate::executor::default_threads`]. The CI
-/// matrix runs the whole suite under all values — legal because the
-/// runtimes are bit-identical.
+/// Interprets an `MRLR_BACKEND` value: unset, empty or `shard` is
+/// [`RuntimeKind::Shard`], `dist` is [`RuntimeKind::Dist`], and anything
+/// else is an error naming the accepted values — a mistyped CI leg must
+/// fail, not silently test another engine.
+pub fn parse_runtime(value: Option<&str>) -> Result<RuntimeKind, String> {
+    match value {
+        None | Some("") | Some("shard") => Ok(RuntimeKind::Shard),
+        Some("dist") => Ok(RuntimeKind::Dist),
+        Some(other) => Err(format!(
+            "MRLR_BACKEND={other:?} is not a runtime: expected `shard` or `dist` (unset = `shard`)"
+        )),
+    }
+}
+
+/// [`parse_runtime`] applied to the process environment.
+pub fn env_runtime() -> Result<RuntimeKind, String> {
+    parse_runtime(env_value("MRLR_BACKEND").as_deref())
+}
+
+/// The process-wide default runtime ([`env_runtime`]), read once and
+/// cached like [`crate::executor::default_threads`]. The CI matrix runs
+/// the whole suite under both values — legal because the runtimes are
+/// bit-identical.
+///
+/// # Panics
+///
+/// With [`parse_runtime`]'s message when `MRLR_BACKEND` holds anything
+/// but an accepted value.
 pub fn default_runtime() -> RuntimeKind {
     static DEFAULT: OnceLock<RuntimeKind> = OnceLock::new();
-    *DEFAULT.get_or_init(
-        || match std::env::var("MRLR_BACKEND").ok().as_deref().map(str::trim) {
-            Some("shard") => RuntimeKind::Shard,
-            Some("dist") => RuntimeKind::Dist,
-            _ => RuntimeKind::Classic,
-        },
-    )
+    *DEFAULT.get_or_init(|| env_runtime().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Balanced contiguous partition of `count` shards over `workers`
@@ -158,17 +133,16 @@ pub struct Pass<R> {
     pub task_nanos: Vec<u64>,
 }
 
-/// An [`Executor`] plus a [`SchedulePolicy`]: everything the cluster
-/// facade needs to run one superstep's worth of shard tasks.
+/// An [`Executor`] under the static shard→thread schedule: everything
+/// the cluster facade needs to run one superstep's worth of shard tasks.
 pub struct Scheduler {
     exec: Arc<dyn Executor>,
-    policy: SchedulePolicy,
 }
 
 impl Scheduler {
-    /// A scheduler running `policy` on `exec`.
-    pub fn new(exec: Arc<dyn Executor>, policy: SchedulePolicy) -> Self {
-        Scheduler { exec, policy }
+    /// A scheduler laying shard tasks onto `exec`.
+    pub fn new(exec: Arc<dyn Executor>) -> Self {
+        Scheduler { exec }
     }
 
     /// The underlying executor.
@@ -176,34 +150,23 @@ impl Scheduler {
         &self.exec
     }
 
-    /// The schedule in force.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
     /// OS threads available to a pass.
     pub fn threads(&self) -> usize {
         self.exec.threads()
     }
 
-    /// Runs `task(i)` for every `i in 0..count` under the policy:
-    /// dynamically claimed indices, or one contiguous
+    /// Runs `task(i)` for every `i in 0..count`, one contiguous
     /// [`StaticAssignment`] chunk per executor task.
     fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        match self.policy {
-            SchedulePolicy::Dynamic => self.exec.run(count, task),
-            SchedulePolicy::Static => {
-                let assignment = StaticAssignment::new(count, self.exec.threads());
-                if count == 0 {
-                    return;
-                }
-                self.exec.run(assignment.workers(), &|w| {
-                    for i in assignment.chunk(w) {
-                        task(i);
-                    }
-                });
-            }
+        if count == 0 {
+            return;
         }
+        let assignment = StaticAssignment::new(count, self.exec.threads());
+        self.exec.run(assignment.workers(), &|w| {
+            for i in assignment.chunk(w) {
+                task(i);
+            }
+        });
     }
 
     /// Runs `f(i)` for every index and returns the results **in index
@@ -216,9 +179,10 @@ impl Scheduler {
         let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
         let slots = RawSlots::new(out.as_mut_ptr());
         self.run(count, &|i| {
-            // SAFETY: each index is claimed exactly once (dynamic counter
-            // or disjoint static chunks), so each slot is written exactly
-            // once with no aliasing.
+            // SAFETY: `i < count = out.len()`, and the static chunks are
+            // disjoint, so each slot is written exactly once with no
+            // aliasing; `out` outlives the pass (`run` returns only after
+            // every task has).
             unsafe { *slots.slot(i) = Some(f(i)) };
         });
         out.into_iter()
@@ -244,7 +208,8 @@ impl Scheduler {
         F: Fn(usize, &mut T) -> R + Sync,
     {
         let states = RawSlots::new(items.as_mut_ptr());
-        // SAFETY: disjoint indices give exclusive access to `items[i]`.
+        // SAFETY: `map_count` hands out each `i < items.len()` exactly
+        // once, so `&mut items[i]` is exclusive for the task's duration.
         self.map_count(items.len(), |i| f(i, unsafe { &mut *states.slot(i) }))
     }
 
@@ -319,26 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn policies_agree_bit_for_bit() {
-        let items: Vec<usize> = (0..257).collect();
-        let expected: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        for threads in [1usize, 2, 4] {
-            for policy in [SchedulePolicy::Dynamic, SchedulePolicy::Static] {
-                let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)), policy);
-                assert_eq!(sched.map_ref(&items, |_, &x| x * x), expected);
-                let mut mutable = items.clone();
-                let lens = sched.map_mut(&mut mutable, |i, x| {
-                    *x += i;
-                    *x
-                });
-                assert_eq!(lens, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
     fn timed_passes_report_per_task_nanos() {
-        let sched = Scheduler::new(Arc::new(SeqExecutor), SchedulePolicy::Static);
+        let sched = Scheduler::new(Arc::new(SeqExecutor));
         let mut items = vec![0u64; 8];
         let pass = sched.timed_mut(&mut items, |i, x| {
             *x = i as u64;
@@ -352,20 +299,23 @@ mod tests {
     }
 
     #[test]
-    fn runtime_kinds_pick_their_layers() {
-        assert_eq!(RuntimeKind::Classic.schedule(), SchedulePolicy::Dynamic);
-        assert_eq!(RuntimeKind::Classic.router(), RouterKind::Merge);
-        assert_eq!(RuntimeKind::Shard.schedule(), SchedulePolicy::Static);
-        assert_eq!(RuntimeKind::Shard.router(), RouterKind::Columnar);
+    fn backend_values_parse_strictly() {
+        for shard in [None, Some(""), Some("shard")] {
+            assert_eq!(parse_runtime(shard), Ok(RuntimeKind::Shard), "{shard:?}");
+        }
+        assert_eq!(parse_runtime(Some("dist")), Ok(RuntimeKind::Dist));
+        for bad in ["mr", "dits", "Shard", "shard ", "dist,shard"] {
+            let err = parse_runtime(Some(bad)).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+            assert!(err.contains("`shard` or `dist`"), "{err}");
+        }
         assert_eq!(RuntimeKind::Shard.name(), "shard");
-        assert_eq!(RuntimeKind::Dist.schedule(), SchedulePolicy::Static);
-        assert_eq!(RuntimeKind::Dist.router(), RouterKind::Columnar);
         assert_eq!(RuntimeKind::Dist.name(), "dist");
     }
 
     #[test]
     fn empty_and_degenerate_counts() {
-        let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(4)), SchedulePolicy::Static);
+        let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(4)));
         let empty: Vec<usize> = sched.map_count(0, |_| unreachable!("no tasks"));
         assert!(empty.is_empty());
         assert_eq!(sched.map_count(1, |i| i), vec![0]);

@@ -77,16 +77,16 @@ fn dist_cfg(workers: usize) -> DistConfig {
     }
 }
 
-/// Reference run: the classic in-process runtime on the sequential
-/// executor.
+/// Reference run: the in-process runtime on the sequential executor.
 fn reference() -> (Vec<Vec<u64>>, Metrics) {
     workload(
         Arc::new(SeqExecutor),
-        RuntimeKind::Classic,
+        RuntimeKind::Shard,
         DistConfig::default(),
     )
 }
 
+/// "Classic" in the name is the in-process reference run above.
 #[test]
 fn dist_runtime_is_bit_identical_to_classic_at_every_worker_count() {
     let (ref_states, ref_metrics) = reference();

@@ -1,10 +1,10 @@
 //! Property-based tests of the flat payload plane: model-based
 //! round-trips against nested `Vec<Vec<T>>` traffic, staged through
 //! both the slice and the writer-handle APIs, with empty payloads in
-//! the mix — and Merge-vs-Columnar bit-identity (delivered messages,
-//! delivery order, and `Metrics` word accounting) across threads
-//! {1, 4}, checked against an equivalent run on the nested
-//! `(H, Vec<T>)` exchange plane.
+//! the mix — delivered messages and delivery order checked against the
+//! model across threads {1, 4}, and `Metrics` word accounting against
+//! an equivalent run of `(H, Vec<T>)` tuple messages through
+//! `exchange` on the same runtime.
 
 use proptest::prelude::*;
 
@@ -34,9 +34,9 @@ fn model(machines: usize, sends: &[Send], supersteps: usize) -> Received {
     out
 }
 
-fn cluster(runtime: RuntimeKind, threads: usize, machines: usize) -> Cluster<Vec<(u64, Vec<u64>)>> {
+fn cluster(threads: usize, machines: usize) -> Cluster<Vec<(u64, Vec<u64>)>> {
     let cfg = ClusterConfig::new(machines, 1 << 20)
-        .with_runtime(runtime)
+        .with_runtime(RuntimeKind::Shard)
         .with_threads(threads);
     Cluster::new(cfg, vec![Vec::new(); machines]).unwrap()
 }
@@ -45,13 +45,12 @@ fn cluster(runtime: RuntimeKind, threads: usize, machines: usize) -> Cluster<Vec
 /// writer-handle staging APIs so both paths see every shape (including
 /// empty payloads).
 fn run_payload(
-    runtime: RuntimeKind,
     threads: usize,
     machines: usize,
     sends: &[Send],
     supersteps: usize,
 ) -> (Received, Metrics) {
-    let mut cluster = cluster(runtime, threads, machines);
+    let mut cluster = cluster(threads, machines);
     for _ in 0..supersteps {
         cluster
             .exchange_payload::<u64, u64, _, _>(
@@ -81,11 +80,11 @@ fn run_payload(
     cluster.into_parts()
 }
 
-/// The same traffic as owned `(head, Vec<T>)` messages on the nested
-/// exchange plane: the implementation-independent reference whose word
-/// accounting the payload plane must reproduce exactly.
+/// The same traffic as owned `(head, Vec<T>)` tuple messages through
+/// the fixed-size `exchange`: the reference whose word accounting the
+/// payload plane must reproduce exactly.
 fn run_nested(machines: usize, sends: &[Send], supersteps: usize) -> (Received, Metrics) {
-    let mut cluster = cluster(RuntimeKind::Classic, 1, machines);
+    let mut cluster = cluster(1, machines);
     for _ in 0..supersteps {
         cluster
             .exchange::<(u64, Vec<u64>), _, _>(
@@ -115,12 +114,11 @@ fn normalized(machines: usize, sends: Vec<Send>) -> Vec<Send> {
 }
 
 proptest! {
-    /// Round-trip vs the nested model on every plane: Merge (Classic)
-    /// and Columnar (Shard at 1 and 4 threads) deliver exactly the
-    /// modelled messages in the modelled order, and their `Metrics`
-    /// match the nested `(H, Vec<T>)` reference run word for word —
-    /// a payload message meters head + 1 + elements, the same as the
-    /// tuple shape it replaces.
+    /// Round-trip vs the nested model: the payload plane at 1 and 4
+    /// threads delivers exactly the modelled messages in the modelled
+    /// order, and its `Metrics` match the `(H, Vec<T>)` tuple reference
+    /// run word for word — a payload message meters head + 1 +
+    /// elements, the same as the tuple shape it replaces.
     #[test]
     fn payload_plane_matches_the_nested_model(
         machines in 1usize..6,
@@ -140,20 +138,12 @@ proptest! {
         let want = model(machines, &sends, 2);
         let (nested, nested_metrics) = run_nested(machines, &sends, 2);
         prop_assert_eq!(&nested, &want, "nested plane diverged from model");
-        for (runtime, threads) in [
-            (RuntimeKind::Classic, 1),
-            (RuntimeKind::Shard, 1),
-            (RuntimeKind::Shard, 4),
-        ] {
-            let (got, metrics) = run_payload(runtime, threads, machines, &sends, 2);
-            prop_assert_eq!(
-                &got, &want,
-                "payload plane diverged from model on {:?} t{}", runtime, threads
-            );
+        for threads in [1usize, 4] {
+            let (got, metrics) = run_payload(threads, machines, &sends, 2);
+            prop_assert_eq!(&got, &want, "payload plane diverged from model at t{}", threads);
             prop_assert_eq!(
                 &metrics, &nested_metrics,
-                "payload metrics diverged from nested reference on {:?} t{}",
-                runtime, threads
+                "payload metrics diverged from tuple reference at t{}", threads
             );
         }
     }
@@ -173,7 +163,7 @@ proptest! {
         let want = model(machines, &sends, 1);
         let (nested, nested_metrics) = run_nested(machines, &sends, 1);
         prop_assert_eq!(&nested, &want);
-        let (got, metrics) = run_payload(RuntimeKind::Shard, 4, machines, &sends, 1);
+        let (got, metrics) = run_payload(4, machines, &sends, 1);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(&metrics, &nested_metrics);
     }

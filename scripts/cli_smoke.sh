@@ -5,7 +5,7 @@
 # offline with `mrlr verify`. Runs the same matrix as
 # crates/cli/tests/cli_smoke.rs (the matrix file is the single source of
 # truth for both); CI invokes this under MRLR_THREADS={1,4} crossed with
-# MRLR_BACKEND={mr,shard,dist} — the env var swaps the cluster runtime
+# MRLR_BACKEND={shard,dist} — the env var swaps the cluster runtime
 # under Backend::Mr, and because the runtimes are bit-identical the SAME
 # golden files must match on every axis. Explicit `--backend shard` and
 # `--backend dist` solves are additionally diffed against the mr golden

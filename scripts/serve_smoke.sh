@@ -17,7 +17,7 @@
 #   3. clean shutdown both times: `client shutdown` drains in-flight
 #      work, the socket file is removed, and no orphan mrlr processes
 #      (daemon or dist workers) survive.
-# CI runs this under MRLR_BACKEND={mr,shard,dist}; the env var swaps the
+# CI runs this under MRLR_BACKEND={shard,dist}; the env var swaps the
 # cluster runtime the daemon uses under Backend::Mr, and the SAME golden
 # files must match on every leg.
 set -euo pipefail

@@ -4,14 +4,9 @@
 //! degree-oblivious sampling struggles, planted cliques, and the
 //! cross-checks between independent code paths (vertex cover vs the f = 2
 //! set-cover view; edge colouring vs vertex-colouring the line graph).
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::hungry::{maximal_clique, MisParams};
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{set_cover, vertex_cover, MrConfig};
 use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f};
 use mrlr::core::seq::{
     greedy_colouring, greedy_set_cover, local_ratio_set_cover, misra_gries_edge_colouring,
@@ -67,12 +62,12 @@ fn vertex_cover_paths_cross_validate() {
         let g = generators::densified(50, 0.5, seed);
         let weights: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 7) as f64).collect();
         let cfg = MrConfig::auto(50, g.m(), 0.3, seed);
-        let (fast, _) = mr_vertex_cover(&g, &weights, cfg).unwrap();
+        let (fast, _) = vertex_cover::run(&g, &weights, cfg).unwrap();
         assert!(verify::is_vertex_cover(&g, &fast.cover));
 
         let sys = SetSystem::vertex_cover_of(&g, weights.clone());
         let cfg_sc = MrConfig::auto(50, sys.total_size(), 0.3, seed);
-        let (general, _) = mr_set_cover_f(&sys, cfg_sc).unwrap();
+        let (general, _) = set_cover::run(&sys, cfg_sc).unwrap();
         assert!(sys.covers(&general.cover));
         let general_weight: f64 = {
             let mut picked = vec![false; g.n()];

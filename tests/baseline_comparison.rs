@@ -1,9 +1,6 @@
 //! Head-to-head comparisons against the Figure 1 baseline rows: the paper's
 //! claims about *who wins and by roughly what factor* (the shape of the
 //! table), asserted on concrete instances.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::baselines::{
     coreset_matching, crouch_stubbs_matching, filtering_vertex_cover, greedy_weighted_matching,
@@ -148,8 +145,7 @@ fn mis_iteration_comparison() {
 /// cover should be substantially cheaper.
 #[test]
 fn weighted_vertex_cover_beats_unweighted_baseline_on_skew() {
-    use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-    use mrlr::core::mr::MrConfig;
+    use mrlr::core::mr::{vertex_cover, MrConfig};
     let mut ours_total = 0.0;
     let mut baseline_total = 0.0;
     for seed in 0..4 {
@@ -161,7 +157,7 @@ fn weighted_vertex_cover_beats_unweighted_baseline_on_skew() {
             .map(|i| if i < 30 { 0.1 } else { 10.0 })
             .collect();
         let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-        let (ours, _) = mr_vertex_cover(&g, &weights, cfg).unwrap();
+        let (ours, _) = vertex_cover::run(&g, &weights, cfg).unwrap();
         let (baseline_cover, _) = filtering_vertex_cover(&g, 500, seed).unwrap();
         let baseline_w: f64 = baseline_cover.iter().map(|&v| weights[v as usize]).sum();
         ours_total += ours.weight;

@@ -1,14 +1,7 @@
 //! Cross-algorithm consistency checks and failure-injection tests.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::hungry::MisParams;
-use mrlr::core::mr::colouring::mr_vertex_colouring;
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::mis::mr_mis_fast;
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{colouring, matching, mis, set_cover, MrConfig};
 use mrlr::core::verify;
 use mrlr::graph::{generators, Graph, VertexId};
 use mrlr::mapreduce::MrError;
@@ -50,9 +43,9 @@ fn matching_lower_bounds_vertex_cover() {
     for seed in 0..6 {
         let g = generators::densified(60, 0.4, seed);
         let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-        let (matching, _) = mr_matching(&g.unweighted(), cfg).unwrap();
+        let (matching, _) = matching::run(&g.unweighted(), cfg).unwrap();
         let w = vec![1.0; 60];
-        let (cover, _) = mrlr::core::mr::vertex_cover::mr_vertex_cover(&g, &w, cfg).unwrap();
+        let (cover, _) = mrlr::core::mr::vertex_cover::run(&g, &w, cfg).unwrap();
         assert!(
             matching.matching.len() <= cover.cover.len(),
             "seed {seed}: matching {} > cover {}",
@@ -69,7 +62,7 @@ fn matching_lower_bounds_vertex_cover() {
 fn colour_classes_are_independent_sets() {
     let g = generators::densified(80, 0.4, 3);
     let cfg = MrConfig::auto(80, g.m(), 0.3, 3);
-    let (colouring, _) = mr_vertex_colouring(&g, 4, None, cfg).unwrap();
+    let (colouring, _) = colouring::run_vertex(&g, 4, None, cfg).unwrap();
     let max_colour = *colouring.colours.iter().max().unwrap();
     for colour in 0..=max_colour {
         let class: Vec<VertexId> = (0..80u32)
@@ -77,7 +70,7 @@ fn colour_classes_are_independent_sets() {
             .collect();
         assert!(verify::is_independent_set(&g, &class), "colour {colour}");
     }
-    let (mis, _) = mr_mis_fast(&g, MisParams::mis2(80, 0.3, 3), cfg).unwrap();
+    let (mis, _) = mis::run_fast(&g, MisParams::mis2(80, 0.3, 3), cfg).unwrap();
     // A maximal IS is at least as large as the biggest class-lower-bound
     // argument requires at least one vertex; sanity-check non-triviality.
     assert!(!mis.vertices.is_empty());
@@ -87,7 +80,7 @@ fn colour_classes_are_independent_sets() {
 fn capacity_failures_are_typed_not_wrong() {
     let g = generators::densified(60, 0.5, 1);
     let cramped = MrConfig::auto(60, g.m(), 0.3, 1).with_capacity(25);
-    match mr_matching(&g, cramped) {
+    match matching::run(&g, cramped) {
         Err(MrError::CapacityExceeded { capacity, used, .. }) => {
             assert_eq!(capacity, 25);
             assert!(used > 25);
@@ -98,7 +91,7 @@ fn capacity_failures_are_typed_not_wrong() {
     let sys = setgen::bounded_frequency(40, 700, 2, 2);
     let cramped = MrConfig::auto(40, 700, 0.3, 2).with_capacity(10);
     assert!(matches!(
-        mr_set_cover_f(&sys, cramped),
+        set_cover::run(&sys, cramped),
         Err(MrError::CapacityExceeded { .. })
     ));
 }
@@ -108,7 +101,7 @@ fn infeasible_instances_are_rejected_before_any_rounds() {
     let sys = mrlr::setsys::SetSystem::unit(5, vec![vec![0, 1], vec![2]]);
     let cfg = MrConfig::auto(5, 5, 0.3, 1);
     assert!(matches!(
-        mr_set_cover_f(&sys, cfg),
+        set_cover::run(&sys, cfg),
         Err(MrError::Infeasible(_))
     ));
 }
@@ -121,7 +114,7 @@ fn record_mode_measures_instead_of_failing() {
     let cramped = MrConfig::auto(60, g.m(), 0.3, 1)
         .with_capacity(25)
         .recording();
-    let (r, metrics) = mr_matching(&g, cramped).unwrap();
+    let (r, metrics) = matching::run(&g, cramped).unwrap();
     assert!(verify::is_matching(&g, &r.matching));
     assert!(!metrics.violations.is_empty());
     assert!(metrics.peak_machine_words > 25);

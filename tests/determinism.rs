@@ -3,17 +3,9 @@
 //! machines in parallel threads), and across machine counts for the drivers
 //! the equivalence suite does not cover (vertex cover, b-matching, clique,
 //! colouring).
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::hungry::MisParams;
-use mrlr::core::mr::bmatching::mr_b_matching;
-use mrlr::core::mr::clique::mr_maximal_clique;
-use mrlr::core::mr::colouring::mr_vertex_colouring;
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{bmatching, clique, colouring, matching, vertex_cover, MrConfig};
 use mrlr::core::rlr::BMatchingParams;
 use mrlr::graph::generators;
 
@@ -22,10 +14,10 @@ fn vertex_cover_equivalent_across_machine_counts() {
     let g = generators::densified(60, 0.5, 5);
     let weights: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 5) as f64).collect();
     let base = MrConfig::auto(60, g.m(), 0.3, 7);
-    let reference = mr_vertex_cover(&g, &weights, base).unwrap().0;
+    let reference = vertex_cover::run(&g, &weights, base).unwrap().0;
     for machines in [1usize, 4, 9] {
         let cfg = base.with_machines(machines);
-        let (r, _) = mr_vertex_cover(&g, &weights, cfg).unwrap();
+        let (r, _) = vertex_cover::run(&g, &weights, cfg).unwrap();
         assert_eq!(r.cover, reference.cover, "machines = {machines}");
         assert_eq!(r.iterations, reference.iterations);
     }
@@ -42,10 +34,10 @@ fn b_matching_equivalent_across_machine_counts() {
         seed: 11,
     };
     let base = MrConfig::auto(50, g.m(), 0.3, 11);
-    let reference = mr_b_matching(&g, &b, params, base).unwrap().0;
+    let reference = bmatching::run(&g, &b, params, base).unwrap().0;
     for machines in [1usize, 3, 8] {
         let cfg = base.with_machines(machines);
-        let (r, _) = mr_b_matching(&g, &b, params, cfg).unwrap();
+        let (r, _) = bmatching::run(&g, &b, params, cfg).unwrap();
         assert_eq!(r.matching, reference.matching, "machines = {machines}");
     }
 }
@@ -55,10 +47,10 @@ fn clique_equivalent_across_machine_counts() {
     let g = generators::gnp(60, 0.5, 9);
     let params = MisParams::mis1(60, 0.35, 13);
     let base = MrConfig::auto(60, g.m().max(1), 0.35, 13);
-    let reference = mr_maximal_clique(&g, params, base).unwrap().0;
+    let reference = clique::run(&g, params, base).unwrap().0;
     for machines in [1usize, 5] {
         let cfg = base.with_machines(machines);
-        let (r, _) = mr_maximal_clique(&g, params, cfg).unwrap();
+        let (r, _) = clique::run(&g, params, cfg).unwrap();
         assert_eq!(r.vertices, reference.vertices, "machines = {machines}");
     }
 }
@@ -67,10 +59,10 @@ fn clique_equivalent_across_machine_counts() {
 fn colouring_equivalent_across_machine_counts() {
     let g = generators::densified(70, 0.45, 4);
     let base = MrConfig::auto(70, g.m(), 0.3, 17);
-    let reference = mr_vertex_colouring(&g, 4, None, base).unwrap().0;
+    let reference = colouring::run_vertex(&g, 4, None, base).unwrap().0;
     for machines in [1usize, 6] {
         let cfg = base.with_machines(machines);
-        let (r, _) = mr_vertex_colouring(&g, 4, None, cfg).unwrap();
+        let (r, _) = colouring::run_vertex(&g, 4, None, cfg).unwrap();
         assert_eq!(r.colours, reference.colours, "machines = {machines}");
         assert_eq!(r.num_colours, reference.num_colours);
     }
@@ -80,8 +72,8 @@ fn colouring_equivalent_across_machine_counts() {
 fn identical_runs_are_bit_identical_including_metrics() {
     let g = generators::with_uniform_weights(&generators::densified(60, 0.5, 8), 1.0, 9.0, 2);
     let cfg = MrConfig::auto(60, g.m(), 0.3, 23);
-    let (a, ma) = mr_matching(&g, cfg).unwrap();
-    let (b, mb) = mr_matching(&g, cfg).unwrap();
+    let (a, ma) = matching::run(&g, cfg).unwrap();
+    let (b, mb) = matching::run(&g, cfg).unwrap();
     assert_eq!(a, b);
     assert_eq!(ma.rounds, mb.rounds);
     assert_eq!(ma.total_message_words, mb.total_message_words);
@@ -100,7 +92,7 @@ fn output_independent_of_execution_schedule() {
     let g = generators::with_uniform_weights(&generators::densified(60, 0.5, 8), 1.0, 9.0, 2);
     let cfg = MrConfig::auto(60, g.m(), 0.3, 29);
     let run = |threads: usize| {
-        let (r, m) = mr_matching(&g, cfg.with_threads(threads)).unwrap();
+        let (r, m) = matching::run(&g, cfg.with_threads(threads)).unwrap();
         (r, m.rounds, m.total_message_words, m.per_round)
     };
     let reference = run(1);
@@ -116,10 +108,10 @@ fn seed_changes_propagate() {
     // against a driver accidentally ignoring cfg.seed. The instance must be
     // large relative to η so the sampling path actually runs.
     let g = generators::with_uniform_weights(&generators::densified(100, 0.5, 8), 1.0, 9.0, 2);
-    let a = mr_matching(&g, MrConfig::auto(100, g.m(), 0.1, 1))
+    let a = matching::run(&g, MrConfig::auto(100, g.m(), 0.1, 1))
         .unwrap()
         .0;
-    let b = mr_matching(&g, MrConfig::auto(100, g.m(), 0.1, 2))
+    let b = matching::run(&g, MrConfig::auto(100, g.m(), 0.1, 2))
         .unwrap()
         .0;
     assert!(

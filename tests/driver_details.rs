@@ -3,20 +3,12 @@
 //! failures, single-machine behaviour and the paper's explicit guard
 //! branches (the Lemma 6.2 `|E_i| > 13n^{1+µ}` edge limit, `η = 0`
 //! rejection, infeasibility).
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::hungry::{HungryScParams, MisParams};
-use mrlr::core::mr::bmatching::mr_b_matching;
-use mrlr::core::mr::clique::mr_maximal_clique;
-use mrlr::core::mr::colouring::{mr_edge_colouring, mr_vertex_colouring};
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::mis::{mr_mis_fast, mr_mis_simple};
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::set_cover_greedy::mr_hungry_set_cover;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{
+    bmatching, clique, colouring, matching, mis, set_cover, set_cover_greedy, vertex_cover,
+    MrConfig,
+};
 use mrlr::core::rlr::BMatchingParams;
 use mrlr::graph::{generators, Graph};
 use mrlr::mapreduce::{Metrics, MrError};
@@ -55,19 +47,19 @@ fn metrics_invariants_hold_for_every_driver() {
     let w: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
     let cfg = MrConfig::auto(n, g.m(), 0.3, 7);
 
-    let (_, m) = mr_matching(&g, cfg).unwrap();
+    let (_, m) = matching::run(&g, cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_vertex_cover(&g, &w, cfg).unwrap();
+    let (_, m) = vertex_cover::run(&g, &w, cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_mis_simple(&g, MisParams::mis1(n, 0.3, 7), cfg).unwrap();
+    let (_, m) = mis::run_simple(&g, MisParams::mis1(n, 0.3, 7), cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_mis_fast(&g, MisParams::mis2(n, 0.3, 7), cfg).unwrap();
+    let (_, m) = mis::run_fast(&g, MisParams::mis2(n, 0.3, 7), cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_maximal_clique(&g, MisParams::mis2(n, 0.3, 7), cfg).unwrap();
+    let (_, m) = clique::run(&g, MisParams::mis2(n, 0.3, 7), cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_vertex_colouring(&g, 3, None, cfg).unwrap();
+    let (_, m) = colouring::run_vertex(&g, 3, None, cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = mr_edge_colouring(&g, 3, None, cfg).unwrap();
+    let (_, m) = colouring::run_edge(&g, 3, None, cfg).unwrap();
     structural_invariants(&m, &cfg);
     let b: Vec<u32> = vec![2; n];
     let params = BMatchingParams {
@@ -76,18 +68,18 @@ fn metrics_invariants_hold_for_every_driver() {
         eta: 300,
         seed: 7,
     };
-    let (_, m) = mr_b_matching(&g, &b, params, cfg).unwrap();
+    let (_, m) = bmatching::run(&g, &b, params, cfg).unwrap();
     structural_invariants(&m, &cfg);
 
     let sys = setgen::bounded_frequency(n, 600, 3, 5);
     let cfg_sc = MrConfig::auto(n, 600, 0.3, 7);
-    let (_, m) = mr_set_cover_f(&sys, cfg_sc).unwrap();
+    let (_, m) = set_cover::run(&sys, cfg_sc).unwrap();
     structural_invariants(&m, &cfg_sc);
 
     let sys2 = setgen::bounded_set_size(300, 60, 8, 5);
     let hs = HungryScParams::new(60, 0.4, 0.2, 7);
     let cfg_h = MrConfig::auto(60, sys2.total_size(), 0.4, 7);
-    let (_, _, m) = mr_hungry_set_cover(&sys2, hs, cfg_h).unwrap();
+    let (_, _, m) = set_cover_greedy::run(&sys2, hs, cfg_h).unwrap();
     structural_invariants(&m, &cfg_h);
 }
 
@@ -98,7 +90,7 @@ fn single_machine_runs_have_no_tree_hops() {
     let n = 50usize;
     let g = generators::with_uniform_weights(&generators::densified(n, 0.5, 1), 1.0, 5.0, 2);
     let cfg = MrConfig::auto(n, g.m(), 0.3, 3).with_machines(1);
-    let (_, m) = mr_matching(&g, cfg).unwrap();
+    let (_, m) = matching::run(&g, cfg).unwrap();
     let (_, _, br, ag) = m.rounds_by_kind();
     assert_eq!(
         br + ag,
@@ -113,11 +105,11 @@ fn degenerate_instances_run_cleanly() {
     // Edgeless graph: matching/cover/MIS/colouring are all trivial.
     let g = Graph::new(10, vec![]);
     let cfg = MrConfig::auto(10, 1, 0.3, 1);
-    let (r, _) = mr_matching(&g, cfg).unwrap();
+    let (r, _) = matching::run(&g, cfg).unwrap();
     assert!(r.matching.is_empty());
-    let (r, _) = mr_vertex_cover(&g, &[1.0; 10], cfg).unwrap();
+    let (r, _) = vertex_cover::run(&g, &[1.0; 10], cfg).unwrap();
     assert!(r.cover.is_empty());
-    let (r, _) = mr_mis_fast(&g, MisParams::mis2(10, 0.3, 1), cfg).unwrap();
+    let (r, _) = mis::run_fast(&g, MisParams::mis2(10, 0.3, 1), cfg).unwrap();
     assert_eq!(
         r.vertices.len(),
         10,
@@ -125,19 +117,19 @@ fn degenerate_instances_run_cleanly() {
     );
     // Colours are (group, within-group colour) pairs, so κ groups use up
     // to κ colours even on an edgeless graph.
-    let (r, _) = mr_vertex_colouring(&g, 2, None, cfg).unwrap();
+    let (r, _) = colouring::run_vertex(&g, 2, None, cfg).unwrap();
     assert!(r.num_colours <= 2);
-    let (r, _) = mr_edge_colouring(&g, 2, None, cfg).unwrap();
+    let (r, _) = colouring::run_edge(&g, 2, None, cfg).unwrap();
     assert_eq!(r.num_colours, 0);
 
     // One-edge graph.
     let g1 = Graph::from_pairs(2, &[(0, 1)]);
-    let (r, _) = mr_matching(&g1, MrConfig::auto(2, 1, 0.3, 1)).unwrap();
+    let (r, _) = matching::run(&g1, MrConfig::auto(2, 1, 0.3, 1)).unwrap();
     assert_eq!(r.matching.len(), 1);
 
     // Single-set cover.
     let sys = SetSystem::unit(3, vec![vec![0, 1, 2]]);
-    let (r, _) = mr_set_cover_f(&sys, MrConfig::auto(1, 3, 0.3, 1)).unwrap();
+    let (r, _) = set_cover::run(&sys, MrConfig::auto(1, 3, 0.3, 1)).unwrap();
     assert_eq!(r.cover, vec![0]);
 }
 
@@ -146,14 +138,14 @@ fn every_driver_rejects_zero_eta() {
     let g = generators::densified(20, 0.4, 1);
     let mut cfg = MrConfig::auto(20, g.m(), 0.3, 1);
     cfg.eta = 0;
-    assert!(matches!(mr_matching(&g, cfg), Err(MrError::BadConfig(_))));
+    assert!(matches!(matching::run(&g, cfg), Err(MrError::BadConfig(_))));
     assert!(matches!(
-        mr_vertex_cover(&g, &[1.0; 20], cfg),
+        vertex_cover::run(&g, &[1.0; 20], cfg),
         Err(MrError::BadConfig(_))
     ));
     let sys = setgen::bounded_frequency(20, 100, 2, 1);
     assert!(matches!(
-        mr_set_cover_f(&sys, cfg),
+        set_cover::run(&sys, cfg),
         Err(MrError::BadConfig(_))
     ));
 }
@@ -163,7 +155,7 @@ fn infeasible_cover_rejected_as_infeasible() {
     let sys = SetSystem::unit(4, vec![vec![0], vec![1]]);
     let cfg = MrConfig::auto(2, 4, 0.3, 1);
     assert!(matches!(
-        mr_set_cover_f(&sys, cfg),
+        set_cover::run(&sys, cfg),
         Err(MrError::Infeasible(_))
     ));
 }
@@ -175,16 +167,16 @@ fn colouring_edge_limit_guard_fires() {
     // parameters; with an adversarially tiny limit it must).
     let g = generators::densified(60, 0.5, 9);
     let cfg = MrConfig::auto(60, g.m(), 0.3, 9);
-    let err = mr_vertex_colouring(&g, 2, Some(3), cfg).unwrap_err();
+    let err = colouring::run_vertex(&g, 2, Some(3), cfg).unwrap_err();
     assert!(
         matches!(err, MrError::AlgorithmFailed { .. }),
         "expected the Lemma 6.2 guard, got {err:?}"
     );
-    let err = mr_edge_colouring(&g, 2, Some(3), cfg).unwrap_err();
+    let err = colouring::run_edge(&g, 2, Some(3), cfg).unwrap_err();
     assert!(matches!(err, MrError::AlgorithmFailed { .. }));
     // With the paper's 13 n^{1+mu} limit the guard never fires.
     let limit = (13.0 * (60f64).powf(1.3)).ceil() as usize;
-    assert!(mr_vertex_colouring(&g, 2, Some(limit), cfg).is_ok());
+    assert!(colouring::run_vertex(&g, 2, Some(limit), cfg).is_ok());
 }
 
 #[test]
@@ -194,7 +186,7 @@ fn capacity_failures_name_the_offending_budget() {
     let good = MrConfig::auto(n, g.m(), 0.3, 5);
     for cap in [10usize, 100, 400] {
         let tiny = good.with_capacity(cap);
-        match mr_matching(&g, tiny) {
+        match matching::run(&g, tiny) {
             Err(MrError::CapacityExceeded { used, capacity, .. }) => {
                 assert_eq!(capacity, cap);
                 assert!(used > cap);
@@ -210,9 +202,9 @@ fn more_machines_never_changes_iteration_count() {
     let n = 90usize;
     let g = generators::with_uniform_weights(&generators::densified(n, 0.5, 2), 1.0, 9.0, 3);
     let base = MrConfig::auto(n, g.m(), 0.2, 11);
-    let reference = mr_matching(&g, base).unwrap().0.iterations;
+    let reference = matching::run(&g, base).unwrap().0.iterations;
     for machines in [2usize, 5, 13] {
-        let (r, _) = mr_matching(&g, base.with_machines(machines)).unwrap();
+        let (r, _) = matching::run(&g, base.with_machines(machines)).unwrap();
         assert_eq!(r.iterations, reference);
     }
 }
@@ -225,8 +217,8 @@ fn communication_grows_with_machines_but_rounds_stay_put() {
     let n = 90usize;
     let g = generators::with_uniform_weights(&generators::densified(n, 0.5, 2), 1.0, 9.0, 3);
     let base = MrConfig::auto(n, g.m(), 0.2, 11);
-    let (_, few) = mr_matching(&g, base.with_machines(2)).unwrap();
-    let (_, many) = mr_matching(&g, base.with_machines(13)).unwrap();
+    let (_, few) = matching::run(&g, base.with_machines(2)).unwrap();
+    let (_, many) = matching::run(&g, base.with_machines(13)).unwrap();
     assert!(
         many.peak_machine_words <= few.peak_machine_words,
         "{} machines should lower per-machine load: {} vs {}",

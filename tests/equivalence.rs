@@ -3,16 +3,9 @@
 //! bit-identical solutions — all randomness is hash-derived and
 //! partition-stable, so distributing the data changes *where* work happens
 //! but not *what* is computed.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::hungry::{hungry_set_cover, mis_fast, HungryScParams, MisParams};
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::mis::mr_mis_fast;
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::set_cover_greedy::mr_hungry_set_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{matching, mis, set_cover, set_cover_greedy, MrConfig};
 use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f};
 use mrlr::graph::generators;
 use mrlr::setsys::generators as setgen;
@@ -26,7 +19,7 @@ fn matching_equivalence_across_machine_counts() {
     let seq = approx_max_matching(&g, base.eta, 5).unwrap();
     for machines in [1usize, 3, 7] {
         let cfg = base.with_machines(machines);
-        let (mr, _) = mr_matching(&g, cfg).unwrap();
+        let (mr, _) = matching::run(&g, cfg).unwrap();
         assert_eq!(mr.matching, seq.matching, "machines = {machines}");
         assert_eq!(mr.iterations, seq.iterations);
     }
@@ -39,7 +32,7 @@ fn set_cover_equivalence_across_machine_counts() {
     let seq = approx_set_cover_f(&sys, base.eta, 9).unwrap();
     for machines in [1usize, 4, 9] {
         let cfg = base.with_machines(machines);
-        let (mr, _) = mr_set_cover_f(&sys, cfg).unwrap();
+        let (mr, _) = set_cover::run(&sys, cfg).unwrap();
         assert_eq!(mr.cover, seq.cover, "machines = {machines}");
     }
 }
@@ -51,7 +44,7 @@ fn mis_equivalence_across_machine_counts() {
     let seq = mis_fast(&g, params).unwrap();
     for machines in [1usize, 2, 5] {
         let cfg = MrConfig::auto(80, g.m(), 0.3, 7).with_machines(machines);
-        let (mr, _) = mr_mis_fast(&g, params, cfg).unwrap();
+        let (mr, _) = mis::run_fast(&g, params, cfg).unwrap();
         assert_eq!(mr.vertices, seq.vertices, "machines = {machines}");
     }
 }
@@ -63,7 +56,7 @@ fn hungry_set_cover_equivalence() {
     let (seq, _) = hungry_set_cover(&sys, params).unwrap();
     for machines in [1usize, 6] {
         let cfg = MrConfig::auto(80, sys.total_size(), 0.45, 31).with_machines(machines);
-        let (mr, _, _) = mr_hungry_set_cover(&sys, params, cfg).unwrap();
+        let (mr, _, _) = set_cover_greedy::run(&sys, params, cfg).unwrap();
         assert_eq!(mr.cover, seq.cover, "machines = {machines}");
     }
 }

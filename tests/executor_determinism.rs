@@ -114,11 +114,11 @@ fn every_registry_key_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn shard_backend_is_bit_identical_to_mr_for_every_key() {
-    // The fourth backend's contract: `Backend::Shard` (static
-    // shard→thread scheduling + per-destination batched routing) returns
+    // `Backend::Shard` (the in-process runtime, pinned) returns
     // bit-identical Reports — solution, certificate (witness included)
-    // and model-level Metrics — to `Backend::Mr`, per registry key, at
-    // 1 and 4 executor threads.
+    // and model-level Metrics — to `Backend::Mr` (whichever runtime
+    // `MRLR_BACKEND` names), per registry key, at 1 and 4 executor
+    // threads.
     let registry = Registry::with_defaults();
     let mut keys_checked = 0usize;
     for (name, instance, cfg) in workloads() {

@@ -2,14 +2,8 @@
 //! cluster shape is audited against the MRC/MPC side conditions of §1.3,
 //! the per-round timeline agrees with the metrics, and the fault model
 //! prices real runs sensibly.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{matching, set_cover, vertex_cover, MrConfig};
 use mrlr::graph::generators;
 use mrlr::mapreduce::faults::{apply, FaultPlan};
 use mrlr::mapreduce::trace::Timeline;
@@ -36,7 +30,7 @@ fn matching_cluster_shape_is_mpc_conformant() {
     let n = 90usize;
     let g = generators::with_uniform_weights(&generators::densified(n, 0.5, 7), 1.0, 9.0, 1);
     let cfg = MrConfig::auto(n, g.m(), 0.3, 5);
-    let (r, metrics) = mr_matching(&g, cfg).unwrap();
+    let (r, metrics) = matching::run(&g, cfg).unwrap();
     assert!(!r.matching.is_empty());
     assert!(metrics.peak_machine_words <= cfg.capacity);
     assert!(metrics.peak_central_words <= cfg.capacity);
@@ -71,7 +65,7 @@ fn paper_regime_is_mrc_conformant_across_sweep() {
 fn timeline_agrees_with_metrics() {
     let sys = setgen::bounded_frequency(50, 700, 3, 3);
     let cfg = MrConfig::auto(50, 700, 0.3, 9);
-    let (_, metrics) = mr_set_cover_f(&sys, cfg).unwrap();
+    let (_, metrics) = set_cover::run(&sys, cfg).unwrap();
     let t = Timeline::from_metrics(&metrics);
     assert_eq!(t.len(), metrics.rounds);
     assert_eq!(t.total_words(), metrics.total_message_words);
@@ -96,7 +90,7 @@ fn fault_model_prices_real_runs() {
     let g = generators::densified(70, 0.5, 3);
     let weights: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 3) as f64).collect();
     let cfg = MrConfig::auto(70, g.m(), 0.3, 2);
-    let (_, metrics) = mr_vertex_cover(&g, &weights, cfg).unwrap();
+    let (_, metrics) = vertex_cover::run(&g, &weights, cfg).unwrap();
     assert!(metrics.rounds > 0);
 
     let clean = apply(&metrics, &FaultPlan::none());
@@ -119,9 +113,9 @@ fn fault_model_prices_real_runs() {
 fn record_mode_reports_but_does_not_corrupt() {
     let g = generators::with_uniform_weights(&generators::densified(60, 0.5, 12), 1.0, 9.0, 3);
     let good = MrConfig::auto(60, g.m(), 0.3, 7);
-    let (reference, _) = mr_matching(&g, good).unwrap();
+    let (reference, _) = matching::run(&g, good).unwrap();
     let tiny = good.with_capacity(50).recording();
-    let (r, metrics) = mr_matching(&g, tiny).unwrap();
+    let (r, metrics) = matching::run(&g, tiny).unwrap();
     assert_eq!(
         r.matching, reference.matching,
         "record mode changed the answer"
@@ -135,5 +129,5 @@ fn record_mode_reports_but_does_not_corrupt() {
     // Strict mode on the same shape fails instead.
     let strict = good.with_capacity(50);
     assert_eq!(strict.enforcement, Enforcement::Strict);
-    assert!(mr_matching(&g, strict).is_err());
+    assert!(matching::run(&g, strict).is_err());
 }

@@ -1,20 +1,12 @@
 //! End-to-end pipelines: generator → MapReduce algorithm → verifier →
 //! metrics, for every algorithm in the paper, through the facade crate.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::colouring::group_count;
 use mrlr::core::hungry::{HungryScParams, MisParams};
-use mrlr::core::mr::bmatching::mr_b_matching;
-use mrlr::core::mr::clique::mr_maximal_clique;
-use mrlr::core::mr::colouring::{mr_edge_colouring, mr_vertex_colouring};
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::mis::{mr_mis_fast, mr_mis_simple};
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::set_cover_greedy::mr_hungry_set_cover;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{
+    bmatching, clique, colouring, matching, mis, set_cover, set_cover_greedy, vertex_cover,
+    MrConfig,
+};
 use mrlr::core::rlr::BMatchingParams;
 use mrlr::core::seq::{b_matching_multiplier, harmonic};
 use mrlr::core::verify;
@@ -37,7 +29,7 @@ fn vertex_cover_pipeline() {
     let mut rng = DetRng::new(SEED);
     let w: Vec<f64> = (0..N).map(|_| rng.f64_range(1.0, 10.0)).collect();
     let cfg = MrConfig::auto(N, g.m(), MU, SEED);
-    let (r, metrics) = mr_vertex_cover(&g, &w, cfg).unwrap();
+    let (r, metrics) = vertex_cover::run(&g, &w, cfg).unwrap();
     assert!(verify::is_vertex_cover(&g, &r.cover));
     assert!(r.certified_ratio() <= 2.0 + 1e-9);
     assert!(metrics.rounds >= 1);
@@ -50,7 +42,7 @@ fn set_cover_f_pipeline() {
     let sys =
         setgen::with_uniform_weights(setgen::bounded_frequency(N, 1500, 4, SEED), 1.0, 8.0, SEED);
     let cfg = MrConfig::auto(N, 1500, MU, SEED);
-    let (r, metrics) = mr_set_cover_f(&sys, cfg).unwrap();
+    let (r, metrics) = set_cover::run(&sys, cfg).unwrap();
     assert!(sys.covers(&r.cover));
     assert!(r.certified_ratio() <= sys.max_frequency() as f64 + 1e-9);
     assert!(metrics.total_message_words > 0);
@@ -62,7 +54,7 @@ fn hungry_set_cover_pipeline() {
         setgen::with_uniform_weights(setgen::bounded_set_size(600, 150, 12, SEED), 1.0, 8.0, SEED);
     let params = HungryScParams::new(150, 0.4, 0.25, SEED);
     let cfg = MrConfig::auto(150, sys.total_size(), 0.4, SEED);
-    let (r, trace, metrics) = mr_hungry_set_cover(&sys, params, cfg).unwrap();
+    let (r, trace, metrics) = set_cover_greedy::run(&sys, params, cfg).unwrap();
     assert!(sys.covers(&r.cover));
     let bound = (1.0 + 0.25) * harmonic(sys.max_set_size());
     assert!(r.weight <= bound * r.lower_bound * (1.0 + 1e-9) + 1e-9);
@@ -76,7 +68,7 @@ fn hungry_set_cover_pipeline() {
 fn matching_pipeline() {
     let g = workload();
     let cfg = MrConfig::auto(N, g.m(), MU, SEED);
-    let (r, metrics) = mr_matching(&g, cfg).unwrap();
+    let (r, metrics) = matching::run(&g, cfg).unwrap();
     assert!(verify::is_matching(&g, &r.matching));
     assert!(r.weight + 1e-6 >= r.stack_gain);
     assert!(r.certified_ratio(2.0) <= 2.0 + 1e-6);
@@ -95,7 +87,7 @@ fn b_matching_pipeline() {
     };
     let mut cfg = MrConfig::auto(N, g.m(), MU, SEED);
     cfg.eta = params.eta;
-    let (r, _) = mr_b_matching(&g, &b, params, cfg).unwrap();
+    let (r, _) = bmatching::run(&g, &b, params, cfg).unwrap();
     assert!(verify::is_b_matching(&g, &b, &r.matching));
     let mult = b_matching_multiplier(&b, params.eps);
     assert!(r.certified_ratio(mult) <= mult + 1e-6);
@@ -105,9 +97,9 @@ fn b_matching_pipeline() {
 fn mis_pipelines() {
     let g = workload().unweighted();
     let cfg = MrConfig::auto(N, g.m(), MU, SEED);
-    let (r1, m1) = mr_mis_simple(&g, MisParams::mis1(N, MU, SEED), cfg).unwrap();
+    let (r1, m1) = mis::run_simple(&g, MisParams::mis1(N, MU, SEED), cfg).unwrap();
     assert!(verify::is_maximal_independent_set(&g, &r1.vertices));
-    let (r2, m2) = mr_mis_fast(&g, MisParams::mis2(N, MU, SEED), cfg).unwrap();
+    let (r2, m2) = mis::run_fast(&g, MisParams::mis2(N, MU, SEED), cfg).unwrap();
     assert!(verify::is_maximal_independent_set(&g, &r2.vertices));
     // The Alg 6 schedule should not be slower than Alg 2 in rounds here.
     assert!(m2.rounds <= m1.rounds + 2, "{} vs {}", m2.rounds, m1.rounds);
@@ -117,7 +109,7 @@ fn mis_pipelines() {
 fn clique_pipeline() {
     let g = generators::gnp(80, 0.6, SEED);
     let cfg = MrConfig::auto(80, g.m(), MU, SEED);
-    let (r, _) = mr_maximal_clique(&g, MisParams::mis2(80, MU, SEED), cfg).unwrap();
+    let (r, _) = clique::run(&g, MisParams::mis2(80, MU, SEED), cfg).unwrap();
     assert!(verify::is_maximal_clique(&g, &r.vertices));
     assert!(r.vertices.len() >= 2);
 }
@@ -127,10 +119,10 @@ fn colouring_pipelines() {
     let g = workload();
     let kappa = group_count(N, g.m(), MU).max(2);
     let cfg = MrConfig::auto(N, g.m(), MU, SEED);
-    let (rv, mv) = mr_vertex_colouring(&g, kappa, None, cfg).unwrap();
+    let (rv, mv) = colouring::run_vertex(&g, kappa, None, cfg).unwrap();
     assert!(verify::is_proper_colouring(&g, &rv.colours));
     assert!(mv.rounds <= 3, "vertex colouring took {} rounds", mv.rounds);
-    let (re, me) = mr_edge_colouring(&g, kappa, None, cfg).unwrap();
+    let (re, me) = colouring::run_edge(&g, kappa, None, cfg).unwrap();
     assert!(verify::is_proper_edge_colouring(&g, &re.colours));
     assert!(me.rounds <= 3);
     // Colour budget: far below the trivial kappa * (Delta + 1).

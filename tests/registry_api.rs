@@ -1,9 +1,8 @@
 //! Registry round-trip guarantees: every registered `Mr` driver returns
-//! bit-identical solutions and identical `Metrics` to its legacy
-//! free-function entry point on fixed seeds, and the `Rlr`/`Mr` backends of
+//! bit-identical solutions and identical `Metrics` to its direct
+//! `mr::*::run` entry point on fixed seeds, and the `Rlr`/`Mr` backends of
 //! the same driver agree wherever the paper guarantees equivalence (they
 //! share the same hash-derived coin streams).
-#![allow(deprecated)] // the legacy entry points are the comparison targets
 
 use mrlr::core::api::{
     BMatchingInstance, Backend, ColouringDriver, Instance, Registry, VertexWeightedGraph,
@@ -11,18 +10,13 @@ use mrlr::core::api::{
 };
 use mrlr::core::colouring::group_count;
 use mrlr::core::hungry::{HungryScParams, MisParams};
-use mrlr::core::mr::bmatching::mr_b_matching;
-use mrlr::core::mr::clique::mr_maximal_clique;
-use mrlr::core::mr::colouring::{mr_edge_colouring, mr_vertex_colouring};
-use mrlr::core::mr::matching::mr_matching;
-use mrlr::core::mr::mis::{mr_mis_fast, mr_mis_simple};
-use mrlr::core::mr::set_cover::mr_set_cover_f;
-use mrlr::core::mr::set_cover_greedy::mr_hungry_set_cover;
-use mrlr::core::mr::vertex_cover::mr_vertex_cover;
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{
+    bmatching, clique, colouring, matching, mis, set_cover, set_cover_greedy, vertex_cover,
+    MrConfig,
+};
 use mrlr::core::rlr::BMatchingParams;
 use mrlr::graph::{generators, Graph};
-use mrlr::mapreduce::DetRng;
+use mrlr::mapreduce::{DetRng, RuntimeKind};
 use mrlr::setsys::generators as setgen;
 use mrlr::setsys::SetSystem;
 
@@ -90,7 +84,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
         assert_eq!(report.backend, Backend::Mr);
         let metrics = report.metrics.as_ref().expect("Mr backend reports metrics");
 
-        // Invoke the legacy free function with the identically-derived
+        // Invoke the direct entry point with the identically-derived
         // parameters and demand bit-identical output.
         match name {
             "set-cover-f" => {
@@ -98,8 +92,8 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
                     Instance::SetSystem(s) => s,
                     _ => unreachable!(),
                 };
-                let (legacy, lm) = mr_set_cover_f(sys, cfg).unwrap();
-                assert_eq!(report.solution.as_cover().unwrap(), &legacy, "{name}");
+                let (direct, lm) = set_cover::run(sys, cfg).unwrap();
+                assert_eq!(report.solution.as_cover().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "set-cover-greedy" => {
@@ -109,8 +103,8 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
                 };
                 let params =
                     HungryScParams::new(sys.universe(), cfg.mu, DEFAULT_GREEDY_SC_EPS, cfg.seed);
-                let (legacy, _trace, lm) = mr_hungry_set_cover(sys, params, cfg).unwrap();
-                assert_eq!(report.solution.as_cover().unwrap(), &legacy, "{name}");
+                let (direct, _trace, lm) = set_cover_greedy::run(sys, params, cfg).unwrap();
+                assert_eq!(report.solution.as_cover().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "vertex-cover" => {
@@ -118,14 +112,14 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
                     Instance::VertexWeighted(vw) => vw,
                     _ => unreachable!(),
                 };
-                let (legacy, lm) = mr_vertex_cover(&vw.graph, &vw.weights, cfg).unwrap();
-                assert_eq!(report.solution.as_cover().unwrap(), &legacy, "{name}");
+                let (direct, lm) = vertex_cover::run(&vw.graph, &vw.weights, cfg).unwrap();
+                assert_eq!(report.solution.as_cover().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "matching" => {
                 let g = instance.graph().unwrap();
-                let (legacy, lm) = mr_matching(g, cfg).unwrap();
-                assert_eq!(report.solution.as_matching().unwrap(), &legacy, "{name}");
+                let (direct, lm) = matching::run(g, cfg).unwrap();
+                assert_eq!(report.solution.as_matching().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "b-matching" => {
@@ -139,45 +133,45 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
                     eta: cfg.eta,
                     seed: cfg.seed,
                 };
-                let (legacy, lm) = mr_b_matching(&bm.graph, &bm.b, params, cfg).unwrap();
-                assert_eq!(report.solution.as_matching().unwrap(), &legacy, "{name}");
+                let (direct, lm) = bmatching::run(&bm.graph, &bm.b, params, cfg).unwrap();
+                assert_eq!(report.solution.as_matching().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "mis1" => {
                 let g = instance.graph().unwrap();
                 let params = MisParams::mis1(g.n(), cfg.mu, cfg.seed);
-                let (legacy, lm) = mr_mis_simple(g, params, cfg).unwrap();
-                assert_eq!(report.solution.as_selection().unwrap(), &legacy, "{name}");
+                let (direct, lm) = mis::run_simple(g, params, cfg).unwrap();
+                assert_eq!(report.solution.as_selection().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "mis2" => {
                 let g = instance.graph().unwrap();
                 let params = MisParams::mis2(g.n(), cfg.mu, cfg.seed);
-                let (legacy, lm) = mr_mis_fast(g, params, cfg).unwrap();
-                assert_eq!(report.solution.as_selection().unwrap(), &legacy, "{name}");
+                let (direct, lm) = mis::run_fast(g, params, cfg).unwrap();
+                assert_eq!(report.solution.as_selection().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "clique" => {
                 let g = instance.graph().unwrap();
                 let params = MisParams::mis2(g.n(), cfg.mu, cfg.seed);
-                let (legacy, lm) = mr_maximal_clique(g, params, cfg).unwrap();
-                assert_eq!(report.solution.as_selection().unwrap(), &legacy, "{name}");
+                let (direct, lm) = clique::run(g, params, cfg).unwrap();
+                assert_eq!(report.solution.as_selection().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "vertex-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
                 let limit = Some(ColouringDriver::paper_edge_limit(g.n(), cfg.mu));
-                let (legacy, lm) = mr_vertex_colouring(g, kappa, limit, cfg).unwrap();
-                assert_eq!(report.solution.as_colouring().unwrap(), &legacy, "{name}");
+                let (direct, lm) = colouring::run_vertex(g, kappa, limit, cfg).unwrap();
+                assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             "edge-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
                 let limit = Some(ColouringDriver::paper_edge_limit(g.n(), cfg.mu));
-                let (legacy, lm) = mr_edge_colouring(g, kappa, limit, cfg).unwrap();
-                assert_eq!(report.solution.as_colouring().unwrap(), &legacy, "{name}");
+                let (direct, lm) = colouring::run_edge(g, kappa, limit, cfg).unwrap();
+                assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
             }
             other => panic!("workload for unknown algorithm {other}"),
@@ -206,25 +200,31 @@ fn rlr_and_mr_backends_of_the_same_driver_agree() {
 
 #[test]
 fn shard_backend_matches_mr_bit_for_bit() {
-    // `Backend::Shard` runs the same drivers with the same coins on the
-    // sharded runtime; per key, its Report must equal the Mr one in
-    // every model-level observable (the legacy-equivalence test above
-    // then transitively ties Shard to the free-function entry points).
+    // The label contract: `Backend::Mr` is the cluster run on the
+    // config's runtime, which with `MRLR_BACKEND` unset is the in-process
+    // engine `Backend::Shard` pins — so per key the two Reports are equal
+    // in everything but the `backend` tag (and host wall-clock). The
+    // equivalence test above then ties both to the direct `run` entry
+    // points.
     let registry = Registry::with_defaults();
     for (name, instance, cfg) in workloads() {
+        if std::env::var_os("MRLR_BACKEND").is_none() {
+            assert_eq!(cfg.exec.runtime, RuntimeKind::Shard, "{name}");
+        }
         let mr = registry
             .solve_with(name, Backend::Mr, &instance, &cfg)
             .unwrap_or_else(|e| panic!("{name} mr: {e}"));
         let shard = registry
             .solve_with(name, Backend::Shard, &instance, &cfg)
             .unwrap_or_else(|e| panic!("{name} shard: {e}"));
+        assert_eq!((mr.backend, shard.backend), (Backend::Mr, Backend::Shard));
+        assert_eq!(shard.algorithm, mr.algorithm);
         assert_eq!(shard.solution, mr.solution, "{name}: shard vs mr diverged");
         assert_eq!(
-            shard.certificate.witness, mr.certificate.witness,
-            "{name}: witnesses diverged"
+            shard.certificate, mr.certificate,
+            "{name}: certificates diverged"
         );
         assert_eq!(shard.metrics, mr.metrics, "{name}: metrics diverged");
-        assert_eq!(shard.backend, Backend::Shard);
     }
 }
 

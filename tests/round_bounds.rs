@@ -7,14 +7,10 @@
 //! assert the measured iteration/round counts against the theory formulas
 //! with generous constants — the point is the *growth shape*, not the
 //! constant.
-// The legacy free-function entry points are deliberately exercised here;
-// new code dispatches through `mrlr::core::api` (see tests/registry_api.rs).
-#![allow(deprecated)]
 
 use mrlr::core::colouring::group_count;
 use mrlr::core::hungry::{mis_fast, MisParams};
-use mrlr::core::mr::colouring::{mr_edge_colouring, mr_vertex_colouring};
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{colouring, MrConfig};
 use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f, predicted_rounds};
 use mrlr::graph::generators;
 use mrlr::setsys::generators as setgen;
@@ -115,11 +111,11 @@ fn colouring_rounds_are_constant_in_n() {
         let mu = 0.3;
         let kappa = group_count(g.n(), g.m(), mu).max(1);
         let cfg = MrConfig::auto(n, g.m(), mu, 9);
-        let (res, metrics) = mr_vertex_colouring(&g, kappa, None, cfg).unwrap();
+        let (res, metrics) = colouring::run_vertex(&g, kappa, None, cfg).unwrap();
         assert!(res.num_colours >= 1);
         vertex_rounds.push(metrics.rounds);
         let cfg = MrConfig::auto(n, g.m(), mu, 9);
-        let (_, metrics) = mr_edge_colouring(&g, kappa, None, cfg).unwrap();
+        let (_, metrics) = colouring::run_edge(&g, kappa, None, cfg).unwrap();
         edge_rounds.push(metrics.rounds);
     }
     for &r in vertex_rounds.iter().chain(&edge_rounds) {
