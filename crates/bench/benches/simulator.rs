@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the cluster simulator substrate itself: exchange,
-//! gather, broadcast-tree, and the map-shuffle-reduce layer.
+//! Micro-benchmarks of the cluster simulator substrate itself: exchange
+//! and broadcast-tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig};
-use mrlr_mapreduce::job::{partition_round_robin, Emitter, MapReduceJob};
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
@@ -53,30 +52,5 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_word_count(c: &mut Criterion) {
-    let mut group = c.benchmark_group("map_reduce_job");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    let docs: Vec<String> = (0..2000)
-        .map(|i| format!("word{} word{} word{}", i % 50, i % 7, i % 13))
-        .collect();
-    group.bench_function("word_count_2000_docs", |b| {
-        b.iter(|| {
-            let job = MapReduceJob::new(
-                |doc: &String, em: &mut Emitter<String, u64>| {
-                    for w in doc.split_whitespace() {
-                        em.emit(w.to_string(), 1);
-                    }
-                },
-                |k: &String, vs: Vec<u64>| vec![(k.clone(), vs.iter().sum::<u64>())],
-            );
-            let inputs = partition_round_robin(docs.clone(), 8);
-            job.run(ClusterConfig::new(8, 1 << 20), inputs).unwrap()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_primitives, bench_word_count);
+criterion_group!(benches, bench_primitives);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Routing hot-path benchmark: maintains the committed `BENCH_exec.json`.
 //!
-//! Three sections feed the artifact, all on the in-process engine
+//! Two sections feed the artifact, both on the in-process engine
 //! (backend `shard`) at 1 and 4 threads:
 //!
 //! * `router` — synthetic all-to-all exchange supersteps driven straight
@@ -10,14 +10,9 @@
 //!   ([`mrlr_mapreduce::Shard::rng_mut`]); final state checksums and
 //!   `Metrics` are asserted bit-identical across thread counts before
 //!   anything is reported.
-//! * `registry` — three representative algorithm keys solved through
+//! * `registry` — four representative algorithm keys solved through
 //!   the registry, each leg asserted bit-identical (solution and
 //!   `Metrics`) to the 1-thread run.
-//! * `payload` — the vec3 container workload staged on the flat payload
-//!   plane ([`Cluster::exchange_payload`]), asserted bit-identical to the
-//!   `Vec<u64>`-message shape of the `router` section's `vec3` rows (the
-//!   allocation gap between the two is what the plane buys), plus an
-//!   `mis2` registry leg whose sample shuffles ride that plane.
 //!
 //! Each row records wall-time, peak inbox bytes and allocator traffic
 //! per superstep, counted by a `#[global_allocator]` shim compiled into
@@ -27,11 +22,11 @@
 //!   `bench_exec [--quick] [out.json]`
 //!     measure and rewrite the artifact (default path `BENCH_exec.json`).
 //!   `bench_exec --check [out.json]`
-//!     CI mode: run the quick equivalence assertions (thread counts,
-//!     tuple vs payload plane) without touching the file, then fail
-//!     unless the committed artifact has rows for every section, and
-//!     fail if any freshly measured router or payload row allocates more
-//!     than 25% (plus a +16 absolute grace) over its committed baseline.
+//!     CI mode: run the quick thread-count equivalence assertions
+//!     without touching the file, then fail unless the committed
+//!     artifact has rows for both sections, and fail if any freshly
+//!     measured router row allocates more than 25% (plus a +16 absolute
+//!     grace) over its committed baseline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -43,7 +38,7 @@ use mrlr_core::api::{Backend, Instance, Registry, VertexWeightedGraph};
 use mrlr_core::io::{parse_json, JsonValue};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig, Outbox};
-use mrlr_mapreduce::{DetRng, Metrics, PayloadOutbox, RuntimeKind, Wire, WordSized};
+use mrlr_mapreduce::{DetRng, Metrics, RuntimeKind, Wire, WordSized};
 
 // ---------------------------------------------------------------------------
 // Counting allocator (this bin only): every heap allocation and
@@ -163,13 +158,41 @@ fn router_cluster(threads: usize, p: RouterParams) -> Cluster<RouterState> {
     cluster
 }
 
-/// Warm-up, then measured supersteps around the allocator snapshot;
-/// shared by every router-shaped workload.
-fn measure_router(
-    mut cluster: Cluster<RouterState>,
-    p: RouterParams,
-    superstep: impl Fn(&mut Cluster<RouterState>),
-) -> RouterMeasurement {
+/// Runs the synthetic workload at one thread count: warm-up, then
+/// measured supersteps around the allocator snapshot. `build` turns a
+/// destination-selecting RNG draw into the message payload and `digest`
+/// folds a received message into the checksum; both are pure, so every
+/// leg sees identical traffic.
+fn run_router<M, B, D>(threads: usize, p: RouterParams, build: B, digest: D) -> RouterMeasurement
+where
+    M: WordSized + Send + Wire + 'static,
+    B: Fn(u64) -> M + Sync,
+    D: Fn(&M) -> u64 + Sync,
+{
+    let mut cluster = router_cluster(threads, p);
+    let machines = p.machines;
+    let volume = p.volume;
+    let superstep = |cluster: &mut Cluster<RouterState>| {
+        cluster
+            .exchange(
+                |_, st: &mut RouterState, out: &mut Outbox<M>| {
+                    for _ in 0..volume {
+                        let draw = st.rng.next_u64();
+                        out.send((draw % machines as u64) as usize, build(draw));
+                    }
+                },
+                |_, st: &mut RouterState, inbox| {
+                    for msg in inbox {
+                        st.checksum = st
+                            .checksum
+                            .wrapping_mul(0x100_0000_01b3)
+                            .wrapping_add(digest(&msg));
+                        st.received += 1;
+                    }
+                },
+            )
+            .expect("exchange");
+    };
     for _ in 0..p.warmup {
         superstep(&mut cluster);
     }
@@ -190,90 +213,12 @@ fn measure_router(
     }
 }
 
-/// Runs the synthetic workload at one thread count. `build`
-/// turns a destination-selecting RNG draw into the message payload and
-/// `digest` folds a received message into the checksum; both are pure,
-/// so every leg sees identical traffic.
-fn run_router<M, B, D>(threads: usize, p: RouterParams, build: B, digest: D) -> RouterMeasurement
-where
-    M: WordSized + Send + Wire + 'static,
-    B: Fn(u64) -> M + Sync,
-    D: Fn(&M) -> u64 + Sync,
-{
-    let cluster = router_cluster(threads, p);
-    let machines = p.machines;
-    let volume = p.volume;
-    measure_router(cluster, p, |cluster| {
-        cluster
-            .exchange(
-                |_, st: &mut RouterState, out: &mut Outbox<M>| {
-                    for _ in 0..volume {
-                        let draw = st.rng.next_u64();
-                        out.send((draw % machines as u64) as usize, build(draw));
-                    }
-                },
-                |_, st: &mut RouterState, inbox| {
-                    for msg in inbox {
-                        st.checksum = st
-                            .checksum
-                            .wrapping_mul(0x100_0000_01b3)
-                            .wrapping_add(digest(&msg));
-                        st.received += 1;
-                    }
-                },
-            )
-            .expect("exchange");
-    })
-}
-
-/// The vec3 workload restaged on the flat payload plane: head `()`
-/// (zero words) plus three `u64` elements, so each message meters
-/// 0 + 1 + 3 = 4 words — exactly the `Vec<u64>` shape it replaces —
-/// and the RNG draws are identical, so checksums and `Metrics` must
-/// match the `Vec<u64>`-message runs bit for bit.
-fn run_router_payload(threads: usize, p: RouterParams) -> RouterMeasurement {
-    let cluster = router_cluster(threads, p);
-    let machines = p.machines;
-    let volume = p.volume;
-    measure_router(cluster, p, |cluster| {
-        cluster
-            .exchange_payload(
-                |_, st: &mut RouterState, out: &mut PayloadOutbox<(), u64>| {
-                    for _ in 0..volume {
-                        let draw = st.rng.next_u64();
-                        let mut w = out.push_payload((draw % machines as u64) as usize, ());
-                        w.push(draw);
-                        w.push(draw ^ 0xff);
-                        w.push(draw >> 7);
-                    }
-                },
-                |_, st: &mut RouterState, mut inbox| {
-                    while let Some(((), payload)) = inbox.next_msg() {
-                        let digest = payload.iter().fold(0u64, |a, x| a.wrapping_add(*x));
-                        st.checksum = st
-                            .checksum
-                            .wrapping_mul(0x100_0000_01b3)
-                            .wrapping_add(digest);
-                        st.received += 1;
-                    }
-                },
-            )
-            .expect("exchange_payload");
-    })
-}
-
-/// Renders one router-shaped measurement as an artifact row.
-fn router_row(
-    section: &str,
-    workload: &str,
-    threads: usize,
-    p: RouterParams,
-    m: &RouterMeasurement,
-) -> String {
+/// Renders one router measurement as an artifact row.
+fn router_row(workload: &str, threads: usize, p: RouterParams, m: &RouterMeasurement) -> String {
     let mut row = String::new();
     let _ = write!(
         row,
-        "{{\"section\": \"{section}\", \"workload\": \"{workload}\", \
+        "{{\"section\": \"router\", \"workload\": \"{workload}\", \
          \"backend\": \"shard\", \"threads\": {threads}, \
          \"machines\": {}, \"volume\": {}, \"supersteps\": {}, \
          \"wall_nanos\": {}, \"wall_nanos_per_superstep\": {}, \
@@ -289,23 +234,6 @@ fn router_row(
         m.metrics.peak_in_words * 8,
     );
     row
-}
-
-/// Asserts `m` bit-identical (checksums + `Metrics`) to `reference`.
-fn assert_same_run(
-    what: &str,
-    threads: usize,
-    m: &RouterMeasurement,
-    reference: &RouterMeasurement,
-) {
-    assert_eq!(
-        m.checksums, reference.checksums,
-        "{what}: threads={threads} diverged from reference"
-    );
-    assert_eq!(
-        m.metrics, reference.metrics,
-        "{what}: threads={threads} metrics diverged"
-    );
 }
 
 /// Both thread-count legs for one message shape; asserts the 4-thread
@@ -324,8 +252,15 @@ fn router_rows<M, B, D>(
     let reference = run_router::<M, _, _>(1, p, build, digest);
     for threads in [1usize, 4] {
         let m = run_router::<M, _, _>(threads, p, build, digest);
-        assert_same_run(workload, threads, &m, &reference);
-        rows.push(router_row("router", workload, threads, p, &m));
+        assert_eq!(
+            m.checksums, reference.checksums,
+            "{workload}: threads={threads} diverged from reference"
+        );
+        assert_eq!(
+            m.metrics, reference.metrics,
+            "{workload}: threads={threads} metrics diverged"
+        );
+        rows.push(router_row(workload, threads, p, &m));
         eprintln!(
             "router/{workload} t{threads}: {} allocs/superstep, {} ns/superstep",
             m.allocs_per_superstep,
@@ -379,15 +314,15 @@ fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
             )),
             cfg,
         ),
-        ("vertex-colouring", Instance::Graph(g), cfg),
+        ("vertex-colouring", Instance::Graph(g.clone()), cfg),
+        ("mis2", Instance::Graph(g), cfg),
     ]
 }
 
 /// Solves `key` on `Backend::Shard` at 1 and 4 threads, asserting the
 /// 4-thread report bit-identical (solution and `Metrics`) to the
-/// 1-thread one, and renders one row per leg; `tag` is the row's
-/// leading `"section": …` fields.
-fn registry_rows(rows: &mut Vec<String>, tag: &str, key: &str, instance: &Instance, cfg: MrConfig) {
+/// 1-thread one, and renders one row per leg.
+fn registry_rows(rows: &mut Vec<String>, key: &str, instance: &Instance, cfg: MrConfig) {
     let registry = Registry::with_defaults();
     let reference = registry
         .solve_with(key, Backend::Shard, instance, &cfg.with_threads(1))
@@ -412,7 +347,7 @@ fn registry_rows(rows: &mut Vec<String>, tag: &str, key: &str, instance: &Instan
         let mut row = String::new();
         let _ = write!(
             row,
-            "{{{tag}, \"backend\": \"shard\", \
+            "{{\"section\": \"registry\", \"algorithm\": \"{key}\", \"backend\": \"shard\", \
              \"threads\": {threads}, \"supersteps\": {}, \"rounds\": {}, \
              \"wall_nanos\": {}, \"allocs_per_superstep\": {}, \
              \"alloc_bytes_per_superstep\": {}, \"peak_inbox_bytes\": {}}}",
@@ -430,43 +365,8 @@ fn registry_rows(rows: &mut Vec<String>, tag: &str, key: &str, instance: &Instan
 
 fn registry_section(rows: &mut Vec<String>, quick: bool) {
     for (key, instance, cfg) in registry_workloads(quick) {
-        let tag = format!("\"section\": \"registry\", \"algorithm\": \"{key}\"");
-        registry_rows(rows, &tag, key, &instance, cfg);
+        registry_rows(rows, key, &instance, cfg);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Payload section: the flat payload plane against the `Vec<u64>` tuple
-// shape it replaces.
-
-/// Router-shaped payload legs plus the `mis2` registry leg. The rows
-/// stage the `router` section's vec3 traffic through
-/// [`Cluster::exchange_payload`] writer handles into pooled flat columns
-/// instead of one heap-allocated `Vec<u64>` per message. Head `()` + 3
-/// elements meters 0 + 1 + 3 = 4 words — the same as `Vec<u64>` with 3
-/// elements — and both shapes consume the same RNG draws, so every leg
-/// is asserted bit-identical (checksums + `Metrics`) to the 1-thread
-/// `Vec<u64>` run before any row is emitted.
-fn payload_section(rows: &mut Vec<String>, quick: bool) {
-    let p = if quick { ROUTER_QUICK } else { ROUTER_FULL };
-    let reference = run_router::<Vec<u64>, _, _>(1, p, vec3_build, vec3_digest);
-    for threads in [1usize, 4] {
-        let m = run_router_payload(threads, p);
-        assert_same_run("payload", threads, &m, &reference);
-        rows.push(router_row("payload", "payload", threads, p, &m));
-        eprintln!(
-            "payload t{threads}: {} → {} allocs/superstep",
-            reference.allocs_per_superstep, m.allocs_per_superstep
-        );
-    }
-    // The `mis2` solve through the registry: its sample shuffles ride
-    // the payload plane, so this leg records what the flat columns buy
-    // at the whole-algorithm level.
-    let n = if quick { REG_QUICK_N } else { REG_FULL_N };
-    let g = weighted_graph(n, REG_C, REG_SEED);
-    let cfg = MrConfig::auto(n, g.m(), REG_MU, REG_SEED);
-    let tag = "\"section\": \"payload\", \"workload\": \"mis2\"";
-    registry_rows(rows, tag, "mis2", &Instance::Graph(g), cfg);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,9 +383,9 @@ fn write_artifact(path: &str, rows: &[String]) {
     println!("wrote {path} ({} rows)", rows.len());
 }
 
-/// CI gate: the committed artifact must carry rows for every section.
+/// CI gate: the committed artifact must carry rows for both sections.
 fn check_artifact(path: &str, rows: &[JsonValue]) {
-    for section in ["router", "registry", "payload"] {
+    for section in ["router", "registry"] {
         let count = rows
             .iter()
             .filter(|r| r.get("section").and_then(JsonValue::as_str) == Some(section))
@@ -498,8 +398,8 @@ fn check_artifact(path: &str, rows: &[JsonValue]) {
     }
 }
 
-/// CI alloc-regression gate: every freshly measured router or payload
-/// row must stay within `max(base * 5/4, base + 16)` of the
+/// CI alloc-regression gate: every freshly measured router row must
+/// stay within `max(base * 5/4, base + 16)` of the
 /// allocs-per-superstep its committed baseline records (25% slack, with
 /// an absolute +16 grace so single-digit baselines don't flake on
 /// allocator noise). The fresh rows run at QUICK sizes, which are never
@@ -525,7 +425,7 @@ fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
     let mut gated = 0usize;
     for row in measured {
         let row = parse_json(row).expect("measured row renders as JSON");
-        let key = key_of(&row).expect("router and payload rows name their workload");
+        let key = key_of(&row).expect("router rows name their workload");
         let Some(&(_, base)) = baselines.iter().find(|(k, _)| *k == key) else {
             panic!("--check: no committed baseline for {key:?}");
         };
@@ -563,12 +463,10 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| "BENCH_exec.json".into());
 
     if check {
-        // Fast equivalence gates first: any thread-count or
-        // tuple-vs-payload-plane divergence panics inside the section
-        // runners before the file is judged.
+        // Fast equivalence gate first: any thread-count divergence
+        // panics inside the section runner before the file is judged.
         let mut measured = Vec::new();
         router_section(&mut measured, true);
-        payload_section(&mut measured, true);
         let text = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {out_path}: {e}"));
         let doc = parse_json(&text).expect("artifact parses");
@@ -585,6 +483,5 @@ fn main() {
     let mut rows = Vec::new();
     router_section(&mut rows, quick);
     registry_section(&mut rows, quick);
-    payload_section(&mut rows, quick);
     write_artifact(&out_path, &rows);
 }

@@ -1,5 +1,7 @@
 //! Per-lemma experiments E1–E14: the quantitative claims behind the
-//! paper's theorems, measured on the cluster simulator.
+//! paper's theorems, measured on the cluster simulator. E11 (post-hoc
+//! fault pricing) is retired — `Backend::Dist` recovers from real worker
+//! kills, see `scripts/fault_smoke.sh`; the other numbers are stable.
 //!
 //! Every algorithm invocation dispatches through the
 //! [`mrlr_core::api::Registry`] — experiments only differ in the workloads
@@ -25,8 +27,6 @@ use mrlr_core::exact;
 use mrlr_core::hungry::{hungry_set_cover, HungryScParams};
 use mrlr_core::mr::MrConfig;
 use mrlr_core::seq::b_matching_multiplier;
-use mrlr_mapreduce::faults::{apply, FaultPlan};
-use mrlr_mapreduce::trace::Timeline;
 use mrlr_setsys::generators as setgen;
 
 fn main() {
@@ -62,9 +62,6 @@ fn main() {
     }
     if want("e10") {
         e10_clique(&registry);
-    }
-    if want("e11") {
-        e11_fault_pricing(&registry);
     }
     if want("e12") {
         e12_eta_ablation(&registry);
@@ -583,61 +580,6 @@ fn e10_clique(registry: &Registry) {
         "{}",
         render_table(
             &["instance", "|K|", "iterations", "MR rounds", "peak words"],
-            &rows
-        )
-    );
-}
-
-/// E11 — fault tolerance pricing (§1 motivation): crash/straggler plans
-/// priced against real runs; the algorithm's output is unchanged (the
-/// MapReduce recovery contract), only rounds/makespan stretch.
-fn e11_fault_pricing(registry: &Registry) {
-    println!("\n## E11 — fault pricing: crash/straggler overhead on real runs\n");
-    let n = 300usize;
-    let g = weighted_graph(n, 0.5, 41);
-    let cfg = MrConfig::auto(n, g.m(), 0.2, 41);
-    let r = solve(registry, "matching", &Instance::Graph(g), &cfg);
-    let met = r.metrics.expect("Mr backend meters");
-    let t = Timeline::from_metrics(&met);
-    println!(
-        "base run: {} rounds, {} words moved, busiest round {} words\n",
-        met.rounds,
-        t.total_words(),
-        t.busiest_round().map_or(0, |b| b.total)
-    );
-    let mut rows = Vec::new();
-    for (crash_p, straggle_p, slowdown) in [
-        (0.0f64, 0.0f64, 1.0f64),
-        (0.01, 0.0, 1.0),
-        (0.05, 0.0, 1.0),
-        (0.0, 0.10, 2.0),
-        (0.0, 0.10, 4.0),
-        (0.05, 0.10, 3.0),
-    ] {
-        let plan = FaultPlan::random(met.machines, met.rounds, crash_p, straggle_p, slowdown, 43);
-        let priced = apply(&met, &plan);
-        rows.push(Row(vec![
-            format!(
-                "crash {:.0}% straggle {:.0}% x{slowdown}",
-                crash_p * 100.0,
-                straggle_p * 100.0
-            ),
-            format!("{}", priced.crashes_applied + priced.stragglers_applied),
-            format!("{} -> {}", priced.base_rounds, priced.effective_rounds),
-            format!("{:.1}", priced.makespan),
-            format!("{:.2}x", priced.slowdown_factor()),
-        ]));
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "fault rates",
-                "events",
-                "rounds",
-                "makespan (round-units)",
-                "slowdown"
-            ],
             &rows
         )
     );

@@ -155,7 +155,7 @@ impl CentralRound {
     }
 }
 
-/// Per-sample fixed-width head on the payload plane: `(class, group, v)`;
+/// Per-sample fixed-width head of a payload gather: `(class, group, v)`;
 /// the variable-size alive-neighbour list rides in the flat element arena.
 /// Word count (3 + 1 + len) is identical to the `(u64, u64, VertexId,
 /// Vec<VertexId>)` tuple it replaced, so metrics and goldens don't move.

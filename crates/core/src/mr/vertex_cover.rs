@@ -12,10 +12,9 @@
 //! machine with its incident edge-id list.
 //!
 //! Every message this driver ships is a fixed-width scalar tuple, so it
-//! stays on the plain exchange/gather plane: the flat payload plane
-//! (`Cluster::exchange_payload`/`gather_payload`, see `crate::mr::mis`)
-//! only pays off for variable-size `(head, [elements])` messages, and
-//! moving scalar tuples onto it would change nothing but the call shape.
+//! uses plain `exchange`/`gather`: the flat payload gather
+//! (`Cluster::gather_payload`, see `crate::mr::mis`) only pays off for
+//! variable-size `(head, [elements])` messages.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;

@@ -3,9 +3,9 @@
 //!
 //! * [`crate::shard`] — each machine's state, RNG and space accounting
 //!   live in a [`Shard`] that owns them exclusively;
-//! * [`crate::router`] / [`crate::payload`] — the routing planes that
-//!   deliver exchanged messages (a counting sort into pooled flat
-//!   arenas);
+//! * [`crate::router`] — the routing plane that delivers exchanged
+//!   messages (a counting sort into one pooled flat arena), and
+//!   [`crate::payload`] — the flat staging sink of variable-size gathers;
 //! * [`crate::superstep`] — the scheduler that lays shard tasks onto OS
 //!   threads in static contiguous blocks.
 //!
@@ -18,7 +18,8 @@
 //! * [`Cluster::local`] — machine-local computation (fused with the adjacent
 //!   communication round; costs no round of its own),
 //! * [`Cluster::exchange`] — one round of arbitrary point-to-point messages,
-//! * [`Cluster::gather`] — one round of all-machines-to-one,
+//! * [`Cluster::gather`] / [`Cluster::gather_payload`] — one round of
+//!   all-machines-to-one (owned messages, or flat `(head, [T])` payloads),
 //! * [`Cluster::broadcast`] / [`Cluster::broadcast_words`] — central machine
 //!   to everyone through a fan-out-`t` tree (`⌈log_t M⌉` rounds, exactly the
 //!   broadcast tree of Section 2.2 / 4.1 of the paper),
@@ -36,7 +37,7 @@ use crate::dist::{DistConfig, DistSession, Wire};
 use crate::error::{CapacityKind, MrError, MrResult};
 use crate::executor::{self, Executor};
 use crate::metrics::{Metrics, RoundKind, Violation};
-use crate::payload::{self, PayloadBatch, PayloadInbox, PayloadOutbox, PayloadSink};
+use crate::payload::{PayloadBatch, PayloadSink};
 use crate::router::{self, RouterScratch};
 use crate::shard::{shards_from_states, Shard};
 use crate::superstep::{self, RuntimeKind, Scheduler};
@@ -372,6 +373,17 @@ impl<S: MachineState> Cluster<S> {
         Ok(())
     }
 
+    /// Every pooled buffer a primitive takes must come back, on every
+    /// exit: the pool may warm up (grow) but never shrink across a
+    /// superstep.
+    #[cfg(debug_assertions)]
+    fn assert_pool_not_shrunk(&self, pooled_before: usize, primitive: &str) {
+        assert!(
+            self.scratch.pooled_buffers() >= pooled_before,
+            "router scratch leaked pooled buffers across a {primitive}"
+        );
+    }
+
     fn check_states(&mut self) -> MrResult<()> {
         let sizes: Vec<usize> = self.sched.map_ref(&self.shards, |_, shard| shard.words());
         let peak = sizes.iter().copied().max().unwrap_or(0);
@@ -420,6 +432,8 @@ impl<S: MachineState> Cluster<S> {
         self.metrics.supersteps += 1;
         self.dist_sync()?;
         let machines = self.cfg.machines;
+        #[cfg(debug_assertions)]
+        let pooled_before = self.scratch.pooled_buffers();
         // Meter outgoing volume per machine while producing. Machines run
         // concurrently on the scheduler; results come back in machine-id
         // order regardless of schedule. Each machine stages into pooled
@@ -441,9 +455,9 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_timing(pass.wall_nanos, &pass.task_nanos);
 
-        // Deliver: stable order (sender id, then send order within sender),
-        // identical across runtimes — the dist workers bucket the
-        // serialized batches in arrival order.
+        // Deliver: stable order (sender id, then send order within sender)
+        // into one pooled arena, identical across runtimes — the dist
+        // workers bucket the serialized batches in arrival order.
         let delivery = match self.dist.as_mut() {
             Some(session) => {
                 let d = session.exchange(self.metrics.supersteps, outboxes, &mut self.scratch)?;
@@ -460,7 +474,7 @@ impl<S: MachineState> Cluster<S> {
             .record_round(RoundKind::Exchange, max_out, max_in, total);
 
         let budget = self.budget_exchange(&out_words, delivery.in_words());
-        // SAFETY: `buffers` (the arena backing flat inboxes) lives until
+        // SAFETY: `buffers` (the arena backing the inboxes) lives until
         // after every inbox has been dropped — by the early exit just
         // below, or by the consume pass.
         let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
@@ -470,6 +484,8 @@ impl<S: MachineState> Cluster<S> {
             // an early `?` exit dropped taken scratch on the floor.
             drop(inboxes);
             buffers.recycle(&mut self.scratch);
+            #[cfg(debug_assertions)]
+            self.assert_pool_not_shrunk(pooled_before, "exchange");
             return Err(e);
         }
 
@@ -485,98 +501,8 @@ impl<S: MachineState> Cluster<S> {
         buffers.recycle(&mut self.scratch);
         self.metrics
             .record_timing(pass.wall_nanos, &pass.task_nanos);
-        self.check_states()
-    }
-
-    /// One round of point-to-point **variable-size** messages: each
-    /// message is a `Copy` head plus a payload of `Copy` elements, staged
-    /// flat in a [`PayloadOutbox`] (whole slices via
-    /// [`PayloadOutbox::send`], or element-by-element through
-    /// [`PayloadOutbox::push_payload`] writer handles) and read back from
-    /// a [`PayloadInbox`] as zero-copy `(head, &[T])` slices. Metering,
-    /// delivery order and budgets are identical to [`Cluster::exchange`]
-    /// with `(head, Vec<T>)` tuple messages — a payload message costs
-    /// `head.words() + 1 + Σ element words` — but steady-state supersteps
-    /// perform no per-message allocation on any layer: staging, routing
-    /// ([`crate::payload`]'s two-axis counting sort), the dist wire, and
-    /// consumption all run through pooled flat buffers.
-    pub fn exchange_payload<H, T, P, C>(&mut self, produce: P, consume: C) -> MrResult<()>
-    where
-        H: Copy + WordSized + Send + Wire + 'static,
-        T: Copy + WordSized + Send + Wire + 'static,
-        P: Fn(MachineId, &mut S, &mut PayloadOutbox<H, T>) + Sync,
-        C: Fn(MachineId, &mut S, PayloadInbox<H, T>) + Sync,
-    {
-        self.metrics.supersteps += 1;
-        self.dist_sync()?;
-        let machines = self.cfg.machines;
         #[cfg(debug_assertions)]
-        let pooled_before = self.scratch.pooled_buffers();
-        let boxes: Vec<PayloadOutbox<H, T>> = (0..machines)
-            .map(|_| {
-                let (heads, dsts) = self.scratch.take_columns::<H>();
-                let lens = self.scratch.take_usizes_empty();
-                let elems = self.scratch.take_arena::<T>();
-                PayloadOutbox::with_buffers(machines, heads, dsts, lens, elems)
-            })
-            .collect();
-        let mut staging: Vec<(&mut Shard<S>, PayloadOutbox<H, T>)> =
-            self.shards.iter_mut().zip(boxes).collect();
-        let pass = self.sched.timed_mut(&mut staging, |id, (shard, out)| {
-            produce(id, shard.state_mut(), out);
-            out.staged_words()
-        });
-        let out_words: Vec<usize> = pass.results;
-        let outboxes: Vec<PayloadOutbox<H, T>> = staging.into_iter().map(|(_, out)| out).collect();
-        self.metrics
-            .record_timing(pass.wall_nanos, &pass.task_nanos);
-
-        let delivery = match self.dist.as_mut() {
-            Some(session) => {
-                let d = session.exchange_payload(
-                    self.metrics.supersteps,
-                    outboxes,
-                    &mut self.scratch,
-                )?;
-                self.metrics.dist = Some(session.summary());
-                d
-            }
-            None => payload::route_payload(&self.sched, machines, outboxes, &mut self.scratch),
-        };
-
-        let max_out = out_words.iter().copied().max().unwrap_or(0);
-        let max_in = delivery.in_words().iter().copied().max().unwrap_or(0);
-        let total: usize = out_words.iter().sum();
-        self.metrics
-            .record_round(RoundKind::Exchange, max_out, max_in, total);
-
-        let budget = self.budget_exchange(&out_words, delivery.in_words());
-        // SAFETY: `buffers` (the arenas the inboxes borrow from) lives
-        // until after every inbox has been dropped — by the early exit
-        // just below, or by the consume pass.
-        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
-        if let Err(e) = budget {
-            drop(inboxes);
-            buffers.recycle(&mut self.scratch);
-            return Err(e);
-        }
-
-        let mut pairs: Vec<(&mut Shard<S>, PayloadInbox<H, T>)> =
-            self.shards.iter_mut().zip(inboxes).collect();
-        let pass = self.sched.timed_mut(&mut pairs, |id, (shard, inbox)| {
-            consume(id, shard.state_mut(), std::mem::take(inbox));
-        });
-        drop(pairs);
-        buffers.recycle(&mut self.scratch);
-        self.metrics
-            .record_timing(pass.wall_nanos, &pass.task_nanos);
-        // Every buffer an exchange takes must come back: the pool may
-        // warm up (grow) but can never shrink across a superstep.
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.scratch.pooled_buffers() >= pooled_before,
-            "router scratch leaked pooled buffers across a payload exchange"
-        );
+        self.assert_pool_not_shrunk(pooled_before, "exchange");
         self.check_states()
     }
 
@@ -661,10 +587,7 @@ impl<S: MachineState> Cluster<S> {
             sink.recycle_into(&mut self.scratch);
         }
         #[cfg(debug_assertions)]
-        debug_assert!(
-            self.scratch.pooled_buffers() >= pooled_before,
-            "router scratch leaked pooled buffers across a payload gather"
-        );
+        self.assert_pool_not_shrunk(pooled_before, "payload gather");
         budget.map(|()| batch)
     }
 
@@ -803,6 +726,48 @@ mod tests {
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, 3);
         assert!(cfg.validate().is_ok());
+    }
+
+    /// A `Strict` inbox-budget violation exits `exchange` before the
+    /// consume pass; the arena, ranges and word buffers it drew must be
+    /// back in the pool, and the cluster must keep working — on both
+    /// runtimes, which share the delivery shape.
+    #[test]
+    fn budget_violation_returns_pooled_buffers_on_both_runtimes() {
+        for runtime in [RuntimeKind::Shard, RuntimeKind::Dist] {
+            let machines = 4;
+            let cfg = ClusterConfig::new(machines, 6).with_runtime(runtime);
+            let states: Vec<Vec<u64>> = vec![Vec::new(); machines];
+            let mut c = Cluster::new(cfg, states).unwrap();
+            // `per_sender` words from every machine to machine 0.
+            let flood = |c: &mut Cluster<Vec<u64>>, per_sender: usize| {
+                c.exchange::<u64, _, _>(
+                    |id, _, out| (0..per_sender).for_each(|k| out.send(0, (id + k) as u64)),
+                    |_, s, inbox| s.extend(inbox.take(1)),
+                )
+            };
+            flood(&mut c, 1).unwrap();
+            let warm = c.scratch.pooled_buffers();
+            assert!(warm > 0, "{runtime:?}");
+            // 3 words out per machine fit; 12 words into machine 0 do not.
+            let err = flood(&mut c, 3).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MrError::CapacityExceeded {
+                        kind: CapacityKind::Inbox,
+                        machine: 0,
+                        used: 12,
+                        ..
+                    }
+                ),
+                "{runtime:?}: {err:?}"
+            );
+            assert!(c.scratch.pooled_buffers() >= warm, "{runtime:?}");
+            flood(&mut c, 1).unwrap();
+            assert!(c.scratch.pooled_buffers() >= warm, "{runtime:?}");
+            assert_eq!(c.state(0), &[0, 0], "{runtime:?}");
+        }
     }
 
     #[test]

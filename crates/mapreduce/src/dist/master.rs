@@ -7,8 +7,8 @@
 //! barrier-and-heartbeat every primitive passes through — and, for
 //! `exchange` supersteps, `DistSession::exchange`, which serializes the
 //! staged outboxes into per-worker batch frames, collects the assembled
-//! inbox regions back, and decodes them into the router's
-//! `Delivery` shape.
+//! inbox regions back, and decodes them into the router's `Delivery`:
+//! one pooled arena plus an `(offset, len)` range per shard.
 //!
 //! **Recovery.** Any failed read from a worker (EOF after an injected
 //! kill, a transport error, a read timeout) declares that worker dead.
@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 use crate::error::{MrError, MrResult};
 use crate::metrics::{DistSummary, RecoveryEvent, WorkerShuffle};
-use crate::payload::{PayloadDelivery, PayloadOutbox};
 use crate::rng::mix2;
 use crate::router::{Delivery, Outbox, RouterScratch};
 use crate::superstep::StaticAssignment;
@@ -41,7 +40,7 @@ use crate::words::WordSized;
 use super::transport::{read_frame, read_frame_body, write_frame};
 use super::wire::{
     decode_value, digest_fold_payload, digest_fold_shard, digest_init, BatchStream, Frame,
-    RegionWalker, Wire, WireError, WireReader,
+    RegionWalker, Wire, WireError,
 };
 use super::worker::{self, SOCKET_ENV, WORKER_BIN_ENV};
 use super::{DistConfig, SpawnKind};
@@ -219,11 +218,14 @@ impl DistSession {
     /// serialized in id order and workers bucket in arrival order.
     ///
     /// Batch frames are streamed straight out of the staged columns into
-    /// pooled byte buffers ([`BatchStream`]) and regions are walked in
-    /// place from one reused body buffer ([`RegionWalker`]) — the
-    /// per-message `Vec<u8>` staging of the original implementation is
-    /// gone, and the outbox columns return to `scratch`. The wire bytes,
-    /// digest discipline and retained-replay recovery are unchanged.
+    /// pooled byte buffers ([`BatchStream`]), and the outbox columns
+    /// return to `scratch`. Regions are walked in place from one reused
+    /// body buffer ([`RegionWalker`]) and decoded straight into one
+    /// pooled arena: regions are read in worker order and
+    /// [`validate_region`] guarantees each holds exactly its worker's
+    /// contiguous [`StaticAssignment`] block in ascending shard order, so
+    /// messages arrive in destination order and shard `d`'s inbox is the
+    /// arena range recorded as it streams past.
     pub(crate) fn exchange<M: WordSized + Wire + Send + 'static>(
         &mut self,
         superstep: usize,
@@ -242,7 +244,8 @@ impl DistSession {
             scratch.put_columns(outbox.into_buffers());
         }
         let retained = self.send_batches(streams, s);
-        let mut inboxes: Vec<Vec<M>> = (0..self.machines).map(|_| Vec::new()).collect();
+        let mut arena: Vec<M> = scratch.take_arena();
+        let mut ranges = scratch.take_ranges(self.machines);
         let mut in_words = scratch.take_usizes(self.machines);
         let mut body = std::mem::take(&mut self.region_buf);
         let outcome = (|| -> MrResult<()> {
@@ -256,13 +259,15 @@ impl DistSession {
                 let (_, mut walker) = RegionWalker::open(&body).map_err(dist_err)?;
                 while let Some((shard, count)) = walker.next_shard().map_err(dist_err)? {
                     let shard = shard as usize;
+                    let start = arena.len();
                     for _ in 0..count {
                         let payload = walker.next_payload().map_err(dist_err)?;
                         let msg: M = decode_value(payload)
                             .map_err(|e| dist_err(format!("worker {w} inbox payload: {e}")))?;
                         in_words[shard] += msg.words();
-                        inboxes[shard].push(msg);
+                        arena.push(msg);
                     }
+                    ranges[shard] = (start, arena.len() - start);
                 }
             }
             Ok(())
@@ -270,117 +275,15 @@ impl DistSession {
         self.region_buf = body;
         self.frame_pool.extend(retained);
         if let Err(e) = outcome {
-            scratch.put_usizes(in_words);
-            return Err(e);
-        }
-        self.shuffle_nanos += t0.elapsed().as_nanos() as u64;
-        // Deliveries stay nested here: the decoded regions arrive
-        // per-worker and the retained batch bytes — not pooled buffers —
-        // are what fault recovery replays (see `crate::router` docs).
-        Ok(Delivery::from_nested(inboxes, in_words))
-    }
-
-    /// The payload-plane shuffle: like [`DistSession::exchange`], but the
-    /// staged `(head, [element])` messages stream onto the wire directly
-    /// from the flat payload columns, and the returned regions decode
-    /// straight into pooled flat arenas — the same zero-copy
-    /// [`PayloadDelivery`] the in-process plane builds, never a nested
-    /// `Vec<Vec<_>>`.
-    ///
-    /// Each message's wire bytes are exactly the canonical encoding of the
-    /// `(head, Vec<element>)` tuple it replaces, so workers (which treat
-    /// payloads as opaque bytes), region digests and recovery replay need
-    /// no changes. Flat assembly is possible because regions arrive in
-    /// worker order and [`StaticAssignment`] blocks are contiguous and
-    /// ascending: shards stream back in exact destination order.
-    pub(crate) fn exchange_payload<H, T>(
-        &mut self,
-        superstep: usize,
-        outboxes: Vec<PayloadOutbox<H, T>>,
-        scratch: &mut RouterScratch,
-    ) -> MrResult<PayloadDelivery<H, T>>
-    where
-        H: Copy + WordSized + Wire + Send + 'static,
-        T: Copy + WordSized + Wire + Send + 'static,
-    {
-        let t0 = Instant::now();
-        let s = superstep as u64;
-        let mut streams = self.batch_streams(s);
-        for outbox in &outboxes {
-            let mut off = 0usize;
-            for (i, &dst) in outbox.dsts.iter().enumerate() {
-                let len = outbox.lens[i];
-                let elems = &outbox.elems[off..off + len];
-                off += len;
-                streams[self.owner[dst]].push_with(dst as u64, |out| {
-                    outbox.heads[i].encode(out);
-                    (len as u64).encode(out);
-                    for e in elems {
-                        e.encode(out);
-                    }
-                });
-            }
-        }
-        for outbox in outboxes {
-            outbox.recycle_into(scratch);
-        }
-        let retained = self.send_batches(streams, s);
-        let mut heads: Vec<H> = scratch.take_arena();
-        let mut elems: Vec<T> = scratch.take_arena();
-        let mut spans = scratch.take_ranges_empty();
-        let mut ranges = scratch.take_ranges(self.machines);
-        let mut in_words = scratch.take_usizes(self.machines);
-        let mut body = std::mem::take(&mut self.region_buf);
-        let outcome = (|| -> MrResult<()> {
-            for (w, kept) in retained.iter().enumerate() {
-                if self.read_region_raw(w, s, &mut body).is_err() {
-                    self.recover_exchange_raw(w, s, kept, &mut body)?;
-                }
-                let wire = |e: WireError| dist_err(format!("worker {w} inbox payload: {e}"));
-                let (_, mut walker) = RegionWalker::open(&body).map_err(dist_err)?;
-                while let Some((shard, count)) = walker.next_shard().map_err(dist_err)? {
-                    let shard = shard as usize;
-                    let mstart = heads.len();
-                    let mut words = 0usize;
-                    for _ in 0..count {
-                        let payload = walker.next_payload().map_err(dist_err)?;
-                        let mut r = WireReader::new(payload);
-                        let head = H::decode(&mut r).map_err(wire)?;
-                        let plen = usize::decode(&mut r).map_err(wire)?;
-                        let estart = elems.len();
-                        let mut msg_words = head.words() + 1;
-                        for _ in 0..plen {
-                            let e = T::decode(&mut r).map_err(wire)?;
-                            msg_words += e.words();
-                            elems.push(e);
-                        }
-                        r.finish().map_err(wire)?;
-                        heads.push(head);
-                        spans.push((estart, plen));
-                        words += msg_words;
-                    }
-                    ranges[shard] = (mstart, heads.len() - mstart);
-                    in_words[shard] = words;
-                }
-            }
-            Ok(())
-        })();
-        self.region_buf = body;
-        self.frame_pool.extend(retained);
-        if let Err(e) = outcome {
-            heads.clear();
-            elems.clear();
-            scratch.put_arena(heads);
-            scratch.put_arena(elems);
-            scratch.put_ranges(spans);
+            // Drops the messages decoded so far; the buffers go back.
+            arena.clear();
+            scratch.put_arena(arena);
             scratch.put_ranges(ranges);
             scratch.put_usizes(in_words);
             return Err(e);
         }
         self.shuffle_nanos += t0.elapsed().as_nanos() as u64;
-        Ok(PayloadDelivery::from_flat(
-            heads, spans, elems, ranges, in_words,
-        ))
+        Ok(Delivery::from_flat(arena, ranges, in_words))
     }
 
     /// One [`BatchStream`] per worker, seeded from the frame pool.
@@ -707,107 +610,60 @@ mod tests {
         route_merge(machines, outboxes(machines, volume, seed))
     }
 
-    #[test]
-    fn dist_exchange_matches_the_reference_router() {
-        for workers in [1usize, 2, 4] {
-            let machines = 9;
-            let cfg = DistConfig {
-                workers,
-                ..DistConfig::default()
-            };
-            let mut scratch = RouterScratch::default();
-            let mut session = DistSession::launch(machines, 42, &cfg).unwrap();
-            session.open(1).unwrap();
-            let got = session
-                .exchange(1, outboxes(machines, 50, 7), &mut scratch)
-                .unwrap();
-            let (want, want_words) = reference(machines, 50, 7);
-            assert_eq!(got.nested(), want, "workers {workers}");
-            assert_eq!(got.in_words(), want_words, "workers {workers}");
-            let summary = session.summary();
-            assert_eq!(summary.workers, workers.min(machines));
-            assert!(summary.shuffle.iter().any(|s| s.bytes_out > 0));
-            assert!(summary.recoveries.is_empty());
-        }
+    /// One dist exchange of `stage()`'s traffic at `workers` requested
+    /// workers, checked against the router oracle on the same traffic.
+    fn assert_matches_reference<M>(
+        machines: usize,
+        workers: usize,
+        stage: impl Fn() -> Vec<Outbox<M>>,
+    ) -> DistSummary
+    where
+        M: WordSized + Wire + Send + Clone + PartialEq + std::fmt::Debug + 'static,
+    {
+        let cfg = DistConfig {
+            workers,
+            ..DistConfig::default()
+        };
+        let mut scratch = RouterScratch::default();
+        let mut session = DistSession::launch(machines, 42, &cfg).unwrap();
+        session.open(1).unwrap();
+        let got = session.exchange(1, stage(), &mut scratch).unwrap();
+        let (want, want_words) = route_merge(machines, stage());
+        assert_eq!(got.nested(), want, "workers {workers}");
+        assert_eq!(got.in_words(), want_words, "workers {workers}");
+        let summary = session.summary();
+        assert_eq!(summary.workers, workers.min(machines));
+        assert!(summary.recoveries.is_empty());
+        summary
     }
 
     #[test]
-    fn dist_payload_exchange_matches_the_nested_exchange() {
-        use crate::payload::PayloadOutbox;
-        // The payload plane and the tuple plane must be byte-identical on
-        // the wire and word-identical in the delivery: stage the same
-        // traffic both ways and compare everything, including the shuffle
-        // byte counters.
-        let machines = 7;
-        let volume = 40;
-        let stage_tuples = |seed: u64| -> Vec<Outbox<(u64, Vec<u32>)>> {
+    fn dist_exchange_matches_the_reference_router() {
+        let machines = 9;
+        // Non-`Copy` messages of varying length (empty included), sent
+        // only to shards 0, 2 and 4: shards 1 and 3 receive nothing, and
+        // at 2 and 4 workers every block past shard 4 is empty as a whole.
+        let sparse_vecs = || -> Vec<Outbox<Vec<u64>>> {
             (0..machines)
-                .map(|sender| {
-                    let mut rng = crate::rng::DetRng::derive(seed, &[sender as u64]);
+                .map(|s| {
+                    let mut rng = crate::rng::DetRng::derive(11, &[s as u64]);
                     let mut out = Outbox::new(machines);
-                    for k in 0..volume {
-                        let dst = rng.range(machines as u64) as usize;
-                        let len = (rng.range(5)) as usize;
-                        let elems: Vec<u32> =
-                            (0..len).map(|j| (sender * 100 + k + j) as u32).collect();
-                        out.send(dst, ((sender * 1000 + k) as u64, elems));
+                    for k in 0..20 {
+                        let len = rng.range(4) as usize;
+                        let msg = (0..len).map(|j| (s * 1000 + k * 10 + j) as u64).collect();
+                        out.send(2 * rng.range(3) as usize, msg);
                     }
                     out
                 })
                 .collect()
         };
-        let stage_payloads = |seed: u64| -> Vec<PayloadOutbox<u64, u32>> {
-            (0..machines)
-                .map(|sender| {
-                    let mut rng = crate::rng::DetRng::derive(seed, &[sender as u64]);
-                    let mut out = PayloadOutbox::new(machines);
-                    for k in 0..volume {
-                        let dst = rng.range(machines as u64) as usize;
-                        let len = (rng.range(5)) as usize;
-                        let mut w = out.push_payload(dst, (sender * 1000 + k) as u64);
-                        for j in 0..len {
-                            w.push((sender * 100 + k + j) as u32);
-                        }
-                    }
-                    out
-                })
-                .collect()
-        };
-        for workers in [1usize, 3] {
-            let cfg = DistConfig {
-                workers,
-                ..DistConfig::default()
-            };
-            let mut scratch = RouterScratch::default();
-            let mut nested_session = DistSession::launch(machines, 11, &cfg).unwrap();
-            nested_session.open(1).unwrap();
-            let want = nested_session
-                .exchange(1, stage_tuples(13), &mut scratch)
-                .unwrap();
-            let mut session = DistSession::launch(machines, 11, &cfg).unwrap();
-            session.open(1).unwrap();
-            let got = session
-                .exchange_payload(1, stage_payloads(13), &mut scratch)
-                .unwrap();
-            assert_eq!(got.in_words(), want.in_words(), "workers {workers}");
-            let (mut inboxes, buffers) = unsafe { got.into_inboxes() };
-            for (m, want_msgs) in want.nested().iter().enumerate() {
-                let mut seen = Vec::new();
-                while let Some((head, elems)) = inboxes[m].next_msg() {
-                    seen.push((head, elems.to_vec()));
-                }
-                assert_eq!(&seen, want_msgs, "machine {m}, workers {workers}");
-            }
-            drop(inboxes);
-            buffers.recycle(&mut scratch);
-            // Identical bytes moved on identical worker topologies.
-            let a = nested_session.summary();
-            let b = session.summary();
-            for (x, y) in a.shuffle.iter().zip(b.shuffle.iter()) {
-                assert_eq!(x.bytes_out, y.bytes_out, "workers {workers}");
-                assert_eq!(x.bytes_in, y.bytes_in, "workers {workers}");
-            }
+        for workers in [1usize, 2, 4] {
+            let summary = assert_matches_reference(machines, workers, || outboxes(machines, 50, 7));
+            assert!(summary.shuffle.iter().any(|s| s.bytes_out > 0));
+            assert_matches_reference(machines, workers, sparse_vecs);
         }
+        // More workers requested than shards: clamped to one shard each.
+        assert_matches_reference(3, 5, || outboxes(3, 50, 7));
     }
 
     #[test]
@@ -815,7 +671,7 @@ mod tests {
         let machines = 8;
         let cfg = DistConfig {
             workers: 2,
-            kills: vec![crate::faults::WorkerKill {
+            kills: vec![crate::dist::WorkerKill {
                 worker: 1,
                 superstep: 2,
             }],
@@ -856,7 +712,7 @@ mod tests {
         // detected at a barrier, not mid-exchange.
         let cfg = DistConfig {
             workers: 2,
-            kills: vec![crate::faults::WorkerKill {
+            kills: vec![crate::dist::WorkerKill {
                 worker: 0,
                 superstep: 1,
             }],

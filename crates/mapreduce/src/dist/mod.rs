@@ -16,11 +16,11 @@
 //! block's deterministic `(cluster seed, shard id)` identity keys.
 //!
 //! Fault tolerance is the point: the master heartbeats workers through
-//! the barrier protocol, a [`crate::faults::FaultPlan`] can kill a worker
-//! at a chosen superstep ([`crate::faults::WorkerKill`]), and the master
-//! recovers by respawning the worker, re-establishing its block from the
-//! `(seed, shard)` identity keys, and replaying the retained batch
-//! traffic of the interrupted exchange. Because delivery order and shard
+//! the barrier protocol, a [`WorkerKill`] in [`DistConfig::kills`] kills
+//! a worker at a chosen superstep, and the master recovers by respawning
+//! the worker, re-establishing its block from the `(seed, shard)`
+//! identity keys, and replaying the retained batch traffic of the
+//! interrupted exchange. Because delivery order and shard
 //! RNG streams are pure functions of the configuration, a recovered run
 //! produces **bit-identical** reports — solutions, certificates,
 //! witnesses and model [`crate::metrics::Metrics`] — to a fault-free one,
@@ -37,8 +37,6 @@ pub mod worker;
 
 pub use master::DistSession;
 pub use wire::{Frame, Wire, WireError, WireReader};
-
-use crate::faults::WorkerKill;
 
 /// How the master materializes workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,9 +72,21 @@ pub struct DistConfig {
     pub workers: usize,
     /// Thread- or process-backed workers.
     pub spawn: SpawnKind,
-    /// Live fault injections (from
-    /// [`crate::faults::FaultPlan::worker_kills`]).
+    /// Live fault injections.
     pub kills: Vec<WorkerKill>,
+}
+
+/// A live fault injection: kill worker `worker` of a dist session once
+/// it has acked superstep `superstep`'s barrier. The kill is executed
+/// for real by the transport, and the master's recovery (respawn +
+/// deterministic re-derivation + batch replay) must reproduce the
+/// fault-free run bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerKill {
+    /// The dist worker to kill (`0..workers`).
+    pub worker: usize,
+    /// The 1-based superstep after whose barrier ack the worker dies.
+    pub superstep: usize,
 }
 
 impl Default for DistConfig {

@@ -17,27 +17,24 @@
 //!   round accounting for broadcasts/aggregations (the paper's `n^µ`-ary
 //!   broadcast tree), and full [`metrics::Metrics`]. It is a thin facade
 //!   over three owned runtime layers: [`shard`] (per-machine state, RNG
-//!   and space accounting), [`router`] / [`payload`] (the
-//!   message-delivery planes) and [`superstep`] (shard→thread scheduling
-//!   over the executor seam).
-//! * [`job::MapReduceJob`] layers the classic map → shuffle → reduce
-//!   interface on top.
+//!   and space accounting), [`router`] (the message-delivery plane; with
+//!   [`payload`], the flat staging sink of
+//!   [`cluster::Cluster::gather_payload`]) and [`superstep`]
+//!   (shard→thread scheduling over the executor seam).
 //! * [`rng`] provides partition-stable hash-derived randomness so that a
 //!   distributed run is bit-identical to its sequential counterpart.
 //! * [`bitset::Bitset`] and [`words::WordSized`] handle exact word-level
 //!   space accounting.
 //! * [`model::ComputeModel`] audits cluster shapes against the MRC/MPC side
 //!   conditions; [`partition`] provides hash/block/range placement;
-//!   [`trace::Timeline`] renders per-round traces (CSV/ASCII) including
-//!   per-superstep wall-clock and straggler skew; and [`faults`] prices
-//!   crash/straggler plans against a completed run.
+//!   and [`trace::Timeline`] renders per-round traces (CSV/ASCII)
+//!   including per-superstep wall-clock and straggler skew.
 //!
 //! ## The runtime seam
 //!
 //! There is one in-process engine: work-stealing-free static
 //! shard→thread assignment ([`superstep::StaticAssignment`]) plus
-//! counting-sort routing into pooled flat arenas ([`router`] for
-//! fixed-size messages, [`payload`] for `(head, [T])` messages).
+//! counting-sort routing into one pooled flat arena ([`router`]).
 //! [`cluster::ClusterConfig::runtime`] ([`superstep::RuntimeKind`])
 //! selects whether exchanges are shuffled by that engine (`Shard`, the
 //! default — the engine behind the solver API's `Backend::Shard`) or
@@ -84,9 +81,7 @@ pub mod cluster;
 pub mod dist;
 pub mod error;
 pub mod executor;
-pub mod faults;
 pub mod ingest;
-pub mod job;
 pub mod metrics;
 pub mod model;
 pub mod partition;
@@ -102,14 +97,11 @@ pub use bitset::Bitset;
 pub use cluster::{
     tree_depth, Cluster, ClusterConfig, Enforcement, Inbox, MachineId, MachineState, Outbox,
 };
-pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader};
+pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader, WorkerKill};
 pub use error::{CapacityKind, MrError, MrResult};
 pub use executor::{
     default_threads, env_threads, executor_for, parse_threads, Executor, SeqExecutor,
     ThreadPoolExecutor,
-};
-pub use faults::{
-    FaultEvent, FaultKind, FaultPlan, MeasuredRecovery, RecoveryReport, StragglerCost, WorkerKill,
 };
 pub use ingest::Ingest;
 pub use metrics::{
@@ -121,9 +113,7 @@ pub use partition::{
     balance_stats, split, BalanceStats, BlockPartitioner, HashPartitioner, Partitioner,
     RangePartitioner,
 };
-pub use payload::{
-    PayloadBatch, PayloadInbox, PayloadOutbox, PayloadSink, PayloadSinkWriter, PayloadWriter,
-};
+pub use payload::{PayloadBatch, PayloadSink, PayloadSinkWriter};
 pub use rng::{coin, mix2, mix_tags, unit_f64, DetRng};
 pub use shard::Shard;
 pub use superstep::{

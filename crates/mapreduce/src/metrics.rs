@@ -59,9 +59,8 @@ pub struct RoundRecord {
 /// from [`Metrics`] equality** (the determinism suites compare threaded
 /// and sequential runs with `==`). What it buys: the trace can show real
 /// straggler skew (`max_machine_nanos` vs the per-machine mean) under the
-/// threaded executor, the experiments can report wall-clock speedup vs
-/// thread count, and the fault tooling gets empirically-grounded
-/// per-round costs.
+/// threaded executor, and the experiments can report wall-clock speedup
+/// vs thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperstepTiming {
     /// 1-based superstep index this pass belonged to (an `exchange`
@@ -265,7 +264,7 @@ impl Metrics {
 
     /// Records one communication round. Called by the cluster primitives;
     /// public so tests and benches can construct synthetic run records for
-    /// the trace/fault tooling.
+    /// the trace tooling.
     pub fn record_round(&mut self, kind: RoundKind, max_out: usize, max_in: usize, total: usize) {
         self.rounds += 1;
         self.total_message_words += total;
@@ -312,9 +311,7 @@ impl Metrics {
     /// The worst *measured* straggler skew among the executor passes of
     /// one superstep (see [`SuperstepTiming::skew`]). `None` when the
     /// superstep recorded no timing, or the timings carry no signal —
-    /// masked/zeroed wall-clock, or passes with no measurable work — so
-    /// callers can fall back to a synthetic model
-    /// ([`crate::faults::apply_measured`]).
+    /// masked/zeroed wall-clock, or passes with no measurable work.
     pub fn superstep_skew(&self, superstep: usize) -> Option<f64> {
         let max = self
             .superstep_timings

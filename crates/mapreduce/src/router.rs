@@ -36,14 +36,14 @@
 //! queries) and per-destination `in_words` are accumulated during the
 //! counting pass, not by a separate walk over delivered messages.
 //!
-//! [`RouterScratch`] reuse is an *in-process* optimisation: the
-//! `Backend::Dist` shuffle instead serializes outboxes to per-worker
-//! batches and must retain those encoded bytes for fault-tolerant
-//! replay (a respawned worker is re-sent the batches the dead one had
-//! ingested), so its deliveries are built nested from the decoded
-//! regions (`Delivery::from_nested`) and the pool only recycles the
-//! staging columns. Replay correctness never depends on pooled memory:
-//! the retained bytes, not the buffers, are the recovery source.
+//! The `Backend::Dist` shuffle builds the same shape: it serializes the
+//! outboxes to per-worker batches, and decodes the returned regions —
+//! which arrive in destination order — straight into a pooled arena with
+//! one `(offset, len)` range per shard. It retains the encoded batch
+//! bytes for fault-tolerant replay (a respawned worker is re-sent the
+//! batches the dead one had ingested), so replay correctness never
+//! depends on pooled memory: the retained bytes, not the buffers, are
+//! the recovery source.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -121,36 +121,37 @@ impl<M> Outbox<M> {
     }
 }
 
-/// Delivered messages for one exchange round: every destination's inbox
-/// plus the per-destination word volume the cluster budgets against
-/// machine memory.
-///
-/// The representation depends on who built it — the dist shuffle
-/// delivers one `Vec` per destination, [`route`] one flat arena with
-/// per-destination `(offset, len)` ranges — but both read back
-/// identically through [`Inbox`] views.
+/// Delivered messages for one exchange round: one flat arena in which
+/// destination `d` owns `arena[ranges[d].0 ..][.. ranges[d].1]`, plus the
+/// per-destination word volume the cluster budgets against machine
+/// memory. Built by [`route`] (a counting sort) or by the dist shuffle
+/// (regions decoded in destination order); read back through [`Inbox`]
+/// views.
 pub(crate) struct Delivery<M> {
-    repr: Repr<M>,
+    arena: Vec<M>,
+    ranges: Vec<(usize, usize)>,
     in_words: Vec<usize>,
 }
 
-enum Repr<M> {
-    /// One owned buffer per destination (dist shuffle).
-    Nested(Vec<Vec<M>>),
-    /// One flat arena; destination `d` owns `arena[ranges[d].0 ..][.. ranges[d].1]`.
-    Flat {
+impl<M> Delivery<M> {
+    /// Wraps a filled arena whose ranges tile `0..arena.len()` in
+    /// destination order. Checked here, once per round, because
+    /// [`Delivery::into_inboxes`] hands out raw views that rely on it.
+    pub(crate) fn from_flat(
         arena: Vec<M>,
         ranges: Vec<(usize, usize)>,
-    },
-}
-
-impl<M> Delivery<M> {
-    /// Wraps per-destination buffers produced outside the router (the
-    /// dist shuffle's decoded regions).
-    pub(crate) fn from_nested(inboxes: Vec<Vec<M>>, in_words: Vec<usize>) -> Self {
-        debug_assert_eq!(inboxes.len(), in_words.len());
+        in_words: Vec<usize>,
+    ) -> Self {
+        debug_assert_eq!(ranges.len(), in_words.len());
+        let mut end = 0usize;
+        for &(off, len) in &ranges {
+            assert_eq!(off, end, "delivery ranges must tile the arena");
+            end += len;
+        }
+        assert_eq!(end, arena.len(), "delivery ranges must tile the arena");
         Delivery {
-            repr: Repr::Nested(inboxes),
+            arena,
+            ranges,
             in_words,
         }
     }
@@ -165,49 +166,37 @@ impl<M> Delivery<M> {
     ///
     /// # Safety
     ///
-    /// For a flat delivery the inboxes read straight out of the returned
+    /// The inboxes read straight out of the returned
     /// [`DeliveryBuffers`]' arena; the caller must keep the buffers
     /// alive until every inbox has been dropped (and only then recycle
     /// them).
     pub(crate) unsafe fn into_inboxes(self) -> (Vec<Inbox<M>>, DeliveryBuffers<M>) {
-        match self.repr {
-            Repr::Nested(inboxes) => {
-                let views = inboxes.into_iter().map(Inbox::owned).collect();
-                (
-                    views,
-                    DeliveryBuffers {
-                        arena: None,
-                        ranges: None,
-                        in_words: self.in_words,
-                    },
-                )
-            }
-            Repr::Flat { mut arena, ranges } => {
-                let base = arena.as_mut_ptr();
-                // SAFETY: 0 is within capacity. Ownership of the elements
-                // moves to the inboxes below (each element belongs to
-                // exactly one range); the arena keeps only the
-                // allocation, for recycling.
-                unsafe { arena.set_len(0) };
-                let views = ranges
-                    .iter()
-                    // SAFETY: the ranges tile `0..arena.len()` disjointly
-                    // (prefix sums of the per-destination counts), every
-                    // slot was initialized by the scatter, and the caller
-                    // keeps the allocation alive per this function's
-                    // contract.
-                    .map(|&(off, len)| unsafe { Inbox::raw(base.add(off), len) })
-                    .collect();
-                (
-                    views,
-                    DeliveryBuffers {
-                        arena: Some(arena),
-                        ranges: Some(ranges),
-                        in_words: self.in_words,
-                    },
-                )
-            }
-        }
+        let Delivery {
+            mut arena,
+            ranges,
+            in_words,
+        } = self;
+        let base = arena.as_mut_ptr();
+        // SAFETY: 0 is within capacity. Ownership of the elements moves
+        // to the inboxes below (each element belongs to exactly one
+        // range); the arena keeps only the allocation, for recycling.
+        unsafe { arena.set_len(0) };
+        let views = ranges
+            .iter()
+            // SAFETY: the ranges tile the arena's former `0..len`
+            // disjointly (checked by `from_flat`), every slot in it was
+            // initialized, and the caller keeps the allocation alive per
+            // this function's contract.
+            .map(|&(off, len)| unsafe { Inbox::raw(base.add(off), len) })
+            .collect();
+        (
+            views,
+            DeliveryBuffers {
+                arena,
+                ranges,
+                in_words,
+            },
+        )
     }
 
     /// Materializes every inbox as an owned `Vec` — test-only view for
@@ -217,13 +206,10 @@ impl<M> Delivery<M> {
     where
         M: Clone,
     {
-        match &self.repr {
-            Repr::Nested(inboxes) => inboxes.clone(),
-            Repr::Flat { arena, ranges } => ranges
-                .iter()
-                .map(|&(off, len)| arena[off..off + len].to_vec())
-                .collect(),
-        }
+        self.ranges
+            .iter()
+            .map(|&(off, len)| self.arena[off..off + len].to_vec())
+            .collect()
     }
 }
 
@@ -231,8 +217,8 @@ impl<M> Delivery<M> {
 /// the duration of the consume pass and then recycled into the
 /// [`RouterScratch`] pool.
 pub(crate) struct DeliveryBuffers<M> {
-    arena: Option<Vec<M>>,
-    ranges: Option<Vec<(usize, usize)>>,
+    arena: Vec<M>,
+    ranges: Vec<(usize, usize)>,
     in_words: Vec<usize>,
 }
 
@@ -244,13 +230,8 @@ impl<M> DeliveryBuffers<M> {
     where
         M: Send + 'static,
     {
-        if let Some(arena) = self.arena {
-            debug_assert!(arena.is_empty());
-            scratch.typed::<M>().arenas.push(arena);
-        }
-        if let Some(ranges) = self.ranges {
-            scratch.put_ranges(ranges);
-        }
+        scratch.put_arena(self.arena);
+        scratch.put_ranges(self.ranges);
         scratch.put_usizes(self.in_words);
     }
 }
@@ -259,17 +240,13 @@ impl<M> DeliveryBuffers<M> {
 /// `(sender id, send order)` order. Iterate it (it is an exact-size
 /// iterator yielding owned messages) or take the whole batch with
 /// [`Inbox::into_vec`].
+///
+/// A range of the round's delivery arena: the elements are owned by this
+/// inbox (read out by value, leftovers dropped in place) while the
+/// allocation stays with the cluster's `DeliveryBuffers`.
 pub struct Inbox<M> {
-    repr: InboxRepr<M>,
-}
-
-enum InboxRepr<M> {
-    /// Messages owned outright (dist shuffle).
-    Owned(std::vec::IntoIter<M>),
-    /// A range of the router's arena; elements are owned by this
-    /// inbox (read out by value, leftovers dropped in place) while the
-    /// allocation stays with the cluster's [`DeliveryBuffers`].
-    Raw { next: *mut M, remaining: usize },
+    next: *mut M,
+    remaining: usize,
 }
 
 // SAFETY: an `Inbox` owns the elements it points at exclusively (the
@@ -278,42 +255,35 @@ enum InboxRepr<M> {
 unsafe impl<M: Send> Send for Inbox<M> {}
 
 impl<M> Default for Inbox<M> {
+    /// The empty inbox: its pointer is never dereferenced.
     fn default() -> Self {
-        Inbox::owned(Vec::new())
+        Inbox {
+            next: std::ptr::NonNull::dangling().as_ptr(),
+            remaining: 0,
+        }
     }
 }
 
 impl<M> Inbox<M> {
-    pub(crate) fn owned(msgs: Vec<M>) -> Self {
-        Inbox {
-            repr: InboxRepr::Owned(msgs.into_iter()),
-        }
-    }
-
     /// # Safety
     ///
     /// `base .. base + len` must be initialized elements this inbox may
     /// take ownership of, backed by an allocation that outlives it.
     pub(crate) unsafe fn raw(base: *mut M, len: usize) -> Self {
         Inbox {
-            repr: InboxRepr::Raw {
-                next: base,
-                remaining: len,
-            },
+            next: base,
+            remaining: len,
         }
     }
 
     /// Messages not yet read.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            InboxRepr::Owned(iter) => iter.len(),
-            InboxRepr::Raw { remaining, .. } => *remaining,
-        }
+        self.remaining
     }
 
     /// True when every message has been read (or none arrived).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.remaining == 0
     }
 
     /// Moves the remaining messages into an owned `Vec`.
@@ -326,30 +296,24 @@ impl<M> Iterator for Inbox<M> {
     type Item = M;
 
     fn next(&mut self) -> Option<M> {
-        match &mut self.repr {
-            InboxRepr::Owned(iter) => iter.next(),
-            InboxRepr::Raw { next, remaining } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                // SAFETY: `remaining > 0`, so `next` points at an
-                // initialized element this inbox owns (`raw`'s contract);
-                // reading it out and stepping past it consumes it exactly
-                // once, and the step stays within or one past the range.
-                let msg = unsafe {
-                    let msg = next.read();
-                    *next = next.add(1);
-                    msg
-                };
-                *remaining -= 1;
-                Some(msg)
-            }
+        if self.remaining == 0 {
+            return None;
         }
+        // SAFETY: `remaining > 0`, so `next` points at an initialized
+        // element this inbox owns (`raw`'s contract); reading it out and
+        // stepping past it consumes it exactly once, and the step stays
+        // within or one past the range.
+        let msg = unsafe {
+            let msg = self.next.read();
+            self.next = self.next.add(1);
+            msg
+        };
+        self.remaining -= 1;
+        Some(msg)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len();
-        (n, Some(n))
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -357,18 +321,16 @@ impl<M> ExactSizeIterator for Inbox<M> {}
 
 impl<M> Drop for Inbox<M> {
     fn drop(&mut self) {
-        if let InboxRepr::Raw { next, remaining } = &mut self.repr {
-            while *remaining > 0 {
-                // SAFETY: the `remaining` unread elements from `next` on
-                // are still owned by this inbox; drop each in place
-                // exactly once (the allocation itself belongs to the
-                // cluster's `DeliveryBuffers`).
-                unsafe {
-                    next.drop_in_place();
-                    *next = next.add(1);
-                }
-                *remaining -= 1;
+        while self.remaining > 0 {
+            // SAFETY: the `remaining` unread elements from `next` on are
+            // still owned by this inbox; drop each in place exactly once
+            // (the allocation itself belongs to the cluster's
+            // `DeliveryBuffers`).
+            unsafe {
+                self.next.drop_in_place();
+                self.next = self.next.add(1);
             }
+            self.remaining -= 1;
         }
     }
 }
@@ -456,7 +418,7 @@ impl RouterScratch {
     }
 
     /// An empty `usize` buffer (capacity retained) for push-style use —
-    /// the payload plane's `lens` column.
+    /// a payload sink's `lens` column.
     pub(crate) fn take_usizes_empty(&mut self) -> Vec<usize> {
         let mut v = self.usizes.pop().unwrap_or_default();
         v.clear();
@@ -467,14 +429,6 @@ impl RouterScratch {
         let mut v = self.ranges.pop().unwrap_or_default();
         v.clear();
         v.resize(n, (0, 0));
-        v
-    }
-
-    /// An empty range buffer (capacity retained) for push-style use —
-    /// the dist payload decode builds spans incrementally.
-    pub(crate) fn take_ranges_empty(&mut self) -> Vec<(usize, usize)> {
-        let mut v = self.ranges.pop().unwrap_or_default();
-        v.clear();
         v
     }
 
@@ -669,10 +623,7 @@ pub(crate) fn route<M: WordSized + Send + 'static>(
     for outbox in outboxes {
         scratch.put_columns(outbox.into_buffers());
     }
-    Delivery {
-        repr: Repr::Flat { arena, ranges },
-        in_words,
-    }
+    Delivery::from_flat(arena, ranges, in_words)
 }
 
 #[cfg(test)]
@@ -824,32 +775,59 @@ mod tests {
         }
     }
 
-    /// Inbox views hand out messages by value in delivery order; unread
-    /// messages are dropped cleanly (exercised via the drop-counting
-    /// payload under Miri-style scrutiny in CI's normal test run).
+    /// Inbox views hand out messages by value in delivery order, and
+    /// every delivered message is dropped exactly once — whether it was
+    /// read out, left unread in a partially consumed inbox, or moved
+    /// into a `Vec` — with nothing dropped again when the arena is
+    /// recycled.
     #[test]
     fn inbox_views_read_back_the_arena() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// A message that counts its drops in `drops[id]`.
+        struct Counted(Arc<Vec<AtomicUsize>>, usize);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0[self.1].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        impl WordSized for Counted {
+            fn words(&self) -> usize {
+                1
+            }
+        }
+
+        let drops: Arc<Vec<AtomicUsize>> = Arc::new((0..6).map(|_| 0.into()).collect());
+        let msg = |id: usize| Counted(drops.clone(), id);
+        let ids = |msgs: &[Counted]| msgs.iter().map(|m| m.1).collect::<Vec<_>>();
         let s = sched(2);
         let mut scratch = RouterScratch::default();
-        let mut outboxes: Vec<Outbox<String>> = (0..3).map(|_| Outbox::new(3)).collect();
-        outboxes[0].send(1, "a".into());
-        outboxes[1].send(1, "b".into());
-        outboxes[2].send(0, "c".into());
-        outboxes[2].send(1, "d".into());
+        let mut outboxes: Vec<Outbox<Counted>> = (0..3).map(|_| Outbox::new(3)).collect();
+        outboxes[0].send(1, msg(0));
+        outboxes[0].send(0, msg(1));
+        outboxes[1].send(1, msg(2));
+        outboxes[2].send(0, msg(3));
+        outboxes[2].send(1, msg(4));
+        outboxes[2].send(0, msg(5));
         let d = route(&s, 3, outboxes, &mut scratch);
         // SAFETY: buffers outlive the inboxes below.
         let (mut views, buffers) = unsafe { d.into_inboxes() };
-        assert_eq!(views.iter().map(Inbox::len).collect::<Vec<_>>(), [1, 3, 0]);
+        assert_eq!(views.iter().map(Inbox::len).collect::<Vec<_>>(), [3, 3, 0]);
         let middle = views.remove(1);
-        assert_eq!(middle.into_vec(), ["a", "b", "d"]);
+        assert_eq!(ids(&middle.into_vec()), [0, 2, 4]);
         let mut first = views.remove(0);
-        assert_eq!(first.next(), Some("c".into()));
-        assert!(first.is_empty());
-        drop(first);
+        assert_eq!(first.next().map(|m| m.1), Some(1));
+        assert_eq!(first.len(), 2);
+        drop(first); // partially consumed: two messages still unread
         drop(views); // the empty inbox, never read
         buffers.recycle(&mut scratch);
-        // The arena capacity survived for the next round.
-        assert!(scratch.take_arena::<String>().capacity() >= 4);
+        // The arena capacity survived for the next round, emptied.
+        let arena = scratch.take_arena::<Counted>();
+        assert!(arena.capacity() >= 6 && arena.is_empty());
+        drop((arena, scratch));
+        for (id, n) in drops.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "message {id}");
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use std::fmt;
 
-use crate::faults::StragglerCost;
 use crate::metrics::{Metrics, RoundKind, SuperstepTiming};
 
 /// One row of a [`Timeline`]: a communication round plus running totals.
@@ -75,8 +74,8 @@ impl PartialEq for Timeline {
     fn eq(&self, other: &Self) -> bool {
         // Exhaustive destructuring: a new field must be explicitly
         // classified as model-level (compared) or host-level (ignored).
-        // Annotations describe host events (recoveries, pricing
-        // fallbacks) — never model observables — so they are ignored.
+        // Annotations describe host events (recoveries, serve stats) —
+        // never model observables — so they are ignored.
         let Timeline {
             rows,
             timings: _,
@@ -137,27 +136,11 @@ impl Timeline {
 
     /// Host-event annotations: distributed-runtime recoveries (one line
     /// per [`crate::metrics::RecoveryEvent`]), daemon-side serve stats
-    /// (one line per [`crate::metrics::ServeSummary`], both added by
-    /// [`Timeline::from_metrics`]) and straggler-pricing fallbacks
-    /// ([`Timeline::annotate_straggler_pricing`]). Excluded from
-    /// equality, like the timings.
+    /// (one line per [`crate::metrics::ServeSummary`]), both added by
+    /// [`Timeline::from_metrics`]. Excluded from equality, like the
+    /// timings.
     pub fn annotations(&self) -> &[String] {
         &self.annotations
-    }
-
-    /// Logs every synthetic-fallback straggler pricing outcome (see
-    /// [`crate::faults::StragglerCost::SyntheticFallback`] and
-    /// [`crate::faults::MeasuredRecovery`]) as an annotation line, making
-    /// the previously silent fallback visible in rendered traces.
-    pub fn annotate_straggler_pricing(&mut self, pricing: &[StragglerCost]) {
-        for cost in pricing {
-            if let StragglerCost::SyntheticFallback { round, multiplier } = cost {
-                self.annotations.push(format!(
-                    "straggler pricing: round {round} had no timing signal, \
-                     fell back to synthetic multiplier {multiplier}"
-                ));
-            }
-        }
     }
 
     /// All rows, in round order.
@@ -537,25 +520,6 @@ mod tests {
         assert!(line.contains("queue depth high-water 4"), "got: {line}");
         // Serve stats are host events: the timelines still compare equal.
         assert_eq!(t_offline, t_served);
-    }
-
-    #[test]
-    fn synthetic_fallbacks_are_annotated() {
-        let mut t = Timeline::from_metrics(&sample_metrics());
-        t.annotate_straggler_pricing(&[
-            StragglerCost::Measured {
-                round: 1,
-                skew: 3.0,
-            },
-            StragglerCost::SyntheticFallback {
-                round: 2,
-                multiplier: 2.5,
-            },
-        ]);
-        // Only the fallback is logged; measured pricing is the normal path.
-        assert_eq!(t.annotations().len(), 1);
-        assert!(t.annotations()[0].contains("round 2"));
-        assert!(t.annotations()[0].contains("synthetic multiplier 2.5"));
     }
 
     #[test]

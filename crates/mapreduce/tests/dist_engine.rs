@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig, MachineState};
-use mrlr_mapreduce::dist::{DistConfig, SpawnKind};
+use mrlr_mapreduce::dist::{DistConfig, SpawnKind, WorkerKill};
 use mrlr_mapreduce::executor::{Executor, SeqExecutor, ThreadPoolExecutor};
-use mrlr_mapreduce::faults::WorkerKill;
 use mrlr_mapreduce::metrics::Metrics;
 use mrlr_mapreduce::superstep::RuntimeKind;
 use mrlr_mapreduce::trace::Timeline;
@@ -86,9 +85,8 @@ fn reference() -> (Vec<Vec<u64>>, Metrics) {
     )
 }
 
-/// "Classic" in the name is the in-process reference run above.
 #[test]
-fn dist_runtime_is_bit_identical_to_classic_at_every_worker_count() {
+fn dist_runtime_is_bit_identical_to_shard_at_every_worker_count() {
     let (ref_states, ref_metrics) = reference();
     assert!(ref_metrics.dist.is_none());
     for workers in [1usize, 2, 4] {

@@ -1,9 +1,8 @@
-//! Property-based tests for the partitioners, trace, model and fault
+//! Property-based tests for the partitioners, trace and model
 //! extensions of the simulator substrate.
 
 use proptest::prelude::*;
 
-use mrlr_mapreduce::faults::{apply, FaultPlan};
 use mrlr_mapreduce::metrics::{Metrics, RoundKind};
 use mrlr_mapreduce::partition::{
     balance_stats, split, BlockPartitioner, HashPartitioner, Partitioner, RangePartitioner,
@@ -108,19 +107,6 @@ proptest! {
             let h = t.volume_histogram(5);
             prop_assert_eq!(h.iter().map(|&(_, _, c)| c).sum::<usize>(), m.rounds);
         }
-    }
-
-    #[test]
-    fn fault_pricing_bounds(m in arb_metrics(), crash_p in 0.0f64..0.5, straggle_p in 0.0f64..0.5, seed in any::<u64>()) {
-        let plan = FaultPlan::random(m.machines, m.rounds, crash_p, straggle_p, 2.5, seed);
-        let r = apply(&m, &plan);
-        prop_assert_eq!(r.base_rounds, m.rounds);
-        prop_assert!(r.effective_rounds >= m.rounds);
-        prop_assert!(r.effective_rounds <= 2 * m.rounds);
-        prop_assert!(r.makespan + 1e-9 >= r.base_rounds as f64);
-        // Makespan ≤ rounds·slowdown + redo rounds.
-        prop_assert!(r.makespan <= m.rounds as f64 * 2.5 + r.redo_rounds as f64 + 1e-9);
-        prop_assert!(r.redo_rounds <= r.crashes_applied);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Cluster observability: per-round traces, model audits and fault pricing.
+//! Cluster observability: per-round traces and model audits.
 //!
 //! Runs the weighted-matching algorithm, then exercises the simulator's
 //! observability surface: the per-round [`Timeline`] (ASCII + CSV), the
-//! per-superstep wall-clock/straggler trace recorded by the executor, the
-//! MRC/MPC model audit of the cluster shape, and the crash/straggler cost
-//! model that prices a fault plan against the completed run.
+//! per-superstep wall-clock/straggler trace recorded by the executor, and
+//! the MRC/MPC model audit of the cluster shape.
 //!
 //! Run with: `cargo run --release --example cluster_observability`
 //! (set `MRLR_THREADS=4` to watch the same run under the thread pool —
@@ -13,7 +12,6 @@
 use mrlr::core::api::{Instance, Registry};
 use mrlr::core::mr::MrConfig;
 use mrlr::graph::generators;
-use mrlr::mapreduce::faults::{apply, apply_measured, FaultPlan};
 use mrlr::mapreduce::trace::Timeline;
 use mrlr::mapreduce::ComputeModel;
 
@@ -107,38 +105,4 @@ fn main() {
             println!("  - {v}");
         }
     }
-
-    // --- Fault pricing ---
-    println!("\nfault pricing (crash 5%, straggle 10% at 3x per machine-round):");
-    let plan = FaultPlan::random(metrics.machines, metrics.rounds, 0.05, 0.10, 3.0, 7);
-    let priced = apply(&metrics, &plan);
-    println!(
-        "  {} crashes, {} stragglers over {} machine-rounds",
-        priced.crashes_applied,
-        priced.stragglers_applied,
-        metrics.machines * metrics.rounds
-    );
-    println!(
-        "  rounds {} -> {} (+{} re-executions), makespan {:.1} round-units ({:.2}x slowdown)",
-        priced.base_rounds,
-        priced.effective_rounds,
-        priced.redo_rounds,
-        priced.makespan,
-        priced.slowdown_factor()
-    );
-    println!("  (outputs are unchanged by faults: shuffle files are durable — the MapReduce recovery contract)");
-
-    // Same plan, but stragglers priced from the run's *measured*
-    // per-superstep skew instead of the synthetic 3x multiplier (which
-    // remains the fallback when timings are masked).
-    let empirical = apply_measured(&metrics, &plan);
-    println!(
-        "  measured-skew pricing: makespan {:.1} round-units ({} of {} stragglers priced \
-         from observed skew, {} synthetic fallbacks, worst observed {:.2}x)",
-        empirical.report.makespan,
-        empirical.report.stragglers_measured,
-        empirical.report.stragglers_applied,
-        empirical.fallbacks().count(),
-        metrics.max_straggler_skew(),
-    );
 }

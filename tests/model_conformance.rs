@@ -1,11 +1,9 @@
 //! Model-conformance and observability integration: every algorithm's
-//! cluster shape is audited against the MRC/MPC side conditions of §1.3,
-//! the per-round timeline agrees with the metrics, and the fault model
-//! prices real runs sensibly.
+//! cluster shape is audited against the MRC/MPC side conditions of §1.3
+//! and the per-round timeline agrees with the metrics.
 
-use mrlr::core::mr::{matching, set_cover, vertex_cover, MrConfig};
+use mrlr::core::mr::{matching, set_cover, MrConfig};
 use mrlr::graph::generators;
-use mrlr::mapreduce::faults::{apply, FaultPlan};
 use mrlr::mapreduce::trace::Timeline;
 use mrlr::mapreduce::{ComputeModel, Enforcement};
 use mrlr::setsys::generators as setgen;
@@ -81,29 +79,6 @@ fn timeline_agrees_with_metrics() {
     );
     // The ASCII render exists for every round.
     assert_eq!(t.render_ascii(30).lines().count(), metrics.rounds);
-}
-
-/// Fault pricing on a real run: crashes extend rounds, stragglers extend
-/// makespan, and a fault-free plan is the identity.
-#[test]
-fn fault_model_prices_real_runs() {
-    let g = generators::densified(70, 0.5, 3);
-    let weights: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 3) as f64).collect();
-    let cfg = MrConfig::auto(70, g.m(), 0.3, 2);
-    let (_, metrics) = vertex_cover::run(&g, &weights, cfg).unwrap();
-    assert!(metrics.rounds > 0);
-
-    let clean = apply(&metrics, &FaultPlan::none());
-    assert_eq!(clean.effective_rounds, metrics.rounds);
-    assert!((clean.slowdown_factor() - 1.0).abs() < 1e-12);
-
-    let stormy = FaultPlan::random(metrics.machines, metrics.rounds, 0.2, 0.2, 3.0, 4);
-    let priced = apply(&metrics, &stormy);
-    assert!(priced.effective_rounds >= metrics.rounds);
-    assert!(priced.makespan >= metrics.rounds as f64);
-    assert_eq!(priced.effective_rounds, metrics.rounds + priced.redo_rounds);
-    // With 20% crash probability per machine-round, some round crashed.
-    assert!(priced.crashes_applied > 0);
 }
 
 /// Record-enforcement runs of a deliberately undersized cluster must report
