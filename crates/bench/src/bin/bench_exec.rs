@@ -12,7 +12,9 @@
 //!   anything is reported.
 //! * `registry` — four representative algorithm keys solved through
 //!   the registry, each leg asserted bit-identical (solution and
-//!   `Metrics`) to the 1-thread run.
+//!   `Metrics`) to the 1-thread run, plus the rest of the cover family
+//!   (`set-cover-greedy`, `set-cover-f`, `b-matching`) on instances
+//!   large enough that one solve takes at least 50 ms.
 //!
 //! Each row records wall-time, peak inbox bytes and allocator traffic
 //! per superstep, counted by a `#[global_allocator]` shim compiled into
@@ -25,14 +27,15 @@
 //!     CI mode: run the quick thread-count equivalence assertions
 //!     without touching the file, then fail unless the committed
 //!     artifact has rows for both sections, and fail if any freshly
-//!     measured router row allocates more than 25% (plus a +16 absolute
-//!     grace) over its committed baseline.
+//!     measured router or cover-family row allocates more than 25% (plus
+//!     a +16 absolute grace) over its committed baseline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use mrlr_bench::workloads::build_spec;
 use mrlr_bench::{vertex_weights, weighted_graph};
 use mrlr_core::api::{Backend, Instance, Registry, VertexWeightedGraph};
 use mrlr_core::io::{parse_json, JsonValue};
@@ -319,6 +322,28 @@ fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
     ]
 }
 
+/// The cover-family keys whose resident state is a flat per-machine arena,
+/// on instances where one solve takes at least 50 ms (so the row reads
+/// the driver, not the harness). One size only: `--check` re-measures
+/// these rows at the size the committed baseline was taken at, because a
+/// driver's allocations per superstep are not monotone in instance size
+/// the way the router's are.
+fn cover_workloads() -> Vec<(&'static str, Instance, MrConfig)> {
+    let row = |key: &'static str, spec: &str| {
+        let instance = build_spec(spec).expect("cover workload spec");
+        let cfg = instance.auto_config(0.15, REG_SEED);
+        (key, instance, cfg)
+    };
+    vec![
+        row(
+            "set-cover-greedy",
+            "set-frequency:n=6000,m=300000,f=4,seed=42",
+        ),
+        row("set-cover-f", "set-frequency:n=8000,m=600000,f=4,seed=42"),
+        row("b-matching", "b-matching:n=6000,c=0.5,seed=42"),
+    ]
+}
+
 /// Solves `key` on `Backend::Shard` at 1 and 4 threads, asserting the
 /// 4-thread report bit-identical (solution and `Metrics`) to the
 /// 1-thread one, and renders one row per leg.
@@ -367,6 +392,13 @@ fn registry_section(rows: &mut Vec<String>, quick: bool) {
     for (key, instance, cfg) in registry_workloads(quick) {
         registry_rows(rows, key, &instance, cfg);
     }
+    cover_section(rows);
+}
+
+fn cover_section(rows: &mut Vec<String>) {
+    for (key, instance, cfg) in cover_workloads() {
+        registry_rows(rows, key, &instance, cfg);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,19 +430,19 @@ fn check_artifact(path: &str, rows: &[JsonValue]) {
     }
 }
 
-/// CI alloc-regression gate: every freshly measured router row must
-/// stay within `max(base * 5/4, base + 16)` of the
-/// allocs-per-superstep its committed baseline records (25% slack, with
-/// an absolute +16 grace so single-digit baselines don't flake on
-/// allocator noise). The fresh rows run at QUICK sizes, which are never
-/// larger than the committed full-size run, so a failure here means the
-/// routing path regressed for certain; a pass at quick size is the
-/// conservative direction.
+/// CI alloc-regression gate: every freshly measured row must stay
+/// within `max(base * 5/4, base + 16)` of the allocs-per-superstep its
+/// committed baseline records (25% slack, with an absolute +16 grace so
+/// single-digit baselines don't flake on allocator noise). The fresh
+/// router rows run at QUICK sizes, which are never larger than the
+/// committed full-size run, so a failure there means the routing path
+/// regressed for certain; the cover-family rows run at their one size.
 fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
     let key_of = |row: &JsonValue| -> Option<(String, String, u64)> {
+        let name = row.get("workload").or_else(|| row.get("algorithm"));
         Some((
             row.get("section").and_then(JsonValue::as_str)?.to_string(),
-            row.get("workload").and_then(JsonValue::as_str)?.to_string(),
+            name.and_then(JsonValue::as_str)?.to_string(),
             row.get("threads").and_then(JsonValue::as_u64)?,
         ))
     };
@@ -425,7 +457,7 @@ fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
     let mut gated = 0usize;
     for row in measured {
         let row = parse_json(row).expect("measured row renders as JSON");
-        let key = key_of(&row).expect("router rows name their workload");
+        let key = key_of(&row).expect("rows name their workload or algorithm");
         let Some(&(_, base)) = baselines.iter().find(|(k, _)| *k == key) else {
             panic!("--check: no committed baseline for {key:?}");
         };
@@ -467,6 +499,7 @@ fn main() {
         // panics inside the section runner before the file is judged.
         let mut measured = Vec::new();
         router_section(&mut measured, true);
+        cover_section(&mut measured);
         let text = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {out_path}: {e}"));
         let doc = parse_json(&text).expect("artifact parses");

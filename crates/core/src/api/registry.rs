@@ -767,6 +767,62 @@ mod tests {
         }
     }
 
+    /// The cover family's flat snapshots: for each key × two µ, the first
+    /// job of a batch builds the snapshot (miss), its repeat clones it
+    /// (hit), and both equal a plain `solve` outside any scope —
+    /// solution, certificate with its witness, and the full `Metrics`.
+    #[test]
+    fn cover_family_cache_hit_miss_and_plain_solve_agree() {
+        let r = Registry::with_defaults();
+        let g = generators::with_uniform_weights(&generators::densified(40, 0.4, 5), 1.0, 9.0, 5);
+        let sys = mrlr_setsys::generators::with_uniform_weights(
+            mrlr_setsys::generators::bounded_frequency(40, 600, 3, 5),
+            1.0,
+            8.0,
+            5,
+        );
+        let weights = (0..g.n()).map(|v| 1.0 + (v % 7) as f64).collect();
+        let caps = (0..g.n() as u32).map(|v| 1 + v % 3).collect();
+        let cases: [(Instance, &[&str]); 3] = [
+            (
+                Instance::SetSystem(sys),
+                &["set-cover-greedy", "set-cover-f"],
+            ),
+            (
+                Instance::VertexWeighted(VertexWeightedGraph::new(g.clone(), weights)),
+                &["vertex-cover"],
+            ),
+            (
+                Instance::BMatching(BMatchingInstance::new(g, caps, 0.25)),
+                &["b-matching"],
+            ),
+        ];
+        for (instance, keys) in cases {
+            let mut jobs = Vec::new();
+            for &key in keys {
+                for mu in [0.3, 0.5] {
+                    let cfg = instance.auto_config(mu, 5);
+                    jobs.extend([(key, cfg), (key, cfg)]);
+                }
+            }
+            let batch = r.solve_batch(std::slice::from_ref(&instance), &jobs);
+            let (hits, misses) = crate::mr::dist_cache::stats();
+            assert_eq!(
+                (hits, misses),
+                (jobs.len() as u64 / 2, jobs.len() as u64 / 2),
+                "{keys:?}"
+            );
+            for ((key, cfg), got) in jobs.iter().zip(&batch[0]) {
+                let got = got.as_ref().unwrap();
+                let plain = r.solve(key, &instance, cfg).unwrap();
+                assert!(plain.certificate.feasible, "{key}");
+                assert_eq!(got.solution, plain.solution, "{key}");
+                assert_eq!(got.certificate, plain.certificate, "{key}");
+                assert_eq!(got.metrics, plain.metrics, "{key}");
+            }
+        }
+    }
+
     #[test]
     fn auto_config_shapes_match_the_experiment_parameterization() {
         let g = generators::densified(30, 0.4, 1);

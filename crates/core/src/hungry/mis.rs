@@ -148,10 +148,12 @@ pub(crate) fn group_choice(
     if population == 0 || groups == 0 {
         return None;
     }
-    let mut tagv = Vec::with_capacity(tags.len() + 2);
-    tagv.extend_from_slice(tags);
-    tagv.push(entity);
-    let mut rng = DetRng::derive(seed, &tagv);
+    // Called once per qualifying record per round: the tag list lives on
+    // the stack (callers pass at most four context tags).
+    let mut tagv = [0u64; 8];
+    tagv[..tags.len()].copy_from_slice(tags);
+    tagv[tags.len()] = entity;
+    let mut rng = DetRng::derive(seed, &tagv[..=tags.len()]);
     let p = ((groups * group_size) as f64 / population as f64).min(1.0);
     if rng.f64() < p {
         Some(rng.range_usize(groups))
@@ -336,8 +338,13 @@ pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
 /// A small epsilon keeps exact boundary degrees (`d = n^{1-iα}`) in their
 /// intended class despite floating-point log rounding.
 pub(crate) fn degree_class(d: usize, nf: f64, alpha: f64, num_classes: usize) -> usize {
+    degree_class_ln(d, nf.ln(), alpha, num_classes)
+}
+
+/// [`degree_class`] with `ln n` hoisted out of the per-record scan.
+pub(crate) fn degree_class_ln(d: usize, ln_nf: f64, alpha: f64, num_classes: usize) -> usize {
     debug_assert!(d >= 1);
-    let x = (1.0 - (d as f64).ln() / nf.ln()) / alpha;
+    let x = (1.0 - (d as f64).ln() / ln_nf) / alpha;
     ((x - 1e-9).ceil() as isize).clamp(1, num_classes as isize) as usize
 }
 

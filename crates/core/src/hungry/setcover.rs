@@ -18,7 +18,7 @@
 use mrlr_mapreduce::{MrError, MrResult};
 use mrlr_setsys::{SetId, SetSystem};
 
-use crate::hungry::mis::group_choice;
+use crate::hungry::mis::{degree_class_ln, group_choice};
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
@@ -64,6 +64,15 @@ pub struct HungryScTrace {
     pub failed_rounds: usize,
 }
 
+/// Groups sampled per cardinality class, `⌈2·m^{(i+1)α}⌉` for class `i` —
+/// a function of the run's parameters only, so both drivers compute it
+/// once instead of once per scanned set.
+pub(crate) fn class_group_counts(mf: f64, alpha: f64, num_classes: usize) -> Vec<usize> {
+    (0..=num_classes)
+        .map(|i| (2.0 * mf.powf((i + 1) as f64 * alpha)).ceil() as usize)
+        .collect()
+}
+
 /// Runs Algorithm 3, returning the cover and the per-round trace.
 pub fn hungry_set_cover(
     sys: &SetSystem,
@@ -82,7 +91,9 @@ pub fn hungry_set_cover(
     let m = sys.universe();
     let n = sys.n_sets();
     let mf = (m.max(2)) as f64;
+    let ln_mf = mf.ln();
     let num_classes = (1.0 / params.alpha).ceil() as usize;
+    let group_counts = class_group_counts(mf, params.alpha, num_classes);
     let dual_view = sys.dual();
 
     let mut covered = vec![false; m];
@@ -127,9 +138,9 @@ pub fn hungry_set_cover(
     while covered_count < m {
         // Inner loop for the current level L.
         loop {
-            let exists = (0..n).any(|l| {
-                !chosen_flag[l] && uncov[l] > 0 && ratio(l, &uncov) >= level / (1.0 + params.eps)
-            });
+            let threshold = level / (1.0 + params.eps);
+            let exists =
+                (0..n).any(|l| !chosen_flag[l] && uncov[l] > 0 && ratio(l, &uncov) >= threshold);
             if !exists {
                 break;
             }
@@ -142,7 +153,7 @@ pub fn hungry_set_cover(
             }
             // Potential Φ_k for the trace.
             let phi: f64 = (0..n)
-                .filter(|&l| !chosen_flag[l] && ratio(l, &uncov) >= level / (1.0 + params.eps))
+                .filter(|&l| !chosen_flag[l] && ratio(l, &uncov) >= threshold)
                 .map(|l| uncov[l] as f64)
                 .sum();
             trace.potentials.push(phi);
@@ -153,10 +164,10 @@ pub fn hungry_set_cover(
                 if chosen_flag[l] || uncov[l] == 0 {
                     continue;
                 }
-                if ratio(l, &uncov) < level / (1.0 + params.eps) {
+                if ratio(l, &uncov) < threshold {
                     continue;
                 }
-                let i = super::mis::degree_class(uncov[l], mf, params.alpha, num_classes);
+                let i = degree_class_ln(uncov[l], ln_mf, params.alpha, num_classes);
                 classes[i].push(l);
             }
 
@@ -167,7 +178,7 @@ pub fn hungry_set_cover(
                 if class.is_empty() {
                     continue;
                 }
-                let groups_count = (2.0 * mf.powf((i + 1) as f64 * params.alpha)).ceil() as usize;
+                let groups_count = group_counts[i];
                 let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups_count];
                 for &l in class {
                     if let Some(gid) = group_choice(
@@ -202,9 +213,7 @@ pub fn hungry_set_cover(
                 let accept = mf.powf(1.0 - (*i as f64 + 1.0) * params.alpha) / 2.0;
                 let mut best: Option<usize> = None;
                 for &l in group {
-                    if chosen_flag[l]
-                        || (uncov[l] as f64) < accept
-                        || ratio(l, &uncov) < level / (1.0 + params.eps)
+                    if chosen_flag[l] || (uncov[l] as f64) < accept || ratio(l, &uncov) < threshold
                     {
                         continue;
                     }

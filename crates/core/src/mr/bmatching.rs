@@ -9,42 +9,42 @@
 //! * aliveness is the ε-adjusted rule `w > (1+ε)(ϕ(u)+ϕ(v))`, and each
 //!   vertex samples a fixed count `b(v)·ln(1/δ)·n^µ` of alive incident
 //!   edges without replacement.
-
-use std::collections::HashMap;
+//!
+//! A machine's block is flat: its `(vertex, b(v))` records, one [`Csr`]
+//! arena holding every incidence list, and the edge → local-vertex reverse
+//! index as a second `Csr` whose row number is the edge id, so a pushed
+//! edge is marked by direct offset. The *metered* size is still the
+//! record-per-vertex formula (the index charged as a mirror of the
+//! incidence lists); only `ϕ` values and pushed flags change after
+//! distribution, so it is computed once.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::DetRng;
-use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{dist_cache, MrConfig};
+use crate::mr::{dist_cache, place_rows, MrConfig};
 use crate::rlr::bmatching::{push_budget, BMatchingParams, BMATCH_RNG_TAG};
 use crate::seq::local_ratio_bmatching::BMatchingLocalRatio;
 use crate::types::{MatchingResult, POS_TOL};
 
-#[derive(Clone)]
-struct VertexAdj {
-    v: VertexId,
-    b: u32,
-    /// `(edge id, other endpoint, weight, pushed)`, ascending edge id.
-    inc: Vec<(EdgeId, VertexId, f64, bool)>,
-}
-
-impl WordSized for VertexAdj {
-    fn words(&self) -> usize {
-        2 + 1 + self.inc.len() * 4
-    }
-}
+/// `(edge id, other endpoint, weight, pushed)`.
+type Incidence = (EdgeId, VertexId, f64, bool);
 
 #[derive(Clone)]
 struct BMatchState {
-    vertices: Vec<VertexAdj>,
+    /// `(v, b(v))`, ascending `v`; the incidences of `vertices[slot]` are
+    /// row `slot` of `inc`, ascending edge id.
+    vertices: Vec<(VertexId, u32)>,
+    inc: Csr<Incidence>,
     phi: Vec<f64>,
     eps: f64,
-    /// Edge id → (vertex slot, incidence slot) pairs on this machine.
-    index: HashMap<EdgeId, Vec<(usize, usize)>>,
+    /// Edge id → local vertex slots it is incident to.
+    index: Csr<u32>,
     /// Round-local alive-incidence staging, reused across sampling rounds
     /// (empty between supersteps; never part of the metered state words).
     scratch: Vec<(EdgeId, VertexId, f64)>,
+    /// [`BMatchState::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl BMatchState {
@@ -52,24 +52,86 @@ impl BMatchState {
         !pushed && w - (1.0 + self.eps) * (self.phi[u as usize] + self.phi[o as usize]) > POS_TOL
     }
 
-    fn alive_halves(&self) -> usize {
+    /// Every local `(vertex, b(v), incidence list)`.
+    fn rows(&self) -> impl Iterator<Item = (VertexId, u32, &[Incidence])> + '_ {
         self.vertices
             .iter()
-            .map(|va| {
-                va.inc
-                    .iter()
-                    .filter(|&&(_, o, w, p)| self.edge_alive(va.v, o, w, p))
+            .zip(self.inc.iter())
+            .map(|(&(v, b), inc)| (v, b, inc))
+    }
+
+    fn alive_halves(&self) -> usize {
+        self.rows()
+            .map(|(v, _, inc)| {
+                inc.iter()
+                    .filter(|&&(_, o, w, p)| self.edge_alive(v, o, w, p))
                     .count()
             })
             .sum()
+    }
+
+    fn mark_pushed(&mut self, e: EdgeId) {
+        for &slot in self.index.row(e as usize) {
+            let inc = self.inc.row_mut(slot as usize);
+            let pos = inc
+                .binary_search_by_key(&e, |&(id, _, _, _)| id)
+                .expect("the index lists only rows holding the edge");
+            inc[pos].3 = true;
+        }
+    }
+
+    /// The simulated size: a `(v, b)` record plus its 4-word incidences
+    /// per vertex, charged twice (the index mirrors the incidence lists),
+    /// and the replicated `ϕ`.
+    fn metered_words(&self) -> usize {
+        let recs: usize = self.inc.iter().map(|inc| 2 + 1 + inc.len() * 4).sum();
+        1 + recs * 2 + self.phi.len()
     }
 }
 
 impl WordSized for BMatchState {
     fn words(&self) -> usize {
-        // The index mirrors the incidence lists: charge it once more.
-        1 + self.vertices.iter().map(WordSized::words).sum::<usize>() * 2 + self.phi.len()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
+}
+
+/// Distributes vertices by hash with their incidence lists, scattered
+/// straight from the edge list (so each list is ascending in edge id).
+fn distribute(g: &Graph, b: &[u32], eps: f64, cfg: &MrConfig) -> MrResult<Vec<BMatchState>> {
+    let degree = g.degrees();
+    let mut placed = place_rows(
+        cfg.machines,
+        g.n(),
+        |v| cfg.place(v as u64),
+        |v| degree[v],
+        (0, 0, 0.0, false),
+    )?;
+    for (idx, e) in g.edges().iter().enumerate() {
+        for (x, other) in [(e.u, e.v), (e.v, e.u)] {
+            let (dst, row) = placed.at[x as usize];
+            placed.arenas[dst as usize].push(row as usize, (idx as EdgeId, other, e.w, false));
+        }
+    }
+    placed
+        .ids
+        .iter()
+        .zip(placed.arenas)
+        .map(|(ids, arena)| {
+            let inc = arena.finish();
+            let mut state = BMatchState {
+                vertices: ids.iter().map(|&v| (v, b[v as usize])).collect(),
+                index: inc.invert(g.m(), |&(e, _, _, _)| e as usize)?,
+                inc,
+                phi: vec![0.0; g.n()],
+                eps,
+                scratch: Vec::new(),
+                words: 0,
+            };
+            state.words = state.metered_words();
+            Ok(state)
+        })
+        .collect()
 }
 
 /// Runs Algorithm 7 on the cluster. Output is bit-identical to
@@ -104,36 +166,7 @@ pub fn run(
     let key = dist_cache::DistKey::new(0x626d_6174, g, (n, g.m()), &cfg).with_salt(
         dist_cache::fingerprint(b.iter().map(|&x| x as u64).chain([params.eps.to_bits()])),
     );
-    let states: Vec<BMatchState> = dist_cache::get_or_build(key, || {
-        let adj = g.adjacency();
-        let mut states: Vec<BMatchState> = (0..cfg.machines)
-            .map(|_| BMatchState {
-                vertices: Vec::new(),
-                phi: vec![0.0; n],
-                eps: params.eps,
-                index: HashMap::new(),
-                scratch: Vec::new(),
-            })
-            .collect();
-        for v in 0..n {
-            let dst = cfg.place(v as u64);
-            let slot = states[dst].vertices.len();
-            let mut inc: Vec<(EdgeId, VertexId, f64, bool)> = adj[v]
-                .iter()
-                .map(|&(o, e)| (e, o, g.edge(e).w, false))
-                .collect();
-            inc.sort_unstable_by_key(|&(e, _, _, _)| e);
-            for (pos, &(e, _, _, _)) in inc.iter().enumerate() {
-                states[dst].index.entry(e).or_default().push((slot, pos));
-            }
-            states[dst].vertices.push(VertexAdj {
-                v: v as VertexId,
-                b: b[v],
-                inc,
-            });
-        }
-        states
-    });
+    let states = dist_cache::try_get_or_build(key, || distribute(g, b, params.eps, &cfg))?;
     let mut cluster = Cluster::new(cfg.cluster(), states)?;
 
     let mut lr = BMatchingLocalRatio::new(b, params.eps);
@@ -151,10 +184,10 @@ pub fn run(
             let mut residual: Vec<(EdgeId, VertexId, VertexId, f64)> =
                 cluster.gather(|_, s: &mut BMatchState| {
                     let mut out = Vec::new();
-                    for va in &s.vertices {
-                        for &(e, o, w, p) in &va.inc {
-                            if va.v < o && s.edge_alive(va.v, o, w, p) {
-                                out.push((e, va.v, o, w));
+                    for (v, _, inc) in s.rows() {
+                        for &(e, o, w, p) in inc {
+                            if v < o && s.edge_alive(v, o, w, p) {
+                                out.push((e, v, o, w));
                             }
                         }
                     }
@@ -176,23 +209,27 @@ pub fn run(
                 // One state-held staging buffer per machine, reused every
                 // vertex and every round — not a fresh Vec per vertex.
                 let mut alive_inc = std::mem::take(&mut s.scratch);
-                for va in &s.vertices {
+                for (v, b, inc) in s.rows() {
                     alive_inc.clear();
                     alive_inc.extend(
-                        va.inc
-                            .iter()
-                            .filter(|&&(_, o, w, p)| s.edge_alive(va.v, o, w, p))
+                        inc.iter()
+                            .filter(|&&(_, o, w, p)| s.edge_alive(v, o, w, p))
                             .map(|&(e, o, w, _)| (e, o, w)),
                     );
                     if alive_inc.is_empty() {
                         continue;
                     }
-                    let k = (va.b as f64 * ln_inv_delta * n_mu).ceil() as usize;
+                    let k = (b as f64 * ln_inv_delta * n_mu).ceil() as usize;
                     let mut rng =
-                        DetRng::derive(seed, &[BMATCH_RNG_TAG, iteration as u64, va.v as u64]);
-                    for i in rng.sample_indices(alive_inc.len(), k) {
+                        DetRng::derive(seed, &[BMATCH_RNG_TAG, iteration as u64, v as u64]);
+                    // Partial Fisher–Yates on the staging buffer itself: the
+                    // draws and picks of `DetRng::sample_indices`, without
+                    // its per-vertex index array.
+                    let alive = alive_inc.len();
+                    for i in 0..k.min(alive) {
+                        alive_inc.swap(i, i + rng.range_usize(alive - i));
                         let (e, o, w) = alive_inc[i];
-                        out.push((va.v, e, o, w));
+                        out.push((v, e, o, w));
                     }
                 }
                 alive_inc.clear();
@@ -262,11 +299,7 @@ pub fn run(
                 s.phi[v as usize] = phi;
             }
             for &e in pushed_now {
-                if let Some(slots) = s.index.get(&e) {
-                    for &(vs, ps) in slots {
-                        s.vertices[vs].inc[ps].3 = true;
-                    }
-                }
+                s.mark_pushed(e);
             }
         })?;
         cluster.charge_central(n + 2 + 2 * lr.stack_len())?;
@@ -320,6 +353,40 @@ mod tests {
             assert!(mr.certified_ratio(mult) <= mult + 1e-6);
             assert!(metrics.rounds > 0);
         }
+    }
+
+    /// The stored state size is the record-per-vertex formula of the
+    /// nested layout (index charged as a mirror), recounted from the
+    /// instance, and nothing a superstep does changes it (`words()`
+    /// re-asserts that on every pass of a debug run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let g = with_uniform_weights(&densified(40, 0.4, 2), 0.5, 8.0, 19);
+        let b: Vec<u32> = (0..g.n()).map(|v| 1 + (v % 3) as u32).collect();
+        let cfg = MrConfig::auto(40, g.m(), 0.4, 2).with_machines(5);
+        let adj = g.adjacency();
+        let mut states = distribute(&g, &b, 0.25, &cfg).unwrap();
+        for (id, state) in states.iter_mut().enumerate() {
+            let recs: usize = (0..g.n())
+                .filter(|&v| cfg.place(v as u64) == id)
+                .map(|v| 2 + 1 + 4 * adj[v].len())
+                .sum();
+            assert_eq!(state.words, 1 + 2 * recs + g.n(), "machine {id}");
+            assert_eq!(state.words(), state.metered_words());
+            for e in 0..g.m() as EdgeId {
+                state.mark_pushed(e);
+            }
+            assert!(state.rows().all(|(_, _, inc)| inc.iter().all(|it| it.3)));
+            assert_eq!(state.alive_halves(), 0);
+            assert_eq!(state.words(), state.metered_words());
+        }
+        let params = BMatchingParams {
+            eps: 0.25,
+            n_mu: 2.0,
+            eta: 20,
+            seed: 2,
+        };
+        run(&g, &b, params, cfg).unwrap();
     }
 
     #[test]

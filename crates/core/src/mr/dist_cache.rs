@@ -136,6 +136,18 @@ pub(crate) fn stats() -> (u64, u64) {
 /// calls with the same key get a clone of the initial snapshot; outside a
 /// scope this is exactly `build()`.
 pub(crate) fn get_or_build<T: Clone + 'static>(key: DistKey, build: impl FnOnce() -> T) -> T {
+    match try_get_or_build(key, || Ok::<T, std::convert::Infallible>(build())) {
+        Ok(states) => states,
+        Err(never) => match never {},
+    }
+}
+
+/// [`get_or_build`] for a distribution that can fail (a per-machine arena
+/// outgrowing its offsets). Failures are returned, never cached.
+pub(crate) fn try_get_or_build<T: Clone + 'static, E>(
+    key: DistKey,
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
     if DEPTH.with(Cell::get) == 0 {
         return build();
     }
@@ -143,12 +155,12 @@ pub(crate) fn get_or_build<T: Clone + 'static>(key: DistKey, build: impl FnOnce(
         let mut cache = cache.borrow_mut();
         if let Some(hit) = cache.get(&key).and_then(|v| v.downcast_ref::<T>()) {
             HITS.with(|h| h.set(h.get() + 1));
-            return hit.clone();
+            return Ok(hit.clone());
         }
         MISSES.with(|m| m.set(m.get() + 1));
-        let built = build();
+        let built = build()?;
         cache.insert(key, Box::new(built.clone()));
-        built
+        Ok(built)
     })
 }
 

@@ -24,7 +24,10 @@ pub mod set_cover;
 pub mod set_cover_greedy;
 pub mod vertex_cover;
 
-use mrlr_mapreduce::{ClusterConfig, DistParams, Enforcement, RuntimeKind, SpawnKind, WorkerKill};
+use mrlr_mapreduce::{
+    ClusterConfig, Csr, CsrBuilder, CsrOverflow, DistParams, Enforcement, MrResult, RuntimeKind,
+    SpawnKind, WorkerKill,
+};
 
 /// Execution-substrate parameters of a cluster run: how many OS threads
 /// the simulator may use for machine supersteps, and which runtime
@@ -249,6 +252,45 @@ impl MrConfig {
     pub fn place(&self, id: u64) -> usize {
         (mrlr_mapreduce::mix2(self.seed ^ 0x706c_6163, id) % self.machines as u64) as usize
     }
+}
+
+/// Count and prefix-sum passes of a distribution (see [`place_rows`]):
+/// where every record went, and each machine's arena awaiting the scatter.
+pub(crate) struct PlacedRows<T> {
+    /// `(machine, row)` of every record, by record id.
+    pub at: Vec<(u32, u32)>,
+    /// Per machine: the ids of its records in row order (ascending).
+    pub ids: Vec<Vec<u32>>,
+    /// Per machine: one laid-out, still empty row per record.
+    pub arenas: Vec<CsrBuilder<T>>,
+}
+
+/// Hash-partitions `records` records, each owning a list of
+/// `row_len(record)` items, onto `machines` flat per-machine arenas
+/// ([`Csr`]). The caller then scatters the items in one pass over its
+/// instance — `arenas[machine].push(row, item)` in whatever order the
+/// instance yields them — so a driver distributes in three passes and
+/// O(machines) allocations, however many records there are.
+pub(crate) fn place_rows<T: Copy>(
+    machines: usize,
+    records: usize,
+    machine_of: impl Fn(usize) -> usize,
+    row_len: impl Fn(usize) -> usize,
+    fill: T,
+) -> MrResult<PlacedRows<T>> {
+    u32::try_from(records).map_err(|_| CsrOverflow)?;
+    let mut at = Vec::with_capacity(records);
+    let mut ids: Vec<Vec<u32>> = vec![Vec::new(); machines];
+    for r in 0..records {
+        let dst = machine_of(r);
+        at.push((dst as u32, ids[dst].len() as u32));
+        ids[dst].push(r as u32);
+    }
+    let arenas = ids
+        .iter()
+        .map(|ids| Csr::builder(ids.iter().map(|&r| row_len(r as usize)), fill))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(PlacedRows { at, ids, arenas })
 }
 
 #[cfg(test)]

@@ -7,47 +7,99 @@
 //!
 //! 1. aggregate `|U_r|` up the tree;
 //! 2. every machine samples its alive elements with `p = min(1, 2η/|U_r|)`
-//!    and gathers `(j, T_j)` pairs to the central machine (fail if
-//!    `|U'| > 6η`);
+//!    and gathers `(j, T_j)` messages on the flat payload plane to the
+//!    central machine (fail if `|U'| > 6η`);
 //! 3. the central machine runs the sequential local ratio on the sample;
 //! 4. the newly-zeroed set ids are broadcast down the `n^µ`-ary tree
 //!    (this is the `O(c/µ)`-per-iteration cost that makes the general-`f`
 //!    bound `O((c/µ)²)`);
 //! 5. machines drop every element with a chosen set in its `T_j`.
+//!
+//! A machine's block is flat: its element ids, one [`Csr`] arena holding
+//! every `T_j`, and an alive flag per element. The *metered* size is
+//! still the record-per-element formula; only the alive flags and the
+//! cover bitmap change after distribution — neither changes size — so it
+//! is computed once.
 
 use mrlr_mapreduce::rng::coin;
-use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, WordSized};
 use mrlr_setsys::{ElemId, SetId, SetSystem};
 
-use crate::mr::{dist_cache, MrConfig, SET_COVER_SAMPLE_SLACK};
+use crate::mr::{dist_cache, place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
 use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
 
 #[derive(Clone)]
-struct ElemRec {
-    id: ElemId,
-    tj: Vec<SetId>,
-    alive: bool,
-}
-
-impl WordSized for ElemRec {
-    fn words(&self) -> usize {
-        2 + self.tj.words()
-    }
-}
-
-#[derive(Clone)]
 struct ElemChunk {
-    recs: Vec<ElemRec>,
+    /// Ascending element id; element `ids[slot]` has `T_j` = row `slot`
+    /// of `tj` and aliveness `alive[slot]`.
+    ids: Vec<ElemId>,
+    tj: Csr<SetId>,
+    alive: Vec<bool>,
     in_cover: Bitset,
     alive_count: usize,
+    /// [`ElemChunk::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl WordSized for ElemChunk {
     fn words(&self) -> usize {
-        2 + self.recs.iter().map(WordSized::words).sum::<usize>() + self.in_cover.words()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
+}
+
+impl ElemChunk {
+    fn new(ids: Vec<ElemId>, tj: Csr<SetId>, n_sets: usize) -> Self {
+        let mut chunk = ElemChunk {
+            alive: vec![true; ids.len()],
+            alive_count: ids.len(),
+            ids,
+            tj,
+            in_cover: Bitset::new(n_sets),
+            words: 0,
+        };
+        chunk.words = chunk.metered_words();
+        chunk
+    }
+
+    /// The simulated size: a 2-word record plus its `T_j` list per
+    /// element, the cover bitmap and the alive counter.
+    fn metered_words(&self) -> usize {
+        let recs: usize = self.tj.iter().map(|tj| 2 + 1 + tj.len()).sum();
+        2 + recs + self.in_cover.words()
+    }
+}
+
+/// Distributes elements by hash, scattering the dual (element →
+/// containing sets, ascending) straight from the sets.
+fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ElemChunk>> {
+    let mut frequency = vec![0usize; sys.universe()];
+    for set in sys.sets() {
+        for &j in set {
+            frequency[j as usize] += 1;
+        }
+    }
+    let mut placed = place_rows(
+        cfg.machines,
+        sys.universe(),
+        |j| cfg.place(j as u64),
+        |j| frequency[j],
+        0,
+    )?;
+    for (i, set) in sys.sets().iter().enumerate() {
+        for &j in set {
+            let (dst, row) = placed.at[j as usize];
+            placed.arenas[dst as usize].push(row as usize, i as SetId);
+        }
+    }
+    Ok(placed
+        .ids
+        .into_iter()
+        .zip(placed.arenas)
+        .map(|(ids, arena)| ElemChunk::new(ids, arena.finish(), sys.n_sets()))
+        .collect())
 }
 
 /// Runs Algorithm 1 on the cluster simulator. Returns the cover and the
@@ -68,34 +120,18 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     let m = sys.universe();
     let n_sets = sys.n_sets();
 
-    // Distribute elements by hash; the dual (element → containing sets)
-    // view is only needed to build the snapshot, so cache hits skip it.
+    // Batch jobs sharing the instance + shape reuse the snapshot.
     let key = dist_cache::DistKey::new(0x0073_6366, sys, (m, n_sets), &cfg);
-    let chunks: Vec<ElemChunk> = dist_cache::get_or_build(key, || {
-        let dual_view = sys.dual();
-        let mut chunks: Vec<ElemChunk> = (0..cfg.machines)
-            .map(|_| ElemChunk {
-                recs: Vec::new(),
-                in_cover: Bitset::new(n_sets),
-                alive_count: 0,
-            })
-            .collect();
-        for (j, tj) in dual_view.iter().enumerate().take(m) {
-            let dst = cfg.place(j as u64);
-            chunks[dst].recs.push(ElemRec {
-                id: j as ElemId,
-                tj: tj.clone(),
-                alive: true,
-            });
-            chunks[dst].alive_count += 1;
-        }
-        chunks
-    });
+    let chunks = dist_cache::try_get_or_build(key, || distribute(sys, &cfg))?;
     let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
 
     // Central state: residual weights (n words) + dual accumulator.
     let mut lr = ScLocalRatio::new(sys.weights());
     cluster.charge_central(n_sets + 2)?;
+    // Central scratch, reused every round: the sample's sort permutation
+    // and the per-element "already zero" flags.
+    let mut order: Vec<usize> = Vec::new();
+    let mut zero_before: Vec<bool> = Vec::new();
 
     let mut round = 0usize;
     loop {
@@ -109,13 +145,14 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
         cluster.broadcast_words(1)?;
 
         let seed = cfg.seed;
-        let mut sample: Vec<(ElemId, Vec<SetId>)> = cluster.gather(|_, s: &mut ElemChunk| {
-            s.recs
-                .iter()
-                .filter(|r| r.alive && coin(seed, &[SC_COIN_TAG, round as u64, r.id as u64], p))
-                .map(|r| (r.id, r.tj.clone()))
-                .collect::<Vec<_>>()
-        })?;
+        let sample: PayloadBatch<ElemId, SetId> =
+            cluster.gather_payload(|_, s: &mut ElemChunk, sink| {
+                for (slot, &j) in s.ids.iter().enumerate() {
+                    if s.alive[slot] && coin(seed, &[SC_COIN_TAG, round as u64, j as u64], p) {
+                        sink.push_slice(j, s.tj.row(slot));
+                    }
+                }
+            })?;
         if sample.len() > SET_COVER_SAMPLE_SLACK * cfg.eta {
             return Err(cluster.fail(format!(
                 "|U'| = {} > {}η = {}",
@@ -127,12 +164,16 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
 
         // Central: sequential local ratio on the sample in ascending
         // element order (matching the sequential driver).
-        sample.sort_unstable_by_key(|(j, _)| *j);
+        order.clear();
+        order.extend(0..sample.len());
+        order.sort_unstable_by_key(|&i| sample.head(i));
         let mut newly_zero: Vec<SetId> = Vec::new();
-        for (j, tj) in &sample {
-            let zero_before: Vec<bool> = tj.iter().map(|&i| lr.in_cover(i)).collect();
-            if lr.process(*j, tj).is_some() {
-                for (&i, was_zero) in tj.iter().zip(zero_before) {
+        for &i in &order {
+            let (j, tj) = sample.get(i);
+            zero_before.clear();
+            zero_before.extend(tj.iter().map(|&i| lr.in_cover(i)));
+            if lr.process(j, tj).is_some() {
+                for (&i, &was_zero) in tj.iter().zip(&zero_before) {
                     if !was_zero && lr.in_cover(i) {
                         newly_zero.push(i);
                     }
@@ -144,14 +185,13 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
 
         // Broadcast the cover delta down the tree; machines update.
         cluster.broadcast(&newly_zero)?;
-        let delta = newly_zero;
-        cluster.local(move |_, s: &mut ElemChunk| {
-            for &i in &delta {
+        cluster.local(|_, s: &mut ElemChunk| {
+            for &i in &newly_zero {
                 s.in_cover.set(i as usize);
             }
-            for r in &mut s.recs {
-                if r.alive && r.tj.iter().any(|&i| s.in_cover.get(i as usize)) {
-                    r.alive = false;
+            for (slot, alive) in s.alive.iter_mut().enumerate() {
+                if *alive && s.tj.row(slot).iter().any(|&i| s.in_cover.get(i as usize)) {
+                    *alive = false;
                     s.alive_count -= 1;
                 }
             }
@@ -195,6 +235,31 @@ mod tests {
             assert!(metrics.rounds > 0);
             assert!(is_cover(&sys, &mr.cover));
         }
+    }
+
+    /// The stored state size is the record-per-element formula of the
+    /// nested layout, recounted from the instance, and nothing a superstep
+    /// does changes it (`words()` re-asserts that on every pass of a
+    /// debug run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let sys = with_uniform_weights(bounded_frequency(40, 600, 3, 2), 1.0, 8.0, 2);
+        let cfg = MrConfig::auto(40, 600, 0.5, 2).with_machines(5);
+        let dual = sys.dual();
+        let bitmap = 1 + sys.n_sets().div_ceil(64);
+        for (id, chunk) in distribute(&sys, &cfg).unwrap().iter().enumerate() {
+            let local = |j: &usize| cfg.place(*j as u64) == id;
+            let recs: usize = (0..sys.universe())
+                .filter(local)
+                .map(|j| 2 + 1 + dual[j].len())
+                .sum();
+            assert_eq!(chunk.words, 2 + recs + bitmap, "machine {id}");
+            assert_eq!(chunk.words(), chunk.metered_words());
+            for (slot, &j) in chunk.ids.iter().enumerate() {
+                assert_eq!(chunk.tj.row(slot), dual[j as usize].as_slice());
+            }
+        }
+        run(&sys, cfg).unwrap();
     }
 
     #[test]

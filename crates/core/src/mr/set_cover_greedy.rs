@@ -7,65 +7,98 @@
 //! round: a tree aggregation reports whether any set still clears the
 //! current level `L/(1+ε)` together with the class sizes; machines sample
 //! groups locally and gather `(class, group, id, w, remaining elements)`
-//! tuples; the central machine takes at most one qualifying set per group
-//! and broadcasts the covered delta. Group overflows (`> 4·m^{µ/2}`)
-//! *fail the iteration and continue*, exactly as lines 15–17 prescribe.
+//! messages on the flat payload plane; the central machine takes at most
+//! one qualifying set per group and broadcasts the covered delta. Group
+//! overflows (`> 4·m^{µ/2}`) *fail the iteration and continue*, exactly as
+//! lines 15–17 prescribe.
+//!
+//! A machine's block is flat: fixed-width set records, one [`Csr`] arena
+//! holding every set's elements, and the element → local-set reverse
+//! index as a second `Csr` whose row number is the element id, so a
+//! covered delta is applied by direct offset. The *metered* size is still
+//! the record-per-set formula (the index charged as a mirror of the
+//! input); nothing in it changes after distribution, so it is computed
+//! once.
 
-use std::collections::HashMap;
-
-use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, WordSized};
 use mrlr_setsys::{ElemId, SetId, SetSystem};
 
-use crate::hungry::mis::{degree_class, group_choice};
-use crate::hungry::setcover::{HungryScParams, HungryScTrace, HSC_RNG_TAG};
-use crate::mr::{dist_cache, MrConfig};
+use crate::hungry::mis::{degree_class_ln, group_choice};
+use crate::hungry::setcover::{class_group_counts, HungryScParams, HungryScTrace, HSC_RNG_TAG};
+use crate::mr::{dist_cache, place_rows, MrConfig};
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
-#[derive(Clone)]
+/// The fixed-width part of a resident set; its elements are the row of
+/// [`ScChunk::elems`] with the record's slot number.
+#[derive(Clone, Copy)]
 struct SetRecM {
     id: SetId,
     w: f64,
-    elems: Vec<ElemId>,
-    uncov: usize,
+    uncov: u32,
     chosen: bool,
-}
-
-impl WordSized for SetRecM {
-    fn words(&self) -> usize {
-        4 + self.elems.words()
-    }
 }
 
 #[derive(Clone)]
 struct ScChunk {
+    /// Ascending set id.
     recs: Vec<SetRecM>,
+    elems: Csr<ElemId>,
     covered: Bitset,
-    /// element → local set slots (charged as a mirror of the input).
-    index: HashMap<ElemId, Vec<usize>>,
+    /// Element → local set slots.
+    index: Csr<u32>,
+    /// [`ScChunk::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl WordSized for ScChunk {
     fn words(&self) -> usize {
-        // recs + covered bitmap + reverse index (≈ the recs again).
-        1 + self.recs.iter().map(WordSized::words).sum::<usize>() * 2 + self.covered.words()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
 }
 
 impl ScChunk {
+    fn new(sys: &SetSystem, ids: &[SetId], elems: Csr<ElemId>) -> MrResult<Self> {
+        let recs = ids
+            .iter()
+            .zip(elems.iter())
+            .map(|(&id, row)| SetRecM {
+                id,
+                w: sys.weight(id),
+                uncov: row.len() as u32,
+                chosen: false,
+            })
+            .collect();
+        let mut chunk = ScChunk {
+            recs,
+            index: elems.invert(sys.universe(), |&j| j as usize)?,
+            elems,
+            covered: Bitset::new(sys.universe()),
+            words: 0,
+        };
+        chunk.words = chunk.metered_words();
+        Ok(chunk)
+    }
+
+    /// The simulated size: a 4-word record plus its element list per set,
+    /// the bitmap, and the reverse index charged as the records again.
+    fn metered_words(&self) -> usize {
+        let recs: usize = self.elems.iter().map(|row| 4 + 1 + row.len()).sum();
+        1 + recs * 2 + self.covered.words()
+    }
+
     fn apply_delta(&mut self, covered_delta: &[ElemId], chosen_delta: &[SetId]) {
         for &j in covered_delta {
             if self.covered.set(j as usize) {
-                if let Some(slots) = self.index.get(&j) {
-                    for &s in slots {
-                        self.recs[s].uncov -= 1;
-                    }
+                for &slot in self.index.row(j as usize) {
+                    self.recs[slot as usize].uncov -= 1;
                 }
             }
         }
         for &i in chosen_delta {
-            // Chosen sets live on exactly one machine; linear scan is fine
-            // (recs are sorted by id — binary search).
+            // A chosen set lives on exactly one machine; recs are sorted
+            // by id.
             if let Ok(pos) = self.recs.binary_search_by_key(&i, |r| r.id) {
                 self.recs[pos].chosen = true;
             }
@@ -73,7 +106,31 @@ impl ScChunk {
     }
 }
 
-type SampleMsg = (u64, u64, SetId, f64, Vec<ElemId>);
+/// `(class, group, set id, weight)`; the payload is the set's remaining
+/// elements.
+type SampleHead = (u64, u64, SetId, f64);
+
+fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ScChunk>> {
+    let n = sys.n_sets();
+    let mut placed = place_rows(
+        cfg.machines,
+        n,
+        |l| cfg.place(l as u64),
+        |l| sys.set(l as SetId).len(),
+        0,
+    )?;
+    for (l, &(dst, row)) in placed.at.iter().enumerate() {
+        for &j in sys.set(l as SetId) {
+            placed.arenas[dst as usize].push(row as usize, j);
+        }
+    }
+    placed
+        .ids
+        .iter()
+        .zip(placed.arenas)
+        .map(|(ids, arena)| ScChunk::new(sys, ids, arena.finish()))
+        .collect()
+}
 
 /// Algorithm 3 on the cluster. Output is bit-identical to
 /// [`crate::hungry::setcover::hungry_set_cover`] with the same parameters.
@@ -98,37 +155,14 @@ pub fn run(
     let m = sys.universe();
     let n = sys.n_sets();
     let mf = (m.max(2)) as f64;
+    let ln_mf = mf.ln();
     let num_classes = (1.0 / params.alpha).ceil() as usize;
+    let group_counts = class_group_counts(mf, params.alpha, num_classes);
 
     // Distribute sets; batch jobs sharing the instance + shape reuse the
     // snapshot.
     let key = dist_cache::DistKey::new(0x0073_6367, sys, (m, n), &cfg);
-    let chunks: Vec<ScChunk> = dist_cache::get_or_build(key, || {
-        let mut chunks: Vec<ScChunk> = (0..cfg.machines)
-            .map(|_| ScChunk {
-                recs: Vec::new(),
-                covered: Bitset::new(m),
-                index: HashMap::new(),
-            })
-            .collect();
-        for l in 0..n {
-            let dst = cfg.place(l as u64);
-            let slot = chunks[dst].recs.len();
-            let elems = sys.set(l as SetId).to_vec();
-            for &j in &elems {
-                chunks[dst].index.entry(j).or_default().push(slot);
-            }
-            chunks[dst].recs.push(SetRecM {
-                id: l as SetId,
-                w: sys.weight(l as SetId),
-                uncov: elems.len(),
-                elems,
-                chosen: false,
-            });
-        }
-        // recs are pushed in ascending id order per machine already.
-        chunks
-    });
+    let chunks = dist_cache::try_get_or_build(key, || distribute(sys, &cfg))?;
     let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
 
     // Central state: covered bitmap + bookkeeping.
@@ -138,6 +172,8 @@ pub fn run(
     let mut price_sum = 0.0f64;
     let mut prices: Vec<(ElemId, f64)> = Vec::new();
     let mut trace = HungryScTrace::default();
+    // Central-sort permutation of the gathered sample, reused every round.
+    let mut order: Vec<usize> = Vec::new();
     cluster.charge_central(2 + m / 32)?;
 
     // Initial level L = max |S|/w, aggregated up the tree.
@@ -150,16 +186,15 @@ pub fn run(
     let mut k = 0usize;
 
     while covered_count < m {
+        let threshold = level / (1.0 + params.eps);
         loop {
             // One tree aggregation: (any set clears the level?, Φ_k).
-            let lvl = level;
-            let eps = params.eps;
             let (exists, phi) = cluster.aggregate(
                 |_, s: &ScChunk| {
                     let mut any = 0u64;
                     let mut pot = 0.0f64;
                     for r in &s.recs {
-                        if !r.chosen && r.uncov as f64 / r.w >= lvl / (1.0 + eps) {
+                        if !r.chosen && r.uncov as f64 / r.w >= threshold {
                             if r.uncov > 0 {
                                 any = 1;
                             }
@@ -185,8 +220,9 @@ pub fn run(
                 |_, s: &ScChunk| {
                     let mut counts = vec![0u64; num_classes + 1];
                     for r in &s.recs {
-                        if !r.chosen && r.uncov > 0 && r.uncov as f64 / r.w >= lvl / (1.0 + eps) {
-                            counts[degree_class(r.uncov, mf, alpha, num_classes)] += 1;
+                        if !r.chosen && r.uncov > 0 && r.uncov as f64 / r.w >= threshold {
+                            counts[degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes)] +=
+                                1;
                         }
                     }
                     counts
@@ -203,53 +239,45 @@ pub fn run(
             // Sample + gather (remaining elements only).
             let seed = params.seed;
             let gs = params.group_size;
-            let sizes = class_sizes.clone();
-            let mut sample: Vec<SampleMsg> = cluster.gather(move |_, s: &mut ScChunk| {
-                let mut out = Vec::new();
-                for r in &s.recs {
-                    if r.chosen || r.uncov == 0 || (r.uncov as f64 / r.w) < lvl / (1.0 + eps) {
-                        continue;
+            let sample: PayloadBatch<SampleHead, ElemId> =
+                cluster.gather_payload(|_, s: &mut ScChunk, sink| {
+                    for (slot, r) in s.recs.iter().enumerate() {
+                        if r.chosen || r.uncov == 0 || (r.uncov as f64 / r.w) < threshold {
+                            continue;
+                        }
+                        let i = degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes);
+                        if let Some(gid) = group_choice(
+                            seed,
+                            &[HSC_RNG_TAG, k as u64, i as u64],
+                            r.id as u64,
+                            group_counts[i],
+                            gs,
+                            class_sizes[i] as usize,
+                        ) {
+                            let mut remaining = sink.begin((i as u64, gid as u64, r.id, r.w));
+                            for &j in s.elems.row(slot) {
+                                if !s.covered.get(j as usize) {
+                                    remaining.push(j);
+                                }
+                            }
+                        }
                     }
-                    let i = degree_class(r.uncov, mf, alpha, num_classes);
-                    let groups_count = (2.0 * mf.powf((i + 1) as f64 * alpha)).ceil() as usize;
-                    if let Some(gid) = group_choice(
-                        seed,
-                        &[HSC_RNG_TAG, k as u64, i as u64],
-                        r.id as u64,
-                        groups_count,
-                        gs,
-                        sizes[i] as usize,
-                    ) {
-                        let remaining: Vec<ElemId> = r
-                            .elems
-                            .iter()
-                            .copied()
-                            .filter(|&j| !s.covered.get(j as usize))
-                            .collect();
-                        out.push((i as u64, gid as u64, r.id, r.w, remaining));
-                    }
-                }
-                out
-            })?;
+                })?;
+            let group_of = |i: usize| {
+                let (class, group, _, _) = sample.head(i);
+                (class, group)
+            };
 
             // Group overflow ⇒ fail this iteration, continue (lines 15-17).
-            sample.sort_unstable_by_key(|&(c, gg, id, _, _)| (c, gg, id));
-            let mut overflow = false;
-            {
-                let mut idx = 0usize;
-                while idx < sample.len() {
-                    let key = (sample[idx].0, sample[idx].1);
-                    let mut count = 0usize;
-                    while idx < sample.len() && (sample[idx].0, sample[idx].1) == key {
-                        count += 1;
-                        idx += 1;
-                    }
-                    if count > 4 * gs {
-                        overflow = true;
-                        break;
-                    }
-                }
-            }
+            order.clear();
+            order.extend(0..sample.len());
+            order.sort_unstable_by_key(|&i| {
+                let (class, group, id, _) = sample.head(i);
+                (class, group, id)
+            });
+            let overflow = order
+                .chunk_by(|&a, &b| group_of(a) == group_of(b))
+                .any(|group| group.len() > 4 * gs);
             if overflow {
                 trace.failed_rounds += 1;
                 continue;
@@ -258,35 +286,31 @@ pub fn run(
             // Central: one qualifying set per group.
             let mut covered_delta: Vec<ElemId> = Vec::new();
             let mut chosen_delta: Vec<SetId> = Vec::new();
-            let mut idx = 0usize;
-            while idx < sample.len() {
-                let key = (sample[idx].0, sample[idx].1);
-                let accept = mf.powf(1.0 - (key.0 as f64 + 1.0) * params.alpha) / 2.0;
+            for group in order.chunk_by(|&a, &b| group_of(a) == group_of(b)) {
+                let (class, _) = group_of(group[0]);
+                let accept = mf.powf(1.0 - (class as f64 + 1.0) * params.alpha) / 2.0;
                 let mut best: Option<(usize, usize)> = None;
-                while idx < sample.len() && (sample[idx].0, sample[idx].1) == key {
-                    let (_, _, id, w, ref remaining) = sample[idx];
-                    let _ = id;
-                    let uncov_cur = remaining
+                for &i in group {
+                    let (_, _, _, w) = sample.head(i);
+                    let uncov_cur = sample
+                        .payload(i)
                         .iter()
                         .filter(|&&j| !covered.get(j as usize))
                         .count();
-                    if uncov_cur as f64 >= accept
-                        && uncov_cur as f64 / w >= level / (1.0 + params.eps)
-                    {
+                    if uncov_cur as f64 >= accept && uncov_cur as f64 / w >= threshold {
                         best = match best {
-                            None => Some((uncov_cur, idx)),
-                            Some((bu, _)) if uncov_cur > bu => Some((uncov_cur, idx)),
+                            None => Some((uncov_cur, i)),
+                            Some((bu, _)) if uncov_cur > bu => Some((uncov_cur, i)),
                             other => other,
                         };
                     }
-                    idx += 1;
                 }
                 if let Some((uncov_cur, bi)) = best {
-                    let (_, _, id, w, remaining) = sample[bi].clone();
+                    let (_, _, id, w) = sample.head(bi);
                     let price = w / uncov_cur as f64;
                     solution.push(id);
                     chosen_delta.push(id);
-                    for j in remaining {
+                    for &j in sample.payload(bi) {
                         if covered.set(j as usize) {
                             covered_count += 1;
                             covered_delta.push(j);
@@ -298,9 +322,9 @@ pub fn run(
             }
             covered_delta.sort_unstable();
             chosen_delta.sort_unstable();
-            cluster.broadcast(&(covered_delta.clone(), chosen_delta.clone()))?;
-            cluster
-                .local(move |_, s: &mut ScChunk| s.apply_delta(&covered_delta, &chosen_delta))?;
+            let delta = (covered_delta, chosen_delta);
+            cluster.broadcast(&delta)?;
+            cluster.local(|_, s: &mut ScChunk| s.apply_delta(&delta.0, &delta.1))?;
         }
         if covered_count < m {
             level /= 1.0 + params.eps;
@@ -348,6 +372,33 @@ mod tests {
             let bound = (1.0 + params.eps) * harmonic(sys.max_set_size());
             assert!(mr.weight <= bound * mr.lower_bound * (1.0 + 1e-9) + 1e-9);
         }
+    }
+
+    /// The stored state size is the record-per-set formula of the nested
+    /// layout, recounted from the instance, and nothing a superstep does
+    /// changes it (`words()` re-asserts that on every pass of a debug
+    /// run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let sys = with_uniform_weights(bounded_set_size(100, 60, 8, 2), 1.0, 5.0, 2);
+        let cfg = MrConfig::auto(60, sys.total_size(), 0.4, 2).with_machines(5);
+        let mut chunks = distribute(&sys, &cfg).unwrap();
+        let bitmap = 1 + sys.universe().div_ceil(64);
+        let all_elems: Vec<ElemId> = (0..sys.universe() as ElemId).collect();
+        let all_sets: Vec<SetId> = (0..sys.n_sets() as SetId).collect();
+        for (id, chunk) in chunks.iter_mut().enumerate() {
+            let recs: usize = all_sets
+                .iter()
+                .filter(|&&l| cfg.place(l as u64) == id)
+                .map(|&l| 4 + 1 + sys.set(l).len())
+                .sum();
+            assert_eq!(chunk.words, 1 + 2 * recs + bitmap, "machine {id}");
+            assert_eq!(chunk.words(), chunk.metered_words());
+            chunk.apply_delta(&all_elems, &all_sets);
+            assert!(chunk.recs.iter().all(|r| r.uncov == 0 && r.chosen));
+            assert_eq!(chunk.words(), chunk.metered_words());
+        }
+        run(&sys, HungryScParams::new(60, 0.4, 0.2, 2), cfg).unwrap();
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! total.
 //!
 //! Layout: edges (elements) are hash-partitioned; each vertex lives on a
-//! machine with its incident edge-id list.
+//! machine with its incident edge-id list. A machine's block is flat:
+//! fixed-width edge records, its vertex ids, and one [`Csr`] arena holding
+//! every incident-edge list. The *metered* size is still the
+//! record-per-vertex formula; only the alive flags change after
+//! distribution, so it is computed once.
 //!
 //! Every message this driver ships is a fixed-width scalar tuple, so it
 //! uses plain `exchange`/`gather`: the flat payload gather
@@ -18,14 +22,14 @@
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
-use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{dist_cache, MrConfig, SET_COVER_SAMPLE_SLACK};
+use crate::mr::{dist_cache, place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
 use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct EdgeRec {
     id: EdgeId,
     u: VertexId,
@@ -33,36 +37,80 @@ struct EdgeRec {
     alive: bool,
 }
 
-impl WordSized for EdgeRec {
-    fn words(&self) -> usize {
-        4
-    }
-}
-
-#[derive(Clone)]
-struct VertexRec {
-    v: VertexId,
-    edges: Vec<EdgeId>,
-}
-
-impl WordSized for VertexRec {
-    fn words(&self) -> usize {
-        1 + self.edges.words()
-    }
-}
-
 #[derive(Clone)]
 struct VcState {
+    /// Ascending edge id.
     edges: Vec<EdgeRec>,
-    vertices: Vec<VertexRec>,
+    /// Ascending vertex id; vertex `vertices[slot]`'s incident edge ids
+    /// are row `slot` of `incident`.
+    vertices: Vec<VertexId>,
+    incident: Csr<EdgeId>,
     alive_count: usize,
+    /// [`VcState::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl WordSized for VcState {
     fn words(&self) -> usize {
-        1 + self.edges.iter().map(WordSized::words).sum::<usize>()
-            + self.vertices.iter().map(WordSized::words).sum::<usize>()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
+}
+
+impl VcState {
+    /// The simulated size: a 4-word record per edge, a 1-word record plus
+    /// its incident-edge list per vertex, and the alive counter.
+    fn metered_words(&self) -> usize {
+        let vertices: usize = self.incident.iter().map(|es| 1 + 1 + es.len()).sum();
+        1 + 4 * self.edges.len() + vertices
+    }
+}
+
+/// Machine of vertex `v` (edges are placed by their own id).
+fn vertex_place(cfg: &MrConfig, v: VertexId) -> usize {
+    cfg.place(0x0076_6377 ^ (v as u64).rotate_left(17))
+}
+
+/// Distributes edges (elements) and vertices (sets, with their incident
+/// edge ids ascending) by hash.
+fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
+    let degree = g.degrees();
+    let mut placed = place_rows(
+        cfg.machines,
+        g.n(),
+        |v| vertex_place(cfg, v as VertexId),
+        |v| degree[v],
+        0,
+    )?;
+    let mut edges: Vec<Vec<EdgeRec>> = vec![Vec::new(); cfg.machines];
+    for (idx, e) in g.edges().iter().enumerate() {
+        edges[cfg.place(idx as u64)].push(EdgeRec {
+            id: idx as EdgeId,
+            u: e.u,
+            v: e.v,
+            alive: true,
+        });
+        for x in [e.u, e.v] {
+            let (dst, row) = placed.at[x as usize];
+            placed.arenas[dst as usize].push(row as usize, idx as EdgeId);
+        }
+    }
+    Ok(edges
+        .into_iter()
+        .zip(placed.ids)
+        .zip(placed.arenas)
+        .map(|((edges, vertices), arena)| {
+            let mut state = VcState {
+                alive_count: edges.len(),
+                edges,
+                vertices,
+                incident: arena.finish(),
+                words: 0,
+            };
+            state.words = state.metered_words();
+            state
+        })
+        .collect())
 }
 
 /// Runs the `f = 2` vertex-cover algorithm on the cluster. Output is
@@ -89,43 +137,14 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
         ));
     }
 
-    // Distribute edges (elements) and vertices (sets with adjacency);
-    // batch jobs sharing the instance + shape reuse the snapshot.
+    // Batch jobs sharing the instance + shape reuse the snapshot.
     let key = dist_cache::DistKey::new(0x0076_6363, g, (g.n(), g.m()), &cfg);
-    let states: Vec<VcState> = dist_cache::get_or_build(key, || {
-        let mut states: Vec<VcState> = (0..cfg.machines)
-            .map(|_| VcState {
-                edges: Vec::new(),
-                vertices: Vec::new(),
-                alive_count: 0,
-            })
-            .collect();
-        for (idx, e) in g.edges().iter().enumerate() {
-            let dst = cfg.place(idx as u64);
-            states[dst].edges.push(EdgeRec {
-                id: idx as EdgeId,
-                u: e.u,
-                v: e.v,
-                alive: true,
-            });
-            states[dst].alive_count += 1;
-        }
-        let adj = g.adjacency();
-        for (v, nbrs) in adj.iter().enumerate() {
-            let dst = cfg.place(0x0076_6377 ^ (v as u64).rotate_left(17));
-            states[dst].vertices.push(VertexRec {
-                v: v as VertexId,
-                edges: nbrs.iter().map(|&(_, e)| e).collect(),
-            });
-        }
-        states
-    });
+    let states = dist_cache::try_get_or_build(key, || distribute(g, &cfg))?;
     let mut cluster = Cluster::new(cfg.cluster(), states)?;
 
     let mut lr = ScLocalRatio::new(weights);
     cluster.charge_central(g.n() + 2)?;
     let edge_place = |e: EdgeId| cfg.place(e as u64);
-    let vertex_place = |v: VertexId| cfg.place(0x0076_6377 ^ (v as u64).rotate_left(17));
 
     let mut round = 0usize;
     loop {
@@ -182,7 +201,7 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
             |id, _s, out| {
                 if id == central {
                     for &v in &delta {
-                        out.send(vertex_place(v), v);
+                        out.send(vertex_place(&cfg, v), v);
                     }
                 }
             },
@@ -198,9 +217,9 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
         }
         cluster.exchange::<EdgeId, _, _>(
             |_, s, out| {
-                for vr in &s.vertices {
-                    if delta_bits.get(vr.v as usize) {
-                        for &e in &vr.edges {
+                for (slot, &v) in s.vertices.iter().enumerate() {
+                    if delta_bits.get(v as usize) {
+                        for &e in s.incident.row(slot) {
                             out.send(edge_place(e), e);
                         }
                     }
@@ -266,6 +285,31 @@ mod tests {
             assert!(mr.weight <= 2.0 * mr.lower_bound + 1e-6);
             assert!(metrics.rounds > 0);
         }
+    }
+
+    /// The stored state size is the record-per-vertex formula of the
+    /// nested layout, recounted from the instance, and nothing a superstep
+    /// does changes it (`words()` re-asserts that on every pass of a
+    /// debug run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let g = densified(50, 0.4, 2);
+        let cfg = MrConfig::auto(50, g.m(), 0.4, 2).with_machines(5);
+        let adj = g.adjacency();
+        for (id, state) in distribute(&g, &cfg).unwrap().iter().enumerate() {
+            let edges = (0..g.m()).filter(|&e| cfg.place(e as u64) == id).count();
+            let vertices: usize = (0..g.n())
+                .filter(|&v| vertex_place(&cfg, v as VertexId) == id)
+                .map(|v| 1 + 1 + adj[v].len())
+                .sum();
+            assert_eq!(state.words, 1 + 4 * edges + vertices, "machine {id}");
+            assert_eq!(state.words(), state.metered_words());
+            for (slot, &v) in state.vertices.iter().enumerate() {
+                let incident: Vec<EdgeId> = adj[v as usize].iter().map(|&(_, e)| e).collect();
+                assert_eq!(state.incident.row(slot), incident.as_slice());
+            }
+        }
+        run(&g, &weights(50, 2), cfg).unwrap();
     }
 
     #[test]

@@ -97,6 +97,14 @@ impl fmt::Display for MrError {
 
 impl std::error::Error for MrError {}
 
+/// A machine's flat state arena outgrew its offsets: the cluster shape
+/// puts more than `u32::MAX` items on one machine.
+impl From<crate::csr::CsrOverflow> for MrError {
+    fn from(e: crate::csr::CsrOverflow) -> Self {
+        MrError::BadConfig(format!("per-machine state: {e}"))
+    }
+}
+
 /// Result alias used throughout the workspace.
 pub type MrResult<T> = Result<T, MrError>;
 

@@ -24,7 +24,8 @@
 //! * [`rng`] provides partition-stable hash-derived randomness so that a
 //!   distributed run is bit-identical to its sequential counterpart.
 //! * [`bitset::Bitset`] and [`words::WordSized`] handle exact word-level
-//!   space accounting.
+//!   space accounting; [`csr::Csr`] is the flat "one list per record"
+//!   layout resident driver states are built on.
 //! * [`model::ComputeModel`] audits cluster shapes against the MRC/MPC side
 //!   conditions; [`partition`] provides hash/block/range placement;
 //!   and [`trace::Timeline`] renders per-round traces (CSV/ASCII)
@@ -78,6 +79,7 @@
 
 pub mod bitset;
 pub mod cluster;
+pub mod csr;
 pub mod dist;
 pub mod error;
 pub mod executor;
@@ -97,6 +99,7 @@ pub use bitset::Bitset;
 pub use cluster::{
     tree_depth, Cluster, ClusterConfig, Enforcement, Inbox, MachineId, MachineState, Outbox,
 };
+pub use csr::{Csr, CsrBuilder, CsrOverflow};
 pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader, WorkerKill};
 pub use error::{CapacityKind, MrError, MrResult};
 pub use executor::{
