@@ -617,7 +617,7 @@ fn e12_eta_ablation(registry: &Registry) {
 /// executor only moves wall-clock, and only on hosts with real cores
 /// (single-CPU hosts read flat; the substrate's rendezvous test proves
 /// the concurrency structurally). Ends with a `solve_batch` smoke run:
-/// one instance set across many `(algorithm, cfg)` jobs on warm pools.
+/// one instance set across many `(algorithm, cfg)` jobs.
 fn e14_executor_scaling(registry: &Registry) {
     println!("\n## E14 — executor scaling: wall-clock vs threads, identical outputs\n");
     let host = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -673,7 +673,7 @@ fn e14_executor_scaling(registry: &Registry) {
     );
 
     // solve_batch smoke: one instance set across many (algorithm, cfg)
-    // jobs, pools pre-warmed once for the whole batch.
+    // jobs.
     let ga = weighted_graph(300, 0.5, 67);
     let gb = weighted_graph(200, 0.4, 68);
     let cfg_a = MrConfig::auto(300, ga.m(), 0.25, 67);

@@ -1,7 +1,7 @@
 //! # mrlr-bench — the experiment harness
 //!
-//! Utilities shared by the `figure1` and `experiments` binaries and the
-//! criterion benches: standard workloads, ratio measurement against exact
+//! Utilities shared by the `figure1`, `experiments` and `bench_*`
+//! binaries: standard workloads, ratio measurement against exact
 //! solvers or dual certificates, and markdown table rendering.
 
 #![warn(missing_docs)]

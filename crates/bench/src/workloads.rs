@@ -1,6 +1,5 @@
 //! Named workload families: the one source of generated instances shared
-//! by the `mrlr gen` CLI, the criterion benches and the experiment
-//! binaries.
+//! by the `mrlr gen` CLI and the experiment binaries.
 //!
 //! Each family is a string key plus a builder from [`GenParams`] (seeds
 //! and size knobs) to a type-erased [`Instance`], so data-driven harnesses

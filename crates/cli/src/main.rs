@@ -108,7 +108,7 @@ written away from its manifest), skips slots that recorded an error
 1 if any audited slot fails.
 
 `mrlr serve` runs the solver as a persistent daemon on a Unix socket:
-thread pools and distribution snapshots stay warm across requests, at
+thread pools and parsed instances stay warm across requests, at
 most --max-inflight requests solve concurrently (--queue more may wait,
 further arrivals are rejected with a `busy` error, exit 1), every wait
 is bounded by --timeout-millis, and identical concurrent solves are
@@ -1012,22 +1012,19 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         .collect::<Result<_, _>>()?;
 
     let registry = Registry::with_defaults();
-    // One solve_batch per instance: job cluster shapes are auto-derived
-    // from each instance, and the batch scope still amortizes executor
-    // warm-up and distribution across the jobs that share a shape.
+    // Job cluster shapes are auto-derived from each instance.
     let results: io::BatchResults = instances
         .iter()
         .map(|instance| {
-            let jobs: Vec<(&str, MrConfig)> = manifest
+            manifest
                 .jobs
                 .iter()
-                .map(|job| (job.algorithm.as_str(), job_cfg(instance, job, backend)))
-                .collect();
-            registry
-                .solve_batch_with(backend, std::slice::from_ref(instance), &jobs)
-                .remove(0)
-                .into_iter()
-                .map(|slot| slot.map_err(|e| e.to_string()))
+                .map(|job| {
+                    let cfg = job_cfg(instance, job, backend);
+                    registry
+                        .solve_with(&job.algorithm, backend, instance, &cfg)
+                        .map_err(|e| e.to_string())
+                })
                 .collect()
         })
         .collect();

@@ -28,8 +28,8 @@
 //!   experiment binaries, benches and examples loop over the registry
 //!   instead of hand-wiring per-algorithm entry points.
 //!   [`Registry::solve_batch`] runs one instance set across many
-//!   `(algorithm, cfg)` jobs, pre-warming the executor pools the jobs
-//!   name once for the whole batch.
+//!   `(algorithm, cfg)` jobs: the nested loop over
+//!   [`Registry::solve_with`], each job distributing its own input.
 //!
 //! The cluster backends run machine supersteps on the pluggable executor
 //! behind [`crate::mr::MrConfig::exec`] ([`crate::mr::ExecConfig`]):

@@ -515,21 +515,15 @@ impl Registry {
     }
 
     /// Dispatches every instance to every `(algorithm, cfg)` job on the
-    /// [`Backend::Mr`] drivers, returning `results[instance][job]`.
+    /// [`Backend::Mr`] drivers, returning `results[instance][job]`: the
+    /// plain nested loop over [`Registry::solve_with`], instances outer.
     ///
-    /// The batch amortizes executor startup: the thread pools named by
-    /// the jobs' [`MrConfig::exec`] configs are spawned (or fetched warm
-    /// from the process-wide cache) once up front, so each solve pays
-    /// instance distribution and superstep work only — not thread spawns.
-    /// Distribution itself is amortized too: each instance's jobs run
-    /// inside a `mrlr_core::mr::dist_cache` scope, so jobs sharing an
-    /// instance and a cluster shape (thread sweeps, MIS1/MIS2, the
-    /// colouring pair) clone
-    /// the first job's distributed per-machine snapshot instead of
-    /// re-distributing — bit-identical results either way, since
-    /// distribution is a pure function of `(instance, machines, seed)`.
-    /// Per-pair failures (unknown key, instance-kind mismatch, capacity
-    /// exhaustion) land in that pair's slot without aborting the batch.
+    /// Every job distributes its instance itself, once, before round one
+    /// (the paper's model); nothing is shared between jobs except the
+    /// process-wide executor pools every cluster resolves through
+    /// `mrlr_mapreduce::executor_for`. Per-pair failures (unknown key,
+    /// instance-kind mismatch, capacity exhaustion) land in that pair's
+    /// slot without aborting the batch.
     pub fn solve_batch(
         &self,
         instances: &[Instance],
@@ -541,38 +535,19 @@ impl Registry {
     /// [`Registry::solve_batch`] on an explicit backend (`Mr`, `Shard`
     /// and `Dist` are the metered cluster backends and return
     /// bit-identical reports; `Seq`/`Rlr` batches skip the cluster
-    /// entirely but still share the distribution-cache scope, which is
-    /// simply idle for them).
+    /// entirely).
     pub fn solve_batch_with(
         &self,
         backend: Backend,
         instances: &[Instance],
         jobs: &[(&str, MrConfig)],
     ) -> Vec<Vec<MrResult<Report<Solution>>>> {
-        // Warm each *distinct* thread count exactly once and pin the pool
-        // handles for the whole batch: consecutive jobs sharing a count
-        // reuse one cached pool instead of re-resolving it per job
-        // (every cluster resolves its executor through the same
-        // process-wide cache).
-        let mut counts: Vec<usize> = jobs.iter().map(|(_, cfg)| cfg.exec.threads).collect();
-        counts.sort_unstable();
-        counts.dedup();
-        let _pools: Vec<std::sync::Arc<dyn mrlr_mapreduce::Executor>> = counts
-            .into_iter()
-            .map(mrlr_mapreduce::executor_for)
-            .collect();
         instances
             .iter()
             .map(|instance| {
-                // One scope per instance: keys carry the instance address,
-                // so cross-instance hits are impossible and a narrower
-                // scope drops each snapshot as soon as its instance is
-                // done instead of holding all of them to the end.
-                crate::mr::dist_cache::scope(|| {
-                    jobs.iter()
-                        .map(|(algorithm, cfg)| self.solve_with(algorithm, backend, instance, cfg))
-                        .collect()
-                })
+                jobs.iter()
+                    .map(|(algorithm, cfg)| self.solve_with(algorithm, backend, instance, cfg))
+                    .collect()
             })
             .collect()
     }
@@ -736,43 +711,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solve_batch_distribution_cache_is_transparent() {
-        // Jobs sharing an instance + cluster shape hit the distribution
-        // cache inside the batch scope; results (solutions, certificates
-        // AND model-level Metrics) must be bit-identical to uncached
-        // standalone solves.
-        let r = Registry::with_defaults();
-        let g = generators::with_uniform_weights(&generators::densified(40, 0.4, 5), 1.0, 9.0, 5);
-        let cfg = MrConfig::auto(40, g.m(), 0.3, 5);
-        let instances = [Instance::Graph(g)];
-        let jobs = [
-            ("matching", cfg),
-            ("matching", cfg.with_threads(2)), // same shape: cache hit
-            ("mis1", cfg),
-            ("mis2", cfg), // shares the MIS partition with mis1
-            ("vertex-colouring", cfg),
-            ("edge-colouring", cfg), // shares the edge partition
-        ];
-        let batch = r.solve_batch(&instances, &jobs);
-        let (hits, misses) = crate::mr::dist_cache::stats();
-        assert!(hits >= 3, "expected cache hits in the batch, got {hits}");
-        assert!(misses >= 1);
-        for (i, (algorithm, job_cfg)) in jobs.iter().enumerate() {
-            let standalone = r.solve(algorithm, &instances[0], job_cfg).unwrap();
-            let cached = batch[0][i].as_ref().unwrap();
-            assert_eq!(cached.solution, standalone.solution, "{algorithm}");
-            assert_eq!(cached.certificate, standalone.certificate, "{algorithm}");
-            assert_eq!(cached.metrics, standalone.metrics, "{algorithm}");
-        }
-    }
-
-    /// The cover family's flat snapshots: for each key × two µ, the first
-    /// job of a batch builds the snapshot (miss), its repeat clones it
-    /// (hit), and both equal a plain `solve` outside any scope —
+    /// A batch is the nested loop over `solve_with` and nothing else: for
+    /// every registry key × two µ, with each job listed twice plus a
+    /// two-thread twin, every slot equals that job solved on its own —
     /// solution, certificate with its witness, and the full `Metrics`.
+    /// The MIS and colouring pairs distribute one partition each; both
+    /// members must still reproduce their `Rlr` runs.
     #[test]
-    fn cover_family_cache_hit_miss_and_plain_solve_agree() {
+    fn solve_batch_slots_equal_standalone_solves_for_every_key() {
         let r = Registry::with_defaults();
         let g = generators::with_uniform_weights(&generators::densified(40, 0.4, 5), 1.0, 9.0, 5);
         let sys = mrlr_setsys::generators::with_uniform_weights(
@@ -783,7 +729,18 @@ mod tests {
         );
         let weights = (0..g.n()).map(|v| 1.0 + (v % 7) as f64).collect();
         let caps = (0..g.n() as u32).map(|v| 1 + v % 3).collect();
-        let cases: [(Instance, &[&str]); 3] = [
+        let cases: [(Instance, &[&str]); 4] = [
+            (
+                Instance::Graph(g.clone()),
+                &[
+                    "matching",
+                    "mis1",
+                    "mis2",
+                    "clique",
+                    "vertex-colouring",
+                    "edge-colouring",
+                ],
+            ),
             (
                 Instance::SetSystem(sys),
                 &["set-cover-greedy", "set-cover-f"],
@@ -797,30 +754,34 @@ mod tests {
                 &["b-matching"],
             ),
         ];
+        let mut keys_seen = Vec::new();
         for (instance, keys) in cases {
             let mut jobs = Vec::new();
             for &key in keys {
+                keys_seen.push(key);
                 for mu in [0.3, 0.5] {
                     let cfg = instance.auto_config(mu, 5);
-                    jobs.extend([(key, cfg), (key, cfg)]);
+                    jobs.extend([(key, cfg), (key, cfg), (key, cfg.with_threads(2))]);
                 }
             }
-            let batch = r.solve_batch(std::slice::from_ref(&instance), &jobs);
-            let (hits, misses) = crate::mr::dist_cache::stats();
-            assert_eq!(
-                (hits, misses),
-                (jobs.len() as u64 / 2, jobs.len() as u64 / 2),
-                "{keys:?}"
-            );
+            let batch = r.solve_batch_with(Backend::Shard, std::slice::from_ref(&instance), &jobs);
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch[0].len(), jobs.len());
             for ((key, cfg), got) in jobs.iter().zip(&batch[0]) {
                 let got = got.as_ref().unwrap();
-                let plain = r.solve(key, &instance, cfg).unwrap();
+                let plain = r.solve_with(key, Backend::Shard, &instance, cfg).unwrap();
                 assert!(plain.certificate.feasible, "{key}");
                 assert_eq!(got.solution, plain.solution, "{key}");
                 assert_eq!(got.certificate, plain.certificate, "{key}");
                 assert_eq!(got.metrics, plain.metrics, "{key}");
+                if ["mis1", "mis2", "vertex-colouring", "edge-colouring"].contains(key) {
+                    let rlr = r.solve_with(key, Backend::Rlr, &instance, cfg).unwrap();
+                    assert_eq!(got.solution, rlr.solution, "{key} vs rlr");
+                }
             }
         }
+        keys_seen.sort_unstable();
+        assert_eq!(keys_seen, r.algorithms(), "every registry key is covered");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::DetRng;
 use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{dist_cache, place_rows, MrConfig};
+use crate::mr::{place_rows, MrConfig};
 use crate::rlr::bmatching::{push_budget, BMatchingParams, BMATCH_RNG_TAG};
 use crate::seq::local_ratio_bmatching::BMatchingLocalRatio;
 use crate::types::{MatchingResult, POS_TOL};
@@ -30,7 +30,6 @@ use crate::types::{MatchingResult, POS_TOL};
 /// `(edge id, other endpoint, weight, pushed)`.
 type Incidence = (EdgeId, VertexId, f64, bool);
 
-#[derive(Clone)]
 struct BMatchState {
     /// `(v, b(v))`, ascending `v`; the incidences of `vertices[slot]` are
     /// row `slot` of `inc`, ascending edge id.
@@ -161,13 +160,7 @@ pub fn run(
     let central_threshold = ((2.0 * b_max * ln_inv_delta * params.eta as f64) as usize)
         .max(crate::mr::CENTRAL_FINISH_SLACK * params.eta);
 
-    // The per-machine snapshot bakes in capacities and `ε`, so the cache
-    // key carries their fingerprint on top of the graph identity.
-    let key = dist_cache::DistKey::new(0x626d_6174, g, (n, g.m()), &cfg).with_salt(
-        dist_cache::fingerprint(b.iter().map(|&x| x as u64).chain([params.eps.to_bits()])),
-    );
-    let states = dist_cache::try_get_or_build(key, || distribute(g, b, params.eps, &cfg))?;
-    let mut cluster = Cluster::new(cfg.cluster(), states)?;
+    let mut cluster = Cluster::new(cfg.cluster(), distribute(g, b, params.eps, &cfg)?)?;
 
     let mut lr = BMatchingLocalRatio::new(b, params.eps);
     cluster.charge_central(n + 2)?;

@@ -13,10 +13,9 @@ use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
 
 use crate::hungry::clique::CLIQUE_RNG_TAG;
 use crate::hungry::mis::{degree_class, group_choice, MisParams};
-use crate::mr::{dist_cache, MrConfig};
+use crate::mr::MrConfig;
 use crate::types::SelectionResult;
 
-#[derive(Clone)]
 struct CliqueRec {
     v: VertexId,
     /// Sorted neighbour ids.
@@ -31,7 +30,6 @@ impl WordSized for CliqueRec {
     }
 }
 
-#[derive(Clone)]
 struct CliqueChunk {
     recs: Vec<CliqueRec>,
     active: Bitset,
@@ -103,8 +101,7 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
     let nf = (n.max(2)) as f64;
     let num_classes = (1.0 / params.alpha).ceil() as usize;
 
-    let key = dist_cache::DistKey::new(0x0063_6c71, g, (n, g.m()), &cfg);
-    let chunks: Vec<CliqueChunk> = dist_cache::get_or_build(key, || {
+    let chunks = {
         let adj = g.neighbours();
         let mut chunks: Vec<CliqueChunk> = (0..cfg.machines)
             .map(|_| CliqueChunk {
@@ -123,7 +120,7 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
             });
         }
         chunks
-    });
+    };
     let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
     let mut clique: Vec<VertexId> = Vec::new();
     cluster.charge_central(2 + n / 32)?;

@@ -12,12 +12,11 @@ use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Cluster, Metrics, MrError, MrResult, WordSized};
 
 use crate::colouring::{edge_group, vertex_group};
-use crate::mr::{dist_cache, MrConfig};
+use crate::mr::MrConfig;
 use crate::seq::greedy_graph::greedy_colouring_with_order;
 use crate::seq::misra_gries::misra_gries_edge_colouring;
 use crate::types::ColouringResult;
 
-#[derive(Clone)]
 struct ColourChunk {
     /// Input edges resident on this machine.
     input: Vec<(EdgeId, VertexId, VertexId)>,
@@ -35,24 +34,19 @@ impl WordSized for ColourChunk {
 }
 
 fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<ColourChunk> {
-    // Vertex and edge colouring partition the edge list identically, so
-    // within a batch both registry keys share one cached snapshot.
-    let key = dist_cache::DistKey::new(0x0063_6f6c, g, (g.n(), g.m()), cfg);
-    dist_cache::get_or_build(key, || {
-        let mut chunks: Vec<ColourChunk> = (0..cfg.machines)
-            .map(|_| ColourChunk {
-                input: Vec::new(),
-                received: Vec::new(),
-                colours: Vec::new(),
-            })
-            .collect();
-        for (idx, e) in g.edges().iter().enumerate() {
-            chunks[cfg.place(idx as u64)]
-                .input
-                .push((idx as EdgeId, e.u, e.v));
-        }
-        chunks
-    })
+    let mut chunks: Vec<ColourChunk> = (0..cfg.machines)
+        .map(|_| ColourChunk {
+            input: Vec::new(),
+            received: Vec::new(),
+            colours: Vec::new(),
+        })
+        .collect();
+    for (idx, e) in g.edges().iter().enumerate() {
+        chunks[cfg.place(idx as u64)]
+            .input
+            .push((idx as EdgeId, e.u, e.v));
+    }
+    chunks
 }
 
 /// Algorithm 5 on the cluster. Output is bit-identical to

@@ -21,12 +21,11 @@ use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
 use mrlr_mapreduce::{Cluster, Ingest, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{dist_cache, MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
+use crate::mr::{MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
 use crate::rlr::matching::MATCH_COIN_TAG;
 use crate::seq::local_ratio_matching::{finish_with, MatchingLocalRatio};
 use crate::types::{MatchingResult, POS_TOL};
 
-#[derive(Clone)]
 struct VertexAdj {
     v: VertexId,
     /// Incident edges `(edge id, other endpoint, original weight)`,
@@ -40,7 +39,6 @@ impl WordSized for VertexAdj {
     }
 }
 
-#[derive(Clone)]
 struct MatchState {
     vertices: Vec<VertexAdj>,
     /// Replicated potential vector (n words).
@@ -84,10 +82,8 @@ pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
     }
     let n = g.n();
 
-    // Vertex-partitioned adjacency; batch jobs sharing this instance and
-    // cluster shape reuse the distributed snapshot (`super::dist_cache`).
-    let key = dist_cache::DistKey::new(0x6d61_7463, g, (n, g.m()), &cfg);
-    let states: Vec<MatchState> = dist_cache::get_or_build(key, || {
+    // Vertex-partitioned adjacency.
+    let states = {
         let adj = g.adjacency();
         let mut states: Vec<MatchState> = (0..cfg.machines)
             .map(|_| MatchState {
@@ -109,7 +105,7 @@ pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
             }
         }
         states
-    });
+    };
     let outcome = run_states(states, n, g.m(), cfg)?;
     Ok((outcome.result, outcome.metrics))
 }

@@ -16,10 +16,9 @@ use mrlr_mapreduce::{
 };
 
 use crate::hungry::mis::{degree_class, group_choice, MisParams, MIS_RNG_TAG};
-use crate::mr::{dist_cache, MrConfig};
+use crate::mr::MrConfig;
 use crate::types::SelectionResult;
 
-#[derive(Clone)]
 pub(crate) struct VertexRec {
     pub v: VertexId,
     /// Sorted neighbour ids.
@@ -34,7 +33,6 @@ impl WordSized for VertexRec {
     }
 }
 
-#[derive(Clone)]
 pub(crate) struct MisChunk {
     pub recs: Vec<VertexRec>,
     pub removed: Bitset,
@@ -92,29 +90,24 @@ impl MisChunk {
 }
 
 pub(crate) fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<MisChunk> {
-    // MIS1 and MIS2 partition vertices identically, so within a batch the
-    // two registry keys share one cached snapshot per instance + shape.
-    let key = dist_cache::DistKey::new(0x006d_6973, g, (g.n(), g.m()), cfg);
-    dist_cache::get_or_build(key, || {
-        let adj = g.neighbours();
-        let mut chunks: Vec<MisChunk> = (0..cfg.machines)
-            .map(|_| MisChunk {
-                recs: Vec::new(),
-                removed: Bitset::new(g.n()),
-            })
-            .collect();
-        for v in 0..g.n() {
-            let mut nbrs = adj[v].clone();
-            nbrs.sort_unstable();
-            chunks[cfg.place(v as u64)].recs.push(VertexRec {
-                v: v as VertexId,
-                d_alive: nbrs.len(),
-                nbrs,
-                alive: true,
-            });
-        }
-        chunks
-    })
+    let adj = g.neighbours();
+    let mut chunks: Vec<MisChunk> = (0..cfg.machines)
+        .map(|_| MisChunk {
+            recs: Vec::new(),
+            removed: Bitset::new(g.n()),
+        })
+        .collect();
+    for v in 0..g.n() {
+        let mut nbrs = adj[v].clone();
+        nbrs.sort_unstable();
+        chunks[cfg.place(v as u64)].recs.push(VertexRec {
+            v: v as VertexId,
+            d_alive: nbrs.len(),
+            nbrs,
+            alive: true,
+        });
+    }
+    chunks
 }
 
 /// The central machine's view of this round's additions: processes a

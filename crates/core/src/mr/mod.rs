@@ -17,7 +17,6 @@
 pub mod bmatching;
 pub mod clique;
 pub mod colouring;
-pub(crate) mod dist_cache;
 pub mod matching;
 pub mod mis;
 pub mod set_cover;

@@ -25,12 +25,11 @@ use mrlr_mapreduce::rng::coin;
 use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, WordSized};
 use mrlr_setsys::{ElemId, SetId, SetSystem};
 
-use crate::mr::{dist_cache, place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
+use crate::mr::{place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
 use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
 
-#[derive(Clone)]
 struct ElemChunk {
     /// Ascending element id; element `ids[slot]` has `T_j` = row `slot`
     /// of `tj` and aliveness `alive[slot]`.
@@ -120,10 +119,7 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     let m = sys.universe();
     let n_sets = sys.n_sets();
 
-    // Batch jobs sharing the instance + shape reuse the snapshot.
-    let key = dist_cache::DistKey::new(0x0073_6366, sys, (m, n_sets), &cfg);
-    let chunks = dist_cache::try_get_or_build(key, || distribute(sys, &cfg))?;
-    let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
+    let mut cluster = Cluster::new(cfg.cluster(), distribute(sys, &cfg)?)?;
 
     // Central state: residual weights (n words) + dual accumulator.
     let mut lr = ScLocalRatio::new(sys.weights());

@@ -25,7 +25,7 @@ use mrlr_setsys::{ElemId, SetId, SetSystem};
 
 use crate::hungry::mis::{degree_class_ln, group_choice};
 use crate::hungry::setcover::{class_group_counts, HungryScParams, HungryScTrace, HSC_RNG_TAG};
-use crate::mr::{dist_cache, place_rows, MrConfig};
+use crate::mr::{place_rows, MrConfig};
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
@@ -39,7 +39,6 @@ struct SetRecM {
     chosen: bool,
 }
 
-#[derive(Clone)]
 struct ScChunk {
     /// Ascending set id.
     recs: Vec<SetRecM>,
@@ -159,11 +158,7 @@ pub fn run(
     let num_classes = (1.0 / params.alpha).ceil() as usize;
     let group_counts = class_group_counts(mf, params.alpha, num_classes);
 
-    // Distribute sets; batch jobs sharing the instance + shape reuse the
-    // snapshot.
-    let key = dist_cache::DistKey::new(0x0073_6367, sys, (m, n), &cfg);
-    let chunks = dist_cache::try_get_or_build(key, || distribute(sys, &cfg))?;
-    let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
+    let mut cluster = Cluster::new(cfg.cluster(), distribute(sys, &cfg)?)?;
 
     // Central state: covered bitmap + bookkeeping.
     let mut covered = Bitset::new(m);

@@ -24,7 +24,7 @@ use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
 use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{dist_cache, place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
+use crate::mr::{place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
 use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
@@ -37,7 +37,6 @@ struct EdgeRec {
     alive: bool,
 }
 
-#[derive(Clone)]
 struct VcState {
     /// Ascending edge id.
     edges: Vec<EdgeRec>,
@@ -137,10 +136,7 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
         ));
     }
 
-    // Batch jobs sharing the instance + shape reuse the snapshot.
-    let key = dist_cache::DistKey::new(0x0076_6363, g, (g.n(), g.m()), &cfg);
-    let states = dist_cache::try_get_or_build(key, || distribute(g, &cfg))?;
-    let mut cluster = Cluster::new(cfg.cluster(), states)?;
+    let mut cluster = Cluster::new(cfg.cluster(), distribute(g, &cfg)?)?;
 
     let mut lr = ScLocalRatio::new(weights);
     cluster.charge_central(g.n() + 2)?;

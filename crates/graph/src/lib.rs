@@ -19,7 +19,6 @@
 pub mod algo;
 pub mod generators;
 pub mod graph;
-pub mod io;
 pub mod stats;
 
 pub use algo::{
@@ -27,7 +26,6 @@ pub use algo::{
     disjoint_union, line_graph, triangle_count,
 };
 pub use graph::{Edge, EdgeId, Graph, VertexId};
-pub use io::{parse_edge_list, to_edge_list, ParseError};
 pub use stats::{
     clustering_coefficient, degree_assortativity, degree_histogram, degree_stats, weight_spread,
     DegreeStats,

@@ -1,4 +1,4 @@
-//! Property-based tests for the graph algorithms and the edge-list IO.
+//! Property-based tests for the graph algorithms.
 
 use proptest::prelude::*;
 
@@ -6,7 +6,6 @@ use mrlr_graph::algo::{
     bfs_distances, bipartition, complement, connected_components, core_decomposition,
     disjoint_union, line_graph, triangle_count,
 };
-use mrlr_graph::io::{parse_edge_list, to_edge_list};
 use mrlr_graph::{Edge, Graph};
 
 fn arb_graph(nmax: usize, mmax: usize) -> impl Strategy<Value = Graph> {
@@ -32,17 +31,6 @@ fn arb_graph(nmax: usize, mmax: usize) -> impl Strategy<Value = Graph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn io_round_trips_exactly(g in arb_graph(20, 50)) {
-        let back = parse_edge_list(&to_edge_list(&g)).unwrap();
-        prop_assert_eq!(back.n(), g.n());
-        prop_assert_eq!(back.m(), g.m());
-        for (a, b) in g.edges().iter().zip(back.edges()) {
-            prop_assert_eq!(a.key(), b.key());
-            prop_assert_eq!(a.w.to_bits(), b.w.to_bits());
-        }
-    }
 
     #[test]
     fn components_partition_vertices(g in arb_graph(24, 40)) {

@@ -1,11 +1,14 @@
 //! Length-prefixed framing over byte streams.
 //!
 //! A frame on the wire is a `u32` little-endian body length followed by
-//! the body (a [`Frame`]'s [`crate::dist::wire::Wire`] encoding). The length is sanity-capped
-//! at [`MAX_FRAME`] so a corrupted prefix cannot trigger a gigantic
-//! allocation. Decode failures surface as `io::ErrorKind::InvalidData`
-//! carrying the [`crate::dist::wire::WireError`] text (with its byte
-//! offset).
+//! the body (a [`Frame`]'s [`crate::dist::wire::Wire`] encoding). The
+//! length is a claim: it is capped at [`MAX_FRAME`], and below the cap a
+//! reader ([`read_body`], the one body reader every path shares) still
+//! reserves at most [`MAX_UPFRONT`] before body bytes arrive and grows
+//! with what the peer actually sends — a prefix alone cannot make a
+//! receiver allocate for it. Decode failures surface as
+//! `io::ErrorKind::InvalidData` carrying the
+//! [`crate::dist::wire::WireError`] text (with its byte offset).
 //!
 //! The protocol is deadlock-free by construction: the master completes
 //! all writes to a worker before reading that worker's response, and
@@ -19,6 +22,46 @@ use super::wire::{decode_value, encode_value, Frame, Wire};
 /// Upper bound on a frame body (1 GiB): far above any real exchange,
 /// small enough to reject corrupted length prefixes outright.
 pub const MAX_FRAME: usize = 1 << 30;
+
+/// The most a body read reserves on the strength of the length prefix
+/// alone (4 MiB — a served ~1 MB instance stays one allocation); past
+/// it the buffer grows only as bytes arrive.
+pub const MAX_UPFRONT: usize = 4 << 20;
+
+/// Decodes a frame's length prefix, rejecting lengths over [`MAX_FRAME`].
+pub fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds MAX_FRAME"),
+        ));
+    }
+    Ok(len)
+}
+
+/// Appends to `buf` — which holds the part of the body read so far —
+/// until it holds all `len` bytes. A short body is `UnexpectedEof`. Any
+/// error leaves the bytes already read in `buf`, so a caller polling a
+/// socket with a read timeout calls again to resume.
+///
+/// # Panics
+///
+/// If `buf` already holds more than `len` bytes.
+pub fn read_body<R: Read>(r: &mut R, len: usize, buf: &mut Vec<u8>) -> io::Result<()> {
+    let missing = len
+        .checked_sub(buf.len())
+        .expect("buf holds a prefix of the body");
+    buf.reserve(missing.min(MAX_UPFRONT));
+    let got = r.by_ref().take(missing as u64).read_to_end(buf)?;
+    if got < missing {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body ended {} bytes short of {len}", missing - got),
+        ));
+    }
+    Ok(())
+}
 
 /// Writes one length-prefixed [`Wire`] value. The framing layer is
 /// protocol-agnostic: the dist master/worker frames and the serve
@@ -39,17 +82,8 @@ pub fn write_wire_frame<W: Write, T: Wire>(w: &mut W, value: &T) -> io::Result<(
 /// Reads one length-prefixed [`Wire`] value, validating the length cap
 /// and the body encoding (trailing bytes inside the body are rejected).
 pub fn read_wire_frame<R: Read, T: Wire>(r: &mut R) -> io::Result<T> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    read_frame_body(r, &mut body)?;
     decode_value::<T>(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -71,16 +105,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
 pub(crate) fn read_frame_body<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<()> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
+    let len = frame_len(prefix)?;
     buf.clear();
-    buf.resize(len, 0);
-    r.read_exact(buf)
+    read_body(r, len, buf)
 }
 
 /// Encodes a frame to its on-wire bytes (prefix + body) without writing —

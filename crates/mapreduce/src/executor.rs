@@ -25,10 +25,12 @@
 //!   with an atomic counter in the loop.
 //!
 //! [`executor_for`] caches one pool per thread count for the whole
-//! process, so batched solves ([`Registry::solve_batch`]-style harnesses)
-//! amortize thread spawning across runs. The default thread count comes
-//! from the `MRLR_THREADS` environment variable (unset or `1` = the
-//! sequential executor; anything but a positive integer is an error).
+//! process, so every later solve at that count — the next job of a
+//! [`Registry::solve_batch`], the next request of a daemon — finds its
+//! threads already spawned; no caller pre-warms anything. The default
+//! thread count comes from the `MRLR_THREADS` environment variable
+//! (unset or `1` = the sequential executor; anything but a positive
+//! integer is an error).
 //!
 //! [`Registry::solve_batch`]: https://docs.rs/mrlr-core
 

@@ -108,8 +108,8 @@ pub use executor::{
 };
 pub use ingest::Ingest;
 pub use metrics::{
-    DistSummary, Metrics, RecoveryEvent, RoundKind, RoundRecord, ServeSummary, SuperstepTiming,
-    Violation, WorkerShuffle,
+    DistSummary, Metrics, RecoveryEvent, RoundKind, RoundRecord, SuperstepTiming, Violation,
+    WorkerShuffle,
 };
 pub use model::{paper_graph_regime, ComputeModel, ModelCheck};
 pub use partition::{

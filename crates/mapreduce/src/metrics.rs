@@ -135,30 +135,6 @@ pub struct DistSummary {
     pub shuffle_nanos: u64,
 }
 
-/// Host-level statistics of the `mrlr serve` daemon at the time a
-/// request was answered. Like [`DistSummary`] this is an observation of
-/// the *host* (queue depths and coalescing depend on concurrent client
-/// arrival order, never on the model), so it is excluded from
-/// [`Metrics`] equality and from the serialized report JSON — a served
-/// report stays bit-identical to its offline counterpart.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Requests accepted over the daemon's lifetime so far.
-    pub requests: u64,
-    /// Solver runs actually executed (coalesced waiters share one).
-    pub solver_runs: u64,
-    /// Requests that attached to an already-running identical solve.
-    pub coalesce_hits: u64,
-    /// Requests rejected with a `Busy` frame by admission control.
-    pub busy_rejects: u64,
-    /// Requests that timed out waiting for admission or a shared run.
-    pub timeouts: u64,
-    /// High-water mark of concurrently admitted requests.
-    pub inflight_high_water: u64,
-    /// High-water mark of the admission wait queue.
-    pub queue_depth_high_water: u64,
-}
-
 /// A recorded (non-fatal, in `Record` mode) capacity violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -211,9 +187,6 @@ pub struct Metrics {
     /// Transport summary of a distributed run; `None` for the in-process
     /// runtimes (excluded from `PartialEq`; see [`DistSummary`]).
     pub dist: Option<DistSummary>,
-    /// Daemon-side statistics stamped by `mrlr serve`; `None` for
-    /// offline runs (excluded from `PartialEq`; see [`ServeSummary`]).
-    pub serve: Option<ServeSummary>,
 }
 
 impl PartialEq for Metrics {
@@ -235,7 +208,6 @@ impl PartialEq for Metrics {
             violations,
             superstep_timings: _, // host wall-clock: excluded from equality
             dist: _,              // host transport detail: excluded too
-            serve: _,             // daemon-side detail: excluded too
         } = self;
         *machines == other.machines
             && *capacity == other.capacity
@@ -448,22 +420,6 @@ mod tests {
             shuffle_nanos: 789,
         });
         assert_eq!(a, b, "transport detail must not affect metrics equality");
-    }
-
-    #[test]
-    fn serve_summary_is_ignored_by_equality() {
-        let a = Metrics::new(4, 100);
-        let mut b = a.clone();
-        b.serve = Some(ServeSummary {
-            requests: 10,
-            solver_runs: 4,
-            coalesce_hits: 6,
-            busy_rejects: 2,
-            timeouts: 1,
-            inflight_high_water: 3,
-            queue_depth_high_water: 2,
-        });
-        assert_eq!(a, b, "daemon-side detail must not affect metrics equality");
     }
 
     #[test]

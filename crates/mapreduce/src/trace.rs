@@ -74,7 +74,7 @@ impl PartialEq for Timeline {
     fn eq(&self, other: &Self) -> bool {
         // Exhaustive destructuring: a new field must be explicitly
         // classified as model-level (compared) or host-level (ignored).
-        // Annotations describe host events (recoveries, serve stats) —
+        // Annotations describe host events (recoveries) —
         // never model observables — so they are ignored.
         let Timeline {
             rows,
@@ -115,18 +115,6 @@ impl Timeline {
                 ));
             }
         }
-        if let Some(serve) = &metrics.serve {
-            annotations.push(format!(
-                "serve: {} requests, {} solver runs, {} coalesce hits, {} busy rejects, \
-                 {} timeouts, queue depth high-water {}",
-                serve.requests,
-                serve.solver_runs,
-                serve.coalesce_hits,
-                serve.busy_rejects,
-                serve.timeouts,
-                serve.queue_depth_high_water
-            ));
-        }
         Timeline {
             rows,
             timings: metrics.superstep_timings.clone(),
@@ -135,8 +123,7 @@ impl Timeline {
     }
 
     /// Host-event annotations: distributed-runtime recoveries (one line
-    /// per [`crate::metrics::RecoveryEvent`]), daemon-side serve stats
-    /// (one line per [`crate::metrics::ServeSummary`]), both added by
+    /// per [`crate::metrics::RecoveryEvent`]), added by
     /// [`Timeline::from_metrics`]. Excluded from equality, like the
     /// timings.
     pub fn annotations(&self) -> &[String] {
@@ -493,33 +480,6 @@ mod tests {
         assert!(t_healed.annotations()[0].contains("replayed 456 bytes"));
         // Recovery is a host event: the timelines still compare equal.
         assert_eq!(t_clean, t_healed);
-    }
-
-    #[test]
-    fn serve_stats_surface_as_annotations_but_not_equality() {
-        use crate::metrics::ServeSummary;
-        let offline = sample_metrics();
-        let mut served = offline.clone();
-        served.serve = Some(ServeSummary {
-            requests: 5,
-            solver_runs: 2,
-            coalesce_hits: 3,
-            busy_rejects: 1,
-            timeouts: 0,
-            inflight_high_water: 2,
-            queue_depth_high_water: 4,
-        });
-        let t_offline = Timeline::from_metrics(&offline);
-        let t_served = Timeline::from_metrics(&served);
-        assert!(t_offline.annotations().is_empty());
-        assert_eq!(t_served.annotations().len(), 1);
-        let line = &t_served.annotations()[0];
-        assert!(line.contains("serve: 5 requests"), "got: {line}");
-        assert!(line.contains("3 coalesce hits"), "got: {line}");
-        assert!(line.contains("1 busy rejects"), "got: {line}");
-        assert!(line.contains("queue depth high-water 4"), "got: {line}");
-        // Serve stats are host events: the timelines still compare equal.
-        assert_eq!(t_offline, t_served);
     }
 
     #[test]

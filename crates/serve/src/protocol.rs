@@ -21,7 +21,6 @@
 //! sequence concurrent requests deterministically.
 
 use mrlr_mapreduce::dist::wire::{encode_value, Wire, WireError, WireReader};
-use mrlr_mapreduce::ServeSummary;
 
 /// Everything that identifies one solver run. Two concurrent
 /// [`Request::Solve`]s with byte-identical [`SolveSpec`] encodings are
@@ -318,8 +317,12 @@ impl Wire for Request {
     }
 }
 
-/// A point-in-time snapshot of the daemon's counters — the wire
-/// projection of [`ServeSummary`], answered to [`Request::Stats`].
+/// A point-in-time snapshot of the daemon's counters, answered to
+/// [`Request::Stats`]. These are observations of the *host* (queue
+/// depths and coalescing depend on client arrival order, never on the
+/// model), so they travel beside a served report — as a `note:` line —
+/// and never inside it: a served document stays byte-identical to its
+/// offline counterpart.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests accepted over the daemon's lifetime so far.
@@ -339,18 +342,19 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The same counters as a [`ServeSummary`], ready to be stamped
-    /// into a report's `Metrics` (where they are excluded from `Eq`).
-    pub fn to_summary(self) -> ServeSummary {
-        ServeSummary {
-            requests: self.requests,
-            solver_runs: self.solver_runs,
-            coalesce_hits: self.coalesce_hits,
-            busy_rejects: self.busy_rejects,
-            timeouts: self.timeouts,
-            inflight_high_water: self.inflight_high_water,
-            queue_depth_high_water: self.queue_depth_high_water,
-        }
+    /// The one-line rendering operators read on the daemon's stderr and
+    /// in the `note:` frames that accompany a served report.
+    pub(crate) fn note_line(&self) -> String {
+        format!(
+            "serve: {} requests, {} solver runs, {} coalesce hits, {} busy rejects, \
+             {} timeouts, queue depth high-water {}",
+            self.requests,
+            self.solver_runs,
+            self.coalesce_hits,
+            self.busy_rejects,
+            self.timeouts,
+            self.queue_depth_high_water
+        )
     }
 }
 
@@ -652,16 +656,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_projects_to_serve_summary() {
+    fn stats_snapshot_renders_the_operator_note_line() {
         let s = StatsSnapshot {
-            requests: 10,
-            coalesce_hits: 4,
-            queue_depth_high_water: 3,
-            ..StatsSnapshot::default()
+            requests: 5,
+            solver_runs: 2,
+            coalesce_hits: 3,
+            busy_rejects: 1,
+            timeouts: 0,
+            inflight_high_water: 2,
+            queue_depth_high_water: 4,
         };
-        let summary = s.to_summary();
-        assert_eq!(summary.requests, 10);
-        assert_eq!(summary.coalesce_hits, 4);
-        assert_eq!(summary.queue_depth_high_water, 3);
+        assert_eq!(
+            s.note_line(),
+            "serve: 5 requests, 2 solver runs, 3 coalesce hits, 1 busy rejects, \
+             0 timeouts, queue depth high-water 4"
+        );
     }
 }

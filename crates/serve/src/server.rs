@@ -1,5 +1,5 @@
-//! The `mrlr serve` daemon: a Unix-socket listener that keeps solver
-//! infrastructure warm across requests.
+//! The `mrlr serve` daemon: a Unix-socket listener in front of one
+//! long-lived registry.
 //!
 //! Three mechanisms sit between `accept()` and the registry:
 //!
@@ -14,12 +14,11 @@
 //!   arrivals attach as *waiters*, consume no slot, and receive the
 //!   same bit-identical `Report` the runner produced — each waiter
 //!   renders its own view of the shared run.
-//! * **Warm execution**: every solve routes through
-//!   `Registry::solve_batch_with`, which resolves thread pools from the
-//!   process-wide executor cache and opens the batch-scoped
-//!   `dist_cache` around each instance — repeated shapes reuse warmed
-//!   pools and per-machine distribution snapshots exactly as `mrlr
-//!   batch` does offline.
+//! * **Warm execution**: every solve is a `Registry::solve_with` call in
+//!   a process that stays up, so thread pools come from the
+//!   process-wide executor cache already spawned and a hot instance's
+//!   text is parsed once (`ParseCache`). Each job still distributes its
+//!   own input, exactly as `mrlr solve` and `mrlr batch` do offline.
 //!
 //! Shutdown is graceful: a [`Request::Shutdown`] flips the drain flag
 //! (queued and future requests are rejected with an error frame),
@@ -33,13 +32,13 @@ use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mrlr_core::api::{witness, Backend, Instance, Registry, Report, Solution};
 use mrlr_core::io::{self as core_io, CertificateMode, TimingMode};
 use mrlr_core::mr::MrConfig;
-use mrlr_mapreduce::dist::transport::{write_wire_frame, MAX_FRAME};
+use mrlr_mapreduce::dist::transport::{frame_len, read_body, write_wire_frame};
 use mrlr_mapreduce::dist::wire::decode_value;
 use mrlr_mapreduce::{SpawnKind, Timeline};
 
@@ -137,11 +136,26 @@ struct Gate {
     queue: usize,
 }
 
-enum Admission {
-    Admitted,
+enum Admission<'a> {
+    Admitted(Slot<'a>),
     Busy { in_flight: usize, queued: usize },
     TimedOut,
     Draining,
+}
+
+/// One held admission slot, given back when it drops — so an early `?`
+/// on a dead connection, or a panicking solve, cannot leak it.
+struct Slot<'a>(&'a Gate);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A drop must not panic; every gate update is a single counter
+        // step, so the state behind a poisoned lock is still valid.
+        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.active -= 1;
+        drop(s);
+        self.0.cv.notify_all();
+    }
 }
 
 impl Gate {
@@ -158,7 +172,7 @@ impl Gate {
         }
     }
 
-    fn acquire(&self, timeout: Duration, stats: &Stats) -> Admission {
+    fn acquire(&self, timeout: Duration, stats: &Stats) -> Admission<'_> {
         let mut s = self.state.lock().expect("gate poisoned");
         if s.draining {
             return Admission::Draining;
@@ -166,7 +180,7 @@ impl Gate {
         if s.active < self.max_inflight {
             s.active += 1;
             Stats::high_water(&stats.inflight_high_water, s.active);
-            return Admission::Admitted;
+            return Admission::Admitted(Slot(self));
         }
         if s.queued >= self.queue {
             return Admission::Busy {
@@ -186,7 +200,7 @@ impl Gate {
                 s.queued -= 1;
                 s.active += 1;
                 Stats::high_water(&stats.inflight_high_water, s.active);
-                return Admission::Admitted;
+                return Admission::Admitted(Slot(self));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -199,13 +213,6 @@ impl Gate {
                 .expect("gate poisoned");
             s = guard;
         }
-    }
-
-    fn release(&self) {
-        let mut s = self.state.lock().expect("gate poisoned");
-        s.active -= 1;
-        drop(s);
-        self.cv.notify_all();
     }
 
     fn drain(&self) {
@@ -243,9 +250,12 @@ impl Job {
         }
     }
 
+    /// The first outcome published stands; later ones are dropped.
     fn publish(&self, outcome: RunOutcome) {
-        let mut slot = self.slot.lock().expect("job poisoned");
-        *slot = Some(outcome);
+        // Also runs from `Runner::drop`, which must not panic; the slot
+        // is written in one step, so a poisoned lock guards valid state.
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(outcome);
         drop(slot);
         self.cv.notify_all();
     }
@@ -270,11 +280,39 @@ impl Job {
     }
 }
 
-enum Ticket {
+enum Ticket<'a> {
     /// First arrival for this key: run the solver and publish.
-    Runner(Arc<Job>),
+    Runner(Runner<'a>),
     /// An identical run is in flight: park and share its outcome.
     Waiter(Arc<Job>),
+}
+
+/// The runner's side of a coalesced run. Dropping it retires the key —
+/// later identical requests start a fresh run — and, if nothing was
+/// published (the runner's connection died, or its solve panicked),
+/// tells the waiters so instead of leaving them parked.
+struct Runner<'a> {
+    coalescer: &'a Coalescer,
+    key: Vec<u8>,
+    job: Arc<Job>,
+}
+
+impl Runner<'_> {
+    fn publish(self, outcome: RunOutcome) {
+        self.job.publish(outcome);
+    }
+}
+
+impl Drop for Runner<'_> {
+    fn drop(&mut self) {
+        self.job
+            .publish(RunOutcome::Failed("runner connection lost".to_string()));
+        self.coalescer
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+    }
 }
 
 /// The in-flight run table, keyed by canonical [`SolveSpec`] bytes.
@@ -289,32 +327,27 @@ impl Coalescer {
         }
     }
 
-    fn join(&self, key: &[u8]) -> Ticket {
+    fn join(&self, key: Vec<u8>) -> Ticket<'_> {
         let mut jobs = self.jobs.lock().expect("coalescer poisoned");
-        if let Some(job) = jobs.get(key) {
+        if let Some(job) = jobs.get(&key) {
             Ticket::Waiter(Arc::clone(job))
         } else {
             let job = Arc::new(Job::new());
-            jobs.insert(key.to_vec(), Arc::clone(&job));
-            Ticket::Runner(job)
+            jobs.insert(key.clone(), Arc::clone(&job));
+            Ticket::Runner(Runner {
+                coalescer: self,
+                key,
+                job,
+            })
         }
-    }
-
-    /// Publishes the runner's outcome and retires the key — later
-    /// identical requests start a fresh run.
-    fn publish(&self, key: &[u8], job: &Job, outcome: RunOutcome) {
-        job.publish(outcome);
-        self.jobs.lock().expect("coalescer poisoned").remove(key);
     }
 }
 
 // -------------------------------------------------------------- engine --
 
 /// Bounded cache of parsed instances keyed by their exact text, so a
-/// hot instance is parsed once across requests (the per-request
-/// `dist_cache` scope then shares distribution snapshots *within* each
-/// run). Cleared wholesale when it outgrows its cap — correctness never
-/// depends on a hit.
+/// hot instance is parsed once across requests. Cleared wholesale when
+/// it outgrows its cap — correctness never depends on a hit.
 struct ParseCache {
     map: Mutex<HashMap<String, Arc<Instance>>>,
 }
@@ -350,6 +383,13 @@ struct Engine {
     parse_cache: ParseCache,
     stats: Stats,
     shutdown: AtomicBool,
+}
+
+/// A request refused at admission: the terminal frame for its client,
+/// and what waiters coalesced onto it are told.
+struct Rejection {
+    frame: Response,
+    why: &'static str,
 }
 
 /// What a connection thread tells the accept loop after each request.
@@ -423,9 +463,8 @@ impl Engine {
         Ok(cfg)
     }
 
-    /// Runs one solve on warm infrastructure: the single-job batch path
-    /// resolves pooled executors and opens the `dist_cache` scope, so a
-    /// served solve shares exactly the machinery of `mrlr batch`.
+    /// Runs one solve: the registry call `mrlr solve` makes offline, on
+    /// this process's cached instance and already-spawned pools.
     fn run_solve(&self, spec: &SolveSpec) -> RunOutcome {
         let backend = match self.parse_backend(&spec.backend) {
             Ok(b) => b,
@@ -448,13 +487,10 @@ impl Engine {
             Err(e) => return RunOutcome::Failed(e),
         };
         Stats::bump(&self.stats.solver_runs);
-        let jobs = [(spec.algorithm.as_str(), cfg)];
-        let slot = self
+        match self
             .registry
-            .solve_batch_with(backend, std::slice::from_ref(&*instance), &jobs)
-            .remove(0)
-            .remove(0);
-        match slot {
+            .solve_with(&spec.algorithm, backend, &instance, &cfg)
+        {
             Ok(report) => RunOutcome::Done(Arc::new(report)),
             Err(e) => RunOutcome::Failed(e.to_string()),
         }
@@ -482,17 +518,50 @@ impl Engine {
         }
     }
 
-    /// Host-event annotation lines for a served report: the offline
-    /// ones (dist recoveries) plus the serve counters, stamped through
-    /// [`mrlr_mapreduce::ServeSummary`] so they ride the same
-    /// `Timeline` pathway — and stay out of the rendered document.
+    /// Host-event lines for a served report: the offline annotations
+    /// (dist recoveries) plus the serve counters. They travel as `note:`
+    /// frames and stay out of the rendered document.
     fn notes_for(&self, report: &Report<Solution>) -> Vec<String> {
         let Some(metrics) = report.metrics.as_ref() else {
             return Vec::new();
         };
-        let mut stamped = metrics.clone();
-        stamped.serve = Some(self.stats.snapshot().to_summary());
-        Timeline::from_metrics(&stamped).annotations().to_vec()
+        let mut notes = Timeline::from_metrics(metrics).annotations().to_vec();
+        notes.push(self.stats.snapshot().note_line());
+        notes
+    }
+
+    /// Admission for one request: the held slot, or the rejection to
+    /// answer with (counted in the stats).
+    fn admit(&self, budget: Duration) -> Result<Slot<'_>, Rejection> {
+        match self.gate.acquire(budget, &self.stats) {
+            Admission::Admitted(slot) => Ok(slot),
+            Admission::Busy { in_flight, queued } => {
+                Stats::bump(&self.stats.busy_rejects);
+                Err(Rejection {
+                    frame: Response::Busy {
+                        in_flight: in_flight as u64,
+                        queued: queued as u64,
+                        limit: self.gate.max_inflight as u64,
+                    },
+                    why: "rejected: daemon busy",
+                })
+            }
+            Admission::TimedOut => {
+                Stats::bump(&self.stats.timeouts);
+                Err(Rejection {
+                    frame: Response::Error {
+                        message: format!("timed out after {budget:?} waiting for admission"),
+                    },
+                    why: "rejected: admission timed out",
+                })
+            }
+            Admission::Draining => Err(Rejection {
+                frame: Response::Error {
+                    message: "daemon is shutting down".to_string(),
+                },
+                why: "rejected: daemon shutting down",
+            }),
+        }
     }
 
     fn handle_solve(
@@ -504,114 +573,51 @@ impl Engine {
     ) -> io::Result<()> {
         Stats::bump(&self.stats.requests);
         let budget = self.budget(timeout_millis);
-        let key = spec.coalesce_key();
-        match self.coalescer.join(&key) {
+        let (outcome, coalesced) = match self.coalescer.join(spec.coalesce_key()) {
             Ticket::Waiter(job) => {
                 Stats::bump(&self.stats.coalesce_hits);
-                match job.wait(budget) {
-                    Some(RunOutcome::Done(report)) => {
-                        for line in self.notes_for(&report) {
-                            write_wire_frame(stream, &Response::Note { line })?;
-                        }
-                        let content = self.render_report(&report, render);
-                        write_wire_frame(
-                            stream,
-                            &Response::Report {
-                                content,
-                                coalesced: true,
-                            },
-                        )
-                    }
-                    Some(RunOutcome::Failed(message)) => {
-                        write_wire_frame(stream, &Response::Error { message })
-                    }
-                    None => {
-                        Stats::bump(&self.stats.timeouts);
-                        write_wire_frame(
-                            stream,
-                            &Response::Error {
-                                message: format!(
-                                    "timed out after {budget:?} waiting for the shared run"
-                                ),
-                            },
-                        )
-                    }
-                }
-            }
-            Ticket::Runner(job) => match self.gate.acquire(budget, &self.stats) {
-                Admission::Admitted => {
-                    write_wire_frame(stream, &Response::Admitted)?;
-                    let outcome = self.run_solve(spec);
-                    if !self.cfg.hold.is_zero() {
-                        // Keep the slot and the coalescing entry alive so
-                        // tests can provoke Busy/coalesced paths on cue.
-                        std::thread::sleep(self.cfg.hold);
-                    }
-                    self.coalescer.publish(&key, &job, outcome.clone());
-                    self.gate.release();
-                    match outcome {
-                        RunOutcome::Done(report) => {
-                            for line in self.notes_for(&report) {
-                                write_wire_frame(stream, &Response::Note { line })?;
-                            }
-                            let content = self.render_report(&report, render);
-                            write_wire_frame(
-                                stream,
-                                &Response::Report {
-                                    content,
-                                    coalesced: false,
-                                },
-                            )
-                        }
-                        RunOutcome::Failed(message) => {
-                            write_wire_frame(stream, &Response::Error { message })
-                        }
-                    }
-                }
-                Admission::Busy { in_flight, queued } => {
-                    Stats::bump(&self.stats.busy_rejects);
-                    self.coalescer.publish(
-                        &key,
-                        &job,
-                        RunOutcome::Failed("rejected: daemon busy".to_string()),
-                    );
-                    write_wire_frame(
-                        stream,
-                        &Response::Busy {
-                            in_flight: in_flight as u64,
-                            queued: queued as u64,
-                            limit: self.gate.max_inflight as u64,
-                        },
-                    )
-                }
-                Admission::TimedOut => {
+                let Some(outcome) = job.wait(budget) else {
                     Stats::bump(&self.stats.timeouts);
-                    self.coalescer.publish(
-                        &key,
-                        &job,
-                        RunOutcome::Failed("rejected: admission timed out".to_string()),
-                    );
-                    write_wire_frame(
+                    return write_wire_frame(
                         stream,
                         &Response::Error {
-                            message: format!("timed out after {budget:?} waiting for admission"),
+                            message: format!(
+                                "timed out after {budget:?} waiting for the shared run"
+                            ),
                         },
-                    )
-                }
-                Admission::Draining => {
-                    self.coalescer.publish(
-                        &key,
-                        &job,
-                        RunOutcome::Failed("rejected: daemon shutting down".to_string()),
                     );
-                    write_wire_frame(
-                        stream,
-                        &Response::Error {
-                            message: "daemon is shutting down".to_string(),
-                        },
-                    )
+                };
+                (outcome, true)
+            }
+            Ticket::Runner(runner) => {
+                let slot = match self.admit(budget) {
+                    Ok(slot) => slot,
+                    Err(rejection) => {
+                        runner.publish(RunOutcome::Failed(rejection.why.to_string()));
+                        return write_wire_frame(stream, &rejection.frame);
+                    }
+                };
+                write_wire_frame(stream, &Response::Admitted)?;
+                let outcome = self.run_solve(spec);
+                if !self.cfg.hold.is_zero() {
+                    // Keep the slot and the coalescing entry alive so
+                    // tests can provoke Busy/coalesced paths on cue.
+                    std::thread::sleep(self.cfg.hold);
                 }
-            },
+                runner.publish(outcome.clone());
+                drop(slot);
+                (outcome, false)
+            }
+        };
+        match outcome {
+            RunOutcome::Done(report) => {
+                for line in self.notes_for(&report) {
+                    write_wire_frame(stream, &Response::Note { line })?;
+                }
+                let content = self.render_report(&report, render);
+                write_wire_frame(stream, &Response::Report { content, coalesced })
+            }
+            RunOutcome::Failed(message) => write_wire_frame(stream, &Response::Error { message }),
         }
     }
 
@@ -626,40 +632,13 @@ impl Engine {
     ) -> io::Result<()> {
         Stats::bump(&self.stats.requests);
         let budget = self.budget(timeout_millis);
-        match self.gate.acquire(budget, &self.stats) {
-            Admission::Busy { in_flight, queued } => {
-                Stats::bump(&self.stats.busy_rejects);
-                return write_wire_frame(
-                    stream,
-                    &Response::Busy {
-                        in_flight: in_flight as u64,
-                        queued: queued as u64,
-                        limit: self.gate.max_inflight as u64,
-                    },
-                );
-            }
-            Admission::TimedOut => {
-                Stats::bump(&self.stats.timeouts);
-                return write_wire_frame(
-                    stream,
-                    &Response::Error {
-                        message: format!("timed out after {budget:?} waiting for admission"),
-                    },
-                );
-            }
-            Admission::Draining => {
-                return write_wire_frame(
-                    stream,
-                    &Response::Error {
-                        message: "daemon is shutting down".to_string(),
-                    },
-                );
-            }
-            Admission::Admitted => {}
-        }
+        let slot = match self.admit(budget) {
+            Ok(slot) => slot,
+            Err(rejection) => return write_wire_frame(stream, &rejection.frame),
+        };
         write_wire_frame(stream, &Response::Admitted)?;
         let result = self.run_batch(stream, instances, jobs, backend_name, render);
-        self.gate.release();
+        drop(slot);
         match result {
             Ok(Ok(content)) => write_wire_frame(
                 stream,
@@ -709,12 +688,10 @@ impl Engine {
                 threads: j.threads.map(|t| t as usize),
             })
             .collect();
-        // One solve_batch per instance, like the offline CLI: shapes are
-        // auto-derived per instance and the batch scope amortizes
-        // executor warm-up and distribution snapshots across its jobs.
+        // Like the offline CLI: shapes are auto-derived per instance.
         let mut results: core_io::BatchResults = Vec::with_capacity(parsed.len());
         for (idx, instance) in parsed.iter().enumerate() {
-            let mut cfgs: Vec<(&str, MrConfig)> = Vec::with_capacity(specs.len());
+            let mut cfgs: Vec<MrConfig> = Vec::with_capacity(specs.len());
             for spec in &specs {
                 match self.job_cfg(
                     instance,
@@ -725,17 +702,19 @@ impl Engine {
                     None,
                     None,
                 ) {
-                    Ok(cfg) => cfgs.push((spec.algorithm.as_str(), cfg)),
+                    Ok(cfg) => cfgs.push(cfg),
                     Err(e) => return Ok(Err(format!("{}: {e}", instances[idx].0))),
                 }
             }
             Stats::bump(&self.stats.solver_runs);
-            let rows = self
-                .registry
-                .solve_batch_with(backend, std::slice::from_ref(&**instance), &cfgs)
-                .remove(0)
-                .into_iter()
-                .map(|slot| slot.map_err(|e| e.to_string()))
+            let rows = specs
+                .iter()
+                .zip(&cfgs)
+                .map(|(spec, cfg)| {
+                    self.registry
+                        .solve_with(&spec.algorithm, backend, instance, cfg)
+                        .map_err(|e| e.to_string())
+                })
                 .collect();
             results.push(rows);
             write_wire_frame(
@@ -778,39 +757,12 @@ impl Engine {
         report_json: &str,
     ) -> io::Result<()> {
         Stats::bump(&self.stats.requests);
-        match self.gate.acquire(self.cfg.timeout, &self.stats) {
-            Admission::Busy { in_flight, queued } => {
-                Stats::bump(&self.stats.busy_rejects);
-                return write_wire_frame(
-                    stream,
-                    &Response::Busy {
-                        in_flight: in_flight as u64,
-                        queued: queued as u64,
-                        limit: self.gate.max_inflight as u64,
-                    },
-                );
-            }
-            Admission::TimedOut => {
-                Stats::bump(&self.stats.timeouts);
-                return write_wire_frame(
-                    stream,
-                    &Response::Error {
-                        message: "timed out waiting for admission".to_string(),
-                    },
-                );
-            }
-            Admission::Draining => {
-                return write_wire_frame(
-                    stream,
-                    &Response::Error {
-                        message: "daemon is shutting down".to_string(),
-                    },
-                );
-            }
-            Admission::Admitted => {}
-        }
+        let slot = match self.admit(self.cfg.timeout) {
+            Ok(slot) => slot,
+            Err(rejection) => return write_wire_frame(stream, &rejection.frame),
+        };
         let outcome = self.run_verify(instance_text, report_json);
-        self.gate.release();
+        drop(slot);
         match outcome {
             Ok((algorithm, backend, checks)) => write_wire_frame(
                 stream,
@@ -901,47 +853,50 @@ impl Engine {
         }
     }
 
-    /// Reads the next request frame, polling the drain flag while the
-    /// connection is idle. The read timeout only ever interrupts us
-    /// *between* frames (zero bytes buffered): once a frame has started
-    /// arriving we keep reading until it completes, so draining cannot
-    /// tear a frame apart. Returns `None` on hangup, malformed frames,
-    /// or a drain observed at a frame boundary.
-    fn read_request_interruptible(&self, stream: &mut UnixStream) -> Option<Request> {
+    /// Reads the next request frame. The socket's read timeout is a poll
+    /// tick: a tick with no byte ends an idle connection once the daemon
+    /// drains, and ends one stalled inside a frame once the daemon drains
+    /// or the frame is older than [`ServeConfig::timeout`] — a peer that
+    /// stops mid-frame cannot pin its thread, or hold up shutdown's join.
+    /// Returns `None` on hangup, on a malformed frame, and on either of
+    /// those endings.
+    fn read_request(&self, stream: &mut UnixStream) -> Option<Request> {
         use std::io::Read;
         const POLL: Duration = Duration::from_millis(100);
         stream.set_read_timeout(Some(POLL)).ok()?;
-        let mut fill = |buf: &mut [u8], at_boundary: bool| -> Option<()> {
-            let mut have = 0usize;
-            while have < buf.len() {
-                match stream.read(&mut buf[have..]) {
-                    Ok(0) => return None, // peer hung up
-                    Ok(n) => have += n,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock
-                                | io::ErrorKind::TimedOut
-                                | io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        if at_boundary && have == 0 && self.shutdown.load(Ordering::SeqCst) {
-                            return None; // idle connection at drain time
-                        }
-                    }
-                    Err(_) => return None,
-                }
-            }
-            Some(())
+        let is_tick = |e: &io::Error| {
+            matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            )
         };
-        let mut header = [0u8; 4];
-        fill(&mut header, true)?;
-        let len = u32::from_le_bytes(header) as usize;
-        if len > MAX_FRAME {
-            return None;
+        // When the frame's first byte arrived; `None` between frames.
+        let mut started: Option<Instant> = None;
+        let give_up = |started: Option<Instant>| {
+            self.shutdown.load(Ordering::SeqCst)
+                || started.is_some_and(|t| t.elapsed() >= self.cfg.timeout)
+        };
+        let mut prefix = [0u8; 4];
+        let mut have = 0usize;
+        while have < prefix.len() {
+            match stream.read(&mut prefix[have..]) {
+                Ok(0) => return None, // peer hung up
+                Ok(n) => {
+                    have += n;
+                    started.get_or_insert_with(Instant::now);
+                }
+                Err(e) if is_tick(&e) && !give_up(started) => {}
+                Err(_) => return None,
+            }
         }
-        let mut body = vec![0u8; len];
-        fill(&mut body, false)?;
+        let len = frame_len(prefix).ok()?;
+        let mut body = Vec::new();
+        // `read_body` resumes where a tick interrupted it.
+        while let Err(e) = read_body(stream, len, &mut body) {
+            if !is_tick(&e) || give_up(started) {
+                return None;
+            }
+        }
         decode_value::<Request>(&body).ok()
     }
 
@@ -950,7 +905,7 @@ impl Engine {
     /// Transport errors just end the connection — the daemon never dies
     /// because one client misbehaved.
     fn serve_connection(&self, mut stream: UnixStream) {
-        while let Some(request) = self.read_request_interruptible(&mut stream) {
+        while let Some(request) = self.read_request(&mut stream) {
             match self.handle_request(&mut stream, request) {
                 Ok(Flow::Continue) => {}
                 Ok(Flow::Hangup) | Err(_) => return,
@@ -989,14 +944,6 @@ pub fn serve(cfg: ServeConfig) -> io::Result<StatsSnapshot> {
     }
     let _ = std::fs::remove_file(&socket);
     let snapshot = engine.stats.snapshot();
-    // Surface the lifetime counters the way every host event surfaces:
-    // as Timeline annotations, printed as `note:` lines.
-    let metrics = mrlr_mapreduce::Metrics {
-        serve: Some(snapshot.to_summary()),
-        ..mrlr_mapreduce::Metrics::default()
-    };
-    for line in Timeline::from_metrics(&metrics).annotations() {
-        eprintln!("note: {line}");
-    }
+    eprintln!("note: {}", snapshot.note_line());
     Ok(snapshot)
 }

@@ -237,6 +237,71 @@ fn queued_request_times_out_with_an_error_frame() {
     handle.join().unwrap().unwrap();
 }
 
+/// A client that queues for admission and hangs up before its turn costs
+/// the daemon nothing: the `Admitted` write to it fails, and the slot it
+/// was just given and the coalescing entry it ran under are both given
+/// back. With one slot, a leak of either would leave the next solve
+/// queued until its deadline, and a repeat of the dead client's request
+/// parked on a run that never publishes.
+#[test]
+fn client_gone_at_admission_leaks_neither_slot_nor_coalescing_entry() {
+    use mrlr_mapreduce::dist::transport::write_wire_frame;
+
+    let mut cfg = ServeConfig::new(unique_socket("gone"));
+    cfg.max_inflight = 1;
+    cfg.hold = Duration::from_millis(300);
+    let (socket, handle) = start(cfg);
+    let text = sample_instance_text(12);
+
+    let mut holder = Client::connect(&socket).unwrap();
+    holder.send(&solve_request(&text, 42, 0)).unwrap();
+    assert!(matches!(holder.recv().unwrap(), Response::Admitted));
+
+    // Queues behind the holder (a different key), then hangs up.
+    let gone_request = solve_request(&text, 43, 0);
+    let mut gone = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    write_wire_frame(&mut gone, &gone_request).unwrap();
+    drop(gone);
+
+    loop {
+        match holder.recv().unwrap() {
+            Response::Note { .. } => {}
+            Response::Report { .. } => break,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+
+    // Both budgets are far above the two 300 ms holds they can queue
+    // behind and far below forever.
+    let mut client = Client::connect(&socket).unwrap();
+    client
+        .solve(&solve_request(&text, 44, 5_000), &mut |_| {})
+        .expect("a fresh solve is served: the slot came back");
+    let Request::Solve { spec, render, .. } = gone_request else {
+        unreachable!()
+    };
+    let repeat = Request::Solve {
+        spec,
+        render,
+        timeout_millis: 5_000,
+    };
+    // If the dead client's turn comes only now, this repeat can still
+    // attach to its run — and is told the runner is gone, not parked.
+    let served = loop {
+        match client.solve(&repeat, &mut |_| {}) {
+            Ok(served) => break served,
+            Err(ClientError::Remote(msg)) if msg.contains("runner connection lost") => {}
+            other => panic!("the dead client's entry was never retired: {other:?}"),
+        }
+    };
+    assert!(!served.coalesced, "a fresh run, not the dead one");
+
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.busy_rejects, stats.timeouts), (0, 0));
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 /// A hostile problem line in a `Solve` frame is one failed request, not a
 /// dead connection or a dead daemon: the client gets an `Error` frame
 /// with the parser's message, and the same connection — and a fresh one

@@ -16,10 +16,8 @@
 #![warn(missing_docs)]
 
 pub mod generators;
-pub mod io;
 pub mod stats;
 pub mod system;
 
-pub use io::{parse_text, to_text, ParseError};
 pub use stats::{frequency_histogram, set_size_histogram, system_stats, SystemStats};
 pub use system::{ElemId, SetId, SetRec, SetSystem};

@@ -1,12 +1,12 @@
-//! Property-based tests for set systems, generators, stats and IO.
+//! Property-based tests for set systems, generators and stats.
 
 use proptest::prelude::*;
 
 use mrlr_setsys::generators::{
     bounded_frequency, bounded_set_size, greedy_trap, interval_cover, partition_system,
-    tight_f_instance, with_log_uniform_weights,
+    tight_f_instance,
 };
-use mrlr_setsys::{frequency_histogram, parse_text, set_size_histogram, system_stats, to_text};
+use mrlr_setsys::{frequency_histogram, set_size_histogram, system_stats};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -65,17 +65,6 @@ proptest! {
             for w in set.windows(2) {
                 prop_assert_eq!(w[0] + 1, w[1]);
             }
-        }
-    }
-
-    #[test]
-    fn io_round_trips(n in 1usize..20, m in 1usize..80, f in 1usize..4, seed in any::<u64>()) {
-        let f = f.min(n);
-        let sys = with_log_uniform_weights(bounded_frequency(n, m, f, seed), 0.1, 100.0, seed ^ 1);
-        let back = parse_text(&to_text(&sys)).unwrap();
-        prop_assert_eq!(back.sets(), sys.sets());
-        for (a, b) in sys.weights().iter().zip(back.weights()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
