@@ -25,7 +25,7 @@ pub struct LubyResult {
 /// are removed.
 pub fn luby_mis(g: &Graph, seed: u64) -> LubyResult {
     let n = g.n();
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut alive = vec![true; n];
     let mut in_i = vec![false; n];
     let mut alive_count = n;
@@ -49,8 +49,8 @@ pub fn luby_mis(g: &Graph, seed: u64) -> LubyResult {
             let pv = prio(v);
             let is_min = adj[v]
                 .iter()
-                .filter(|&&w| alive[w as usize])
-                .all(|&w| prio(w as usize) > pv);
+                .filter(|&&(w, _)| alive[w as usize])
+                .all(|&(w, _)| prio(w as usize) > pv);
             if is_min {
                 winners.push(v);
             }
@@ -65,7 +65,7 @@ pub fn luby_mis(g: &Graph, seed: u64) -> LubyResult {
                 alive[v] = false;
                 alive_count -= 1;
             }
-            for &w in &adj[v] {
+            for &(w, _) in &adj[v] {
                 if alive[w as usize] {
                     alive[w as usize] = false;
                     alive_count -= 1;

@@ -27,7 +27,7 @@ pub struct LubyColouringResult {
 /// Runs the randomized `(Δ+1)`-colouring. Deterministic in `seed`.
 pub fn luby_colouring(g: &Graph, seed: u64) -> LubyColouringResult {
     let n = g.n();
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let deg = g.degrees();
     let mut colour: Vec<Option<u32>> = vec![None; n];
     let mut uncoloured = n;
@@ -45,7 +45,7 @@ pub fn luby_colouring(g: &Graph, seed: u64) -> LubyColouringResult {
             let palette_size = deg[v] as u32 + 1;
             let mut taken: Vec<u32> = adj[v]
                 .iter()
-                .filter_map(|&w| colour[w as usize])
+                .filter_map(|&(w, _)| colour[w as usize])
                 .filter(|&c| c < palette_size)
                 .collect();
             taken.sort_unstable();
@@ -77,7 +77,7 @@ pub fn luby_colouring(g: &Graph, seed: u64) -> LubyColouringResult {
             let Some(c) = candidate[v] else { continue };
             let conflict = adj[v]
                 .iter()
-                .any(|&w| colour[w as usize].is_none() && candidate[w as usize] == Some(c));
+                .any(|&(w, _)| colour[w as usize].is_none() && candidate[w as usize] == Some(c));
             if !conflict {
                 colour[v] = Some(c);
                 uncoloured -= 1;

@@ -10,11 +10,14 @@
 //!   ([`mrlr_mapreduce::Shard::rng_mut`]); final state checksums and
 //!   `Metrics` are asserted bit-identical across thread counts before
 //!   anything is reported.
-//! * `registry` — four representative algorithm keys solved through
-//!   the registry, each leg asserted bit-identical (solution and
-//!   `Metrics`) to the 1-thread run, plus the rest of the cover family
-//!   (`set-cover-greedy`, `set-cover-f`, `b-matching`) on instances
-//!   large enough that one solve takes at least 50 ms.
+//! * `registry` — algorithm keys solved through the registry, each leg
+//!   asserted bit-identical (solution and `Metrics`) to the 1-thread
+//!   run: `vertex-cover` on a small instance, and the eight keys whose
+//!   resident state is a flat per-machine arena — the cover family
+//!   (`set-cover-greedy`, `set-cover-f`, `b-matching`) and the graph
+//!   family (`matching`, `mis2`, `clique`, `vertex-colouring`,
+//!   `edge-colouring`) — each on one instance large enough that a
+//!   1-thread solve takes at least 50 ms.
 //!
 //! Each row records wall-time, peak inbox bytes and allocator traffic
 //! per superstep, counted by a `#[global_allocator]` shim compiled into
@@ -27,8 +30,8 @@
 //!     CI mode: run the quick thread-count equivalence assertions
 //!     without touching the file, then fail unless the committed
 //!     artifact has rows for both sections, and fail if any freshly
-//!     measured router or cover-family row allocates more than 25% (plus
-//!     a +16 absolute grace) over its committed baseline.
+//!     measured router, cover-family or graph-family row allocates more
+//!     than 25% (plus a +16 absolute grace) over its committed baseline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -305,44 +308,34 @@ const REG_SEED: u64 = 42;
 fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
     let n = if quick { REG_QUICK_N } else { REG_FULL_N };
     let g = weighted_graph(n, REG_C, REG_SEED);
-    let m = g.m();
-    let cfg = MrConfig::auto(n, m, REG_MU, REG_SEED);
-    vec![
-        ("matching", Instance::Graph(g.clone()), cfg),
-        (
-            "vertex-cover",
-            Instance::VertexWeighted(VertexWeightedGraph::new(
-                g.clone(),
-                vertex_weights(n, REG_SEED),
-            )),
-            cfg,
-        ),
-        ("vertex-colouring", Instance::Graph(g.clone()), cfg),
-        ("mis2", Instance::Graph(g), cfg),
-    ]
+    let cfg = MrConfig::auto(n, g.m(), REG_MU, REG_SEED);
+    vec![(
+        "vertex-cover",
+        Instance::VertexWeighted(VertexWeightedGraph::new(g, vertex_weights(n, REG_SEED))),
+        cfg,
+    )]
 }
 
-/// The cover-family keys whose resident state is a flat per-machine arena,
-/// on instances where one solve takes at least 50 ms (so the row reads
-/// the driver, not the harness). One size only: `--check` re-measures
-/// these rows at the size the committed baseline was taken at, because a
-/// driver's allocations per superstep are not monotone in instance size
-/// the way the router's are.
-fn cover_workloads() -> Vec<(&'static str, Instance, MrConfig)> {
-    let row = |key: &'static str, spec: &str| {
-        let instance = build_spec(spec).expect("cover workload spec");
-        let cfg = instance.auto_config(0.15, REG_SEED);
-        (key, instance, cfg)
-    };
-    vec![
-        row(
-            "set-cover-greedy",
-            "set-frequency:n=6000,m=300000,f=4,seed=42",
-        ),
-        row("set-cover-f", "set-frequency:n=8000,m=600000,f=4,seed=42"),
-        row("b-matching", "b-matching:n=6000,c=0.5,seed=42"),
-    ]
-}
+/// The keys whose resident state is a flat per-machine arena — the cover
+/// family and the graph family — each on an instance where one 1-thread
+/// solve takes at least 50 ms (so the row reads the driver, not the
+/// harness). One size only: `--check` re-measures these rows at the size
+/// the committed baseline was taken at, because a driver's allocations
+/// per superstep are not monotone in instance size the way the router's
+/// are.
+const FLAT_STATE_WORKLOADS: [(&str, &str); 8] = [
+    (
+        "set-cover-greedy",
+        "set-frequency:n=6000,m=300000,f=4,seed=42",
+    ),
+    ("set-cover-f", "set-frequency:n=8000,m=600000,f=4,seed=42"),
+    ("b-matching", "b-matching:n=6000,c=0.5,seed=42"),
+    ("matching", "densified:n=10000,c=0.5,seed=42"),
+    ("mis2", "densified:n=16000,c=0.5,seed=42"),
+    ("clique", "densified:n=18000,c=0.5,seed=42"),
+    ("vertex-colouring", "densified:n=12000,c=0.5,seed=42"),
+    ("edge-colouring", "densified:n=2500,c=0.5,seed=42"),
+];
 
 /// Solves `key` on `Backend::Shard` at 1 and 4 threads, asserting the
 /// 4-thread report bit-identical (solution and `Metrics`) to the
@@ -392,11 +385,13 @@ fn registry_section(rows: &mut Vec<String>, quick: bool) {
     for (key, instance, cfg) in registry_workloads(quick) {
         registry_rows(rows, key, &instance, cfg);
     }
-    cover_section(rows);
+    flat_state_section(rows);
 }
 
-fn cover_section(rows: &mut Vec<String>) {
-    for (key, instance, cfg) in cover_workloads() {
+fn flat_state_section(rows: &mut Vec<String>) {
+    for (key, spec) in FLAT_STATE_WORKLOADS {
+        let instance = build_spec(spec).expect("flat-state workload spec");
+        let cfg = instance.auto_config(0.15, REG_SEED);
         registry_rows(rows, key, &instance, cfg);
     }
 }
@@ -436,7 +431,8 @@ fn check_artifact(path: &str, rows: &[JsonValue]) {
 /// single-digit baselines don't flake on allocator noise). The fresh
 /// router rows run at QUICK sizes, which are never larger than the
 /// committed full-size run, so a failure there means the routing path
-/// regressed for certain; the cover-family rows run at their one size.
+/// regressed for certain; the flat-state registry rows run at their one
+/// size.
 fn alloc_gate(committed: &[JsonValue], measured: &[String]) {
     let key_of = |row: &JsonValue| -> Option<(String, String, u64)> {
         let name = row.get("workload").or_else(|| row.get("algorithm"));
@@ -499,7 +495,7 @@ fn main() {
         // panics inside the section runner before the file is judged.
         let mut measured = Vec::new();
         router_section(&mut measured, true);
-        cover_section(&mut measured);
+        flat_state_section(&mut measured);
         let text = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {out_path}: {e}"));
         let doc = parse_json(&text).expect("artifact parses");

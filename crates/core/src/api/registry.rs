@@ -784,6 +784,43 @@ mod tests {
         assert_eq!(keys_seen, r.algorithms(), "every registry key is covered");
     }
 
+    /// A graph's memoized adjacency is not an input of any run: for the six
+    /// graph keys × two µ, the report on a graph that has never built it
+    /// equals the one on a clone that built it first — solution,
+    /// certificate with its witness, and the full `Metrics`.
+    #[test]
+    fn reports_do_not_depend_on_whether_the_adjacency_was_built() {
+        let r = Registry::with_defaults();
+        let g = generators::with_uniform_weights(&generators::densified(40, 0.4, 5), 1.0, 9.0, 5);
+        for key in [
+            "matching",
+            "mis1",
+            "mis2",
+            "clique",
+            "vertex-colouring",
+            "edge-colouring",
+        ] {
+            for mu in [0.3, 0.15] {
+                for backend in [Backend::Shard, Backend::Rlr] {
+                    // A clone of the never-used `g` is cold; each solve
+                    // gets its own, since certifying warms it.
+                    let cold = Instance::Graph(g.clone());
+                    let forced = g.clone();
+                    forced.adjacency();
+                    let warm = Instance::Graph(forced);
+                    let cfg = cold.auto_config(mu, 5);
+                    let on_cold = r.solve_with(key, backend, &cold, &cfg).unwrap();
+                    let on_warm = r.solve_with(key, backend, &warm, &cfg).unwrap();
+                    let what = format!("{key} µ={mu} {backend}");
+                    assert!(on_cold.certificate.feasible, "{what}");
+                    assert_eq!(on_cold.solution, on_warm.solution, "{what}");
+                    assert_eq!(on_cold.certificate, on_warm.certificate, "{what}");
+                    assert_eq!(on_cold.metrics, on_warm.metrics, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn auto_config_shapes_match_the_experiment_parameterization() {
         let g = generators::densified(30, 0.4, 1);

@@ -33,7 +33,7 @@ use super::problems::MatchingCertificate;
 use super::{Backend, Report};
 use crate::io::stream::{stream_records, Record, RecordSink, StreamHeader};
 use crate::io::IoError;
-use crate::mr::matching::{RunOutcome, StreamedMatching};
+use crate::mr::matching::{find_pushed, RunOutcome, StreamedMatching};
 use crate::mr::MrConfig;
 use crate::types::MatchingResult;
 
@@ -218,7 +218,7 @@ fn matching_report(
     let mut seen = std::collections::HashSet::new();
     let mut feasible = true;
     for &id in &result.matching {
-        let Some(&(u, v, _)) = pushed.get(&id) else {
+        let Some(&(_, u, v, _)) = find_pushed(&pushed, id) else {
             feasible = false;
             break;
         };

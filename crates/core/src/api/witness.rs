@@ -152,13 +152,18 @@ pub fn mis_blockers(g: &Graph, vertices: &[VertexId]) -> Vec<(VertexId, VertexId
             chosen[v as usize] = true;
         }
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut blockers = Vec::new();
     for v in 0..g.n() {
         if chosen[v] {
             continue;
         }
-        if let Some(&w) = adj[v].iter().filter(|&&w| chosen[w as usize]).min() {
+        if let Some(w) = adj[v]
+            .iter()
+            .map(|&(w, _)| w)
+            .filter(|&w| chosen[w as usize])
+            .min()
+        {
             blockers.push((v as VertexId, w));
         }
     }
@@ -176,7 +181,7 @@ pub fn clique_blockers(g: &Graph, vertices: &[VertexId]) -> Vec<(VertexId, Verte
             chosen[v as usize] = true;
         }
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let members: Vec<usize> = (0..g.n()).filter(|&v| chosen[v]).collect();
     let mut blockers = Vec::new();
     // One marker buffer, cleared per vertex by un-marking only the
@@ -187,13 +192,13 @@ pub fn clique_blockers(g: &Graph, vertices: &[VertexId]) -> Vec<(VertexId, Verte
         if chosen[v] {
             continue;
         }
-        for &w in &adj[v] {
+        for &(w, _) in &adj[v] {
             adjacent[w as usize] = true;
         }
         if let Some(&w) = members.iter().find(|&&w| !adjacent[w]) {
             blockers.push((v as VertexId, w as VertexId));
         }
-        for &w in &adj[v] {
+        for &(w, _) in &adj[v] {
             adjacent[w as usize] = false;
         }
     }
@@ -480,12 +485,12 @@ pub fn check_mis_maximality(
             "selection is not an independent set",
         ));
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     check_blockers(
         g,
         vertices,
         blockers,
-        |v, w| adj[v as usize].contains(&w),
+        |v, w| adj[v as usize].iter().any(|&(x, _)| x == w),
         "must be a neighbour",
     )
 }
@@ -509,12 +514,12 @@ pub fn check_clique_maximality(
             "empty clique in a non-empty graph is never maximal",
         ));
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     check_blockers(
         g,
         vertices,
         blockers,
-        |v, w| !adj[v as usize].contains(&w),
+        |v, w| !adj[v as usize].iter().any(|&(x, _)| x == w),
         "must be a non-neighbour",
     )
 }

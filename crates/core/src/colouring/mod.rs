@@ -12,7 +12,7 @@
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::mix_tags;
-use mrlr_mapreduce::{MrError, MrResult};
+use mrlr_mapreduce::{Csr, MrError, MrResult};
 
 use crate::seq::greedy_graph::greedy_colouring_with_order;
 use crate::seq::misra_gries::misra_gries_edge_colouring;
@@ -43,6 +43,43 @@ pub fn vertex_group(seed: u64, v: VertexId, kappa: usize) -> usize {
 #[inline]
 pub fn edge_group(seed: u64, e: EdgeId, kappa: usize) -> usize {
     (mix_tags(seed, &[COLOUR_TAG, 0x6564_6765, e as u64]) % kappa as u64) as usize
+}
+
+/// The members of every group as rows of one arena, ascending within a
+/// row: `group[i]` is entity `i`'s group. One counting pass, one scatter.
+fn group_members(group: &[usize], kappa: usize) -> MrResult<Csr<u32>> {
+    let mut sizes = vec![0usize; kappa];
+    for &gi in group {
+        sizes[gi] += 1;
+    }
+    let mut members = Csr::builder(sizes, 0u32)?;
+    for (i, &gi) in group.iter().enumerate() {
+        members.push(gi, i as u32);
+    }
+    Ok(members.finish())
+}
+
+/// Makes per-group colourings globally distinct: `group[i]` is entity
+/// `i`'s group and `local[i]` its colour inside it. Groups take
+/// consecutive private palettes in ascending group order, each as wide as
+/// the group's largest local colour + 1 (a group without members takes
+/// none). Returns the global colours and how many there are.
+pub(crate) fn offset_palettes(group: &[usize], local: &[u32], kappa: usize) -> (Vec<u32>, usize) {
+    // Width of every palette, then — by a running sum — where it starts.
+    let mut start = vec![0u32; kappa];
+    for (&gi, &c) in group.iter().zip(local) {
+        start[gi] = start[gi].max(c + 1);
+    }
+    let mut next = 0u32;
+    for s in &mut start {
+        next += std::mem::replace(s, next);
+    }
+    let colours = group
+        .iter()
+        .zip(local)
+        .map(|(&gi, &c)| start[gi] + c)
+        .collect();
+    (colours, next as usize)
 }
 
 /// Algorithm 5: `(1+o(1))Δ` vertex colouring with `kappa` random groups.
@@ -86,33 +123,25 @@ pub fn vertex_colouring(
 
     // Colour each group greedily with a private palette; offset palettes so
     // colours are globally distinct per group.
-    let mut colours = vec![0u32; n];
-    let mut next_palette_start = 0u32;
-    let mut total_colours = 0usize;
-    for gi in 0..kappa {
-        let members: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| groups[v as usize] == gi)
-            .collect();
+    let members = group_members(&groups, kappa)?;
+    let mut local = vec![0u32; n];
+    for (gi, members) in members.iter().enumerate() {
         if members.is_empty() {
             continue;
         }
         // The induced subgraph keeps original vertex ids, so the greedy
         // subroutine colours members directly.
         let sub = g.induced(|v| groups[v as usize] == gi);
-        let local = greedy_colouring_with_order(&sub, &members);
-        let mut used = 0u32;
-        for &v in &members {
-            let c = local.colours[v as usize];
-            colours[v as usize] = next_palette_start + c;
-            used = used.max(c + 1);
+        let coloured = greedy_colouring_with_order(&sub, members);
+        for &v in members {
+            local[v as usize] = coloured.colours[v as usize];
         }
-        next_palette_start += used;
-        total_colours += used as usize;
     }
+    let (colours, num_colours) = offset_palettes(&groups, &local, kappa);
 
     Ok(ColouringResult {
         colours,
-        num_colours: total_colours,
+        num_colours,
         groups: kappa,
     })
 }
@@ -145,32 +174,24 @@ pub fn edge_colouring(
         }
     }
 
-    let mut colours = vec![0u32; m];
-    let mut next_palette_start = 0u32;
-    let mut total_colours = 0usize;
-    for gi in 0..kappa {
-        let members: Vec<EdgeId> = (0..m as EdgeId)
-            .filter(|&e| groups[e as usize] == gi)
-            .collect();
+    let members = group_members(&groups, kappa)?;
+    let mut local = vec![0u32; m];
+    for members in members.iter() {
         if members.is_empty() {
             continue;
         }
         // Subgraph containing exactly this group's edges (vertex ids kept).
         let sub = Graph::new(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
-        let local = misra_gries_edge_colouring(&sub);
-        let mut used = 0u32;
-        for (sub_idx, &orig) in members.iter().enumerate() {
-            let c = local.colours[sub_idx];
-            colours[orig as usize] = next_palette_start + c;
-            used = used.max(c + 1);
+        let coloured = misra_gries_edge_colouring(&sub);
+        for (&orig, &c) in members.iter().zip(&coloured.colours) {
+            local[orig as usize] = c;
         }
-        next_palette_start += used;
-        total_colours += used as usize;
     }
+    let (colours, num_colours) = offset_palettes(&groups, &local, kappa);
 
     Ok(ColouringResult {
         colours,
-        num_colours: total_colours,
+        num_colours,
         groups: kappa,
     })
 }
@@ -254,6 +275,22 @@ mod tests {
         assert!(matches!(err, MrError::AlgorithmFailed { .. }));
         let err = edge_colouring(&g, 1, Some(10), 3).unwrap_err();
         assert!(matches!(err, MrError::AlgorithmFailed { .. }));
+    }
+
+    #[test]
+    fn palettes_follow_ascending_groups_and_skip_empty_ones() {
+        // Groups 0 and 3 are used, 1 and 2 are empty; group 3 needs 3
+        // colours, group 0 needs 2.
+        let group = [3usize, 0, 3, 0, 3];
+        let local = [2u32, 1, 0, 0, 1];
+        let (colours, total) = offset_palettes(&group, &local, 4);
+        assert_eq!(colours, vec![4, 1, 2, 0, 3]);
+        assert_eq!(total, 5);
+        assert_eq!(offset_palettes(&[], &[], 3), (vec![], 0));
+        let members = group_members(&group, 4).unwrap();
+        assert_eq!(members[0], [1, 3]);
+        assert_eq!(members[3], [0, 2, 4]);
+        assert!(members[1].is_empty() && members[2].is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! complement is dense. The relabelling scheme of Appendix B is realized
 //! here as the shrinking active set plus per-round removal deltas.
 
-use mrlr_graph::{Graph, VertexId};
-use mrlr_mapreduce::{MrError, MrResult};
+use mrlr_graph::{EdgeId, Graph, VertexId};
+use mrlr_mapreduce::{Csr, MrError, MrResult};
 
 use crate::hungry::mis::{degree_class, group_choice, MisParams};
 use crate::types::SelectionResult;
@@ -21,9 +21,10 @@ use crate::types::SelectionResult;
 pub const CLIQUE_RNG_TAG: u64 = 0x434c_4951;
 
 /// Mutable clique state: the clique `K`, the active set `A`, and the alive
-/// (primal) degrees `|N(v) ∩ A|` from which complement degrees derive.
-pub(crate) struct CliqueState {
-    pub adj: Vec<Vec<VertexId>>,
+/// (primal) degrees `|N(v) ∩ A|` from which complement degrees derive,
+/// over the graph's own adjacency rows.
+pub(crate) struct CliqueState<'g> {
+    pub adj: &'g Csr<(VertexId, EdgeId)>,
     pub active: Vec<bool>,
     pub active_count: usize,
     /// `g_alive[v] = |N(v) ∩ A|` for active `v` (stale for inactive).
@@ -31,15 +32,13 @@ pub(crate) struct CliqueState {
     pub clique: Vec<VertexId>,
 }
 
-impl CliqueState {
-    pub fn new(g: &Graph) -> Self {
-        let adj = g.neighbours();
-        let g_alive = adj.iter().map(Vec::len).collect();
+impl<'g> CliqueState<'g> {
+    pub fn new(g: &'g Graph) -> Self {
         CliqueState {
-            adj,
+            adj: g.adjacency(),
             active: vec![true; g.n()],
             active_count: g.n(),
-            g_alive,
+            g_alive: g.degrees(),
             clique: Vec::new(),
         }
     }
@@ -69,13 +68,13 @@ impl CliqueState {
         if !self.active[v] {
             return;
         }
+        let adj = self.adj;
         self.clique.push(v as VertexId);
         // Deactivate v and every active non-neighbour of v.
         let mut keep = vec![false; self.active.len()];
-        for i in 0..self.adj[v].len() {
-            let w = self.adj[v][i] as usize;
-            if self.active[w] {
-                keep[w] = true;
+        for &(w, _) in &adj[v] {
+            if self.active[w as usize] {
+                keep[w as usize] = true;
             }
         }
         let removed: Vec<usize> = (0..self.active.len())
@@ -86,10 +85,9 @@ impl CliqueState {
             self.active_count -= 1;
         }
         for &u in &removed {
-            for i in 0..self.adj[u].len() {
-                let y = self.adj[u][i] as usize;
-                if self.active[y] {
-                    self.g_alive[y] -= 1;
+            for &(y, _) in &adj[u] {
+                if self.active[y as usize] {
+                    self.g_alive[y as usize] -= 1;
                 }
             }
         }

@@ -13,9 +13,9 @@
 //! the same expected group size `n^{µ/2}` as the paper's draws — this
 //! keeps sampling machine-local.
 
-use mrlr_graph::{Graph, VertexId};
+use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::DetRng;
-use mrlr_mapreduce::{MrError, MrResult};
+use mrlr_mapreduce::{Csr, MrError, MrResult};
 
 use crate::types::SelectionResult;
 
@@ -64,23 +64,21 @@ impl MisParams {
 }
 
 /// Shared mutable state: the independent set `I`, the removed set `N⁺(I)`,
-/// and alive degrees `d_I(v)`.
-pub(crate) struct MisState {
-    pub adj: Vec<Vec<VertexId>>,
+/// and alive degrees `d_I(v)`, over the graph's own adjacency rows.
+pub(crate) struct MisState<'g> {
+    pub adj: &'g Csr<(VertexId, EdgeId)>,
     pub in_i: Vec<bool>,
     pub removed: Vec<bool>,
     pub d_alive: Vec<usize>,
 }
 
-impl MisState {
-    pub fn new(g: &Graph) -> Self {
-        let adj = g.neighbours();
-        let d_alive = adj.iter().map(Vec::len).collect();
+impl<'g> MisState<'g> {
+    pub fn new(g: &'g Graph) -> Self {
         MisState {
-            adj,
+            adj: g.adjacency(),
             in_i: vec![false; g.n()],
             removed: vec![false; g.n()],
-            d_alive,
+            d_alive: g.degrees(),
         }
     }
 
@@ -91,12 +89,12 @@ impl MisState {
         if self.removed[v] {
             return;
         }
+        let adj = self.adj;
         self.in_i[v] = true;
         let mut newly: Vec<usize> = vec![v];
         self.removed[v] = true;
-        // Clone indices, not the list, to appease the borrow checker cheaply.
-        for i in 0..self.adj[v].len() {
-            let w = self.adj[v][i] as usize;
+        for &(w, _) in &adj[v] {
+            let w = w as usize;
             if !self.removed[w] {
                 self.removed[w] = true;
                 newly.push(w);
@@ -104,10 +102,9 @@ impl MisState {
         }
         for &x in &newly {
             self.d_alive[x] = 0;
-            for i in 0..self.adj[x].len() {
-                let y = self.adj[x][i] as usize;
-                if !self.removed[y] {
-                    self.d_alive[y] -= 1;
+            for &(y, _) in &adj[x] {
+                if !self.removed[y as usize] {
+                    self.d_alive[y as usize] -= 1;
                 }
             }
         }

@@ -4,59 +4,83 @@
 //! Machines hold vertex adjacency plus a replicated *active-set* bitmap
 //! (the surviving common-neighbour candidates), maintained by broadcast
 //! removal deltas — the executable form of the paper's relabelling scheme.
+//! A machine's block is flat: fixed-width vertex records beside one
+//! [`Csr`] arena holding every sorted neighbour list
+//! (`mr::place_neighbours`); the *metered* size is still the
+//! record-per-vertex formula, computed once at distribution.
 //! A sampled vertex sends its **complement** list `A \ N[v]`, whose size is
 //! its complement degree (bounded by its degree class), so communication
-//! stays `O(n^{1+µ})` per round even though the complement is dense.
+//! stays `O(n^{1+µ})` per round even though the complement is dense. The
+//! lists are variable-size, so both gathers ride
+//! [`Cluster::gather_payload`] like `mis`'s.
 
 use mrlr_graph::{Graph, VertexId};
-use mrlr_mapreduce::{Bitset, Cluster, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{
+    Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, PayloadSink, WordSized,
+};
 
 use crate::hungry::clique::CLIQUE_RNG_TAG;
 use crate::hungry::mis::{degree_class, group_choice, MisParams};
-use crate::mr::MrConfig;
+use crate::mr::mis::{process_groups, CentralRound, SampleHead};
+use crate::mr::{place_neighbours, MrConfig};
 use crate::types::SelectionResult;
 
+#[derive(Clone, Copy)]
 struct CliqueRec {
     v: VertexId,
-    /// Sorted neighbour ids.
-    nbrs: Vec<VertexId>,
     /// `|N(v) ∩ A|` while `v` is active.
     g_alive: usize,
 }
 
-impl WordSized for CliqueRec {
-    fn words(&self) -> usize {
-        2 + self.nbrs.words()
-    }
-}
-
 struct CliqueChunk {
+    /// Ascending vertex id; `recs[slot]`'s sorted neighbour ids are row
+    /// `slot` of `nbrs`.
     recs: Vec<CliqueRec>,
+    nbrs: Csr<VertexId>,
     active: Bitset,
     active_count: usize,
+    /// Scratch of [`CliqueChunk::apply_delta`], all clear between rounds:
+    /// working memory of one pass, not resident state, so not metered.
+    delta_bits: Bitset,
+    /// [`CliqueChunk::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl WordSized for CliqueChunk {
     fn words(&self) -> usize {
-        2 + self.recs.iter().map(WordSized::words).sum::<usize>() + self.active.words()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
 }
 
 impl CliqueChunk {
+    /// The simulated size: a 2-word record plus its neighbour list per
+    /// vertex, the active bitmap, its counter and the chunk header.
+    fn metered_words(&self) -> usize {
+        let recs: usize = self.nbrs.iter().map(|nbrs| 2 + 1 + nbrs.len()).sum();
+        2 + recs + self.active.words()
+    }
+
+    /// Deactivates `delta` and takes it out of every active record's
+    /// alive-neighbour count, testing membership in the scratch bitmap
+    /// (set, used, cleared bit by bit).
     fn apply_delta(&mut self, delta: &[VertexId]) {
         for &v in delta {
             self.active.clear(v as usize);
+            self.delta_bits.set(v as usize);
         }
         self.active_count -= delta.len();
-        for rec in &mut self.recs {
+        for (slot, rec) in self.recs.iter_mut().enumerate() {
             if !self.active.get(rec.v as usize) {
                 continue;
             }
-            rec.g_alive -= rec
-                .nbrs
+            rec.g_alive -= self.nbrs[slot]
                 .iter()
-                .filter(|x| delta.binary_search(x).is_ok())
+                .filter(|&&x| self.delta_bits.get(x as usize))
                 .count();
+        }
+        for &v in delta {
+            self.delta_bits.clear(v as usize);
         }
     }
 
@@ -64,17 +88,50 @@ impl CliqueChunk {
         self.active_count - 1 - rec.g_alive
     }
 
-    /// Complement list `A \ N[v] \ {v}` of an active record.
-    fn complement_list(&self, rec: &CliqueRec) -> Vec<VertexId> {
-        self.active
-            .iter_ones()
-            .map(|u| u as VertexId)
-            .filter(|&u| u != rec.v && rec.nbrs.binary_search(&u).is_err())
-            .collect()
+    /// Streams the complement list `A \ N[v] \ {v}` of the active record in
+    /// `slot` into a payload sink under `head`: one merge walk of the
+    /// active set against the sorted neighbour row.
+    fn sink_complement<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
+    where
+        H: Copy + WordSized,
+    {
+        let v = self.recs[slot].v;
+        let mut nbrs = self.nbrs[slot].iter().copied().peekable();
+        let mut w = sink.begin(head);
+        for u in self.active.iter_ones().map(|u| u as VertexId) {
+            while nbrs.next_if(|&x| x < u).is_some() {}
+            if u != v && nbrs.peek() != Some(&u) {
+                w.push(u);
+            }
+        }
     }
 }
 
-type SampleMsg = (u64, u64, VertexId, Vec<VertexId>); // (class, group, v, complement list)
+fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<CliqueChunk>> {
+    let n = g.n();
+    Ok(place_neighbours(g, cfg)?
+        .map(|(ids, nbrs)| {
+            let recs = ids
+                .iter()
+                .zip(nbrs.iter())
+                .map(|(&v, row)| CliqueRec {
+                    v,
+                    g_alive: row.len(),
+                })
+                .collect();
+            let mut chunk = CliqueChunk {
+                recs,
+                nbrs,
+                active: Bitset::full(n),
+                active_count: n,
+                delta_bits: Bitset::new(n),
+                words: 0,
+            };
+            chunk.words = chunk.metered_words();
+            chunk
+        })
+        .collect())
+}
 
 /// Appendix B's maximal clique on the cluster. Output is bit-identical to
 /// [`crate::hungry::clique::maximal_clique`] with the same parameters.
@@ -101,27 +158,7 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
     let nf = (n.max(2)) as f64;
     let num_classes = (1.0 / params.alpha).ceil() as usize;
 
-    let chunks = {
-        let adj = g.neighbours();
-        let mut chunks: Vec<CliqueChunk> = (0..cfg.machines)
-            .map(|_| CliqueChunk {
-                recs: Vec::new(),
-                active: Bitset::full(n),
-                active_count: n,
-            })
-            .collect();
-        for v in 0..n {
-            let mut nbrs = adj[v].clone();
-            nbrs.sort_unstable();
-            chunks[cfg.place(v as u64)].recs.push(CliqueRec {
-                v: v as VertexId,
-                g_alive: nbrs.len(),
-                nbrs,
-            });
-        }
-        chunks
-    };
-    let mut cluster = Cluster::new(cfg.cluster(), chunks)?;
+    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg)?)?;
     let mut clique: Vec<VertexId> = Vec::new();
     cluster.charge_central(2 + n / 32)?;
 
@@ -184,69 +221,40 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
         let alpha = params.alpha;
         let gs = params.group_size;
         let sizes = class_sizes.clone();
-        let mut sample: Vec<SampleMsg> = cluster.gather(move |_, s: &mut CliqueChunk| {
-            let mut out = Vec::new();
-            for r in &s.recs {
-                if !s.active.get(r.v as usize) {
-                    continue;
+        let sample: PayloadBatch<SampleHead, VertexId> =
+            cluster.gather_payload(move |_, s: &mut CliqueChunk, sink| {
+                for (slot, r) in s.recs.iter().enumerate() {
+                    if !s.active.get(r.v as usize) {
+                        continue;
+                    }
+                    let d = s.dbar(r);
+                    if d == 0 {
+                        continue;
+                    }
+                    let i = degree_class(d, nf, alpha, num_classes);
+                    let groups_count = nf.powf((i + 1) as f64 * alpha).ceil() as usize;
+                    if let Some(gid) = group_choice(
+                        seed,
+                        &[CLIQUE_RNG_TAG, k as u64, i as u64],
+                        r.v as u64,
+                        groups_count,
+                        gs,
+                        sizes[i] as usize,
+                    ) {
+                        s.sink_complement(sink, (i as u64, gid as u64, r.v), slot);
+                    }
                 }
-                let d = s.dbar(r);
-                if d == 0 {
-                    continue;
-                }
-                let i = degree_class(d, nf, alpha, num_classes);
-                let groups_count = nf.powf((i + 1) as f64 * alpha).ceil() as usize;
-                if let Some(gid) = group_choice(
-                    seed,
-                    &[CLIQUE_RNG_TAG, k as u64, i as u64],
-                    r.v as u64,
-                    groups_count,
-                    gs,
-                    sizes[i] as usize,
-                ) {
-                    out.push((i as u64, gid as u64, r.v, s.complement_list(r)));
-                }
-            }
-            out
-        })?;
+            })?;
 
         // Central: one qualifying vertex per group, hungriest (max current
-        // complement degree) first within a group.
-        sample.sort_unstable_by_key(|&(c, gg, v, _)| (c, gg, v));
-        let mut removed_now = vec![false; n];
-        let mut delta: Vec<VertexId> = Vec::new();
-        let mut idx = 0usize;
-        while idx < sample.len() {
-            let (c, gid) = (sample[idx].0, sample[idx].1);
-            let accept = nf.powf(1.0 - (c as f64 + 1.0) * params.alpha);
-            let mut best: Option<(usize, usize)> = None;
-            while idx < sample.len() && sample[idx].0 == c && sample[idx].1 == gid {
-                let (_, _, v, ref list) = sample[idx];
-                if !removed_now[v as usize] {
-                    let d = list.iter().filter(|&&u| !removed_now[u as usize]).count();
-                    if (d as f64) >= accept {
-                        best = match best {
-                            None => Some((d, idx)),
-                            Some((bd, _)) if d > bd => Some((d, idx)),
-                            other => other,
-                        };
-                    }
-                }
-                idx += 1;
-            }
-            if let Some((_, bi)) = best {
-                let (_, _, v, list) = sample[bi].clone();
-                clique.push(v);
-                removed_now[v as usize] = true;
-                delta.push(v);
-                for &u in &list {
-                    if !removed_now[u as usize] {
-                        removed_now[u as usize] = true;
-                        delta.push(u);
-                    }
-                }
-            }
-        }
+        // complement degree) first within a group — `mis`'s group pass with
+        // complement lists in the alive-neighbour role.
+        let mut round = CentralRound::new(n);
+        process_groups(&sample, &mut round, |c| {
+            nf.powf(1.0 - (c as f64 + 1.0) * params.alpha)
+        });
+        clique.extend_from_slice(&round.added);
+        let mut delta = round.delta;
         delta.sort_unstable();
         cluster.broadcast(&delta)?;
         cluster.local(move |_, s: &mut CliqueChunk| s.apply_delta(&delta))?;
@@ -254,26 +262,17 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
 
     // Final central round: greedy clique over the residual active set using
     // gathered complement lists (ascending vertex order).
-    let mut residual: Vec<(VertexId, Vec<VertexId>)> =
-        cluster.gather(|_, s: &mut CliqueChunk| {
-            s.recs
-                .iter()
-                .filter(|r| s.active.get(r.v as usize))
-                .map(|r| (r.v, s.complement_list(r)))
-                .collect::<Vec<_>>()
+    let residual: PayloadBatch<VertexId, VertexId> =
+        cluster.gather_payload(|_, s: &mut CliqueChunk, sink| {
+            for (slot, r) in s.recs.iter().enumerate() {
+                if s.active.get(r.v as usize) {
+                    s.sink_complement(sink, r.v, slot);
+                }
+            }
         })?;
-    residual.sort_unstable_by_key(|&(v, _)| v);
-    let mut removed_now = vec![false; n];
-    for (v, list) in residual {
-        if removed_now[v as usize] {
-            continue;
-        }
-        clique.push(v);
-        removed_now[v as usize] = true;
-        for &u in &list {
-            removed_now[u as usize] = true;
-        }
-    }
+    let mut round = CentralRound::new(n);
+    round.add_ascending(&residual);
+    clique.extend(round.added);
 
     clique.sort_unstable();
     let result = SelectionResult {
@@ -303,6 +302,68 @@ mod tests {
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_clique(&g, &mr.vertices));
             assert!(metrics.rounds > 0);
+        }
+    }
+
+    /// The stored state size is the record-per-vertex formula of the
+    /// nested layout, recounted from the instance, and nothing a superstep
+    /// does changes it (`words()` re-asserts that on every pass of a
+    /// debug run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let g = gnp(40, 0.5, 2);
+        let cfg = MrConfig::auto(40, g.m(), 0.3, 2).with_machines(5);
+        let adj = g.adjacency();
+        let mut chunks = build_chunks(&g, &cfg).unwrap();
+        for (id, chunk) in chunks.iter_mut().enumerate() {
+            let recs: usize = (0..g.n())
+                .filter(|&v| cfg.place(v as u64) == id)
+                .map(|v| 2 + 1 + adj[v].len())
+                .sum();
+            assert_eq!(
+                chunk.words,
+                2 + recs + 1 + g.n().div_ceil(64),
+                "machine {id}"
+            );
+            for (slot, rec) in chunk.recs.iter().enumerate() {
+                let mut sorted: Vec<VertexId> =
+                    adj[rec.v as usize].iter().map(|&(w, _)| w).collect();
+                sorted.sort_unstable();
+                assert_eq!(&chunk.nbrs[slot], sorted.as_slice());
+                assert_eq!(rec.g_alive, sorted.len());
+            }
+            chunk.apply_delta(&[0, 7, 31]);
+            assert_eq!(chunk.words(), chunk.metered_words());
+            assert_eq!(chunk.delta_bits.count(), 0, "scratch left clear");
+        }
+        run(&g, MisParams::mis2(40, 0.3, 2), cfg).unwrap();
+    }
+
+    /// The merge walk lists exactly the active non-neighbours, ascending.
+    #[test]
+    fn complement_lists_are_the_active_non_neighbours() {
+        let g = gnp(40, 0.5, 4);
+        let cfg = MrConfig::auto(40, g.m(), 0.3, 4).with_machines(3);
+        let adj = g.adjacency();
+        let mut cluster = Cluster::new(cfg.cluster(), build_chunks(&g, &cfg).unwrap()).unwrap();
+        let removed = [3 as VertexId, 11, 12, 39];
+        cluster
+            .local(|_, s: &mut CliqueChunk| s.apply_delta(&removed))
+            .unwrap();
+        let lists: PayloadBatch<VertexId, VertexId> = cluster
+            .gather_payload(|_, s: &mut CliqueChunk, sink| {
+                for (slot, r) in s.recs.iter().enumerate() {
+                    s.sink_complement(sink, r.v, slot);
+                }
+            })
+            .unwrap();
+        assert_eq!(lists.len(), g.n());
+        for (v, list) in lists.iter() {
+            let expect: Vec<VertexId> = (0..g.n() as VertexId)
+                .filter(|u| !removed.contains(u) && *u != v)
+                .filter(|&u| !adj[v as usize].iter().any(|&(w, _)| w == u))
+                .collect();
+            assert_eq!(list, expect.as_slice(), "vertex {v}");
         }
     }
 

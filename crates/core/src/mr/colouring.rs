@@ -7,11 +7,20 @@
 //! which colours its subgraph(s) locally: greedy `(Δ_i+1)` for vertex
 //! colouring, Misra–Gries for edge colouring. A final gather collects the
 //! colours. Total: 2 communication rounds.
+//!
+//! A machine's state is three flat record columns and no per-record
+//! lists: received edges are sorted by `(group, edge)` once at receipt,
+//! so the guard and the colouring pass read each group as one slice of
+//! that column. The columns fill and drain between supersteps, which is
+//! why this state's metered `words()` is computed live from their
+//! lengths. The driver assembles the answer by hashing every entity
+//! once into a group column and offsetting private palettes in ascending
+//! group order (`colouring::offset_palettes`).
 
-use mrlr_graph::{EdgeId, Graph, VertexId};
+use mrlr_graph::{Edge, EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Cluster, Metrics, MrError, MrResult, WordSized};
 
-use crate::colouring::{edge_group, vertex_group};
+use crate::colouring::{edge_group, offset_palettes, vertex_group};
 use crate::mr::MrConfig;
 use crate::seq::greedy_graph::greedy_colouring_with_order;
 use crate::seq::misra_gries::misra_gries_edge_colouring;
@@ -123,15 +132,10 @@ pub fn run_vertex(
     // in-memory driver uses.
     cluster.local(move |_, s: &mut ColourChunk| {
         let rec = std::mem::take(&mut s.received); // sorted at receipt
-        let mut idx = 0usize;
-        while idx < rec.len() {
-            let grp = rec[idx].0;
-            let mut edges = Vec::new();
-            while idx < rec.len() && rec[idx].0 == grp {
-                edges.push(mrlr_graph::Edge::new(rec[idx].2, rec[idx].3, 1.0));
-                idx += 1;
-            }
-            let sub = Graph::new(n, edges);
+        for group in rec.chunk_by(|a, b| a.0 == b.0) {
+            let grp = group[0].0;
+            let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
+            let sub = Graph::new(n, edges.collect());
             let mut members: Vec<VertexId> = sub.edges().iter().flat_map(|e| [e.u, e.v]).collect();
             members.sort_unstable();
             members.dedup();
@@ -148,35 +152,21 @@ pub fn run_vertex(
 
     // Assemble exactly like the in-memory driver: groups ascending, private
     // palettes offset sequentially; vertices without intra-group edges get
-    // local colour 0 of their group.
+    // local colour 0 of their group. Every vertex is hashed once.
     let mut local_colour = vec![0u32; n];
     for &(_, v, c) in &coloured {
         local_colour[v as usize] = c;
     }
-    let mut colours = vec![0u32; n];
-    let mut next_palette = 0u32;
-    let mut total = 0usize;
-    for gi in 0..kappa {
-        let members: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| vertex_group(seed, v, kappa) == gi)
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let mut used = 0u32;
-        for &v in &members {
-            colours[v as usize] = next_palette + local_colour[v as usize];
-            used = used.max(local_colour[v as usize] + 1);
-        }
-        next_palette += used;
-        total += used as usize;
-    }
+    let groups: Vec<usize> = (0..n as VertexId)
+        .map(|v| vertex_group(seed, v, kappa))
+        .collect();
+    let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
 
     let (_, metrics) = cluster.into_parts();
     Ok((
         ColouringResult {
             colours,
-            num_colours: total,
+            num_colours,
             groups: kappa,
         },
         metrics,
@@ -251,21 +241,14 @@ pub fn run_edge(
 
     cluster.local(move |_, s: &mut ColourChunk| {
         let rec = std::mem::take(&mut s.received); // sorted at receipt
-        let mut idx = 0usize;
-        while idx < rec.len() {
-            let grp = rec[idx].0;
-            let mut ids: Vec<EdgeId> = Vec::new();
-            let mut edges = Vec::new();
-            while idx < rec.len() && rec[idx].0 == grp {
-                ids.push(rec[idx].1);
-                edges.push(mrlr_graph::Edge::new(rec[idx].2, rec[idx].3, 1.0));
-                idx += 1;
-            }
-            let sub = Graph::new(n, edges);
+        for group in rec.chunk_by(|a, b| a.0 == b.0) {
+            let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
+            let sub = Graph::new(n, edges.collect());
             let local = misra_gries_edge_colouring(&sub);
-            for (pos, &orig) in ids.iter().enumerate() {
-                s.colours.push((grp, orig, local.colours[pos]));
-            }
+            // The sub-graph's edge `pos` is the group's `pos`-th record.
+            let coloured = group.iter().zip(&local.colours);
+            s.colours
+                .extend(coloured.map(|(&(grp, orig, _, _), &c)| (grp, orig, c)));
         }
     })?;
 
@@ -276,30 +259,16 @@ pub fn run_edge(
     for &(_, e, c) in &coloured {
         local_colour[e as usize] = c;
     }
-    let mut colours = vec![0u32; m];
-    let mut next_palette = 0u32;
-    let mut total = 0usize;
-    for gi in 0..kappa {
-        let members: Vec<EdgeId> = (0..m as EdgeId)
-            .filter(|&e| edge_group(seed, e, kappa) == gi)
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let mut used = 0u32;
-        for &e in &members {
-            colours[e as usize] = next_palette + local_colour[e as usize];
-            used = used.max(local_colour[e as usize] + 1);
-        }
-        next_palette += used;
-        total += used as usize;
-    }
+    let groups: Vec<usize> = (0..m as EdgeId)
+        .map(|e| edge_group(seed, e, kappa))
+        .collect();
+    let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
 
     let (_, metrics) = cluster.into_parts();
     Ok((
         ColouringResult {
             colours,
-            num_colours: total,
+            num_colours,
             groups: kappa,
         },
         metrics,

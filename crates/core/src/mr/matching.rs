@@ -4,8 +4,13 @@
 //! Layout: every vertex lives on a machine with its incident edge list, so
 //! each edge is stored at both endpoints' machines (the paper stores both
 //! an edge partition and a vertex partition; co-locating incidence makes
-//! the per-vertex sampling machine-local). Machines hold a replicated copy
-//! of the potential vector `ϕ` (`n` words ≤ `n^{1+µ}`), refreshed with
+//! the per-vertex sampling machine-local). A machine's block is flat: its
+//! vertex ids beside one [`Csr`] arena holding every incidence list,
+//! scattered straight from the edge list (or from the streamed block), so
+//! rows come out in edge-id order and no adjacency is built. The *metered*
+//! size is still the record-per-vertex formula; only `ϕ` values change
+//! after distribution, so it is computed once. Machines hold a replicated
+//! copy of the potential vector `ϕ` (`n` words ≤ `n^{1+µ}`), refreshed with
 //! broadcast deltas — an edge's aliveness (`w − ϕ(u) − ϕ(v) > 0`) is then a
 //! local test, and pushed edges die automatically because the push makes
 //! their modified weight negative.
@@ -15,60 +20,104 @@
 //! (`p = η/|E_i|`, fail if `Σ|E'_v| > 8η`), push centrally, broadcast `ϕ`
 //! deltas.
 
-use std::collections::HashMap;
-
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
-use mrlr_mapreduce::{Cluster, Ingest, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Cluster, Csr, Ingest, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
+use crate::mr::{place_records, place_rows, MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
 use crate::rlr::matching::MATCH_COIN_TAG;
 use crate::seq::local_ratio_matching::{finish_with, MatchingLocalRatio};
 use crate::types::{MatchingResult, POS_TOL};
 
-struct VertexAdj {
-    v: VertexId,
-    /// Incident edges `(edge id, other endpoint, original weight)`,
-    /// ascending edge id.
-    inc: Vec<(EdgeId, VertexId, f64)>,
-}
+/// One incident edge as its owner vertex stores it: `(edge id, other
+/// endpoint, original weight)`.
+type Incident = (EdgeId, VertexId, f64);
 
-impl WordSized for VertexAdj {
-    fn words(&self) -> usize {
-        1 + self.inc.words()
-    }
-}
+const NO_INCIDENT: Incident = (0, 0, 0.0);
 
 struct MatchState {
-    vertices: Vec<VertexAdj>,
+    /// Ascending vertex id; vertex `vertices[slot]`'s incident edges,
+    /// ascending edge id, are row `slot` of `inc`.
+    vertices: Vec<VertexId>,
+    inc: Csr<Incident>,
     /// Replicated potential vector (n words).
     phi: Vec<f64>,
+    /// [`MatchState::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl MatchState {
+    fn new(vertices: Vec<VertexId>, inc: Csr<Incident>, n: usize) -> Self {
+        let mut state = MatchState {
+            vertices,
+            inc,
+            phi: vec![0.0; n],
+            words: 0,
+        };
+        state.words = state.metered_words();
+        state
+    }
+
+    /// The simulated size: a 1-word record plus its incidence list (three
+    /// words an edge) per vertex, the `ϕ` vector and the state header.
+    fn metered_words(&self) -> usize {
+        let vertices: usize = self.inc.iter().map(|inc| 1 + 1 + 3 * inc.len()).sum();
+        1 + vertices + self.phi.len()
+    }
+
     fn edge_alive(&self, u: VertexId, v: VertexId, w: f64) -> bool {
         w - self.phi[u as usize] - self.phi[v as usize] > POS_TOL
+    }
+
+    /// Every resident incidence `(owner, edge id, other endpoint, weight)`
+    /// in slot order, rows ascending by edge id.
+    fn halves(&self) -> impl Iterator<Item = (VertexId, EdgeId, VertexId, f64)> + '_ {
+        self.vertices
+            .iter()
+            .zip(self.inc.iter())
+            .flat_map(|(&v, inc)| inc.iter().map(move |&(e, o, w)| (v, e, o, w)))
     }
 
     /// Alive incident edges counted per endpoint copy (each alive edge is
     /// counted twice across the cluster).
     fn alive_halves(&self) -> usize {
-        self.vertices
-            .iter()
-            .map(|va| {
-                va.inc
-                    .iter()
-                    .filter(|&&(_, o, w)| self.edge_alive(va.v, o, w))
-                    .count()
-            })
-            .sum()
+        self.halves()
+            .filter(|&(v, _, o, w)| self.edge_alive(v, o, w))
+            .count()
     }
 }
 
 impl WordSized for MatchState {
     fn words(&self) -> usize {
-        1 + self.vertices.iter().map(WordSized::words).sum::<usize>() + self.phi.len()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
+}
+
+/// Distributes vertices by hash, each with its incident edges: one pass
+/// over `g.edges()` scatters both halves of every edge, so rows fill in
+/// edge-id order.
+fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<MatchState>> {
+    let degree = g.degrees();
+    let mut placed = place_rows(
+        cfg.machines,
+        g.n(),
+        |v| cfg.place(v as u64),
+        |v| degree[v],
+        NO_INCIDENT,
+    )?;
+    for (idx, e) in g.edges().iter().enumerate() {
+        for (x, o) in [(e.u, e.v), (e.v, e.u)] {
+            let (dst, row) = placed.at[x as usize];
+            placed.arenas[dst as usize].push(row as usize, (idx as EdgeId, o, e.w));
+        }
+    }
+    Ok(placed
+        .ids
+        .into_iter()
+        .zip(placed.arenas)
+        .map(|(vertices, arena)| MatchState::new(vertices, arena.finish(), g.n()))
+        .collect())
 }
 
 /// Runs Algorithm 4 on the cluster. Output is bit-identical to
@@ -80,33 +129,7 @@ pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
     if cfg.eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
     }
-    let n = g.n();
-
-    // Vertex-partitioned adjacency.
-    let states = {
-        let adj = g.adjacency();
-        let mut states: Vec<MatchState> = (0..cfg.machines)
-            .map(|_| MatchState {
-                vertices: Vec::new(),
-                phi: vec![0.0; n],
-            })
-            .collect();
-        for (v, nbrs) in adj.iter().enumerate().take(n) {
-            let dst = cfg.place(v as u64);
-            states[dst].vertices.push(VertexAdj {
-                v: v as VertexId,
-                inc: nbrs.iter().map(|&(o, e)| (e, o, g.edge(e).w)).collect(),
-            });
-        }
-        // Adjacency lists come out in edge-id order per vertex; sort to be sure.
-        for s in &mut states {
-            for va in &mut s.vertices {
-                va.inc.sort_unstable_by_key(|&(e, _, _)| e);
-            }
-        }
-        states
-    };
-    let outcome = run_states(states, n, g.m(), cfg)?;
+    let outcome = run_states(distribute(g, &cfg)?, g.n(), g.m(), cfg)?;
     Ok((outcome.result, outcome.metrics))
 }
 
@@ -117,17 +140,27 @@ pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
 pub(crate) struct RunOutcome {
     pub(crate) result: MatchingResult,
     pub(crate) metrics: Metrics,
-    /// `edge id → (u, v, original weight)` for every pushed edge.
-    pub(crate) pushed: HashMap<EdgeId, (VertexId, VertexId, f64)>,
+    /// `(edge id, u, v, original weight)` of every pushed edge, ascending
+    /// edge id (each id once: a pushed edge is dead for good).
+    pub(crate) pushed: Vec<PushedEdge>,
     /// Vertex count of the instance.
     pub(crate) n: usize,
+}
+
+/// A stacked edge with what the unwind and the certificate look up.
+pub(crate) type PushedEdge = (EdgeId, VertexId, VertexId, f64);
+
+/// The pushed edge `id` in an id-sorted `pushed` column.
+pub(crate) fn find_pushed(pushed: &[PushedEdge], id: EdgeId) -> Option<&PushedEdge> {
+    let at = pushed.binary_search_by_key(&id, |&(e, ..)| e).ok()?;
+    Some(&pushed[at])
 }
 
 /// Per-machine state for a matching run built *without* a central graph:
 /// edge records stream in ascending edge-id order (the materialized
 /// [`Graph`]'s id order) and are scattered to both endpoints' machines via
 /// [`MrConfig::place`] — the exact layout [`run`] builds from a central
-/// adjacency, reproduced incrementally, so the solve downstream is
+/// edge list, reproduced incrementally, so the solve downstream is
 /// bit-identical.
 pub(crate) struct StreamedMatching {
     cfg: MrConfig,
@@ -167,40 +200,29 @@ impl StreamedMatching {
 
     /// Finalizes the per-machine states and runs Algorithm 4. The states
     /// are bit-identical to what [`run`] builds centrally: vertices in
-    /// ascending id order per machine, incidence lists in ascending edge
-    /// id (arrival order, kept by the stable sort).
+    /// ascending id order per machine, incidence rows in ascending edge
+    /// id (arrival order, which a counting scatter keeps).
     pub(crate) fn solve(self) -> MrResult<RunOutcome> {
         let StreamedMatching { cfg, n, m, halves } = self;
         // Which vertices each machine owns, ascending (isolated vertices
-        // included — the materialized layout gives every vertex an entry).
-        let mut owners: Vec<Vec<VertexId>> = (0..cfg.machines).map(|_| Vec::new()).collect();
-        for v in 0..n {
-            owners[cfg.place(v as u64)].push(v as VertexId);
-        }
+        // included — the materialized layout gives every vertex a row),
+        // and each vertex's row on its machine.
+        let owners = place_records(cfg.machines, n, |v| cfg.place(v as u64))?;
+        let row_of = |v: VertexId| owners.at[v as usize].1 as usize;
         let mut states: Vec<MatchState> = Vec::with_capacity(cfg.machines);
-        for (dst, mut block) in halves.into_blocks().into_iter().enumerate() {
-            // Stable: per-vertex groups keep ascending edge-id arrival order.
-            block.sort_by_key(|&(v, _, _, _)| v);
-            let mut vertices = Vec::with_capacity(owners[dst].len());
-            let mut pos = 0usize;
-            for &v in &owners[dst] {
-                let start = pos;
-                while pos < block.len() && block[pos].0 == v {
-                    pos += 1;
-                }
-                vertices.push(VertexAdj {
-                    v,
-                    inc: block[start..pos]
-                        .iter()
-                        .map(|&(_, e, o, w)| (e, o, w))
-                        .collect(),
-                });
+        for (vertices, block) in owners.ids.into_iter().zip(halves.into_blocks()) {
+            // Count → prefix-sum → scatter, one machine at a time: each
+            // flat block is freed before the next arena is laid out.
+            let mut degree = vec![0usize; vertices.len()];
+            for &(v, ..) in &block {
+                degree[row_of(v)] += 1;
             }
-            drop(block); // free each flat block before converting the next
-            states.push(MatchState {
-                vertices,
-                phi: vec![0.0; n],
-            });
+            let mut arena = Csr::builder(degree, NO_INCIDENT)?;
+            for &(v, e, o, w) in &block {
+                arena.push(row_of(v), (e, o, w));
+            }
+            drop(block);
+            states.push(MatchState::new(vertices, arena.finish(), n));
         }
         run_states(states, n, m, cfg)
     }
@@ -210,13 +232,15 @@ impl StreamedMatching {
 /// verbatim by the materialized ([`run`]) and streamed
 /// ([`StreamedMatching::solve`]) paths, so both produce bit-identical
 /// solutions, witnesses and [`Metrics`]. Central bookkeeping records the
-/// endpoints of every pushed edge, which is all the unwind and the
-/// certificate ever look up — `O(stack)` words, never `O(m)`.
+/// endpoints of every pushed edge in a flat column, which is all the
+/// unwind and the certificate ever look up — `O(stack)` words, never
+/// `O(m)`.
 fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrResult<RunOutcome> {
     let mut cluster = Cluster::new(cfg.cluster(), states)?;
 
     let mut lr = MatchingLocalRatio::new(n);
-    let mut pushed: HashMap<EdgeId, (VertexId, VertexId, f64)> = HashMap::new();
+    // Endpoints and weight of every stacked edge, in push (= stack) order.
+    let mut pushed: Vec<PushedEdge> = Vec::new();
     cluster.charge_central(n + 2)?;
 
     let mut iteration = 0usize;
@@ -233,20 +257,15 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
             // exhaustive pass in ascending edge order.
             let mut residual: Vec<(EdgeId, VertexId, VertexId, f64)> =
                 cluster.gather(|_, s: &mut MatchState| {
-                    let mut out = Vec::new();
-                    for va in &s.vertices {
-                        for &(e, o, w) in &va.inc {
-                            if va.v < o && s.edge_alive(va.v, o, w) {
-                                out.push((e, va.v, o, w));
-                            }
-                        }
-                    }
-                    out
+                    s.halves()
+                        .filter(|&(v, _, o, w)| v < o && s.edge_alive(v, o, w))
+                        .map(|(v, e, o, w)| (e, v, o, w))
+                        .collect()
                 })?;
             residual.sort_unstable_by_key(|&(e, _, _, _)| e);
             for (e, u, v, w) in residual {
                 if lr.push(e, u, v, w) {
-                    pushed.insert(e, (u, v, w));
+                    pushed.push((e, u, v, w));
                 }
             }
             break;
@@ -258,21 +277,16 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
         let seed = cfg.seed;
         let mut sample: Vec<(VertexId, EdgeId, VertexId, f64)> =
             cluster.gather(|_, s: &mut MatchState| {
-                let mut out = Vec::new();
-                for va in &s.vertices {
-                    for &(e, o, w) in &va.inc {
-                        if s.edge_alive(va.v, o, w)
+                s.halves()
+                    .filter(|&(v, e, o, w)| {
+                        s.edge_alive(v, o, w)
                             && coin(
                                 seed,
-                                &[MATCH_COIN_TAG, iteration as u64, va.v as u64, e as u64],
+                                &[MATCH_COIN_TAG, iteration as u64, v as u64, e as u64],
                                 p,
                             )
-                        {
-                            out.push((va.v, e, o, w));
-                        }
-                    }
-                }
-                out
+                    })
+                    .collect()
             })?;
         if sample.len() > MATCHING_GATHER_SLACK * cfg.eta {
             return Err(cluster.fail(format!(
@@ -305,7 +319,7 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
             }
             if let Some((_, e, o, w)) = best {
                 if lr.push(e, v, o, w) {
-                    pushed.insert(e, (v, o, w));
+                    pushed.push((e, v, o, w));
                     touched.push(v);
                     touched.push(o);
                 }
@@ -331,7 +345,11 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
         }
     }
 
-    let result = finish_with(n, lr, iteration, |id| pushed[&id]);
+    pushed.sort_unstable_by_key(|&(e, ..)| e);
+    let result = finish_with(n, lr, iteration, |id| {
+        let &(_, u, v, w) = find_pushed(&pushed, id).expect("every stacked edge was recorded");
+        (u, v, w)
+    });
     let (_, metrics) = cluster.into_parts();
     Ok(RunOutcome {
         result,
@@ -362,6 +380,45 @@ mod tests {
             assert!(metrics.rounds > 0);
             assert!(mr.certified_ratio(2.0) <= 2.0 + 1e-6);
         }
+    }
+
+    /// The stored state size is the record-per-vertex formula of the
+    /// nested layout, recounted from the instance, and nothing a superstep
+    /// does changes it (`words()` re-asserts that on every pass of a
+    /// debug run). The streamed builder lays out the same rows.
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let g = with_uniform_weights(&densified(50, 0.4, 2), 0.5, 10.0, 33);
+        let cfg = MrConfig::auto(50, g.m(), 0.3, 2).with_machines(5);
+        let adj = g.adjacency();
+        let mut states = distribute(&g, &cfg).unwrap();
+        for (id, state) in states.iter_mut().enumerate() {
+            let vertices: usize = (0..g.n())
+                .filter(|&v| cfg.place(v as u64) == id)
+                .map(|v| 1 + 1 + 3 * adj[v].len())
+                .sum();
+            assert_eq!(state.words, 1 + vertices + g.n(), "machine {id}");
+            for (slot, &v) in state.vertices.iter().enumerate() {
+                let incident: Vec<Incident> = adj[v as usize]
+                    .iter()
+                    .map(|&(o, e)| (e, o, g.edge(e).w))
+                    .collect();
+                assert_eq!(&state.inc[slot], incident.as_slice());
+            }
+            state.phi[3] = 1.5;
+            assert_eq!(state.words(), state.metered_words());
+        }
+        let (direct, metrics) = run(&g, cfg).unwrap();
+
+        let mut streamed = StreamedMatching::new(g.n(), g.m(), cfg).unwrap();
+        for (id, e) in g.edges().iter().enumerate() {
+            streamed.push_edge(id as EdgeId, e.u, e.v, e.w).unwrap();
+        }
+        let outcome = streamed.solve().unwrap();
+        assert_eq!(outcome.result, direct);
+        assert_eq!(outcome.metrics, metrics);
+        assert!(outcome.pushed.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(outcome.pushed.len(), direct.stack.len());
     }
 
     #[test]

@@ -5,83 +5,97 @@
 //! Layout: vertices with adjacency lists are hash-partitioned
 //! (`O(n^{1+µ})` words per machine w.h.p.); each machine also keeps a
 //! removed-set bitmap (`⌈n/64⌉` words) refreshed by broadcast deltas, from
-//! which alive degrees are maintained locally. Sampled heavy vertices send
+//! which alive degrees are maintained locally. A machine's block is flat:
+//! fixed-width vertex records beside one [`Csr`] arena holding every
+//! sorted neighbour list (`mr::place_neighbours`). The *metered* size is
+//! still the record-per-vertex formula; only flags and counters change
+//! after distribution, so it is computed once. Sampled heavy vertices send
 //! their *alive* neighbour lists to the central machine — bounded by their
 //! degree class — which is all the central machine needs to update
 //! `I`/`N⁺(I)` and re-evaluate candidates mid-round.
 
 use mrlr_graph::{Graph, VertexId};
 use mrlr_mapreduce::{
-    Bitset, Cluster, Metrics, MrError, MrResult, PayloadBatch, PayloadSink, WordSized,
+    Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, PayloadSink, WordSized,
 };
 
 use crate::hungry::mis::{degree_class, group_choice, MisParams, MIS_RNG_TAG};
-use crate::mr::MrConfig;
+use crate::mr::{place_neighbours, MrConfig};
 use crate::types::SelectionResult;
 
-pub(crate) struct VertexRec {
-    pub v: VertexId,
-    /// Sorted neighbour ids.
-    pub nbrs: Vec<VertexId>,
-    pub alive: bool,
-    pub d_alive: usize,
+#[derive(Clone, Copy)]
+struct VertexRec {
+    v: VertexId,
+    alive: bool,
+    d_alive: usize,
 }
 
-impl WordSized for VertexRec {
-    fn words(&self) -> usize {
-        3 + self.nbrs.words()
-    }
-}
-
-pub(crate) struct MisChunk {
-    pub recs: Vec<VertexRec>,
-    pub removed: Bitset,
+struct MisChunk {
+    /// Ascending vertex id; `recs[slot]`'s sorted neighbour ids are row
+    /// `slot` of `nbrs`.
+    recs: Vec<VertexRec>,
+    nbrs: Csr<VertexId>,
+    removed: Bitset,
+    /// Scratch of [`MisChunk::apply_delta`], all clear between rounds: the
+    /// machine's working memory for one pass, not resident state, so it is
+    /// not metered.
+    delta_bits: Bitset,
+    /// [`MisChunk::metered_words`], fixed at distribution.
+    words: usize,
 }
 
 impl WordSized for MisChunk {
     fn words(&self) -> usize {
-        1 + self.recs.iter().map(WordSized::words).sum::<usize>() + self.removed.words()
+        debug_assert_eq!(self.words, self.metered_words());
+        self.words
     }
 }
 
 impl MisChunk {
+    /// The simulated size: a 3-word record plus its neighbour list per
+    /// vertex, the removed bitmap and the chunk header.
+    fn metered_words(&self) -> usize {
+        let recs: usize = self.nbrs.iter().map(|nbrs| 3 + 1 + nbrs.len()).sum();
+        1 + recs + self.removed.words()
+    }
+
     /// Applies a removal delta: marks removed vertices, zeroes their
-    /// degrees, decrements neighbours' alive degrees. `delta` sorted.
-    /// Membership runs through a round-local [`Bitset`] so the adjacency
-    /// walk is O(1) per neighbour instead of a binary search per edge.
-    pub fn apply_delta(&mut self, delta: &[VertexId]) {
-        let mut delta_bits = Bitset::new(self.removed.len());
+    /// degrees, decrements neighbours' alive degrees. Membership runs
+    /// through the scratch bitmap — set, used, and cleared bit by bit — so
+    /// the adjacency walk is O(1) per neighbour and a round allocates
+    /// nothing.
+    fn apply_delta(&mut self, delta: &[VertexId]) {
         for &v in delta {
-            delta_bits.set(v as usize);
+            self.delta_bits.set(v as usize);
+            self.removed.set(v as usize);
         }
-        self.removed.union_with(&delta_bits);
-        for rec in &mut self.recs {
+        for (slot, rec) in self.recs.iter_mut().enumerate() {
             if !rec.alive {
                 continue;
             }
-            if delta_bits.get(rec.v as usize) {
+            if self.delta_bits.get(rec.v as usize) {
                 rec.alive = false;
                 rec.d_alive = 0;
             } else {
-                rec.d_alive -= rec
-                    .nbrs
+                rec.d_alive -= self.nbrs[slot]
                     .iter()
-                    .filter(|&&x| delta_bits.get(x as usize))
+                    .filter(|&&x| self.delta_bits.get(x as usize))
                     .count();
             }
         }
+        for &v in delta {
+            self.delta_bits.clear(v as usize);
+        }
     }
 
-    /// Streams a record's alive neighbours (via the replicated removed
-    /// bitmap) into a payload sink under `head` — the zero-alloc
-    /// replacement for the old `alive_nbrs(...) -> Vec<VertexId>`, which
-    /// allocated one list per sampled vertex per round.
-    pub fn sink_alive_nbrs<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, rec: &VertexRec)
+    /// Streams the alive neighbours (via the replicated removed bitmap) of
+    /// the record in `slot` into a payload sink under `head`.
+    fn sink_alive_nbrs<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
     where
         H: Copy + WordSized,
     {
         let mut w = sink.begin(head);
-        for &x in &rec.nbrs {
+        for &x in &self.nbrs[slot] {
             if !self.removed.get(x as usize) {
                 w.push(x);
             }
@@ -89,38 +103,43 @@ impl MisChunk {
     }
 }
 
-pub(crate) fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<MisChunk> {
-    let adj = g.neighbours();
-    let mut chunks: Vec<MisChunk> = (0..cfg.machines)
-        .map(|_| MisChunk {
-            recs: Vec::new(),
-            removed: Bitset::new(g.n()),
+fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<MisChunk>> {
+    Ok(place_neighbours(g, cfg)?
+        .map(|(ids, nbrs)| {
+            let recs = ids
+                .iter()
+                .zip(nbrs.iter())
+                .map(|(&v, row)| VertexRec {
+                    v,
+                    alive: true,
+                    d_alive: row.len(),
+                })
+                .collect();
+            let mut chunk = MisChunk {
+                recs,
+                nbrs,
+                removed: Bitset::new(g.n()),
+                delta_bits: Bitset::new(g.n()),
+                words: 0,
+            };
+            chunk.words = chunk.metered_words();
+            chunk
         })
-        .collect();
-    for v in 0..g.n() {
-        let mut nbrs = adj[v].clone();
-        nbrs.sort_unstable();
-        chunks[cfg.place(v as u64)].recs.push(VertexRec {
-            v: v as VertexId,
-            d_alive: nbrs.len(),
-            nbrs,
-            alive: true,
-        });
-    }
-    chunks
+        .collect())
 }
 
 /// The central machine's view of this round's additions: processes a
-/// sampled group member, returning the removal delta it causes.
-struct CentralRound {
+/// sampled group member, returning the removal delta it causes. Shared
+/// with `clique`, whose complement lists play the alive-neighbour role.
+pub(crate) struct CentralRound {
     /// Vertices removed this round (a [`Bitset`] for O(1) membership).
     removed_now: Bitset,
-    delta: Vec<VertexId>,
-    added: Vec<VertexId>,
+    pub(crate) delta: Vec<VertexId>,
+    pub(crate) added: Vec<VertexId>,
 }
 
 impl CentralRound {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         CentralRound {
             removed_now: Bitset::new(n),
             delta: Vec::new(),
@@ -146,20 +165,33 @@ impl CentralRound {
             }
         }
     }
+
+    /// The greedy finish over gathered `(v, list)` messages: in ascending
+    /// `v`, adds every vertex nothing added before it has removed.
+    pub(crate) fn add_ascending(&mut self, batch: &PayloadBatch<VertexId, VertexId>) {
+        let mut order: Vec<usize> = (0..batch.len()).collect();
+        order.sort_unstable_by_key(|&i| batch.head(i));
+        for i in order {
+            let v = batch.head(i);
+            if !self.removed_now.get(v as usize) {
+                self.add(v, batch.payload(i));
+            }
+        }
+    }
 }
 
 /// Per-sample fixed-width head of a payload gather: `(class, group, v)`;
 /// the variable-size alive-neighbour list rides in the flat element arena.
 /// Word count (3 + 1 + len) is identical to the `(u64, u64, VertexId,
 /// Vec<VertexId>)` tuple it replaced, so metrics and goldens don't move.
-type SampleHead = (u64, u64, VertexId);
+pub(crate) type SampleHead = (u64, u64, VertexId);
 
 /// Processes gathered samples group-by-group, `accept(class)` giving the
 /// degree threshold; returns the removal delta. Ordering matches the
 /// in-memory drivers: groups ascending, members ascending, max current
 /// degree wins (first max = smallest id). The batch stays flat — sorting
 /// permutes an index column, never the neighbour lists.
-fn process_groups(
+pub(crate) fn process_groups(
     sample: &PayloadBatch<SampleHead, VertexId>,
     round: &mut CentralRound,
     accept: impl Fn(u64) -> f64,
@@ -201,24 +233,15 @@ fn process_groups(
 fn central_finish(cluster: &mut Cluster<MisChunk>, n: usize) -> MrResult<Vec<VertexId>> {
     let residual: PayloadBatch<VertexId, VertexId> =
         cluster.gather_payload(|_, s: &mut MisChunk, sink| {
-            for rec in &s.recs {
+            for (slot, rec) in s.recs.iter().enumerate() {
                 if rec.alive {
-                    s.sink_alive_nbrs(sink, rec.v, rec);
+                    s.sink_alive_nbrs(sink, rec.v, slot);
                 }
             }
         })?;
-    let mut order: Vec<usize> = (0..residual.len()).collect();
-    order.sort_unstable_by_key(|&i| residual.head(i));
     let mut round = CentralRound::new(n);
-    let mut chosen = Vec::new();
-    for i in order {
-        let v = residual.head(i);
-        if !round.removed_now.get(v as usize) {
-            round.add(v, residual.payload(i));
-            chosen.push(v);
-        }
-    }
-    Ok(chosen)
+    round.add_ascending(&residual);
+    Ok(round.added)
 }
 
 /// Algorithm 6 (`MIS2`) on the cluster. Output is bit-identical to
@@ -249,7 +272,7 @@ pub fn run_fast(
     }
     let nf = (n.max(2)) as f64;
     let num_classes = (1.0 / params.alpha).ceil() as usize;
-    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
+    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg)?)?;
     let mut in_i = vec![false; n];
     cluster.charge_central(2 + n / 32)?;
 
@@ -292,7 +315,7 @@ pub fn run_fast(
         let sizes = class_sizes.clone();
         let sample: PayloadBatch<SampleHead, VertexId> =
             cluster.gather_payload(move |_, s: &mut MisChunk, sink| {
-                for r in &s.recs {
+                for (slot, r) in s.recs.iter().enumerate() {
                     if !r.alive || r.d_alive == 0 {
                         continue;
                     }
@@ -306,7 +329,7 @@ pub fn run_fast(
                         gs,
                         sizes[i] as usize,
                     ) {
-                        s.sink_alive_nbrs(sink, (i as u64, gid as u64, r.v), r);
+                        s.sink_alive_nbrs(sink, (i as u64, gid as u64, r.v), slot);
                     }
                 }
             })?;
@@ -365,7 +388,7 @@ pub fn run_simple(
     }
     let nf = (n.max(2)) as f64;
     let final_degree = (params.eta as f64 / nf).max(1.0);
-    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
+    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg)?)?;
     let mut in_i = vec![false; n];
     cluster.charge_central(2 + n / 32)?;
 
@@ -392,21 +415,16 @@ pub fn run_simple(
                 // Stragglers of this phase go to the central machine.
                 let stragglers: PayloadBatch<VertexId, VertexId> =
                     cluster.gather_payload(move |_, s: &mut MisChunk, sink| {
-                        for r in &s.recs {
+                        for (slot, r) in s.recs.iter().enumerate() {
                             if r.alive && r.d_alive as f64 >= tau {
-                                s.sink_alive_nbrs(sink, r.v, r);
+                                s.sink_alive_nbrs(sink, r.v, slot);
                             }
                         }
                     })?;
-                let mut order: Vec<usize> = (0..stragglers.len()).collect();
-                order.sort_unstable_by_key(|&i| stragglers.head(i));
                 let mut round = CentralRound::new(n);
-                for i in order {
-                    let v = stragglers.head(i);
-                    if !round.removed_now.get(v as usize) {
-                        round.add(v, stragglers.payload(i));
-                        in_i[v as usize] = true;
-                    }
+                round.add_ascending(&stragglers);
+                for &v in &round.added {
+                    in_i[v as usize] = true;
                 }
                 let mut delta = round.delta;
                 delta.sort_unstable();
@@ -425,7 +443,7 @@ pub fn run_simple(
             let gs = params.group_size;
             let sample: PayloadBatch<SampleHead, VertexId> =
                 cluster.gather_payload(move |_, s: &mut MisChunk, sink| {
-                    for r in &s.recs {
+                    for (slot, r) in s.recs.iter().enumerate() {
                         if !r.alive || (r.d_alive as f64) < tau {
                             continue;
                         }
@@ -437,7 +455,7 @@ pub fn run_simple(
                             gs,
                             heavy_count,
                         ) {
-                            s.sink_alive_nbrs(sink, (0u64, gid as u64, r.v), r);
+                            s.sink_alive_nbrs(sink, (0u64, gid as u64, r.v), slot);
                         }
                     }
                 })?;
@@ -500,6 +518,41 @@ mod tests {
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_independent_set(&g, &mr.vertices));
         }
+    }
+
+    /// The stored state size is the record-per-vertex formula of the
+    /// nested layout, recounted from the instance, and nothing a superstep
+    /// does changes it (`words()` re-asserts that on every pass of a
+    /// debug run).
+    #[test]
+    fn stored_words_equal_a_recount_through_a_run() {
+        let g = densified(60, 0.4, 2);
+        let cfg = MrConfig::auto(60, g.m(), 0.3, 2).with_machines(5);
+        let adj = g.adjacency();
+        let mut chunks = build_chunks(&g, &cfg).unwrap();
+        for (id, chunk) in chunks.iter_mut().enumerate() {
+            let recs: usize = (0..g.n())
+                .filter(|&v| cfg.place(v as u64) == id)
+                .map(|v| 3 + 1 + adj[v].len())
+                .sum();
+            assert_eq!(
+                chunk.words,
+                1 + recs + 1 + g.n().div_ceil(64),
+                "machine {id}"
+            );
+            for (slot, rec) in chunk.recs.iter().enumerate() {
+                let mut sorted: Vec<VertexId> =
+                    adj[rec.v as usize].iter().map(|&(w, _)| w).collect();
+                sorted.sort_unstable();
+                assert_eq!(&chunk.nbrs[slot], sorted.as_slice());
+                assert_eq!(rec.d_alive, sorted.len());
+            }
+            chunk.apply_delta(&[0, 7, 31]);
+            assert_eq!(chunk.words(), chunk.metered_words());
+            assert_eq!(chunk.delta_bits.count(), 0, "scratch left clear");
+        }
+        run_fast(&g, MisParams::mis2(60, 0.3, 2), cfg).unwrap();
+        run_simple(&g, MisParams::mis1(60, 0.3, 2), cfg).unwrap();
     }
 
     #[test]

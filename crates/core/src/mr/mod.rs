@@ -23,6 +23,7 @@ pub mod set_cover;
 pub mod set_cover_greedy;
 pub mod vertex_cover;
 
+use mrlr_graph::{Graph, VertexId};
 use mrlr_mapreduce::{
     ClusterConfig, Csr, CsrBuilder, CsrOverflow, DistParams, Enforcement, MrResult, RuntimeKind,
     SpawnKind, WorkerKill,
@@ -264,6 +265,33 @@ pub(crate) struct PlacedRows<T> {
     pub arenas: Vec<CsrBuilder<T>>,
 }
 
+/// The count pass of a distribution (see [`place_records`]): where every
+/// record went.
+pub(crate) struct Placement {
+    /// `(machine, row)` of every record, by record id.
+    pub at: Vec<(u32, u32)>,
+    /// Per machine: the ids of its records in row order (ascending).
+    pub ids: Vec<Vec<u32>>,
+}
+
+/// Hashes `records` records onto `machines` machines, numbering each
+/// machine's records in arrival (= ascending id) order.
+pub(crate) fn place_records(
+    machines: usize,
+    records: usize,
+    machine_of: impl Fn(usize) -> usize,
+) -> MrResult<Placement> {
+    u32::try_from(records).map_err(|_| CsrOverflow)?;
+    let mut at = Vec::with_capacity(records);
+    let mut ids: Vec<Vec<u32>> = vec![Vec::new(); machines];
+    for r in 0..records {
+        let dst = machine_of(r);
+        at.push((dst as u32, ids[dst].len() as u32));
+        ids[dst].push(r as u32);
+    }
+    Ok(Placement { at, ids })
+}
+
 /// Hash-partitions `records` records, each owning a list of
 /// `row_len(record)` items, onto `machines` flat per-machine arenas
 /// ([`Csr`]). The caller then scatters the items in one pass over its
@@ -277,19 +305,40 @@ pub(crate) fn place_rows<T: Copy>(
     row_len: impl Fn(usize) -> usize,
     fill: T,
 ) -> MrResult<PlacedRows<T>> {
-    u32::try_from(records).map_err(|_| CsrOverflow)?;
-    let mut at = Vec::with_capacity(records);
-    let mut ids: Vec<Vec<u32>> = vec![Vec::new(); machines];
-    for r in 0..records {
-        let dst = machine_of(r);
-        at.push((dst as u32, ids[dst].len() as u32));
-        ids[dst].push(r as u32);
-    }
+    let Placement { at, ids } = place_records(machines, records, machine_of)?;
     let arenas = ids
         .iter()
         .map(|ids| Csr::builder(ids.iter().map(|&r| row_len(r as usize)), fill))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(PlacedRows { at, ids, arenas })
+}
+
+/// The vertex partition of the hungry-greedy drivers (`mis`, `clique`):
+/// per machine, its vertex ids ascending and one arena whose row `slot`
+/// lists vertex `ids[slot]`'s neighbours ascending. The rows are filled by
+/// a transposing scatter over the graph's adjacency — walk `u` ascending,
+/// push `u` into each neighbour's row — so they come out sorted without a
+/// comparison sort or a copy of any list.
+pub(crate) fn place_neighbours(
+    g: &Graph,
+    cfg: &MrConfig,
+) -> MrResult<impl Iterator<Item = (Vec<VertexId>, Csr<VertexId>)>> {
+    let adj = g.adjacency();
+    let mut placed = place_rows(
+        cfg.machines,
+        g.n(),
+        |v| cfg.place(v as u64),
+        |v| adj[v].len(),
+        0,
+    )?;
+    for (u, nbrs) in adj.iter().enumerate() {
+        for &(w, _) in nbrs {
+            let (dst, row) = placed.at[w as usize];
+            placed.arenas[dst as usize].push(row as usize, u as VertexId);
+        }
+    }
+    let arenas = placed.arenas.into_iter().map(CsrBuilder::finish);
+    Ok(placed.ids.into_iter().zip(arenas))
 }
 
 #[cfg(test)]

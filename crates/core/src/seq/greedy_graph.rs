@@ -11,14 +11,14 @@ use crate::types::{ColouringResult, SelectionResult};
 
 /// Greedy maximal independent set, scanning vertices in `order`.
 pub fn greedy_mis_with_order(g: &Graph, order: &[VertexId]) -> SelectionResult {
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut blocked = vec![false; g.n()];
     let mut chosen = vec![false; g.n()];
     for &v in order {
         if !blocked[v as usize] {
             chosen[v as usize] = true;
             blocked[v as usize] = true;
-            for &w in &adj[v as usize] {
+            for &(w, _) in &adj[v as usize] {
                 blocked[w as usize] = true;
             }
         }
@@ -42,7 +42,7 @@ pub fn greedy_mis(g: &Graph) -> SelectionResult {
 /// and its common-neighbour set, adding each scanned vertex that is
 /// adjacent to all of `K`.
 pub fn greedy_maximal_clique_with_order(g: &Graph, order: &[VertexId]) -> SelectionResult {
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let n = g.n();
     if n == 0 {
         return SelectionResult {
@@ -61,7 +61,7 @@ pub fn greedy_maximal_clique_with_order(g: &Graph, order: &[VertexId]) -> Select
         clique.push(v);
         // New candidate set: active ∩ N(v).
         let mut next = vec![false; n];
-        for &w in &adj[v as usize] {
+        for &(w, _) in &adj[v as usize] {
             if active[w as usize] {
                 next[w as usize] = true;
             }
@@ -86,12 +86,12 @@ pub fn greedy_maximal_clique(g: &Graph) -> SelectionResult {
 /// Greedy vertex colouring in `order`: each vertex takes the smallest
 /// colour unused by its neighbours. Uses at most `Δ+1` colours.
 pub fn greedy_colouring_with_order(g: &Graph, order: &[VertexId]) -> ColouringResult {
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let n = g.n();
     let mut colour = vec![u32::MAX; n];
     let mut used_mark = vec![usize::MAX; g.max_degree() + 2];
     for (step, &v) in order.iter().enumerate() {
-        for &w in &adj[v as usize] {
+        for &(w, _) in &adj[v as usize] {
             let c = colour[w as usize];
             if c != u32::MAX {
                 used_mark[c as usize] = step;

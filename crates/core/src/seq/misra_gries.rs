@@ -17,45 +17,66 @@
 //!    `(u, f_j)` with `d`.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
+use mrlr_mapreduce::Csr;
 
 use crate::types::ColouringResult;
 
 const NONE: u32 = u32::MAX;
 
 struct Palette {
-    /// `at[v][c]` = edge id coloured `c` at `v`, or `NONE`.
-    at: Vec<Vec<u32>>,
+    /// `at[v · colours + c]` = edge id coloured `c` at `v`, or `NONE`.
+    at: Vec<u32>,
     /// Colour of each edge, or `NONE`.
     colour: Vec<u32>,
     colours: usize,
+    /// `in_fan[v] == epoch` ⟺ `v` is in the fan of the edge being coloured.
+    /// One epoch per edge, so the array is never cleared; `m < 2^31` keeps
+    /// the stamp from wrapping.
+    in_fan: Vec<u32>,
+    epoch: u32,
+    /// Scratch reused across edges: the fan, and the `cd`-path as `(edge,
+    /// colour it takes after the inversion)`.
+    fan: Vec<(VertexId, EdgeId)>,
+    path: Vec<(EdgeId, u32)>,
 }
 
 impl Palette {
     fn new(n: usize, m: usize, colours: usize) -> Self {
         Palette {
-            at: vec![vec![NONE; colours]; n],
+            at: vec![NONE; n * colours],
             colour: vec![NONE; m],
             colours,
+            in_fan: vec![0; n],
+            epoch: 0,
+            fan: Vec::new(),
+            path: Vec::new(),
         }
     }
 
+    #[inline]
+    fn slot(&self, v: VertexId, c: u32) -> usize {
+        v as usize * self.colours + c as usize
+    }
+
     fn is_free(&self, v: VertexId, c: u32) -> bool {
-        self.at[v as usize][c as usize] == NONE
+        self.at[self.slot(v, c)] == NONE
     }
 
     /// Smallest colour free at `v` (exists because palette size is Δ+1).
     fn free_colour(&self, v: VertexId) -> u32 {
-        (0..self.colours as u32)
-            .find(|&c| self.is_free(v, c))
-            .expect("palette of size Delta+1 always has a free colour")
+        let row = &self.at[self.slot(v, 0)..][..self.colours];
+        row.iter()
+            .position(|&e| e == NONE)
+            .expect("palette of size Delta+1 always has a free colour") as u32
     }
 
     fn set(&mut self, g: &Graph, e: EdgeId, c: u32) {
         let edge = g.edge(e);
         debug_assert!(self.is_free(edge.u, c) && self.is_free(edge.v, c));
         self.colour[e as usize] = c;
-        self.at[edge.u as usize][c as usize] = e;
-        self.at[edge.v as usize][c as usize] = e;
+        let (su, sv) = (self.slot(edge.u, c), self.slot(edge.v, c));
+        self.at[su] = e;
+        self.at[sv] = e;
     }
 
     fn unset(&mut self, g: &Graph, e: EdgeId) -> u32 {
@@ -63,8 +84,9 @@ impl Palette {
         debug_assert_ne!(c, NONE);
         let edge = g.edge(e);
         self.colour[e as usize] = NONE;
-        self.at[edge.u as usize][c as usize] = NONE;
-        self.at[edge.v as usize][c as usize] = NONE;
+        let (su, sv) = (self.slot(edge.u, c), self.slot(edge.v, c));
+        self.at[su] = NONE;
+        self.at[sv] = NONE;
         c
     }
 }
@@ -78,7 +100,7 @@ pub fn misra_gries_edge_colouring(g: &Graph) -> ColouringResult {
     let adj = g.adjacency();
 
     for eid in 0..g.m() as EdgeId {
-        colour_edge(g, &adj, &mut p, eid);
+        colour_edge(g, adj, &mut p, eid);
     }
 
     let num_colours = p.colour.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
@@ -89,29 +111,32 @@ pub fn misra_gries_edge_colouring(g: &Graph) -> ColouringResult {
     }
 }
 
-fn colour_edge(g: &Graph, adj: &[Vec<(VertexId, EdgeId)>], p: &mut Palette, eid: EdgeId) {
+fn colour_edge(g: &Graph, adj: &Csr<(VertexId, EdgeId)>, p: &mut Palette, eid: EdgeId) {
     let (u, v) = {
         let e = g.edge(eid);
         (e.u, e.v)
     };
 
     // 1. Maximal fan of u starting at v. fan[i] = (vertex, edge id of (u, fan[i])).
-    let mut fan: Vec<(VertexId, EdgeId)> = vec![(v, eid)];
-    let mut in_fan = vec![false; g.n()];
-    in_fan[v as usize] = true;
+    let mut fan = std::mem::take(&mut p.fan);
+    fan.clear();
+    fan.push((v, eid));
+    p.epoch += 1;
+    let epoch = p.epoch;
+    p.in_fan[v as usize] = epoch;
     loop {
         let last = fan.last().unwrap().0;
         // A neighbour w of u extends the fan if (u,w) is coloured with a
         // colour free at `last`.
         let mut extended = false;
         for &(w, we) in &adj[u as usize] {
-            if in_fan[w as usize] {
+            if p.in_fan[w as usize] == epoch {
                 continue;
             }
             let c = p.colour[we as usize];
             if c != NONE && p.is_free(last, c) {
                 fan.push((w, we));
-                in_fan[w as usize] = true;
+                p.in_fan[w as usize] = epoch;
                 extended = true;
                 break;
             }
@@ -161,37 +186,45 @@ fn colour_edge(g: &Graph, adj: &[Vec<(VertexId, EdgeId)>], p: &mut Palette, eid:
         p.set(g, fan[i].1, ci);
     }
     p.set(g, fan[j].1, d);
+    p.fan = fan;
 }
 
 /// Inverts the maximal path starting at `u` whose first edge has colour `d`
 /// and which alternates `d, c, d, …`. After inversion `d` is free at `u`.
 fn invert_cd_path(g: &Graph, p: &mut Palette, u: VertexId, c: u32, d: u32) {
     // Collect the path.
-    let mut path: Vec<EdgeId> = Vec::new();
+    let mut path = std::mem::take(&mut p.path);
+    path.clear();
     let mut cur = u;
     let mut want = d;
     loop {
-        let e = p.at[cur as usize][want as usize];
+        let e = p.at[p.slot(cur, want)];
         if e == NONE {
             break;
         }
-        path.push(e);
+        let flipped = if want == d { c } else { d };
+        path.push((e, flipped));
         cur = g.edge(e).other(cur);
-        want = if want == d { c } else { d };
+        want = flipped;
     }
     // Swap colours along the path: unset all, then reset flipped.
-    let old: Vec<u32> = path.iter().map(|&e| p.unset(g, e)).collect();
-    for (&e, &col) in path.iter().zip(&old) {
-        let flipped = if col == c { d } else { c };
+    for &(e, _) in &path {
+        p.unset(g, e);
+    }
+    for &(e, flipped) in &path {
         p.set(g, e, flipped);
     }
+    p.path = path;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::misra_gries_oracle;
     use crate::verify::is_proper_edge_colouring;
-    use mrlr_graph::generators::{complete, complete_bipartite, cycle, gnm, gnp, path, star};
+    use mrlr_graph::generators::{
+        complete, complete_bipartite, cycle, densified, gnm, gnp, path, star,
+    };
 
     fn check(g: &Graph) {
         let r = misra_gries_edge_colouring(g);
@@ -243,6 +276,28 @@ mod tests {
         for seed in 0..10 {
             check(&gnm(30, 120, seed));
             check(&gnp(20, 0.5, seed));
+        }
+    }
+
+    /// Flat palette, epoch stamp and reused scratch change no decision: the
+    /// colours equal the allocating reference's, edge for edge.
+    #[test]
+    fn colours_equal_the_allocating_reference() {
+        let mut cases = vec![complete(9), complete(12), Graph::new(7, vec![])];
+        for seed in 0..6 {
+            cases.push(gnm(30, 120, seed));
+            cases.push(gnp(24, 0.6, seed));
+            cases.push(densified(40, 0.5, seed));
+        }
+        // Most vertices isolated: the cluster colouring hands every group a
+        // sub-graph over all `n` vertex ids.
+        let sparse = gnm(12, 40, 3);
+        cases.push(Graph::new(500, sparse.edges().to_vec()));
+        for g in &cases {
+            let flat = misra_gries_edge_colouring(g);
+            let reference = misra_gries_oracle::misra_gries_edge_colouring(g);
+            assert_eq!(flat.colours, reference.colours, "n={} m={}", g.n(), g.m());
+            assert_eq!(flat.num_colours, reference.num_colours);
         }
     }
 

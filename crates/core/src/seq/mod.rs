@@ -10,6 +10,8 @@ pub mod local_ratio_bmatching;
 pub mod local_ratio_matching;
 pub mod local_ratio_sc;
 pub mod misra_gries;
+#[cfg(test)]
+mod misra_gries_oracle;
 
 pub use greedy_graph::{
     degeneracy_colouring, greedy_colouring, greedy_colouring_with_order, greedy_maximal_clique,

@@ -79,8 +79,8 @@ pub fn is_maximal_independent_set(g: &Graph, vs: &[VertexId]) -> bool {
     for &v in vs {
         chosen[v as usize] = true;
     }
-    let adj = g.neighbours();
-    (0..g.n()).all(|v| chosen[v] || adj[v].iter().any(|&w| chosen[w as usize]))
+    let adj = g.adjacency();
+    (0..g.n()).all(|v| chosen[v] || adj[v].iter().any(|&(w, _)| chosen[w as usize]))
 }
 
 /// True if `vs` is a clique in `g`.
@@ -92,10 +92,10 @@ pub fn is_clique(g: &Graph, vs: &[VertexId]) -> bool {
         }
         chosen[v as usize] = true;
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     for &v in vs {
         let mut adjacent = 0usize;
-        for &w in &adj[v as usize] {
+        for &(w, _) in &adj[v as usize] {
             if chosen[w as usize] {
                 adjacent += 1;
             }
@@ -120,13 +120,13 @@ pub fn is_maximal_clique(g: &Graph, vs: &[VertexId]) -> bool {
     for &v in vs {
         chosen[v as usize] = true;
     }
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     // v extends the clique iff it is adjacent to every member.
     for v in 0..g.n() {
         if chosen[v] {
             continue;
         }
-        let count = adj[v].iter().filter(|&&w| chosen[w as usize]).count();
+        let count = adj[v].iter().filter(|&&(w, _)| chosen[w as usize]).count();
         if count == vs.len() {
             return false;
         }
@@ -148,8 +148,7 @@ pub fn is_proper_edge_colouring(g: &Graph, colours: &[u32]) -> bool {
     if colours.len() != g.m() {
         return false;
     }
-    let adj = g.adjacency();
-    for nbrs in adj {
+    for nbrs in g.adjacency().iter() {
         let mut cs: Vec<u32> = nbrs.iter().map(|&(_, e)| colours[e as usize]).collect();
         cs.sort_unstable();
         if cs.windows(2).any(|w| w[0] == w[1]) {

@@ -14,7 +14,7 @@ use crate::graph::{Edge, Graph, VertexId};
 /// Connected components: returns `(count, label)` where `label[v]` is the
 /// 0-based component index of `v`, numbered in order of smallest vertex.
 pub fn connected_components(g: &Graph) -> (usize, Vec<u32>) {
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut label = vec![u32::MAX; g.n()];
     let mut count = 0u32;
     let mut queue = VecDeque::new();
@@ -25,7 +25,7 @@ pub fn connected_components(g: &Graph) -> (usize, Vec<u32>) {
         label[s] = count;
         queue.push_back(s as VertexId);
         while let Some(v) = queue.pop_front() {
-            for &w in &adj[v as usize] {
+            for &(w, _) in &adj[v as usize] {
                 if label[w as usize] == u32::MAX {
                     label[w as usize] = count;
                     queue.push_back(w);
@@ -40,13 +40,13 @@ pub fn connected_components(g: &Graph) -> (usize, Vec<u32>) {
 /// BFS hop distances from `src`; `None` for unreachable vertices.
 pub fn bfs_distances(g: &Graph, src: VertexId) -> Vec<Option<u32>> {
     assert!((src as usize) < g.n(), "source out of range");
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut dist = vec![None; g.n()];
     dist[src as usize] = Some(0);
     let mut queue = VecDeque::from([src]);
     while let Some(v) = queue.pop_front() {
         let d = dist[v as usize].expect("queued vertices have distances");
-        for &w in &adj[v as usize] {
+        for &(w, _) in &adj[v as usize] {
             if dist[w as usize].is_none() {
                 dist[w as usize] = Some(d + 1);
                 queue.push_back(w);
@@ -107,7 +107,7 @@ pub fn triangle_count(g: &Graph) -> usize {
 /// maximum core number (0 for edgeless graphs).
 pub fn core_decomposition(g: &Graph) -> (Vec<usize>, Vec<VertexId>, usize) {
     let n = g.n();
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut degree = g.degrees();
     let max_deg = degree.iter().copied().max().unwrap_or(0);
     // Bucket queue over degrees.
@@ -140,7 +140,7 @@ pub fn core_decomposition(g: &Graph) -> (Vec<usize>, Vec<VertexId>, usize) {
         core[v as usize] = current;
         removed[v as usize] = true;
         ordering.push(v);
-        for &w in &adj[v as usize] {
+        for &(w, _) in &adj[v as usize] {
             let wu = w as usize;
             if !removed[wu] {
                 degree[wu] -= 1;
@@ -165,7 +165,7 @@ pub fn degeneracy(g: &Graph) -> usize {
 pub fn line_graph(g: &Graph) -> Graph {
     let adj = g.adjacency();
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    for nbrs in &adj {
+    for nbrs in adj.iter() {
         for i in 0..nbrs.len() {
             for j in (i + 1)..nbrs.len() {
                 let (a, b) = (nbrs[i].1, nbrs[j].1);
@@ -186,7 +186,7 @@ pub fn line_graph(g: &Graph) -> Graph {
 /// 2-colours `g` if it is bipartite: returns `side[v] ∈ {false, true}` per
 /// vertex, or `None` if an odd cycle exists.
 pub fn bipartition(g: &Graph) -> Option<Vec<bool>> {
-    let adj = g.neighbours();
+    let adj = g.adjacency();
     let mut side: Vec<Option<bool>> = vec![None; g.n()];
     let mut queue = VecDeque::new();
     for s in 0..g.n() {
@@ -197,7 +197,7 @@ pub fn bipartition(g: &Graph) -> Option<Vec<bool>> {
         queue.push_back(s as VertexId);
         while let Some(v) = queue.pop_front() {
             let sv = side[v as usize].expect("queued vertices are coloured");
-            for &w in &adj[v as usize] {
+            for &(w, _) in &adj[v as usize] {
                 match side[w as usize] {
                     None => {
                         side[w as usize] = Some(!sv);
@@ -306,10 +306,10 @@ mod tests {
     fn triangles_match_brute_force() {
         for seed in 0..4 {
             let g = gnp(25, 0.3, seed);
-            let adj = g.neighbours();
+            let adj = g.adjacency();
             let mut has = vec![vec![false; g.n()]; g.n()];
             for (v, nb) in adj.iter().enumerate() {
-                for &w in nb {
+                for &(w, _) in nb {
                     has[v][w as usize] = true;
                 }
             }
@@ -354,11 +354,11 @@ mod tests {
             for (i, &v) in ordering.iter().enumerate() {
                 pos[v as usize] = i;
             }
-            let adj = g.neighbours();
+            let adj = g.adjacency();
             for &v in &ordering {
                 let later = adj[v as usize]
                     .iter()
-                    .filter(|&&w| pos[w as usize] > pos[v as usize])
+                    .filter(|&&(w, _)| pos[w as usize] > pos[v as usize])
                     .count();
                 assert!(
                     later <= d,

@@ -3,9 +3,15 @@
 //! The paper's graph algorithms treat edges as first-class records that are
 //! partitioned across machines, so [`Graph`] is edge-list centred: each edge
 //! has a stable [`EdgeId`] (its index), endpoints, and a positive weight.
-//! Adjacency views are derived on demand.
+//! The one adjacency view, [`Graph::adjacency`], is a flat [`Csr`] built
+//! from the edge list on first use and kept for the graph's lifetime: a
+//! graph is immutable, so the view can never go stale, and every caller —
+//! drivers, validators, witness builders — reads the same rows.
+
+use std::sync::OnceLock;
 
 use mrlr_mapreduce::words::WordSized;
+use mrlr_mapreduce::Csr;
 
 /// Vertex identifier: `0..n`.
 pub type VertexId = u32;
@@ -58,10 +64,22 @@ impl WordSized for Edge {
 }
 
 /// An undirected weighted simple graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     n: usize,
     edges: Vec<Edge>,
+    /// [`Graph::adjacency`], derived from `edges` on first use. No method
+    /// takes `&mut self`, so once built it is the adjacency of this graph
+    /// for good.
+    adj: OnceLock<Csr<(VertexId, EdgeId)>>,
+}
+
+/// Two graphs are equal when their vertex counts and edge lists are;
+/// whether either has built its adjacency yet is not part of its value.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.edges == other.edges
+    }
 }
 
 impl Graph {
@@ -78,7 +96,7 @@ impl Graph {
     /// malformed graph is a programming error, not a runtime condition.
     pub fn new(n: usize, edges: Vec<Edge>) -> Self {
         Self::assert_simple(n, &edges);
-        Graph { n, edges }
+        Self::from_parts(n, edges)
     }
 
     /// Builds a graph from an edge list its caller has already validated
@@ -90,7 +108,22 @@ impl Graph {
     pub fn from_validated(n: usize, edges: Vec<Edge>) -> Self {
         #[cfg(debug_assertions)]
         Self::assert_simple(n, &edges);
-        Graph { n, edges }
+        Self::from_parts(n, edges)
+    }
+
+    /// Every graph is built here: the adjacency addresses its `2m` edge
+    /// halves with `u32` offsets, so the bound is checked once, up front.
+    fn from_parts(n: usize, edges: Vec<Edge>) -> Self {
+        assert!(
+            edges.len() <= (u32::MAX / 2) as usize,
+            "{} edges exceed the adjacency's u32 offsets",
+            edges.len()
+        );
+        Graph {
+            n,
+            edges,
+            adj: OnceLock::new(),
+        }
     }
 
     fn assert_simple(n: usize, edges: &[Edge]) {
@@ -145,25 +178,20 @@ impl Graph {
         self.edges.iter().map(|e| e.w).sum()
     }
 
-    /// Per-vertex adjacency: for each vertex, the `(neighbour, edge-id)`
-    /// pairs, in edge-id order.
-    pub fn adjacency(&self) -> Vec<Vec<(VertexId, EdgeId)>> {
-        let mut adj: Vec<Vec<(VertexId, EdgeId)>> = vec![Vec::new(); self.n];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.u as usize].push((e.v, i as EdgeId));
-            adj[e.v as usize].push((e.u, i as EdgeId));
-        }
-        adj
-    }
-
-    /// Per-vertex neighbour lists (no edge ids), in edge-id order.
-    pub fn neighbours(&self) -> Vec<Vec<VertexId>> {
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            adj[e.u as usize].push(e.v);
-            adj[e.v as usize].push(e.u);
-        }
-        adj
+    /// Per-vertex adjacency: row `v` holds `v`'s `(neighbour, edge-id)`
+    /// pairs in edge-id order. Built count → prefix-sum → scatter from the
+    /// edge list by the first call; every later call, from any thread,
+    /// returns the same rows.
+    pub fn adjacency(&self) -> &Csr<(VertexId, EdgeId)> {
+        self.adj.get_or_init(|| {
+            let mut rows = Csr::builder(self.degrees(), (0, 0))
+                .expect("every constructor bounds 2m by u32::MAX");
+            for (i, e) in self.edges.iter().enumerate() {
+                rows.push(e.u as usize, (e.v, i as EdgeId));
+                rows.push(e.v as usize, (e.u, i as EdgeId));
+            }
+            rows.finish()
+        })
     }
 
     /// Vertex degrees.
@@ -192,28 +220,26 @@ impl Graph {
 
     /// Replaces every weight with 1.0.
     pub fn unweighted(&self) -> Graph {
-        Graph {
-            n: self.n,
-            edges: self
-                .edges
+        Self::from_parts(
+            self.n,
+            self.edges
                 .iter()
                 .map(|e| Edge::new(e.u, e.v, 1.0))
                 .collect(),
-        }
+        )
     }
 
     /// The subgraph induced by `keep` (a predicate on vertices). Vertex ids
     /// are preserved; edges with a dropped endpoint are removed.
     pub fn induced<F: Fn(VertexId) -> bool>(&self, keep: F) -> Graph {
-        Graph {
-            n: self.n,
-            edges: self
-                .edges
+        Self::from_parts(
+            self.n,
+            self.edges
                 .iter()
                 .filter(|e| keep(e.u) && keep(e.v))
                 .copied()
                 .collect(),
-        }
+        )
     }
 }
 
@@ -235,9 +261,10 @@ mod tests {
     fn adjacency_covers_both_directions() {
         let g = Graph::from_pairs(3, &[(0, 1), (0, 2)]);
         let adj = g.adjacency();
-        assert_eq!(adj[0], vec![(1, 0), (2, 1)]);
-        assert_eq!(adj[1], vec![(0, 0)]);
-        assert_eq!(adj[2], vec![(0, 1)]);
+        assert_eq!(adj.rows(), 3);
+        assert_eq!(adj[0], [(1, 0), (2, 1)]);
+        assert_eq!(adj[1], [(0, 0)]);
+        assert_eq!(adj[2], [(0, 1)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! with [`CsrOverflow`] by a checked conversion, never truncated.
 
 use std::fmt;
-use std::ops::Range;
+use std::ops::{Index, Range};
 
 /// A [`Csr`] was asked to address more items (or rows) than its `u32`
 /// offsets can.
@@ -140,6 +140,16 @@ impl<T> Csr<T> {
     }
 }
 
+/// `csr[r]` is [`Csr::row`]`(r)`.
+impl<T> Index<usize> for Csr<T> {
+    type Output = [T];
+
+    #[inline]
+    fn index(&self, r: usize) -> &[T] {
+        self.row(r)
+    }
+}
+
 /// Scatter phase of a [`Csr`] build: rows are laid out, items arrive in
 /// any row order. See [`Csr::builder`].
 #[derive(Debug)]
@@ -183,6 +193,7 @@ mod tests {
         assert_eq!(csr.rows(), 3);
         assert_eq!(csr.len(), 5);
         assert_eq!(csr.row(0), &[1, 2]);
+        assert_eq!(csr[0], [1, 2]);
         assert!(csr.row(1).is_empty());
         assert_eq!(csr.row(2), &[7, 8, 9]);
         assert_eq!(csr.range(2), 2..5);

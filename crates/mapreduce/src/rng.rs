@@ -9,6 +9,8 @@
 //! shuffles on a single machine); the free functions provide the stateless
 //! per-entity coins.
 
+use std::collections::HashMap;
+
 /// SplitMix64 step: advances the state and returns a well-mixed 64-bit value.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -130,10 +132,25 @@ impl DetRng {
     }
 
     /// Sample `k` distinct indices from `[0, n)` (all of them if `k >= n`),
-    /// in uniformly random order, via a partial Fisher–Yates over an index
-    /// array. O(n) time and space; fine for per-vertex adjacency sampling.
+    /// in uniformly random order, via a partial Fisher–Yates over the index
+    /// array `0..n`. Step `i` swaps position `i` with a drawn `j ≥ i` and
+    /// never looks left of `i + 1` again, so when few of many are drawn
+    /// (`k < n/8`) the array is not laid out at all: only the positions a
+    /// swap has written are kept, in a map — O(k) instead of O(n), with the
+    /// same draws and the same picks. (The set-system generators draw a
+    /// handful out of up to 2·10^5, once per element.)
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let k = k.min(n);
+        if k < n / 8 {
+            let mut moved: HashMap<usize, usize> = HashMap::with_capacity(k);
+            return (0..k)
+                .map(|i| {
+                    let j = i + self.range_usize(n - i);
+                    let at_i = moved.get(&i).copied().unwrap_or(i);
+                    moved.insert(j, at_i).unwrap_or(j)
+                })
+                .collect();
+        }
         let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {
             let j = i + self.range_usize(n - i);
@@ -230,6 +247,41 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>());
+    }
+
+    /// Drawing few of many skips the index array but not a single draw:
+    /// picks and the generator's state afterwards equal the full partial
+    /// Fisher–Yates, on both sides of the `k < n/8` switch.
+    #[test]
+    fn sparse_sampling_equals_the_laid_out_shuffle() {
+        for (n, k) in [
+            (0, 0),
+            (1, 1),
+            (8, 0),
+            (9, 1),
+            (16, 1),
+            (16, 2),
+            (17, 2),
+            (100, 12),
+            (100, 13),
+            (4000, 4),
+            (200_000, 12),
+            (5, 99),
+        ] {
+            for seed in 0..20 {
+                let mut rng = DetRng::new(seed);
+                let got = rng.sample_indices(n, k);
+                let mut reference = DetRng::new(seed);
+                let mut idx: Vec<usize> = (0..n).collect();
+                for i in 0..k.min(n) {
+                    let j = i + reference.range_usize(n - i);
+                    idx.swap(i, j);
+                }
+                idx.truncate(k.min(n));
+                assert_eq!(got, idx, "n={n} k={k} seed={seed}");
+                assert_eq!(rng, reference, "n={n} k={k} seed={seed}");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 #   ./scripts/bench_exec.sh --quick     # small sizes, for a fast sanity pass
 #
 # Validate the committed artifact without touching it (also the CI
-# alloc-regression gate: fails if any freshly measured router or
-# cover-family registry row exceeds its committed allocs-per-superstep
-# baseline by more than 25% plus a +16 absolute grace):
+# alloc-regression gate: fails if any freshly measured router row, or
+# registry row of the eight flat-state keys — the cover family and the
+# graph family, each at its one >= 50 ms size — exceeds its committed
+# allocs-per-superstep baseline by more than 25% plus a +16 absolute
+# grace):
 #   cargo run --release -p mrlr-bench --bin bench_exec -- --check
 set -euo pipefail
 
