@@ -10,35 +10,44 @@
 //! time; one additional run per key injects a worker kill and records
 //! the recovery wall-time, with the report again asserted identical.
 //!
+//! The two keys whose exchanges cross the wire (`vertex-cover`,
+//! `vertex-colouring`) are sized so their largest exchange is over 1 MB
+//! and are killed inside it, so their kill rows replay real batch bytes;
+//! `set-cover-f` moves everything by gather/broadcast and is the
+//! barrier-recovery row.
+//!
 //! Usage: `cargo run --release -p mrlr-bench --bin bench_dist [out.json]`
 //! (default output path: `BENCH_dist.json` in the current directory).
 
 use std::fmt::Write as _;
 
-use mrlr_bench::weighted_graph;
-use mrlr_core::api::{Backend, Instance, Registry};
+use mrlr_bench::{vertex_weights, weighted_graph};
+use mrlr_core::api::{Backend, Instance, Registry, VertexWeightedGraph};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::{DistSummary, WorkerKill};
 use mrlr_setsys::generators as setgen;
 
-const N: usize = 300;
+const N: usize = 1500;
 const C: f64 = 0.5;
 const MU: f64 = 0.25;
 const SEED: u64 = 42;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn workloads() -> Vec<(&'static str, Instance, MrConfig)> {
+/// `(key, instance, config, kill superstep)`: worker 0 dies after acking
+/// that superstep's barrier. For the two shuffling keys it is the
+/// superstep of their largest exchange, so the worker dies holding the
+/// batch frames; every driver reaches the barrier after it.
+fn workloads() -> Vec<(&'static str, Instance, MrConfig, usize)> {
     let g = weighted_graph(N, C, SEED);
     let m = g.m();
     let cfg = MrConfig::auto(N, m, MU, SEED);
+    let vw = VertexWeightedGraph::new(g.clone(), vertex_weights(N, SEED));
     let sys =
         setgen::with_uniform_weights(setgen::bounded_frequency(N, m, 3, SEED), 1.0, 10.0, SEED);
-    let sys_cfg = MrConfig::auto(N, m, MU, SEED);
     vec![
-        ("matching", Instance::Graph(g.clone()), cfg),
-        ("mis2", Instance::Graph(g.unweighted()), cfg),
-        ("vertex-colouring", Instance::Graph(g), cfg),
-        ("set-cover-f", Instance::SetSystem(sys), sys_cfg),
+        ("vertex-cover", Instance::VertexWeighted(vw), cfg, 5),
+        ("vertex-colouring", Instance::Graph(g), cfg, 1),
+        ("set-cover-f", Instance::SetSystem(sys), cfg, 1),
     ]
 }
 
@@ -82,10 +91,11 @@ fn main() {
 
     let workloads = workloads();
     let mut first = true;
-    for (key, instance, cfg) in &workloads {
+    for (key, instance, cfg, kill_at) in &workloads {
         let shard = registry
             .solve_with(key, Backend::Shard, instance, cfg)
             .expect("shard run");
+        let mut shuffles = false;
         for &workers in &WORKER_COUNTS {
             let dcfg = cfg.with_workers(workers);
             let dist = registry
@@ -101,6 +111,7 @@ fn main() {
                 .as_ref()
                 .and_then(|m| m.dist.as_ref())
                 .expect("dist summary");
+            shuffles |= summary.shuffle.iter().any(|w| w.bytes_out > 0);
             if !first {
                 out.push_str(",\n");
             }
@@ -115,12 +126,11 @@ fn main() {
             json_dist(&mut out, summary);
             let _ = write!(out, "}}");
         }
-        // One faulted run per key: kill worker 0 after superstep 1's
-        // barrier — every driver reaches the next barrier, so the
-        // recovery always fires — and record what the healing cost.
+        // One faulted run per key: kill worker 0 after its kill
+        // superstep's barrier and record what the healing cost.
         let kcfg = cfg.with_workers(2).with_worker_kill(WorkerKill {
             worker: 0,
-            superstep: 1,
+            superstep: *kill_at,
         });
         let healed = registry
             .solve_with(key, Backend::Dist, instance, &kcfg)
@@ -138,10 +148,15 @@ fn main() {
             !summary.recoveries.is_empty(),
             "{key}: injected kill never fired"
         );
+        assert_eq!(
+            summary.recoveries[0].replayed_bytes > 0,
+            shuffles,
+            "{key}: a kill inside an exchange replays its batch bytes, one at a barrier none"
+        );
         out.push_str(",\n");
         let _ = write!(
             out,
-            "    {{\"algorithm\": \"{key}\", \"requested_workers\": 2, \"kill\": \"0@1\", \
+            "    {{\"algorithm\": \"{key}\", \"requested_workers\": 2, \"kill\": \"0@{kill_at}\", \
              \"shard_wall_nanos\": {}, \"dist_wall_nanos\": {}, ",
             shard.wall.as_nanos(),
             healed.wall.as_nanos()

@@ -6,7 +6,8 @@
 //! drives it with two calls per superstep: `DistSession::open` — the
 //! barrier-and-heartbeat every primitive passes through — and, for
 //! `exchange` supersteps, `DistSession::exchange`, which serializes the
-//! staged outboxes into per-worker batch frames, collects the assembled
+//! staged outboxes into per-worker batch frames — written chunk by
+//! chunk while the encoding is still under way — collects the assembled
 //! inbox regions back, and decodes them into the router's `Delivery`:
 //! one pooled arena plus an `(offset, len)` range per shard.
 //!
@@ -51,6 +52,13 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long to wait for a spawned worker process to connect.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a worker process gets to exit on its own before it is killed.
+const REAP_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// An open batch frame is closed and written once it passes this size.
+// Measured: 16 KiB..4 MiB within noise of each other, no chunking 1–3% slower; this is about one socket send buffer.
+const CHUNK_BYTES: usize = 256 << 10;
 
 fn dist_err(e: impl std::fmt::Display) -> MrError {
     MrError::Dist(e.to_string())
@@ -215,13 +223,19 @@ impl DistSession {
     /// outboxes out to the owning workers, assembled inbox regions back,
     /// decoded into the router's delivery shape. Delivery order is the
     /// router contract — `(sender id, send order)` — because senders are
-    /// serialized in id order and workers bucket in arrival order.
+    /// serialized in id order and workers scatter in arrival order.
     ///
     /// Batch frames are streamed straight out of the staged columns into
     /// pooled byte buffers ([`BatchStream`]), and the outbox columns
-    /// return to `scratch`. Regions are walked in place from one reused
-    /// body buffer ([`RegionWalker`]) and decoded straight into one
-    /// pooled arena: regions are read in worker order and
+    /// return to `scratch`. A stream's open frame is closed and written
+    /// to its worker whenever it passes [`CHUNK_BYTES`], so the workers
+    /// validate and count while later senders are still being encoded
+    /// and the other worker's socket drains; the closed frames stay in
+    /// the stream's buffer, which is what a recovery replays.
+    ///
+    /// Regions are walked in place from one reused body buffer
+    /// ([`RegionWalker`]) and decoded straight into one pooled arena:
+    /// regions are read in worker order and
     /// [`validate_region`] guarantees each holds exactly its worker's
     /// contiguous [`StaticAssignment`] block in ascending shard order, so
     /// messages arrive in destination order and shard `d`'s inbox is the
@@ -236,14 +250,22 @@ impl DistSession {
         let s = superstep as u64;
         let mut streams = self.batch_streams(s);
         for outbox in &outboxes {
-            for (i, &dst) in outbox.dsts.iter().enumerate() {
-                streams[self.owner[dst]].push_with(dst as u64, |out| outbox.msgs[i].encode(out));
+            for (msg, &dst) in outbox.msgs.iter().zip(&outbox.dsts) {
+                let w = self.owner[dst];
+                let stream = &mut streams[w];
+                stream.push_with(dst as u64, |out| msg.encode(out));
+                if stream.open_len() >= CHUNK_BYTES {
+                    // Hand the worker what is encoded so far: it validates
+                    // and counts while the rest is still being produced.
+                    // A write error is a dead peer, found at the read.
+                    let _ = self.workers[w].stream.write_all(stream.close_chunk());
+                }
             }
         }
         for outbox in outboxes {
             scratch.put_columns(outbox.into_buffers());
         }
-        let retained = self.send_batches(streams, s);
+        let retained = self.send_batches(streams);
         let mut arena: Vec<M> = scratch.take_arena();
         let mut ranges = scratch.take_ranges(self.machines);
         let mut in_words = scratch.take_usizes(self.machines);
@@ -293,17 +315,18 @@ impl DistSession {
             .collect()
     }
 
-    /// Finishes and writes one batch + flush per worker, written before
-    /// any read (the protocol's deadlock-freedom invariant). The raw
-    /// bytes are retained until the region is safely back, so a worker
-    /// death mid-exchange can be replayed to its replacement.
-    fn send_batches(&mut self, streams: Vec<BatchStream>, s: u64) -> Vec<Vec<u8>> {
+    /// Finishes each worker's stream and writes what is not out yet (the
+    /// last chunk and the flush), still before any read (the protocol's
+    /// deadlock-freedom invariant). The raw bytes are retained until the
+    /// region is safely back, so a worker death mid-exchange can be
+    /// replayed to its replacement.
+    fn send_batches(&mut self, streams: Vec<BatchStream>) -> Vec<Vec<u8>> {
         let mut retained: Vec<Vec<u8>> = Vec::with_capacity(streams.len());
         for (w, stream) in streams.into_iter().enumerate() {
-            let bytes = stream.finish(s);
+            let (bytes, unsent) = stream.finish();
             self.workers[w].shuffle.bytes_out += bytes.len() as u64;
             self.workers[w].shuffle.batches += 1;
-            let _ = self.workers[w].stream.write_all(&bytes);
+            let _ = self.workers[w].stream.write_all(&bytes[unsent..]);
             retained.push(bytes);
         }
         retained
@@ -332,7 +355,7 @@ impl DistSession {
     }
 
     /// Recovery path A — death detected at a barrier: respawn, reassign,
-    /// reopen. Nothing to replay; the worker's buckets were empty.
+    /// reopen. Nothing to replay; the worker had nothing parked.
     fn recover_barrier(&mut self, w: usize, s: u64) -> MrResult<()> {
         let t0 = Instant::now();
         self.respawn(w)?;
@@ -520,6 +543,28 @@ fn validate_region(
     Ok(())
 }
 
+/// Poll interval for events that are usually microseconds away but may
+/// take seconds: starts at 20 µs and doubles up to a cap, so the common
+/// case is not slept through for a whole fixed tick.
+struct Backoff {
+    next: Duration,
+    cap: Duration,
+}
+
+impl Backoff {
+    fn up_to(cap: Duration) -> Self {
+        Backoff {
+            next: Duration::from_micros(20),
+            cap,
+        }
+    }
+
+    fn nap(&mut self) {
+        std::thread::sleep(self.next);
+        self.next = (self.next * 2).min(self.cap);
+    }
+}
+
 /// Joins or waits out a replaced/terminated worker endpoint.
 fn reap(handle: WorkerHandle) {
     let _ = handle.stream.shutdown(std::net::Shutdown::Both);
@@ -530,11 +575,14 @@ fn reap(handle: WorkerHandle) {
             }
         }
         WorkerJoin::Process(mut child) => {
-            // Give an orderly exit a moment, then force it.
-            for _ in 0..100 {
+            // Give an orderly exit a moment, then force it. The worker is
+            // normally gone microseconds after its `Shutdown`.
+            let deadline = Instant::now() + REAP_TIMEOUT;
+            let mut backoff = Backoff::up_to(Duration::from_millis(5));
+            while Instant::now() < deadline {
                 match child.try_wait() {
                     Ok(Some(_)) => return,
-                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
+                    Ok(None) => backoff.nap(),
                     Err(_) => break,
                 }
             }
@@ -565,6 +613,7 @@ fn bind_rendezvous() -> MrResult<Rendezvous> {
 /// connecting fails fast instead of hanging the master.
 fn accept_with_timeout(listener: &UnixListener, child: &mut Child) -> MrResult<UnixStream> {
     let deadline = Instant::now() + ACCEPT_TIMEOUT;
+    let mut backoff = Backoff::up_to(Duration::from_millis(2));
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -580,7 +629,7 @@ fn accept_with_timeout(listener: &UnixListener, child: &mut Child) -> MrResult<U
                 if Instant::now() >= deadline {
                     return Err(dist_err("timed out waiting for worker to connect"));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                backoff.nap();
             }
             Err(e) => return Err(dist_err(e)),
         }

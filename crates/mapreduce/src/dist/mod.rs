@@ -8,27 +8,48 @@
 //! serialized — so the **master** keeps the shard states, closures and
 //! RNG streams and runs the per-shard compute (it *is* the paper's
 //! central machine), while each **worker** owns the *shuffle region* of a
-//! contiguous shard block ([`crate::superstep::StaticAssignment`]): it
-//! ingests the exchange traffic addressed to its block over a
-//! Unix-domain-socket transport, buckets it per destination shard in the
-//! router's `(sender id, send order)` delivery order, and hands the
-//! assembled inboxes back at the flush barrier, digest-stamped with the
-//! block's deterministic `(cluster seed, shard id)` identity keys.
+//! contiguous shard block ([`crate::superstep::StaticAssignment`]) and
+//! hands the block's assembled inboxes back at the flush barrier,
+//! digest-stamped with the block's deterministic `(cluster seed, shard
+//! id)` identity keys.
+//!
+//! **The shuffle is flat and pipelined.** The master streams each
+//! worker's traffic into one retained buffer as a run of `Batch` frames
+//! and writes every frame to the socket as soon as it closes (a fixed
+//! 256 KiB), so the workers are already ingesting while later senders
+//! are still being encoded. A worker never decodes a batch into
+//! messages: it walks the raw frame body in place — checking the count,
+//! every destination against its block, every length against the body —
+//! counts messages and bytes per shard, and parks the body. At the
+//! flush the counts become, by prefix sum, the offsets of every shard's
+//! run inside one output buffer laid out as the exact `Inboxes` frame;
+//! the records are copied from the parked bodies to their shard's
+//! cursor in arrival order, which is the router's `(sender id, send
+//! order)` delivery order; the region digest is folded over the
+//! assembled bytes; one write returns the frame. Nothing is allocated
+//! per message on either side: frame bodies, the output frame and the
+//! master's stream buffers are all pooled. The nested
+//! [`Frame::Batch`]/[`Frame::Inboxes`] encodings remain as the
+//! reference the flat paths are tested byte-for-byte against.
 //!
 //! Fault tolerance is the point: the master heartbeats workers through
 //! the barrier protocol, a [`WorkerKill`] in [`DistConfig::kills`] kills
 //! a worker at a chosen superstep, and the master recovers by respawning
 //! the worker, re-establishing its block from the `(seed, shard)`
 //! identity keys, and replaying the retained batch traffic of the
-//! interrupted exchange. Because delivery order and shard
+//! interrupted exchange — the retained buffer is the exact
+//! concatenation of the chunk frames that were written plus the flush,
+//! so the replacement sees the same byte stream the dead worker did.
+//! Because delivery order and shard
 //! RNG streams are pure functions of the configuration, a recovered run
 //! produces **bit-identical** reports — solutions, certificates,
 //! witnesses and model [`crate::metrics::Metrics`] — to a fault-free one,
 //! which `mrlr verify` can prove offline.
 //!
-//! Submodules: [`wire`] (canonical byte encoding + frames), [`transport`]
-//! (length-prefixed framing), [`worker`] (the serve loop), [`master`]
-//! (the control plane and recovery).
+//! Submodules: [`wire`] (canonical byte encoding, frames, and the raw
+//! batch/region walkers), [`transport`] (length-prefixed framing),
+//! [`worker`] (the serve loop), [`master`] (the control plane and
+//! recovery).
 
 pub mod master;
 pub mod transport;

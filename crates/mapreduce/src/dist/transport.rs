@@ -13,7 +13,11 @@
 //! The protocol is deadlock-free by construction: the master completes
 //! all writes to a worker before reading that worker's response, and
 //! workers only write in response to a frame — neither side ever blocks
-//! on a write while the peer blocks on its own write.
+//! on a write while the peer blocks on its own write. Chunked exchanges
+//! keep the rule: the master writes batch frames to a worker throughout
+//! an exchange, but a worker answers nothing until the `Flush`, which is
+//! the last thing written to it, so while the master is blocked on a
+//! full socket the worker on the other end is reading, never writing.
 
 use std::io::{self, Read, Write};
 

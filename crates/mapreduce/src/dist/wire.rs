@@ -55,6 +55,13 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A frame that does not decode is `InvalidData` to the I/O layer.
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 /// Cursor over a received byte buffer, tracking the offset for errors.
 #[derive(Debug)]
 pub struct WireReader<'a> {
@@ -80,16 +87,25 @@ impl<'a> WireReader<'a> {
 
     /// Consumes exactly `n` bytes, or reports truncation at the current
     /// offset.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return Err(self.error(format!(
-                "truncated: needed {n} bytes, {} remain",
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let bytes = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(bytes)
+    }
+
+    /// Kept out of line so [`WireReader::take`] inlines to a compare and
+    /// a slice on the shuffle's per-message walks.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> WireError {
+        self.error(format!(
+            "truncated: needed {n} bytes, {} remain",
+            self.remaining()
+        ))
     }
 
     /// A [`WireError`] at the current offset.
@@ -359,44 +375,62 @@ pub(crate) fn digest_fold_shard(h: u64, seed: u64, shard: u64, payloads: u64) ->
 }
 
 /// Folds one payload's bytes (length, then zero-padded 8-byte words).
+#[inline]
 pub(crate) fn digest_fold_payload(mut h: u64, payload: &[u8]) -> u64 {
     h = mix2(h, payload.len() as u64);
-    for chunk in payload.chunks(8) {
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        h = mix2(h, u64::from_le_bytes(word.try_into().expect("exact chunk")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
         let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
+        word[..rest.len()].copy_from_slice(rest);
         h = mix2(h, u64::from_le_bytes(word));
     }
     h
 }
 
+/// Bytes of one `Batch` frame before its first message: length prefix,
+/// tag, superstep, message count.
+const BATCH_HEAD: usize = 4 + 1 + 8 + 8;
+
 /// Streams one worker's `Batch` + `Flush` frames for a superstep
-/// directly into a (pooled) byte buffer: the length prefixes and the
-/// message count are reserved up front and patched at the end, so the
-/// master serializes a shuffle without staging a `Vec<u8>` per message
-/// or re-encoding whole frames. The bytes produced are identical to
-/// `frame_bytes(&Frame::Batch{..})` followed by
-/// `frame_bytes(&Frame::Flush{..})` — workers, retained-replay recovery
-/// and the digest discipline are untouched.
+/// directly into a (pooled) byte buffer: each frame's length prefix and
+/// message count are reserved up front and patched when the frame
+/// closes, so the master serializes a shuffle without staging a
+/// `Vec<u8>` per message or re-encoding whole frames. The traffic may be
+/// cut into several `Batch` frames ([`BatchStream::close_chunk`]) so the
+/// closed ones can be written while later messages are still being
+/// encoded; every frame stays in the one retained buffer, whose bytes
+/// are identical to `frame_bytes(&Frame::Batch{..})` per chunk followed
+/// by `frame_bytes(&Frame::Flush{..})` — exactly what was written, and
+/// therefore exactly what retained-replay recovery re-sends.
 pub(crate) struct BatchStream {
     buf: Vec<u8>,
+    superstep: u64,
+    /// Offset of the open frame's length prefix; everything before it is
+    /// closed frames.
+    open_at: usize,
+    /// Messages in the open frame.
     count: u64,
-    count_at: usize,
+    /// Leading bytes already handed out by [`BatchStream::close_chunk`].
+    handed: usize,
 }
 
 impl BatchStream {
     /// Begins a batch for `superstep` in `buf` (cleared; capacity kept).
     pub(crate) fn begin(mut buf: Vec<u8>, superstep: u64) -> Self {
         buf.clear();
-        buf.extend_from_slice(&[0u8; 4]); // frame length, patched in finish
-        buf.push(TAG_BATCH);
-        superstep.encode(&mut buf);
-        let count_at = buf.len();
-        buf.extend_from_slice(&[0u8; 8]); // message count, patched in finish
-        BatchStream {
+        let mut stream = BatchStream {
             buf,
+            superstep,
+            open_at: 0,
             count: 0,
-            count_at,
-        }
+            handed: 0,
+        };
+        stream.open_frame();
+        stream
     }
 
     /// Appends one `(dst, message)` pair; `write` streams the message's
@@ -412,20 +446,236 @@ impl BatchStream {
         self.count += 1;
     }
 
-    /// Patches the reserved prefixes and appends the `Flush` frame,
-    /// returning the combined on-wire bytes.
-    pub(crate) fn finish(mut self, superstep: u64) -> Vec<u8> {
-        self.buf[self.count_at..self.count_at + 8].copy_from_slice(&self.count.to_le_bytes());
-        let body = self.buf.len() - 4;
+    /// Bytes of the open frame so far (prefix and header included).
+    pub(crate) fn open_len(&self) -> usize {
+        self.buf.len() - self.open_at
+    }
+
+    /// Closes the open `Batch` frame, opens the next one behind it, and
+    /// returns the closed bytes not handed out before: complete frames,
+    /// ready to be written.
+    pub(crate) fn close_chunk(&mut self) -> &[u8] {
+        self.close_frame();
+        let closed = self.handed..self.buf.len();
+        self.handed = closed.end;
+        self.open_frame();
+        &self.buf[closed]
+    }
+
+    /// Closes the last frame and appends the `Flush` frame. Returns the
+    /// on-wire bytes of the whole exchange and the offset from which they
+    /// are still to be written.
+    pub(crate) fn finish(mut self) -> (Vec<u8>, usize) {
+        self.close_frame();
+        self.buf.extend_from_slice(&9u32.to_le_bytes()); // Flush body: tag + superstep
+        self.buf.push(TAG_FLUSH);
+        self.superstep.encode(&mut self.buf);
+        (self.buf, self.handed)
+    }
+
+    fn open_frame(&mut self) {
+        self.open_at = self.buf.len();
+        self.count = 0;
+        self.buf.extend_from_slice(&[0u8; 4]); // frame length, patched on close
+        self.buf.push(TAG_BATCH);
+        self.superstep.encode(&mut self.buf);
+        self.buf.extend_from_slice(&[0u8; 8]); // message count, patched on close
+    }
+
+    fn close_frame(&mut self) {
+        let frame = &mut self.buf[self.open_at..];
+        let body = frame.len() - 4;
         assert!(
             body <= MAX_FRAME,
             "batch frame body of {body} bytes exceeds MAX_FRAME"
         );
-        self.buf[..4].copy_from_slice(&(body as u32).to_le_bytes());
-        self.buf.extend_from_slice(&9u32.to_le_bytes()); // Flush body: tag + superstep
-        self.buf.push(TAG_FLUSH);
-        superstep.encode(&mut self.buf);
-        self.buf
+        frame[..4].copy_from_slice(&(body as u32).to_le_bytes());
+        frame[BATCH_HEAD - 8..BATCH_HEAD].copy_from_slice(&self.count.to_le_bytes());
+    }
+}
+
+/// True when a raw frame body is a `Batch` — the one frame kind the
+/// worker ingests without decoding it into a [`Frame`].
+pub(crate) fn is_batch(body: &[u8]) -> bool {
+    body.first() == Some(&TAG_BATCH)
+}
+
+/// Walks a raw `Batch` frame body in place: `(dst, len|payload)` records
+/// in wire order, nothing materialized. The claimed message count buys
+/// nothing — it is checked against the bytes present before the walk and
+/// every record is bounds-checked as it is reached.
+pub(crate) struct BatchWalker<'a> {
+    r: WireReader<'a>,
+    left: u64,
+}
+
+impl<'a> BatchWalker<'a> {
+    /// Opens a raw frame body, expecting a `Batch` frame; the walker is
+    /// positioned at the first record. (The superstep field is skipped:
+    /// a worker files whatever arrives under the next `Flush`.)
+    pub(crate) fn open(body: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(body);
+        let tag = u8::decode(&mut r)?;
+        if tag != TAG_BATCH {
+            return Err(WireError {
+                offset: 0,
+                reason: format!("expected Batch frame, got tag {tag:#04x}"),
+            });
+        }
+        u64::decode(&mut r)?;
+        let at = r.pos();
+        let left = u64::decode(&mut r)?;
+        // A record is at least `dst | len`: 16 bytes.
+        let fit = (r.remaining() / 16) as u64;
+        if left > fit {
+            return Err(WireError {
+                offset: at,
+                reason: format!("batch claims {left} messages, body holds at most {fit}"),
+            });
+        }
+        Ok(BatchWalker { r, left })
+    }
+
+    /// The next record as `(dst, len|payload bytes)` — the second half is
+    /// the exact run an `Inboxes` frame carries for the message — or
+    /// `None` after the last one, when the body must be exhausted.
+    pub(crate) fn next_record(&mut self) -> Result<Option<(u64, &'a [u8])>, WireError> {
+        if self.left == 0 {
+            let n = self.r.remaining();
+            if n != 0 {
+                return Err(self.r.error(format!("{n} trailing bytes after batch")));
+            }
+            return Ok(None);
+        }
+        self.left -= 1;
+        let dst = u64::decode(&mut self.r)?;
+        let at = self.r.pos;
+        let len = usize::decode(&mut self.r)?;
+        self.r.take(len)?;
+        Ok(Some((dst, &self.r.buf[at..self.r.pos])))
+    }
+}
+
+/// Bytes of an `Inboxes` frame before its first shard: length prefix,
+/// tag, superstep, shard count.
+const INBOXES_HEAD: usize = 4 + 1 + 8 + 8;
+
+/// The worker's side of one exchange: counts `Batch` bodies as they
+/// arrive, then lays the `Inboxes` frame out by count → prefix-sum →
+/// scatter, with no allocation per message.
+///
+/// [`RegionBuilder::ingest`] validates a raw body in place and adds its
+/// messages to per-shard tallies; the body itself is parked untouched.
+/// [`RegionBuilder::flush`] turns the tallies into the offsets of every
+/// shard's `len|payload` run inside one output buffer sized as the exact
+/// frame, copies each record from the parked bodies to its shard's
+/// cursor in arrival order (the router's `(sender id, send order)`), and
+/// folds the region digest over the assembled bytes. The result is
+/// byte-identical to `frame_bytes(&Frame::Inboxes{..})` of the nested
+/// region.
+pub(crate) struct RegionBuilder {
+    shard_lo: u64,
+    /// Per shard of the block: messages and `len|payload` bytes parked.
+    tally: Vec<(u64, usize)>,
+    /// Write cursor of each shard's run during a flush.
+    cursors: Vec<usize>,
+    /// Validated `Batch` bodies of the open exchange, in arrival order.
+    parked: Vec<Vec<u8>>,
+}
+
+impl RegionBuilder {
+    /// A builder for the block of `shards` shards starting at `shard_lo`.
+    pub(crate) fn new(shard_lo: u64, shards: usize) -> Self {
+        RegionBuilder {
+            shard_lo,
+            tally: vec![(0, 0); shards],
+            cursors: Vec::with_capacity(shards),
+            parked: Vec::new(),
+        }
+    }
+
+    /// Validates one raw `Batch` body — message count, every `dst` inside
+    /// the block, every length inside the body, no trailing bytes — while
+    /// counting its messages per shard, then parks it. An error leaves
+    /// the tallies half updated: the worker's only answer to a malformed
+    /// batch is to stop serving.
+    pub(crate) fn ingest(&mut self, body: Vec<u8>) -> Result<(), WireError> {
+        let mut walker = BatchWalker::open(&body)?;
+        while let Some((dst, rec)) = walker.next_record()? {
+            let (count, bytes) = dst
+                .checked_sub(self.shard_lo)
+                .and_then(|i| self.tally.get_mut(usize::try_from(i).ok()?))
+                .ok_or_else(|| {
+                    walker
+                        .r
+                        .error(format!("shard {dst} outside assigned block"))
+                })?;
+            *count += 1;
+            *bytes += rec.len();
+        }
+        self.parked.push(body);
+        Ok(())
+    }
+
+    /// Assembles the on-wire `Inboxes` frame (length prefix included) of
+    /// everything ingested since the last flush into `out`, whose old
+    /// contents are discarded, and resets the builder for the next
+    /// exchange; the parked bodies move to `pool` for reuse.
+    pub(crate) fn flush(
+        &mut self,
+        superstep: u64,
+        seed: u64,
+        out: &mut Vec<u8>,
+        pool: &mut Vec<Vec<u8>>,
+    ) -> Result<(), WireError> {
+        let runs: usize = self.tally.iter().map(|&(_, bytes)| 16 + bytes).sum();
+        let digest_at = INBOXES_HEAD + runs;
+        let body = digest_at + 8 - 4;
+        if body > MAX_FRAME {
+            return Err(WireError {
+                offset: 0,
+                reason: format!("inbox region of {body} bytes exceeds MAX_FRAME"),
+            });
+        }
+        // No clear: the layout below covers every byte of the frame, so
+        // only growth past the previous frame's length is zero-filled.
+        out.resize(digest_at + 8, 0);
+        out[..4].copy_from_slice(&(body as u32).to_le_bytes());
+        out[4] = TAG_INBOXES;
+        out[5..13].copy_from_slice(&superstep.to_le_bytes());
+        out[13..INBOXES_HEAD].copy_from_slice(&(self.tally.len() as u64).to_le_bytes());
+        // Prefix-sum: each shard's header goes down where its run starts.
+        let mut at = INBOXES_HEAD;
+        self.cursors.clear();
+        for (shard, &(count, bytes)) in (self.shard_lo..).zip(&self.tally) {
+            out[at..at + 8].copy_from_slice(&shard.to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&count.to_le_bytes());
+            at += 16;
+            self.cursors.push(at);
+            at += bytes;
+        }
+        // Scatter, in arrival order. `ingest` accepted every record, so
+        // `dst` indexes the block and the runs fill exactly.
+        for parked in &self.parked {
+            let mut walker = BatchWalker::open(parked)?;
+            while let Some((dst, rec)) = walker.next_record()? {
+                let cursor = &mut self.cursors[(dst - self.shard_lo) as usize];
+                out[*cursor..*cursor + rec.len()].copy_from_slice(rec);
+                *cursor += rec.len();
+            }
+        }
+        let (_, mut region) = RegionWalker::open(&out[4..digest_at])?;
+        let mut h = digest_init(seed);
+        while let Some((shard, count)) = region.next_shard()? {
+            h = digest_fold_shard(h, seed, shard, count);
+            for _ in 0..count {
+                h = digest_fold_payload(h, region.next_payload()?);
+            }
+        }
+        out[digest_at..].copy_from_slice(&h.to_le_bytes());
+        self.tally.fill((0, 0));
+        pool.append(&mut self.parked);
+        Ok(())
     }
 }
 
@@ -535,10 +785,13 @@ pub enum Frame {
         /// The acknowledged superstep (0 for the assignment ack).
         superstep: u64,
     },
-    /// Master → worker: a shuffle batch for this worker's shard block.
-    /// `msgs` are `(destination shard, encoded message)` pairs in global
-    /// `(sender id, send order)` — the worker buckets them per shard in
-    /// arrival order, which reproduces the router's delivery order.
+    /// Master → worker: a shuffle batch for this worker's shard block —
+    /// an exchange is one or more of these, then a `Flush`. `msgs` are
+    /// `(destination shard, encoded message)` pairs in global
+    /// `(sender id, send order)` — the worker sorts them by shard in
+    /// arrival order, which reproduces the router's delivery order. This
+    /// nested form is the reference encoding: production writes it with
+    /// `BatchStream` and reads it with `BatchWalker`.
     Batch {
         /// The superstep this batch belongs to.
         superstep: u64,
@@ -553,6 +806,8 @@ pub enum Frame {
     },
     /// Worker → master: the assembled inboxes of every owned shard (in
     /// shard order, empty inboxes included) plus their [`region_digest`].
+    /// The reference encoding of what `RegionBuilder` lays out and
+    /// `RegionWalker` reads.
     Inboxes {
         /// The flushed superstep.
         superstep: u64,
@@ -808,30 +1063,177 @@ mod tests {
         assert!(err.reason.contains("unknown frame tag"), "{err}");
     }
 
+    /// Generated traffic for the block `lo..lo + shards`: payloads of
+    /// varying length (every third one empty), addressed to every other
+    /// shard so the ones between stay empty.
+    fn traffic(seed: u64, n: usize, lo: u64, shards: u64) -> Vec<(u64, Vec<u8>)> {
+        let mut rng = crate::rng::DetRng::new(seed);
+        (0..n)
+            .map(|i| {
+                let dst = lo + 2 * rng.range(shards.div_ceil(2));
+                let len = if i % 3 == 1 { 0 } else { rng.range(12) };
+                let payload = (0..len).map(|j| (i as u8) ^ (j as u8)).collect();
+                (dst, payload)
+            })
+            .collect()
+    }
+
+    /// `msgs` cut before every message whose bit is set in `cuts` (bit
+    /// `msgs.len()` cuts after the last one, leaving an empty chunk).
+    fn chunks(msgs: &[(u64, Vec<u8>)], cuts: u32) -> Vec<Vec<(u64, Vec<u8>)>> {
+        let mut out = vec![Vec::new()];
+        for (i, msg) in msgs.iter().enumerate() {
+            if cuts & (1 << i) != 0 {
+                out.push(Vec::new());
+            }
+            out.last_mut().unwrap().push(msg.clone());
+        }
+        if cuts & (1 << msgs.len()) != 0 {
+            out.push(Vec::new());
+        }
+        out
+    }
+
     #[test]
     fn batch_stream_bytes_match_the_frame_encoding() {
         use crate::dist::transport::frame_bytes;
-        // The streaming encoder must be byte-identical to encoding the
-        // whole Batch + Flush frames — workers and retained-replay
-        // recovery depend on it.
-        let msgs: Vec<(u64, Vec<u8>)> = vec![(5, vec![1, 2, 3]), (6, vec![]), (0, vec![9; 20])];
-        let mut want = frame_bytes(&Frame::Batch {
-            superstep: 3,
-            msgs: msgs.clone(),
-        });
-        want.extend_from_slice(&frame_bytes(&Frame::Flush { superstep: 3 }));
-        let mut stream = BatchStream::begin(vec![0xAA; 64], 3); // dirty pooled buffer
-        for (dst, payload) in &msgs {
-            stream.push_with(*dst, |out| out.extend_from_slice(payload));
+        // The streaming encoder must be byte-identical to encoding whole
+        // Batch frames — one per chunk — then the Flush: workers and
+        // retained-replay recovery depend on it. Every way of cutting the
+        // traffic at message boundaries, empty chunks included.
+        let msgs = traffic(1, 6, 0, 7);
+        for cuts in 0..1u32 << (msgs.len() + 1) {
+            let mut want = Vec::new();
+            let mut written = Vec::new();
+            let mut stream = BatchStream::begin(vec![0xAA; 64], 3); // dirty pooled buffer
+            for (i, chunk) in chunks(&msgs, cuts).into_iter().enumerate() {
+                if i > 0 {
+                    // What each close hands out is what may be written
+                    // early: whole frames, each byte once.
+                    written.extend_from_slice(stream.close_chunk());
+                    assert_eq!(written, want, "cuts {cuts:#b}");
+                }
+                for (dst, payload) in &chunk {
+                    stream.push_with(*dst, |out| out.extend_from_slice(payload));
+                }
+                want.extend_from_slice(&frame_bytes(&Frame::Batch {
+                    superstep: 3,
+                    msgs: chunk,
+                }));
+            }
+            want.extend_from_slice(&frame_bytes(&Frame::Flush { superstep: 3 }));
+            let (bytes, unsent) = stream.finish();
+            written.extend_from_slice(&bytes[unsent..]);
+            // The retained bytes are the concatenation of what was written.
+            assert_eq!(bytes, want, "cuts {cuts:#b}");
+            assert_eq!(written, want, "cuts {cuts:#b}");
         }
-        assert_eq!(stream.finish(3), want);
-        // Empty batches frame identically too.
+        // No traffic at all is still one (empty) batch and the flush,
+        // none of it written yet.
         let mut want = frame_bytes(&Frame::Batch {
             superstep: 9,
             msgs: vec![],
         });
         want.extend_from_slice(&frame_bytes(&Frame::Flush { superstep: 9 }));
-        assert_eq!(BatchStream::begin(Vec::new(), 9).finish(9), want);
+        assert_eq!(BatchStream::begin(Vec::new(), 9).finish(), (want, 0));
+    }
+
+    /// The nested reference of what a worker owes for `msgs`: one bucket
+    /// per shard of the block, filled in arrival order.
+    fn nested_inboxes(
+        superstep: u64,
+        seed: u64,
+        lo: u64,
+        shards: u64,
+        msgs: &[(u64, Vec<u8>)],
+    ) -> Frame {
+        let mut buckets: Vec<(u64, Vec<Vec<u8>>)> =
+            (lo..lo + shards).map(|s| (s, vec![])).collect();
+        for (dst, payload) in msgs {
+            buckets[(dst - lo) as usize].1.push(payload.clone());
+        }
+        Frame::Inboxes {
+            superstep,
+            digest: region_digest(seed, &buckets),
+            shards: buckets,
+        }
+    }
+
+    #[test]
+    fn region_builder_bytes_match_the_frame_encoding() {
+        use crate::dist::transport::frame_bytes;
+        // Count → prefix-sum → scatter over raw batch bodies must lay down
+        // the exact bytes of the nested Inboxes frame, digest included,
+        // however the batch was cut into frames.
+        let (lo, shards, seed) = (3u64, 5u64, 77u64);
+        let msgs = traffic(2, 7, lo, shards);
+        let mut builder = RegionBuilder::new(lo, shards as usize);
+        let mut out = vec![0xEE; 4096]; // dirty, and longer than any frame below
+        let mut pool = Vec::new();
+        for cuts in 0..1u32 << (msgs.len() + 1) {
+            let parts = chunks(&msgs, cuts);
+            let frames = parts.len();
+            for chunk in parts {
+                let body = encode_value(&Frame::Batch {
+                    superstep: 4,
+                    msgs: chunk,
+                });
+                assert!(is_batch(&body));
+                builder.ingest(body).unwrap();
+            }
+            builder.flush(4, seed, &mut out, &mut pool).unwrap();
+            let want = frame_bytes(&nested_inboxes(4, seed, lo, shards, &msgs));
+            assert_eq!(out, want, "cuts {cuts:#b}");
+            // Every parked body came back, and the tallies are clear: an
+            // exchange with no traffic flushes empty inboxes.
+            assert_eq!(pool.len(), frames);
+            pool.clear();
+            builder.flush(5, seed, &mut out, &mut pool).unwrap();
+            assert_eq!(out, frame_bytes(&nested_inboxes(5, seed, lo, shards, &[])));
+        }
+        // A block of no shards is a frame too.
+        let mut none = RegionBuilder::new(9, 0);
+        none.flush(1, seed, &mut out, &mut pool).unwrap();
+        assert_eq!(out, frame_bytes(&nested_inboxes(1, seed, 9, 0, &[])));
+    }
+
+    #[test]
+    fn malformed_batch_bodies_are_rejected_in_place() {
+        let valid = encode_value(&Frame::Batch {
+            superstep: 1,
+            msgs: vec![(4, vec![1, 2, 3]), (5, vec![])],
+        });
+        let reject = |body: Vec<u8>| {
+            RegionBuilder::new(4, 2)
+                .ingest(body)
+                .expect_err("malformed batch must not be parked")
+        };
+        RegionBuilder::new(4, 2).ingest(valid.clone()).unwrap();
+        for cut in 0..valid.len() {
+            let err = reject(valid[..cut].to_vec());
+            assert!(err.offset <= cut, "cut {cut}: {err}");
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        assert!(reject(trailing).reason.contains("trailing"));
+        // Shard 6 is past the block, shard 3 before it.
+        for dst in [6u64, 3, u64::MAX] {
+            let mut outside = valid.clone();
+            outside[17..25].copy_from_slice(&dst.to_le_bytes());
+            assert!(reject(outside).reason.contains("outside assigned block"));
+        }
+        // A length running past the body, and a count the body cannot hold.
+        let mut long = valid.clone();
+        long[25..33].copy_from_slice(&1000u64.to_le_bytes());
+        assert!(reject(long).reason.contains("truncated"));
+        let mut many = valid.clone();
+        many[9..17].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = reject(many);
+        assert_eq!(err.offset, 9);
+        assert!(err.reason.contains("holds at most 2"), "{err}");
+        // Not a batch at all.
+        assert!(!is_batch(&encode_value(&Frame::Flush { superstep: 1 })));
+        assert!(!is_batch(&[]));
     }
 
     #[test]

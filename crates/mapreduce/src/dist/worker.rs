@@ -3,25 +3,32 @@
 //! A worker owns one contiguous block of shards for the lifetime of a
 //! run. Because driver closures cannot cross a process boundary, the
 //! master keeps the shard *states* and runs the per-shard compute; what a
-//! worker owns is the shards' **shuffle region** — it ingests
-//! [`Frame::Batch`] traffic addressed to its block, buckets payloads per
-//! destination shard in arrival order (exactly the router's
-//! `(sender id, send order)` delivery order), and returns the assembled
-//! inboxes at [`Frame::Flush`], digest-stamped with the block's
-//! deterministic `(cluster seed, shard id)` identity keys. The loop is
-//! fully monomorphic over opaque payload bytes, so one worker binary
-//! serves every algorithm in the registry.
+//! worker owns is the shards' **shuffle region**. Every frame is read
+//! raw into a pooled buffer and its tag peeked. A `Batch` body — the
+//! master sends an exchange as a run of them — is never decoded: it is
+//! validated and counted in place and parked
+//! (`RegionBuilder::ingest`). At `Flush` the parked bodies are
+//! counting-sorted straight into the bytes of the `Inboxes` frame
+//! (`RegionBuilder::flush`): per-shard counts → prefix-sum offsets →
+//! records scattered in arrival order (exactly the router's
+//! `(sender id, send order)` delivery order) → digest over the assembled
+//! region, stamped with the block's deterministic `(cluster seed, shard
+//! id)` identity keys → one write. The only other frames are control
+//! frames, decoded as [`Frame`]s. What the loop allocates for an
+//! exchange depends on the bytes it receives, never on the number of
+//! messages in them, and it is fully monomorphic over opaque payload
+//! bytes, so one worker binary serves every algorithm in the registry.
 //!
 //! Fault injection lives here too: an [`Frame::Assign`] can carry
 //! `kill_at`. The worker acks that superstep's barrier normally and then
 //! *arms*; it dies silently at the next `Open` or `Flush` — after having
 //! ingested that superstep's batches, so recovery must replay them.
 
-use std::io;
+use std::io::{self, Write as _};
 use std::os::unix::net::UnixStream;
 
-use super::transport::{read_frame, write_frame};
-use super::wire::{region_digest, Frame};
+use super::transport::{read_frame_body, write_frame};
+use super::wire::{decode_value, is_batch, Frame, RegionBuilder};
 
 /// Environment variable carrying the rendezvous socket path to spawned
 /// worker processes. A process that sees it set should call
@@ -34,11 +41,9 @@ pub const WORKER_BIN_ENV: &str = "MRLR_DIST_WORKER_BIN";
 
 /// State of one assigned shard block.
 struct Block {
-    shard_lo: u64,
     seed: u64,
     kill_at: Option<u64>,
-    /// Per-shard payload buckets, indexed by `shard - shard_lo`.
-    buckets: Vec<Vec<Vec<u8>>>,
+    region: RegionBuilder,
 }
 
 /// Serves the dist protocol on `stream` until shutdown, disconnect, or an
@@ -49,13 +54,26 @@ pub fn serve(stream: UnixStream) -> io::Result<()> {
     let mut writer = stream;
     let mut block: Option<Block> = None;
     let mut armed = false;
+    // Frame bodies cycle through `pool`: a batch body stays parked in the
+    // block's region until the flush hands it back, any other body
+    // returns as soon as its frame is decoded.
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    let mut out = Vec::new();
     loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
+        let mut body = pool.pop().unwrap_or_default();
+        match read_frame_body(&mut reader, &mut body) {
+            Ok(()) => {}
             // Master hung up (e.g. its Drop closed the socket): done.
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
-        };
+        }
+        if is_batch(&body) {
+            let b = block.as_mut().ok_or_else(unassigned)?;
+            b.region.ingest(body)?;
+            continue;
+        }
+        let frame = decode_value::<Frame>(&body)?;
+        pool.push(body);
         match frame {
             Frame::Assign {
                 shard_lo,
@@ -64,12 +82,16 @@ pub fn serve(stream: UnixStream) -> io::Result<()> {
                 kill_at,
                 ..
             } => {
-                let shards = (shard_hi - shard_lo) as usize;
+                let shards = shard_hi.checked_sub(shard_lo).ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("assigned block {shard_lo}..{shard_hi} is reversed"),
+                    )
+                })?;
                 block = Some(Block {
-                    shard_lo,
                     seed,
                     kill_at,
-                    buckets: (0..shards).map(|_| Vec::new()).collect(),
+                    region: RegionBuilder::new(shard_lo, shards as usize),
                 });
                 armed = false;
                 write_frame(&mut writer, &Frame::Ack { superstep: 0 })?;
@@ -86,22 +108,6 @@ pub fn serve(stream: UnixStream) -> io::Result<()> {
                     }
                 }
             }
-            Frame::Batch { msgs, .. } => {
-                let b = block.as_mut().ok_or_else(unassigned)?;
-                for (dst, payload) in msgs {
-                    let slot = dst
-                        .checked_sub(b.shard_lo)
-                        .map(|i| i as usize)
-                        .filter(|&i| i < b.buckets.len())
-                        .ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("shard {dst} outside assigned block"),
-                            )
-                        })?;
-                    b.buckets[slot].push(payload);
-                }
-            }
             Frame::Flush { superstep } => {
                 if armed {
                     // Injected death mid-exchange: batches ingested, inboxes
@@ -109,25 +115,16 @@ pub fn serve(stream: UnixStream) -> io::Result<()> {
                     return Ok(());
                 }
                 let b = block.as_mut().ok_or_else(unassigned)?;
-                let shards: Vec<(u64, Vec<Vec<u8>>)> = b
-                    .buckets
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, bucket)| (b.shard_lo + i as u64, std::mem::take(bucket)))
-                    .collect();
-                let digest = region_digest(b.seed, &shards);
-                write_frame(
-                    &mut writer,
-                    &Frame::Inboxes {
-                        superstep,
-                        shards,
-                        digest,
-                    },
-                )?;
+                b.region.flush(superstep, b.seed, &mut out, &mut pool)?;
+                writer.write_all(&out)?;
             }
             Frame::Ping { nonce } => write_frame(&mut writer, &Frame::Pong { nonce })?,
             Frame::Shutdown => return Ok(()),
-            Frame::Ack { .. } | Frame::Inboxes { .. } | Frame::Pong { .. } => {
+            // `Batch` never reaches here: its tag was taken above.
+            Frame::Batch { .. }
+            | Frame::Ack { .. }
+            | Frame::Inboxes { .. }
+            | Frame::Pong { .. } => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "worker received a worker→master frame",
@@ -171,10 +168,22 @@ pub fn worker_main() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::transport::{frame_bytes, read_frame};
+    use crate::dist::wire::region_digest;
 
     fn talk(stream: &mut UnixStream, frame: &Frame) -> Frame {
         write_frame(stream, frame).unwrap();
         read_frame(stream).unwrap()
+    }
+
+    /// Sends `Flush` and returns the reply's raw on-wire bytes.
+    fn flush_raw(stream: &mut UnixStream, superstep: u64) -> Vec<u8> {
+        write_frame(stream, &Frame::Flush { superstep }).unwrap();
+        let mut body = Vec::new();
+        read_frame_body(stream, &mut body).unwrap();
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        bytes
     }
 
     #[test]
@@ -197,35 +206,40 @@ mod tests {
             talk(&mut master, &Frame::Open { superstep: 1 }),
             Frame::Ack { superstep: 1 }
         );
-        write_frame(
-            &mut master,
-            &Frame::Batch {
-                superstep: 1,
-                msgs: vec![(2, vec![1]), (4, vec![2]), (2, vec![3])],
-            },
-        )
-        .unwrap();
-        let reply = talk(&mut master, &Frame::Flush { superstep: 1 });
-        let expect_shards = vec![
-            (2u64, vec![vec![1u8], vec![3]]),
-            (3, vec![]),
-            (4, vec![vec![2]]),
-        ];
-        assert_eq!(
-            reply,
-            Frame::Inboxes {
-                superstep: 1,
-                digest: region_digest(7, &expect_shards),
-                shards: expect_shards,
-            }
-        );
-        // Buckets drained: next flush returns empty inboxes.
-        let reply = talk(&mut master, &Frame::Flush { superstep: 2 });
-        if let Frame::Inboxes { shards, .. } = reply {
-            assert!(shards.iter().all(|(_, inbox)| inbox.is_empty()));
-        } else {
-            panic!("expected Inboxes, got {reply:?}");
+        // One exchange as three batch frames — the middle one empty, a
+        // zero-length payload and a longer one among the messages.
+        for msgs in [
+            vec![(2, vec![1]), (4, vec![2; 11])],
+            vec![],
+            vec![(2, vec![]), (2, vec![3])],
+        ] {
+            write_frame(&mut master, &Frame::Batch { superstep: 1, msgs }).unwrap();
         }
+        // The reply is the nested frame's exact bytes: shard 3 present and
+        // empty, shard 2 in arrival order across the chunks.
+        let expect = |superstep, shards: Vec<(u64, Vec<Vec<u8>>)>| {
+            frame_bytes(&Frame::Inboxes {
+                superstep,
+                digest: region_digest(7, &shards),
+                shards,
+            })
+        };
+        assert_eq!(
+            flush_raw(&mut master, 1),
+            expect(
+                1,
+                vec![
+                    (2, vec![vec![1], vec![], vec![3]]),
+                    (3, vec![]),
+                    (4, vec![vec![2; 11]]),
+                ]
+            )
+        );
+        // Tallies cleared: the next flush returns empty inboxes.
+        assert_eq!(
+            flush_raw(&mut master, 2),
+            expect(2, vec![(2, vec![]), (3, vec![]), (4, vec![])])
+        );
         write_frame(&mut master, &Frame::Shutdown).unwrap();
         handle.join().unwrap().unwrap();
     }

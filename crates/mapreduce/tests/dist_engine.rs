@@ -198,3 +198,75 @@ fn killed_process_worker_recovers() {
     assert_eq!(summary.recoveries.len(), 1);
     assert_eq!(summary.recoveries[0].worker, 0);
 }
+
+/// One all-to-all exchange of 3 200 two-word messages per machine:
+/// ~0.9 MB of batch bytes to each of two workers, so the master sends
+/// each stream as at least three chunk frames before the flush.
+fn heavy_exchange(runtime: RuntimeKind, dist: DistConfig) -> (Vec<Vec<u64>>, Metrics) {
+    let machines = 16;
+    let states: Vec<VecState> = (0..machines).map(|i| VecState(vec![i as u64])).collect();
+    let cfg = ClusterConfig::new(machines, 100_000)
+        .with_runtime(runtime)
+        .with_seed(11)
+        .with_dist(dist);
+    let mut c = Cluster::with_executor(cfg, states, Arc::new(SeqExecutor)).unwrap();
+    c.exchange::<(u64, u64), _, _>(
+        move |id, _, out| {
+            for k in 0..3_200u64 {
+                out.send((id + k as usize) % machines, (id as u64, k));
+            }
+        },
+        |_, s, inbox| {
+            for (src, k) in inbox {
+                s.0.push(src * 10_000 + k);
+            }
+        },
+    )
+    .unwrap();
+    let (states, metrics) = c.into_parts();
+    (states.into_iter().map(|s| s.0).collect(), metrics)
+}
+
+#[test]
+fn kill_mid_exchange_replays_every_chunk_frame() {
+    std::env::set_var(
+        mrlr_mapreduce::dist::worker::WORKER_BIN_ENV,
+        env!("CARGO_BIN_EXE_mrlr-dist-worker"),
+    );
+    let (ref_states, ref_metrics) = heavy_exchange(RuntimeKind::Shard, DistConfig::default());
+    for spawn in [SpawnKind::Thread, SpawnKind::Process] {
+        let run = |kills| {
+            let dist = DistConfig {
+                workers: 2,
+                spawn,
+                kills,
+            };
+            let (states, metrics) = heavy_exchange(RuntimeKind::Dist, dist);
+            assert_eq!(states, ref_states, "{spawn:?}: states diverged");
+            assert_eq!(metrics, ref_metrics, "{spawn:?}: metrics diverged");
+            metrics.dist.expect("dist summary")
+        };
+        let clean = run(Vec::new());
+        assert!(clean.recoveries.is_empty());
+        for worker in 0..2 {
+            // The exchange opens superstep 1: the worker acks the barrier,
+            // arms, ingests every chunk frame and dies at the flush.
+            let healed = run(vec![WorkerKill {
+                worker,
+                superstep: 1,
+            }]);
+            assert_eq!(healed.recoveries.len(), 1, "{spawn:?} worker {worker}");
+            let rec = &healed.recoveries[0];
+            assert_eq!((rec.worker, rec.superstep), (worker, 1));
+            // The whole retained stream went out again — every chunk frame
+            // and the flush, not just what was unwritten at the death.
+            let retained = clean.shuffle[worker].bytes_out;
+            assert!(
+                retained >= 3 * (256 << 10),
+                "{retained} bytes is under three chunks"
+            );
+            assert_eq!(rec.replayed_bytes, retained, "{spawn:?} worker {worker}");
+            assert_eq!(healed.shuffle[worker].bytes_out, retained);
+        }
+    }
+}
