@@ -526,18 +526,28 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("gen needs exactly one <family> argument"));
     };
     let instance = workloads::build(family, &params).map_err(CliError::usage)?;
-    if pipe {
-        // Stream line-by-line — byte-identical to the --out rendering
-        // (write_instance is render_instance's underlying writer), but
-        // without ever holding the whole document in memory.
-        let stdout = std::io::stdout();
-        let mut w = std::io::BufWriter::new(stdout.lock());
-        io::write_instance(&mut w, &instance)
-            .and_then(|()| std::io::Write::flush(&mut w))
-            .map_err(|e| CliError::runtime(format!("cannot write to stdout: {e}")))
-    } else {
-        write_output(out, &io::render_instance(&instance))
+    match out {
+        Some(path) => write_instance_file(std::path::Path::new(&path), &instance),
+        None => {
+            let stdout = std::io::stdout();
+            write_instance_to(stdout.lock(), &instance)
+                .map_err(|e| CliError::runtime(format!("cannot write to stdout: {e}")))
+        }
     }
+}
+
+/// Streams `instance` into `sink` line by line through one buffer — the
+/// document is never held whole, so it may be far larger than memory.
+fn write_instance_to(sink: impl std::io::Write, instance: &Instance) -> std::io::Result<()> {
+    let mut w = std::io::BufWriter::new(sink);
+    io::write_instance(&mut w, instance)?;
+    std::io::Write::flush(&mut w)
+}
+
+fn write_instance_file(path: &std::path::Path, instance: &Instance) -> Result<(), CliError> {
+    std::fs::File::create(path)
+        .and_then(|file| write_instance_to(file, instance))
+        .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))
 }
 
 /// `gen --sweep`: expands a sweep-spec file into one instance file per
@@ -552,12 +562,7 @@ fn gen_sweep(spec_path: &str, out_dir: &str) -> Result<(), CliError> {
     for point in spec.points() {
         let instance = spec.build(&point).map_err(CliError::runtime)?;
         let path = std::path::Path::new(out_dir).join(&point.out);
-        let file = std::fs::File::create(&path)
-            .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
-        let mut w = std::io::BufWriter::new(file);
-        io::write_instance(&mut w, &instance)
-            .and_then(|()| std::io::Write::flush(&mut w))
-            .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
+        write_instance_file(&path, &instance)?;
         println!("wrote {} ({} = {})", path.display(), spec.knob, point.value);
     }
     Ok(())
@@ -565,10 +570,19 @@ fn gen_sweep(spec_path: &str, out_dir: &str) -> Result<(), CliError> {
 
 // --------------------------------------------------------------- solve --
 
-fn load_instance(path: &str) -> Result<Instance, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    io::parse_instance(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))
+fn open_input(path: &str) -> Result<std::fs::File, CliError> {
+    std::fs::File::open(path).map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))
+}
+
+/// Materializes the instance `input` holds, read through the parser's
+/// fixed window — the text is never held whole. `name` labels errors.
+fn load_instance(input: impl std::io::Read, name: &str) -> Result<Instance, CliError> {
+    io::read_instance(input, io::DEFAULT_BUF_LEN)
+        .map_err(|e| CliError::runtime(format!("{name}: {e}")))
+}
+
+fn load_instance_file(path: &str) -> Result<Instance, CliError> {
+    load_instance(open_input(path)?, path)
 }
 
 fn configure(
@@ -670,12 +684,13 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
             cfg
         };
         let streamed = match source {
-            Source::File(path) => {
-                let file = std::fs::File::open(&path)
-                    .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-                api::solve_matching_stream(file, io::DEFAULT_BUF_LEN, backend, configure)
-                    .map_err(|e| CliError::runtime(format!("{path}: {e}")))?
-            }
+            Source::File(path) => api::solve_matching_stream(
+                open_input(&path)?,
+                io::DEFAULT_BUF_LEN,
+                backend,
+                configure,
+            )
+            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
             Source::Stdin => api::solve_matching_stream(
                 std::io::stdin().lock(),
                 io::DEFAULT_BUF_LEN,
@@ -698,13 +713,8 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
         streamed.map(Solution::Matching)
     } else {
         let instance = match source {
-            Source::File(path) => load_instance(&path)?,
-            Source::Stdin => {
-                let mut text = String::new();
-                std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text)
-                    .map_err(|e| CliError::runtime(format!("cannot read stdin: {e}")))?;
-                io::parse_instance(&text).map_err(|e| CliError::runtime(format!("<stdin>: {e}")))?
-            }
+            Source::File(path) => load_instance_file(&path)?,
+            Source::Stdin => load_instance(std::io::stdin().lock(), "<stdin>")?,
             Source::Gen(spec) => workloads::build_spec(&spec).map_err(CliError::usage)?,
         };
         let mut cfg = configure(&instance, mu, seed, threads, machines);
@@ -813,7 +823,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
                     "--instances-dir only applies to batch documents",
                 ));
             }
-            let instance = load_instance(instance_path)?;
+            let instance = load_instance_file(instance_path)?;
             let text = std::fs::read_to_string(report_path)
                 .map_err(|e| CliError::runtime(format!("cannot read {report_path}: {e}")))?;
             let stored = io::parse_report(&text)
@@ -918,7 +928,7 @@ fn verify_batch(
     let instances: Vec<Instance> = batch
         .instances
         .iter()
-        .map(|rel| load_instance(&base.join(rel).to_string_lossy()))
+        .map(|rel| load_instance_file(&base.join(rel).to_string_lossy()))
         .collect::<Result<_, _>>()?;
 
     let mut audited = 0usize;
@@ -1008,7 +1018,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let instances: Vec<Instance> = manifest
         .instances
         .iter()
-        .map(|rel| load_instance(&base.join(rel).to_string_lossy()))
+        .map(|rel| load_instance_file(&base.join(rel).to_string_lossy()))
         .collect::<Result<_, _>>()?;
 
     let registry = Registry::with_defaults();

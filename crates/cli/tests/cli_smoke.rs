@@ -556,6 +556,33 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
         stderr.contains("line 2, column 5"),
         "parse errors must carry line/column: {stderr}"
     );
+    // Bytes that are not UTF-8 are a parse error like any other — the
+    // parser's located one, from a file and from stdin alike.
+    let latin1 = b"p graph 3 1\ne 0 1 \xE9\n";
+    std::fs::write(dir.join("latin1.inst"), latin1).unwrap();
+    let out = run(&["solve", "matching", "--input", "latin1.inst"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("latin1.inst: line 2, column 0: invalid UTF-8 in input"),
+        "{stderr}"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+        .args(["solve", "matching", "--input", "-"])
+        .current_dir(&dir)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mrlr");
+    std::io::Write::write_all(&mut child.stdin.take().expect("piped stdin"), latin1).unwrap();
+    let out = child.wait_with_output().expect("wait for mrlr");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("<stdin>: line 2, column 0: invalid UTF-8 in input"),
+        "{stderr}"
+    );
     // Unknown algorithm on a good file is a runtime error too.
     mrlr(
         &dir,

@@ -83,6 +83,13 @@ pub(crate) struct Tokens<'a> {
     pos: usize,
 }
 
+/// Whether the ASCII byte `b` is whitespace ([`char::is_whitespace`]
+/// below `0x80`: space and `\t`–`\r`).
+#[inline]
+pub(crate) fn is_ascii_space(b: u8) -> bool {
+    b == b' ' || (0x09..=0x0D).contains(&b)
+}
+
 /// The tokens of `line`.
 pub(crate) fn tokens(line: &str) -> Tokens<'_> {
     Tokens { line, pos: 0 }
@@ -101,7 +108,7 @@ impl Tokens<'_> {
     fn classify(&self, i: usize) -> (bool, usize) {
         let b = self.line.as_bytes()[i];
         if b < 0x80 {
-            (b == b' ' || (0x09..=0x0D).contains(&b), 1)
+            (is_ascii_space(b), 1)
         } else {
             let ch = self.line[i..]
                 .chars()

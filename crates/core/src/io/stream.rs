@@ -23,11 +23,47 @@
 //! and the streaming parser rejects exactly what the materialized one
 //! rejects). Everything `Θ(m)`-sized beyond that table lives in the sink.
 //! Parsing an `e` or `n` line allocates nothing (an `s` line allocates the
-//! element list its record owns): tokens are sliced lazily off the line's
-//! bytes, and a line is copied only when it straddles two chunks. Edge
-//! lines are checked against the table a small batch at a time, so the
-//! table's cache misses overlap; what the sink sees and which error comes
-//! first are exactly as if each line were settled on arrival.
+//! element list its record owns), and a line is copied only when it
+//! straddles two chunks. Edge lines are checked against the table a small
+//! batch at a time, so the table's cache misses overlap; what the sink
+//! sees and which error comes first are exactly as if each line were
+//! settled on arrival.
+//!
+//! # Two routes, one set of checks
+//!
+//! A body line reaches its checks by one of two routes. The *general*
+//! route finds the line's `\n`, validates the line as UTF-8 and slices
+//! whitespace-separated tokens off it lazily; it defines the language —
+//! Unicode whitespace, comments, blank lines, signs, the problem line —
+//! and constructs every syntax error. In front of it sits the
+//! *plain-record recognizer* (`Scan`): when no partial line is carried,
+//! it tries to read the record at the head of the chunk through its `\n`
+//! in a single scan, accumulating integers as it goes. It accepts exactly
+//!
+//! ```text
+//! e <int> <int> [<float>]      any graph body
+//! n <int> <int>                b-matching body
+//! n <int> <float>              vertex-weighted body
+//! s <float> [<int> …]          set-system body
+//! ```
+//!
+//! where the tag is the line's first byte, fields are separated (and the
+//! line may be padded at its end) by ASCII blanks — space, `\t`, `\x0B`,
+//! `\x0C`, `\r` — `<int>` is 1–9 ASCII digits and `<float>` is a run of
+//! other bytes that `str::parse::<f64>` accepts (all ASCII, then; the
+//! weight is never parsed by hand — bit-exact round-trips are the
+//! format's promise). Anything else — an indented line, a sign on an
+//! integer, a tenth digit, a byte ≥ `0x80`, one field too many or too
+//! few, a comment, the problem line, a record whose `\n` is not in this
+//! chunk — makes it *decline*, and the untouched line takes the general
+//! route. So the recognizer cannot change an error: it constructs none,
+//! a line it accepts has no syntax error under the general route's rules
+//! (ASCII blanks are whitespace there too, and both routes hand the same
+//! token to the same `parse`), its columns are the same byte offsets,
+//! and every *semantic* check — weight positive and finite, endpoint
+//! range, self-loop, duplicate edge, `n`-line uniqueness, increasing
+//! elements — lives in one `accept_*` function per record kind that both
+//! routes call with the fields they read.
 //!
 //! The header's counts are a claim, not a fact. No allocation is sized by
 //! them beyond a fixed cap (`PREALLOC_CAP` records for the sinks and the
@@ -39,7 +75,7 @@ use mrlr_graph::{Edge, Graph, VertexId};
 use mrlr_setsys::{ElemId, SetSystem};
 
 use super::keyset::KeySet;
-use super::{tokens, IoError, Tokens};
+use super::{is_ascii_space, tokens, IoError, Tokens};
 use crate::api::{BMatchingInstance, Instance, VertexWeightedGraph};
 
 /// Default chunk size of the buffered drivers ([`read_instance`],
@@ -64,6 +100,12 @@ pub(crate) fn err(line: usize, col: usize, message: impl Into<String>) -> IoErro
         message: message.into(),
     }
 }
+
+/// A field of a record with the 1-based column it starts at.
+type Field<T> = (usize, T);
+
+/// The fields of an `e` line: two endpoints and an optional weight.
+type EdgeFields = (Field<VertexId>, Field<VertexId>, Option<Field<f64>>);
 
 /// A cursor over the tokens of one line, tracking columns for errors.
 pub(crate) struct Line<'a> {
@@ -233,6 +275,7 @@ struct GraphBody {
     kind: GraphKind,
     n: usize,
     m: usize,
+    /// `e` lines accepted so far, the held-back ones included.
     edges: usize,
     /// Normalized `(min, max)` endpoint keys of the edges seen so far —
     /// the one `Θ(m)` structure the central parser keeps (one 8-byte slot
@@ -247,10 +290,11 @@ struct GraphBody {
     vertex_done: Vec<bool>,
 }
 
-/// A parsed `e` line held back for the batched duplicate check.
+/// An accepted `e` line held back for the batched duplicate check.
 struct PendingEdge {
-    record: Record,
-    key: u64,
+    u: VertexId,
+    v: VertexId,
+    w: f64,
     /// Where a duplicate error points: the line, and its first endpoint.
     line: usize,
     col: usize,
@@ -261,6 +305,21 @@ struct PendingEdge {
 /// back to back, a batch's misses overlap instead of queueing.
 const DEDUP_BATCH: usize = 32;
 
+/// The value of an `n` line: a weight in a `vertex-weighted` body, a
+/// capacity in a `b-matching` body.
+enum VertexValue {
+    Weight(f64),
+    Capacity(u32),
+}
+
+fn check_vertex(v: usize, n: usize, line: usize, col: usize) -> Result<(), IoError> {
+    if v < n {
+        Ok(())
+    } else {
+        Err(err(line, col, format!("vertex {v} out of range 0..{n}")))
+    }
+}
+
 impl GraphBody {
     /// Runs the duplicate check over the held-back edge lines, then
     /// delivers them in arrival order. Called when the batch fills and
@@ -268,22 +327,178 @@ impl GraphBody {
     /// sees the same record sequence, and the caller the same first
     /// error, as if every line were settled on arrival.
     fn settle<S: RecordSink>(&mut self, sink: &mut S) -> Result<(), IoError> {
+        let key = |e: &PendingEdge| ((e.u.min(e.v) as u64) << 32) | e.u.max(e.v) as u64;
         let fresh = self
             .pending
             .iter()
-            .position(|e| !self.seen.insert(e.key))
+            .position(|e| !self.seen.insert(key(e)))
             .unwrap_or(self.pending.len());
+        let first = self.edges - self.pending.len();
         let mut pending = self.pending.drain(..);
-        for edge in pending.by_ref().take(fresh) {
-            sink.record(edge.record)?;
+        for (k, PendingEdge { u, v, w, .. }) in pending.by_ref().take(fresh).enumerate() {
+            let index = first + k;
+            sink.record(Record::Edge { index, u, v, w })?;
         }
         match pending.next() {
             None => Ok(()),
-            Some(PendingEdge { key, line, col, .. }) => Err(err(
+            Some(PendingEdge {
+                u, v, line, col, ..
+            }) => Err(err(
                 line,
                 col,
-                format!("duplicate edge ({}, {})", key >> 32, key as u32),
+                format!("duplicate edge ({}, {})", u.min(v), u.max(v)),
             )),
+        }
+    }
+
+    /// Every semantic check of an `e` line whose fields have parsed, in
+    /// the order their errors are owed; a line that passes joins the
+    /// duplicate-check batch. `trailing` is what the general route found
+    /// after the last field — a syntax error that ranks after the weight
+    /// check and before the range checks; the recognizer only accepts
+    /// lines it has read through to their `\n`, and passes `Ok`.
+    fn accept_edge<S: RecordSink>(
+        &mut self,
+        sink: &mut S,
+        line: usize,
+        ((ucol, u), (vcol, v), weight): EdgeFields,
+        trailing: Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        let w = match weight {
+            None => 1.0,
+            Some((wcol, w)) => {
+                check_weight(w, line, wcol, "weight")?;
+                w
+            }
+        };
+        trailing?;
+        check_vertex(u as usize, self.n, line, ucol)?;
+        check_vertex(v as usize, self.n, line, vcol)?;
+        if u == v {
+            return Err(err(line, vcol, format!("self-loop at vertex {u}")));
+        }
+        self.edges += 1;
+        self.pending.push(PendingEdge {
+            u,
+            v,
+            w,
+            line,
+            col: ucol,
+        });
+        if self.pending.len() < DEDUP_BATCH {
+            Ok(())
+        } else {
+            self.settle(sink)
+        }
+    }
+
+    /// Every semantic check of an `n` line, then its delivery (behind the
+    /// held-back edges). The general route reads `value` and `trailing`
+    /// off the line before calling, but their syntax errors keep their
+    /// rank: after the range check of the id, resp. after the value check.
+    fn accept_vertex<S: RecordSink>(
+        &mut self,
+        sink: &mut S,
+        line: usize,
+        (vcol, v): Field<usize>,
+        value: Result<Field<VertexValue>, IoError>,
+        trailing: Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        check_vertex(v, self.n, line, vcol)?;
+        let record = match value? {
+            (bcol, VertexValue::Capacity(0)) => {
+                return Err(err(line, bcol, "capacity must be at least 1"))
+            }
+            (_, VertexValue::Capacity(b)) => Record::Capacity { v, b },
+            (wcol, VertexValue::Weight(w)) => {
+                check_weight(w, line, wcol, "vertex weight")?;
+                Record::VertexWeight { v, w }
+            }
+        };
+        trailing?;
+        if std::mem::replace(slot(&mut self.vertex_done, v), true) {
+            return Err(err(line, vcol, format!("duplicate data for vertex {v}")));
+        }
+        self.settle(sink)?;
+        sink.record(record)
+    }
+
+    /// The general route for one body line, its tag already consumed.
+    fn general_line<S: RecordSink>(
+        &mut self,
+        sink: &mut S,
+        (tcol, tag): (usize, &str),
+        line: &mut Line<'_>,
+    ) -> Result<(), IoError> {
+        let needs_vertex_data = self.kind != GraphKind::Graph;
+        match tag {
+            "e" => {
+                let u = line.parse::<VertexId>("endpoint")?;
+                let v = line.parse::<VertexId>("endpoint")?;
+                let weight = match line.maybe_next() {
+                    None => None,
+                    Some((wcol, tok)) => {
+                        let w: f64 = tok
+                            .parse()
+                            .map_err(|_| err(line.no, wcol, format!("bad weight `{tok}`")))?;
+                        Some((wcol, w))
+                    }
+                };
+                self.accept_edge(sink, line.no, (u, v, weight), line.finish())
+            }
+            "n" if needs_vertex_data => {
+                let id = line.parse::<usize>("vertex id")?;
+                let value = if self.kind == GraphKind::BMatching {
+                    line.parse::<u32>("capacity")
+                        .map(|(col, b)| (col, VertexValue::Capacity(b)))
+                } else {
+                    line.parse::<f64>("vertex weight")
+                        .map(|(col, w)| (col, VertexValue::Weight(w)))
+                };
+                self.accept_vertex(sink, line.no, id, value, line.finish())
+            }
+            other => {
+                let expected = if needs_vertex_data {
+                    "`e` or `n`"
+                } else {
+                    "`e`"
+                };
+                Err(err(
+                    line.no,
+                    tcol,
+                    format!("unexpected record `{other}` (expected {expected})"),
+                ))
+            }
+        }
+    }
+
+    /// The recognizer's route for the record at the head of `bytes`:
+    /// `Ok(None)` declines, `Ok(Some(len))` accepted a line `len` bytes
+    /// long (its `\n` included).
+    #[inline]
+    fn plain_line<S: RecordSink>(
+        &mut self,
+        sink: &mut S,
+        line: usize,
+        bytes: &[u8],
+    ) -> Result<Option<usize>, IoError> {
+        match bytes[0] {
+            b'e' => {
+                let Some((len, fields)) = Scan::edge_line(bytes) else {
+                    return Ok(None);
+                };
+                self.accept_edge(sink, line, fields, Ok(()))?;
+                Ok(Some(len))
+            }
+            b'n' if self.kind != GraphKind::Graph => {
+                let capacities = self.kind == GraphKind::BMatching;
+                let Some((len, id, value)) = Scan::vertex_line(bytes, capacities) else {
+                    return Ok(None);
+                };
+                self.accept_vertex(sink, line, id, Ok(value), Ok(()))?;
+                Ok(Some(len))
+            }
+            _ => Ok(None),
         }
     }
 }
@@ -293,6 +508,255 @@ struct SetBody {
     universe: usize,
     n_sets: usize,
     sets: usize,
+}
+
+impl SetBody {
+    /// Every semantic check of an `s` line, yielding its record. `elems`
+    /// is read lazily, so on the general route a malformed element is
+    /// reported only if no element before it fails a check.
+    fn accept_set(
+        &mut self,
+        line: usize,
+        (wcol, w): Field<f64>,
+        elems: impl Iterator<Item = Result<Field<ElemId>, IoError>>,
+    ) -> Result<Record, IoError> {
+        check_weight(w, line, wcol, "set weight")?;
+        let mut accepted: Vec<ElemId> = Vec::with_capacity(elems.size_hint().0);
+        for elem in elems {
+            let (ecol, j) = elem?;
+            if (j as usize) >= self.universe {
+                return Err(err(
+                    line,
+                    ecol,
+                    format!("element {j} out of range 0..{}", self.universe),
+                ));
+            }
+            if let Some(&last) = accepted.last() {
+                if last >= j {
+                    return Err(err(
+                        line,
+                        ecol,
+                        format!("elements must be strictly increasing ({last} then {j})"),
+                    ));
+                }
+            }
+            accepted.push(j);
+        }
+        let index = self.sets;
+        self.sets += 1;
+        Ok(Record::Set {
+            index,
+            w,
+            elems: accepted,
+        })
+    }
+
+    /// The general route for one body line, its tag already consumed.
+    fn general_line(
+        &mut self,
+        (tcol, tag): (usize, &str),
+        line: &mut Line<'_>,
+    ) -> Result<Record, IoError> {
+        if tag != "s" {
+            return Err(err(
+                line.no,
+                tcol,
+                format!("unexpected record `{tag}` (expected `s`)"),
+            ));
+        }
+        let weight = line.parse::<f64>("set weight")?;
+        let no = line.no;
+        let elems = std::iter::from_fn(|| {
+            let (ecol, tok) = line.maybe_next()?;
+            let parsed = tok.parse::<ElemId>();
+            Some(parsed.map_or_else(
+                |_| Err(err(no, ecol, format!("bad element `{tok}`"))),
+                |j| Ok((ecol, j)),
+            ))
+        });
+        self.accept_set(no, weight, elems)
+    }
+
+    /// The recognizer's route for the record at the head of `bytes` (see
+    /// [`GraphBody::plain_line`]); `elems` is scratch for the line's
+    /// elements and their columns.
+    fn plain_line(
+        &mut self,
+        line: usize,
+        bytes: &[u8],
+        elems: &mut Vec<Field<ElemId>>,
+    ) -> Result<Option<(usize, Record)>, IoError> {
+        if bytes[0] != b's' {
+            return Ok(None);
+        }
+        let Some((len, weight)) = Scan::set_line(bytes, elems) else {
+            return Ok(None);
+        };
+        let record = self.accept_set(line, weight, elems.iter().copied().map(Ok))?;
+        Ok(Some((len, record)))
+    }
+}
+
+/// The tokenizer's ASCII whitespace other than the line break — what
+/// separates the fields of a plain record ([`is_ascii_space`] ends one).
+#[inline]
+fn is_blank(b: u8) -> bool {
+    is_ascii_space(b) && b != b'\n'
+}
+
+/// The plain-record recognizer's cursor over the unconsumed bytes of a
+/// chunk, which start at the head of a line. Each field reader skips the
+/// blanks before its field and yields the field's 1-based column with its
+/// value, or `None` to decline the line — never an error (module docs).
+struct Scan<'a> {
+    bytes: &'a [u8],
+    /// The part of `bytes` not yet read.
+    rest: &'a [u8],
+}
+
+impl<'a> Scan<'a> {
+    /// A cursor past the one-byte tag at the head of `bytes`, which a
+    /// blank must follow.
+    #[inline]
+    fn past_tag(bytes: &'a [u8]) -> Option<Self> {
+        let rest = bytes.get(2..)?;
+        is_blank(bytes[1]).then_some(Scan { bytes, rest })
+    }
+
+    /// Bytes read so far.
+    #[inline]
+    fn at(&self) -> usize {
+        self.bytes.len() - self.rest.len()
+    }
+
+    #[inline]
+    fn skip_blanks(&mut self) {
+        while let [b, rest @ ..] = self.rest {
+            if !is_blank(*b) {
+                break;
+            }
+            self.rest = rest;
+        }
+    }
+
+    /// 1–9 ASCII digits, then a blank or the line break.
+    #[inline]
+    fn int(&mut self) -> Option<Field<u32>> {
+        self.skip_blanks();
+        let col = self.at() + 1;
+        let mut value = 0u32;
+        let mut digits = 0;
+        loop {
+            let [b, rest @ ..] = self.rest else {
+                return None;
+            };
+            let digit = b.wrapping_sub(b'0');
+            if digit >= 10 {
+                return (digits > 0 && is_ascii_space(*b)).then_some((col, value));
+            }
+            if digits == 9 {
+                return None;
+            }
+            value = value * 10 + digit as u32;
+            digits += 1;
+            self.rest = rest;
+        }
+    }
+
+    /// A token that parses as an `f64` (all ASCII, then), followed by a
+    /// blank or the line break.
+    #[inline]
+    fn float(&mut self) -> Option<Field<f64>> {
+        self.skip_blanks();
+        let col = self.at() + 1;
+        let len = self.rest.iter().position(|&b| is_ascii_space(b))?;
+        let (token, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        let token = std::str::from_utf8(token).ok()?;
+        Some((col, token.parse().ok()?))
+    }
+
+    /// Whether only blanks remain before the line break.
+    #[inline]
+    fn at_line_end(&mut self) -> bool {
+        self.skip_blanks();
+        self.rest.first() == Some(&b'\n')
+    }
+
+    /// The line's length, its `\n` included, if only blanks remain.
+    #[inline]
+    fn line_end(&mut self) -> Option<usize> {
+        self.at_line_end().then(|| self.at() + 1)
+    }
+
+    /// `e <int> <int> [<float>]`: the line's length, its endpoints and
+    /// its weight.
+    #[inline]
+    fn edge_line(bytes: &'a [u8]) -> Option<(usize, EdgeFields)> {
+        let mut scan = Scan::past_tag(bytes)?;
+        let u = scan.int()?;
+        let v = scan.int()?;
+        let weight = if scan.at_line_end() {
+            None
+        } else {
+            Some(scan.float()?)
+        };
+        Some((scan.line_end()?, (u, v, weight)))
+    }
+
+    /// `n <int> <int>` (`capacities`) or `n <int> <float>`: the line's
+    /// length, its vertex id and its value.
+    #[inline]
+    fn vertex_line(
+        bytes: &'a [u8],
+        capacities: bool,
+    ) -> Option<(usize, Field<usize>, Field<VertexValue>)> {
+        let mut scan = Scan::past_tag(bytes)?;
+        let (vcol, v) = scan.int()?;
+        let value = if capacities {
+            let (col, b) = scan.int()?;
+            (col, VertexValue::Capacity(b))
+        } else {
+            let (col, w) = scan.float()?;
+            (col, VertexValue::Weight(w))
+        };
+        Some((scan.line_end()?, (vcol, v as usize), value))
+    }
+
+    /// `s <float> [<int> …]`: the line's length and its weight, with the
+    /// elements left in `elems`.
+    #[inline]
+    fn set_line(bytes: &'a [u8], elems: &mut Vec<Field<ElemId>>) -> Option<(usize, Field<f64>)> {
+        let mut scan = Scan::past_tag(bytes)?;
+        let weight = scan.float()?;
+        elems.clear();
+        while !scan.at_line_end() {
+            elems.push(scan.int()?);
+        }
+        Some((scan.line_end()?, weight))
+    }
+}
+
+/// Offset of the first `\n` in `bytes`, searched eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in words.by_ref() {
+        // A byte of `x` is zero where the word holds a `\n`; the lowest
+        // set bit of `hit` marks the first such byte (higher bits may be
+        // borrow artefacts, never lower ones).
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ NEWLINES;
+        let hit = x.wrapping_sub(LOW) & !x & HIGH;
+        if hit != 0 {
+            return Some(base + hit.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n')?;
+    Some(base + tail)
 }
 
 enum State {
@@ -314,6 +778,11 @@ pub struct StreamParser<S: RecordSink> {
     carry: Vec<u8>,
     line_no: usize,
     state: State,
+    /// The recognizer's scratch for the elements of one `s` line.
+    elems: Vec<Field<ElemId>>,
+    /// Whether plain records are tried on the recognizer first — always,
+    /// outside the differential tests.
+    recognize: bool,
 }
 
 impl<S: RecordSink> StreamParser<S> {
@@ -324,28 +793,51 @@ impl<S: RecordSink> StreamParser<S> {
             carry: Vec::new(),
             line_no: 0,
             state: State::Start,
+            elems: Vec::new(),
+            recognize: true,
+        }
+    }
+
+    /// A parser that sends every line down the general route: the
+    /// reference the recognizer is tested against.
+    #[cfg(test)]
+    fn general_only(sink: S) -> Self {
+        StreamParser {
+            recognize: false,
+            ..Self::new(sink)
         }
     }
 
     /// Feeds the next chunk. The first error is sticky: once a chunk
     /// fails, this and [`StreamParser::finish`] keep returning it.
-    pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), IoError> {
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), IoError> {
         if let State::Failed(e) = &self.state {
             return Err(e.clone());
         }
-        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
-            let (line, rest) = bytes.split_at(pos);
-            bytes = &rest[1..];
-            let r = if self.carry.is_empty() {
-                self.handle_raw_line(line)
-            } else {
-                self.carry.extend_from_slice(line);
-                self.handle_carry()
+        self.feed_lines(bytes).map_err(|e| {
+            let e = self.owed_first(e);
+            self.state = State::Failed(e.clone());
+            e
+        })
+    }
+
+    fn feed_lines(&mut self, mut bytes: &[u8]) -> Result<(), IoError> {
+        if !self.carry.is_empty() {
+            let Some(pos) = find_newline(bytes) else {
+                self.carry.extend_from_slice(bytes);
+                return Ok(());
             };
-            if let Err(e) = r {
-                self.state = State::Failed(e.clone());
-                return Err(e);
-            }
+            self.carry.extend_from_slice(&bytes[..pos]);
+            bytes = &bytes[pos + 1..];
+            self.handle_carry()?;
+        }
+        loop {
+            bytes = &bytes[self.plain_lines(bytes)?..];
+            let Some(pos) = find_newline(bytes) else {
+                break;
+            };
+            self.general_line(&bytes[..pos])?;
+            bytes = &bytes[pos + 1..];
         }
         self.carry.extend_from_slice(bytes);
         Ok(())
@@ -364,7 +856,7 @@ impl<S: RecordSink> StreamParser<S> {
             return Err(e.clone());
         }
         if !self.carry.is_empty() {
-            self.handle_carry()?;
+            self.handle_carry().map_err(|e| self.owed_first(e))?;
         }
         self.settle()?;
         let sink = self.sink.take().expect("sink taken once");
@@ -410,7 +902,7 @@ impl<S: RecordSink> StreamParser<S> {
     /// Handles the completed line held in `carry`, keeping its buffer.
     fn handle_carry(&mut self) -> Result<(), IoError> {
         let mut full = std::mem::take(&mut self.carry);
-        let r = self.handle_raw_line(&full);
+        let r = self.general_line(&full);
         full.clear();
         self.carry = full;
         r
@@ -426,14 +918,42 @@ impl<S: RecordSink> StreamParser<S> {
         }
     }
 
-    /// Handles one line; on failure, any error owed to an earlier,
-    /// held-back line takes precedence.
-    fn handle_raw_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
-        self.parse_raw_line(raw)
-            .map_err(|e| self.settle().err().unwrap_or(e))
+    /// The error a failed line reports: one owed to an earlier, held-back
+    /// line takes precedence over its own.
+    fn owed_first(&mut self, e: IoError) -> IoError {
+        self.settle().err().unwrap_or(e)
     }
 
-    fn parse_raw_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
+    /// Reads plain records off the head of `bytes` (the start of a line)
+    /// for as long as the recognizer accepts them; returns how many bytes
+    /// that consumed. The line after them is the general route's.
+    fn plain_lines(&mut self, bytes: &[u8]) -> Result<usize, IoError> {
+        let sink = self.sink.as_mut().expect("sink alive while parsing");
+        let mut at = 0;
+        while self.recognize && at < bytes.len() {
+            let line = self.line_no + 1;
+            let len = match &mut self.state {
+                State::Graph(body) => body.plain_line(sink, line, &bytes[at..])?,
+                State::Sets(body) => match body.plain_line(line, &bytes[at..], &mut self.elems)? {
+                    None => None,
+                    Some((len, record)) => {
+                        sink.record(record)?;
+                        Some(len)
+                    }
+                },
+                State::Start | State::Failed(_) => None,
+            };
+            let Some(len) = len else {
+                break;
+            };
+            self.line_no = line;
+            at += len;
+        }
+        Ok(at)
+    }
+
+    /// The general route: one whole line, its `\n` removed.
+    fn general_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
         self.line_no += 1;
         // `str::lines()` semantics: a line break is `\n` with one optional
         // preceding `\r` stripped.
@@ -449,11 +969,6 @@ impl<S: RecordSink> StreamParser<S> {
         if first.1.starts_with('#') || first.1 == "c" {
             return Ok(());
         }
-        self.handle_line(first, line)
-    }
-
-    /// Dispatches one significant line, its first token already consumed.
-    fn handle_line(&mut self, first: (usize, &str), mut line: Line<'_>) -> Result<(), IoError> {
         let sink = self.sink.as_mut().expect("sink alive while parsing");
         match &mut self.state {
             State::Start => {
@@ -485,15 +1000,8 @@ impl<S: RecordSink> StreamParser<S> {
                 };
                 Ok(())
             }
-            State::Graph(body) => match graph_record(body, first, &mut line)? {
-                None if body.pending.len() < DEDUP_BATCH => Ok(()),
-                None => body.settle(sink),
-                Some(record) => {
-                    body.settle(sink)?;
-                    sink.record(record)
-                }
-            },
-            State::Sets(body) => sink.record(set_record(body, first, &mut line)?),
+            State::Graph(body) => body.general_line(sink, first, &mut line),
+            State::Sets(body) => sink.record(body.general_line(first, &mut line)?),
             State::Failed(e) => Err(e.clone()),
         }
     }
@@ -552,141 +1060,6 @@ fn parse_problem_line(
             ),
         )),
     }
-}
-
-/// Parses one body line of a graph kind. An `e` line is queued on
-/// `body.pending` (`None`); an `n` line is returned for delivery.
-fn graph_record(
-    body: &mut GraphBody,
-    (tcol, tag): (usize, &str),
-    line: &mut Line<'_>,
-) -> Result<Option<Record>, IoError> {
-    let needs_vertex_data = body.kind != GraphKind::Graph;
-    let n = body.n;
-    match tag {
-        "e" => {
-            let (ucol, u) = line.parse::<VertexId>("endpoint")?;
-            let (vcol, v) = line.parse::<VertexId>("endpoint")?;
-            let w = match line.maybe_next() {
-                None => 1.0,
-                Some((wcol, tok)) => {
-                    let w: f64 = tok
-                        .parse()
-                        .map_err(|_| err(line.no, wcol, format!("bad weight `{tok}`")))?;
-                    check_weight(w, line.no, wcol, "weight")?;
-                    w
-                }
-            };
-            line.finish()?;
-            if (u as usize) >= n {
-                return Err(err(
-                    line.no,
-                    ucol,
-                    format!("vertex {u} out of range 0..{n}"),
-                ));
-            }
-            if (v as usize) >= n {
-                return Err(err(
-                    line.no,
-                    vcol,
-                    format!("vertex {v} out of range 0..{n}"),
-                ));
-            }
-            if u == v {
-                return Err(err(line.no, vcol, format!("self-loop at vertex {u}")));
-            }
-            let (a, b) = (u.min(v), u.max(v));
-            let index = body.edges;
-            body.edges += 1;
-            body.pending.push(PendingEdge {
-                record: Record::Edge { index, u, v, w },
-                key: ((a as u64) << 32) | b as u64,
-                line: line.no,
-                col: ucol,
-            });
-            Ok(None)
-        }
-        "n" if needs_vertex_data => {
-            let (vcol, v) = line.parse::<usize>("vertex id")?;
-            if v >= n {
-                return Err(err(
-                    line.no,
-                    vcol,
-                    format!("vertex {v} out of range 0..{n}"),
-                ));
-            }
-            let record = if body.kind == GraphKind::BMatching {
-                let (bcol, b) = line.parse::<u32>("capacity")?;
-                if b == 0 {
-                    return Err(err(line.no, bcol, "capacity must be at least 1"));
-                }
-                Record::Capacity { v, b }
-            } else {
-                let (wcol, w) = line.parse::<f64>("vertex weight")?;
-                check_weight(w, line.no, wcol, "vertex weight")?;
-                Record::VertexWeight { v, w }
-            };
-            line.finish()?;
-            if std::mem::replace(slot(&mut body.vertex_done, v), true) {
-                return Err(err(line.no, vcol, format!("duplicate data for vertex {v}")));
-            }
-            Ok(Some(record))
-        }
-        other => {
-            let expected = if needs_vertex_data {
-                "`e` or `n`"
-            } else {
-                "`e`"
-            };
-            Err(err(
-                line.no,
-                tcol,
-                format!("unexpected record `{other}` (expected {expected})"),
-            ))
-        }
-    }
-}
-
-fn set_record(
-    body: &mut SetBody,
-    (tcol, tag): (usize, &str),
-    line: &mut Line<'_>,
-) -> Result<Record, IoError> {
-    if tag != "s" {
-        return Err(err(
-            line.no,
-            tcol,
-            format!("unexpected record `{tag}` (expected `s`)"),
-        ));
-    }
-    let (wcol, w) = line.parse::<f64>("set weight")?;
-    check_weight(w, line.no, wcol, "set weight")?;
-    let mut elems: Vec<ElemId> = Vec::new();
-    while let Some((ecol, tok)) = line.maybe_next() {
-        let j: ElemId = tok
-            .parse()
-            .map_err(|_| err(line.no, ecol, format!("bad element `{tok}`")))?;
-        if (j as usize) >= body.universe {
-            return Err(err(
-                line.no,
-                ecol,
-                format!("element {j} out of range 0..{}", body.universe),
-            ));
-        }
-        if let Some(&last) = elems.last() {
-            if last >= j {
-                return Err(err(
-                    line.no,
-                    ecol,
-                    format!("elements must be strictly increasing ({last} then {j})"),
-                ));
-            }
-        }
-        elems.push(j);
-    }
-    let index = body.sets;
-    body.sets += 1;
-    Ok(Record::Set { index, w, elems })
 }
 
 /// Entry `v` of a per-vertex table that was pre-sized from a capped
@@ -795,6 +1168,8 @@ mod tests {
     use super::*;
     use crate::io::{parse_instance, render_instance};
     use mrlr_graph::generators;
+    use mrlr_setsys::generators as setgen;
+    use proptest::prelude::*;
 
     fn sample() -> Instance {
         Instance::Graph(generators::with_uniform_weights(
@@ -944,6 +1319,344 @@ mod tests {
             let streamed = p.feed_str(prefix).and_then(|()| p.finish().map(|_| ()));
             let materialized = parse_instance(prefix).map(|_| ());
             assert_eq!(streamed, materialized, "prefix of {cut} bytes");
+        }
+    }
+
+    #[test]
+    fn newline_search_finds_the_first_break() {
+        // Every position of the first `\n` across the word boundary, with
+        // a later `\n`, high bytes and `\n ^ 1`-style near misses around.
+        for len in 0..40usize {
+            for first in 0..=len {
+                let mut bytes: Vec<u8> =
+                    (0..len).map(|i| [0x0B, 0x8A, 0xFF, b'e'][i % 4]).collect();
+                let expected = (first < len).then_some(first);
+                if let Some(at) = expected {
+                    bytes[at] = b'\n';
+                    if at + 3 < len {
+                        bytes[at + 3] = b'\n';
+                    }
+                }
+                assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+            }
+        }
+    }
+
+    /// Feeds `bytes` in `chunk`-sized pieces, stopping at the first error.
+    fn feed_chunked<S: RecordSink>(
+        mut parser: StreamParser<S>,
+        bytes: &[u8],
+        chunk: usize,
+    ) -> Result<S::Out, IoError> {
+        for piece in bytes.chunks(chunk) {
+            parser.feed(piece)?;
+        }
+        parser.finish()
+    }
+
+    const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, 4096];
+
+    /// Lines the recognizer must leave to the general route, which owns
+    /// their meaning: what each parses to, or its exact located error.
+    #[test]
+    fn declined_lines_keep_their_general_meaning() {
+        type Parsed = Result<(u32, u32, f64), IoError>;
+        let edge = |u, v, w| Ok((u, v, w));
+        let cases: &[(&str, &str, Parsed)] = &[
+            ("p graph 3 1", "e +1 2", edge(1, 2, 1.0)),
+            ("p graph 3 1", "e 0000000001 2", edge(1, 2, 1.0)),
+            (
+                "p graph 4294967296 1",
+                "e 4294967294 4294967295",
+                edge(4294967294, 4294967295, 1.0),
+            ),
+            ("p graph 3 1", " e 0 1", edge(0, 1, 1.0)),
+            ("p graph 3 1", "e 0\u{A0}1", edge(0, 1, 1.0)),
+            (
+                "p graph 9 1",
+                "e 1 2 3 4",
+                Err(err(2, 9, "unexpected trailing `4`")),
+            ),
+            (
+                "p graph 3 1",
+                "e 0 4294967296",
+                Err(err(2, 5, "bad endpoint `4294967296`")),
+            ),
+            (
+                "p graph 3 1",
+                "e 0 1 2.5\u{E9}",
+                Err(err(2, 7, "bad weight `2.5\u{E9}`")),
+            ),
+            ("p graph 3 1", "e 0", Err(err(2, 4, "missing endpoint"))),
+            ("p graph 3 1", "e", Err(err(2, 2, "missing endpoint"))),
+            (
+                "p graph 3 1",
+                "e0 1",
+                Err(err(2, 1, "unexpected record `e0` (expected `e`)")),
+            ),
+        ];
+        for (header, line, expected) in cases {
+            let terminated = format!("{line}\n");
+            assert!(
+                Scan::edge_line(terminated.as_bytes()).is_none(),
+                "recognized {line:?}"
+            );
+            let text = format!("{header}\n{terminated}");
+            for chunk in CHUNKS {
+                let parser = StreamParser::new(InstanceSink::default());
+                let got = feed_chunked(parser, text.as_bytes(), chunk).map(|inst| match inst {
+                    Instance::Graph(g) => (g.edge(0).u, g.edge(0).v, g.edge(0).w),
+                    other => panic!("{other:?}"),
+                });
+                assert_eq!(&got, expected, "{line:?} at chunk size {chunk}");
+            }
+        }
+        // Wrong field counts and kinds on the other record tags.
+        assert!(Scan::vertex_line(b"n 1 2 3\n", true).is_none());
+        assert!(Scan::vertex_line(b"n 1 2.5\n", true).is_none());
+        assert!(Scan::vertex_line(b"n 1\n", false).is_none());
+        assert!(Scan::vertex_line(b"n 1 x\n", false).is_none());
+        assert!(Scan::set_line(b"s\n", &mut Vec::new()).is_none());
+        assert!(Scan::set_line(b"s 1.0 2 -3\n", &mut Vec::new()).is_none());
+        assert!(Scan::set_line(b"s 1.0 2 3.0\n", &mut Vec::new()).is_none());
+    }
+
+    /// What the recognizer does accept, with the columns it reports.
+    #[test]
+    fn recognized_lines_carry_byte_columns() {
+        assert_eq!(
+            Scan::edge_line(b"e 10\t 21 \x0B2.5e0 \r\nrest"),
+            Some((18, ((3, 10), (7, 21), Some((11, 2.5)))))
+        );
+        assert_eq!(
+            Scan::edge_line(b"e 007 999999999\r\n"),
+            Some((17, ((3, 7), (7, 999_999_999), None)))
+        );
+        assert_eq!(
+            Scan::edge_line(b"e 0 1 nan\n").map(|(len, (_, _, w))| (len, w.map(|w| w.0))),
+            Some((10, Some(7)))
+        );
+        let mut elems = Vec::new();
+        assert_eq!(
+            Scan::set_line(b"s 0.5 3  14\x0C\n", &mut elems),
+            Some((13, (3, 0.5)))
+        );
+        assert_eq!(elems, [(7, 3), (10, 14)]);
+        assert_eq!(
+            Scan::set_line(b"s inf\n", &mut elems),
+            Some((6, (3, f64::INFINITY)))
+        );
+        assert!(elems.is_empty());
+    }
+
+    /// A record cut by the chunk end is declined whole — at every offset —
+    /// and arrives by way of the carry buffer instead.
+    #[test]
+    fn a_record_cut_by_the_chunk_end_is_declined() {
+        let documents = [
+            ("p graph 30 2\n", "e 10 21 2.5 \r\n", "e 3 4\n"),
+            ("p b-matching 30 0 0.5\n", "n 12 34\n", ""),
+            ("p vertex-weighted 30 0\n", "n 12 3.75\n", ""),
+            ("p set-system 40 2\n", "s 1.25 3 14 15\n", "s 2.0\n"),
+        ];
+        for (header, line, tail) in documents {
+            let text = format!("{header}{line}{tail}");
+            let start = header.len();
+            for cut in 1..line.len() {
+                let head = &line.as_bytes()[..cut];
+                assert!(Scan::edge_line(head).is_none(), "{head:?}");
+                assert!(Scan::vertex_line(head, true).is_none(), "{head:?}");
+                assert!(Scan::vertex_line(head, false).is_none(), "{head:?}");
+                assert!(Scan::set_line(head, &mut Vec::new()).is_none(), "{head:?}");
+
+                let seen = std::cell::RefCell::new(Vec::new());
+                let mut parser = StreamParser::new(Logging {
+                    seen: &seen,
+                    fail_at: usize::MAX,
+                });
+                parser.feed(&text.as_bytes()[..start + cut]).unwrap();
+                assert_eq!(parser.carry, head, "cut at {cut}");
+                parser.feed(&text.as_bytes()[start + cut..]).unwrap();
+                // Incomplete vertex data is an end-of-input error, after
+                // every record has been seen.
+                let _ = parser.finish();
+
+                let whole = std::cell::RefCell::new(Vec::new());
+                let _ = feed_chunked(
+                    StreamParser::general_only(Logging {
+                        seen: &whole,
+                        fail_at: usize::MAX,
+                    }),
+                    text.as_bytes(),
+                    text.len(),
+                );
+                assert!(!whole.borrow().is_empty());
+                assert_eq!(seen, whole, "cut at {cut}");
+            }
+        }
+    }
+
+    /// Small instances of all four kinds, some with unit weights (no
+    /// weight token on the `e` line).
+    fn rendered(kind: usize, seed: u64) -> String {
+        let n = 4 + (seed % 9) as usize;
+        let g = generators::densified(n, 0.4, seed);
+        let g = match seed % 3 {
+            0 => g,
+            _ => generators::with_uniform_weights(&g, 0.5, 9.0, seed),
+        };
+        render_instance(&match kind {
+            0 => Instance::Graph(g),
+            1 => Instance::VertexWeighted(VertexWeightedGraph::new(
+                g,
+                (0..n).map(|v| 1.0 + v as f64 / 7.0).collect(),
+            )),
+            2 => Instance::BMatching(BMatchingInstance::new(
+                g,
+                (0..n as u32).map(|v| 1 + v % 3).collect(),
+                0.25,
+            )),
+            _ => Instance::SetSystem(setgen::with_log_uniform_weights(
+                setgen::bounded_frequency(n, 3 * n, 3, seed),
+                0.25,
+                8.0,
+                seed,
+            )),
+        })
+    }
+
+    /// What a mutation splices in: every whitespace kind, signs, integers
+    /// at and past the recognizer's nine digits and past `u32`, floats
+    /// that parse to non-finite or zero, multi-byte and invalid UTF-8,
+    /// tags, and whole lines (self-loops, likely duplicates, an indented
+    /// record, records of the wrong body).
+    const PIECES: &[&[u8]] = &[
+        b" ",
+        b"\t",
+        b"\x0B",
+        b"\x0C",
+        b"\r",
+        b"\r\n",
+        b"\n",
+        b"\n\n",
+        "\u{A0}".as_bytes(),
+        "\u{85}".as_bytes(),
+        "\u{2003}".as_bytes(),
+        "\u{200B}".as_bytes(),
+        "\u{E9}".as_bytes(),
+        b"\xFF",
+        b"\xC3",
+        b"\xE2\x80",
+        b"\x1F",
+        b"+",
+        b"-",
+        b".",
+        b"0",
+        b"7",
+        b"999999999",
+        b"1000000000",
+        b"0000000001",
+        b"4294967295",
+        b"4294967296",
+        b"99999999999999999999",
+        b"nan",
+        b"inf",
+        b"-inf",
+        b"1e400",
+        b"1e-400",
+        b"0.0",
+        b"-0.0",
+        b".5",
+        b"5.",
+        b"1e3",
+        b"0x10",
+        b"e",
+        b"n",
+        b"s",
+        b"c",
+        b"#",
+        b"p",
+        b"x",
+        b"e 0 0\n",
+        b"e 1 0\n",
+        b"e 0 1 2.5\n",
+        b" e 0 1\n",
+        b"n 0 1\n",
+        b"n 0 1.5\n",
+        b"s 1.0 0 0\n",
+        b"s 1.0 0 1\n",
+        b"c e 0 1\n",
+    ];
+
+    /// One byte-level edit: `(position, piece, operation)`, all reduced
+    /// modulo what the document offers. Operations: insert the piece,
+    /// overwrite with it, delete a few bytes, or repeat a whole line
+    /// somewhere else (duplicate edges, vertex data and sets).
+    fn mutate(doc: &mut Vec<u8>, (pos, piece, op): (usize, usize, usize)) {
+        let at = pos % (doc.len() + 1);
+        let piece = PIECES[piece % PIECES.len()];
+        match op % 4 {
+            0 => drop(doc.splice(at..at, piece.iter().copied())),
+            1 => {
+                let end = (at + piece.len()).min(doc.len());
+                drop(doc.splice(at..end, piece.iter().copied()));
+            }
+            2 => drop(doc.drain(at..(at + 1 + piece.len() % 3).min(doc.len()))),
+            _ => {
+                let lines: Vec<&[u8]> = doc.split_inclusive(|&b| b == b'\n').collect();
+                let line = lines[at % lines.len()].to_vec();
+                let target: usize = lines[..piece.len() % lines.len()]
+                    .iter()
+                    .map(|l| l.len())
+                    .sum();
+                drop(doc.splice(target..target, line));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        /// The recognizer changes nothing observable: on mutated
+        /// documents of every kind, at every chunk size, a parser with
+        /// it and one without return the same instance or the same
+        /// located error, and a sink that fails at its k-th record has
+        /// seen the same records when it does.
+        #[test]
+        fn recognizer_on_matches_recognizer_off(
+            kind in 0usize..4,
+            seed in 0u64..1000,
+            edits in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 1..=3),
+            fail_at in 0usize..40,
+        ) {
+            let mut doc = rendered(kind, seed).into_bytes();
+            for edit in edits {
+                mutate(&mut doc, edit);
+            }
+            let reference = feed_chunked(
+                StreamParser::general_only(InstanceSink::default()),
+                &doc,
+                doc.len().max(1),
+            );
+            for chunk in CHUNKS {
+                let on = feed_chunked(StreamParser::new(InstanceSink::default()), &doc, chunk);
+                prop_assert_eq!(&on, &reference, "chunk size {}", chunk);
+                let off = feed_chunked(StreamParser::general_only(InstanceSink::default()), &doc, chunk);
+                prop_assert_eq!(&off, &reference, "general route, chunk size {}", chunk);
+
+                let logged = |general: bool| {
+                    let seen = std::cell::RefCell::new(Vec::new());
+                    let sink = Logging { seen: &seen, fail_at };
+                    let parser = if general {
+                        StreamParser::general_only(sink)
+                    } else {
+                        StreamParser::new(sink)
+                    };
+                    let result = feed_chunked(parser, &doc, chunk);
+                    (result, seen.into_inner())
+                };
+                prop_assert_eq!(logged(false), logged(true), "failing sink, chunk size {}", chunk);
+            }
         }
     }
 }

@@ -68,29 +68,60 @@ const HUGE: &[&str] = &[
     "1000000000000",
 ];
 
-/// The one error every way of parsing `text` reports.
-fn rejected(text: &str) -> IoError {
+/// Every way of parsing `bytes` — materialized (where it is UTF-8), read
+/// through three window sizes, and fed in two pieces cut at each of
+/// `cuts` — reports the one error returned, having requested at most
+/// `slack` plus `per_byte` bytes for every byte received.
+fn rejected_within(bytes: &[u8], cuts: &[usize], per_byte: usize, slack: usize) -> IoError {
+    use mrlr_core::io::{InstanceSink, StreamParser};
+
+    let bound = per_byte * bytes.len() + slack;
+    let head = String::from_utf8_lossy(&bytes[..bytes.len().min(60)]);
     let mut errors = Vec::new();
-    let (e, bytes) = requested_by(|| parse_instance(text).unwrap_err());
-    assert!(
-        bytes < ALLOCATION_BOUND,
-        "{text:?}: {bytes} bytes requested"
-    );
-    errors.push(e);
-    for buf in [1usize, 7, 1 << 16] {
-        let (e, bytes) =
-            requested_by(|| read_instance(std::io::Cursor::new(text.as_bytes()), buf).unwrap_err());
+    let mut note = |how: &str, (e, requested): (IoError, usize)| {
         assert!(
-            bytes < ALLOCATION_BOUND,
-            "{text:?} (buffer {buf}): {bytes} bytes requested"
+            requested <= bound,
+            "{head:?} ({how}): {requested} bytes requested for {} received",
+            bytes.len()
         );
         errors.push(e);
+    };
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        note(
+            "materialized",
+            requested_by(|| parse_instance(text).unwrap_err()),
+        );
+    }
+    for buf in [1usize, 7, 1 << 16] {
+        note(
+            "windowed",
+            requested_by(|| read_instance(std::io::Cursor::new(bytes), buf).unwrap_err()),
+        );
+    }
+    for &cut in cuts {
+        note(
+            "cut",
+            requested_by(|| {
+                let mut parser = StreamParser::new(InstanceSink::default());
+                parser
+                    .feed(&bytes[..cut])
+                    .and_then(|()| parser.feed(&bytes[cut..]))
+                    .and_then(|()| parser.finish().map(|_| ()))
+                    .unwrap_err()
+            }),
+        );
     }
     assert!(
         errors.windows(2).all(|w| w[0] == w[1]),
-        "materialized and chunked parses disagree on {text:?}: {errors:?}"
+        "parses of {head:?} disagree: {errors:?}"
     );
     errors.swap_remove(0)
+}
+
+/// The one error every way of parsing `text` reports, none of them
+/// having requested [`ALLOCATION_BOUND`] bytes.
+fn rejected(text: &str) -> IoError {
+    rejected_within(text.as_bytes(), &[], 0, ALLOCATION_BOUND - 1)
 }
 
 #[test]
@@ -194,4 +225,149 @@ fn streamed_solve_refuses_a_machine_count_derived_from_a_lie() {
     .unwrap_err()
     .to_string();
     assert_eq!(e, "problem line promised 1000000000000 edges, found 1");
+}
+
+/// A field that never ends costs what it weighs: the plain-record scan
+/// gives up on the tenth digit, the token reaches the general route once,
+/// and nothing is sized by more than the bytes that arrived (the carried
+/// line, doubled as it grows, and the message that quotes the token).
+#[test]
+fn endless_fields_are_bounded_by_the_bytes_received() {
+    const MIB: usize = 1 << 20;
+    let digits = "7".repeat(MIB);
+
+    let text = format!("p graph 3 1\ne 0 {digits}\n");
+    let e = rejected_within(text.as_bytes(), &[20, MIB], 8, 1 << 17);
+    assert_eq!((e.line, e.col), (2, 5), "{}", &e.message[..40]);
+    assert_eq!(e.message, format!("bad endpoint `{digits}`"));
+
+    // A weight of a million digits is a number — an infinite one.
+    let text = format!("p graph 3 1\ne 0 1 {digits}\n");
+    let e = rejected_within(text.as_bytes(), &[20, MIB], 8, 1 << 17);
+    assert_eq!(
+        e,
+        IoError {
+            line: 2,
+            col: 7,
+            message: "weight inf must be positive and finite".into()
+        }
+    );
+
+    let text = format!("p set-system 3 1\ns 1.0 0 {digits}\n");
+    let e = rejected_within(text.as_bytes(), &[30, MIB], 8, 1 << 17);
+    assert_eq!((e.line, e.col), (2, 9), "{}", &e.message[..40]);
+    assert_eq!(e.message, format!("bad element `{digits}`"));
+}
+
+/// A chunk boundary inside any field of an otherwise plain line changes
+/// neither the error nor where it points.
+#[test]
+fn a_chunk_ending_inside_any_field_reports_the_same_error() {
+    let cases: &[(&str, &str, usize, usize, &str)] = &[
+        (
+            "p graph 30 2\ne 10 21 2.5\n",
+            "e 21 10 1.25 \r\n",
+            3,
+            3,
+            "duplicate edge (10, 21)",
+        ),
+        (
+            "p graph 30 1\n",
+            "e 10 31 2.5\n",
+            2,
+            6,
+            "vertex 31 out of range 0..30",
+        ),
+        (
+            "p graph 30 1\n",
+            "e 10 10 2.5\n",
+            2,
+            6,
+            "self-loop at vertex 10",
+        ),
+        (
+            "p graph 30 1\n",
+            "e 10 11 -2.5\n",
+            2,
+            9,
+            "weight -2.5 must be positive and finite",
+        ),
+        (
+            "p b-matching 30 0 0.5\nn 12 3\n",
+            "n 12 34\n",
+            3,
+            3,
+            "duplicate data for vertex 12",
+        ),
+        (
+            "p b-matching 30 0 0.5\n",
+            "n 12 0\n",
+            2,
+            6,
+            "capacity must be at least 1",
+        ),
+        (
+            "p vertex-weighted 30 0\n",
+            "n 12 nan\n",
+            2,
+            6,
+            "vertex weight NaN must be positive and finite",
+        ),
+        (
+            "p set-system 40 1\n",
+            "s 1.25 3 15 14\n",
+            2,
+            13,
+            "elements must be strictly increasing (15 then 14)",
+        ),
+        (
+            "p set-system 40 1\n",
+            "s 1.25 3 14 40\n",
+            2,
+            13,
+            "element 40 out of range 0..40",
+        ),
+    ];
+    for (head, line, at_line, at_col, message) in cases {
+        let text = format!("{head}{line}");
+        let cuts: Vec<usize> = (head.len()..=text.len()).collect();
+        let e = rejected_within(text.as_bytes(), &cuts, 0, 1 << 17);
+        assert_eq!(
+            e,
+            IoError {
+                line: *at_line,
+                col: *at_col,
+                message: message.to_string()
+            },
+            "{line:?}"
+        );
+    }
+}
+
+/// The record tags are per body: a plain, well-formed line of the wrong
+/// body is still an unexpected record, at its tag.
+#[test]
+fn records_of_the_wrong_body_are_unexpected() {
+    for (text, message) in [
+        (
+            "p set-system 3 1\ne 0 1\n",
+            "unexpected record `e` (expected `s`)",
+        ),
+        (
+            "p graph 3 1\ns 1.0 0 1\n",
+            "unexpected record `s` (expected `e`)",
+        ),
+        (
+            "p graph 3 1\nn 0 1\n",
+            "unexpected record `n` (expected `e`)",
+        ),
+        (
+            "p b-matching 3 0 0.5\ns 1.0 0 1\n",
+            "unexpected record `s` (expected `e` or `n`)",
+        ),
+    ] {
+        let e = rejected(text);
+        assert_eq!((e.line, e.col), (2, 1), "{text:?}: {e}");
+        assert_eq!(e.message, message, "{text:?}");
+    }
 }

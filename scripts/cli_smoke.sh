@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CLI smoke loop: `mrlr gen → solve → verify → batch` for every registry
-# key, diffing masked JSON reports (full, re-verifiable certificates)
-# against the checked-in golden files AND re-verifying every golden
-# offline with `mrlr verify`. Runs the same matrix as
+# key (and `gen --pipe | solve --input -` for two of them), diffing
+# masked JSON reports (full, re-verifiable certificates) against the
+# checked-in golden files AND re-verifying every golden offline with
+# `mrlr verify`. Runs the same matrix as
 # crates/cli/tests/cli_smoke.rs (the matrix file is the single source of
 # truth for both); CI invokes this under MRLR_THREADS={1,4} crossed with
 # MRLR_BACKEND={shard,dist} — the env var swaps the cluster runtime
@@ -36,6 +37,16 @@ while IFS='|' read -r key family gen_args solve_args; do
   # certificate witness offline against the (regenerated) instance.
   mrlr verify "$work/$key.inst" "$golden/$key.json" --quiet
   echo "ok: $key (diff + verify)"
+  # The piped materialized path, for one graph key and one set-system
+  # key: no file on either side, and the same report byte for byte.
+  case "$key" in matching|set-cover-f)
+    # shellcheck disable=SC2086
+    mrlr gen "$family" $gen_args --pipe \
+      | mrlr solve "$key" --input - $solve_args \
+          --format json --mask-timings --out "$work/$key.piped.json"
+    cmp "$work/$key.json" "$work/$key.piped.json"
+    echo "ok: $key (gen --pipe | solve --input -)" ;;
+  esac
 done < "$matrix"
 
 # Explicit shard backend: the payload is bit-identical to the mr golden
