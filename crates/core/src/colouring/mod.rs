@@ -180,8 +180,9 @@ pub fn edge_colouring(
         if members.is_empty() {
             continue;
         }
-        // Subgraph containing exactly this group's edges (vertex ids kept).
-        let sub = Graph::new(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
+        // Subgraph containing exactly this group's edges (vertex ids kept);
+        // a subgraph of a simple graph is simple.
+        let sub = Graph::from_validated(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
         let coloured = misra_gries_edge_colouring(&sub);
         for (&orig, &c) in members.iter().zip(&coloured.colours) {
             local[orig as usize] = c;

@@ -2,7 +2,10 @@
 //! and 6.6): `(1+o(1))Δ` vertex and edge colouring in `O(1)` rounds.
 //!
 //! Group membership is a pure hash — every machine evaluates it locally
-//! with zero communication. One exchange routes each intra-group edge to
+//! with zero communication. The driver evaluates it once per entity into
+//! a group column that the produce step and the final palette offsets
+//! both read, which is the same hash a machine would compute and moves no
+//! metered word. One exchange routes each intra-group edge to
 //! its group's machine (`group mod M`, the paper's "central machine `i`"),
 //! which colours its subgraph(s) locally: greedy `(Δ_i+1)` for vertex
 //! colouring, Misra–Gries for edge colouring. A final gather collects the
@@ -13,9 +16,10 @@
 //! so the guard and the colouring pass read each group as one slice of
 //! that column. The columns fill and drain between supersteps, which is
 //! why this state's metered `words()` is computed live from their
-//! lengths. The driver assembles the answer by hashing every entity
-//! once into a group column and offsetting private palettes in ascending
-//! group order (`colouring::offset_palettes`).
+//! lengths. The driver assembles the answer by offsetting private
+//! palettes in ascending group order (`colouring::offset_palettes`).
+//! A group's subgraph is built with `Graph::from_validated`: a subgraph
+//! of a simple graph is simple.
 
 use mrlr_graph::{Edge, EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Cluster, Metrics, MrError, MrResult, WordSized};
@@ -74,15 +78,17 @@ pub fn run_vertex(
     }
     let n = g.n();
     let machines = cfg.machines;
-    let seed = cfg.seed;
+    let groups: Vec<usize> = (0..n as VertexId)
+        .map(|v| vertex_group(cfg.seed, v, kappa))
+        .collect();
     let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
 
     // Route intra-group edges to group machines (one round).
     cluster.exchange::<(u64, EdgeId, VertexId, VertexId), _, _>(
         |_, s, out| {
             for &(e, u, v) in &s.input {
-                let gu = vertex_group(seed, u, kappa);
-                if gu == vertex_group(seed, v, kappa) {
+                let gu = groups[u as usize];
+                if gu == groups[v as usize] {
                     out.send(gu % machines, (gu as u64, e, u, v));
                 }
             }
@@ -135,7 +141,7 @@ pub fn run_vertex(
         for group in rec.chunk_by(|a, b| a.0 == b.0) {
             let grp = group[0].0;
             let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
-            let sub = Graph::new(n, edges.collect());
+            let sub = Graph::from_validated(n, edges.collect());
             let mut members: Vec<VertexId> = sub.edges().iter().flat_map(|e| [e.u, e.v]).collect();
             members.sort_unstable();
             members.dedup();
@@ -152,14 +158,11 @@ pub fn run_vertex(
 
     // Assemble exactly like the in-memory driver: groups ascending, private
     // palettes offset sequentially; vertices without intra-group edges get
-    // local colour 0 of their group. Every vertex is hashed once.
+    // local colour 0 of their group.
     let mut local_colour = vec![0u32; n];
     for &(_, v, c) in &coloured {
         local_colour[v as usize] = c;
     }
-    let groups: Vec<usize> = (0..n as VertexId)
-        .map(|v| vertex_group(seed, v, kappa))
-        .collect();
     let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
 
     let (_, metrics) = cluster.into_parts();
@@ -190,13 +193,15 @@ pub fn run_edge(
     let n = g.n();
     let m = g.m();
     let machines = cfg.machines;
-    let seed = cfg.seed;
+    let groups: Vec<usize> = (0..m as EdgeId)
+        .map(|e| edge_group(cfg.seed, e, kappa))
+        .collect();
     let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
 
     cluster.exchange::<(u64, EdgeId, VertexId, VertexId), _, _>(
         |_, s, out| {
             for &(e, u, v) in &s.input {
-                let grp = edge_group(seed, e, kappa);
+                let grp = groups[e as usize];
                 out.send(grp % machines, (grp as u64, e, u, v));
             }
             s.input.clear();
@@ -243,7 +248,7 @@ pub fn run_edge(
         let rec = std::mem::take(&mut s.received); // sorted at receipt
         for group in rec.chunk_by(|a, b| a.0 == b.0) {
             let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
-            let sub = Graph::new(n, edges.collect());
+            let sub = Graph::from_validated(n, edges.collect());
             let local = misra_gries_edge_colouring(&sub);
             // The sub-graph's edge `pos` is the group's `pos`-th record.
             let coloured = group.iter().zip(&local.colours);
@@ -259,9 +264,6 @@ pub fn run_edge(
     for &(_, e, c) in &coloured {
         local_colour[e as usize] = c;
     }
-    let groups: Vec<usize> = (0..m as EdgeId)
-        .map(|e| edge_group(seed, e, kappa))
-        .collect();
     let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
 
     let (_, metrics) = cluster.into_parts();

@@ -15,37 +15,52 @@
 //! 4. find the first fan prefix `[f_0 … f_j]` (still a valid fan after the
 //!    inversion) with `d` free at `f_j`; rotate the prefix and colour
 //!    `(u, f_j)` with `d`.
+//!
+//! Every vertex keeps a bitset of the colours taken at it, so a fan
+//! extension is one pass over `used(u) & !used(f_i)` — the colours taken
+//! at `u` and free at the fan's tip — instead of a rescan of `u`'s
+//! adjacency. Each such colour names one edge `(u, w)`; the fan takes
+//! the smallest edge id whose `w` is not in it yet, which is the first
+//! neighbour in adjacency order (rows are in edge-id order), so the
+//! colours are exactly those of a scan.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
-use mrlr_mapreduce::Csr;
 
 use crate::types::ColouringResult;
 
 const NONE: u32 = u32::MAX;
 
 struct Palette {
-    /// `at[v · colours + c]` = edge id coloured `c` at `v`, or `NONE`.
-    at: Vec<u32>,
+    /// `used[v · words + c / 64]` bit `c % 64` ⟺ colour `c` is taken at
+    /// `v`. Bits at and past `colours` are never set.
+    used: Vec<u64>,
+    words: usize,
+    /// `at[v · colours + c]` = `(edge, other endpoint)` of the edge
+    /// coloured `c` at `v`; meaningful only while `c` is taken at `v`.
+    at: Vec<(EdgeId, VertexId)>,
+    colours: usize,
     /// Colour of each edge, or `NONE`.
     colour: Vec<u32>,
-    colours: usize,
     /// `in_fan[v] == epoch` ⟺ `v` is in the fan of the edge being coloured.
     /// One epoch per edge, so the array is never cleared; `m < 2^31` keeps
     /// the stamp from wrapping.
     in_fan: Vec<u32>,
     epoch: u32,
     /// Scratch reused across edges: the fan, and the `cd`-path as `(edge,
-    /// colour it takes after the inversion)`.
+    /// endpoint, endpoint, colour it takes after the inversion)`.
     fan: Vec<(VertexId, EdgeId)>,
-    path: Vec<(EdgeId, u32)>,
+    path: Vec<(EdgeId, VertexId, VertexId, u32)>,
 }
 
 impl Palette {
     fn new(n: usize, m: usize, colours: usize) -> Self {
+        let words = colours.div_ceil(64);
         Palette {
-            at: vec![NONE; n * colours],
-            colour: vec![NONE; m],
+            used: vec![0; n * words],
+            words,
+            at: vec![(0, 0); n * colours],
             colours,
+            colour: vec![NONE; m],
             in_fan: vec![0; n],
             epoch: 0,
             fan: Vec::new(),
@@ -58,36 +73,69 @@ impl Palette {
         v as usize * self.colours + c as usize
     }
 
+    #[inline]
+    fn used(&self, v: VertexId) -> &[u64] {
+        &self.used[v as usize * self.words..][..self.words]
+    }
+
+    #[inline]
+    fn flip(&mut self, v: VertexId, c: u32) {
+        self.used[v as usize * self.words + c as usize / 64] ^= 1 << (c % 64);
+    }
+
     fn is_free(&self, v: VertexId, c: u32) -> bool {
-        self.at[self.slot(v, c)] == NONE
+        self.used(v)[c as usize / 64] & (1 << (c % 64)) == 0
     }
 
     /// Smallest colour free at `v` (exists because palette size is Δ+1).
     fn free_colour(&self, v: VertexId) -> u32 {
-        let row = &self.at[self.slot(v, 0)..][..self.colours];
-        row.iter()
-            .position(|&e| e == NONE)
-            .expect("palette of size Delta+1 always has a free colour") as u32
+        let (k, word) = self
+            .used(v)
+            .iter()
+            .enumerate()
+            .find(|(_, &w)| w != u64::MAX)
+            .expect("palette of size Delta+1 always has a free colour");
+        (k * 64) as u32 + word.trailing_ones()
     }
 
-    fn set(&mut self, g: &Graph, e: EdgeId, c: u32) {
-        let edge = g.edge(e);
-        debug_assert!(self.is_free(edge.u, c) && self.is_free(edge.v, c));
+    /// Colours edge `e = {x, y}` with `c`, free at both ends.
+    fn set(&mut self, e: EdgeId, x: VertexId, y: VertexId, c: u32) {
+        debug_assert!(self.is_free(x, c) && self.is_free(y, c));
         self.colour[e as usize] = c;
-        let (su, sv) = (self.slot(edge.u, c), self.slot(edge.v, c));
-        self.at[su] = e;
-        self.at[sv] = e;
+        let (sx, sy) = (self.slot(x, c), self.slot(y, c));
+        self.at[sx] = (e, y);
+        self.at[sy] = (e, x);
+        self.flip(x, c);
+        self.flip(y, c);
     }
 
-    fn unset(&mut self, g: &Graph, e: EdgeId) -> u32 {
+    /// Uncolours edge `e = {x, y}` and returns the colour it had.
+    fn unset(&mut self, e: EdgeId, x: VertexId, y: VertexId) -> u32 {
         let c = self.colour[e as usize];
-        debug_assert_ne!(c, NONE);
-        let edge = g.edge(e);
+        debug_assert!(c != NONE && !self.is_free(x, c) && !self.is_free(y, c));
         self.colour[e as usize] = NONE;
-        let (su, sv) = (self.slot(edge.u, c), self.slot(edge.v, c));
-        self.at[su] = NONE;
-        self.at[sv] = NONE;
+        self.flip(x, c);
+        self.flip(y, c);
         c
+    }
+
+    /// The fan's next member: among the edges `(u, w)` coloured with a
+    /// colour free at `tip`, the smallest edge id whose `w` is not in the
+    /// fan yet.
+    fn next_fan_member(&self, u: VertexId, tip: VertexId) -> Option<(VertexId, EdgeId)> {
+        let mut best: Option<(VertexId, EdgeId)> = None;
+        for (k, (&at_u, &at_tip)) in self.used(u).iter().zip(self.used(tip)).enumerate() {
+            let mut bits = at_u & !at_tip;
+            while bits != 0 {
+                let c = (k * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                let (e, w) = self.at[self.slot(u, c)];
+                if self.in_fan[w as usize] != self.epoch && best.is_none_or(|(_, b)| e < b) {
+                    best = Some((w, e));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -97,10 +145,9 @@ pub fn misra_gries_edge_colouring(g: &Graph) -> ColouringResult {
     let delta = g.max_degree();
     let colours = delta + 1;
     let mut p = Palette::new(g.n(), g.m(), colours);
-    let adj = g.adjacency();
 
     for eid in 0..g.m() as EdgeId {
-        colour_edge(g, adj, &mut p, eid);
+        colour_edge(g, &mut p, eid);
     }
 
     let num_colours = p.colour.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
@@ -111,7 +158,7 @@ pub fn misra_gries_edge_colouring(g: &Graph) -> ColouringResult {
     }
 }
 
-fn colour_edge(g: &Graph, adj: &Csr<(VertexId, EdgeId)>, p: &mut Palette, eid: EdgeId) {
+fn colour_edge(g: &Graph, p: &mut Palette, eid: EdgeId) {
     let (u, v) = {
         let e = g.edge(eid);
         (e.u, e.v)
@@ -122,28 +169,12 @@ fn colour_edge(g: &Graph, adj: &Csr<(VertexId, EdgeId)>, p: &mut Palette, eid: E
     fan.clear();
     fan.push((v, eid));
     p.epoch += 1;
-    let epoch = p.epoch;
-    p.in_fan[v as usize] = epoch;
-    loop {
-        let last = fan.last().unwrap().0;
-        // A neighbour w of u extends the fan if (u,w) is coloured with a
-        // colour free at `last`.
-        let mut extended = false;
-        for &(w, we) in &adj[u as usize] {
-            if p.in_fan[w as usize] == epoch {
-                continue;
-            }
-            let c = p.colour[we as usize];
-            if c != NONE && p.is_free(last, c) {
-                fan.push((w, we));
-                p.in_fan[w as usize] = epoch;
-                extended = true;
-                break;
-            }
-        }
-        if !extended {
-            break;
-        }
+    p.in_fan[v as usize] = p.epoch;
+    // A neighbour w of u extends the fan if (u,w) is coloured with a
+    // colour free at the fan's last vertex.
+    while let Some(member) = p.next_fan_member(u, fan.last().unwrap().0) {
+        p.in_fan[member.0 as usize] = p.epoch;
+        fan.push(member);
     }
 
     // 2. c free at u, d free at the fan's last vertex.
@@ -153,7 +184,7 @@ fn colour_edge(g: &Graph, adj: &Csr<(VertexId, EdgeId)>, p: &mut Palette, eid: E
     if c != d {
         // 3. Invert the maximal cd-path starting at u: follow colour d from
         // u, then alternate c, d, swapping colours along the way.
-        invert_cd_path(g, p, u, c, d);
+        invert_cd_path(p, u, c, d);
     }
     // Now d is free at u (if c == d it was already).
 
@@ -182,37 +213,35 @@ fn colour_edge(g: &Graph, adj: &Csr<(VertexId, EdgeId)>, p: &mut Palette, eid: E
     // Rotate the prefix [0..=j]: edge (u, fan[i]) takes the colour of
     // (u, fan[i+1]); (u, fan[j]) becomes d.
     for i in 0..j {
-        let ci = p.unset(g, fan[i + 1].1);
-        p.set(g, fan[i].1, ci);
+        let ((wi, ei), (wn, en)) = (fan[i], fan[i + 1]);
+        let ci = p.unset(en, u, wn);
+        p.set(ei, u, wi, ci);
     }
-    p.set(g, fan[j].1, d);
+    p.set(fan[j].1, u, fan[j].0, d);
     p.fan = fan;
 }
 
 /// Inverts the maximal path starting at `u` whose first edge has colour `d`
 /// and which alternates `d, c, d, …`. After inversion `d` is free at `u`.
-fn invert_cd_path(g: &Graph, p: &mut Palette, u: VertexId, c: u32, d: u32) {
+fn invert_cd_path(p: &mut Palette, u: VertexId, c: u32, d: u32) {
     // Collect the path.
     let mut path = std::mem::take(&mut p.path);
     path.clear();
     let mut cur = u;
     let mut want = d;
-    loop {
-        let e = p.at[p.slot(cur, want)];
-        if e == NONE {
-            break;
-        }
+    while !p.is_free(cur, want) {
+        let (e, next) = p.at[p.slot(cur, want)];
         let flipped = if want == d { c } else { d };
-        path.push((e, flipped));
-        cur = g.edge(e).other(cur);
+        path.push((e, cur, next, flipped));
+        cur = next;
         want = flipped;
     }
     // Swap colours along the path: unset all, then reset flipped.
-    for &(e, _) in &path {
-        p.unset(g, e);
+    for &(e, x, y, _) in &path {
+        p.unset(e, x, y);
     }
-    for &(e, flipped) in &path {
-        p.set(g, e, flipped);
+    for &(e, x, y, flipped) in &path {
+        p.set(e, x, y, flipped);
     }
     p.path = path;
 }
@@ -225,6 +254,8 @@ mod tests {
     use mrlr_graph::generators::{
         complete, complete_bipartite, cycle, densified, gnm, gnp, path, star,
     };
+    use mrlr_graph::Edge;
+    use proptest::prelude::*;
 
     fn check(g: &Graph) {
         let r = misra_gries_edge_colouring(g);
@@ -298,6 +329,62 @@ mod tests {
             let reference = misra_gries_oracle::misra_gries_edge_colouring(g);
             assert_eq!(flat.colours, reference.colours, "n={} m={}", g.n(), g.m());
             assert_eq!(flat.num_colours, reference.num_colours);
+        }
+    }
+
+    fn assert_equals_reference(g: &Graph) {
+        let flat = misra_gries_edge_colouring(g);
+        let reference = misra_gries_oracle::misra_gries_edge_colouring(g);
+        assert_eq!(flat.colours, reference.colours, "n={} m={}", g.n(), g.m());
+        assert_eq!(flat.num_colours, reference.num_colours);
+    }
+
+    /// Palettes of one, two and three bitset words, `Δ+1` on both sides of
+    /// each word boundary, pick the same fans and free colours as the
+    /// reference's scans.
+    #[test]
+    fn multi_word_palettes_equal_the_allocating_reference() {
+        for k in [63, 64, 65] {
+            let g = complete(k);
+            assert_eq!(g.max_degree() + 1, k);
+            assert_equals_reference(&g);
+        }
+        // A random graph plus one hub of degree `Δ`, which then is the
+        // maximum degree.
+        for (delta, seed) in [(127, 1), (128, 2)] {
+            let mut edges = gnp(160, 0.3, seed).edges().to_vec();
+            edges.extend((0..delta).map(|v| Edge::new(v, 160, 1.0)));
+            let g = Graph::new(161, edges);
+            assert_eq!(g.max_degree(), delta as usize);
+            assert_equals_reference(&g);
+        }
+        let g = gnp(250, 0.7, 0);
+        assert!(g.max_degree() + 1 > 128, "Delta {}", g.max_degree());
+        assert_equals_reference(&g);
+        // Two-word palettes over a vertex range that is mostly isolated.
+        let dense = gnp(90, 0.8, 5);
+        assert_equals_reference(&Graph::new(4000, dense.edges().to_vec()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random graphs from sparse to near-complete, with isolated
+        /// vertices appended: the same colours as the reference, edge for
+        /// edge.
+        #[test]
+        fn random_palettes_equal_the_allocating_reference(
+            n in 2usize..150,
+            p in 0.02f64..0.98,
+            isolated in 0usize..300,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = gnp(n, p, seed);
+            let g = Graph::new(n + isolated, g.edges().to_vec());
+            let flat = misra_gries_edge_colouring(&g);
+            let reference = misra_gries_oracle::misra_gries_edge_colouring(&g);
+            prop_assert_eq!(&flat.colours, &reference.colours, "n={} p={} seed={}", n, p, seed);
+            prop_assert_eq!(flat.num_colours, reference.num_colours);
         }
     }
 

@@ -6,8 +6,8 @@
 //! * [`crate::router`] — the routing plane that delivers exchanged
 //!   messages (a counting sort into one pooled flat arena), and
 //!   [`crate::payload`] — the flat staging sink of variable-size gathers;
-//! * [`crate::superstep`] — the scheduler that lays shard tasks onto OS
-//!   threads in static contiguous blocks.
+//! * [`crate::superstep`] — the scheduler that runs one task per shard,
+//!   each claimed by whichever OS thread is idle.
 //!
 //! [`ClusterConfig::runtime`] picks where the shuffle happens — in
 //! process, or through the [`crate::dist`] master/worker transport; both

@@ -1,8 +1,8 @@
 //! The master side of the dist protocol: spawn, barrier, shuffle, heal.
 //!
 //! A [`DistSession`] owns `W` workers (threads or processes, see
-//! [`super::SpawnKind`]), each assigned one contiguous shard block of the
-//! cluster's [`crate::superstep::StaticAssignment`]. The cluster facade
+//! [`super::SpawnKind`]), each assigned one contiguous shard block of a
+//! [`crate::superstep::StaticAssignment`]. The cluster facade
 //! drives it with two calls per superstep: `DistSession::open` — the
 //! barrier-and-heartbeat every primitive passes through — and, for
 //! `exchange` supersteps, `DistSession::exchange`, which serializes the

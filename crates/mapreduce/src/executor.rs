@@ -4,9 +4,9 @@
 //! OS threads. The trait's only required operation, [`Executor::run`], is
 //! an *unordered* index-parallel for-loop; every ordered observable is
 //! reconstructed afterwards in machine-id order by the scheduling layer
-//! ([`crate::superstep::Scheduler`]), which lays shards onto threads in
-//! static contiguous blocks and owns the index-ordered maps the cluster
-//! runs its supersteps through. Because each task touches only its own
+//! ([`crate::superstep::Scheduler`]), which submits one task per shard
+//! and owns the index-ordered maps the cluster runs its supersteps
+//! through. Because each task touches only its own
 //! machine's state and its own output slot, and all merges are
 //! index-ordered, a run is **bit-identical** across executors and thread
 //! counts — the determinism contract the equivalence suites assert.

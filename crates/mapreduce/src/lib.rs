@@ -33,8 +33,8 @@
 //!
 //! ## The runtime seam
 //!
-//! There is one in-process engine: work-stealing-free static
-//! shard→thread assignment ([`superstep::StaticAssignment`]) plus
+//! There is one in-process engine: one task per shard, claimed by
+//! whichever thread is idle ([`superstep::Scheduler`]), plus
 //! counting-sort routing into one pooled flat arena ([`router`]).
 //! [`cluster::ClusterConfig::runtime`] ([`superstep::RuntimeKind`])
 //! selects whether exchanges are shuffled by that engine (`Shard`, the

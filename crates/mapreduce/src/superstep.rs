@@ -2,13 +2,13 @@
 //!
 //! One superstep of the MRC/MPC model runs the same computation on every
 //! machine (the paper's "map" / "reduce" halves of a round). The
-//! [`Scheduler`] decides *which OS thread executes which shard's task*,
-//! on top of the raw [`Executor`] seam: shards are partitioned into
-//! `threads` contiguous blocks up front ([`StaticAssignment`]) and each
-//! block is executed by exactly one worker, with **no work stealing**.
-//! This is the schedule of a real sharded deployment, where shard state
-//! is pinned to its worker and cannot migrate mid-superstep — and the
-//! same blocks are what [`crate::dist`] hands its worker processes.
+//! [`Scheduler`] hands every shard index of a pass to the raw
+//! [`Executor`], and an idle thread claims the next unclaimed shard — the
+//! master of the MapReduce execution overview handing the next task to
+//! whichever worker is free. Skewed passes (the colourings put all their
+//! groups on machines `0..κ`) therefore spread over every thread.
+//! [`StaticAssignment`] is the contiguous shard partition [`crate::dist`]
+//! hands its worker processes for the shuffle.
 //!
 //! Every ordered observable is reconstructed in shard-id order, so a run
 //! is bit-identical across executors and thread counts; only host
@@ -29,8 +29,8 @@ use crate::executor::{env_value, Executor, RawSlots};
 /// execution-substrate knob exactly like the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeKind {
-    /// The in-process engine: static shard→thread assignment plus the
-    /// counting-sort routing planes ([`crate::router`],
+    /// The in-process engine: shard tasks claimed by idle threads plus
+    /// the counting-sort routing planes ([`crate::router`],
     /// [`crate::payload`]) over pooled
     /// [`RouterScratch`](crate::router::RouterScratch) buffers.
     #[default]
@@ -86,9 +86,9 @@ pub fn default_runtime() -> RuntimeKind {
 }
 
 /// Balanced contiguous partition of `count` shards over `workers`
-/// threads: worker `w` owns [`StaticAssignment::chunk`]`(w)`, fixed for
-/// the whole superstep (no stealing). The first `count % workers` chunks
-/// are one shard larger, so block sizes differ by at most 1.
+/// dist worker processes: worker `w` owns [`StaticAssignment::chunk`]`(w)`
+/// for the whole session. The first `count % workers` chunks are one
+/// shard larger, so block sizes differ by at most 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticAssignment {
     count: usize,
@@ -96,7 +96,7 @@ pub struct StaticAssignment {
 }
 
 impl StaticAssignment {
-    /// An assignment of `count` shards to at most `workers` threads
+    /// An assignment of `count` shards to at most `workers` workers
     /// (clamped so no worker owns an empty chunk unless `count == 0`).
     pub fn new(count: usize, workers: usize) -> Self {
         StaticAssignment {
@@ -133,7 +133,7 @@ pub struct Pass<R> {
     pub task_nanos: Vec<u64>,
 }
 
-/// An [`Executor`] under the static shard→thread schedule: everything
+/// An [`Executor`] running shard tasks in index-ordered maps: everything
 /// the cluster facade needs to run one superstep's worth of shard tasks.
 pub struct Scheduler {
     exec: Arc<dyn Executor>,
@@ -155,22 +155,9 @@ impl Scheduler {
         self.exec.threads()
     }
 
-    /// Runs `task(i)` for every `i in 0..count`, one contiguous
-    /// [`StaticAssignment`] chunk per executor task.
-    fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        if count == 0 {
-            return;
-        }
-        let assignment = StaticAssignment::new(count, self.exec.threads());
-        self.exec.run(assignment.workers(), &|w| {
-            for i in assignment.chunk(w) {
-                task(i);
-            }
-        });
-    }
-
-    /// Runs `f(i)` for every index and returns the results **in index
-    /// order** regardless of schedule.
+    /// Runs `f(i)` for every index — each index is one executor task, so
+    /// an idle thread claims the next — and returns the results **in
+    /// index order** regardless of schedule.
     pub(crate) fn map_count<R, F>(&self, count: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -178,9 +165,9 @@ impl Scheduler {
     {
         let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
         let slots = RawSlots::new(out.as_mut_ptr());
-        self.run(count, &|i| {
-            // SAFETY: `i < count = out.len()`, and the static chunks are
-            // disjoint, so each slot is written exactly once with no
+        self.exec.run(count, &|i| {
+            // SAFETY: `i < count = out.len()`, and the executor runs every
+            // index exactly once, so each slot is written once with no
             // aliasing; `out` outlives the pass (`run` returns only after
             // every task has).
             unsafe { *slots.slot(i) = Some(f(i)) };

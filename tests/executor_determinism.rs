@@ -11,10 +11,12 @@
 //! interesting legs are the multi-thread pools behind the full drivers.
 
 use mrlr::core::api::{BMatchingInstance, Backend, Instance, Registry, VertexWeightedGraph};
-use mrlr::core::mr::MrConfig;
+use mrlr::core::mr::{colouring, MrConfig};
 use mrlr::graph::{generators, Graph};
-use mrlr::mapreduce::{executor_for, DetRng, Timeline};
+use mrlr::mapreduce::{executor_for, DetRng, Scheduler, ThreadPoolExecutor, Timeline};
 use mrlr::setsys::generators as setgen;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 const SEED: u64 = 42;
 const MU: f64 = 0.3;
@@ -176,6 +178,58 @@ fn rlr_mr_equivalence_survives_the_thread_pool() {
             .solve(name, &instance, &cfg.with_threads(8))
             .unwrap_or_else(|e| panic!("{name} mr x8: {e}"));
         assert_eq!(rlr.solution, mr.solution, "{name}");
+    }
+}
+
+#[test]
+fn idle_threads_claim_adjacent_shards() {
+    // Shards 0 and 1 can only pass a rendezvous if two threads run them
+    // at once — as when the colourings' busy groups sit on machines 0
+    // and 1. Were they laid in one block on one thread, shard 0 would
+    // give up after the timeout instead of meeting.
+    let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(2)));
+    let arrived = Mutex::new(0usize);
+    let signal = Condvar::new();
+    let met = sched.map_ref(&[(); 8], |i, _| {
+        if i > 1 {
+            return true;
+        }
+        let mut count = arrived.lock().unwrap();
+        *count += 1;
+        signal.notify_all();
+        let (count, _) = signal
+            .wait_timeout_while(count, Duration::from_secs(5), |c| *c < 2)
+            .unwrap();
+        *count >= 2
+    });
+    assert_eq!(met, vec![true; 8]);
+}
+
+#[test]
+fn colourings_with_fewer_groups_than_machines_are_thread_count_invariant() {
+    // Group `g` lives on machine `g mod M`, so with `κ < M` all the
+    // colouring work sits on the adjacent machines `0..κ` — the pass in
+    // which idle threads claiming the next shard matters. The result and
+    // the model-level `Metrics` must not notice.
+    let g = generators::densified(400, 0.5, SEED);
+    let cfg = MrConfig::auto(400, g.m(), 0.05, SEED);
+    for kappa in [2usize, 5] {
+        assert!(kappa < cfg.machines, "κ {kappa} vs M {}", cfg.machines);
+        let vertex = colouring::run_vertex(&g, kappa, None, cfg.with_threads(1)).unwrap();
+        let edge = colouring::run_edge(&g, kappa, None, cfg.with_threads(1)).unwrap();
+        for threads in [2usize, 4] {
+            let cfg = cfg.with_threads(threads);
+            assert_eq!(
+                colouring::run_vertex(&g, kappa, None, cfg).unwrap(),
+                vertex,
+                "vertex colouring, κ {kappa}, {threads} threads"
+            );
+            assert_eq!(
+                colouring::run_edge(&g, kappa, None, cfg).unwrap(),
+                edge,
+                "edge colouring, κ {kappa}, {threads} threads"
+            );
+        }
     }
 }
 
