@@ -10,14 +10,13 @@
 //!   ([`mrlr_mapreduce::Shard::rng_mut`]); final state checksums and
 //!   `Metrics` are asserted bit-identical across thread counts before
 //!   anything is reported.
-//! * `registry` — algorithm keys solved through the registry, each leg
+//! * `registry` — the nine keys whose resident state is a flat
+//!   per-machine arena, solved through the registry with each leg
 //!   asserted bit-identical (solution and `Metrics`) to the 1-thread
-//!   run: `vertex-cover` on a small instance, and the eight keys whose
-//!   resident state is a flat per-machine arena — the cover family
-//!   (`set-cover-greedy`, `set-cover-f`, `b-matching`) and the graph
-//!   family (`matching`, `mis2`, `clique`, `vertex-colouring`,
-//!   `edge-colouring`) — each on one instance large enough that a
-//!   1-thread solve takes at least 50 ms.
+//!   run: the cover family (`vertex-cover`, `set-cover-greedy`,
+//!   `set-cover-f`, `b-matching`) and the graph family (`matching`,
+//!   `mis2`, `clique`, `vertex-colouring`, `edge-colouring`), each on one
+//!   instance large enough that a 1-thread solve takes at least 50 ms.
 //!
 //! Each row records wall-time, peak inbox bytes and allocator traffic
 //! per superstep, counted by a `#[global_allocator]` shim compiled into
@@ -25,7 +24,8 @@
 //!
 //! Usage:
 //!   `bench_exec [--quick] [out.json]`
-//!     measure and rewrite the artifact (default path `BENCH_exec.json`).
+//!     measure and rewrite the artifact (default path `BENCH_exec.json`);
+//!     `--quick` shrinks the router section only.
 //!   `bench_exec --check [out.json]`
 //!     CI mode: run the quick thread-count equivalence assertions
 //!     without touching the file, then fail unless the committed
@@ -39,8 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use mrlr_bench::workloads::build_spec;
-use mrlr_bench::{vertex_weights, weighted_graph};
-use mrlr_core::api::{Backend, Instance, Registry, VertexWeightedGraph};
+use mrlr_core::api::{Backend, Instance, Registry};
 use mrlr_core::io::{parse_json, JsonValue};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig, Outbox};
@@ -299,23 +298,6 @@ fn router_section(rows: &mut Vec<String>, quick: bool) {
 // ---------------------------------------------------------------------------
 // Registry section: whole solves through the public API.
 
-const REG_FULL_N: usize = 400;
-const REG_QUICK_N: usize = 120;
-const REG_C: f64 = 0.5;
-const REG_MU: f64 = 0.25;
-const REG_SEED: u64 = 42;
-
-fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
-    let n = if quick { REG_QUICK_N } else { REG_FULL_N };
-    let g = weighted_graph(n, REG_C, REG_SEED);
-    let cfg = MrConfig::auto(n, g.m(), REG_MU, REG_SEED);
-    vec![(
-        "vertex-cover",
-        Instance::VertexWeighted(VertexWeightedGraph::new(g, vertex_weights(n, REG_SEED))),
-        cfg,
-    )]
-}
-
 /// The keys whose resident state is a flat per-machine arena — the cover
 /// family and the graph family — each on an instance where one 1-thread
 /// solve takes at least 50 ms (so the row reads the driver, not the
@@ -323,7 +305,8 @@ fn registry_workloads(quick: bool) -> Vec<(&'static str, Instance, MrConfig)> {
 /// the committed baseline was taken at, because a driver's allocations
 /// per superstep are not monotone in instance size the way the router's
 /// are.
-const FLAT_STATE_WORKLOADS: [(&str, &str); 8] = [
+const FLAT_STATE_WORKLOADS: [(&str, &str); 9] = [
+    ("vertex-cover", "vertex-weighted:n=10000,c=0.5,seed=42"),
     (
         "set-cover-greedy",
         "set-frequency:n=6000,m=300000,f=4,seed=42",
@@ -381,17 +364,10 @@ fn registry_rows(rows: &mut Vec<String>, key: &str, instance: &Instance, cfg: Mr
     eprintln!("{key}: shard at threads {{1,4}}");
 }
 
-fn registry_section(rows: &mut Vec<String>, quick: bool) {
-    for (key, instance, cfg) in registry_workloads(quick) {
-        registry_rows(rows, key, &instance, cfg);
-    }
-    flat_state_section(rows);
-}
-
-fn flat_state_section(rows: &mut Vec<String>) {
+fn registry_section(rows: &mut Vec<String>) {
     for (key, spec) in FLAT_STATE_WORKLOADS {
         let instance = build_spec(spec).expect("flat-state workload spec");
-        let cfg = instance.auto_config(0.15, REG_SEED);
+        let cfg = instance.auto_config(0.15, 42);
         registry_rows(rows, key, &instance, cfg);
     }
 }
@@ -495,7 +471,7 @@ fn main() {
         // panics inside the section runner before the file is judged.
         let mut measured = Vec::new();
         router_section(&mut measured, true);
-        flat_state_section(&mut measured);
+        registry_section(&mut measured);
         let text = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {out_path}: {e}"));
         let doc = parse_json(&text).expect("artifact parses");
@@ -511,6 +487,6 @@ fn main() {
 
     let mut rows = Vec::new();
     router_section(&mut rows, quick);
-    registry_section(&mut rows, quick);
+    registry_section(&mut rows);
     write_artifact(&out_path, &rows);
 }

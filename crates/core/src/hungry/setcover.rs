@@ -62,6 +62,10 @@ pub struct HungryScTrace {
     /// Rounds on which a group overflowed (`|X_{i,j}| > 4·gs`) and the
     /// iteration was skipped.
     pub failed_rounds: usize,
+    /// Inner-loop rounds (failed ones included) run at each level, in the
+    /// order the levels were visited; a `0` is a level that dropped at
+    /// once.
+    pub level_rounds: Vec<usize>,
 }
 
 /// Groups sampled per cardinality class, `⌈2·m^{(i+1)α}⌉` for class `i` —
@@ -136,6 +140,7 @@ pub fn hungry_set_cover(
     };
 
     while covered_count < m {
+        let level_start = k;
         // Inner loop for the current level L.
         loop {
             let threshold = level / (1.0 + params.eps);
@@ -237,6 +242,7 @@ pub fn hungry_set_cover(
                 }
             }
         }
+        trace.level_rounds.push(k - level_start);
         if covered_count < m {
             level /= 1.0 + params.eps;
             trace.levels += 1;

@@ -19,6 +19,16 @@
 //! the record-per-set formula (the index charged as a mirror of the
 //! input); nothing in it changes after distribution, so it is computed
 //! once.
+//!
+//! Beside that block a machine keeps two candidate lists, unmetered
+//! scratch like `mis`'s `delta_bits`: the ascending slots of the sets that
+//! clear the current threshold, and of those that clear the next level's,
+//! each tagged with its threshold. The `local` pass applying a delta
+//! rebuilds both; the exists/Φ, class-size and sample passes walk the list
+//! whose tag is their threshold, or every record when none is. A set only
+//! ever stops qualifying (`uncov` falls, `chosen` rises), so a list stays
+//! a superset of the qualifying sets, and every pass re-checks its
+//! predicate: the lists decide what is scanned, never what is found.
 
 use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, WordSized};
 use mrlr_setsys::{ElemId, SetId, SetSystem};
@@ -39,6 +49,20 @@ struct SetRecM {
     chosen: bool,
 }
 
+/// A set the passes at `threshold` consider: not chosen, with an element
+/// left to cover, and a ratio clearing the threshold.
+#[inline]
+fn qualifies(r: &SetRecM, threshold: f64) -> bool {
+    !r.chosen && r.uncov > 0 && r.uncov as f64 / r.w >= threshold
+}
+
+/// Ascending slots holding every set that qualifies at threshold `tag`,
+/// and possibly some that no longer do.
+struct Candidates {
+    tag: f64,
+    slots: Vec<u32>,
+}
+
 struct ScChunk {
     /// Ascending set id.
     recs: Vec<SetRecM>,
@@ -46,6 +70,10 @@ struct ScChunk {
     covered: Bitset,
     /// Element → local set slots.
     index: Csr<u32>,
+    /// Unmetered scratch: the lists for the current and the next level's
+    /// threshold, rebuilt by [`ScChunk::refresh_candidates`]. A `NaN` tag
+    /// matches no threshold.
+    candidates: [Candidates; 2],
     /// [`ScChunk::metered_words`], fixed at distribution.
     words: usize,
 }
@@ -74,6 +102,10 @@ impl ScChunk {
             index: elems.invert(sys.universe(), |&j| j as usize)?,
             elems,
             covered: Bitset::new(sys.universe()),
+            candidates: [(); 2].map(|_| Candidates {
+                tag: f64::NAN,
+                slots: Vec::new(),
+            }),
             words: 0,
         };
         chunk.words = chunk.metered_words();
@@ -102,6 +134,45 @@ impl ScChunk {
                 self.recs[pos].chosen = true;
             }
         }
+    }
+
+    /// Rebuilds the candidate lists, in one scan, for `threshold` and for
+    /// `next`, the threshold one level down.
+    fn refresh_candidates(&mut self, threshold: f64, next: f64) {
+        let [cur, below] = &mut self.candidates;
+        cur.slots.clear();
+        below.slots.clear();
+        for (slot, r) in self.recs.iter().enumerate() {
+            if qualifies(r, threshold) {
+                cur.slots.push(slot as u32);
+            }
+            if qualifies(r, next) {
+                below.slots.push(slot as u32);
+            }
+        }
+        (cur.tag, below.tag) = (threshold, next);
+    }
+
+    /// The sets qualifying at `threshold` with their slots, ascending:
+    /// the candidate list tagged `threshold` re-checked record by record,
+    /// or every record when no list carries that tag.
+    fn qualifying(&self, threshold: f64) -> impl Iterator<Item = (usize, &SetRecM)> + '_ {
+        let list = self.candidates.iter().find(|c| c.tag == threshold);
+        debug_assert!(list.is_none_or(|c| {
+            (0..self.recs.len() as u32)
+                .filter(|&s| qualifies(&self.recs[s as usize], threshold))
+                .all(|s| c.slots.binary_search(&s).is_ok())
+        }));
+        let (listed, rest) = match list {
+            Some(c) => (c.slots.as_slice(), 0..0),
+            None => (&[][..], 0..self.recs.len()),
+        };
+        listed
+            .iter()
+            .map(|&slot| slot as usize)
+            .chain(rest)
+            .map(|slot| (slot, &self.recs[slot]))
+            .filter(move |(_, r)| qualifies(r, threshold))
     }
 }
 
@@ -182,19 +253,21 @@ pub fn run(
 
     while covered_count < m {
         let threshold = level / (1.0 + params.eps);
+        // The next level's threshold, computed as the level drop below
+        // computes it.
+        let next = level / (1.0 + params.eps) / (1.0 + params.eps);
+        let level_start = k;
         loop {
-            // One tree aggregation: (any set clears the level?, Φ_k).
+            // One tree aggregation: (any set clears the level?, Φ_k). A
+            // set with nothing left to cover adds `+0.0` to Φ, so skipping
+            // it changes no bit.
             let (exists, phi) = cluster.aggregate(
                 |_, s: &ScChunk| {
                     let mut any = 0u64;
                     let mut pot = 0.0f64;
-                    for r in &s.recs {
-                        if !r.chosen && r.uncov as f64 / r.w >= threshold {
-                            if r.uncov > 0 {
-                                any = 1;
-                            }
-                            pot += r.uncov as f64;
-                        }
+                    for (_, r) in s.qualifying(threshold) {
+                        any = 1;
+                        pot += r.uncov as f64;
                     }
                     (any, pot)
                 },
@@ -214,11 +287,8 @@ pub fn run(
             let class_sizes: Vec<u64> = cluster.aggregate(
                 |_, s: &ScChunk| {
                     let mut counts = vec![0u64; num_classes + 1];
-                    for r in &s.recs {
-                        if !r.chosen && r.uncov > 0 && r.uncov as f64 / r.w >= threshold {
-                            counts[degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes)] +=
-                                1;
-                        }
+                    for (_, r) in s.qualifying(threshold) {
+                        counts[degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes)] += 1;
                     }
                     counts
                 },
@@ -236,10 +306,7 @@ pub fn run(
             let gs = params.group_size;
             let sample: PayloadBatch<SampleHead, ElemId> =
                 cluster.gather_payload(|_, s: &mut ScChunk, sink| {
-                    for (slot, r) in s.recs.iter().enumerate() {
-                        if r.chosen || r.uncov == 0 || (r.uncov as f64 / r.w) < threshold {
-                            continue;
-                        }
+                    for (slot, r) in s.qualifying(threshold) {
                         let i = degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes);
                         if let Some(gid) = group_choice(
                             seed,
@@ -319,8 +386,12 @@ pub fn run(
             chosen_delta.sort_unstable();
             let delta = (covered_delta, chosen_delta);
             cluster.broadcast(&delta)?;
-            cluster.local(|_, s: &mut ScChunk| s.apply_delta(&delta.0, &delta.1))?;
+            cluster.local(|_, s: &mut ScChunk| {
+                s.apply_delta(&delta.0, &delta.1);
+                s.refresh_candidates(threshold, next);
+            })?;
         }
+        trace.level_rounds.push(k - level_start);
         if covered_count < m {
             level /= 1.0 + params.eps;
             trace.levels += 1;
@@ -348,6 +419,8 @@ mod tests {
     use crate::hungry::setcover::hungry_set_cover;
     use crate::verify::is_cover;
     use mrlr_setsys::generators::{bounded_set_size, with_uniform_weights};
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     #[test]
     fn matches_driver_bit_for_bit() {
@@ -361,6 +434,7 @@ mod tests {
             assert_eq!(mr.iterations, seq.iterations);
             assert_eq!(mr_trace.levels, seq_trace.levels);
             assert_eq!(mr_trace.failed_rounds, seq_trace.failed_rounds);
+            assert_eq!(mr_trace.level_rounds, seq_trace.level_rounds);
             assert!(is_cover(&sys, &mr.cover));
             assert!(metrics.rounds > 0);
             // (1+ε)H_Δ certificate.
@@ -394,6 +468,64 @@ mod tests {
             assert_eq!(chunk.words(), chunk.metered_words());
         }
         run(&sys, HungryScParams::new(60, 0.4, 0.2, 2), cfg).unwrap();
+    }
+
+    thread_local! {
+        /// Cases of the proptest below that dropped two levels in a row
+        /// (the next pass finds no list tagged its threshold) and that ran
+        /// a level for two or more inner rounds (the passes walk a list).
+        static PATHS_REACHED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random ε, α, group sizes, seeds and machine counts: the cluster
+        /// run equals the in-memory driver bit for bit. `α = 2^-x` is drawn
+        /// log-uniformly from `(0.01, 1]`: a smaller `α` only multiplies
+        /// the classes, and a small one makes few groups, so levels run
+        /// several inner rounds.
+        fn candidate_lists_leave_every_run_unchanged(
+            eps in 0.05f64..=1.0,
+            alpha_exp in 0.0f64..6.6,
+            group_size in 1usize..4,
+            machines in 1usize..6,
+            sets in 20usize..200,
+            universe in 20usize..400,
+            max_weight in 1.01f64..5.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let alpha = 0.5f64.powf(alpha_exp);
+            let sys = bounded_set_size(sets, universe, 8, seed);
+            let sys = with_uniform_weights(sys, 1.0, max_weight, seed);
+            let params = HungryScParams { eps, alpha, group_size, seed };
+            let cfg = MrConfig::auto(universe, sys.total_size(), 0.4, seed).with_machines(machines);
+            let (mr, mr_trace, _) = run(&sys, params, cfg).unwrap();
+            let (seq, seq_trace) = hungry_set_cover(&sys, params).unwrap();
+            let case = format!("eps={eps} alpha={alpha} gs={group_size} seed={seed}");
+            prop_assert_eq!(&mr.cover, &seq.cover, "{}", case);
+            prop_assert_eq!(mr.iterations, seq.iterations, "{}", case);
+            prop_assert_eq!(mr_trace.levels, seq_trace.levels, "{}", case);
+            prop_assert_eq!(mr_trace.failed_rounds, seq_trace.failed_rounds, "{}", case);
+            prop_assert_eq!(&mr_trace.level_rounds, &seq_trace.level_rounds, "{}", case);
+            let rounds = &mr_trace.level_rounds;
+            PATHS_REACHED.with(|reached| {
+                let (drops, repeats) = reached.get();
+                reached.set((
+                    drops + usize::from(rounds.contains(&0)),
+                    repeats + usize::from(rounds.iter().any(|&r| r >= 2)),
+                ));
+            });
+        }
+    }
+
+    #[test]
+    fn candidate_lists_reach_both_paths_and_change_nothing() {
+        PATHS_REACHED.with(|reached| reached.set((0, 0)));
+        candidate_lists_leave_every_run_unchanged();
+        let (drops, repeats) = PATHS_REACHED.with(Cell::get);
+        assert!(drops > 0, "no case dropped two levels in a row");
+        assert!(repeats > 0, "no case ran a level for two inner rounds");
     }
 
     #[test]

@@ -9,13 +9,21 @@
 //! total.
 //!
 //! Layout: edges (elements) are hash-partitioned; each vertex lives on a
-//! machine with its incident edge-id list. A machine's block is flat:
-//! fixed-width edge records, its vertex ids, and one [`Csr`] arena holding
-//! every incident-edge list. The *metered* size is still the
-//! record-per-vertex formula; only the alive flags change after
-//! distribution, so it is computed once.
+//! machine with its incident-edge list. A machine's block is flat:
+//! fixed-width edge records, their alive flags as a column of their own,
+//! its vertex ids, and one [`Csr`] arena holding every incident-edge list.
+//! The *metered* size is still the record-per-vertex formula; only the
+//! alive flags change after distribution, so it is computed once.
 //!
-//! Every message this driver ships is a fixed-width scalar tuple, so it
+//! A row holds record *addresses*, not edge ids: when `distribute`
+//! places edge `e` at slot `s` of machine `home`, both endpoints' rows
+//! record `(home, s)`. Hop 2 therefore ships the one-word slot straight to
+//! `home`, whose consume step clears `alive[s]` by direct offset — no hash
+//! to route a message and no search to find its record, the index
+//! arithmetic over a machine's own flat block that Goodrich–Sitchinava–
+//! Zhang take as a machine's work. A `u32` pair fits in the one word the
+//! model charges per incidence, and the message is one word as before.
+//! Every message is a single scalar or a fixed-width tuple, so the driver
 //! uses plain `exchange`/`gather`: the flat payload gather
 //! (`Cluster::gather_payload`, see `crate::mr::mis`) only pays off for
 //! variable-size `(head, [elements])` messages.
@@ -34,16 +42,20 @@ struct EdgeRec {
     id: EdgeId,
     u: VertexId,
     v: VertexId,
-    alive: bool,
 }
+
+/// Where an edge record lives: `(home machine, slot in its edges)`.
+type EdgeAddr = (u32, u32);
 
 struct VcState {
     /// Ascending edge id.
     edges: Vec<EdgeRec>,
-    /// Ascending vertex id; vertex `vertices[slot]`'s incident edge ids
-    /// are row `slot` of `incident`.
+    /// `alive[s]`: edge `edges[s]` is still uncovered.
+    alive: Vec<bool>,
+    /// Ascending vertex id; row `slot` of `incident` holds the addresses
+    /// of vertex `vertices[slot]`'s incident edges, ascending by edge id.
     vertices: Vec<VertexId>,
-    incident: Csr<EdgeId>,
+    incident: Csr<EdgeAddr>,
     alive_count: usize,
     /// [`VcState::metered_words`], fixed at distribution.
     words: usize,
@@ -70,8 +82,8 @@ fn vertex_place(cfg: &MrConfig, v: VertexId) -> usize {
     cfg.place(0x0076_6377 ^ (v as u64).rotate_left(17))
 }
 
-/// Distributes edges (elements) and vertices (sets, with their incident
-/// edge ids ascending) by hash.
+/// Distributes edges (elements) and vertices (sets, with the addresses of
+/// their incident edges ascending by id) by hash.
 fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
     let degree = g.degrees();
     let mut placed = place_rows(
@@ -79,19 +91,20 @@ fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
         g.n(),
         |v| vertex_place(cfg, v as VertexId),
         |v| degree[v],
-        0,
+        (0, 0),
     )?;
     let mut edges: Vec<Vec<EdgeRec>> = vec![Vec::new(); cfg.machines];
     for (idx, e) in g.edges().iter().enumerate() {
-        edges[cfg.place(idx as u64)].push(EdgeRec {
+        let home = cfg.place(idx as u64);
+        let addr = (home as u32, edges[home].len() as u32);
+        edges[home].push(EdgeRec {
             id: idx as EdgeId,
             u: e.u,
             v: e.v,
-            alive: true,
         });
         for x in [e.u, e.v] {
             let (dst, row) = placed.at[x as usize];
-            placed.arenas[dst as usize].push(row as usize, idx as EdgeId);
+            placed.arenas[dst as usize].push(row as usize, addr);
         }
     }
     Ok(edges
@@ -101,6 +114,7 @@ fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
         .map(|((edges, vertices), arena)| {
             let mut state = VcState {
                 alive_count: edges.len(),
+                alive: vec![true; edges.len()],
                 edges,
                 vertices,
                 incident: arena.finish(),
@@ -140,7 +154,6 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
 
     let mut lr = ScLocalRatio::new(weights);
     cluster.charge_central(g.n() + 2)?;
-    let edge_place = |e: EdgeId| cfg.place(e as u64);
 
     let mut round = 0usize;
     loop {
@@ -157,8 +170,11 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
             cluster.gather(|_, s: &mut VcState| {
                 s.edges
                     .iter()
-                    .filter(|r| r.alive && coin(seed, &[SC_COIN_TAG, round as u64, r.id as u64], p))
-                    .map(|r| (r.id, r.u, r.v))
+                    .zip(&s.alive)
+                    .filter(|&(r, &alive)| {
+                        alive && coin(seed, &[SC_COIN_TAG, round as u64, r.id as u64], p)
+                    })
+                    .map(|(r, _)| (r.id, r.u, r.v))
                     .collect::<Vec<_>>()
             })?;
         if sample.len() > SET_COVER_SAMPLE_SLACK * cfg.eta {
@@ -204,31 +220,30 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
             |_, _s, _inbox| {},
         )?;
         // Hop 2: each vertex machine forwards the chosen bit to the edges
-        // of its chosen vertices; edge machines mark them covered. A Bitset
-        // over the vertex ids makes the per-record membership check O(1)
+        // of its chosen vertices, as the record slot on each edge's home
+        // machine; the home machine marks the slot covered. A Bitset over
+        // the vertex ids makes the per-record membership check O(1)
         // instead of a binary search per vertex record.
         let mut delta_bits = Bitset::new(g.n());
         for &v in &delta {
             delta_bits.set(v as usize);
         }
-        cluster.exchange::<EdgeId, _, _>(
+        cluster.exchange::<u32, _, _>(
             |_, s, out| {
                 for (slot, &v) in s.vertices.iter().enumerate() {
                     if delta_bits.get(v as usize) {
-                        for &e in s.incident.row(slot) {
-                            out.send(edge_place(e), e);
+                        for &(home, at) in s.incident.row(slot) {
+                            out.send(home as usize, at);
                         }
                     }
                 }
             },
             |_, s, inbox| {
-                for e in inbox {
-                    // Edge records are stored in ascending id order.
-                    if let Ok(pos) = s.edges.binary_search_by_key(&e, |r| r.id) {
-                        if s.edges[pos].alive {
-                            s.edges[pos].alive = false;
-                            s.alive_count -= 1;
-                        }
+                for at in inbox {
+                    let alive = &mut s.alive[at as usize];
+                    if *alive {
+                        *alive = false;
+                        s.alive_count -= 1;
                     }
                 }
             },
@@ -286,13 +301,16 @@ mod tests {
     /// The stored state size is the record-per-vertex formula of the
     /// nested layout, recounted from the instance, and nothing a superstep
     /// does changes it (`words()` re-asserts that on every pass of a
-    /// debug run).
+    /// debug run). Every address in a vertex's row resolves to the record
+    /// of its next incident edge, ascending by id, on that edge's home
+    /// machine.
     #[test]
     fn stored_words_equal_a_recount_through_a_run() {
         let g = densified(50, 0.4, 2);
         let cfg = MrConfig::auto(50, g.m(), 0.4, 2).with_machines(5);
         let adj = g.adjacency();
-        for (id, state) in distribute(&g, &cfg).unwrap().iter().enumerate() {
+        let states = distribute(&g, &cfg).unwrap();
+        for (id, state) in states.iter().enumerate() {
             let edges = (0..g.m()).filter(|&e| cfg.place(e as u64) == id).count();
             let vertices: usize = (0..g.n())
                 .filter(|&v| vertex_place(&cfg, v as VertexId) == id)
@@ -300,9 +318,22 @@ mod tests {
                 .sum();
             assert_eq!(state.words, 1 + 4 * edges + vertices, "machine {id}");
             assert_eq!(state.words(), state.metered_words());
+            assert_eq!(state.alive, vec![true; edges]);
             for (slot, &v) in state.vertices.iter().enumerate() {
                 let incident: Vec<EdgeId> = adj[v as usize].iter().map(|&(_, e)| e).collect();
-                assert_eq!(state.incident.row(slot), incident.as_slice());
+                assert!(incident.windows(2).all(|w| w[0] < w[1]), "vertex {v}");
+                let resolved: Vec<EdgeId> = state
+                    .incident
+                    .row(slot)
+                    .iter()
+                    .map(|&(home, at)| {
+                        let rec = states[home as usize].edges[at as usize];
+                        assert_eq!(home as usize, cfg.place(rec.id as u64));
+                        assert!(rec.u == v || rec.v == v, "edge {} misses {v}", rec.id);
+                        rec.id
+                    })
+                    .collect();
+                assert_eq!(resolved, incident, "vertex {v}");
             }
         }
         run(&g, &weights(50, 2), cfg).unwrap();

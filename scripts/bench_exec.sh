@@ -6,11 +6,11 @@
 # divergence panics instead of writing.
 #
 #   ./scripts/bench_exec.sh             # full run, rewrites BENCH_exec.json
-#   ./scripts/bench_exec.sh --quick     # small sizes, for a fast sanity pass
+#   ./scripts/bench_exec.sh --quick     # small router sizes, for a fast sanity pass
 #
 # Validate the committed artifact without touching it (also the CI
 # alloc-regression gate: fails if any freshly measured router row, or
-# registry row of the eight flat-state keys — the cover family and the
+# registry row of the nine flat-state keys — the cover family and the
 # graph family, each at its one >= 50 ms size — exceeds its committed
 # allocs-per-superstep baseline by more than 25% plus a +16 absolute
 # grace):
