@@ -4,8 +4,9 @@
 //! (backend `shard`) at 1 and 4 threads:
 //!
 //! * `router` — synthetic all-to-all exchange supersteps driven straight
-//!   through [`Cluster::exchange`], for a one-word and a
-//!   container-payload (`vec3`) message shape. Destinations are drawn
+//!   through [`Cluster::exchange`], for a one-word (`u64`) and a
+//!   four-field (`tuple4`, the colourings' `(u64, u32, u32, u32)`)
+//!   message shape. Destinations are drawn
 //!   from the machine-local shard RNG stream
 //!   ([`mrlr_mapreduce::Shard::rng_mut`]); final state checksums and
 //!   `Metrics` are asserted bit-identical across thread counts before
@@ -170,7 +171,7 @@ fn router_cluster(threads: usize, p: RouterParams) -> Cluster<RouterState> {
 /// leg sees identical traffic.
 fn run_router<M, B, D>(threads: usize, p: RouterParams, build: B, digest: D) -> RouterMeasurement
 where
-    M: WordSized + Send + Wire + 'static,
+    M: Copy + WordSized + Send + Wire + 'static,
     B: Fn(u64) -> M + Sync,
     D: Fn(&M) -> u64 + Sync,
 {
@@ -187,11 +188,11 @@ where
                     }
                 },
                 |_, st: &mut RouterState, inbox| {
-                    for msg in inbox {
+                    for msg in inbox.iter() {
                         st.checksum = st
                             .checksum
                             .wrapping_mul(0x100_0000_01b3)
-                            .wrapping_add(digest(&msg));
+                            .wrapping_add(digest(msg));
                         st.received += 1;
                     }
                 },
@@ -250,7 +251,7 @@ fn router_rows<M, B, D>(
     build: B,
     digest: D,
 ) where
-    M: WordSized + Send + Wire + 'static,
+    M: Copy + WordSized + Send + Wire + 'static,
     B: Fn(u64) -> M + Sync + Copy,
     D: Fn(&M) -> u64 + Sync + Copy,
 {
@@ -274,15 +275,17 @@ fn router_rows<M, B, D>(
     }
 }
 
-fn vec3_build(draw: u64) -> Vec<u64> {
-    vec![draw, draw ^ 0xff, draw >> 7]
+/// The colourings' message shape: `(group, edge, u, v)`.
+type Tuple4 = (u64, u32, u32, u32);
+
+fn tuple4_build(draw: u64) -> Tuple4 {
+    (draw, draw as u32, (draw >> 32) as u32, (draw >> 7) as u32)
 }
 
-// `run_router` digests take `&M` with `M = Vec<u64>`, so `&Vec` is the
-// required signature here, not a pessimization.
-#[allow(clippy::ptr_arg)]
-fn vec3_digest(m: &Vec<u64>) -> u64 {
-    m.iter().fold(0u64, |a, x| a.wrapping_add(*x))
+fn tuple4_digest(&(a, b, c, d): &Tuple4) -> u64 {
+    a.wrapping_add(b as u64)
+        .wrapping_add((c as u64) << 16)
+        .wrapping_add((d as u64) << 32)
 }
 
 fn router_section(rows: &mut Vec<String>, quick: bool) {
@@ -290,9 +293,9 @@ fn router_section(rows: &mut Vec<String>, quick: bool) {
     // One-word messages: the hot shape, where per-message overhead is
     // everything.
     router_rows::<u64, _, _>(rows, "u64", p, |draw| draw, |m| *m);
-    // Container messages: exercises header-word accounting and payload
-    // moves through the delivery pass.
-    router_rows::<Vec<u64>, _, _>(rows, "vec3", p, vec3_build, vec3_digest);
+    // Four-field records, the colourings' exchange shape: multi-word
+    // accounting and wider copies through the delivery pass.
+    router_rows::<Tuple4, _, _>(rows, "tuple4", p, tuple4_build, tuple4_digest);
 }
 
 // ---------------------------------------------------------------------------

@@ -95,12 +95,12 @@ pub fn run_vertex(
             s.input.clear();
         },
         |_, s, inbox| {
-            s.received = inbox.into_vec();
-            // Sort once at receipt: `(group, edge)` keys are unique, so
-            // this is deterministic on every routing plane, and both the
-            // Lemma 6.2 guard and the colouring pass then scan grouped
-            // data without cloning or re-sorting.
-            s.received.sort_unstable_by_key(|&(grp, e, _, _)| (grp, e));
+            // Sort once at receipt, in the delivery arena: `(group, edge)`
+            // keys are unique, so this is deterministic on every routing
+            // plane, and both the Lemma 6.2 guard and the colouring pass
+            // then scan grouped data without cloning or re-sorting.
+            inbox.sort_unstable_by_key(|&(grp, e, _, _)| (grp, e));
+            s.received = inbox.to_vec();
         },
     )?;
 
@@ -207,9 +207,9 @@ pub fn run_edge(
             s.input.clear();
         },
         |_, s, inbox| {
-            s.received = inbox.into_vec();
             // Sort once at receipt (see the vertex-colouring exchange).
-            s.received.sort_unstable_by_key(|&(grp, e, _, _)| (grp, e));
+            inbox.sort_unstable_by_key(|&(grp, e, _, _)| (grp, e));
+            s.received = inbox.to_vec();
         },
     )?;
 

@@ -239,7 +239,7 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
                 }
             },
             |_, s, inbox| {
-                for at in inbox {
+                for &at in inbox.iter() {
                     let alive = &mut s.alive[at as usize];
                     if *alive {
                         *alive = false;

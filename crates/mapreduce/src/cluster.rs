@@ -43,7 +43,7 @@ use crate::shard::{shards_from_states, Shard};
 use crate::superstep::{self, RuntimeKind, Scheduler};
 use crate::words::WordSized;
 
-pub use crate::router::{Inbox, Outbox};
+pub use crate::router::Outbox;
 pub use crate::shard::{MachineId, MachineState};
 
 /// What to do when a word budget is exceeded.
@@ -414,20 +414,24 @@ impl<S: MachineState> Cluster<S> {
     }
 
     /// One round of point-to-point communication. `produce` runs on every
-    /// machine and stages messages; `consume` runs on every machine with the
-    /// [`Inbox`] of messages addressed to it (ordered by sender id, then
-    /// send order). Delivery goes through the configured runtime
-    /// ([`ClusterConfig::runtime`]) — the in-process router, or for
-    /// [`RuntimeKind::Dist`] the master/worker shuffle over real
-    /// transport; the inboxes are identical either way. Outbox columns
-    /// and inbox arenas are pooled ([`RouterScratch`]), so steady-state
-    /// exchanges reuse the previous superstep's buffers instead of
-    /// allocating.
+    /// machine and stages messages; `consume` runs on every machine with
+    /// its inbox: a `&mut [M]` slice of the round's delivery arena
+    /// holding the messages addressed to it (ordered by sender id, then
+    /// send order), which it may read, sort or copy in place. Delivery
+    /// goes through the configured runtime ([`ClusterConfig::runtime`]) —
+    /// the in-process router, or for [`RuntimeKind::Dist`] the
+    /// master/worker shuffle over real transport; the inboxes are
+    /// identical either way. Outbox columns and inbox arenas are pooled
+    /// ([`RouterScratch`]), so steady-state exchanges reuse the previous
+    /// superstep's buffers instead of allocating.
+    ///
+    /// Messages are `Copy` fixed-size records; variable-size traffic
+    /// rides [`Cluster::gather_payload`]'s flat payload plane instead.
     pub fn exchange<M, P, C>(&mut self, produce: P, consume: C) -> MrResult<()>
     where
-        M: WordSized + Send + Wire + 'static,
+        M: Copy + WordSized + Send + Wire + 'static,
         P: Fn(MachineId, &mut S, &mut Outbox<M>) + Sync,
-        C: Fn(MachineId, &mut S, Inbox<M>) + Sync,
+        C: Fn(MachineId, &mut S, &mut [M]) + Sync,
     {
         self.metrics.supersteps += 1;
         self.dist_sync()?;
@@ -458,7 +462,7 @@ impl<S: MachineState> Cluster<S> {
         // Deliver: stable order (sender id, then send order within sender)
         // into one pooled arena, identical across runtimes — the dist
         // workers bucket the serialized batches in arrival order.
-        let delivery = match self.dist.as_mut() {
+        let mut delivery = match self.dist.as_mut() {
             Some(session) => {
                 let d = session.exchange(self.metrics.supersteps, outboxes, &mut self.scratch)?;
                 self.metrics.dist = Some(session.summary());
@@ -473,32 +477,26 @@ impl<S: MachineState> Cluster<S> {
         self.metrics
             .record_round(RoundKind::Exchange, max_out, max_in, total);
 
-        let budget = self.budget_exchange(&out_words, delivery.in_words());
-        // SAFETY: `buffers` (the arena backing the inboxes) lives until
-        // after every inbox has been dropped — by the early exit just
-        // below, or by the consume pass.
-        let (inboxes, buffers) = unsafe { delivery.into_inboxes() };
-        if let Err(e) = budget {
+        if let Err(e) = self.budget_exchange(&out_words, delivery.in_words()) {
             // A budget violation skips the consume pass but must still
             // return the delivery's pooled buffers — the leak class where
             // an early `?` exit dropped taken scratch on the floor.
-            drop(inboxes);
-            buffers.recycle(&mut self.scratch);
+            delivery.recycle(&mut self.scratch);
             #[cfg(debug_assertions)]
             self.assert_pool_not_shrunk(pooled_before, "exchange");
             return Err(e);
         }
 
-        // Consume concurrently: each machine owns its shard and its inbox
-        // (delivery order above was fixed in sender-id order, so the
-        // schedule cannot leak into observables).
-        let mut pairs: Vec<(&mut Shard<S>, Inbox<M>)> =
-            self.shards.iter_mut().zip(inboxes).collect();
+        // Consume concurrently: each machine owns its shard and its slice
+        // of the arena (delivery order above was fixed in sender-id
+        // order, so the schedule cannot leak into observables).
+        let mut pairs: Vec<(&mut Shard<S>, &mut [M])> =
+            self.shards.iter_mut().zip(delivery.inboxes_mut()).collect();
         let pass = self.sched.timed_mut(&mut pairs, |id, (shard, inbox)| {
-            consume(id, shard.state_mut(), std::mem::take(inbox));
+            consume(id, shard.state_mut(), inbox);
         });
         drop(pairs);
-        buffers.recycle(&mut self.scratch);
+        delivery.recycle(&mut self.scratch);
         self.metrics
             .record_timing(pass.wall_nanos, &pass.task_nanos);
         #[cfg(debug_assertions)]
@@ -743,7 +741,7 @@ mod tests {
             let flood = |c: &mut Cluster<Vec<u64>>, per_sender: usize| {
                 c.exchange::<u64, _, _>(
                     |id, _, out| (0..per_sender).for_each(|k| out.send(0, (id + k) as u64)),
-                    |_, s, inbox| s.extend(inbox.take(1)),
+                    |_, s, inbox| s.extend(inbox.iter().take(1)),
                 )
             };
             flood(&mut c, 1).unwrap();

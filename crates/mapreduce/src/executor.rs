@@ -277,8 +277,8 @@ impl Drop for ThreadPoolExecutor {
 /// through the method (not the field) so 2021-edition closures capture
 /// the `Sync` wrapper rather than the raw pointer inside it. Shared by
 /// the scheduler and routing layers ([`crate::superstep`],
-/// [`crate::router`], [`crate::payload`]), which all use the same
-/// disjoint-index discipline.
+/// [`crate::router`]), which both use the same disjoint-index
+/// discipline.
 pub(crate) struct RawSlots<T>(*mut T);
 // SAFETY: sharing the wrapper only shares the base address; every
 // dereference goes through `slot`, whose contract forbids aliasing

@@ -76,6 +76,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitset;
 pub mod cluster;
@@ -97,7 +98,7 @@ pub mod words;
 
 pub use bitset::Bitset;
 pub use cluster::{
-    tree_depth, Cluster, ClusterConfig, Enforcement, Inbox, MachineId, MachineState, Outbox,
+    tree_depth, Cluster, ClusterConfig, Enforcement, MachineId, MachineState, Outbox,
 };
 pub use csr::{Csr, CsrBuilder, CsrOverflow};
 pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader, WorkerKill};

@@ -2,7 +2,11 @@
 //!
 //! A superstep's `exchange` has two halves — per-shard *staging* (each
 //! machine fills an [`Outbox`]) and *delivery* (every message lands in
-//! its destination's inbox). The model charges one round; the router is
+//! its destination's inbox, a `&mut [M]` slice of one shared arena).
+//! Exchanged messages are `Copy` fixed-size records, so delivery copies
+//! them; variable-size traffic rides
+//! [`Cluster::gather_payload`](crate::cluster::Cluster::gather_payload)'s
+//! flat payload plane instead. The model charges one round; the router is
 //! how the host performs the shuffle, and it is exactly the sort +
 //! prefix-sum every MRC round reduces to. Outboxes are *columnar* (one
 //! flat message column plus a parallel destination column; see
@@ -27,8 +31,8 @@
 //! The router's buffers — outbox columns, the inbox arena, and the
 //! `usize` count/cursor/range scratch — are pooled in a
 //! [`RouterScratch`] owned by the cluster and threaded through every
-//! exchange. After the consume pass drains the arena, its capacity (and
-//! every outbox column's) goes back to the pool, so steady-state
+//! exchange. After the consume pass, the arena's capacity (and every
+//! outbox column's) goes back to the pool, so steady-state
 //! supersteps perform no message-buffer allocation at all: the per-type
 //! pool is keyed by `TypeId`, which is why exchanged messages are
 //! `'static`. Word accounting rides the same passes: an [`Outbox`]
@@ -125,8 +129,8 @@ impl<M> Outbox<M> {
 /// destination `d` owns `arena[ranges[d].0 ..][.. ranges[d].1]`, plus the
 /// per-destination word volume the cluster budgets against machine
 /// memory. Built by [`route`] (a counting sort) or by the dist shuffle
-/// (regions decoded in destination order); read back through [`Inbox`]
-/// views.
+/// (regions decoded in destination order); each machine reads its range
+/// as a borrowed slice ([`Delivery::inboxes_mut`]).
 pub(crate) struct Delivery<M> {
     arena: Vec<M>,
     ranges: Vec<(usize, usize)>,
@@ -135,8 +139,7 @@ pub(crate) struct Delivery<M> {
 
 impl<M> Delivery<M> {
     /// Wraps a filled arena whose ranges tile `0..arena.len()` in
-    /// destination order. Checked here, once per round, because
-    /// [`Delivery::into_inboxes`] hands out raw views that rely on it.
+    /// destination order, checked here once per round.
     pub(crate) fn from_flat(
         arena: Vec<M>,
         ranges: Vec<(usize, usize)>,
@@ -161,42 +164,27 @@ impl<M> Delivery<M> {
         &self.in_words
     }
 
-    /// Splits the delivery into one [`Inbox`] per destination plus the
-    /// buffers backing them.
-    ///
-    /// # Safety
-    ///
-    /// The inboxes read straight out of the returned
-    /// [`DeliveryBuffers`]' arena; the caller must keep the buffers
-    /// alive until every inbox has been dropped (and only then recycle
-    /// them).
-    pub(crate) unsafe fn into_inboxes(self) -> (Vec<Inbox<M>>, DeliveryBuffers<M>) {
-        let Delivery {
-            mut arena,
-            ranges,
-            in_words,
-        } = self;
-        let base = arena.as_mut_ptr();
-        // SAFETY: 0 is within capacity. Ownership of the elements moves
-        // to the inboxes below (each element belongs to exactly one
-        // range); the arena keeps only the allocation, for recycling.
-        unsafe { arena.set_len(0) };
-        let views = ranges
-            .iter()
-            // SAFETY: the ranges tile the arena's former `0..len`
-            // disjointly (checked by `from_flat`), every slot in it was
-            // initialized, and the caller keeps the allocation alive per
-            // this function's contract.
-            .map(|&(off, len)| unsafe { Inbox::raw(base.add(off), len) })
-            .collect();
-        (
-            views,
-            DeliveryBuffers {
-                arena,
-                ranges,
-                in_words,
-            },
-        )
+    /// One inbox per destination, in destination order: the arena split
+    /// along its ranges.
+    pub(crate) fn inboxes_mut(&mut self) -> impl Iterator<Item = &mut [M]> + '_ {
+        let mut rest = self.arena.as_mut_slice();
+        self.ranges.iter().map(move |&(_, len)| {
+            let (inbox, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            inbox
+        })
+    }
+
+    /// Returns the arena's capacity and the range and word vectors to
+    /// the pool.
+    pub(crate) fn recycle(mut self, scratch: &mut RouterScratch)
+    where
+        M: Send + 'static,
+    {
+        self.arena.clear();
+        scratch.put_arena(self.arena);
+        scratch.put_ranges(self.ranges);
+        scratch.put_usizes(self.in_words);
     }
 
     /// Materializes every inbox as an owned `Vec` — test-only view for
@@ -210,128 +198,6 @@ impl<M> Delivery<M> {
             .iter()
             .map(|&(off, len)| self.arena[off..off + len].to_vec())
             .collect()
-    }
-}
-
-/// The buffers backing a round's [`Inbox`]es, held by the cluster for
-/// the duration of the consume pass and then recycled into the
-/// [`RouterScratch`] pool.
-pub(crate) struct DeliveryBuffers<M> {
-    arena: Vec<M>,
-    ranges: Vec<(usize, usize)>,
-    in_words: Vec<usize>,
-}
-
-impl<M> DeliveryBuffers<M> {
-    /// Returns the backing buffers (arena capacity, range and word
-    /// vectors) to the pool. Call after the consume pass has dropped
-    /// every [`Inbox`].
-    pub(crate) fn recycle(self, scratch: &mut RouterScratch)
-    where
-        M: Send + 'static,
-    {
-        scratch.put_arena(self.arena);
-        scratch.put_ranges(self.ranges);
-        scratch.put_usizes(self.in_words);
-    }
-}
-
-/// The messages delivered to one machine in one exchange round, in
-/// `(sender id, send order)` order. Iterate it (it is an exact-size
-/// iterator yielding owned messages) or take the whole batch with
-/// [`Inbox::into_vec`].
-///
-/// A range of the round's delivery arena: the elements are owned by this
-/// inbox (read out by value, leftovers dropped in place) while the
-/// allocation stays with the cluster's `DeliveryBuffers`.
-pub struct Inbox<M> {
-    next: *mut M,
-    remaining: usize,
-}
-
-// SAFETY: an `Inbox` owns the elements it points at exclusively (the
-// arena ranges are disjoint and the arena's length was zeroed), so it
-// can move to another thread whenever the element type can.
-unsafe impl<M: Send> Send for Inbox<M> {}
-
-impl<M> Default for Inbox<M> {
-    /// The empty inbox: its pointer is never dereferenced.
-    fn default() -> Self {
-        Inbox {
-            next: std::ptr::NonNull::dangling().as_ptr(),
-            remaining: 0,
-        }
-    }
-}
-
-impl<M> Inbox<M> {
-    /// # Safety
-    ///
-    /// `base .. base + len` must be initialized elements this inbox may
-    /// take ownership of, backed by an allocation that outlives it.
-    pub(crate) unsafe fn raw(base: *mut M, len: usize) -> Self {
-        Inbox {
-            next: base,
-            remaining: len,
-        }
-    }
-
-    /// Messages not yet read.
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// True when every message has been read (or none arrived).
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Moves the remaining messages into an owned `Vec`.
-    pub fn into_vec(self) -> Vec<M> {
-        self.collect()
-    }
-}
-
-impl<M> Iterator for Inbox<M> {
-    type Item = M;
-
-    fn next(&mut self) -> Option<M> {
-        if self.remaining == 0 {
-            return None;
-        }
-        // SAFETY: `remaining > 0`, so `next` points at an initialized
-        // element this inbox owns (`raw`'s contract); reading it out and
-        // stepping past it consumes it exactly once, and the step stays
-        // within or one past the range.
-        let msg = unsafe {
-            let msg = self.next.read();
-            self.next = self.next.add(1);
-            msg
-        };
-        self.remaining -= 1;
-        Some(msg)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<M> ExactSizeIterator for Inbox<M> {}
-
-impl<M> Drop for Inbox<M> {
-    fn drop(&mut self) {
-        while self.remaining > 0 {
-            // SAFETY: the `remaining` unread elements from `next` on are
-            // still owned by this inbox; drop each in place exactly once
-            // (the allocation itself belongs to the cluster's
-            // `DeliveryBuffers`).
-            unsafe {
-                self.next.drop_in_place();
-                self.next = self.next.add(1);
-            }
-            self.remaining -= 1;
-        }
     }
 }
 
@@ -479,6 +345,12 @@ pub(crate) fn route_merge<M: WordSized>(
     (inboxes, in_words)
 }
 
+/// True when a round is dense enough for the concurrent counting sort:
+/// cell occupancy of the sender × machine count matrix at least 1/4.
+fn dense(total: usize, senders: usize, machines: usize) -> bool {
+    total.saturating_mul(4) >= senders.saturating_mul(machines)
+}
+
 /// Routes all staged outboxes (one per machine, in sender-id order) to
 /// their destinations: a counting sort into one flat arena. Emptied
 /// outbox columns and the count scratch are recycled into `scratch`.
@@ -486,12 +358,11 @@ pub(crate) fn route_merge<M: WordSized>(
 /// Counting and word accounting happen in a single pass over the
 /// destination columns; the stable scatter processes senders in id
 /// order, so destination `d`'s range reads back in `(sender id, send
-/// order)`. Dense rounds (cell occupancy of
-/// the sender × machine count matrix at least 1/4) run both passes
-/// concurrently over senders; sparse rounds and single-threaded
-/// schedulers use the sequential two-pass sort, which allocates nothing
-/// beyond the pooled scratch either.
-pub(crate) fn route<M: WordSized + Send + 'static>(
+/// order)`. [`dense`] rounds run both passes concurrently over senders;
+/// sparse rounds and single-threaded schedulers use the sequential
+/// two-pass sort, which allocates nothing beyond the pooled scratch
+/// either.
+pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
     sched: &Scheduler,
     machines: usize,
     mut outboxes: Vec<Outbox<M>>,
@@ -504,31 +375,23 @@ pub(crate) fn route<M: WordSized + Send + 'static>(
     let mut in_words = scratch.take_usizes(machines);
     let mut ranges = scratch.take_ranges(machines);
 
-    let parallel =
-        sched.threads() > 1 && total.saturating_mul(4) >= senders.saturating_mul(machines);
-    if parallel {
+    if sched.threads() > 1 && dense(total, senders, machines) {
         // Concurrent counting sort. Stage 1: sender `s` fills row `s` of
         // the count and word matrices (disjoint rows, so the pass
         // parallelizes over senders with no synchronization).
         let mut counts = scratch.take_usizes(senders * machines);
         let mut words = scratch.take_usizes(senders * machines);
-        let count_rows = RawSlots::new(counts.as_mut_ptr());
-        let word_rows = RawSlots::new(words.as_mut_ptr());
-        sched.map_mut(&mut outboxes, |s, outbox| {
-            // SAFETY: both matrices hold `senders * machines` cells and
-            // sender `s < senders` takes only its own `machines`-wide
-            // row; rows are disjoint and the matrices outlive the pass.
-            let (crow, wrow) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(count_rows.slot(s * machines), machines),
-                    std::slice::from_raw_parts_mut(word_rows.slot(s * machines), machines),
-                )
-            };
+        let mut rows: Vec<_> = outboxes
+            .iter_mut()
+            .zip(counts.chunks_mut(machines).zip(words.chunks_mut(machines)))
+            .collect();
+        sched.map_mut(&mut rows, |_, (outbox, (crow, wrow))| {
             for (&dst, msg) in outbox.dsts.iter().zip(&outbox.msgs) {
                 crow[dst] += 1;
                 wrow[dst] += msg.words();
             }
         });
+        drop(rows);
         // Column-major prefix sum: destination ranges in machine order,
         // sender order within a destination. `counts[s][d]` becomes the
         // arena cursor where sender `s`'s block for `d` starts.
@@ -546,37 +409,26 @@ pub(crate) fn route<M: WordSized + Send + 'static>(
             *range = (start, offset - start);
             in_words[d] = dwords;
         }
-        debug_assert_eq!(offset, total);
+        assert_eq!(offset, total, "counted messages must fill the arena");
         // Stage 2: stable scatter, concurrent over senders. Each sender
-        // moves its messages to its own cursor block per destination;
+        // copies its messages to its own cursor block per destination;
         // blocks are disjoint by construction of the prefix sums.
-        let cursor_rows = RawSlots::new(counts.as_mut_ptr());
         let arena_base = RawSlots::new(arena.as_mut_ptr());
-        sched.map_mut(&mut outboxes, |s, outbox| {
-            let n = outbox.msgs.len();
-            let msgs = outbox.msgs.as_mut_ptr();
-            // SAFETY: the messages are moved out exactly once each (the
-            // column's length is zeroed first, so nothing double-drops),
-            // into arena slots this sender's cursors own exclusively:
-            // `i < n = dsts.len()`, `dst < machines` was checked by
-            // `Outbox::send`, and the prefix sums keep every cursor
-            // below `total`, which the arena reserved.
-            unsafe {
-                outbox.msgs.set_len(0);
-                let cursors =
-                    std::slice::from_raw_parts_mut(cursor_rows.slot(s * machines), machines);
-                for i in 0..n {
-                    let dst = *outbox.dsts.get_unchecked(i);
-                    arena_base.slot(cursors[dst]).write(msgs.add(i).read());
-                    cursors[dst] += 1;
-                }
+        let mut rows: Vec<_> = outboxes
+            .iter_mut()
+            .zip(counts.chunks_mut(machines))
+            .collect();
+        sched.map_mut(&mut rows, |_, (outbox, cursors)| {
+            for (&dst, &msg) in outbox.dsts.iter().zip(&outbox.msgs) {
+                // SAFETY: the prefix sums give every (sender, destination)
+                // pair its own block of `0..total`, which the arena
+                // reserved, and only this sender advances its cursors, so
+                // each write stays in its block and no two writes alias.
+                unsafe { arena_base.slot(cursors[dst]).write(msg) };
+                cursors[dst] += 1;
             }
-            outbox.dsts.clear();
-            outbox.staged_words = 0;
         });
-        // SAFETY: `total` was reserved and every slot in `0..total` was
-        // written exactly once by the scatter above.
-        unsafe { arena.set_len(total) };
+        drop(rows);
         scratch.put_usizes(counts);
         scratch.put_usizes(words);
     } else {
@@ -596,30 +448,20 @@ pub(crate) fn route<M: WordSized + Send + 'static>(
             cursors[d] = offset;
             offset += count;
         }
-        debug_assert_eq!(offset, total);
-        let arena_base = arena.as_mut_ptr();
-        for outbox in &mut outboxes {
-            let n = outbox.msgs.len();
-            let msgs = outbox.msgs.as_mut_ptr();
-            // SAFETY: as in the parallel scatter — each message moves
-            // exactly once into a slot owned by its (sender, dst) block;
-            // `i < n`, `dst < machines`, cursors stay below `total`.
-            unsafe {
-                outbox.msgs.set_len(0);
-                for i in 0..n {
-                    let dst = *outbox.dsts.get_unchecked(i);
-                    arena_base.add(cursors[dst]).write(msgs.add(i).read());
-                    cursors[dst] += 1;
-                }
+        assert_eq!(offset, total, "counted messages must fill the arena");
+        let slots = &mut arena.spare_capacity_mut()[..total];
+        for outbox in &outboxes {
+            for (&dst, &msg) in outbox.dsts.iter().zip(&outbox.msgs) {
+                slots[cursors[dst]].write(msg);
+                cursors[dst] += 1;
             }
-            outbox.dsts.clear();
-            outbox.staged_words = 0;
         }
-        // SAFETY: `total` was reserved and every slot in `0..total` was
-        // written exactly once by the scatter above.
-        unsafe { arena.set_len(total) };
         scratch.put_usizes(cursors);
     }
+    // SAFETY: `total` slots were reserved, and whichever scatter ran
+    // wrote each slot of `0..total` exactly once: its per-destination
+    // blocks tile `0..offset`, and `offset == total` was asserted.
+    unsafe { arena.set_len(total) };
     for outbox in outboxes {
         scratch.put_columns(outbox.into_buffers());
     }
@@ -631,6 +473,7 @@ mod tests {
     use super::*;
     use crate::executor::ThreadPoolExecutor;
     use crate::rng::DetRng;
+    use crate::words::Payload;
     use std::sync::Arc;
 
     fn sched(threads: usize) -> Scheduler {
@@ -746,21 +589,20 @@ mod tests {
     #[test]
     fn in_words_matches_recomputation_on_mixed_workload() {
         let machines = 5;
-        let outboxes = || -> Vec<Outbox<Vec<u64>>> {
+        let outboxes = || -> Vec<Outbox<Payload>> {
             (0..machines)
                 .map(|s| {
                     let mut rng = DetRng::derive(99, &[s as u64]);
                     let mut out = Outbox::new(machines);
                     for _ in 0..60 {
                         let len = rng.range(7) as usize; // includes empty payloads
-                        let payload: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-                        out.send(rng.range(machines as u64) as usize, payload);
+                        out.send(rng.range(machines as u64) as usize, Payload(len));
                     }
                     out
                 })
                 .collect()
         };
-        let recount = |inboxes: &[Vec<Vec<u64>>]| -> Vec<usize> {
+        let recount = |inboxes: &[Vec<Payload>]| -> Vec<usize> {
             inboxes
                 .iter()
                 .map(|inbox| inbox.iter().map(WordSized::words).sum())
@@ -775,58 +617,54 @@ mod tests {
         }
     }
 
-    /// Inbox views hand out messages by value in delivery order, and
-    /// every delivered message is dropped exactly once — whether it was
-    /// read out, left unread in a partially consumed inbox, or moved
-    /// into a `Vec` — with nothing dropped again when the arena is
-    /// recycled.
+    /// The concurrent scatter's raw writes at their boundary: skewed
+    /// rounds of exactly the density cutoff (`total * 4 == senders *
+    /// machines`, the threaded path) and one message fewer (the
+    /// sequential path) must match the oracle, and `inboxes_mut` must
+    /// split the arena along the ranges — empty ranges at both ends
+    /// included.
     #[test]
-    fn inbox_views_read_back_the_arena() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// A message that counts its drops in `drops[id]`.
-        struct Counted(Arc<Vec<AtomicUsize>>, usize);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0[self.1].fetch_add(1, Ordering::SeqCst);
+    fn skewed_rounds_at_the_density_cutoff_match_the_oracle() {
+        const MACHINES: usize = 8;
+        let cutoff = MACHINES * MACHINES / 4;
+        // Message `k` goes from `place(k).0` to `place(k).1`; the flag
+        // says whether the first and last machines receive nothing.
+        type Place = fn(usize) -> (usize, usize);
+        let patterns: [(&str, Place, bool); 4] = [
+            ("every sender to one machine", |k| (k % MACHINES, 3), true),
+            ("one sender to every machine", |k| (5, k % MACHINES), false),
+            ("self-sends only", |k| (1 + k % 6, 1 + k % 6), true),
+            ("empty senders", |k| (3 + k % 2, 1 + k % 6), true),
+        ];
+        let scheds = [sched(2), sched(4)];
+        for (name, place, empty_ends) in patterns {
+            for total in [cutoff, cutoff - 1] {
+                assert_eq!(dense(total, MACHINES, MACHINES), total == cutoff);
+                let outboxes = || -> Vec<Outbox<u64>> {
+                    let mut obs: Vec<Outbox<u64>> =
+                        (0..MACHINES).map(|_| Outbox::new(MACHINES)).collect();
+                    for k in 0..total {
+                        let (s, dst) = place(k);
+                        obs[s].send(dst, (s * 1000 + k) as u64);
+                    }
+                    obs
+                };
+                let (want, want_words) = route_merge(MACHINES, outboxes());
+                for s in &scheds {
+                    let what = format!("{name}: {total} messages, {} threads", s.threads());
+                    let mut scratch = RouterScratch::default();
+                    let mut got = route(s, MACHINES, outboxes(), &mut scratch);
+                    assert_eq!(got.in_words(), want_words, "{what}");
+                    let ranges: Vec<usize> = got.ranges.iter().map(|&(_, len)| len).collect();
+                    let inboxes: Vec<Vec<u64>> = got.inboxes_mut().map(|i| i.to_vec()).collect();
+                    assert_eq!(inboxes, want, "{what}");
+                    let lens: Vec<usize> = inboxes.iter().map(Vec::len).collect();
+                    assert_eq!(lens, ranges, "{what}");
+                    if empty_ends {
+                        assert!(lens[0] == 0 && lens[MACHINES - 1] == 0, "{what}: {lens:?}");
+                    }
+                }
             }
-        }
-        impl WordSized for Counted {
-            fn words(&self) -> usize {
-                1
-            }
-        }
-
-        let drops: Arc<Vec<AtomicUsize>> = Arc::new((0..6).map(|_| 0.into()).collect());
-        let msg = |id: usize| Counted(drops.clone(), id);
-        let ids = |msgs: &[Counted]| msgs.iter().map(|m| m.1).collect::<Vec<_>>();
-        let s = sched(2);
-        let mut scratch = RouterScratch::default();
-        let mut outboxes: Vec<Outbox<Counted>> = (0..3).map(|_| Outbox::new(3)).collect();
-        outboxes[0].send(1, msg(0));
-        outboxes[0].send(0, msg(1));
-        outboxes[1].send(1, msg(2));
-        outboxes[2].send(0, msg(3));
-        outboxes[2].send(1, msg(4));
-        outboxes[2].send(0, msg(5));
-        let d = route(&s, 3, outboxes, &mut scratch);
-        // SAFETY: buffers outlive the inboxes below.
-        let (mut views, buffers) = unsafe { d.into_inboxes() };
-        assert_eq!(views.iter().map(Inbox::len).collect::<Vec<_>>(), [3, 3, 0]);
-        let middle = views.remove(1);
-        assert_eq!(ids(&middle.into_vec()), [0, 2, 4]);
-        let mut first = views.remove(0);
-        assert_eq!(first.next().map(|m| m.1), Some(1));
-        assert_eq!(first.len(), 2);
-        drop(first); // partially consumed: two messages still unread
-        drop(views); // the empty inbox, never read
-        buffers.recycle(&mut scratch);
-        // The arena capacity survived for the next round, emptied.
-        let arena = scratch.take_arena::<Counted>();
-        assert!(arena.capacity() >= 6 && arena.is_empty());
-        drop((arena, scratch));
-        for (id, n) in drops.iter().enumerate() {
-            assert_eq!(n.load(Ordering::SeqCst), 1, "message {id}");
         }
     }
 

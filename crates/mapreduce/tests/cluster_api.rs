@@ -50,7 +50,7 @@ fn exchange_delivers_in_sender_order() {
         },
         |id, s, inbox| {
             if id == 0 {
-                for (src, val) in inbox {
+                for &(src, val) in inbox.iter() {
                     s.0.push(src);
                     s.0.push(val);
                 }
@@ -280,7 +280,7 @@ fn runtimes_and_thread_counts_are_bit_identical() {
                 }
             },
             |_, s, inbox| {
-                for (src, v) in inbox {
+                for &(src, v) in inbox.iter() {
                     s.0.push(src * 1000 + v);
                 }
             },

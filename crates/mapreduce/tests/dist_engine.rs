@@ -53,7 +53,7 @@ fn workload(
                 }
             },
             |_, s, inbox| {
-                for (src, v) in inbox {
+                for &(src, v) in inbox.iter() {
                     s.0.push(src * 1000 + v);
                 }
             },
@@ -217,7 +217,7 @@ fn heavy_exchange(runtime: RuntimeKind, dist: DistConfig) -> (Vec<Vec<u64>>, Met
             }
         },
         |_, s, inbox| {
-            for (src, k) in inbox {
+            for &(src, k) in inbox.iter() {
                 s.0.push(src * 10_000 + k);
             }
         },

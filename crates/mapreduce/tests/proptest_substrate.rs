@@ -115,7 +115,7 @@ proptest! {
                     }
                 },
                 |_, s, inbox| {
-                    for v in inbox {
+                    for &v in inbox.iter() {
                         s.push(v as u64);
                     }
                 },
