@@ -11,6 +11,8 @@
 //!
 //! [`Csr::invert`] builds the reverse index (key → rows holding it) as
 //! another `Csr` whose row number *is* the key, probed by direct offset.
+//! [`Csr::retain`] is the model's stable compact: between rounds a shard
+//! drops its dead items in place, so later scans walk only survivors.
 //!
 //! Offsets are `u32`: an arena of more than `u32::MAX` items is refused
 //! with [`CsrOverflow`] by a checked conversion, never truncated.
@@ -96,6 +98,30 @@ impl<T: Copy> Csr<T> {
         }
         Ok(index.finish())
     }
+
+    /// Keeps only the items for which `keep(row, &item)` holds: a stable
+    /// compact (flag → prefix-sum → scatter, fused into one pass). Row
+    /// count and row numbers are unchanged, each row keeps its surviving
+    /// items in order, and nothing is allocated: survivors move left in
+    /// the arena and the offsets are rewritten.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize, &T) -> bool) {
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for r in 0..self.rows() {
+            let end = self.offsets[r + 1] as usize;
+            for read in start..end {
+                let item = self.items[read];
+                if keep(r, &item) {
+                    self.items[write] = item;
+                    write += 1;
+                }
+            }
+            start = end;
+            // `write ≤ end`, which already fit the offsets.
+            self.offsets[r + 1] = write as u32;
+        }
+        self.items.truncate(write);
+    }
 }
 
 impl<T> Csr<T> {
@@ -125,7 +151,8 @@ impl<T> Csr<T> {
         &self.items[self.range(r)]
     }
 
-    /// Row `r`, mutable (items only: row lengths are fixed at build time).
+    /// Row `r`, mutable (items only: row lengths change only through
+    /// [`Csr::retain`]).
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         let range = self.range(r);
@@ -218,6 +245,24 @@ mod tests {
         assert_eq!(index.row(1), &[0, 2]);
         assert_eq!(index.row(4), &[0, 1, 2]);
         assert!(index.row(0).is_empty() && index.row(3).is_empty());
+    }
+
+    #[test]
+    fn retain_compacts_rows_in_place() {
+        let mut b = Csr::builder([3, 0, 2, 1], 0u32).unwrap();
+        for (row, item) in [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 6)] {
+            b.push(row, item);
+        }
+        let mut csr = b.finish();
+        let arena = csr.items.as_ptr();
+        csr.retain(|row, &x| row == 3 || x % 2 == 1);
+        assert_eq!(
+            csr.iter().collect::<Vec<_>>(),
+            [&[1, 3][..], &[], &[5], &[6]]
+        );
+        assert_eq!(csr.items.as_ptr(), arena, "compacted without reallocating");
+        csr.retain(|_, _| false);
+        assert_eq!((csr.rows(), csr.len()), (4, 0));
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //!   in the work, so a 1-thread pool is simply the sequential schedule
 //!   with an atomic counter in the loop.
 //!
+//! The trait is `unsafe` to implement: the scheduler hands each task a
+//! `&mut` through a raw pointer, trusting the executor to run every index
+//! exactly once and to finish every task before `run` returns (see
+//! [`Executor`]'s *Safety* section).
+//!
 //! [`executor_for`] caches one pool per thread count for the whole
 //! process, so every later solve at that count — the next job of a
 //! [`Registry::solve_batch`], the next request of a daemon — finds its
@@ -44,12 +49,27 @@ use std::thread::JoinHandle;
 
 /// Index-parallel task runner for machine supersteps.
 ///
-/// Implementations must run `task(i)` exactly once for every
-/// `i in 0..count` and return only after all calls have completed. The
-/// order and interleaving are unspecified — callers own determinism by
-/// writing per-index outputs and merging in index order (see
-/// [`crate::superstep::Scheduler`]).
-pub trait Executor: Send + Sync {
+/// The order and interleaving of tasks are unspecified — callers own
+/// determinism by writing per-index outputs and merging in index order
+/// (see [`crate::superstep::Scheduler`]).
+///
+/// # Safety
+///
+/// [`crate::superstep::Scheduler`] hands task `i` an exclusive `&mut` to
+/// slot `i` of a caller-owned buffer through a raw pointer, and the
+/// router's threaded scatter writes through one, relying on this contract
+/// alone. [`Executor::run`] must:
+///
+/// * call `task(i)` exactly once for every `i in 0..count`, and never with
+///   any other index — a panicking task included, so a panic must not
+///   stop or repeat the other calls;
+/// * return, or unwind, only after every call it made has returned, and
+///   start none afterwards.
+///
+/// An implementation that calls an index twice hands out two live `&mut`
+/// to one slot; one that returns early lets a task write into a buffer
+/// its caller has already freed or read.
+pub unsafe trait Executor: Send + Sync {
     /// Short human-readable name (`"seq"`, `"threads(4)"`, …) for traces
     /// and bench labels.
     fn name(&self) -> String;
@@ -59,15 +79,31 @@ pub trait Executor: Send + Sync {
     fn threads(&self) -> usize;
 
     /// Runs `task(i)` for every `i in 0..count`, returning when all are
-    /// done.
+    /// done. If any task panics, the others still run, and the first
+    /// panic is re-raised once all have returned.
     fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync));
+}
+
+/// [`Executor::run`] on the calling thread, in index order.
+fn run_inline(count: usize, task: &(dyn Fn(usize) + Sync)) {
+    let mut panic = None;
+    for i in 0..count {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+            panic.get_or_insert(payload);
+        }
+    }
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
 }
 
 /// The reference executor: tasks run inline, in index order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqExecutor;
 
-impl Executor for SeqExecutor {
+// SAFETY: `run_inline` calls each index of `0..count` once, in order, on
+// the calling thread, catching each panic, before it returns or re-raises.
+unsafe impl Executor for SeqExecutor {
     fn name(&self) -> String {
         "seq".into()
     }
@@ -77,9 +113,7 @@ impl Executor for SeqExecutor {
     }
 
     fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        for i in 0..count {
-            task(i);
-        }
+        run_inline(count, task);
     }
 }
 
@@ -204,7 +238,11 @@ impl ThreadPoolExecutor {
     }
 }
 
-impl Executor for ThreadPoolExecutor {
+// SAFETY: an index is claimed by one `fetch_add` on the job's counter, so
+// each of `0..count` runs once and no other index runs; panics are caught
+// per task, and `run` waits for `completed == count` before it returns or
+// re-raises. The inline path is `run_inline`.
+unsafe impl Executor for ThreadPoolExecutor {
     fn name(&self) -> String {
         format!("threads({})", self.threads)
     }
@@ -219,10 +257,7 @@ impl Executor for ThreadPoolExecutor {
         }
         if self.threads == 1 || count == 1 {
             // Nothing to fan out; skip the queueing machinery.
-            for i in 0..count {
-                task(i);
-            }
-            return;
+            return run_inline(count, task);
         }
         // SAFETY: only the lifetime is transmuted. `run` blocks on
         // `job.wait()` below, so the borrow of `task` outlives every
@@ -283,7 +318,9 @@ pub(crate) struct RawSlots<T>(*mut T);
 // SAFETY: sharing the wrapper only shares the base address; every
 // dereference goes through `slot`, whose contract forbids aliasing
 // accesses, and `T: Send` lets the slot values be written or moved from
-// whichever thread owns the index.
+// whichever thread owns the index. Index ownership is the `Executor`
+// contract: each index runs in exactly one task, and every task has
+// returned before `run` does.
 unsafe impl<T: Send> Sync for RawSlots<T> {}
 
 impl<T> RawSlots<T> {
@@ -486,6 +523,66 @@ mod tests {
             crossed.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(crossed.load(Ordering::Relaxed), 2);
+    }
+
+    /// The `Executor` safety contract, on every shipped executor: each
+    /// index of `0..count` runs exactly once and no other index runs —
+    /// also when one task panics, whose panic reaches the submitter only
+    /// after every other index has run — and the executor then serves the
+    /// next job. Through the scheduler, `map_mut` visits each item once.
+    #[test]
+    fn every_index_runs_exactly_once_even_when_one_panics() {
+        let mut executors: Vec<Arc<dyn Executor>> = vec![Arc::new(SeqExecutor)];
+        for threads in [1, 2, 4] {
+            executors.push(Arc::new(ThreadPoolExecutor::new(threads)));
+        }
+        let fresh = |count: usize| -> Vec<AtomicUsize> {
+            (0..count).map(|_| AtomicUsize::new(0)).collect()
+        };
+        let once = |hits: &[AtomicUsize]| hits.iter().all(|h| h.load(Ordering::Relaxed) == 1);
+        for exec in &executors {
+            let name = exec.name();
+            for count in [0usize, 1, 2, 7, 64] {
+                // An index out of range panics on `hits[i]`, and the
+                // executor re-raises it here.
+                let hits = fresh(count);
+                exec.run(count, &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(once(&hits), "{name}, count {count}");
+
+                let bad = count / 2;
+                let hits = fresh(count);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    exec.run(count, &|i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        if i == bad {
+                            panic!("task {i} exploded");
+                        }
+                    })
+                }));
+                if count > 0 {
+                    let payload = result.expect_err("the task's panic is re-raised");
+                    let message = payload.downcast_ref::<String>().map(String::as_str);
+                    assert_eq!(message, Some(format!("task {bad} exploded").as_str()));
+                }
+                assert!(once(&hits), "{name}, count {count}, task {bad} panicking");
+
+                let next = AtomicUsize::new(0);
+                exec.run(count, &|_| {
+                    next.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(next.load(Ordering::Relaxed), count, "{name} after a panic");
+
+                let mut items = vec![0usize; count];
+                let order = Scheduler::new(Arc::clone(exec)).map_mut(&mut items, |i, x| {
+                    *x += 1;
+                    i
+                });
+                assert_eq!(items, vec![1; count], "{name}: map_mut, count {count}");
+                assert_eq!(order, (0..count).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

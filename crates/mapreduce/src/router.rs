@@ -424,6 +424,8 @@ pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
                 // pair its own block of `0..total`, which the arena
                 // reserved, and only this sender advances its cursors, so
                 // each write stays in its block and no two writes alias.
+                // The `Executor` contract runs each sender once and
+                // finishes every write before `map_mut` returns.
                 unsafe { arena_base.slot(cursors[dst]).write(msg) };
                 cursors[dst] += 1;
             }

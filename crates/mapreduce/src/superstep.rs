@@ -166,10 +166,11 @@ impl Scheduler {
         let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
         let slots = RawSlots::new(out.as_mut_ptr());
         self.exec.run(count, &|i| {
-            // SAFETY: `i < count = out.len()`, and the executor runs every
-            // index exactly once, so each slot is written once with no
-            // aliasing; `out` outlives the pass (`run` returns only after
-            // every task has).
+            // SAFETY: `i < count = out.len()`, and the `Executor` contract
+            // (an `unsafe trait`) runs every index exactly once, so each
+            // slot is written once with no aliasing; `out` outlives the
+            // pass because `run` returns or unwinds only after every task
+            // has returned.
             unsafe { *slots.slot(i) = Some(f(i)) };
         });
         out.into_iter()
@@ -196,7 +197,9 @@ impl Scheduler {
     {
         let states = RawSlots::new(items.as_mut_ptr());
         // SAFETY: `map_count` hands out each `i < items.len()` exactly
-        // once, so `&mut items[i]` is exclusive for the task's duration.
+        // once (the `Executor` contract), so `&mut items[i]` is exclusive
+        // for the task's duration, and no task outlives the borrow of
+        // `items`.
         self.map_count(items.len(), |i| f(i, unsafe { &mut *states.slot(i) }))
     }
 

@@ -6,7 +6,8 @@
 //! their reverse indexes as its inversion, so row contents, row order and
 //! the inversion's per-key order are load-bearing for bit-identical
 //! outputs — and an arena too large for its `u32` offsets must be refused,
-//! never truncated.
+//! never truncated. Matching compacts its incidence rows between rounds,
+//! so `retain` must keep exactly the model's survivors in order.
 
 use proptest::prelude::*;
 
@@ -83,6 +84,43 @@ proptest! {
             prop_assert_eq!(index.row(k as usize), expect.as_slice());
         }
         prop_assert_eq!(index.len(), model.iter().map(Vec::len).sum::<usize>());
+    }
+
+    /// `retain` is `Vec::retain` on every row of the model: the row count
+    /// is unchanged and each row keeps its survivors in order. `cut = 0`
+    /// keeps nothing and `cut = KEYS` keeps everything; empty rows occur
+    /// throughout.
+    #[test]
+    fn retain_matches_the_nested_model(
+        model in proptest::collection::vec(proptest::collection::vec(0u32..KEYS, 0..7), 0..14),
+        order_seed in any::<u64>(),
+        cut in 0u32..=KEYS,
+    ) {
+        let keep = |r: usize, x: &u32| (x + r as u32) % KEYS < cut;
+        let mut csr = build(&model, order_seed);
+        csr.retain(keep);
+        let kept: Vec<Vec<u32>> = model
+            .iter()
+            .enumerate()
+            .map(|(r, row)| row.iter().copied().filter(|x| keep(r, x)).collect())
+            .collect();
+        prop_assert_eq!(csr.rows(), model.len());
+        for (r, row) in kept.iter().enumerate() {
+            prop_assert_eq!(csr.row(r), row.as_slice());
+        }
+        prop_assert_eq!(&csr, &build(&kept, order_seed));
+        if cut == 0 {
+            prop_assert!(csr.is_empty());
+        }
+        if cut == KEYS {
+            prop_assert_eq!(&csr, &build(&model, order_seed));
+        }
+        // A second compact works on the compacted offsets.
+        csr.retain(|_, x| x % 2 == 0);
+        for (r, row) in kept.iter().enumerate() {
+            let even: Vec<u32> = row.iter().copied().filter(|x| x % 2 == 0).collect();
+            prop_assert_eq!(csr.row(r), even.as_slice());
+        }
     }
 
     /// Row lengths summing past `u32::MAX` are an error raised before

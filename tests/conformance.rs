@@ -4,6 +4,8 @@
 //! an independent oracle: `core::exact` optima for the cover family and
 //! the matchings, `core::verify` for maximality and proper colourings.
 //! The three cluster backends must also return identical reports.
+//! Matching is also run on generated `m = n^{1+c}` families, where its
+//! iteration count and space are held to Theorem 5.6's bounds.
 
 use mrlr::core::api::{
     BMatchingInstance, Backend, Instance, Registry, Report, Solution, VertexWeightedGraph,
@@ -12,6 +14,7 @@ use mrlr::core::api::{
 use mrlr::core::colouring::{edge_group, vertex_group};
 use mrlr::core::mr::MrConfig;
 use mrlr::core::seq::{b_matching_multiplier, harmonic};
+use mrlr::core::types::MatchingResult;
 use mrlr::core::{exact, verify};
 use mrlr::graph::{generators, EdgeId, Graph, VertexId};
 use mrlr::mapreduce::DetRng;
@@ -230,4 +233,103 @@ fn graph_family_meets_figure_1_bounds_on_every_backend() {
         "vertex-colouring",
         "edge-colouring",
     ]);
+}
+
+/// Density exponent `c` of a generated graph, from `m = n^{1+c}`
+/// (measured: the generator clamps at the complete graph).
+fn measured_c(g: &Graph) -> f64 {
+    (g.m() as f64).ln() / (g.n() as f64).ln() - 1.0
+}
+
+/// Algorithm 4 on `densified(n, c)` families at three `µ`, through the
+/// cluster driver and its in-memory mirror. The two must agree, the
+/// iteration count must respect Theorem 5.6's `O(c/µ)` with the proof's
+/// constant, per-machine and central space must fit the capacity, and on
+/// families small enough for `exact` the matching must be within 2. The
+/// small dense families sample before their central finish, so the
+/// compacted rows are what those checks see.
+#[test]
+fn matching_meets_theorem_5_6_on_densified_families() {
+    let registry = Registry::with_defaults();
+    let mut sampled_and_exact = 0;
+    for (n, c) in [
+        (16, 0.9),
+        (18, 0.9),
+        (200, 0.3),
+        (200, 0.5),
+        (400, 0.3),
+        (400, 0.5),
+    ] {
+        for seed in 0..2 {
+            let g = generators::with_uniform_weights(
+                &generators::densified(n, c, seed),
+                1.0,
+                9.0,
+                seed ^ 0x5a,
+            );
+            let opt = (n <= exact::EXACT_N_LIMIT).then(|| exact::max_weight_matching(&g).0);
+            let c = measured_c(&g);
+            let instance = Instance::Graph(g);
+            for mu in [0.1, 0.2, 0.3] {
+                let what = format!("matching on densified({n}), c {c:.2}, µ {mu}, seed {seed}");
+                let cfg = instance.auto_config(mu, seed);
+                let solve = |backend| {
+                    registry
+                        .solve_with("matching", backend, &instance, &cfg)
+                        .unwrap_or_else(|e| panic!("{what} on {backend}: {e}"))
+                };
+                let mr = solve(Backend::Mr);
+                assert!(mr.certificate.feasible, "{what}: infeasible");
+                // The mirror pushes the same edges in the same order; a
+                // stacked reduction may differ in its last bit, because
+                // each driver names an edge's endpoints in its own order.
+                let rlr = solve(Backend::Rlr);
+                let (a, b) = (mr.solution.as_matching(), rlr.solution.as_matching());
+                let (a, b) = (a.expect(&what), b.expect(&what));
+                assert_eq!(a.matching, b.matching, "{what}: Rlr != Mr");
+                assert_eq!(a.iterations, b.iterations, "{what}: Rlr != Mr");
+                let pushes =
+                    |r: &MatchingResult| r.stack.iter().map(|&(e, _)| e).collect::<Vec<_>>();
+                assert_eq!(pushes(a), pushes(b), "{what}: Rlr != Mr");
+
+                // Lemma 5.4, the step of Theorem 5.6's proof: w.h.p. every
+                // sampled iteration cuts the alive edges by `n^{µ/4}`. From
+                // `m = n^{1+c}` the count is below the central-finish
+                // threshold `4η = 4n^{1+µ}` after at most `4(c − µ)/µ` cuts:
+                // that many sampled iterations plus one, then the central
+                // finish.
+                let iterations = a.iterations;
+                let bound = 2 + (4.0 * (c - mu).max(0.0) / mu).floor() as usize;
+                assert!(
+                    iterations <= bound,
+                    "{what}: {iterations} > {bound} iterations"
+                );
+
+                let metrics = mr.metrics.as_ref().expect("cluster metrics");
+                let capacity = cfg.capacity;
+                let (machine, central) = (metrics.peak_machine_words, metrics.peak_central_words);
+                assert!(
+                    machine <= capacity,
+                    "{what}: machine {machine} > {capacity}"
+                );
+                assert!(
+                    central <= capacity,
+                    "{what}: central {central} > {capacity}"
+                );
+
+                if let Some(opt) = opt {
+                    let objective = mr.certificate.objective;
+                    assert!(
+                        2.0 * objective + 1e-9 >= opt,
+                        "{what}: 2 x {objective} < {opt}"
+                    );
+                    sampled_and_exact += usize::from(iterations >= 2);
+                }
+            }
+        }
+    }
+    assert!(
+        sampled_and_exact > 0,
+        "no exactly solved case ran a sampled iteration"
+    );
 }
