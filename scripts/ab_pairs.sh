@@ -12,13 +12,17 @@
 # because two checkouts sharing one CARGO_TARGET_DIR reuse each other's
 # build products. Pair k runs `run.sh --workload WORKLOAD --seed SEED
 # --trace 0` once in each checkout, the parent first in odd pairs and the
-# change first in even ones, and reads METRIC (default `wall_s`; any
-# metric of BENCHMARK.json) from the result object on run.sh's last line.
-# The first pair also builds each side, before its timed run starts.
+# change first in even ones, and keeps the result object from run.sh's
+# last line. The first pair also builds each side, before its timed run
+# starts.
 #
-# Prints every pair, each side's median and quartiles
+# Prints every pair's METRIC (default `wall_s`; any metric of
+# BENCHMARK.json), each side's median and quartiles
 # (`statistics.quantiles(n=4)`, as `run.sh compare` computes them), the
-# win count and the verdict. Exits 1 if a run fails its correctness gate.
+# win count and the verdict on METRIC; then, for every end-to-end metric,
+# both medians and whether the change's is worse than the parent's by
+# more than BENCHMARK.json's bound. Exits 1 if a run fails its
+# correctness gate.
 set -euo pipefail
 
 if [ $# -lt 5 ] || [ $# -gt 6 ]; then
@@ -36,39 +40,30 @@ case "$pairs" in '' | *[!0-9]* | 0) echo "PAIRS must be a positive integer" >&2;
 logs="$(mktemp -d)"
 trap 'rm -rf "$logs"' EXIT
 
-# One run in checkout $1; prints the metric's value.
+# One run of side $2 in checkout $1 for pair $3: keeps its result object
+# and prints METRIC.
 run_side() {
-  local dir="$1" name="$2" pair="$3" line
-  if ! line="$(cd "$dir" && CARGO_TARGET_DIR="$dir/target" bash benchmark/run.sh \
-    --workload "$workload" --seed "$seed" --trace 0 2>"$logs/$name.$pair.err" | tail -n 1)"; then
-    echo "$name run $pair failed; its stderr:" >&2
-    cat "$logs/$name.$pair.err" >&2
+  local dir="$1" side="$2" pair="$3"
+  if ! (cd "$dir" && CARGO_TARGET_DIR="$dir/target" bash benchmark/run.sh \
+    --workload "$workload" --seed "$seed" --trace 0 2>"$logs/$side.$pair.err" \
+    | tail -n 1 >"$logs/$side.$pair.json"); then
+    echo "$side run $pair failed; its stderr:" >&2
+    cat "$logs/$side.$pair.err" >&2
     exit 1
   fi
-  python3 - "$line" "$metric" "$name" "$pair" <<'EOF'
+  python3 - "$logs/$side.$pair.json" "$metric" "$side run $pair" <<'EOF'
 import json, sys
-line, metric, name, pair = sys.argv[1:]
-result = json.loads(line)
+path, metric, what = sys.argv[1:]
+result = json.load(open(path))
 if not result["correct"] or result["failed"]:
-    sys.exit(f"{name} run {pair}: {result['failed']} of {result['attempted']} operations failed")
+    sys.exit(f"{what}: {result['failed']} of {result['attempted']} operations failed")
+if metric not in result["metrics"]:
+    sys.exit(f"{what}: no metric {metric}")
 print(result["metrics"][metric]["value"])
 EOF
 }
 
-better="$(python3 - "$parent/BENCHMARK.json" "$metric" <<'EOF'
-import json, sys
-spec = json.load(open(sys.argv[1]))
-for m in spec["end_to_end"] + spec["per_layer"]:
-    if m["name"] == sys.argv[2]:
-        print(m["better"])
-        break
-else:
-    sys.exit(f"{sys.argv[2]} is not a metric of {sys.argv[1]}")
-EOF
-)"
-
-echo "$workload, seed $seed, $metric ($better is better): $pairs pairs"
-: >"$logs/values"
+echo "$workload, seed $seed: $pairs pairs"
 for pair in $(seq 1 "$pairs"); do
   if [ $((pair % 2)) -eq 1 ]; then
     p="$(run_side "$parent" parent "$pair")"
@@ -79,32 +74,44 @@ for pair in $(seq 1 "$pairs"); do
     p="$(run_side "$parent" parent "$pair")"
     first=change
   fi
-  echo "$p $c" >>"$logs/values"
-  printf 'pair %2d: parent %-12s change %-12s (%s first)\n' "$pair" "$p" "$c" "$first"
+  printf 'pair %2d %s: parent %-12s change %-12s (%s first)\n' "$pair" "$metric" "$p" "$c" "$first"
 done
 
-python3 - "$logs/values" "$better" <<'EOF'
-import statistics, sys
-pairs = [tuple(map(float, l.split())) for l in open(sys.argv[1])]
-lower = sys.argv[2] == "lower"
-parent = [p for p, _ in pairs]
-change = [c for _, c in pairs]
+python3 - "$logs" "$pairs" "$metric" "$parent/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+logs, pairs, claimed, spec_path = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+spec = json.load(open(spec_path))
+defs = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+def values(side, name):
+    return [json.load(open(f"{logs}/{side}.{k}.json"))["metrics"][name]["value"]
+            for k in range(1, pairs + 1)]
 def summary(xs):
     if len(xs) < 2:
-        return statistics.median(xs), xs[0], xs[0]
+        return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4)
-    return med, q1, q3
-(pm, p1, p3), (cm, c1, c3) = summary(parent), summary(change)
-for name, (m, q1, q3) in (("parent", (pm, p1, p3)), ("change", (cm, c1, c3))):
-    print(f"{name}: median {m:.6g}, quartiles {q1:.6g} .. {q3:.6g}")
-wins = sum((c < p) if lower else (c > p) for p, c in pairs)
-gap = (pm - cm) if lower else (cm - pm)
-iqr = p3 - p1
-need = -(-9 * len(pairs) // 10)
-print(f"change wins {wins}/{len(pairs)} (need {need}); median gap {gap:+.6g} "
-      f"({gap / pm:+.1%}), parent IQR {iqr:.6g}")
-if wins >= need and gap > iqr:
-    print("verdict: the change is better")
-else:
-    print("verdict: no gain can be claimed")
+    return q1, med, q3
+def gain(name, p, c):
+    # How much better the change is than the parent (negative: worse).
+    return (p - c) if defs[name]["better"] == "lower" else (c - p)
+
+p, c = values("parent", claimed), values("change", claimed)
+(p1, pm, p3), (c1, cm, c3) = summary(p), summary(c)
+print(f"{claimed} ({defs[claimed]['better']} is better):")
+print(f"  parent: median {pm:.6g}, quartiles {p1:.6g} .. {p3:.6g}")
+print(f"  change: median {cm:.6g}, quartiles {c1:.6g} .. {c3:.6g}")
+wins = sum(gain(claimed, a, b) > 0 for a, b in zip(p, c))
+need = -(-9 * pairs // 10)
+gap = gain(claimed, pm, cm)
+print(f"  change wins {wins}/{pairs} (need {need}); median gain {gap:+.6g} "
+      f"({gap / pm if pm else 0:+.1%}), parent IQR {p3 - p1:.6g}")
+verdict = "the change is better" if wins >= need and gap > p3 - p1 else "no gain can be claimed"
+print(f"  verdict: {verdict}")
+
+print("end-to-end medians (parent -> change, gain, bound):")
+for m in spec["end_to_end"]:
+    name, bound = m["name"], m["bound"]
+    pm, cm = statistics.median(values("parent", name)), statistics.median(values("change", name))
+    rel = gain(name, pm, cm) / pm if pm else 0.0
+    flag = "WORSE than bound" if rel < -bound else "within bound"
+    print(f"  {name:12s} {pm:.6g} -> {cm:.6g}  {rel:+.1%}  (bound {bound:.0%}: {flag})")
 EOF

@@ -284,21 +284,21 @@ fn matching_meets_theorem_5_6_on_densified_families() {
                 // stacked reduction may differ in its last bit, because
                 // each driver names an edge's endpoints in its own order.
                 let rlr = solve(Backend::Rlr);
-                let (a, b) = (mr.solution.as_matching(), rlr.solution.as_matching());
-                let (a, b) = (a.expect(&what), b.expect(&what));
-                assert_eq!(a.matching, b.matching, "{what}: Rlr != Mr");
-                assert_eq!(a.iterations, b.iterations, "{what}: Rlr != Mr");
+                let got = mr.solution.as_matching().expect(&what);
+                let mirror = rlr.solution.as_matching().expect(&what);
+                assert_eq!(got.matching, mirror.matching, "{what}: Rlr != Mr");
+                assert_eq!(got.iterations, mirror.iterations, "{what}: Rlr != Mr");
                 let pushes =
                     |r: &MatchingResult| r.stack.iter().map(|&(e, _)| e).collect::<Vec<_>>();
-                assert_eq!(pushes(a), pushes(b), "{what}: Rlr != Mr");
+                assert_eq!(pushes(got), pushes(mirror), "{what}: Rlr != Mr");
 
-                // Lemma 5.4, the step of Theorem 5.6's proof: w.h.p. every
-                // sampled iteration cuts the alive edges by `n^{µ/4}`. From
-                // `m = n^{1+c}` the count is below the central-finish
-                // threshold `4η = 4n^{1+µ}` after at most `4(c − µ)/µ` cuts:
-                // that many sampled iterations plus one, then the central
-                // finish.
-                let iterations = a.iterations;
+                // Theorem 5.6's proof (Lemma 5.4) shrinks the alive edges
+                // by a factor `n^{µ/4}` per sampled iteration w.h.p., the
+                // constant `round_bounds.rs` uses too. From `m = n^{1+c}`
+                // the count is below the central-finish threshold
+                // `4η = 4n^{1+µ}` after at most `4(c − µ)/µ` cuts: that many
+                // sampled iterations plus one, then the central finish.
+                let iterations = got.iterations;
                 let bound = 2 + (4.0 * (c - mu).max(0.0) / mu).floor() as usize;
                 assert!(
                     iterations <= bound,
