@@ -22,7 +22,6 @@
 pub mod certificate;
 pub mod instance;
 pub mod json;
-mod keyset;
 pub mod manifest;
 pub mod report;
 pub mod stream;

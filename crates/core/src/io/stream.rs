@@ -17,17 +17,23 @@
 //! `mrlr_mapreduce::ingest`).
 //!
 //! Central state while streaming is `O(n + m)` words: the current line,
-//! the header counts, one presence flag per vertex (`n`-line accounting)
-//! and one 8-byte slot per edge at load factor ≤ ½ (duplicate detection
-//! in a flat open-addressed table — the format promises simple graphs,
-//! and the streaming parser rejects exactly what the materialized one
-//! rejects). Everything `Θ(m)`-sized beyond that table lives in the sink.
-//! Parsing an `e` or `n` line allocates nothing (an `s` line allocates the
-//! element list its record owns), and a line is copied only when it
-//! straddles two chunks. Edge lines are checked against the table a small
-//! batch at a time, so the table's cache misses overlap; what the sink
-//! sees and which error comes first are exactly as if each line were
-//! settled on arrival.
+//! the header counts, and one 8-byte key per record of a graph body — an
+//! `e` line's packed `(min, max)` endpoints, an `n` line's vertex id —
+//! written sequentially into a flat column, with a sparse table of where
+//! those lines sit (one entry per change of line offset or column: a
+//! single entry for a file of plain lines). Everything `Θ(m)`-sized beyond
+//! that column lives in the sink. Parsing an `e` or `n` line allocates
+//! nothing (an `s` line allocates the element list its record owns), and
+//! a line is copied only when it straddles two chunks.
+//!
+//! The two checks that span lines — no edge repeated (the format promises
+//! simple graphs) and one `n` line per vertex — run once over the
+//! columns, at end of input or when the parse stops early, as a stable
+//! counting sort into rows and one stamping pass (`KeyColumn`). A record
+//! reaches the sink as soon as its own line passes, so a sink may see a
+//! repeat, but the parse then fails before `finish`. The error reported is
+//! still the one the earliest bad line owes: a repeat among the records
+//! before a failing line outranks that line's own error.
 //!
 //! # Two routes, one set of checks
 //!
@@ -61,20 +67,24 @@
 //! (ASCII blanks are whitespace there too, and both routes hand the same
 //! token to the same `parse`), its columns are the same byte offsets,
 //! and every *semantic* check — weight positive and finite, endpoint
-//! range, self-loop, duplicate edge, `n`-line uniqueness, increasing
-//! elements — lives in one `accept_*` function per record kind that both
-//! routes call with the fields they read.
+//! range, self-loop, increasing elements — lives in one `accept_*`
+//! function per record kind that both routes call with the fields they
+//! read; the same functions fill the key columns the repeat checks read.
 //!
 //! The header's counts are a claim, not a fact. No allocation is sized by
 //! them beyond a fixed cap (`PREALLOC_CAP` records for the sinks and the
-//! per-vertex flags, `2^24` keys for the duplicate table); past the cap
-//! every structure grows with the records that actually arrive, and a
-//! header that lied is reported by the end-of-input count checks.
+//! key columns); past the cap every structure grows with the records that
+//! actually arrive, and a header that lied is reported by the end-of-input
+//! count checks. Nor is anything sized by a vertex id the body names: the
+//! repeat checks' rows fall back to a sort when the ids are sparse, and
+//! the smallest vertex without an `n` line is found among `k + 1`
+//! candidates for `k` lines.
+
+use std::collections::HashSet;
 
 use mrlr_graph::{Edge, Graph, VertexId};
 use mrlr_setsys::{ElemId, SetSystem};
 
-use super::keyset::KeySet;
 use super::{is_ascii_space, tokens, IoError, Tokens};
 use crate::api::{BMatchingInstance, Instance, VertexWeightedGraph};
 
@@ -86,9 +96,6 @@ pub const DEFAULT_BUF_LEN: usize = 64 * 1024;
 /// Most records a header count may make the parser or [`InstanceSink`]
 /// allocate for before any have arrived (16 MiB of edges).
 const PREALLOC_CAP: usize = 1 << 20;
-
-/// Most keys the duplicate-edge table is sized for up front.
-const DEDUP_PREALLOC_CAP: usize = 1 << 24;
 
 /// Vertex ids are [`VertexId`]s, so a graph has at most this many vertices.
 const MAX_VERTICES: usize = VertexId::MAX as usize + 1;
@@ -198,10 +205,10 @@ pub enum StreamHeader {
     },
 }
 
-/// One validated record of the instance body. Records reach the sink
-/// exactly as the materialized parser would have accepted them: endpoints
-/// in range, no self-loops or duplicate edges, weights positive and
-/// finite, `n`-lines unique, set elements strictly increasing.
+/// One record of the instance body, validated as far as its own line
+/// goes: endpoints in range, no self-loop, weights positive and finite,
+/// set elements strictly increasing. That it repeats no earlier edge or
+/// `n` line is checked later (see [`RecordSink`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// An `e <u> <v> [<w>]` line. `index` is the edge id the materialized
@@ -243,23 +250,28 @@ pub enum Record {
 }
 
 /// Consumer of a record stream: the parser calls [`RecordSink::header`]
-/// once, then [`RecordSink::record`] per validated body line, then
-/// [`RecordSink::finish`] after the end-of-input checks pass. A sink may
-/// reject a record with its own [`IoError`] (e.g. a machine over its word
-/// budget); the parser propagates it unchanged.
+/// once, then [`RecordSink::record`] per body line that passes its own
+/// checks, then [`RecordSink::finish`] once the whole input has passed. A
+/// sink may reject a record with its own [`IoError`] (e.g. a machine over
+/// its word budget); the parser propagates it unchanged, unless a repeat
+/// among the records before it owes an earlier error.
 ///
-/// Edge records may arrive a few lines after they were read (the
-/// duplicate check runs over small batches), but always in input order,
-/// never past a line that fails, and never once an earlier line has.
+/// Records arrive in input order as soon as their line is read, never
+/// past a line that fails, and before the checks that span lines: that no
+/// edge repeats an earlier one and that no vertex has two `n` lines.
+/// Those run once over the whole body, at end of input or when the parse
+/// stops early. So a sink may receive a record that repeats an earlier
+/// one; the parse then returns the repeat's error and never calls
+/// `finish`. A sink must not act on what it holds before `finish`.
 pub trait RecordSink {
     /// What the sink assembles.
     type Out;
     /// Receives the problem line.
     fn header(&mut self, header: &StreamHeader) -> Result<(), IoError>;
-    /// Receives one validated record.
+    /// Receives one record whose line passed its own checks.
     fn record(&mut self, record: Record) -> Result<(), IoError>;
-    /// Called once after the parser's end-of-input checks (record counts,
-    /// `n`-line completeness) succeed.
+    /// Called once, after every check passes: the repeat checks, then the
+    /// record counts and `n`-line completeness.
     fn finish(self, header: &StreamHeader) -> Result<Self::Out, IoError>;
 }
 
@@ -275,35 +287,105 @@ struct GraphBody {
     kind: GraphKind,
     n: usize,
     m: usize,
-    /// `e` lines accepted so far, the held-back ones included.
-    edges: usize,
-    /// Normalized `(min, max)` endpoint keys of the edges seen so far —
-    /// the one `Θ(m)` structure the central parser keeps (one 8-byte slot
-    /// per edge at load factor ≤ ½; everything else it holds is `O(n)`
-    /// or per-line).
-    seen: KeySet,
-    /// Edge lines that have passed every per-line check and await the
-    /// duplicate check and delivery — see [`GraphBody::settle`].
-    pending: Vec<PendingEdge>,
-    /// One presence flag per vertex that has had its `n` line (vertices
-    /// past the end have not) — grown on demand, never beyond `n`.
-    vertex_done: Vec<bool>,
+    /// `(min, max)` endpoints of the `e` lines accepted so far, at their
+    /// edge ids: the one `Θ(m)` structure the central parser keeps.
+    edges: KeyColumn,
+    /// `(0, v)` of the `n` lines accepted so far.
+    vertices: KeyColumn,
 }
 
-/// An accepted `e` line held back for the batched duplicate check.
-struct PendingEdge {
-    u: VertexId,
-    v: VertexId,
-    w: f64,
-    /// Where a duplicate error points: the line, and its first endpoint.
-    line: usize,
-    col: usize,
+/// The keys of one record kind of a graph body, in arrival order, for the
+/// checks that span lines: each edge's `(min, max)` endpoints or each `n`
+/// line's `(0, v)`, packed as `row << 32 | col` with `row ≤ col`.
+struct KeyColumn {
+    keys: Vec<u64>,
+    /// The largest `col` half pushed: it sizes the repeat check's tables.
+    largest: u32,
+    /// Where the keys were read, as `(index, (offset, col))` anchors: key
+    /// `i`, from `index` up to the next anchor's, came from line
+    /// `i + offset`, its first field at column `col`. One anchor per
+    /// change of place, so one for a file of plain lines.
+    anchors: Vec<(usize, (usize, usize))>,
 }
 
-/// Edge lines per duplicate-check batch. A lookup in the `Θ(m)` key table
-/// is a cache miss the next line's parse cannot proceed past; looked up
-/// back to back, a batch's misses overlap instead of queueing.
-const DEDUP_BATCH: usize = 32;
+impl KeyColumn {
+    fn with_capacity(keys: usize) -> Self {
+        KeyColumn {
+            keys: Vec::with_capacity(keys),
+            largest: 0,
+            anchors: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64, line: usize, col: usize) {
+        let index = self.keys.len();
+        let place = (line - index, col);
+        if self.anchors.last().map(|a| a.1) != Some(place) {
+            self.anchors.push((index, place));
+        }
+        self.largest = self.largest.max(key as u32);
+        self.keys.push(key);
+    }
+
+    /// The first key that repeats an earlier one, with the line and
+    /// column it was read at.
+    fn first_repeat(&self) -> Option<(u64, usize, usize)> {
+        if !has_repeat(&self.keys, self.largest as usize) {
+            return None;
+        }
+        // Only an input that fails pays for finding which key it is.
+        let mut seen = HashSet::with_capacity(self.keys.len());
+        let i = self.keys.iter().position(|&key| !seen.insert(key))?;
+        let (_, (offset, col)) = self.anchors[self.anchors.partition_point(|a| a.0 <= i) - 1];
+        Some((self.keys[i], i + offset, col))
+    }
+}
+
+/// Whether `keys` (packed as in [`KeyColumn`]) holds some key twice. A
+/// stable counting sort — count → prefix-sum → scatter — lays the `col`
+/// halves out in rows keyed by the `row` half, and one pass stamps each
+/// `col` with the row it was last seen in: a repeat finds its own row's
+/// stamp. The tables are sized by `largest`, the largest `col`; ids too
+/// sparse for that, past `max(2·len, PREALLOC_CAP)`, are sorted and
+/// compared as neighbours instead.
+fn has_repeat(keys: &[u64], largest: usize) -> bool {
+    if keys.len() < 2 {
+        return false;
+    }
+    if largest > (2 * keys.len()).max(PREALLOC_CAP) {
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        return sorted.windows(2).any(|pair| pair[0] == pair[1]);
+    }
+    let row = |key: u64| (key >> 32) as usize;
+    // `ends[r + 1]` counts row `r`; the prefix sums make `ends[r]` row
+    // `r`'s start, which the scatter advances to its end.
+    let mut ends = vec![0usize; largest + 2];
+    for &key in keys {
+        ends[row(key) + 1] += 1;
+    }
+    for r in 1..ends.len() {
+        ends[r] += ends[r - 1];
+    }
+    let mut cols = vec![0u32; keys.len()];
+    for &key in keys {
+        let at = &mut ends[row(key)];
+        cols[*at] = key as u32;
+        *at += 1;
+    }
+    let mut stamps = vec![0usize; largest + 1];
+    let mut start = 0;
+    for (r, &end) in ends[..=largest].iter().enumerate() {
+        for &col in &cols[start..end] {
+            if std::mem::replace(&mut stamps[col as usize], r + 1) == r + 1 {
+                return true;
+            }
+        }
+        start = end;
+    }
+    false
+}
 
 /// The value of an `n` line: a weight in a `vertex-weighted` body, a
 /// capacity in a `b-matching` body.
@@ -321,42 +403,43 @@ fn check_vertex(v: usize, n: usize, line: usize, col: usize) -> Result<(), IoErr
 }
 
 impl GraphBody {
-    /// Runs the duplicate check over the held-back edge lines, then
-    /// delivers them in arrival order. Called when the batch fills and
-    /// before anything else that can fail or reach the sink, so the sink
-    /// sees the same record sequence, and the caller the same first
-    /// error, as if every line were settled on arrival.
-    fn settle<S: RecordSink>(&mut self, sink: &mut S) -> Result<(), IoError> {
-        let key = |e: &PendingEdge| ((e.u.min(e.v) as u64) << 32) | e.u.max(e.v) as u64;
-        let fresh = self
-            .pending
+    /// The error owed to the earliest line that repeats an edge or an `n`
+    /// line before it, if any.
+    fn repeat_error(&self) -> Option<IoError> {
+        let edge = self.edges.first_repeat().map(|(key, line, col)| {
+            let (u, v) = (key >> 32, key as u32);
+            err(line, col, format!("duplicate edge ({u}, {v})"))
+        });
+        let vertex = self
+            .vertices
+            .first_repeat()
+            .map(|(v, line, col)| err(line, col, format!("duplicate data for vertex {v}")));
+        edge.into_iter().chain(vertex).min_by_key(|e| e.line)
+    }
+
+    /// The smallest vertex id without an `n` line (`n` if there is none).
+    /// The ids are distinct — the repeat check has passed — and below
+    /// `n`, so `k` of them leave one of `0..=k` free: `k + 1` flags, not
+    /// `n`, find it.
+    fn first_missing(&self) -> usize {
+        let mut present = vec![false; self.vertices.keys.len() + 1];
+        for &v in &self.vertices.keys {
+            if let Some(flag) = present.get_mut(v as usize) {
+                *flag = true;
+            }
+        }
+        present
             .iter()
-            .position(|e| !self.seen.insert(key(e)))
-            .unwrap_or(self.pending.len());
-        let first = self.edges - self.pending.len();
-        let mut pending = self.pending.drain(..);
-        for (k, PendingEdge { u, v, w, .. }) in pending.by_ref().take(fresh).enumerate() {
-            let index = first + k;
-            sink.record(Record::Edge { index, u, v, w })?;
-        }
-        match pending.next() {
-            None => Ok(()),
-            Some(PendingEdge {
-                u, v, line, col, ..
-            }) => Err(err(
-                line,
-                col,
-                format!("duplicate edge ({}, {})", u.min(v), u.max(v)),
-            )),
-        }
+            .position(|&p| !p)
+            .expect("k distinct ids leave one of 0..=k free")
     }
 
     /// Every semantic check of an `e` line whose fields have parsed, in
-    /// the order their errors are owed; a line that passes joins the
-    /// duplicate-check batch. `trailing` is what the general route found
-    /// after the last field — a syntax error that ranks after the weight
-    /// check and before the range checks; the recognizer only accepts
-    /// lines it has read through to their `\n`, and passes `Ok`.
+    /// the order their errors are owed; a line that passes is keyed for
+    /// the repeat check and delivered. `trailing` is what the general
+    /// route found after the last field — a syntax error that ranks after
+    /// the weight check and before the range checks; the recognizer only
+    /// accepts lines it has read through to their `\n`, and passes `Ok`.
     fn accept_edge<S: RecordSink>(
         &mut self,
         sink: &mut S,
@@ -377,25 +460,16 @@ impl GraphBody {
         if u == v {
             return Err(err(line, vcol, format!("self-loop at vertex {u}")));
         }
-        self.edges += 1;
-        self.pending.push(PendingEdge {
-            u,
-            v,
-            w,
-            line,
-            col: ucol,
-        });
-        if self.pending.len() < DEDUP_BATCH {
-            Ok(())
-        } else {
-            self.settle(sink)
-        }
+        let index = self.edges.keys.len();
+        let key = ((u.min(v) as u64) << 32) | u.max(v) as u64;
+        self.edges.push(key, line, ucol);
+        sink.record(Record::Edge { index, u, v, w })
     }
 
-    /// Every semantic check of an `n` line, then its delivery (behind the
-    /// held-back edges). The general route reads `value` and `trailing`
-    /// off the line before calling, but their syntax errors keep their
-    /// rank: after the range check of the id, resp. after the value check.
+    /// Every semantic check of an `n` line, then its key and its
+    /// delivery. The general route reads `value` and `trailing` off the
+    /// line before calling, but their syntax errors keep their rank:
+    /// after the range check of the id, resp. after the value check.
     fn accept_vertex<S: RecordSink>(
         &mut self,
         sink: &mut S,
@@ -416,10 +490,7 @@ impl GraphBody {
             }
         };
         trailing?;
-        if std::mem::replace(slot(&mut self.vertex_done, v), true) {
-            return Err(err(line, vcol, format!("duplicate data for vertex {v}")));
-        }
-        self.settle(sink)?;
+        self.vertices.push(v as u64, line, vcol);
         sink.record(record)
     }
 
@@ -849,8 +920,9 @@ impl<S: RecordSink> StreamParser<S> {
     }
 
     /// Flushes the final (unterminated) line, runs the end-of-input checks
-    /// (`m`/`nsets` record counts, `n`-line completeness — file-level
-    /// errors at line 0, column 0) and hands off to the sink.
+    /// — repeated edges and `n` lines, at their lines; then the `m`/`nsets`
+    /// record counts and `n`-line completeness, file-level errors at line
+    /// 0, column 0 — and hands off to the sink.
     pub fn finish(mut self) -> Result<S::Out, IoError> {
         if let State::Failed(e) = &self.state {
             return Err(e.clone());
@@ -858,30 +930,29 @@ impl<S: RecordSink> StreamParser<S> {
         if !self.carry.is_empty() {
             self.handle_carry().map_err(|e| self.owed_first(e))?;
         }
-        self.settle()?;
         let sink = self.sink.take().expect("sink taken once");
         match self.state {
             State::Failed(e) => Err(e),
             State::Start => Err(err(0, 0, "empty input: missing problem line `p <kind> …`")),
             State::Graph(body) => {
-                if body.edges != body.m {
-                    return Err(err(
-                        0,
-                        0,
-                        format!(
-                            "problem line promised {} edges, found {}",
-                            body.m, body.edges
-                        ),
-                    ));
+                if let Some(e) = body.repeat_error() {
+                    return Err(e);
+                }
+                let (m, found) = (body.m, body.edges.keys.len());
+                if found != m {
+                    let message = format!("problem line promised {m} edges, found {found}");
+                    return Err(err(0, 0, message));
                 }
                 if body.kind != GraphKind::Graph {
-                    let done = &body.vertex_done;
-                    let first_missing = done.iter().position(|&d| !d).unwrap_or(done.len());
+                    let first_missing = body.first_missing();
                     if first_missing < body.n {
                         return Err(err(0, 0, format!("vertex {first_missing} has no `n` line")));
                     }
                 }
-                sink.finish(&body.header)
+                // Free the key columns before the sink builds its output.
+                let header = body.header;
+                drop(body);
+                sink.finish(&header)
             }
             State::Sets(body) => {
                 if body.sets != body.n_sets {
@@ -908,20 +979,13 @@ impl<S: RecordSink> StreamParser<S> {
         r
     }
 
-    /// Settles the edge lines still held back for the duplicate check.
-    fn settle(&mut self) -> Result<(), IoError> {
-        match &mut self.state {
-            State::Graph(body) => {
-                body.settle(self.sink.as_mut().expect("sink alive while parsing"))
-            }
-            _ => Ok(()),
+    /// The error a failed parse reports: a repeat among the records
+    /// before the failure was owed first.
+    fn owed_first(&self, e: IoError) -> IoError {
+        match &self.state {
+            State::Graph(body) => body.repeat_error().unwrap_or(e),
+            _ => e,
         }
-    }
-
-    /// The error a failed line reports: one owed to an earlier, held-back
-    /// line takes precedence over its own.
-    fn owed_first(&mut self, e: IoError) -> IoError {
-        self.settle().err().unwrap_or(e)
     }
 
     /// Reads plain records off the head of `bytes` (the start of a line)
@@ -988,14 +1052,12 @@ impl<S: RecordSink> StreamParser<S> {
                         kind: kind.expect("graph headers carry a kind"),
                         n,
                         m,
-                        edges: 0,
-                        seen: KeySet::with_capacity(m.min(DEDUP_PREALLOC_CAP)),
-                        pending: Vec::with_capacity(DEDUP_BATCH),
-                        vertex_done: if kind == Some(GraphKind::Graph) {
-                            Vec::new()
+                        edges: KeyColumn::with_capacity(m.min(PREALLOC_CAP)),
+                        vertices: KeyColumn::with_capacity(if kind == Some(GraphKind::Graph) {
+                            0
                         } else {
-                            vec![false; n.min(PREALLOC_CAP)]
-                        },
+                            n.min(PREALLOC_CAP)
+                        }),
                     }),
                 };
                 Ok(())
@@ -1062,26 +1124,28 @@ fn parse_problem_line(
     }
 }
 
-/// Entry `v` of a per-vertex table that was pre-sized from a capped
-/// header count, growing the table (default-filled) to reach it.
-fn slot<T: Clone + Default>(table: &mut Vec<T>, v: usize) -> &mut T {
-    if v >= table.len() {
-        table.resize(v + 1, T::default());
-    }
-    &mut table[v]
-}
-
 /// The materializing sink behind [`super::parse_instance`]: accumulates
 /// records into an [`Instance`]. Central memory is `Θ(n + m)` — use a
 /// distributing sink instead when that exceeds the machine budget.
 #[derive(Debug, Default)]
 pub struct InstanceSink {
     edges: Vec<Edge>,
-    /// Weight (vertex-weighted) or capacity (b-matching) per vertex; the
-    /// parser guarantees completeness and uniqueness before `finish`.
-    vertex_data: Vec<f64>,
+    /// `(v, weight)` (vertex-weighted) or `(v, capacity)` (b-matching) of
+    /// each `n` line, in arrival order: placed by id only at `finish`,
+    /// once the parser has proved that every id below `n` has one line.
+    vertex_data: Vec<(usize, f64)>,
     sets: Vec<Vec<ElemId>>,
     set_weights: Vec<f64>,
+}
+
+/// The `n` lines' values in vertex order, given that their ids are
+/// exactly `0..pairs.len()`.
+fn by_vertex(pairs: Vec<(usize, f64)>) -> Vec<f64> {
+    let mut values = vec![0.0; pairs.len()];
+    for (v, x) in pairs {
+        values[v] = x;
+    }
+    values
 }
 
 impl RecordSink for InstanceSink {
@@ -1092,7 +1156,7 @@ impl RecordSink for InstanceSink {
             StreamHeader::Graph { m, .. } => self.edges.reserve(m.min(PREALLOC_CAP)),
             StreamHeader::VertexWeighted { n, m } | StreamHeader::BMatching { n, m, .. } => {
                 self.edges.reserve(m.min(PREALLOC_CAP));
-                self.vertex_data = vec![0.0; n.min(PREALLOC_CAP)];
+                self.vertex_data.reserve(n.min(PREALLOC_CAP));
             }
             StreamHeader::SetSystem { n_sets, .. } => {
                 self.sets.reserve(n_sets.min(PREALLOC_CAP));
@@ -1105,8 +1169,8 @@ impl RecordSink for InstanceSink {
     fn record(&mut self, record: Record) -> Result<(), IoError> {
         match record {
             Record::Edge { u, v, w, .. } => self.edges.push(Edge::new(u, v, w)),
-            Record::VertexWeight { v, w } => *slot(&mut self.vertex_data, v) = w,
-            Record::Capacity { v, b } => *slot(&mut self.vertex_data, v) = b as f64,
+            Record::VertexWeight { v, w } => self.vertex_data.push((v, w)),
+            Record::Capacity { v, b } => self.vertex_data.push((v, b as f64)),
             Record::Set { w, elems, .. } => {
                 self.set_weights.push(w);
                 self.sets.push(elems);
@@ -1120,12 +1184,18 @@ impl RecordSink for InstanceSink {
         // `Graph::new` would re-check.
         Ok(match *header {
             StreamHeader::Graph { n, .. } => Instance::Graph(Graph::from_validated(n, self.edges)),
-            StreamHeader::VertexWeighted { n, .. } => Instance::VertexWeighted(
-                VertexWeightedGraph::new(Graph::from_validated(n, self.edges), self.vertex_data),
-            ),
+            StreamHeader::VertexWeighted { n, .. } => {
+                Instance::VertexWeighted(VertexWeightedGraph::new(
+                    Graph::from_validated(n, self.edges),
+                    by_vertex(self.vertex_data),
+                ))
+            }
             StreamHeader::BMatching { n, eps, .. } => Instance::BMatching(BMatchingInstance::new(
                 Graph::from_validated(n, self.edges),
-                self.vertex_data.into_iter().map(|b| b as u32).collect(),
+                by_vertex(self.vertex_data)
+                    .into_iter()
+                    .map(|b| b as u32)
+                    .collect(),
                 eps,
             )),
             StreamHeader::SetSystem { universe, .. } => {
@@ -1233,72 +1303,131 @@ mod tests {
         }
     }
 
-    /// The duplicate check runs in batches, but nothing observable may
-    /// show it: the first error is the one the earliest bad line owes,
-    /// and the sink sees exactly the records before it, in order.
+    /// The repeat checks run after the load, yet report what checking
+    /// each line on arrival would: the earliest offending line and its
+    /// first field, ahead of a later syntax error, sink failure or
+    /// end-of-input check, and behind a sink failure that came first.
+    /// Meanwhile the sink has been handed every record whose own line
+    /// passed, repeats included.
     #[test]
-    fn batched_duplicate_check_keeps_arrival_order() {
-        let mut edges = Vec::new();
-        for u in 0..13u32 {
-            for v in (u + 1)..13 {
-                edges.push((u, v));
-            }
-        }
-        assert!(edges.len() >= 2 * DEDUP_BATCH + 3);
-        // `dup_at` distinct edges, a repeat of the first (endpoints
-        // swapped), three more edges, then a line that does not parse.
-        let document = |dup_at: usize| {
-            let mut text = format!("p graph 13 {}\n", dup_at + 4);
-            for &(u, v) in &edges[..dup_at] {
-                text += &format!("e {u} {v}\n");
-            }
-            text += "e 1 0\n";
-            for &(u, v) in &edges[dup_at..dup_at + 3] {
-                text += &format!("e {u} {v}\n");
-            }
-            text + "e 0 x\n"
-        };
-        for dup_at in [
-            1,
-            DEDUP_BATCH - 2,
-            DEDUP_BATCH,
-            DEDUP_BATCH + 7,
-            2 * DEDUP_BATCH,
-        ] {
-            let text = document(dup_at);
-            let duplicate = err(dup_at + 2, 3, "duplicate edge (0, 1)");
-            for (fail_at, expected, delivered) in [
-                (usize::MAX, duplicate.clone(), dup_at),
-                (dup_at, duplicate.clone(), dup_at),
-                (dup_at - 1, err(0, 0, "sink full"), dup_at - 1),
-            ] {
-                for chunk in [1usize, 9, 1 << 16] {
-                    let seen = std::cell::RefCell::new(Vec::new());
-                    let sink = Logging {
-                        seen: &seen,
-                        fail_at,
-                    };
-                    let got = stream_records(std::io::Cursor::new(text.as_bytes()), chunk, sink);
-                    assert_eq!(
-                        got,
-                        Err(expected.clone()),
-                        "dup_at {dup_at} fail_at {fail_at}"
-                    );
-                    let seen = seen.into_inner();
-                    assert_eq!(seen.len(), delivered, "dup_at {dup_at} fail_at {fail_at}");
-                    for (i, record) in seen.iter().enumerate() {
-                        let (u, v) = edges[i];
-                        assert_eq!(
-                            *record,
-                            Record::Edge {
-                                index: i,
-                                u,
-                                v,
-                                w: 1.0
-                            }
-                        );
-                    }
-                }
+    fn repeats_found_after_the_load_report_the_first_offending_line() {
+        let edge = |line, col, u: u32, v: u32| err(line, col, format!("duplicate edge ({u}, {v})"));
+        let vertex = |line, col, v: u64| err(line, col, format!("duplicate data for vertex {v}"));
+        let never = usize::MAX;
+        // (document, sink fails at record, error, records delivered)
+        let cases = [
+            // Comment, blank and CRLF lines shift the line offset.
+            (
+                "p graph 5 4\r\nc note\ne 0 1\r\n\n# more\ne 1 2\ne 2 3\r\ne 1 0\n",
+                never,
+                edge(8, 3, 0, 1),
+                4,
+            ),
+            // The general route, and blanks before the first endpoint.
+            (
+                "p graph 5 3\ne 0 1\ne 1 2\n  e 2 1\n",
+                never,
+                edge(4, 5, 1, 2),
+                3,
+            ),
+            (
+                "p graph 5 3\ne   0 1\ne 1 2\ne    2 1\n",
+                never,
+                edge(4, 6, 1, 2),
+                3,
+            ),
+            (
+                "p graph 5 3\ne   0 1\ne 1 2\ne 1 0\n",
+                never,
+                edge(4, 3, 0, 1),
+                3,
+            ),
+            // Among `n` lines; the earlier of two repeat kinds wins.
+            (
+                "p vertex-weighted 3 2\nn 0 1.5\ne 0 1\nn 1 2.5\ne 1 0 3.0\nn 2 1\n",
+                never,
+                edge(5, 3, 0, 1),
+                5,
+            ),
+            (
+                "p vertex-weighted 3 1\nn 0 1.5\ne 0 1\nn 1 2.5\nn  0 3\nn 2 1\n",
+                never,
+                vertex(5, 4, 0),
+                5,
+            ),
+            (
+                "p b-matching 3 2 0.5\nn 0 1\ne 0 1\nn 0 2\ne 1 0\nn 1 1\nn 2 1\n",
+                never,
+                vertex(4, 3, 0),
+                6,
+            ),
+            (
+                "p b-matching 3 2 0.5\nn 0 1\ne 0 1\ne 1 0\nn 0 2\nn 1 1\nn 2 1\n",
+                never,
+                edge(4, 3, 0, 1),
+                6,
+            ),
+            // Ahead of a later syntax error, sink failure or count check.
+            (
+                "p graph 5 3\ne 0 1\ne 1 0\ne 0 x\n",
+                never,
+                edge(3, 3, 0, 1),
+                2,
+            ),
+            (
+                "p graph 5 4\ne 0 1\ne 1 0\ne 1 2\ne 2 3\n",
+                3,
+                edge(3, 3, 0, 1),
+                3,
+            ),
+            (
+                "p graph 5 4\ne 0 1\ne 1 0\ne 1 2\ne 2 3\n",
+                1,
+                edge(3, 3, 0, 1),
+                1,
+            ),
+            ("p graph 5 9\ne 0 1\ne 1 0\n", never, edge(3, 3, 0, 1), 2),
+            (
+                "p vertex-weighted 3 0\nn 0 1\nn 0 2\n",
+                never,
+                vertex(3, 3, 0),
+                2,
+            ),
+            // Behind a sink failure that comes first.
+            (
+                "p graph 5 3\ne 0 1\ne 1 2\ne 1 0\n",
+                1,
+                err(0, 0, "sink full"),
+                1,
+            ),
+            // Ids too sparse for rows: the sorted fallback.
+            (
+                "p graph 4294967296 2\ne 4294967294 4294967295\ne 4294967295 4294967294\n",
+                never,
+                edge(3, 3, 4294967294, 4294967295),
+                2,
+            ),
+            (
+                "p vertex-weighted 4294967296 0\nn 4294967295 1\nn 4294967295 2\n",
+                never,
+                vertex(3, 3, 4294967295),
+                2,
+            ),
+        ];
+        for (text, fail_at, expected, delivered) in cases {
+            for chunk in [1usize, 9, 1 << 16] {
+                let seen = std::cell::RefCell::new(Vec::new());
+                let sink = Logging {
+                    seen: &seen,
+                    fail_at,
+                };
+                let got = stream_records(std::io::Cursor::new(text.as_bytes()), chunk, sink);
+                assert_eq!(got, Err(expected.clone()), "{text:?} at chunk size {chunk}");
+                assert_eq!(
+                    seen.borrow().len(),
+                    delivered,
+                    "{text:?} at chunk size {chunk}"
+                );
             }
         }
     }

@@ -56,10 +56,15 @@ fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, REQUESTED.get() - before)
 }
 
-/// The duplicate-edge table is sized for at most 2^24 claimed edges
-/// (2^25 zeroed 8-byte slots the OS never maps until touched); every
-/// other structure is capped far lower. Nothing may request more.
-const ALLOCATION_BOUND: usize = (1 << 28) + (1 << 26);
+/// What a claim may buy before its records arrive. The parser and
+/// `InstanceSink` reserve at most 2^20 records (`PREALLOC_CAP`) per
+/// structure: for a graph body the edges (16 B each) and their keys
+/// (8 B), and with vertex data also the `(v, value)` pairs (16 B) and
+/// their keys (8 B), so 48 · 2^20 = 3 · 2^24 bytes; for a set system the
+/// set `Vec`s (24 B) and weights (8 B), 2^25 bytes. The 64 KiB read
+/// window and a line's scratch fit in the rest of 2^26, and anything
+/// sized by a claim of more than 2^23 words does not.
+const ALLOCATION_BOUND: usize = 1 << 26;
 
 const HUGE: &[&str] = &[
     "18446744073709551615",
@@ -175,6 +180,28 @@ fn vertex_count_beyond_the_id_range_is_a_located_error() {
     // … and a syntax error elsewhere on the line still comes first.
     let e = rejected("p graph 1152921504606846976 x\n");
     assert_eq!((e.line, e.col), (1, 29), "{e}");
+}
+
+/// An `n` line may name any id below a claimed `n` of 2^32. Its checks —
+/// one line per id, none missing — run over the ids that arrived, so a
+/// 50-byte file buys no table of `n` entries.
+#[test]
+fn an_n_line_at_the_top_of_the_id_range_buys_no_table() {
+    for (header, value) in [
+        ("p vertex-weighted 4294967296 0", "1.0"),
+        ("p b-matching 4294967296 0 0.5", "2"),
+    ] {
+        let text = format!("{header}\nn 4294967295 {value}\n");
+        let cuts: Vec<usize> = (header.len()..=text.len()).collect();
+        let e = rejected_within(text.as_bytes(), &cuts, 0, ALLOCATION_BOUND - 1);
+        assert_eq!((e.line, e.col), (0, 0), "{header}: {e}");
+        assert_eq!(e.message, "vertex 0 has no `n` line", "{header}");
+
+        let text = format!("{text}n 4294967295 {value}\n");
+        let e = rejected_within(text.as_bytes(), &cuts, 0, ALLOCATION_BOUND - 1);
+        assert_eq!((e.line, e.col), (3, 3), "{header}: {e}");
+        assert_eq!(e.message, "duplicate data for vertex 4294967295");
+    }
 }
 
 #[test]
