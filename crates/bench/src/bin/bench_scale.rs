@@ -4,36 +4,27 @@
 //! For every rung of a sweep-spec size ladder (default
 //! `scripts/scale_ladder.spec`: `densified` with `m = n^{1.4}` edges,
 //! topping out at ~10^7), the instance is rendered to a temp file once
-//! and then solved twice in *subprocess* legs so each leg's peak RSS
-//! (`VmHWM` from `/proc/self/status`) is isolated:
-//!
-//! * `materialized` — read the whole file, `parse_instance`, registry
-//!   solve: the central-copy path.
-//! * `streamed` — `solve_matching_stream` straight off the file handle:
-//!   records flow into per-machine blocks as they parse; no document
-//!   string, no central `Graph`.
-//!
-//! Both legs report the same objective (asserted), so each row's RSS gap
-//! is the measured cost of central materialization — the `η = n^{1+µ}`
-//! regime violation the streamed path removes. Rows also record
-//! distributed edges/sec and the report sizes with a full vs committed
-//! (Merkle) witness.
+//! and then solved in a *subprocess* leg, so the leg's peak RSS (`VmHWM`
+//! from `/proc/self/status`) is its own. The leg takes the path `mrlr
+//! solve` takes: `read_instance` through the parser's fixed window, then
+//! a registry solve. Rows record wall clock, peak RSS, distributed
+//! edges/sec and the report sizes with a full vs committed (Merkle)
+//! witness.
 //!
 //! Usage:
 //!   `bench_scale [--quick] [--spec PATH] [out.json]`  measure and rewrite
-//!   `bench_scale --check [out.json]`   CI mode: assert the streamed and
-//!       materialized reports agree on a small instance, then validate the
-//!       committed artifact's schema and its RSS claim without touching it.
-//!   `bench_scale --leg streamed|materialized --file PATH`  internal
-//!       subprocess entry; prints one JSON object.
+//!   `bench_scale --check [out.json]`   CI mode: round-trip a committed
+//!       witness through the audit on a small instance, then validate the
+//!       committed artifact's schema and rung ladder without touching it.
+//!   `bench_scale --leg --file PATH`  internal subprocess entry; prints
+//!       one JSON object.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use mrlr_bench::sweep::SweepSpec;
-use mrlr_core::api::{self, Backend, Registry, Solution};
+use mrlr_core::api::{self, Registry, Solution};
 use mrlr_core::io::{self, parse_json, CertificateMode, JsonValue, TimingMode};
-use mrlr_core::mr::MrConfig;
 
 const MU: f64 = 0.25;
 const SEED: u64 = 42;
@@ -72,31 +63,19 @@ fn report_sizes(report: &api::Report<Solution>) -> (usize, usize, usize) {
 
 /// One subprocess leg: load + solve, then print a JSON object with the
 /// leg's wall clock, peak RSS and report sizes.
-fn run_leg(leg: &str, file: &str) {
+fn run_leg(file: &str) {
     let started = Instant::now();
-    let report: api::Report<Solution> = match leg {
-        "materialized" => {
-            let text = std::fs::read_to_string(file).expect("read instance file");
-            let instance = io::parse_instance(&text).expect("parse instance");
-            let cfg = instance.auto_config(MU, SEED);
-            Registry::with_defaults()
-                .solve("matching", &instance, &cfg)
-                .expect("materialized solve")
-        }
-        "streamed" => {
-            let reader = std::fs::File::open(file).expect("open instance file");
-            api::solve_matching_stream(reader, io::DEFAULT_BUF_LEN, Backend::Mr, |n, m| {
-                MrConfig::auto(n, m.max(1), MU, SEED)
-            })
-            .expect("streamed solve")
-            .map(Solution::Matching)
-        }
-        other => panic!("unknown leg `{other}`"),
-    };
+    let reader = std::fs::File::open(file).expect("open instance file");
+    let instance = io::read_instance(reader, io::DEFAULT_BUF_LEN).expect("parse instance");
+    let cfg = instance.auto_config(MU, SEED);
+    let report = Registry::with_defaults()
+        .solve("matching", &instance, &cfg)
+        .expect("matching solve");
     let wall_nanos = started.elapsed().as_nanos() as u64;
+    assert!(report.certificate.feasible, "infeasible matching report");
     let (full_bytes, committed_bytes, transcript_bytes) = report_sizes(&report);
     println!(
-        "{{\"leg\": \"{leg}\", \"objective\": {:?}, \"feasible\": {}, \"rounds\": {}, \
+        "{{\"objective\": {:?}, \"feasible\": {}, \"rounds\": {}, \
          \"wall_nanos\": {wall_nanos}, \"peak_rss_kb\": {}, \"report_full_bytes\": {full_bytes}, \
          \"report_committed_bytes\": {committed_bytes}, \"transcript_bytes\": {transcript_bytes}}}",
         report.certificate.objective,
@@ -107,15 +86,15 @@ fn run_leg(leg: &str, file: &str) {
 }
 
 /// Spawns this binary as a leg subprocess and parses its JSON line.
-fn spawn_leg(leg: &str, file: &std::path::Path) -> JsonValue {
+fn spawn_leg(file: &std::path::Path) -> JsonValue {
     let exe = std::env::current_exe().expect("current exe");
     let output = std::process::Command::new(exe)
-        .args(["--leg", leg, "--file", file.to_str().unwrap()])
+        .args(["--leg", "--file", file.to_str().unwrap()])
         .output()
         .expect("spawn leg");
     assert!(
         output.status.success(),
-        "leg {leg} failed:\n{}",
+        "leg failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("leg stdout");
@@ -152,7 +131,7 @@ fn measure(spec: &SweepSpec, quick: bool) -> Vec<String> {
         let path = tmp.join(&point.out);
         {
             // Generate and stream to disk; the graph drops before the
-            // legs run, so the parent's footprint never skews them.
+            // leg runs, so the parent's footprint never skews it.
             let instance = spec.build(point).expect("ladder point builds");
             let file = std::fs::File::create(&path).expect("create instance file");
             let mut w = std::io::BufWriter::new(file);
@@ -162,43 +141,25 @@ fn measure(spec: &SweepSpec, quick: bool) -> Vec<String> {
         let (n, m) = header_counts(&path);
         eprintln!("rung n={n} m={m}: generated {}", path.display());
 
-        let streamed = spawn_leg("streamed", &path);
-        let materialized = spawn_leg("materialized", &path);
+        let leg = spawn_leg(&path);
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(
-            num(&streamed, "objective").to_bits(),
-            num(&materialized, "objective").to_bits(),
-            "rung n={n}: streamed and materialized legs disagree"
-        );
-        let edges_per_sec = |leg: &JsonValue| m as f64 / (num(leg, "wall_nanos") / 1e9);
+        let edges_per_sec = m as f64 / (num(&leg, "wall_nanos") / 1e9);
         let mut row = String::new();
         let _ = write!(
             row,
-            "{{\"n\": {n}, \"m\": {m}, \
-             \"streamed_wall_nanos\": {}, \"streamed_peak_rss_kb\": {}, \
-             \"streamed_edges_per_sec\": {:.0}, \
-             \"materialized_wall_nanos\": {}, \"materialized_peak_rss_kb\": {}, \
-             \"materialized_edges_per_sec\": {:.0}, \
-             \"report_full_bytes\": {}, \"report_committed_bytes\": {}, \
-             \"transcript_bytes\": {}}}",
-            num(&streamed, "wall_nanos") as u64,
-            num(&streamed, "peak_rss_kb") as u64,
-            edges_per_sec(&streamed),
-            num(&materialized, "wall_nanos") as u64,
-            num(&materialized, "peak_rss_kb") as u64,
-            edges_per_sec(&materialized),
-            num(&streamed, "report_full_bytes") as u64,
-            num(&streamed, "report_committed_bytes") as u64,
-            num(&streamed, "transcript_bytes") as u64,
+            "{{\"n\": {n}, \"m\": {m}, \"wall_nanos\": {}, \"peak_rss_kb\": {}, \
+             \"edges_per_sec\": {edges_per_sec:.0}, \"report_full_bytes\": {}, \
+             \"report_committed_bytes\": {}, \"transcript_bytes\": {}}}",
+            num(&leg, "wall_nanos") as u64,
+            num(&leg, "peak_rss_kb") as u64,
+            num(&leg, "report_full_bytes") as u64,
+            num(&leg, "report_committed_bytes") as u64,
+            num(&leg, "transcript_bytes") as u64,
         );
         eprintln!(
-            "rung n={n} m={m}: streamed {:.0} edges/s at {} KiB peak, \
-             materialized {:.0} edges/s at {} KiB peak",
-            edges_per_sec(&streamed),
-            num(&streamed, "peak_rss_kb") as u64,
-            edges_per_sec(&materialized),
-            num(&materialized, "peak_rss_kb") as u64,
+            "rung n={n} m={m}: {edges_per_sec:.0} edges/s at {} KiB peak",
+            num(&leg, "peak_rss_kb") as u64,
         );
         rows.push(row);
     }
@@ -209,38 +170,19 @@ fn measure(spec: &SweepSpec, quick: bool) -> Vec<String> {
 // ---------------------------------------------------------------------------
 // --check mode
 
-/// Differential gate: on a small ladder instance, the streamed report
-/// equals the materialized registry report (solution, certificate and
-/// metrics), and the committed witness round-trips through the audit.
-fn check_streamed_equals_materialized() {
+/// Witness gate: on a small ladder instance, the committed witness of a
+/// matching report round-trips through the audit.
+fn check_committed_witness() {
     let spec = SweepSpec::parse(
         "family = \"densified\"\nc = 0.4\nseed = 7\nsweep = \"n\"\nvalues = [120]\n",
     )
     .expect("check spec");
     let point = &spec.points()[0];
     let instance = spec.build(point).expect("check instance builds");
-    let text = io::render_instance(&instance);
-
     let cfg = instance.auto_config(MU, SEED);
     let direct = Registry::with_defaults()
         .solve("matching", &instance, &cfg)
-        .expect("materialized solve");
-    let streamed =
-        api::solve_matching_stream(text.as_bytes(), io::DEFAULT_BUF_LEN, Backend::Mr, |n, m| {
-            MrConfig::auto(n, m.max(1), MU, SEED)
-        })
-        .expect("streamed solve")
-        .map(Solution::Matching);
-    let render = |r: &api::Report<Solution>| {
-        io::report_json_with(r, TimingMode::Masked, CertificateMode::Full).render()
-    };
-    assert_eq!(
-        render(&streamed),
-        render(&direct),
-        "streamed report diverges from the materialized registry solve"
-    );
-    println!("ok: streamed report byte-identical to materialized Registry::solve");
-
+        .expect("matching solve");
     let commitment = api::commit_witness(&direct.certificate.witness, 8).expect("committable");
     let claims = api::Claims::from(&direct.certificate);
     let checks = api::audit_committed(
@@ -256,9 +198,8 @@ fn check_streamed_equals_materialized() {
     println!("ok: committed witness round-trips through audit_committed");
 }
 
-/// Schema gate: the committed artifact's rows are well-formed, reach the
-/// 10^7-edge rung, and show the streamed path peaking below the
-/// materialized one there (with a smaller committed report).
+/// Schema gate: the committed artifact's rows are well-formed and reach
+/// the 10^7-edge rung, where the committed report is the smaller one.
 fn check_artifact(path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
@@ -276,12 +217,9 @@ fn check_artifact(path: &str) {
     let fields = [
         "n",
         "m",
-        "streamed_wall_nanos",
-        "streamed_peak_rss_kb",
-        "streamed_edges_per_sec",
-        "materialized_wall_nanos",
-        "materialized_peak_rss_kb",
-        "materialized_edges_per_sec",
+        "wall_nanos",
+        "peak_rss_kb",
+        "edges_per_sec",
         "report_full_bytes",
         "report_committed_bytes",
         "transcript_bytes",
@@ -305,18 +243,6 @@ fn check_artifact(path: &str) {
         num(top, "m")
     );
     assert!(
-        num(top, "streamed_peak_rss_kb") < num(top, "materialized_peak_rss_kb"),
-        "--check: streamed peak RSS ({} KiB) not below materialized ({} KiB) at the top rung",
-        num(top, "streamed_peak_rss_kb"),
-        num(top, "materialized_peak_rss_kb"),
-    );
-    println!(
-        "ok: top rung (m = {:.0}) streamed peak {} KiB < materialized peak {} KiB",
-        num(top, "m"),
-        num(top, "streamed_peak_rss_kb") as u64,
-        num(top, "materialized_peak_rss_kb") as u64,
-    );
-    assert!(
         num(top, "report_committed_bytes") < num(top, "report_full_bytes"),
         "--check: committed report not smaller than the full-witness report"
     );
@@ -326,10 +252,9 @@ fn check_artifact(path: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Internal subprocess entry.
-    if let Some(at) = args.iter().position(|a| a == "--leg") {
-        let leg = args[at + 1].clone();
+    if args.iter().any(|a| a == "--leg") {
         let file_at = args.iter().position(|a| a == "--file").expect("--file");
-        run_leg(&leg, &args[file_at + 1]);
+        run_leg(&args[file_at + 1]);
         return;
     }
 
@@ -350,7 +275,7 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| DEFAULT_OUT.into());
 
     if check {
-        check_streamed_equals_materialized();
+        check_committed_witness();
         check_artifact(&out_path);
         println!("check passed");
         return;

@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 use mrlr_bench::sweep::SweepSpec;
 use mrlr_bench::workloads::{self, GenParams};
-use mrlr_core::api::{self, witness, Backend, Instance, Registry, Solution, Witness};
+use mrlr_core::api::{self, witness, Backend, Instance, Registry, Witness};
 use mrlr_core::io::{self, CertificateMode, Json, TimingMode};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::{SpawnKind, Timeline, WorkerKill};
@@ -45,7 +45,7 @@ USAGE:
                [--out PATH | --pipe]
     mrlr gen   --sweep SPEC [--out-dir DIR]
     mrlr solve <algorithm> (--input PATH|- | --gen FAMILY[:knob=v,...])
-               [--stream] [--backend seq|rlr|mr|shard|dist]
+               [--backend seq|rlr|mr|shard|dist]
                [--mu MU] [--seed S] [--threads N] [--machines M]
                [--workers N] [--kill W@S]
                [--format text|json|csv]
@@ -82,12 +82,11 @@ bit-identical solutions, metrics and witnesses. Under `--backend dist`,
 else 2) and `--kill W@S` kills worker W at superstep S to demonstrate
 fault-tolerant recovery — the report is bit-identical anyway.
 
-Out-of-core runs never materialize the instance centrally: `mrlr gen
---pipe` streams a generated instance to stdout line by line, `--gen
-FAMILY:knob=v,...` solves straight from the generator, `--input -`
-reads stdin, and `--stream` (key `matching`, cluster backends) feeds
-records directly into per-machine blocks as they parse — the report is
-bit-identical to the materialized path. `gen --sweep SPEC` expands a
+Instances load one way: `--input` files and stdin (`--input -`) are
+read through a fixed window (the text is never held whole), and `--gen
+FAMILY:knob=v,...` solves straight from the generator; `mrlr gen
+--pipe` streams a generated instance to stdout line by line. `--stream`
+is accepted and ignored. `gen --sweep SPEC` expands a
 TOML-ish sweep file (one swept knob over a value list) into one
 instance file per point. `--certificates committed` replaces a large
 witness with a chunked Merkle commitment in the report and writes the
@@ -629,7 +628,8 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
             ))
         }
     };
-    let stream = flags.take("stream").is_some();
+    // `--stream` is accepted and ignored: every instance loads one way.
+    let _ = flags.take("stream");
     let backend = parse_backend(&mut flags)?;
     let mu = flags.take_parsed("mu")?.unwrap_or(io::manifest::DEFAULT_MU);
     if !(mu.is_finite() && mu > 0.0) {
@@ -654,87 +654,27 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
         ));
     };
 
-    let report = if stream {
-        if algorithm != "matching" {
-            return Err(CliError::usage(format!(
-                "--stream supports the `matching` key only (got `{algorithm}`); \
-                 other keys use the materialized path"
-            )));
-        }
-        // The cluster shape derives from the header counts (n, m) —
-        // exactly the numbers `Instance::auto_config` would use — so the
-        // streamed report is bit-identical to the materialized one.
-        let configure = move |n: usize, m: usize| {
-            let mut cfg = MrConfig::auto(n, m.max(1), mu, seed);
-            if let Some(t) = threads {
-                cfg = cfg.with_threads(t);
-            }
-            if let Some(m) = machines {
-                cfg = cfg.with_machines(m);
-            }
-            if backend == Backend::Dist {
-                cfg = cfg.with_spawn(SpawnKind::Process);
-            }
-            if let Some(w) = workers {
-                cfg = cfg.with_workers(w);
-            }
-            if let Some(k) = kill {
-                cfg = cfg.with_worker_kill(k);
-            }
-            cfg
-        };
-        let streamed = match source {
-            Source::File(path) => api::solve_matching_stream(
-                open_input(&path)?,
-                io::DEFAULT_BUF_LEN,
-                backend,
-                configure,
-            )
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?,
-            Source::Stdin => api::solve_matching_stream(
-                std::io::stdin().lock(),
-                io::DEFAULT_BUF_LEN,
-                backend,
-                configure,
-            )
-            .map_err(|e| CliError::runtime(format!("<stdin>: {e}")))?,
-            Source::Gen(spec) => {
-                let instance = workloads::build_spec(&spec).map_err(CliError::usage)?;
-                let Instance::Graph(g) = &instance else {
-                    return Err(CliError::runtime(format!(
-                        "--stream needs a `graph` instance; `{spec}` generates {}",
-                        instance.kind()
-                    )));
-                };
-                api::solve_matching_stream_from_graph(g, backend, configure)
-                    .map_err(|e| CliError::runtime(format!("{spec}: {e}")))?
-            }
-        };
-        streamed.map(Solution::Matching)
-    } else {
-        let instance = match source {
-            Source::File(path) => load_instance_file(&path)?,
-            Source::Stdin => load_instance(std::io::stdin().lock(), "<stdin>")?,
-            Source::Gen(spec) => workloads::build_spec(&spec).map_err(CliError::usage)?,
-        };
-        let mut cfg = configure(&instance, mu, seed, threads, machines);
-        if backend == Backend::Dist {
-            // An explicit dist solve exercises the real thing: worker
-            // processes over Unix sockets (this binary re-enters as the
-            // worker; see the hook at the top of `main`).
-            cfg = cfg.with_spawn(SpawnKind::Process);
-        }
-        if let Some(w) = workers {
-            cfg = cfg.with_workers(w);
-        }
-        if let Some(k) = kill {
-            cfg = cfg.with_worker_kill(k);
-        }
-        Registry::with_defaults()
-            .solve_with(algorithm, backend, &instance, &cfg)
-            .map_err(|e| CliError::runtime(e.to_string()))?
+    let instance = match source {
+        Source::File(path) => load_instance_file(&path)?,
+        Source::Stdin => load_instance(std::io::stdin().lock(), "<stdin>")?,
+        Source::Gen(spec) => workloads::build_spec(&spec).map_err(CliError::usage)?,
     };
-    let mut report = report;
+    let mut cfg = configure(&instance, mu, seed, threads, machines);
+    if backend == Backend::Dist {
+        // An explicit dist solve exercises the real thing: worker
+        // processes over Unix sockets (this binary re-enters as the
+        // worker; see the hook at the top of `main`).
+        cfg = cfg.with_spawn(SpawnKind::Process);
+    }
+    if let Some(w) = workers {
+        cfg = cfg.with_workers(w);
+    }
+    if let Some(k) = kill {
+        cfg = cfg.with_worker_kill(k);
+    }
+    let mut report = Registry::with_defaults()
+        .solve_with(algorithm, backend, &instance, &cfg)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
 
     if let Some(request) = &commit_request {
         let commitment = api::commit_witness(&report.certificate.witness, request.chunk_len)

@@ -624,8 +624,9 @@ fn mistyped_env_defaults_exit_2_with_the_accepted_values() {
 }
 
 /// A problem line that promises an absurd count must fail like any other
-/// bad file — exit 1 with the parser's message — never a panic (exit
-/// 101) or an allocation abort (killed by a signal, no exit code).
+/// bad file — exit 1 with the parser's or the cluster layout's message —
+/// never a panic (exit 101) or an allocation abort (killed by a signal,
+/// no exit code). `--stream` is accepted and changes nothing.
 #[test]
 fn hostile_headers_exit_1_with_a_parse_message() {
     let dir = workdir("hostile");
@@ -658,7 +659,25 @@ fn hostile_headers_exit_1_with_a_parse_message() {
             "p graph 3 1000000000000\ne 0 1\n",
             "matching",
             &["--stream"],
-            "would need 200000000000 machines",
+            "problem line promised 1000000000000 edges, found 1",
+        ),
+        (
+            "p graph 4294967296 0\n",
+            "matching",
+            &[],
+            "flat arena exceeds its u32 offsets",
+        ),
+        (
+            "p graph 4294967296 0\n",
+            "matching",
+            &["--stream"],
+            "flat arena exceeds its u32 offsets",
+        ),
+        (
+            "p graph 4294967296 0\n",
+            "mis2",
+            &[],
+            "flat arena exceeds its u32 offsets",
         ),
     ];
     for (i, (text, algorithm, extra, needle)) in cases.iter().enumerate() {

@@ -1,9 +1,9 @@
 //! Out-of-core front-end equivalences: for every registry key the
-//! report solved straight from the generator (`solve --gen SPEC`), from
-//! a pipe (`gen --pipe | solve --input -`), and — for `matching` — from
-//! the streamed ingest path (`solve --stream`) is byte-identical
+//! report solved straight from the generator (`solve --gen SPEC`) and
+//! from a pipe (`gen --pipe | solve --input -`) is byte-identical
 //! (witnesses included) to the report solved from the instance file, on
-//! every `MRLR_BACKEND={shard,dist}` × `MRLR_THREADS={1,4}` leg.
+//! every `MRLR_BACKEND={shard,dist}` × `MRLR_THREADS={1,4}` leg; and
+//! `--stream`, accepted and ignored, changes no byte of it.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -241,41 +241,4 @@ fn streamed_matching_solve_is_bit_identical_on_every_backend() {
             assert_eq!(streamed_stdin, materialized, "{backend}/{threads}: stdin");
         }
     }
-}
-
-#[test]
-fn stream_rejects_unsupported_modes_with_usage_errors() {
-    let dir = workdir("stream-errors");
-    mrlr(
-        &dir,
-        "shard",
-        "1",
-        &["gen", "densified", "--n", "20", "--out", "g.inst"],
-    );
-    let run = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_mrlr"))
-            .args(args)
-            .current_dir(&dir)
-            .output()
-            .expect("spawn mrlr")
-    };
-    // Non-matching key: usage error (exit 2).
-    let out = run(&["solve", "vertex-cover", "--input", "g.inst", "--stream"]);
-    assert_eq!(out.status.code(), Some(2));
-    // Non-cluster backend: runtime error (exit 1) from the API guard.
-    let out = run(&[
-        "solve",
-        "matching",
-        "--input",
-        "g.inst",
-        "--stream",
-        "--backend",
-        "seq",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("cluster backend"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }

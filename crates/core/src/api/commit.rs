@@ -4,9 +4,9 @@
 //!
 //! At out-of-core scale the local-ratio stack (`matching`, `b-matching`)
 //! and the LP dual (the cover family) are the only report components that
-//! grow with the instance. Shipping them inline breaks the same memory
-//! regime the streamed solve path restores: a report reader would hold
-//! `Θ(n^{1+µ})` words again. A *commitment* fixes this asymmetry:
+//! grow with the instance. Shipping them inline breaks the paper's memory
+//! regime at the report's reader, who would hold `Θ(n^{1+µ})` words. A
+//! *commitment* fixes this asymmetry:
 //!
 //! * the transcript is split into fixed-size **chunks** of `(id, value)`
 //!   entries;

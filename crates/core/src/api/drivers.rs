@@ -52,6 +52,14 @@ pub(crate) fn cluster_cfg(backend: Backend, cfg: &MrConfig) -> MrConfig {
     }
 }
 
+/// [`cluster_cfg`] for a graph driver. Every cluster layout numbers a
+/// graph's vertices as `u32` rows, so a vertex count past that is refused
+/// here, before the run or the validator sizes an `O(n)` table.
+fn graph_cluster_cfg(backend: Backend, g: &Graph, cfg: &MrConfig) -> MrResult<MrConfig> {
+    mr::check_rows(g.n())?;
+    Ok(cluster_cfg(backend, cfg))
+}
+
 /// Assembles a [`Report`], running the problem validator on the solution.
 fn report<P: Problem>(
     algorithm: &'static str,
@@ -245,7 +253,7 @@ impl Driver for MatchingDriver {
             Backend::Seq => (seq::local_ratio_matching(g), None),
             Backend::Rlr => (rlr::approx_max_matching(g, cfg.eta, cfg.seed)?, None),
             Backend::Mr | Backend::Shard | Backend::Dist => {
-                let (s, m) = mr::matching::run(g, cluster_cfg(self.backend, cfg))?;
+                let (s, m) = mr::matching::run(g, graph_cluster_cfg(self.backend, g, cfg)?)?;
                 (s, Some(m))
             }
         };
@@ -375,11 +383,13 @@ impl Driver for MisDriver {
             (Backend::Rlr, MisVariant::Mis1) => (hungry::mis_simple(g, params)?, None),
             (Backend::Rlr, MisVariant::Mis2) => (hungry::mis_fast(g, params)?, None),
             (Backend::Mr | Backend::Shard | Backend::Dist, MisVariant::Mis1) => {
-                let (s, m) = mr::mis::run_simple(g, params, cluster_cfg(self.backend, cfg))?;
+                let (s, m) =
+                    mr::mis::run_simple(g, params, graph_cluster_cfg(self.backend, g, cfg)?)?;
                 (s, Some(m))
             }
             (Backend::Mr | Backend::Shard | Backend::Dist, MisVariant::Mis2) => {
-                let (s, m) = mr::mis::run_fast(g, params, cluster_cfg(self.backend, cfg))?;
+                let (s, m) =
+                    mr::mis::run_fast(g, params, graph_cluster_cfg(self.backend, g, cfg)?)?;
                 (s, Some(m))
             }
         };
@@ -421,7 +431,7 @@ impl Driver for CliqueDriver {
             Backend::Seq => (seq::greedy_maximal_clique(g), None),
             Backend::Rlr => (hungry::maximal_clique(g, params)?, None),
             Backend::Mr | Backend::Shard | Backend::Dist => {
-                let (s, m) = mr::clique::run(g, params, cluster_cfg(self.backend, cfg))?;
+                let (s, m) = mr::clique::run(g, params, graph_cluster_cfg(self.backend, g, cfg)?)?;
                 (s, Some(m))
             }
         };
@@ -537,13 +547,21 @@ impl Driver for ColouringDriver {
             ),
             (Backend::Rlr, true) => (colouring::edge_colouring(g, kappa, limit, cfg.seed)?, None),
             (Backend::Mr | Backend::Shard | Backend::Dist, false) => {
-                let (s, m) =
-                    mr::colouring::run_vertex(g, kappa, limit, cluster_cfg(self.backend, cfg))?;
+                let (s, m) = mr::colouring::run_vertex(
+                    g,
+                    kappa,
+                    limit,
+                    graph_cluster_cfg(self.backend, g, cfg)?,
+                )?;
                 (s, Some(m))
             }
             (Backend::Mr | Backend::Shard | Backend::Dist, true) => {
-                let (s, m) =
-                    mr::colouring::run_edge(g, kappa, limit, cluster_cfg(self.backend, cfg))?;
+                let (s, m) = mr::colouring::run_edge(
+                    g,
+                    kappa,
+                    limit,
+                    graph_cluster_cfg(self.backend, g, cfg)?,
+                )?;
                 (s, Some(m))
             }
         };

@@ -79,7 +79,7 @@ pub use registry::{
     AlgorithmInfo, ErasedDriver, FromInstance, Instance, InstanceKind, IntoSolution, Registry,
     Solution, ALGORITHM_INFO, ALL_BACKENDS,
 };
-pub use stream::{solve_matching_stream, solve_matching_stream_from_graph, StreamError};
+pub use stream::{solve_matching_stream, StreamError};
 pub use witness::{audit, audit_report, AuditError, Claims, Witness};
 
 /// Which implementation of an algorithm a [`Driver`] runs.

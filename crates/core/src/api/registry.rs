@@ -676,6 +676,25 @@ mod tests {
         assert!(err.to_string().contains("set system"), "{err}");
     }
 
+    /// `p graph 4294967296 0`: no cluster layout numbers 2^32 vertices as
+    /// `u32` rows, and every graph cluster driver says so before sizing
+    /// an `O(n)` table of 16–32 GiB.
+    #[test]
+    fn vertex_counts_past_u32_rows_are_refused_before_any_table() {
+        let r = Registry::with_defaults();
+        let instance = Instance::Graph(Graph::new(1 << 32, vec![]));
+        let cfg = instance.auto_config(0.25, 1);
+        for key in r.algorithms() {
+            if r.get(key).unwrap().instance_kind() != InstanceKind::Graph {
+                continue;
+            }
+            let err = r
+                .solve_with(key, Backend::Shard, &instance, &cfg)
+                .unwrap_err();
+            assert!(err.to_string().contains("u32 offsets"), "{key}: {err}");
+        }
+    }
+
     #[test]
     fn unknown_algorithm_is_a_clean_error() {
         let r = Registry::with_defaults();

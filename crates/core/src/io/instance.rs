@@ -101,8 +101,8 @@ fn write_edges<W: Write>(w: &mut W, g: &Graph) -> std::io::Result<()> {
 ///
 /// This is the materialized entry point, built on the chunked
 /// [`StreamParser`] of [`super::stream`] with an [`InstanceSink`] — so
-/// the streamed and materialized paths share one validator by
-/// construction, and report identical errors on identical input (the
+/// the one-shot and chunked (`read_instance`) loads share one validator
+/// by construction, and report identical errors on identical input (the
 /// chunking proptests assert this at every buffer size).
 pub fn parse_instance(text: &str) -> Result<Instance, IoError> {
     let mut parser = StreamParser::new(InstanceSink::default());

@@ -10,11 +10,11 @@
 //! line-oriented state machine ([`StreamParser`]) that validates each
 //! record exactly like the materialized parser (same 1-based line/column
 //! errors, byte for byte — asserted by the chunking proptests) and pushes
-//! it into a caller-supplied [`RecordSink`]. A sink may materialize an
-//! [`Instance`] ([`InstanceSink`], what `parse_instance` is built on), or
-//! scatter records straight onto the `M` machines of a cluster without a
-//! central copy (see `mrlr_core::api::stream` and
-//! `mrlr_mapreduce::ingest`).
+//! it into a caller-supplied [`RecordSink`]. The one production sink is
+//! [`InstanceSink`], which materializes the [`Instance`]: `parse_instance`
+//! and [`read_instance`] are built on it, and every command loads through
+//! it before a driver distributes the instance. Other sinks exist only to
+//! test or time the parser.
 //!
 //! Central state while streaming is `O(n + m)` words: the current line,
 //! the header counts, and one 8-byte key per record of a graph body — an
@@ -251,10 +251,11 @@ pub enum Record {
 
 /// Consumer of a record stream: the parser calls [`RecordSink::header`]
 /// once, then [`RecordSink::record`] per body line that passes its own
-/// checks, then [`RecordSink::finish`] once the whole input has passed. A
-/// sink may reject a record with its own [`IoError`] (e.g. a machine over
-/// its word budget); the parser propagates it unchanged, unless a repeat
-/// among the records before it owes an earlier error.
+/// checks, then [`RecordSink::finish`] once the whole input has passed.
+/// Implementors are [`InstanceSink`] and sinks that test or time the
+/// parser. A sink may reject a record with its own [`IoError`]; the parser
+/// propagates it unchanged, unless a repeat among the records before it
+/// owes an earlier error.
 ///
 /// Records arrive in input order as soon as their line is read, never
 /// past a line that fails, and before the checks that span lines: that no

@@ -6,10 +6,10 @@
 //! an edge partition and a vertex partition; co-locating incidence makes
 //! the per-vertex sampling machine-local). A machine's block is flat: its
 //! vertex ids beside one [`Csr`] arena holding every incidence list,
-//! scattered straight from the edge list (or from the streamed block), so
-//! rows come out in edge-id order and no adjacency is built. Machines hold
-//! a replicated copy of the potential vector `ϕ` (`n` words ≤ `n^{1+µ}`),
-//! refreshed with broadcast deltas — an edge's aliveness
+//! scattered straight from the edge list, so rows come out in edge-id
+//! order and no adjacency is built. Machines hold a replicated copy of
+//! the potential vector `ϕ` (`n` words ≤ `n^{1+µ}`), refreshed with
+//! broadcast deltas — an edge's aliveness
 //! (`w − ϕ(u) − ϕ(v) > 0`) is then a local test, and pushed edges die
 //! automatically because the push makes their modified weight negative.
 //!
@@ -32,9 +32,9 @@
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
-use mrlr_mapreduce::{Cluster, Csr, Ingest, Metrics, MrError, MrResult, WordSized};
+use mrlr_mapreduce::{Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{place_records, place_rows, MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
+use crate::mr::{place_rows, MrConfig, CENTRAL_FINISH_SLACK, MATCHING_GATHER_SLACK};
 use crate::rlr::matching::MATCH_COIN_TAG;
 use crate::seq::local_ratio_matching::{finish_with, MatchingLocalRatio};
 use crate::types::{MatchingResult, POS_TOL};
@@ -202,125 +202,21 @@ fn vertex_groups(sample: &[Half], n: usize) -> impl Iterator<Item = &[Half]> + '
 /// [`crate::rlr::matching::approx_max_matching`] with `(cfg.eta, cfg.seed)`.
 ///
 /// [`crate::api::MatchingDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// on the runtime `cfg.exec.runtime` names. Central bookkeeping records
+/// the endpoints and weight of every pushed edge in a flat column, which
+/// is all the unwind looks up: `O(stack)` words, never `O(m)`, so the
+/// unwind never reads the central [`Graph`].
 pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
     if cfg.eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
     }
-    let outcome = run_states(distribute(g, &cfg)?, g.n(), g.m(), cfg)?;
-    Ok((outcome.result, outcome.metrics))
-}
-
-/// Everything a run of Algorithm 4 produces: the solution, the cluster
-/// metrics, and the endpoints/weights of every stacked edge — the latter
-/// is what lets the streamed path certify its result without a central
-/// [`Graph`] (the stack is `O(n log n)` edges w.h.p., not `O(m)`).
-pub(crate) struct RunOutcome {
-    pub(crate) result: MatchingResult,
-    pub(crate) metrics: Metrics,
-    /// `(edge id, u, v, original weight)` of every pushed edge, ascending
-    /// edge id (each id once: a pushed edge is dead for good).
-    pub(crate) pushed: Vec<PushedEdge>,
-    /// Vertex count of the instance.
-    pub(crate) n: usize,
-}
-
-/// A stacked edge with what the unwind and the certificate look up.
-pub(crate) type PushedEdge = (EdgeId, VertexId, VertexId, f64);
-
-/// The pushed edge `id` in an id-sorted `pushed` column.
-pub(crate) fn find_pushed(pushed: &[PushedEdge], id: EdgeId) -> Option<&PushedEdge> {
-    let at = pushed.binary_search_by_key(&id, |&(e, ..)| e).ok()?;
-    Some(&pushed[at])
-}
-
-/// Per-machine state for a matching run built *without* a central graph:
-/// edge records stream in ascending edge-id order (the materialized
-/// [`Graph`]'s id order) and are scattered to both endpoints' machines via
-/// [`MrConfig::place`] — the exact layout [`run`] builds from a central
-/// edge list, reproduced incrementally, so the solve downstream is
-/// bit-identical.
-pub(crate) struct StreamedMatching {
-    cfg: MrConfig,
-    n: usize,
-    m: usize,
-    /// Edge halves `(owner vertex, edge id, other endpoint, weight)`
-    /// accumulating per machine.
-    halves: Ingest<Half>,
-}
-
-impl StreamedMatching {
-    /// A builder for a `p graph <n> <m>` stream under `cfg`.
-    pub(crate) fn new(n: usize, m: usize, cfg: MrConfig) -> MrResult<Self> {
-        if cfg.eta == 0 {
-            return Err(MrError::BadConfig("eta must be positive".into()));
-        }
-        Ok(StreamedMatching {
-            cfg,
-            n,
-            m,
-            halves: Ingest::new(cfg.machines),
-        })
-    }
-
-    /// Routes edge `e = {u, v}` (weight `w`) to both endpoints' machines.
-    /// Edges must arrive in ascending id order.
-    pub(crate) fn push_edge(
-        &mut self,
-        e: EdgeId,
-        u: VertexId,
-        v: VertexId,
-        w: f64,
-    ) -> MrResult<()> {
-        self.halves.push(self.cfg.place(u as u64), (u, e, v, w))?;
-        self.halves.push(self.cfg.place(v as u64), (v, e, u, w))
-    }
-
-    /// Finalizes the per-machine states and runs Algorithm 4. The states
-    /// are bit-identical to what [`run`] builds centrally: vertices in
-    /// ascending id order per machine, incidence rows in ascending edge
-    /// id (arrival order, which a counting scatter keeps).
-    pub(crate) fn solve(self) -> MrResult<RunOutcome> {
-        let StreamedMatching { cfg, n, m, halves } = self;
-        // Which vertices each machine owns, ascending (isolated vertices
-        // included — the materialized layout gives every vertex a row),
-        // and each vertex's row on its machine.
-        let owners = place_records(cfg.machines, n, |v| cfg.place(v as u64))?;
-        let row_of = |v: VertexId| owners.at[v as usize].1 as usize;
-        let mut states: Vec<MatchState> = Vec::with_capacity(cfg.machines);
-        for (vertices, block) in owners.ids.into_iter().zip(halves.into_blocks()) {
-            // Count → prefix-sum → scatter, one machine at a time: each
-            // flat block is freed before the next arena is laid out.
-            let mut degree = vec![0usize; vertices.len()];
-            for &(v, ..) in &block {
-                degree[row_of(v)] += 1;
-            }
-            let mut arena = Csr::builder(degree, NO_INCIDENT)?;
-            let mut alive = 0usize;
-            for &(v, e, o, w) in &block {
-                arena.push(row_of(v), (e, o, w));
-                alive += usize::from(alive_at_distribution(w));
-            }
-            drop(block);
-            states.push(MatchState::new(vertices, arena.finish(), alive, n));
-        }
-        run_states(states, n, m, cfg)
-    }
-}
-
-/// The Algorithm 4 driver loop over prepared per-machine states — shared
-/// verbatim by the materialized ([`run`]) and streamed
-/// ([`StreamedMatching::solve`]) paths, so both produce bit-identical
-/// solutions, witnesses and [`Metrics`]. Central bookkeeping records the
-/// endpoints of every pushed edge in a flat column, which is all the
-/// unwind and the certificate ever look up — `O(stack)` words, never
-/// `O(m)`.
-fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrResult<RunOutcome> {
-    let mut cluster = Cluster::new(cfg.cluster(), states)?;
+    let (n, m) = (g.n(), g.m());
+    let mut cluster = Cluster::new(cfg.cluster(), distribute(g, &cfg)?)?;
 
     let mut lr = MatchingLocalRatio::new(n);
-    // Endpoints and weight of every stacked edge, in push (= stack) order.
-    let mut pushed: Vec<PushedEdge> = Vec::new();
+    // `(edge id, u, v, original weight)` of every stacked edge, in push
+    // (= stack) order until the unwind sorts it by id.
+    let mut pushed: Vec<(EdgeId, VertexId, VertexId, f64)> = Vec::new();
     cluster.charge_central(n + 2)?;
 
     let mut iteration = 0usize;
@@ -414,16 +310,12 @@ fn run_states(states: Vec<MatchState>, n: usize, m: usize, cfg: MrConfig) -> MrR
 
     pushed.sort_unstable_by_key(|&(e, ..)| e);
     let result = finish_with(n, lr, iteration, |id| {
-        let &(_, u, v, w) = find_pushed(&pushed, id).expect("every stacked edge was recorded");
+        let at = pushed.binary_search_by_key(&id, |&(e, ..)| e);
+        let (_, u, v, w) = pushed[at.expect("every stacked edge was recorded")];
         (u, v, w)
     });
     let (_, metrics) = cluster.into_parts();
-    Ok(RunOutcome {
-        result,
-        metrics,
-        pushed,
-        n,
-    })
+    Ok((result, metrics))
 }
 
 #[cfg(test)]
@@ -452,8 +344,7 @@ mod tests {
 
     /// The stored state size is the record-per-vertex formula of the
     /// nested layout, recounted from the instance, and compaction does not
-    /// change it: the rows shrink, the metered words stay. The streamed
-    /// builder lays out the same rows.
+    /// change it: the rows shrink, the metered words stay.
     #[test]
     fn stored_words_equal_a_recount_through_a_run() {
         let g = with_uniform_weights(&densified(50, 0.4, 2), 0.5, 10.0, 33);
@@ -484,17 +375,8 @@ mod tests {
             assert!(0 < state.alive && state.alive < state.incidences);
             assert_eq!(state.words(), words, "machine {id}");
         }
-        let (direct, metrics) = run(&g, cfg).unwrap();
-
-        let mut streamed = StreamedMatching::new(g.n(), g.m(), cfg).unwrap();
-        for (id, e) in g.edges().iter().enumerate() {
-            streamed.push_edge(id as EdgeId, e.u, e.v, e.w).unwrap();
-        }
-        let outcome = streamed.solve().unwrap();
-        assert_eq!(outcome.result, direct);
-        assert_eq!(outcome.metrics, metrics);
-        assert!(outcome.pushed.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(outcome.pushed.len(), direct.stack.len());
+        let (direct, _) = run(&g, cfg).unwrap();
+        assert!(is_matching(&g, &direct.matching));
     }
 
     #[test]
@@ -528,7 +410,7 @@ mod tests {
     }
 
     /// Halves dead from the start (weight ≤ `POS_TOL`) are laid out but
-    /// not counted alive, by both builders, and the first refresh drops
+    /// not counted alive, and the first refresh drops
     /// them; the run still samples (780 edges, a third of them dead,
     /// against `4η = 484`).
     #[test]
@@ -544,16 +426,10 @@ mod tests {
         assert_eq!((alive, stored), (2 * 520, 2 * 780));
         assert!(520 >= CENTRAL_FINISH_SLACK * cfg.eta);
 
-        let (direct, metrics) = run(&g, cfg).unwrap();
+        let (direct, _) = run(&g, cfg).unwrap();
         assert!(is_matching(&g, &direct.matching));
         assert!(direct.iterations >= 2, "no sampled iteration");
         assert!(direct.matching.iter().all(|&e| g.edge(e).w > 1.0));
-        let mut streamed = StreamedMatching::new(g.n(), g.m(), cfg).unwrap();
-        for (id, e) in g.edges().iter().enumerate() {
-            streamed.push_edge(id as EdgeId, e.u, e.v, e.w).unwrap();
-        }
-        let outcome = streamed.solve().unwrap();
-        assert_eq!((outcome.result, outcome.metrics), (direct, metrics));
     }
 
     /// Per-machine runs ascending by `(v, e)` come out grouped by vertex,

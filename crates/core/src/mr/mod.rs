@@ -274,6 +274,14 @@ pub(crate) struct Placement {
     pub ids: Vec<Vec<u32>>,
 }
 
+/// Refuses a record count that a machine's `u32` row numbers cannot
+/// cover — the check every distribution makes (see [`place_records`]),
+/// callable before any `O(records)` table is sized.
+pub(crate) fn check_rows(records: usize) -> MrResult<()> {
+    u32::try_from(records).map_err(|_| CsrOverflow)?;
+    Ok(())
+}
+
 /// Hashes `records` records onto `machines` machines, numbering each
 /// machine's records in arrival (= ascending id) order.
 pub(crate) fn place_records(
@@ -281,7 +289,7 @@ pub(crate) fn place_records(
     records: usize,
     machine_of: impl Fn(usize) -> usize,
 ) -> MrResult<Placement> {
-    u32::try_from(records).map_err(|_| CsrOverflow)?;
+    check_rows(records)?;
     let mut at = Vec::with_capacity(records);
     let mut ids: Vec<Vec<u32>> = vec![Vec::new(); machines];
     for r in 0..records {

@@ -101,9 +101,9 @@ impl MatchingLocalRatio {
     }
 
     /// [`MatchingLocalRatio::unwind`] against any edge lookup — the
-    /// streamed driver has no central [`Graph`], only the recorded
-    /// endpoints of the `O(n log n)` stacked edges, which is all the
-    /// unwind ever consults.
+    /// cluster driver's unwind reads no central [`Graph`], only the
+    /// recorded endpoints of the `O(n log n)` stacked edges, which is all
+    /// the unwind ever consults.
     pub fn unwind_with(
         &self,
         n: usize,

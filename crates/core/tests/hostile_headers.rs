@@ -226,6 +226,9 @@ fn vertex_tables_past_the_cap_grow_with_the_n_lines() {
     assert_eq!(e.message, "vertex 0 has no `n` line");
 }
 
+/// A solve straight off a reader sizes its cluster from the parsed graph,
+/// never from the header's claim: the lie is the count check's error,
+/// before any machine count exists.
 #[test]
 fn streamed_solve_refuses_a_machine_count_derived_from_a_lie() {
     let text = "p graph 3 1000000000000\ne 0 1\n";
@@ -238,20 +241,8 @@ fn streamed_solve_refuses_a_machine_count_derived_from_a_lie() {
         )
     });
     let e = result.unwrap_err().to_string();
-    assert!(e.contains("would need") && e.contains("machines"), "{e}");
-    assert!(bytes < ALLOCATION_BOUND, "{bytes} bytes requested");
-
-    // With a machine count the claim cannot inflate, the count check
-    // reports the lie as it does on the materialized path.
-    let e = solve_matching_stream(
-        std::io::Cursor::new(text.as_bytes()),
-        64,
-        Backend::Shard,
-        |n, _| MrConfig::auto(n, 2, 0.3, 42),
-    )
-    .unwrap_err()
-    .to_string();
     assert_eq!(e, "problem line promised 1000000000000 edges, found 1");
+    assert!(bytes < ALLOCATION_BOUND, "{bytes} bytes requested");
 }
 
 /// A field that never ends costs what it weighs: the plain-record scan

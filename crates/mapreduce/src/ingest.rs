@@ -1,106 +1,52 @@
-//! Streaming record ingestion: scatter an input stream into per-machine
-//! blocks without ever materializing it centrally.
+//! Round-zero block sizes: the words each machine's block would hold if
+//! an input stream were scattered straight onto the machines.
 //!
 //! The MRC input contract distributes the `Θ(n^{1+c})` input records
-//! across the `M` machines before round one; no machine — the central one
-//! included — may hold more than its `η = n^{1+µ}` word budget. The
-//! materialized pipeline violates this during *loading*: the whole
-//! instance transits one host before `Cluster::new` splits it. An
-//! [`Ingest`] accumulator restores the regime: records arriving one at a
-//! time (from the chunked instance parser, a generator, or a socket) are
-//! routed straight to their owning machine's block via any
-//! [`Partitioner`](crate::partition::Partitioner)-style placement, with
-//! exact [`WordSized`] accounting
-//! and an optional per-machine capacity that fails ingestion the moment a
-//! block would exceed `η`-scale space — the same `CapacityExceeded`
-//! discipline the cluster applies to supersteps, applied to round zero.
+//! across the `M` machines before round one, and the paper's space bound
+//! constrains the largest such block. [`Ingest`] measures it: records are
+//! charged to their owning machine with exact [`WordSized`] accounting.
+//! It stays only for the benchmark's `ingest.max_block_words` replay and
+//! moves out when the benchmark reads the engine's own trace (ROADMAP
+//! item 3, step B).
 //!
 //! ```
 //! use mrlr_mapreduce::ingest::Ingest;
-//! use mrlr_mapreduce::partition::{HashPartitioner, Partitioner};
 //!
-//! let part = HashPartitioner::new(7, 4);
 //! let mut ingest: Ingest<(u64, f64)> = Ingest::new(4);
 //! for rec in 0..100u64 {
-//!     ingest.push(part.place(rec), (rec, 1.5)).unwrap();
+//!     ingest.push(rec as usize % 4, (rec, 1.5));
 //! }
-//! assert_eq!(ingest.routed(), 100);
-//! let blocks = ingest.into_blocks();
-//! assert_eq!(blocks.iter().map(Vec::len).sum::<usize>(), 100);
+//! assert_eq!(ingest.max_block_words(), 50);
 //! ```
 
+use std::marker::PhantomData;
+
 use crate::cluster::MachineId;
-use crate::error::{CapacityKind, MrError, MrResult};
-use crate::partition::{balance_stats, BalanceStats};
 use crate::words::WordSized;
 
-/// Per-machine block accumulator for streamed record ingestion.
+/// Per-machine word tally of a round-zero scatter.
 #[derive(Debug, Clone)]
 pub struct Ingest<T> {
-    blocks: Vec<Vec<T>>,
     block_words: Vec<usize>,
-    capacity: Option<usize>,
-    routed: usize,
+    record: PhantomData<fn(T)>,
 }
 
 impl<T: WordSized> Ingest<T> {
-    /// An accumulator over `machines` blocks with no capacity limit
-    /// (measure only).
+    /// A tally over `machines` empty blocks.
     ///
     /// # Panics
     /// Panics if `machines == 0`.
     pub fn new(machines: usize) -> Self {
         assert!(machines > 0, "need at least one machine");
         Ingest {
-            blocks: (0..machines).map(|_| Vec::new()).collect(),
             block_words: vec![0; machines],
-            capacity: None,
-            routed: 0,
+            record: PhantomData,
         }
     }
 
-    /// An accumulator that fails the push that would take any one block
-    /// past `capacity_words` — the ingestion-time analogue of the
-    /// cluster's per-machine state budget.
-    pub fn with_capacity_limit(machines: usize, capacity_words: usize) -> Self {
-        let mut ingest = Ingest::new(machines);
-        ingest.capacity = Some(capacity_words);
-        ingest
-    }
-
-    /// Routes one record to `machine`, charging its exact word size.
-    pub fn push(&mut self, machine: MachineId, item: T) -> MrResult<()> {
-        let words = self.block_words[machine] + item.words();
-        if let Some(capacity) = self.capacity {
-            if words > capacity {
-                return Err(MrError::CapacityExceeded {
-                    round: 0,
-                    machine,
-                    kind: CapacityKind::State,
-                    used: words,
-                    capacity,
-                });
-            }
-        }
-        self.block_words[machine] = words;
-        self.blocks[machine].push(item);
-        self.routed += 1;
-        Ok(())
-    }
-
-    /// Number of machines being ingested into.
-    pub fn machines(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Total records routed so far.
-    pub fn routed(&self) -> usize {
-        self.routed
-    }
-
-    /// Words resident per machine block.
-    pub fn block_words(&self) -> &[usize] {
-        &self.block_words
+    /// Charges one record's exact word size to `machine`.
+    pub fn push(&mut self, machine: MachineId, item: T) {
+        self.block_words[machine] += item.words();
     }
 
     /// The largest per-machine block, in words — what the paper's space
@@ -108,70 +54,20 @@ impl<T: WordSized> Ingest<T> {
     pub fn max_block_words(&self) -> usize {
         self.block_words.iter().copied().max().unwrap_or(0)
     }
-
-    /// Load-balance summary of the per-machine record counts.
-    pub fn balance(&self) -> BalanceStats {
-        let counts: Vec<usize> = self.blocks.iter().map(Vec::len).collect();
-        balance_stats(&counts)
-    }
-
-    /// Consumes the accumulator, yielding the per-machine blocks in
-    /// machine-id order (record order preserved within each block).
-    pub fn into_blocks(self) -> Vec<Vec<T>> {
-        self.blocks
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{HashPartitioner, Partitioner};
 
     #[test]
     fn routes_and_counts_words() {
         let mut ingest: Ingest<(u32, u32, f64)> = Ingest::new(3);
-        ingest.push(0, (1, 2, 0.5)).unwrap();
-        ingest.push(2, (3, 4, 1.5)).unwrap();
-        ingest.push(2, (5, 6, 2.5)).unwrap();
-        assert_eq!(ingest.routed(), 3);
-        assert_eq!(ingest.block_words(), &[3, 0, 6]);
+        assert_eq!(ingest.max_block_words(), 0);
+        ingest.push(0, (1, 2, 0.5));
+        ingest.push(2, (3, 4, 1.5));
+        ingest.push(2, (5, 6, 2.5));
         assert_eq!(ingest.max_block_words(), 6);
-        let blocks = ingest.into_blocks();
-        assert_eq!(blocks[0], vec![(1, 2, 0.5)]);
-        assert_eq!(blocks[1], vec![]);
-        assert_eq!(blocks[2], vec![(3, 4, 1.5), (5, 6, 2.5)]);
-    }
-
-    #[test]
-    fn capacity_limit_fails_the_overflowing_push() {
-        let mut ingest: Ingest<u64> = Ingest::with_capacity_limit(2, 2);
-        ingest.push(1, 10).unwrap();
-        ingest.push(1, 11).unwrap();
-        let err = ingest.push(1, 12).unwrap_err();
-        assert!(matches!(
-            err,
-            MrError::CapacityExceeded {
-                machine: 1,
-                used: 3,
-                capacity: 2,
-                ..
-            }
-        ));
-        // The failed push left no trace.
-        assert_eq!(ingest.routed(), 2);
-        assert_eq!(ingest.block_words(), &[0, 2]);
-    }
-
-    #[test]
-    fn hash_placement_balances_blocks() {
-        let part = HashPartitioner::new(11, 8);
-        let mut ingest: Ingest<u64> = Ingest::new(8);
-        for key in 0..8000u64 {
-            ingest.push(part.place(key), key).unwrap();
-        }
-        let s = ingest.balance();
-        assert!(s.imbalance < 1.15, "imbalance {}", s.imbalance);
-        assert!(s.min > 0);
     }
 
     #[test]

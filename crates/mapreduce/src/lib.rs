@@ -27,9 +27,10 @@
 //!   space accounting; [`csr::Csr`] is the flat "one list per record"
 //!   layout resident driver states are built on.
 //! * [`model::ComputeModel`] audits cluster shapes against the MRC/MPC side
-//!   conditions; [`partition`] provides hash/block/range placement;
-//!   and [`trace::Timeline`] renders per-round traces (CSV/ASCII)
-//!   including per-superstep wall-clock and straggler skew.
+//!   conditions, and [`trace::Timeline`] renders per-round traces
+//!   (CSV/ASCII) including per-superstep wall-clock and straggler skew.
+//!   Drivers place records on machines themselves, by hashing record
+//!   ids ([`rng::mix2`]).
 //!
 //! ## The runtime seam
 //!
@@ -87,7 +88,6 @@ pub mod executor;
 pub mod ingest;
 pub mod metrics;
 pub mod model;
-pub mod partition;
 pub mod payload;
 pub mod rng;
 pub mod router;
@@ -113,10 +113,6 @@ pub use metrics::{
     WorkerShuffle,
 };
 pub use model::{paper_graph_regime, ComputeModel, ModelCheck};
-pub use partition::{
-    balance_stats, split, BalanceStats, BlockPartitioner, HashPartitioner, Partitioner,
-    RangePartitioner,
-};
 pub use payload::{PayloadBatch, PayloadSink, PayloadSinkWriter};
 pub use rng::{coin, mix2, mix_tags, unit_f64, DetRng};
 pub use shard::Shard;

@@ -1,12 +1,9 @@
-//! Property-based tests for the partitioners, trace and model
-//! extensions of the simulator substrate.
+//! Property-based tests for the trace and model extensions of the
+//! simulator substrate.
 
 use proptest::prelude::*;
 
 use mrlr_mapreduce::metrics::{Metrics, RoundKind};
-use mrlr_mapreduce::partition::{
-    balance_stats, split, BlockPartitioner, HashPartitioner, Partitioner, RangePartitioner,
-};
 use mrlr_mapreduce::trace::Timeline;
 use mrlr_mapreduce::{ClusterConfig, ComputeModel};
 
@@ -29,63 +26,6 @@ fn arb_metrics() -> impl Strategy<Value = Metrics> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn hash_partitioner_total_and_stable(keys in proptest::collection::vec(any::<u64>(), 1..300), seed in any::<u64>(), machines in 1usize..20) {
-        let p = HashPartitioner::new(seed, machines);
-        for &k in &keys {
-            let m = p.place(k);
-            prop_assert!(m < machines);
-            prop_assert_eq!(m, p.place(k));
-        }
-    }
-
-    #[test]
-    fn block_partitioner_covers_exactly(items in 1u64..500, machines in 1usize..20) {
-        let p = BlockPartitioner::new(items, machines);
-        let mut counts = vec![0u64; machines];
-        for k in 0..items {
-            counts[p.place(k)] += 1;
-        }
-        prop_assert_eq!(counts.iter().sum::<u64>(), items);
-        // Near-equal block sizes.
-        let max = counts.iter().copied().max().unwrap();
-        let min = counts.iter().copied().min().unwrap();
-        prop_assert!(max - min <= 1, "blocks {counts:?}");
-        // place agrees with block()
-        for (m, &count) in counts.iter().enumerate() {
-            let (lo, hi) = p.block(m);
-            prop_assert_eq!(hi - lo, count);
-        }
-    }
-
-    #[test]
-    fn range_partitioner_monotone(bounds in proptest::collection::btree_set(1u64..10_000, 0..10), keys in proptest::collection::vec(0u64..11_000, 0..50)) {
-        let bounds: Vec<u64> = bounds.into_iter().collect();
-        let p = RangePartitioner::new(bounds.clone());
-        prop_assert_eq!(p.machines(), bounds.len() + 1);
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        let mut last = 0usize;
-        for k in sorted {
-            let m = p.place(k);
-            prop_assert!(m >= last, "placement must be monotone in key");
-            prop_assert!(m < p.machines());
-            last = m;
-        }
-    }
-
-    #[test]
-    fn split_conserves_items(items in proptest::collection::vec(any::<u64>(), 0..200), machines in 1usize..8, seed in any::<u64>()) {
-        let p = HashPartitioner::new(seed, machines);
-        let total = items.len();
-        let parts = split(items, |&x| x, &p);
-        prop_assert_eq!(parts.len(), machines);
-        prop_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), total);
-        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
-        let stats = balance_stats(&counts);
-        prop_assert!(stats.max >= stats.min);
-    }
 
     #[test]
     fn timeline_is_consistent_with_any_metrics(m in arb_metrics()) {

@@ -3,9 +3,9 @@
 # scaling benchmark. Runs crates/bench bench_scale in release mode over
 # the scripts/scale_ladder.spec size ladder (densified graphs up to
 # ~10^7 edges): every rung is rendered to a temp file once and solved in
-# two subprocess legs — streamed ingest vs full materialization — whose
-# peak RSS (VmHWM) is recorded per leg, with the objectives asserted
-# equal before any row is emitted.
+# a subprocess leg that loads it the way `mrlr solve` does (read_instance
+# plus a registry solve), whose wall clock and peak RSS (VmHWM) are
+# recorded.
 #
 #   ./scripts/bench_scale.sh            # full ladder, rewrites BENCH_scale.json
 #   ./scripts/bench_scale.sh --quick    # first rung only, fast sanity pass

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Out-of-core smoke: a ~10^6-edge generated instance (densified n=19307,
-# m = n^{1.4}) through the streamed ingest path end to end, under a hard
-# address-space ceiling (ulimit -v) that the central-materialization
-# path cannot rely on — the streamed solve never holds the document text
-# or a central Graph. The solve emits a committed (Merkle-hashed)
-# witness; the report is then audited in full against its transcript
-# sidecar, a single chunk is re-authenticated alone, a piped
-# generator-fed solve (`gen --pipe | solve --input - --stream`) must
-# produce the byte-identical report, and a tampered transcript must be
-# rejected with a located error.
+# m = n^{1.4}) through `mrlr solve` end to end, under a hard
+# address-space ceiling (ulimit -v). The solve reads the file through
+# the parser's fixed window, so the text is never held whole, and peaks
+# near 90 MiB against the 800000 KiB ceiling. The solve emits a
+# committed (Merkle-hashed) witness; the report is then audited in full
+# against its transcript sidecar, a single chunk is re-authenticated
+# alone, a piped generator-fed solve (`gen --pipe | solve --input -`)
+# must produce the byte-identical report, and a tampered transcript must
+# be rejected with a located error.
 #
 # Override the ceiling (KiB of virtual address space) with
-# MRLR_SMOKE_ULIMIT_KB; the default leaves the streamed path ample
-# headroom while still bounding it hard.
+# MRLR_SMOKE_ULIMIT_KB; the default leaves the solve ample headroom
+# while still bounding it hard.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -29,14 +29,14 @@ ceiling_kb="${MRLR_SMOKE_ULIMIT_KB:-800000}"
 edges="$(head -n1 "$work/scale.inst" | cut -d' ' -f4)"
 echo "instance: n=19307, m=$edges edges ($(du -h "$work/scale.inst" | cut -f1))"
 
-# 2. Streamed solve with a committed witness, under the ceiling.
+# 2. Solve with a committed witness, under the ceiling.
 (
   ulimit -v "$ceiling_kb"
-  "$bin" solve matching --input "$work/scale.inst" --stream \
+  "$bin" solve matching --input "$work/scale.inst" \
     --certificates committed --chunk-len 4096 --witness-out "$work/scale.wit" \
     --format json --mask-timings --out "$work/scale.json"
 )
-echo "ok: streamed solve under ulimit -v ${ceiling_kb} KiB"
+echo "ok: solve under ulimit -v ${ceiling_kb} KiB"
 
 # 3. Full offline audit: commitment re-authenticated, transcript
 #    replayed through the ordinary witness audit.
@@ -52,13 +52,13 @@ echo "ok: chunk 0 audits alone"
 (
   ulimit -v "$ceiling_kb"
   "$bin" gen densified --n 19307 --c 0.4 --seed 7 --pipe \
-    | "$bin" solve matching --input - --stream \
+    | "$bin" solve matching --input - \
         --certificates committed --chunk-len 4096 --witness-out "$work/pipe.wit" \
         --format json --mask-timings --out "$work/pipe.json"
 )
 diff -q "$work/scale.json" "$work/pipe.json"
 diff -q "$work/scale.wit" "$work/pipe.wit"
-echo "ok: gen --pipe | solve --input - --stream is byte-identical"
+echo "ok: gen --pipe | solve --input - is byte-identical"
 
 # 6. Tampering: flip one data byte mid-transcript — the audit must fail
 #    (exit 1) with an error locating the damaged chunk.
