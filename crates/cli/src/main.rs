@@ -34,6 +34,7 @@ use mrlr_core::api::{self, witness, Backend, Instance, Registry, Witness};
 use mrlr_core::io::{self, CertificateMode, Json, TimingMode};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::{SpawnKind, Timeline, WorkerKill};
+use mrlr_serve::ReportFormat;
 
 const USAGE: &str = "mrlr — greedy and local ratio algorithms in the MapReduce model
 
@@ -97,14 +98,18 @@ re-authenticates every chunk and replays the opened witness, and
 JSON reports embed a re-checkable certificate witness (dual vectors,
 local-ratio stack transcripts, maximality blockers) unless
 `--certificates summary` trims it. `mrlr verify` replays a stored report
-against its instance — feasibility, witness, lower bound and ratio —
-without re-running the solver, exiting 1 with a located error on any
-mismatch. Given a batch document it audits every report slot against the
+against its instance — feasibility, witness, lower bound and ratio,
+and the ratio against its theorem's bound (`f` for set-cover-f, 2 for
+vertex-cover and matching) — without re-running the solver, exiting 1
+with a located error on any mismatch. Given a batch document it audits every report slot against the
 instances the document names (manifest-relative paths, resolved against
 the document's directory — or --instances-dir when the document was
 written away from its manifest), skips slots that recorded an error
 (they claim nothing, matching `batch`'s exit-code semantics), and exits
-1 if any audited slot fails.
+1 if any audited slot fails. `mrlr batch` holds one instance and one
+report at a time: each instance loads just before its jobs, and each
+slot is rendered as it finishes; the document is written once, at the
+end, so a batch that fails writes nothing.
 
 `mrlr serve` runs the solver as a persistent daemon on a Unix socket:
 thread pools and parsed instances stay warm across requests, at
@@ -305,6 +310,16 @@ fn certificate_mode(flags: &mut Flags) -> Result<CertificateMode, CliError> {
         Some(other) => Err(CliError::usage(format!(
             "unknown certificate mode `{other}` (expected full or summary)"
         ))),
+    }
+}
+
+/// `--format` of one rendered document, checked before any work starts.
+fn report_format(raw: &str) -> Result<ReportFormat, CliError> {
+    match raw {
+        "text" => Ok(ReportFormat::Text),
+        "json" => Ok(ReportFormat::Json),
+        "csv" => Ok(ReportFormat::Csv),
+        other => Err(CliError::usage(format!("unknown format `{other}`"))),
     }
 }
 
@@ -644,7 +659,7 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
     let machines = flags.take_parsed("machines")?;
     let workers = flags.take_parsed("workers")?;
     let kill = parse_kill(&mut flags)?;
-    let format = flags.take("format").unwrap_or_else(|| "text".into());
+    let format = report_format(flags.take("format").as_deref().unwrap_or("text"))?;
     let timings_csv = flags.take("timings-csv");
     let out = flags.take("out");
     let positional = flags.finish()?;
@@ -707,15 +722,14 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?;
     }
 
-    let content = match format.as_str() {
-        "json" => io::report_json_with(&report, timing, certificates).render(),
-        "csv" => format!(
+    let content = match format {
+        ReportFormat::Json => io::report_json_with(&report, timing, certificates).render(),
+        ReportFormat::Csv => format!(
             "{}\n{}\n",
             io::REPORT_CSV_HEADER,
             io::report_csv_row(&report, timing)
         ),
-        "text" => io::report_text(&report, timing),
-        other => return Err(CliError::usage(format!("unknown format `{other}`"))),
+        ReportFormat::Text => io::report_text(&report, timing),
     };
     write_output(out, &content)
 }
@@ -847,18 +861,21 @@ fn verify_batch(
     instances_dir: Option<&str>,
     quiet: bool,
 ) -> Result<(), CliError> {
-    let text = std::fs::read_to_string(batch_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {batch_path}: {e}")))?;
-    let root =
-        io::parse_json(&text).map_err(|e| CliError::runtime(format!("{batch_path}: {e}")))?;
-    if !io::is_batch_document(&root) {
-        return Err(CliError::runtime(format!(
-            "{batch_path} is a single report, not a batch document — pass its instance: \
-             mrlr verify <instance> {batch_path}"
-        )));
-    }
-    let batch =
-        io::parse_batch(&text).map_err(|e| CliError::runtime(format!("{batch_path}: {e}")))?;
+    let batch = {
+        let text = std::fs::read_to_string(batch_path)
+            .map_err(|e| CliError::runtime(format!("cannot read {batch_path}: {e}")))?;
+        let root =
+            io::parse_json(&text).map_err(|e| CliError::runtime(format!("{batch_path}: {e}")))?;
+        if !io::is_batch_document(&root) {
+            return Err(CliError::runtime(format!(
+                "{batch_path} is a single report, not a batch document — pass its instance: \
+                 mrlr verify <instance> {batch_path}"
+            )));
+        }
+        // Built from the one tree; the tree and the text go before any
+        // instance loads.
+        io::parse_batch_value(&root).map_err(|e| CliError::runtime(format!("{batch_path}: {e}")))?
+    };
     let base = match instances_dir {
         Some(dir) => std::path::Path::new(dir),
         None => std::path::Path::new(batch_path)
@@ -936,7 +953,11 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let timing = timing_mode(&mut flags);
     let certificates = certificate_mode(&mut flags)?;
     let backend = parse_backend(&mut flags)?;
-    let format = flags.take("format").unwrap_or_else(|| "json".into());
+    let format = match flags.take("format").as_deref() {
+        None | Some("json") => io::BatchFormat::Json(certificates),
+        Some("csv") => io::BatchFormat::Csv,
+        Some(other) => return Err(CliError::usage(format!("unknown format `{other}`"))),
+    };
     let out = flags.take("out");
     let positional = flags.finish()?;
     let [manifest_path] = positional.as_slice() else {
@@ -951,48 +972,41 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::runtime(format!("{manifest_path}: {e}")))?;
 
     // Instance paths resolve relative to the manifest's directory, so a
-    // manifest and its workload files travel together.
+    // manifest and its workload files travel together. Each instance
+    // loads just before its jobs, so a missing file is caught here,
+    // before the first solve.
     let base = std::path::Path::new(manifest_path)
         .parent()
         .unwrap_or_else(|| std::path::Path::new("."));
-    let instances: Vec<Instance> = manifest
+    let paths: Vec<String> = manifest
         .instances
         .iter()
-        .map(|rel| load_instance_file(&base.join(rel).to_string_lossy()))
-        .collect::<Result<_, _>>()?;
+        .map(|rel| base.join(rel).to_string_lossy().into_owned())
+        .collect();
+    for path in &paths {
+        std::fs::metadata(path)
+            .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
+    }
 
     let registry = Registry::with_defaults();
-    // Job cluster shapes are auto-derived from each instance.
-    let results: io::BatchResults = instances
-        .iter()
-        .map(|instance| {
-            manifest
-                .jobs
-                .iter()
-                .map(|job| {
-                    let cfg = job_cfg(instance, job, backend);
-                    registry
-                        .solve_with(&job.algorithm, backend, instance, &cfg)
-                        .map_err(|e| e.to_string())
-                })
-                .collect()
-        })
-        .collect();
-
-    // The renderers are shared with `mrlr serve`, which is what keeps
-    // served batch documents byte-identical to these offline ones.
-    let content = match format.as_str() {
-        "json" => io::batch_json(
-            &manifest.instances,
-            &manifest.jobs,
-            &results,
-            timing,
-            certificates,
-        )
-        .render(),
-        "csv" => io::batch_csv(&manifest.instances, &manifest.jobs, &results, timing),
-        other => return Err(CliError::usage(format!("unknown format `{other}`"))),
-    };
+    // The runner is shared with `mrlr serve`, which is what keeps served
+    // batch documents byte-identical to these offline ones. Job cluster
+    // shapes are auto-derived from each instance.
+    let content = io::run_batch(
+        &manifest.instances,
+        &manifest.jobs,
+        format,
+        timing,
+        |i| load_instance_file(&paths[i]),
+        |instance, j| {
+            let job = &manifest.jobs[j];
+            let cfg = job_cfg(instance, job, backend);
+            registry
+                .solve_with(&job.algorithm, backend, instance, &cfg)
+                .map_err(|e| e.to_string())
+        },
+        |_| Ok(()),
+    )?;
     write_output(out, &content)
 }
 
@@ -1042,16 +1056,7 @@ fn render_opts(
 ) -> Result<mrlr_serve::RenderOpts, CliError> {
     let mask = flags.take("mask-timings").is_some();
     let certificates = certificate_mode(&mut *flags)?;
-    let format = match flags
-        .take("format")
-        .unwrap_or_else(|| default_format.into())
-        .as_str()
-    {
-        "text" => mrlr_serve::ReportFormat::Text,
-        "json" => mrlr_serve::ReportFormat::Json,
-        "csv" => mrlr_serve::ReportFormat::Csv,
-        other => return Err(CliError::usage(format!("unknown format `{other}`"))),
-    };
+    let format = report_format(flags.take("format").as_deref().unwrap_or(default_format))?;
     Ok(mrlr_serve::RenderOpts {
         format,
         mask_timings: mask,

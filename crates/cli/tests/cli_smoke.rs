@@ -695,3 +695,90 @@ fn hostile_headers_exit_1_with_a_parse_message() {
         assert!(!stderr.contains("panicked"), "{text:?}: {stderr}");
     }
 }
+
+/// `--format` is checked before any input is read: a bad format next to
+/// a missing instance is the usage error (exit 2), not the missing file
+/// (exit 1) — and no solve runs first.
+#[test]
+fn a_bad_format_is_rejected_before_any_input_is_read() {
+    let dir = workdir("bad-format");
+    std::fs::write(
+        dir.join("missing.manifest"),
+        "instance missing.inst\njob matching\n",
+    )
+    .unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "solve",
+                "matching",
+                "--input",
+                "missing.inst",
+                "--format",
+                "bogus",
+            ],
+            "unknown format `bogus`",
+        ),
+        (
+            &["batch", "missing.manifest", "--format", "text"],
+            "unknown format `text`",
+        ),
+        (
+            &["batch", "no-such.manifest", "--format", "bogus"],
+            "unknown format `bogus`",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .args(*args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mrlr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+/// A batch loads each instance just before its jobs. A malformed second
+/// instance still fails the run with the parser's located error (exit 1)
+/// and writes no document; a missing file fails before the first solve.
+#[test]
+fn a_malformed_second_instance_fails_the_batch_and_writes_nothing() {
+    let dir = workdir("batch-bad-second");
+    mrlr(
+        &dir,
+        "1",
+        &["gen", "densified", "--n", "20", "--out", "good.inst"],
+    );
+    std::fs::write(dir.join("bad.inst"), "p graph 3 1\ne 0 9\n").unwrap();
+    let cases = [
+        (
+            "bad",
+            "instance good.inst\ninstance bad.inst\njob matching\n",
+            "bad.inst: line 2, column 5",
+        ),
+        (
+            "missing",
+            "instance good.inst\ninstance gone.inst\njob matching\n",
+            "cannot read gone.inst",
+        ),
+    ];
+    for (name, manifest, needle) in cases {
+        let manifest_path = format!("{name}.manifest");
+        let out_path = format!("{name}.json");
+        std::fs::write(dir.join(&manifest_path), manifest).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .args(["batch", &manifest_path, "--out", &out_path])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mrlr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+        assert!(
+            !dir.join(&out_path).exists(),
+            "{name}: a failing batch wrote {out_path}"
+        );
+    }
+}

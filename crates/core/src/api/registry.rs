@@ -536,6 +536,11 @@ impl Registry {
     /// and `Dist` are the metered cluster backends and return
     /// bit-identical reports; `Seq`/`Rlr` batches skip the cluster
     /// entirely).
+    ///
+    /// This holds every instance and every report at once: the
+    /// whole-grid oracle, like [`crate::io::batch_json`]. `mrlr batch`
+    /// and the serve daemon run [`crate::io::run_batch`] instead, which
+    /// holds one instance and one report at a time.
     pub fn solve_batch_with(
         &self,
         backend: Backend,

@@ -636,6 +636,36 @@ fn check_ratio_claim(claims: &Claims, recomputed: Option<f64>) -> AuditResult {
     }
 }
 
+/// The approximation ratio a theorem guarantees a key's reports on one
+/// instance.
+struct RatioBound {
+    /// The paper's result, e.g. `Theorem 2.4`.
+    theorem: &'static str,
+    /// The largest ratio it allows.
+    ratio: f64,
+}
+
+/// Checks a certified ratio (already matched to its recomputation)
+/// against the theorem's bound, with [`AUDIT_TOL`] as a relative
+/// tolerance. A ratio the certificate cannot bound (`None`) exceeds
+/// every bound.
+fn check_ratio_bound(certified: Option<f64>, bound: &RatioBound) -> AuditResult<String> {
+    let RatioBound { theorem, ratio } = bound;
+    match certified {
+        Some(r) if r <= ratio * (1.0 + AUDIT_TOL) => Ok(format!(
+            "bound: certified ratio {r:.4} ≤ {ratio} ({theorem})"
+        )),
+        Some(r) => Err(AuditError::new(
+            "certificate.certified_ratio",
+            format!("certified ratio {r} exceeds {theorem}'s bound {ratio}"),
+        )),
+        None => Err(AuditError::new(
+            "certificate.certified_ratio",
+            format!("no finite ratio certified; {theorem} bounds it by {ratio}"),
+        )),
+    }
+}
+
 /// The cover-family ratio claim, mirroring
 /// [`CoverCertificate`](super::CoverCertificate)'s `Into<Certificate>`.
 fn cover_ratio(weight: f64, lower_bound: f64) -> Option<f64> {
@@ -872,8 +902,10 @@ fn audit_colouring(
 
 /// Re-verifies a stored report against its instance, without re-running
 /// the solver: recomputes feasibility and the objective, replays the
-/// witness (dual feasibility / stack replay / blockers / recount), and
-/// confirms the claimed lower bound and approximation ratio.
+/// witness (dual feasibility / stack replay / blockers / recount),
+/// confirms the claimed lower bound and approximation ratio, and holds
+/// the ratio to its theorem's bound — `f` (the instance's largest
+/// frequency) for `set-cover-f`, 2 for `vertex-cover` and `matching`.
 ///
 /// Returns the list of human-readable checks that passed, or the first
 /// [`AuditError`] (with a dotted location into the report).
@@ -908,7 +940,10 @@ pub fn audit(
             ),
         )
     };
-    match algorithm {
+    // Each arm runs its family's audit and names the theorem's ratio
+    // bound, where the audit holds the key to one. `set-cover-greedy`
+    // and `b-matching` are not held to theirs yet.
+    let bound = match algorithm {
         "set-cover-f" | "set-cover-greedy" => {
             let Instance::SetSystem(sys) = instance else {
                 return Err(wrong_instance("set system"));
@@ -925,6 +960,10 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
+            (algorithm == "set-cover-f").then(|| RatioBound {
+                theorem: "Theorem 2.4",
+                ratio: sys.max_frequency().max(1) as f64,
+            })
         }
         "vertex-cover" => {
             let Instance::VertexWeighted(inst) = instance else {
@@ -945,6 +984,10 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
+            Some(RatioBound {
+                theorem: "Theorem 2.4, f = 2",
+                ratio: 2.0,
+            })
         }
         "matching" => {
             let Instance::Graph(g) = instance else {
@@ -954,6 +997,10 @@ pub fn audit(
                 return Err(wrong_solution("matching"));
             };
             audit_matching(g, None, sol, claims, witness, &mut checks)?;
+            Some(RatioBound {
+                theorem: "Theorem 5.6",
+                ratio: 2.0,
+            })
         }
         "b-matching" => {
             let Instance::BMatching(inst) = instance else {
@@ -963,6 +1010,7 @@ pub fn audit(
                 return Err(wrong_solution("matching"));
             };
             audit_matching(&inst.graph, Some(inst), sol, claims, witness, &mut checks)?;
+            None
         }
         "mis1" | "mis2" | "clique" => {
             let Instance::Graph(g) = instance else {
@@ -972,6 +1020,7 @@ pub fn audit(
                 return Err(wrong_solution("selection"));
             };
             audit_selection(g, algorithm == "clique", sol, claims, witness, &mut checks)?;
+            None
         }
         "vertex-colouring" | "edge-colouring" => {
             let Instance::Graph(g) = instance else {
@@ -988,6 +1037,7 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
+            None
         }
         other => {
             return Err(AuditError::new(
@@ -995,6 +1045,9 @@ pub fn audit(
                 format!("unknown registry key '{other}'"),
             ));
         }
+    };
+    if let Some(bound) = bound {
+        checks.push(check_ratio_bound(claims.certified_ratio, &bound)?);
     }
     Ok(checks)
 }
@@ -1150,6 +1203,43 @@ mod tests {
         colour_counts[0] += 1;
         let err = audit_report(&instance, &report).unwrap_err();
         assert!(err.location.contains("witness.colour_counts"), "{err}");
+    }
+
+    #[test]
+    fn a_clean_cover_above_the_theorem_bound_is_rejected() {
+        // Two sets over one element, so f = 2. Taking both (weight 6)
+        // against the dual y_0 = 1 is a feasible cover with a feasible
+        // dual, and the claim matches its recomputation — but 6 > f.
+        let sys = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, 5.0]);
+        let instance = Instance::SetSystem(sys);
+        let witness = Witness::CoverDual {
+            dual: vec![(0, 1.0)],
+        };
+        let stored = |cover: Vec<u32>, weight: f64| {
+            let solution = Solution::Cover(CoverResult {
+                cover,
+                weight,
+                lower_bound: 1.0,
+                dual: vec![],
+                iterations: 1,
+            });
+            let claims = Claims {
+                feasible: true,
+                objective: weight,
+                certified_ratio: Some(weight),
+            };
+            (solution, claims)
+        };
+        let (solution, claims) = stored(vec![0], 1.0);
+        let checks = audit(&instance, "set-cover-f", &solution, &claims, &witness).unwrap();
+        assert!(checks.last().unwrap().contains("Theorem 2.4"), "{checks:?}");
+
+        let (solution, claims) = stored(vec![0, 1], 6.0);
+        let err = audit(&instance, "set-cover-f", &solution, &claims, &witness).unwrap_err();
+        assert_eq!(err.location, "certificate.certified_ratio", "{err}");
+        assert!(err.message.contains("exceeds"), "{err}");
+        // The greedy driver's (1+ε)·H_Δ bound is not held yet.
+        audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap();
     }
 
     #[test]

@@ -359,10 +359,17 @@ pub fn is_batch_document(root: &JsonValue) -> bool {
 
 /// Parses the JSON written by `mrlr batch --format json` back into a
 /// [`StoredBatch`]. Structural errors are located as
-/// `results[i][j]: …` so a bad slot in a big grid is findable.
+/// `results[i][j]: …` so a bad slot in a big grid is findable. `mrlr
+/// verify`, which inspects the tree first, calls [`parse_batch_value`].
 pub fn parse_batch(text: &str) -> Result<StoredBatch, IoError> {
-    let root = parse_json(text)?;
-    let instances = need_arr(&root, "instances", "batch")?
+    parse_batch_value(&parse_json(text)?)
+}
+
+/// [`parse_batch`] over an already-parsed [`JsonValue`], so a caller
+/// that parsed the document to inspect it builds the batch from the same
+/// tree instead of parsing the text twice.
+pub fn parse_batch_value(root: &JsonValue) -> Result<StoredBatch, IoError> {
+    let instances = need_arr(root, "instances", "batch")?
         .iter()
         .enumerate()
         .map(|(i, v)| {
@@ -374,7 +381,7 @@ pub fn parse_batch(text: &str) -> Result<StoredBatch, IoError> {
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let rows = need_arr(&root, "results", "batch")?;
+    let rows = need_arr(root, "results", "batch")?;
     if rows.len() != instances.len() {
         return Err(field_err(
             "batch",

@@ -70,7 +70,10 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Appends the pretty rendering of `self` as it reads `indent` levels
+    /// deep inside a document (no trailing newline) — what lets a large
+    /// document be rendered one subtree at a time.
+    pub(crate) fn write(&self, out: &mut String, indent: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 out.push('[');
@@ -433,7 +436,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, IoError> {
     Ok(v)
 }
 
-fn pad(out: &mut String, indent: usize) {
+pub(crate) fn pad(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }

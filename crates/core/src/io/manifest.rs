@@ -1,9 +1,10 @@
-//! The `mrlr batch` manifest format, mapping onto
-//! [`Registry::solve_batch`][crate::api::Registry::solve_batch].
+//! The `mrlr batch` manifest format.
 //!
 //! A manifest is line-oriented (comments `c`/`#`, blanks ignored) and
 //! names an instance set and a job list; the batch runs the full cross
-//! product:
+//! product through [`run_batch`](super::run_batch), instance by instance,
+//! loading each instance just before its jobs and dropping it after its
+//! last one:
 //!
 //! ```text
 //! c instances are paths to unified-format files (see super::instance)

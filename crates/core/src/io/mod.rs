@@ -7,8 +7,10 @@
 //! * [`instance`] — one DIMACS-like text format covering every
 //!   [`Instance`][crate::api::Instance] kind, with line/column-reporting
 //!   parsers and canonical rendering (`parse(render(x)) == x`).
-//! * [`manifest`] — the `mrlr batch` manifest (instance set × job list),
-//!   mapping onto [`Registry::solve_batch`][crate::api::Registry::solve_batch].
+//! * [`manifest`] — the `mrlr batch` manifest (instance set × job list).
+//! * [`batch`] — [`run_batch`], which runs a manifest's grid holding one
+//!   instance and one report at a time and renders each slot as it
+//!   finishes, plus the whole-grid oracle renderers it is tested against.
 //! * [`report`] — deterministic JSON/CSV/text serialization of reports,
 //!   with [`report::TimingMode`] masking host wall-clock so outputs can be
 //!   diffed against golden files across thread counts.
@@ -19,6 +21,7 @@
 //! * [`json`] — the tiny no-deps JSON writer **and reader** the above
 //!   build on.
 
+pub mod batch;
 pub mod certificate;
 pub mod instance;
 pub mod json;
@@ -26,16 +29,17 @@ pub mod manifest;
 pub mod report;
 pub mod stream;
 
+pub use batch::{batch_csv, batch_json, run_batch, BatchFormat, BatchResults};
 pub use certificate::{
-    is_batch_document, parse_batch, parse_report, parse_witness, witness_json, BatchSlot,
-    CertificateMode, StoredBatch, StoredReport,
+    is_batch_document, parse_batch, parse_batch_value, parse_report, parse_witness, witness_json,
+    BatchSlot, CertificateMode, StoredBatch, StoredReport,
 };
 pub use instance::{parse_instance, render_instance, write_instance};
 pub use json::{parse_json, Json, JsonValue};
 pub use manifest::{parse_manifest, JobSpec, Manifest};
 pub use report::{
-    batch_csv, batch_json, metrics_json, report_csv_row, report_json, report_json_with,
-    report_text, solution_json, BatchResults, TimingMode, REPORT_CSV_HEADER,
+    metrics_json, report_csv_row, report_json, report_json_with, report_text, solution_json,
+    TimingMode, REPORT_CSV_HEADER,
 };
 pub use stream::{
     read_instance, stream_records, InstanceSink, Record, RecordSink, StreamHeader, StreamParser,

@@ -263,89 +263,6 @@ pub fn report_text(report: &Report<Solution>, timing: TimingMode) -> String {
     out
 }
 
-/// The result grid of one batch run: per instance, per job, a report or
-/// the solver's error text. Shared by `mrlr batch` and the serve daemon
-/// so a served batch document is byte-identical to the offline one.
-pub type BatchResults = Vec<Vec<Result<Report<Solution>, String>>>;
-
-/// Renders a whole batch document as JSON: the instance paths, the job
-/// grid, and one report (or `{"error": ...}`) per `instances × jobs`
-/// slot — the exact document `mrlr verify` re-audits offline.
-pub fn batch_json(
-    instances: &[String],
-    jobs: &[super::manifest::JobSpec],
-    results: &BatchResults,
-    timing: TimingMode,
-    certificates: CertificateMode,
-) -> Json {
-    let jobs_json = jobs
-        .iter()
-        .map(|j| {
-            Json::Obj(vec![
-                ("algorithm", Json::str(&*j.algorithm)),
-                ("mu", Json::F64(j.mu)),
-                ("seed", Json::U64(j.seed)),
-                (
-                    "threads",
-                    j.threads.map_or(Json::Null, |t| Json::U64(t as u64)),
-                ),
-            ])
-        })
-        .collect();
-    let results_json = results
-        .iter()
-        .map(|per_instance| {
-            Json::Arr(
-                per_instance
-                    .iter()
-                    .map(|slot| match slot {
-                        Ok(report) => report_json_with(report, timing, certificates),
-                        Err(e) => Json::Obj(vec![("error", Json::str(&**e))]),
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "instances",
-            Json::Arr(instances.iter().map(Json::str).collect()),
-        ),
-        ("jobs", Json::Arr(jobs_json)),
-        ("results", Json::Arr(results_json)),
-    ])
-}
-
-/// Renders a batch result grid as CSV: one row per `instance × job`
-/// slot, error slots carrying empty report columns plus the error text.
-pub fn batch_csv(
-    instances: &[String],
-    jobs: &[super::manifest::JobSpec],
-    results: &BatchResults,
-    timing: TimingMode,
-) -> String {
-    let mut csv = format!("instance,{},error\n", REPORT_CSV_HEADER);
-    for (path, per_instance) in instances.iter().zip(results) {
-        for (job, slot) in jobs.iter().zip(per_instance) {
-            match slot {
-                Ok(report) => {
-                    csv.push_str(&format!("{path},{},\n", report_csv_row(report, timing)));
-                }
-                Err(e) => {
-                    let empty = REPORT_CSV_HEADER.split(',').count() - 1;
-                    csv.push_str(&format!(
-                        "{path},{}{},{}\n",
-                        job.algorithm,
-                        ",".repeat(empty),
-                        e.replace([',', '\n'], ";")
-                    ));
-                }
-            }
-        }
-    }
-    csv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

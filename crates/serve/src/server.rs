@@ -385,6 +385,14 @@ struct Engine {
     shutdown: AtomicBool,
 }
 
+/// Why a served batch ended without a document.
+enum BatchStop {
+    /// The request failed; its client gets this error frame.
+    Failed(String),
+    /// The connection broke mid-stream.
+    Transport(io::Error),
+}
+
 /// A request refused at admission: the terminal frame for its client,
 /// and what waiters coalesced onto it are told.
 struct Rejection {
@@ -640,21 +648,23 @@ impl Engine {
         let result = self.run_batch(stream, instances, jobs, backend_name, render);
         drop(slot);
         match result {
-            Ok(Ok(content)) => write_wire_frame(
+            Ok(content) => write_wire_frame(
                 stream,
                 &Response::Report {
                     content,
                     coalesced: false,
                 },
             ),
-            Ok(Err(message)) => write_wire_frame(stream, &Response::Error { message }),
-            Err(io_err) => Err(io_err),
+            Err(BatchStop::Failed(message)) => {
+                write_wire_frame(stream, &Response::Error { message })
+            }
+            Err(BatchStop::Transport(io_err)) => Err(io_err),
         }
     }
 
-    /// The grid run behind a batch request. The outer `Result` is a
-    /// transport failure (connection gone mid-stream); the inner one is
-    /// a request failure reported back as an error frame.
+    /// The grid run behind a batch request: every instance text parsed
+    /// up front, then [`core_io::run_batch`] — the runner `mrlr batch`
+    /// uses — with a `note:` frame after each instance's jobs.
     fn run_batch(
         &self,
         stream: &mut UnixStream,
@@ -662,22 +672,34 @@ impl Engine {
         jobs: &[BatchJob],
         backend_name: &str,
         render: RenderOpts,
-    ) -> io::Result<Result<String, String>> {
-        let backend = match self.parse_backend(backend_name) {
-            Ok(b) => b,
-            Err(e) => return Ok(Err(e)),
+    ) -> Result<String, BatchStop> {
+        let backend = self
+            .parse_backend(backend_name)
+            .map_err(BatchStop::Failed)?;
+        let format = match render.format {
+            ReportFormat::Json if render.certificates_full => {
+                core_io::BatchFormat::Json(CertificateMode::Full)
+            }
+            ReportFormat::Json => core_io::BatchFormat::Json(CertificateMode::Summary),
+            ReportFormat::Csv => core_io::BatchFormat::Csv,
+            ReportFormat::Text => {
+                return Err(BatchStop::Failed(
+                    "batch documents render as json or csv, not text".to_string(),
+                ))
+            }
         };
-        if matches!(render.format, ReportFormat::Text) {
-            return Ok(Err(
-                "batch documents render as json or csv, not text".to_string()
-            ));
-        }
+        let timing = if render.mask_timings {
+            TimingMode::Masked
+        } else {
+            TimingMode::Real
+        };
         let mut parsed: Vec<Arc<Instance>> = Vec::with_capacity(instances.len());
         for (path, text) in instances {
-            match self.parse_cache.get_or_parse(text) {
-                Ok(i) => parsed.push(i),
-                Err(e) => return Ok(Err(format!("{path}: {e}"))),
-            }
+            let instance = self
+                .parse_cache
+                .get_or_parse(text)
+                .map_err(|e| BatchStop::Failed(format!("{path}: {e}")))?;
+            parsed.push(instance);
         }
         let specs: Vec<core_io::JobSpec> = jobs
             .iter()
@@ -688,66 +710,53 @@ impl Engine {
                 threads: j.threads.map(|t| t as usize),
             })
             .collect();
-        // Like the offline CLI: shapes are auto-derived per instance.
-        let mut results: core_io::BatchResults = Vec::with_capacity(parsed.len());
-        for (idx, instance) in parsed.iter().enumerate() {
-            let mut cfgs: Vec<MrConfig> = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                match self.job_cfg(
-                    instance,
-                    backend,
-                    spec.mu,
-                    spec.seed,
-                    spec.threads.map(|t| t as u64),
-                    None,
-                    None,
-                ) {
-                    Ok(cfg) => cfgs.push(cfg),
-                    Err(e) => return Ok(Err(format!("{}: {e}", instances[idx].0))),
-                }
-            }
-            Stats::bump(&self.stats.solver_runs);
-            let rows = specs
-                .iter()
-                .zip(&cfgs)
-                .map(|(spec, cfg)| {
-                    self.registry
-                        .solve_with(&spec.algorithm, backend, instance, cfg)
-                        .map_err(|e| e.to_string())
-                })
-                .collect();
-            results.push(rows);
-            write_wire_frame(
-                stream,
-                &Response::Note {
-                    line: format!(
-                        "batch: instance {}/{} ({}) done",
-                        idx + 1,
-                        parsed.len(),
-                        instances[idx].0
-                    ),
-                },
-            )?;
-        }
-        let timing = if render.mask_timings {
-            TimingMode::Masked
-        } else {
-            TimingMode::Real
-        };
-        let certificates = if render.certificates_full {
-            CertificateMode::Full
-        } else {
-            CertificateMode::Summary
-        };
         let paths: Vec<String> = instances.iter().map(|(p, _)| p.clone()).collect();
-        let content = match render.format {
-            ReportFormat::Json => {
-                core_io::batch_json(&paths, &specs, &results, timing, certificates).render()
-            }
-            ReportFormat::Csv => core_io::batch_csv(&paths, &specs, &results, timing),
-            ReportFormat::Text => unreachable!("rejected above"),
-        };
-        Ok(Ok(content))
+        // Like the offline CLI: shapes are auto-derived per instance.
+        core_io::run_batch(
+            &paths,
+            &specs,
+            format,
+            timing,
+            |idx| {
+                let instance = Arc::clone(&parsed[idx]);
+                let cfgs = specs
+                    .iter()
+                    .map(|spec| {
+                        self.job_cfg(
+                            &instance,
+                            backend,
+                            spec.mu,
+                            spec.seed,
+                            spec.threads.map(|t| t as u64),
+                            None,
+                            None,
+                        )
+                    })
+                    .collect::<Result<Vec<MrConfig>, String>>()
+                    .map_err(|e| BatchStop::Failed(format!("{}: {e}", paths[idx])))?;
+                Stats::bump(&self.stats.solver_runs);
+                Ok((instance, cfgs))
+            },
+            |(instance, cfgs), j| {
+                self.registry
+                    .solve_with(&specs[j].algorithm, backend, instance, &cfgs[j])
+                    .map_err(|e| e.to_string())
+            },
+            |idx| {
+                write_wire_frame(
+                    stream,
+                    &Response::Note {
+                        line: format!(
+                            "batch: instance {}/{} ({}) done",
+                            idx + 1,
+                            paths.len(),
+                            paths[idx]
+                        ),
+                    },
+                )
+                .map_err(BatchStop::Transport)
+            },
+        )
     }
 
     fn handle_verify(
