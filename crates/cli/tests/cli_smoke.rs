@@ -679,6 +679,24 @@ fn hostile_headers_exit_1_with_a_parse_message() {
             &[],
             "flat arena exceeds its u32 offsets",
         ),
+        (
+            "p set-system 1000000000000 0\n",
+            "set-cover-f",
+            &[],
+            "line 1, column 14: universe size 1000000000000 exceeds the maximum",
+        ),
+        (
+            "p set-system 4294967295 1\ns 1.0 0\n",
+            "set-cover-f",
+            &[],
+            "leaves an element uncovered",
+        ),
+        (
+            "p set-system 4294967295 1\ns 1.0 0\n",
+            "set-cover-greedy",
+            &[],
+            "leaves an element uncovered",
+        ),
     ];
     for (i, (text, algorithm, extra, needle)) in cases.iter().enumerate() {
         let file = format!("hostile-{i}.inst");

@@ -16,6 +16,8 @@
 use mrlr_mapreduce::{MrError, MrResult};
 use mrlr_setsys::{SetId, SetSystem};
 
+use crate::rlr::setcover::require_coverable;
+
 /// Outcome of Remark 4.7's preprocessing.
 #[derive(Debug, Clone)]
 pub struct Preprocessed {
@@ -39,9 +41,7 @@ pub fn preprocess_weights(sys: &SetSystem, eps: f64) -> MrResult<Preprocessed> {
     if eps <= 0.0 || !eps.is_finite() {
         return Err(MrError::BadConfig("eps must be positive".into()));
     }
-    if !sys.is_coverable() {
-        return Err(MrError::Infeasible("element contained in no set".into()));
-    }
+    require_coverable(sys)?;
     let m = sys.universe();
     let n = sys.n_sets();
     // γ = max over elements of the cheapest containing set.

@@ -19,6 +19,7 @@ use mrlr_mapreduce::{MrError, MrResult};
 use mrlr_setsys::{SetId, SetSystem};
 
 use crate::hungry::mis::{degree_class_ln, group_choice};
+use crate::rlr::setcover::require_coverable;
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
@@ -88,9 +89,7 @@ pub fn hungry_set_cover(
     if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 {
         return Err(MrError::BadConfig("invalid alpha/group_size".into()));
     }
-    if !sys.is_coverable() {
-        return Err(MrError::Infeasible("element contained in no set".into()));
-    }
+    require_coverable(sys)?;
 
     let m = sys.universe();
     let n = sys.n_sets();
@@ -102,7 +101,7 @@ pub fn hungry_set_cover(
 
     let mut covered = vec![false; m];
     let mut covered_count = 0usize;
-    let mut uncov: Vec<usize> = sys.sets().iter().map(Vec::len).collect();
+    let mut uncov: Vec<usize> = sys.sets().iter().map(<[_]>::len).collect();
     let mut chosen_flag = vec![false; n];
     let mut solution: Vec<SetId> = Vec::new();
     let mut price_sum = 0.0f64;

@@ -83,7 +83,8 @@
 use std::collections::HashSet;
 
 use mrlr_graph::{Edge, Graph, VertexId};
-use mrlr_setsys::{ElemId, SetSystem};
+use mrlr_mapreduce::Csr;
+use mrlr_setsys::{ElemId, SetId, SetSystem};
 
 use super::{is_ascii_space, tokens, IoError, Tokens};
 use crate::api::{BMatchingInstance, Instance, VertexWeightedGraph};
@@ -100,12 +101,25 @@ const PREALLOC_CAP: usize = 1 << 20;
 /// Vertex ids are [`VertexId`]s, so a graph has at most this many vertices.
 const MAX_VERTICES: usize = VertexId::MAX as usize + 1;
 
+/// Element ids are [`ElemId`]s, so a universe has at most this many
+/// elements.
+const MAX_ELEMENTS: usize = ElemId::MAX as usize + 1;
+
 pub(crate) fn err(line: usize, col: usize, message: impl Into<String>) -> IoError {
     IoError {
         line,
         col,
         message: message.into(),
     }
+}
+
+/// Hands `sink` a record read at `line`, its first field at `col`; a sink
+/// error that carries no position of its own is placed there.
+fn deliver(sink: &mut impl RecordSink, r: Record, line: usize, col: usize) -> Result<(), IoError> {
+    sink.record(r).map_err(|e| match e.line {
+        0 => err(line, col, e.message),
+        _ => e,
+    })
 }
 
 /// A field of a record with the 1-based column it starts at.
@@ -254,8 +268,9 @@ pub enum Record {
 /// checks, then [`RecordSink::finish`] once the whole input has passed.
 /// Implementors are [`InstanceSink`] and sinks that test or time the
 /// parser. A sink may reject a record with its own [`IoError`]; the parser
-/// propagates it unchanged, unless a repeat among the records before it
-/// owes an earlier error.
+/// propagates it, placed at the record's line and first field if it has
+/// no position (line 0) of its own, unless a repeat among the records
+/// before it owes an earlier error.
 ///
 /// Records arrive in input order as soon as their line is read, never
 /// past a line that fails, and before the checks that span lines: that no
@@ -464,7 +479,7 @@ impl GraphBody {
         let index = self.edges.keys.len();
         let key = ((u.min(v) as u64) << 32) | u.max(v) as u64;
         self.edges.push(key, line, ucol);
-        sink.record(Record::Edge { index, u, v, w })
+        deliver(sink, Record::Edge { index, u, v, w }, line, ucol)
     }
 
     /// Every semantic check of an `n` line, then its key and its
@@ -492,7 +507,7 @@ impl GraphBody {
         };
         trailing?;
         self.vertices.push(v as u64, line, vcol);
-        sink.record(record)
+        deliver(sink, record, line, vcol)
     }
 
     /// The general route for one body line, its tag already consumed.
@@ -583,15 +598,16 @@ struct SetBody {
 }
 
 impl SetBody {
-    /// Every semantic check of an `s` line, yielding its record. `elems`
-    /// is read lazily, so on the general route a malformed element is
+    /// Every semantic check of an `s` line, then its delivery. `elems` is
+    /// read lazily, so on the general route a malformed element is
     /// reported only if no element before it fails a check.
-    fn accept_set(
+    fn accept_set<S: RecordSink>(
         &mut self,
+        sink: &mut S,
         line: usize,
         (wcol, w): Field<f64>,
         elems: impl Iterator<Item = Result<Field<ElemId>, IoError>>,
-    ) -> Result<Record, IoError> {
+    ) -> Result<(), IoError> {
         check_weight(w, line, wcol, "set weight")?;
         let mut accepted: Vec<ElemId> = Vec::with_capacity(elems.size_hint().0);
         for elem in elems {
@@ -616,19 +632,21 @@ impl SetBody {
         }
         let index = self.sets;
         self.sets += 1;
-        Ok(Record::Set {
+        let record = Record::Set {
             index,
             w,
             elems: accepted,
-        })
+        };
+        deliver(sink, record, line, wcol)
     }
 
     /// The general route for one body line, its tag already consumed.
-    fn general_line(
+    fn general_line<S: RecordSink>(
         &mut self,
+        sink: &mut S,
         (tcol, tag): (usize, &str),
         line: &mut Line<'_>,
-    ) -> Result<Record, IoError> {
+    ) -> Result<(), IoError> {
         if tag != "s" {
             return Err(err(
                 line.no,
@@ -646,26 +664,27 @@ impl SetBody {
                 |j| Ok((ecol, j)),
             ))
         });
-        self.accept_set(no, weight, elems)
+        self.accept_set(sink, no, weight, elems)
     }
 
     /// The recognizer's route for the record at the head of `bytes` (see
     /// [`GraphBody::plain_line`]); `elems` is scratch for the line's
     /// elements and their columns.
-    fn plain_line(
+    fn plain_line<S: RecordSink>(
         &mut self,
+        sink: &mut S,
         line: usize,
         bytes: &[u8],
         elems: &mut Vec<Field<ElemId>>,
-    ) -> Result<Option<(usize, Record)>, IoError> {
+    ) -> Result<Option<usize>, IoError> {
         if bytes[0] != b's' {
             return Ok(None);
         }
         let Some((len, weight)) = Scan::set_line(bytes, elems) else {
             return Ok(None);
         };
-        let record = self.accept_set(line, weight, elems.iter().copied().map(Ok))?;
-        Ok(Some((len, record)))
+        self.accept_set(sink, line, weight, elems.iter().copied().map(Ok))?;
+        Ok(Some(len))
     }
 }
 
@@ -999,13 +1018,7 @@ impl<S: RecordSink> StreamParser<S> {
             let line = self.line_no + 1;
             let len = match &mut self.state {
                 State::Graph(body) => body.plain_line(sink, line, &bytes[at..])?,
-                State::Sets(body) => match body.plain_line(line, &bytes[at..], &mut self.elems)? {
-                    None => None,
-                    Some((len, record)) => {
-                        sink.record(record)?;
-                        Some(len)
-                    }
-                },
+                State::Sets(body) => body.plain_line(sink, line, &bytes[at..], &mut self.elems)?,
                 State::Start | State::Failed(_) => None,
             };
             let Some(len) = len else {
@@ -1064,10 +1077,22 @@ impl<S: RecordSink> StreamParser<S> {
                 Ok(())
             }
             State::Graph(body) => body.general_line(sink, first, &mut line),
-            State::Sets(body) => sink.record(body.general_line(first, &mut line)?),
+            State::Sets(body) => body.general_line(sink, first, &mut line),
             State::Failed(e) => Err(e.clone()),
         }
     }
+}
+
+/// Refuses a header count beyond the id range `max` of what it counts.
+fn at_most(max: usize, line: usize, (col, n): Field<usize>, what: &str) -> Result<(), IoError> {
+    if n <= max {
+        return Ok(());
+    }
+    Err(err(
+        line,
+        col,
+        format!("{what} {n} exceeds the maximum {max}"),
+    ))
 }
 
 fn parse_problem_line(
@@ -1099,19 +1124,14 @@ fn parse_problem_line(
                 }
             };
             problem.finish()?;
-            if n > MAX_VERTICES {
-                return Err(err(
-                    problem.no,
-                    ncol,
-                    format!("vertex count {n} exceeds the maximum {MAX_VERTICES}"),
-                ));
-            }
+            at_most(MAX_VERTICES, problem.no, (ncol, n), "vertex count")?;
             Ok((header, Some(gkind)))
         }
         "set-system" => {
-            let (_, universe) = problem.parse::<usize>("universe size")?;
+            let (ucol, universe) = problem.parse::<usize>("universe size")?;
             let (_, n_sets) = problem.parse::<usize>("set count")?;
             problem.finish()?;
+            at_most(MAX_ELEMENTS, problem.no, (ucol, universe), "universe size")?;
             Ok((StreamHeader::SetSystem { universe, n_sets }, None))
         }
         other => Err(err(
@@ -1135,7 +1155,8 @@ pub struct InstanceSink {
     /// each `n` line, in arrival order: placed by id only at `finish`,
     /// once the parser has proved that every id below `n` has one line.
     vertex_data: Vec<(usize, f64)>,
-    sets: Vec<Vec<ElemId>>,
+    /// Each `s` line's elements, appended as one row of the arena.
+    sets: Csr<ElemId>,
     set_weights: Vec<f64>,
 }
 
@@ -1160,7 +1181,6 @@ impl RecordSink for InstanceSink {
                 self.vertex_data.reserve(n.min(PREALLOC_CAP));
             }
             StreamHeader::SetSystem { n_sets, .. } => {
-                self.sets.reserve(n_sets.min(PREALLOC_CAP));
                 self.set_weights.reserve(n_sets.min(PREALLOC_CAP));
             }
         }
@@ -1172,9 +1192,13 @@ impl RecordSink for InstanceSink {
             Record::Edge { u, v, w, .. } => self.edges.push(Edge::new(u, v, w)),
             Record::VertexWeight { v, w } => self.vertex_data.push((v, w)),
             Record::Capacity { v, b } => self.vertex_data.push((v, b as f64)),
-            Record::Set { w, elems, .. } => {
+            Record::Set { index, w, elems } => {
+                // Set ids and the arena's offsets are `u32`s.
+                if index >= SetId::MAX as usize || self.sets.push_row(&elems).is_err() {
+                    let message = format!("set {index} overflows the u32 ids or offsets");
+                    return Err(err(0, 0, message));
+                }
                 self.set_weights.push(w);
-                self.sets.push(elems);
             }
         }
         Ok(())
@@ -1307,7 +1331,8 @@ mod tests {
     /// The repeat checks run after the load, yet report what checking
     /// each line on arrival would: the earliest offending line and its
     /// first field, ahead of a later syntax error, sink failure or
-    /// end-of-input check, and behind a sink failure that came first.
+    /// end-of-input check, and behind a sink failure that came first —
+    /// which, carrying no position of its own, is placed at its record.
     /// Meanwhile the sink has been handed every record whose own line
     /// passed, repeats included.
     #[test]
@@ -1394,11 +1419,18 @@ mod tests {
                 vertex(3, 3, 0),
                 2,
             ),
-            // Behind a sink failure that comes first.
+            // Behind a sink failure that comes first, placed at the
+            // failing record's first field.
             (
                 "p graph 5 3\ne 0 1\ne 1 2\ne 1 0\n",
                 1,
-                err(0, 0, "sink full"),
+                err(3, 3, "sink full"),
+                1,
+            ),
+            (
+                "p set-system 3 3\ns 1.0 0\ns  2.0 1 2\ns 1.0\n",
+                1,
+                err(3, 4, "sink full"),
                 1,
             ),
             // Ids too sparse for rows: the sorted fallback.

@@ -16,7 +16,9 @@
 //! 5. machines drop every element with a chosen set in its `T_j`.
 //!
 //! A machine's block is flat: its element ids, one [`Csr`] arena holding
-//! every `T_j`, and an alive flag per element. The *metered* size is
+//! every `T_j` (copied row by row from the instance's cached
+//! [`SetSystem::dual`], so the distribution counts no frequencies of its
+//! own), and an alive flag per element. The *metered* size is
 //! still the record-per-element formula; only the alive flags and the
 //! cover bitmap change after distribution — neither changes size — so it
 //! is computed once.
@@ -26,7 +28,7 @@ use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBa
 use mrlr_setsys::{ElemId, SetId, SetSystem};
 
 use crate::mr::{place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
-use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
+use crate::rlr::setcover::{require_coverable, sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
 
@@ -71,26 +73,21 @@ impl ElemChunk {
     }
 }
 
-/// Distributes elements by hash, scattering the dual (element →
-/// containing sets, ascending) straight from the sets.
+/// Distributes elements by hash: element `j`'s row is `T_j`, copied from
+/// the instance's dual.
 fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ElemChunk>> {
-    let mut frequency = vec![0usize; sys.universe()];
-    for set in sys.sets() {
-        for &j in set {
-            frequency[j as usize] += 1;
-        }
-    }
+    let dual = sys.dual();
     let mut placed = place_rows(
         cfg.machines,
         sys.universe(),
         |j| cfg.place(j as u64),
-        |j| frequency[j],
+        |j| dual[j].len(),
         0,
     )?;
-    for (i, set) in sys.sets().iter().enumerate() {
-        for &j in set {
-            let (dst, row) = placed.at[j as usize];
-            placed.arenas[dst as usize].push(row as usize, i as SetId);
+    for (j, tj) in dual.iter().enumerate() {
+        let (dst, row) = placed.at[j];
+        for &i in tj {
+            placed.arenas[dst as usize].push(row as usize, i);
         }
     }
     Ok(placed
@@ -108,11 +105,7 @@ fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ElemChunk>> {
 /// [`crate::api::SetCoverFDriver`] runs this for every cluster backend,
 /// on the runtime `cfg.exec.runtime` names.
 pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
-    if !sys.is_coverable() {
-        return Err(MrError::Infeasible(
-            "set cover instance leaves an element uncovered".into(),
-        ));
-    }
+    require_coverable(sys)?;
     if cfg.eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
     }
@@ -252,7 +245,7 @@ mod tests {
             assert_eq!(chunk.words, 2 + recs + bitmap, "machine {id}");
             assert_eq!(chunk.words(), chunk.metered_words());
             for (slot, &j) in chunk.ids.iter().enumerate() {
-                assert_eq!(chunk.tj.row(slot), dual[j as usize].as_slice());
+                assert_eq!(chunk.tj.row(slot), &dual[j as usize]);
             }
         }
         run(&sys, cfg).unwrap();

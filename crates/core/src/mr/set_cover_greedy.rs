@@ -36,6 +36,7 @@ use mrlr_setsys::{ElemId, SetId, SetSystem};
 use crate::hungry::mis::{degree_class_ln, group_choice};
 use crate::hungry::setcover::{class_group_counts, HungryScParams, HungryScTrace, HSC_RNG_TAG};
 use crate::mr::{place_rows, MrConfig};
+use crate::rlr::setcover::require_coverable;
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
@@ -218,9 +219,7 @@ pub fn run(
     if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 {
         return Err(MrError::BadConfig("invalid alpha/group_size".into()));
     }
-    if !sys.is_coverable() {
-        return Err(MrError::Infeasible("element contained in no set".into()));
-    }
+    require_coverable(sys)?;
 
     let m = sys.universe();
     let n = sys.n_sets();

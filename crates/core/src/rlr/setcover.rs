@@ -32,17 +32,25 @@ pub fn sample_probability(eta: usize, alive: usize) -> f64 {
     }
 }
 
+/// `Ok` when every element of `sys` lies in some set; otherwise the one
+/// [`MrError::Infeasible`] every set-cover driver fails with.
+pub(crate) fn require_coverable(sys: &SetSystem) -> MrResult<()> {
+    if sys.is_coverable() {
+        Ok(())
+    } else {
+        Err(MrError::Infeasible(
+            "set cover instance leaves an element uncovered".into(),
+        ))
+    }
+}
+
 /// Runs Algorithm 1 with sample budget `eta` (the paper's `η = n^{1+µ}`).
 ///
 /// Fails with [`MrError::AlgorithmFailed`] when a sample exceeds `6η`
 /// (line 6 of Algorithm 1) and with [`MrError::Infeasible`] when some
 /// element is contained in no set.
 pub fn approx_set_cover_f(sys: &SetSystem, eta: usize, seed: u64) -> MrResult<CoverResult> {
-    if !sys.is_coverable() {
-        return Err(MrError::Infeasible(
-            "set cover instance leaves an element uncovered".into(),
-        ));
-    }
+    require_coverable(sys)?;
     if eta == 0 {
         return Err(MrError::BadConfig("eta must be positive".into()));
     }

@@ -8,9 +8,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mrlr_core::api::{solve_matching_stream, Backend};
+use mrlr_core::api::{solve_matching_stream, Backend, Instance, Registry};
 use mrlr_core::io::{parse_instance, read_instance, IoError};
 use mrlr_core::mr::MrConfig;
+use mrlr_core::verify::is_cover;
+use mrlr_mapreduce::MrError;
 
 /// Counts the bytes requested from the allocator on the calling thread's
 /// behalf — tests run on parallel threads, so the tally is thread-local.
@@ -61,7 +63,7 @@ fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// structure: for a graph body the edges (16 B each) and their keys
 /// (8 B), and with vertex data also the `(v, value)` pairs (16 B) and
 /// their keys (8 B), so 48 · 2^20 = 3 · 2^24 bytes; for a set system the
-/// set `Vec`s (24 B) and weights (8 B), 2^25 bytes. The 64 KiB read
+/// weights (8 B), 2^23 bytes. The 64 KiB read
 /// window and a line's scratch fit in the rest of 2^26, and anything
 /// sized by a claim of more than 2^23 words does not.
 const ALLOCATION_BOUND: usize = 1 << 26;
@@ -158,6 +160,54 @@ fn huge_set_count_is_reported_by_the_count_check() {
             format!("problem line promised {n_sets} sets, found 1")
         );
     }
+}
+
+#[test]
+fn universe_beyond_the_element_id_range_is_a_located_error() {
+    for universe in HUGE {
+        let header = format!("p set-system {universe} 1");
+        let e = rejected(&format!("{header}\ns 1.0 0\n"));
+        assert_eq!((e.line, e.col), (1, 14), "{header}: {e}");
+        assert_eq!(
+            e.message,
+            format!("universe size {universe} exceeds the maximum 4294967296")
+        );
+    }
+}
+
+/// The whole element-id range is a legal universe, but one element cannot
+/// fill it: both set-cover keys refuse the instance as uncoverable, and
+/// the cover check says no, before anything is sized by the universe.
+#[test]
+fn a_universe_one_set_cannot_fill_buys_no_table() {
+    let inst = parse_instance("p set-system 4294967295 1\ns 1.0 0\n").unwrap();
+    let Instance::SetSystem(sys) = &inst else {
+        panic!("{:?}", inst.kind());
+    };
+    let registry = Registry::with_defaults();
+    let cfg = inst.auto_config(0.3, 42);
+    for algorithm in ["set-cover-f", "set-cover-greedy"] {
+        let (result, bytes) = requested_by(|| registry.solve(algorithm, &inst, &cfg));
+        match result {
+            Err(MrError::Infeasible(m)) => {
+                assert_eq!(
+                    m, "set cover instance leaves an element uncovered",
+                    "{algorithm}"
+                )
+            }
+            other => panic!("{algorithm}: {other:?}"),
+        }
+        assert!(
+            bytes < ALLOCATION_BOUND,
+            "{algorithm}: {bytes} bytes requested"
+        );
+    }
+    let (covered, bytes) = requested_by(|| is_cover(sys, &[0]));
+    assert!(!covered);
+    assert!(
+        bytes < ALLOCATION_BOUND,
+        "is_cover: {bytes} bytes requested"
+    );
 }
 
 #[test]

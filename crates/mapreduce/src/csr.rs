@@ -122,6 +122,30 @@ impl<T: Copy> Csr<T> {
         }
         self.items.truncate(write);
     }
+
+    /// Appends `row` as the next row: the way to grow an arena whose row
+    /// lengths are not known up front (a parser reading records). Refused,
+    /// with the arena unchanged, if the items would outgrow the offsets.
+    pub fn push_row(&mut self, row: &[T]) -> Result<(), CsrOverflow> {
+        let end = u32::try_from(self.items.len() + row.len()).map_err(|_| CsrOverflow)?;
+        self.offsets.push(end);
+        self.items.extend_from_slice(row);
+        Ok(())
+    }
+}
+
+/// Flattens nested rows built in code (generators, tests), panicking past
+/// `u32::MAX` items; rows read from untrusted bytes arrive through
+/// [`Csr::push_row`] instead, which reports the overflow.
+impl<T: Copy> From<Vec<Vec<T>>> for Csr<T> {
+    fn from(rows: Vec<Vec<T>>) -> Self {
+        let mut csr = Csr::default();
+        for row in &rows {
+            csr.push_row(row)
+                .expect("nested rows exceed the u32 offsets");
+        }
+        csr
+    }
 }
 
 impl<T> Csr<T> {
@@ -263,6 +287,24 @@ mod tests {
         assert_eq!(csr.items.as_ptr(), arena, "compacted without reallocating");
         csr.retain(|_, _| false);
         assert_eq!((csr.rows(), csr.len()), (4, 0));
+    }
+
+    #[test]
+    fn rows_pushed_or_converted_equal_rows_scattered() {
+        let nested = vec![vec![1u32, 2], vec![], vec![7, 8, 9]];
+        let mut pushed = Csr::default();
+        for row in &nested {
+            pushed.push_row(row).unwrap();
+        }
+        let scattered = {
+            let mut b = Csr::builder([2, 0, 3], 0u32).unwrap();
+            for (row, item) in [(0, 1), (0, 2), (2, 7), (2, 8), (2, 9)] {
+                b.push(row, item);
+            }
+            b.finish()
+        };
+        assert_eq!(pushed, scattered);
+        assert_eq!(Csr::from(nested), scattered);
     }
 
     #[test]

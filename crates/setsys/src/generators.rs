@@ -262,7 +262,7 @@ mod tests {
         let s = interval_cover(15, 100, 12, 3);
         assert!(s.is_coverable());
         assert!(s.max_set_size() <= 12);
-        for set in s.sets() {
+        for set in s.sets().iter() {
             for w in set.windows(2) {
                 assert_eq!(w[0] + 1, w[1], "interval must be contiguous");
             }

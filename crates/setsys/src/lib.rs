@@ -5,6 +5,9 @@
 //! (Section 2 works with the dual `T_j` representation), and generators with
 //! controlled frequency `f`, set size `Δ`, and weight spread.
 //!
+//! A [`SetSystem`] holds its sets in one flat [`mrlr_mapreduce::Csr`] and
+//! derives the dual from it once ([`SetSystem::dual`]).
+//!
 //! ```
 //! use mrlr_setsys::generators;
 //!
@@ -20,4 +23,4 @@ pub mod stats;
 pub mod system;
 
 pub use stats::{frequency_histogram, set_size_histogram, system_stats, SystemStats};
-pub use system::{ElemId, SetId, SetRec, SetSystem};
+pub use system::{ElemId, SetId, SetSystem};

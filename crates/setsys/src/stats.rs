@@ -5,7 +5,7 @@
 //! spread `w_max/w_min`; the experiment harness reports these alongside the
 //! measured rounds so every run is self-describing.
 
-use crate::system::SetSystem;
+use crate::system::{ElemId, SetId, SetSystem};
 
 /// Summary of a set system's structural parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,28 +55,22 @@ pub fn system_stats(sys: &SetSystem) -> SystemStats {
 }
 
 /// Histogram of element frequencies: `hist[k]` counts elements contained in
-/// exactly `k` sets (index 0 counts uncoverable elements).
+/// exactly `k` sets (index 0 counts uncoverable elements) — the row
+/// lengths of [`SetSystem::dual`].
 pub fn frequency_histogram(sys: &SetSystem) -> Vec<usize> {
-    let mut freq = vec![0usize; sys.universe()];
-    for s in sys.sets() {
-        for &j in s {
-            freq[j as usize] += 1;
-        }
-    }
-    let max = freq.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for f in freq {
-        hist[f] += 1;
-    }
-    hist
+    length_histogram(sys.dual().iter().map(<[SetId]>::len), sys.max_frequency())
 }
 
 /// Histogram of set sizes: `hist[k]` counts sets of cardinality `k`.
 pub fn set_size_histogram(sys: &SetSystem) -> Vec<usize> {
-    let max = sys.max_set_size();
+    length_histogram(sys.sets().iter().map(<[ElemId]>::len), sys.max_set_size())
+}
+
+/// `hist[k]` counts the `lens` equal to `k`, for `k` up to `max`.
+fn length_histogram(lens: impl Iterator<Item = usize>, max: usize) -> Vec<usize> {
     let mut hist = vec![0usize; max + 1];
-    for s in sys.sets() {
-        hist[s.len()] += 1;
+    for len in lens {
+        hist[len] += 1;
     }
     hist
 }

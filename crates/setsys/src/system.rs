@@ -1,8 +1,17 @@
 //! Weighted set systems: the primal (`S_i ⊆ [m]`) and dual (`T_j = {i : j ∈
 //! S_i}`) views used by the paper's set-cover algorithms.
+//!
+//! A [`SetSystem`] keeps its sets as one flat [`Csr`] arena, row `i` being
+//! `S_i`. The dual, [`SetSystem::dual`], is another arena derived from it
+//! on first use (count → prefix-sum → scatter, [`Csr::invert`]) and kept
+//! for the system's lifetime; every frequency fact — `f`, coverability,
+//! the frequency histogram, the placement of `T_j` rows on machines — is
+//! read off its row lengths, so element frequency is counted in one place.
+
+use std::sync::OnceLock;
 
 use mrlr_graph::Graph;
-use mrlr_mapreduce::words::WordSized;
+use mrlr_mapreduce::Csr;
 
 /// Index of a set: `0..n_sets`.
 pub type SetId = u32;
@@ -11,22 +20,38 @@ pub type SetId = u32;
 pub type ElemId = u32;
 
 /// A weighted set system over universe `[m]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SetSystem {
     universe: usize,
-    sets: Vec<Vec<ElemId>>,
+    /// Row `i` is `S_i`, ascending.
+    sets: Csr<ElemId>,
     weights: Vec<f64>,
+    /// [`SetSystem::dual`], derived from `sets` on first use. No method
+    /// takes `&mut self`, so once built it is the dual of this system for
+    /// good.
+    dual: OnceLock<Csr<SetId>>,
+}
+
+/// Two systems are equal when their universes, sets and weights are;
+/// whether either has built its dual yet is not part of its value.
+impl PartialEq for SetSystem {
+    fn eq(&self, other: &Self) -> bool {
+        self.universe == other.universe && self.sets == other.sets && self.weights == other.weights
+    }
 }
 
 impl SetSystem {
     /// Builds a set system, validating element ranges, sortedness and
-    /// distinctness of each set, and weight positivity.
+    /// distinctness of each set, and weight positivity. `sets` is the flat
+    /// arena, or nested rows (`vec![vec![…]]`) flattened into one.
     ///
     /// # Panics
     /// Panics on malformed input (generators construct these; a bad system
     /// is a programming error).
-    pub fn new(universe: usize, sets: Vec<Vec<ElemId>>, weights: Vec<f64>) -> Self {
-        assert_eq!(sets.len(), weights.len(), "one weight per set");
+    pub fn new(universe: usize, sets: impl Into<Csr<ElemId>>, weights: Vec<f64>) -> Self {
+        let sets = sets.into();
+        assert_eq!(sets.rows(), weights.len(), "one weight per set");
+        assert!(sets.rows() <= SetId::MAX as usize, "set ids exceed u32");
         for (i, s) in sets.iter().enumerate() {
             for pair in s.windows(2) {
                 assert!(pair[0] < pair[1], "set {i} not sorted-distinct");
@@ -45,28 +70,25 @@ impl SetSystem {
             universe,
             sets,
             weights,
+            dual: OnceLock::new(),
         }
     }
 
     /// Builds a unit-weight system.
-    pub fn unit(universe: usize, sets: Vec<Vec<ElemId>>) -> Self {
-        let n = sets.len();
+    pub fn unit(universe: usize, sets: impl Into<Csr<ElemId>>) -> Self {
+        let sets = sets.into();
+        let n = sets.rows();
         SetSystem::new(universe, sets, vec![1.0; n])
     }
 
-    /// Replaces the weights.
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        assert_eq!(weights.len(), self.sets.len());
-        for &w in &weights {
-            assert!(w.is_finite() && w > 0.0);
-        }
-        self.weights = weights;
-        self
+    /// Replaces the weights, validated as [`SetSystem::new`] does.
+    pub fn with_weights(self, weights: Vec<f64>) -> Self {
+        SetSystem::new(self.universe, self.sets, weights)
     }
 
     /// Number of sets `n`.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.sets.rows()
     }
 
     /// Universe size `m`.
@@ -74,14 +96,14 @@ impl SetSystem {
         self.universe
     }
 
-    /// All sets.
-    pub fn sets(&self) -> &[Vec<ElemId>] {
+    /// All sets: row `i` is `S_i`, ascending.
+    pub fn sets(&self) -> &Csr<ElemId> {
         &self.sets
     }
 
     /// Elements of set `i`.
     pub fn set(&self, i: SetId) -> &[ElemId] {
-        &self.sets[i as usize]
+        self.sets.row(i as usize)
     }
 
     /// All weights.
@@ -94,37 +116,32 @@ impl SetSystem {
         self.weights[i as usize]
     }
 
-    /// The dual view: `T_j` lists the sets containing element `j`, in
-    /// ascending set order.
-    pub fn dual(&self) -> Vec<Vec<SetId>> {
-        let mut t: Vec<Vec<SetId>> = vec![Vec::new(); self.universe];
-        for (i, s) in self.sets.iter().enumerate() {
-            for &j in s {
-                t[j as usize].push(i as SetId);
-            }
-        }
-        t
+    /// The dual view: row `j` is `T_j`, the sets containing element `j`
+    /// in ascending set order. Built from the sets by the first call;
+    /// every later call, from any thread, returns the same rows. It has
+    /// `universe()` rows, so a caller holding untrusted input builds it
+    /// only once `total_size() ≥ universe()` bounds that by the input.
+    pub fn dual(&self) -> &Csr<SetId> {
+        self.dual.get_or_init(|| {
+            self.sets
+                .invert(self.universe, |&j| j as usize)
+                .expect("`new` bounds the set ids by u32")
+        })
     }
 
     /// Maximum frequency `f = max_j |T_j|`.
     pub fn max_frequency(&self) -> usize {
-        let mut freq = vec![0usize; self.universe];
-        for s in &self.sets {
-            for &j in s {
-                freq[j as usize] += 1;
-            }
-        }
-        freq.into_iter().max().unwrap_or(0)
+        self.dual().iter().map(<[SetId]>::len).max().unwrap_or(0)
     }
 
     /// Maximum set size `Δ = max_i |S_i|`.
     pub fn max_set_size(&self) -> usize {
-        self.sets.iter().map(Vec::len).max().unwrap_or(0)
+        self.sets.iter().map(<[ElemId]>::len).max().unwrap_or(0)
     }
 
     /// Total input size `Σ |S_i|`.
     pub fn total_size(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets.len()
     }
 
     /// Weight spread `w_max / w_min` (1.0 when there are no sets).
@@ -137,19 +154,20 @@ impl SetSystem {
         max / min
     }
 
-    /// True if every element is contained in at least one set.
+    /// True if every element is contained in at least one set: no row of
+    /// the dual is empty. Fewer items than elements decide it before the
+    /// dual is built, so a universe the sets cannot fill sizes nothing.
     pub fn is_coverable(&self) -> bool {
-        let mut covered = vec![false; self.universe];
-        for s in &self.sets {
-            for &j in s {
-                covered[j as usize] = true;
-            }
-        }
-        covered.into_iter().all(|c| c)
+        self.total_size() >= self.universe && self.dual().iter().all(|t| !t.is_empty())
     }
 
-    /// True if the chosen sets cover the universe.
+    /// True if the chosen sets cover the universe. Like
+    /// [`SetSystem::is_coverable`], sizes nothing by a universe the sets
+    /// cannot fill.
     pub fn covers(&self, chosen: &[SetId]) -> bool {
+        if self.total_size() < self.universe {
+            return false;
+        }
         let mut covered = vec![false; self.universe];
         for &i in chosen {
             for &j in self.set(i) {
@@ -174,40 +192,26 @@ impl SetSystem {
 
     /// The weighted **vertex cover** view of a graph: one set per vertex
     /// (weight from `weights`), one universe element per edge. Frequency is
-    /// exactly 2 — the `f = 2` special case of Theorem 2.4.
+    /// exactly 2 — the `f = 2` special case of Theorem 2.4. Set `v` is
+    /// row `v` of the graph's adjacency, whose edge ids already ascend.
     pub fn vertex_cover_of(g: &Graph, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), g.n());
-        let mut sets: Vec<Vec<ElemId>> = vec![Vec::new(); g.n()];
-        for (j, e) in g.edges().iter().enumerate() {
-            sets[e.u as usize].push(j as ElemId);
-            sets[e.v as usize].push(j as ElemId);
+        let adj = g.adjacency();
+        let mut sets = Csr::builder(adj.iter().map(<[_]>::len), 0)
+            .expect("the adjacency's own offsets bound it");
+        for (v, row) in adj.iter().enumerate() {
+            for &(_, e) in row {
+                sets.push(v, e);
+            }
         }
-        // Edge ids were pushed in ascending order per vertex already.
-        SetSystem::new(g.m(), sets, weights)
-    }
-}
-
-/// A set record as held on a machine: id, weight, and elements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SetRec {
-    /// The set's id.
-    pub id: SetId,
-    /// The set's weight.
-    pub w: f64,
-    /// The set's elements.
-    pub elems: Vec<ElemId>,
-}
-
-impl WordSized for SetRec {
-    fn words(&self) -> usize {
-        2 + self.elems.words()
+        SetSystem::new(g.m(), sets.finish(), weights)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrlr_graph::generators::star;
+    use mrlr_graph::generators::{densified, star};
 
     fn toy() -> SetSystem {
         SetSystem::new(
@@ -234,10 +238,10 @@ mod tests {
     fn dual_inverts() {
         let s = toy();
         let t = s.dual();
-        assert_eq!(t[0], vec![0, 3]);
-        assert_eq!(t[1], vec![0, 1]);
-        assert_eq!(t[2], vec![1, 2]);
-        assert_eq!(t[3], vec![2, 3]);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [[0, 3], [0, 1], [1, 2], [2, 3]]
+        );
     }
 
     #[test]
@@ -275,6 +279,17 @@ mod tests {
         SetSystem::new(2, vec![vec![0]], vec![-1.0]);
     }
 
+    /// The per-vertex construction `vertex_cover_of` replaced: one
+    /// pushed row per vertex, edge ids in ascending order.
+    fn per_vertex_sets(g: &Graph) -> Vec<Vec<ElemId>> {
+        let mut sets = vec![Vec::new(); g.n()];
+        for (j, e) in g.edges().iter().enumerate() {
+            sets[e.u as usize].push(j as ElemId);
+            sets[e.v as usize].push(j as ElemId);
+        }
+        sets
+    }
+
     #[test]
     fn vertex_cover_view() {
         let g = star(4); // edges (0,1), (0,2), (0,3)
@@ -285,15 +300,9 @@ mod tests {
         assert!(s.covers(&[0]));
         assert!(!s.covers(&[1, 2]));
         assert!(s.covers(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn set_rec_words() {
-        let r = SetRec {
-            id: 1,
-            w: 2.0,
-            elems: vec![1, 2, 3],
-        };
-        assert_eq!(r.words(), 2 + 4);
+        for g in [g, densified(60, 0.4, 7)] {
+            let s = SetSystem::vertex_cover_of(&g, vec![1.0; g.n()]);
+            assert_eq!(s.sets(), &Csr::from(per_vertex_sets(&g)));
+        }
     }
 }

@@ -1,12 +1,27 @@
 //! Property-based tests for set systems, generators and stats.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mrlr_setsys::generators::{
     bounded_frequency, bounded_set_size, greedy_trap, interval_cover, partition_system,
     tight_f_instance,
 };
-use mrlr_setsys::{frequency_histogram, set_size_histogram, system_stats};
+use mrlr_setsys::{frequency_histogram, set_size_histogram, system_stats, SetSystem};
+
+/// Any unit-weight system over up to 23 elements, empty sets and
+/// uncovered elements included: each set is a membership mask.
+fn any_system() -> impl Strategy<Value = SetSystem> {
+    (0usize..24).prop_flat_map(|m| {
+        vec(vec(any::<bool>(), m), 0..10).prop_map(move |masks| {
+            let sets: Vec<Vec<u32>> = masks
+                .iter()
+                .map(|mask| (0..m as u32).filter(|&j| mask[j as usize]).collect())
+                .collect();
+            SetSystem::unit(m, sets)
+        })
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,7 +76,7 @@ proptest! {
         let sys = interval_cover(n, m, len, seed);
         prop_assert!(sys.is_coverable());
         prop_assert!(sys.max_set_size() <= len);
-        for set in sys.sets() {
+        for set in sys.sets().iter() {
             for w in set.windows(2) {
                 prop_assert_eq!(w[0] + 1, w[1]);
             }
@@ -94,5 +109,35 @@ proptest! {
         prop_assert!(sys.covers(&singles));
         let h: f64 = (1..=m).map(|k| 1.0 / k as f64).sum();
         prop_assert!((sys.cover_weight(&singles) - h).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dual_and_frequency_facts_agree_with_a_recount(sys in any_system()) {
+        let dual = sys.dual();
+        prop_assert!(std::ptr::eq(dual, sys.dual()), "the dual is built once");
+        prop_assert_eq!(dual.rows(), sys.universe());
+        let mut freq = Vec::new();
+        for j in 0..sys.universe() as u32 {
+            let holders: Vec<u32> = (0..sys.n_sets() as u32)
+                .filter(|&i| sys.set(i).contains(&j))
+                .collect();
+            prop_assert_eq!(&dual[j as usize], holders.as_slice());
+            freq.push(holders.len());
+        }
+        prop_assert_eq!(sys.max_frequency(), freq.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(sys.is_coverable(), freq.iter().all(|&k| k > 0));
+        let mut hist = vec![0usize; sys.max_frequency() + 1];
+        for k in freq {
+            hist[k] += 1;
+        }
+        prop_assert_eq!(frequency_histogram(&sys), hist);
+    }
+
+    #[test]
+    fn a_built_dual_is_not_part_of_the_value(sys in any_system()) {
+        let unbuilt = sys.clone();
+        sys.dual();
+        prop_assert_eq!(&sys, &unbuilt);
+        prop_assert_eq!(&unbuilt, &sys);
     }
 }
