@@ -126,6 +126,8 @@ pub struct GreedySetCoverDriver {
     /// Backend to run.
     pub backend: Backend,
     /// The ε-greedy slack (`> 0`); approximation `(1+ε) H_Δ`.
+    /// [`audit`](super::audit) holds reports to the default
+    /// [`DEFAULT_GREEDY_SC_EPS`], the only `ε` it can read back.
     pub eps: f64,
 }
 

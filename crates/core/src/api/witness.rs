@@ -905,7 +905,15 @@ fn audit_colouring(
 /// witness (dual feasibility / stack replay / blockers / recount),
 /// confirms the claimed lower bound and approximation ratio, and holds
 /// the ratio to its theorem's bound — `f` (the instance's largest
-/// frequency) for `set-cover-f`, 2 for `vertex-cover` and `matching`.
+/// frequency) for `set-cover-f`, `(1 + ε)·H(Δ)` (`ε` =
+/// [`DEFAULT_GREEDY_SC_EPS`](super::DEFAULT_GREEDY_SC_EPS), `Δ` the
+/// largest set) for `set-cover-greedy`, 2 for `vertex-cover` and
+/// `matching`, and `3 − 2/max(2, b_max) + 2ε` (the instance's `ε`) for
+/// `b-matching`. The other keys carry structural guarantees, no ratio.
+/// A report does not record the greedy driver's `ε`, so only
+/// `set-cover-greedy` reports solved at the default `ε` (the one the
+/// registry registers) are auditable; a larger `ε` certifies a ratio
+/// above this bound.
 ///
 /// Returns the list of human-readable checks that passed, or the first
 /// [`AuditError`] (with a dotted location into the report).
@@ -941,8 +949,7 @@ pub fn audit(
         )
     };
     // Each arm runs its family's audit and names the theorem's ratio
-    // bound, where the audit holds the key to one. `set-cover-greedy`
-    // and `b-matching` are not held to theirs yet.
+    // bound, for every key that claims a ratio.
     let bound = match algorithm {
         "set-cover-f" | "set-cover-greedy" => {
             let Instance::SetSystem(sys) = instance else {
@@ -960,9 +967,17 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
-            (algorithm == "set-cover-f").then(|| RatioBound {
-                theorem: "Theorem 2.4",
-                ratio: sys.max_frequency().max(1) as f64,
+            Some(if algorithm == "set-cover-f" {
+                RatioBound {
+                    theorem: "Theorem 2.4",
+                    ratio: sys.max_frequency().max(1) as f64,
+                }
+            } else {
+                RatioBound {
+                    theorem: "Theorem 4.6",
+                    ratio: (1.0 + super::DEFAULT_GREEDY_SC_EPS)
+                        * crate::seq::harmonic(sys.max_set_size().max(1)),
+                }
             })
         }
         "vertex-cover" => {
@@ -1010,7 +1025,10 @@ pub fn audit(
                 return Err(wrong_solution("matching"));
             };
             audit_matching(&inst.graph, Some(inst), sol, claims, witness, &mut checks)?;
-            None
+            Some(RatioBound {
+                theorem: "Theorem D.3",
+                ratio: crate::seq::b_matching_multiplier(&inst.b, inst.eps),
+            })
         }
         "mis1" | "mis2" | "clique" => {
             let Instance::Graph(g) = instance else {
@@ -1238,8 +1256,74 @@ mod tests {
         let err = audit(&instance, "set-cover-f", &solution, &claims, &witness).unwrap_err();
         assert_eq!(err.location, "certificate.certified_ratio", "{err}");
         assert!(err.message.contains("exceeds"), "{err}");
-        // The greedy driver's (1+ε)·H_Δ bound is not held yet.
-        audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap();
+    }
+
+    #[test]
+    fn a_clean_greedy_cover_above_the_theorem_bound_is_rejected() {
+        // The fixture above: Δ = 1, so Theorem 4.6 allows (1 + ε)·H(1) =
+        // 1.2. Both sets (weight 6) against the dual y_0 = 1 is a clean
+        // report — feasible cover, feasible dual, claim recomputed — at
+        // ratio 6.
+        let sys = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, 5.0]);
+        let instance = Instance::SetSystem(sys);
+        let witness = Witness::CoverDual {
+            dual: vec![(0, 1.0)],
+        };
+        let stored = |cover: Vec<u32>, weight: f64| {
+            let solution = Solution::Cover(CoverResult {
+                cover,
+                weight,
+                lower_bound: 1.0,
+                dual: vec![],
+                iterations: 1,
+            });
+            let claims = Claims {
+                feasible: true,
+                objective: weight,
+                certified_ratio: Some(weight),
+            };
+            (solution, claims)
+        };
+        let (solution, claims) = stored(vec![0], 1.0);
+        let checks = audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap();
+        let bound = 1.0 + crate::api::DEFAULT_GREEDY_SC_EPS;
+        assert_eq!(
+            checks.last().unwrap(),
+            &format!("bound: certified ratio 1.0000 ≤ {bound} (Theorem 4.6)")
+        );
+
+        let (solution, claims) = stored(vec![0, 1], 6.0);
+        let err = audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap_err();
+        assert_eq!(err.location, "certificate.certified_ratio", "{err}");
+        assert!(err.message.contains("Theorem 4.6"), "{err}");
+    }
+
+    /// A replayed b-matching transcript unwinds to a matching at least as
+    /// heavy as its gain, so no clean report certifies more than
+    /// Theorem D.3's multiplier: the audit ends with that bound's check,
+    /// and the same check rejects a claim nudged above it.
+    #[test]
+    fn a_b_matching_claim_above_the_theorem_bound_is_rejected() {
+        let registry = Registry::with_defaults();
+        let g = generators::with_uniform_weights(&generators::densified(30, 0.4, 5), 1.0, 9.0, 5);
+        let b: Vec<u32> = (0..g.n()).map(|v| 1 + (v % 3) as u32).collect();
+        let bound = RatioBound {
+            theorem: "Theorem D.3",
+            ratio: crate::seq::b_matching_multiplier(&b, 0.25),
+        };
+        let cfg = MrConfig::auto(30, g.m(), 0.3, 5);
+        let instance = Instance::BMatching(BMatchingInstance::new(g, b, 0.25));
+        let report = registry.solve("b-matching", &instance, &cfg).unwrap();
+        let certified = report.certificate.certified_ratio;
+        let checks = audit_report(&instance, &report).unwrap();
+        assert_eq!(
+            checks.last(),
+            Some(&check_ratio_bound(certified, &bound).unwrap())
+        );
+
+        let err = check_ratio_bound(Some(bound.ratio * 1.001), &bound).unwrap_err();
+        assert_eq!(err.location, "certificate.certified_ratio", "{err}");
+        assert!(err.message.contains("Theorem D.3"), "{err}");
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! written sequentially into a flat column, with a sparse table of where
 //! those lines sit (one entry per change of line offset or column: a
 //! single entry for a file of plain lines). Everything `Θ(m)`-sized beyond
-//! that column lives in the sink. Parsing an `e` or `n` line allocates
-//! nothing (an `s` line allocates the element list its record owns), and
-//! a line is copied only when it straddles two chunks.
+//! that column lives in the sink. Parsing a line allocates nothing — an
+//! `s` line's elements are checked into one scratch row the sink borrows
+//! ([`RecordSink::set_row`]) — and a line is copied only when it
+//! straddles two chunks.
 //!
 //! The two checks that span lines — no edge repeated (the format promises
 //! simple graphs) and one `n` line per vertex — run once over the
@@ -41,10 +42,18 @@
 //! route finds the line's `\n`, validates the line as UTF-8 and slices
 //! whitespace-separated tokens off it lazily; it defines the language —
 //! Unicode whitespace, comments, blank lines, signs, the problem line —
-//! and constructs every syntax error. In front of it sits the
-//! *plain-record recognizer* (`Scan`): when no partial line is carried,
-//! it tries to read the record at the head of the chunk through its `\n`
-//! in a single scan, accumulating integers as it goes. It accepts exactly
+//! and constructs every syntax error.
+//!
+//! In front of it sits the *plain-record recognizer* (`Scan`, driven by
+//! one `plain_lines` loop per body kind). Each chunk's whole lines — up
+//! to its last `\n` — are validated as UTF-8 once, with one
+//! `str::from_utf8`; if that fails, only the valid prefix's whole lines
+//! are offered, and the line holding the bad byte is the general route's,
+//! which reports it. Over that text the loop reads record after record,
+//! each field as it comes: integers accumulated eight bytes at a time,
+//! a weight as a `&str` slice of the chunk handed to `str::parse::<f64>`
+//! (the weight is never parsed by hand — bit-exact round-trips are the
+//! format's promise). It accepts exactly
 //!
 //! ```text
 //! e <int> <int> [<float>]      any graph body
@@ -56,20 +65,25 @@
 //! where the tag is the line's first byte, fields are separated (and the
 //! line may be padded at its end) by ASCII blanks — space, `\t`, `\x0B`,
 //! `\x0C`, `\r` — `<int>` is 1–9 ASCII digits and `<float>` is a run of
-//! other bytes that `str::parse::<f64>` accepts (all ASCII, then; the
-//! weight is never parsed by hand — bit-exact round-trips are the
-//! format's promise). Anything else — an indented line, a sign on an
-//! integer, a tenth digit, a byte ≥ `0x80`, one field too many or too
-//! few, a comment, the problem line, a record whose `\n` is not in this
-//! chunk — makes it *decline*, and the untouched line takes the general
-//! route. So the recognizer cannot change an error: it constructs none,
-//! a line it accepts has no syntax error under the general route's rules
-//! (ASCII blanks are whitespace there too, and both routes hand the same
-//! token to the same `parse`), its columns are the same byte offsets,
-//! and every *semantic* check — weight positive and finite, endpoint
-//! range, self-loop, increasing elements — lives in one `accept_*`
+//! bytes above space that `str::parse::<f64>` accepts (all ASCII, then).
+//! Anything else — an indented line, a sign on an integer, a tenth
+//! digit, a byte ≥ `0x80`, one field too many or too few, a comment, the
+//! problem line, a record whose `\n` is not in this chunk — makes it
+//! *decline*, and the untouched line takes the general route.
+//!
+//! So the recognizer cannot change an error. It constructs none: a line
+//! it reads has no syntax error under the general route's rules up to
+//! where it has read (ASCII blanks are whitespace there too, and both
+//! routes hand the same token to the same `parse`), its columns are the
+//! same byte offsets, and every *semantic* check — weight positive and
+//! finite, endpoint range, self-loop, increasing elements — lives in one
 //! function per record kind that both routes call with the fields they
-//! read; the same functions fill the key columns the repeat checks read.
+//! read, in the same order: `accept_edge` and `accept_vertex` once a
+//! line's fields are read, `begin_set`, `accept_elem` per element and
+//! `end_set` as an `s` line is read, so the first element that fails is
+//! the one reported either way. The same functions fill the key columns
+//! the repeat checks read and deliver the records: an `s` line's checked
+//! elements go to the sink as one borrowed row.
 //!
 //! The header's counts are a claim, not a fact. No allocation is sized by
 //! them beyond a fixed cap (`PREALLOC_CAP` records for the sinks and the
@@ -113,10 +127,11 @@ pub(crate) fn err(line: usize, col: usize, message: impl Into<String>) -> IoErro
     }
 }
 
-/// Hands `sink` a record read at `line`, its first field at `col`; a sink
-/// error that carries no position of its own is placed there.
-fn deliver(sink: &mut impl RecordSink, r: Record, line: usize, col: usize) -> Result<(), IoError> {
-    sink.record(r).map_err(|e| match e.line {
+/// What a sink made of a record read at `line`, its first field at `col`:
+/// a sink error that carries no position of its own is placed there.
+#[inline(always)]
+fn delivered(result: Result<(), IoError>, line: usize, col: usize) -> Result<(), IoError> {
+    result.map_err(|e| match e.line {
         0 => err(line, col, e.message),
         _ => e,
     })
@@ -171,6 +186,7 @@ impl<'a> Line<'a> {
     }
 }
 
+#[inline(always)]
 pub(crate) fn check_weight(w: f64, line: usize, col: usize, what: &str) -> Result<(), IoError> {
     if w.is_finite() && w > 0.0 {
         Ok(())
@@ -264,13 +280,17 @@ pub enum Record {
 }
 
 /// Consumer of a record stream: the parser calls [`RecordSink::header`]
-/// once, then [`RecordSink::record`] per body line that passes its own
-/// checks, then [`RecordSink::finish`] once the whole input has passed.
-/// Implementors are [`InstanceSink`] and sinks that test or time the
-/// parser. A sink may reject a record with its own [`IoError`]; the parser
-/// propagates it, placed at the record's line and first field if it has
-/// no position (line 0) of its own, unless a repeat among the records
-/// before it owes an earlier error.
+/// once, then one method per body line that passes its own checks —
+/// [`RecordSink::set_row`] for an `s` line, [`RecordSink::record`] for
+/// every other kind — then [`RecordSink::finish`] once the whole input
+/// has passed. `set_row` lends the set's elements instead of handing
+/// over a [`Record::Set`] that owns them; its default builds that record
+/// and calls `record`, so a sink that implements only `record` sees every
+/// line as a [`Record`]. Implementors are [`InstanceSink`] and sinks that
+/// test or time the parser. A sink may reject a record with its own
+/// [`IoError`]; the parser propagates it, placed at the record's line and
+/// first field if it has no position (line 0) of its own, unless a repeat
+/// among the records before it owes an earlier error.
 ///
 /// Records arrive in input order as soon as their line is read, never
 /// past a line that fails, and before the checks that span lines: that no
@@ -286,6 +306,19 @@ pub trait RecordSink {
     fn header(&mut self, header: &StreamHeader) -> Result<(), IoError>;
     /// Receives one record whose line passed its own checks.
     fn record(&mut self, record: Record) -> Result<(), IoError>;
+    /// Receives the record of one `s` line whose line passed its own
+    /// checks — `Record::Set { index, w, elems }` with the elements
+    /// borrowed from the parser's scratch row, so reading a set allocates
+    /// nothing. The default hands [`RecordSink::record`] the owned
+    /// [`Record::Set`]; a sink that copies the elements where they belong
+    /// overrides it ([`InstanceSink`] appends them to its arena).
+    fn set_row(&mut self, index: usize, w: f64, elems: &[ElemId]) -> Result<(), IoError> {
+        self.record(Record::Set {
+            index,
+            w,
+            elems: elems.to_vec(),
+        })
+    }
     /// Called once, after every check passes: the repeat checks, then the
     /// record counts and `n`-line completeness.
     fn finish(self, header: &StreamHeader) -> Result<Self::Out, IoError>;
@@ -333,7 +366,7 @@ impl KeyColumn {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, key: u64, line: usize, col: usize) {
         let index = self.keys.len();
         let place = (line - index, col);
@@ -410,6 +443,7 @@ enum VertexValue {
     Capacity(u32),
 }
 
+#[inline(always)]
 fn check_vertex(v: usize, n: usize, line: usize, col: usize) -> Result<(), IoError> {
     if v < n {
         Ok(())
@@ -456,6 +490,7 @@ impl GraphBody {
     /// route found after the last field — a syntax error that ranks after
     /// the weight check and before the range checks; the recognizer only
     /// accepts lines it has read through to their `\n`, and passes `Ok`.
+    #[inline(always)]
     fn accept_edge<S: RecordSink>(
         &mut self,
         sink: &mut S,
@@ -479,7 +514,7 @@ impl GraphBody {
         let index = self.edges.keys.len();
         let key = ((u.min(v) as u64) << 32) | u.max(v) as u64;
         self.edges.push(key, line, ucol);
-        deliver(sink, Record::Edge { index, u, v, w }, line, ucol)
+        delivered(sink.record(Record::Edge { index, u, v, w }), line, ucol)
     }
 
     /// Every semantic check of an `n` line, then its key and its
@@ -507,7 +542,7 @@ impl GraphBody {
         };
         trailing?;
         self.vertices.push(v as u64, line, vcol);
-        deliver(sink, record, line, vcol)
+        delivered(sink.record(record), line, vcol)
     }
 
     /// The general route for one body line, its tag already consumed.
@@ -559,34 +594,37 @@ impl GraphBody {
         }
     }
 
-    /// The recognizer's route for the record at the head of `bytes`:
-    /// `Ok(None)` declines, `Ok(Some(len))` accepted a line `len` bytes
-    /// long (its `\n` included).
-    #[inline]
-    fn plain_line<S: RecordSink>(
+    /// The recognizer's route: reads the plain records at the head of
+    /// `text` — whole lines, validated UTF-8 — for as long as it accepts
+    /// them, counting each in `line_no`. Returns how many bytes that
+    /// consumed; the line after them is the general route's.
+    fn plain_lines<S: RecordSink>(
         &mut self,
         sink: &mut S,
-        line: usize,
-        bytes: &[u8],
-    ) -> Result<Option<usize>, IoError> {
-        match bytes[0] {
-            b'e' => {
-                let Some((len, fields)) = Scan::edge_line(bytes) else {
-                    return Ok(None);
-                };
-                self.accept_edge(sink, line, fields, Ok(()))?;
-                Ok(Some(len))
+        line_no: &mut usize,
+        text: &str,
+    ) -> Result<usize, IoError> {
+        let capacities = self.kind == GraphKind::BMatching;
+        let mut scan = Scan::new(text);
+        while let Some(tag) = scan.tag() {
+            let line = *line_no + 1;
+            match tag {
+                b'e' => {
+                    let Some(fields) = scan.edge() else { break };
+                    self.accept_edge(sink, line, fields, Ok(()))?;
+                }
+                b'n' if self.kind != GraphKind::Graph => {
+                    let Some((id, value)) = scan.vertex(capacities) else {
+                        break;
+                    };
+                    self.accept_vertex(sink, line, id, Ok(value), Ok(()))?;
+                }
+                _ => break,
             }
-            b'n' if self.kind != GraphKind::Graph => {
-                let capacities = self.kind == GraphKind::BMatching;
-                let Some((len, id, value)) = Scan::vertex_line(bytes, capacities) else {
-                    return Ok(None);
-                };
-                self.accept_vertex(sink, line, id, Ok(value), Ok(()))?;
-                Ok(Some(len))
-            }
-            _ => Ok(None),
+            *line_no = line;
+            scan.next_line();
         }
+        Ok(scan.line_start)
     }
 }
 
@@ -595,49 +633,54 @@ struct SetBody {
     universe: usize,
     n_sets: usize,
     sets: usize,
+    /// The checked elements of the `s` line being read: the row the sink
+    /// is handed, reused from line to line.
+    row: Vec<ElemId>,
 }
 
 impl SetBody {
-    /// Every semantic check of an `s` line, then its delivery. `elems` is
-    /// read lazily, so on the general route a malformed element is
-    /// reported only if no element before it fails a check.
-    fn accept_set<S: RecordSink>(
+    /// The first check of an `s` line, its weight; starts an empty row.
+    fn begin_set(&mut self, line: usize, (wcol, w): Field<f64>) -> Result<(), IoError> {
+        check_weight(w, line, wcol, "set weight")?;
+        self.row.clear();
+        Ok(())
+    }
+
+    /// The checks of the row's next element — in range, above the one
+    /// before it — which then joins the row. Both routes call this as
+    /// they read each element, so the first element that fails a check
+    /// or fails to read is the one reported.
+    fn accept_elem(&mut self, line: usize, (ecol, j): Field<ElemId>) -> Result<(), IoError> {
+        if (j as usize) >= self.universe {
+            return Err(err(
+                line,
+                ecol,
+                format!("element {j} out of range 0..{}", self.universe),
+            ));
+        }
+        if let Some(&last) = self.row.last() {
+            if last >= j {
+                return Err(err(
+                    line,
+                    ecol,
+                    format!("elements must be strictly increasing ({last} then {j})"),
+                ));
+            }
+        }
+        self.row.push(j);
+        Ok(())
+    }
+
+    /// Delivers the `s` line whose weight and elements all passed.
+    fn end_set<S: RecordSink>(
         &mut self,
         sink: &mut S,
         line: usize,
         (wcol, w): Field<f64>,
-        elems: impl Iterator<Item = Result<Field<ElemId>, IoError>>,
     ) -> Result<(), IoError> {
-        check_weight(w, line, wcol, "set weight")?;
-        let mut accepted: Vec<ElemId> = Vec::with_capacity(elems.size_hint().0);
-        for elem in elems {
-            let (ecol, j) = elem?;
-            if (j as usize) >= self.universe {
-                return Err(err(
-                    line,
-                    ecol,
-                    format!("element {j} out of range 0..{}", self.universe),
-                ));
-            }
-            if let Some(&last) = accepted.last() {
-                if last >= j {
-                    return Err(err(
-                        line,
-                        ecol,
-                        format!("elements must be strictly increasing ({last} then {j})"),
-                    ));
-                }
-            }
-            accepted.push(j);
-        }
         let index = self.sets;
         self.sets += 1;
-        let record = Record::Set {
-            index,
-            w,
-            elems: accepted,
-        };
-        deliver(sink, record, line, wcol)
+        delivered(sink.set_row(index, w, &self.row), line, wcol)
     }
 
     /// The general route for one body line, its tag already consumed.
@@ -655,36 +698,41 @@ impl SetBody {
             ));
         }
         let weight = line.parse::<f64>("set weight")?;
-        let no = line.no;
-        let elems = std::iter::from_fn(|| {
-            let (ecol, tok) = line.maybe_next()?;
-            let parsed = tok.parse::<ElemId>();
-            Some(parsed.map_or_else(
-                |_| Err(err(no, ecol, format!("bad element `{tok}`"))),
-                |j| Ok((ecol, j)),
-            ))
-        });
-        self.accept_set(sink, no, weight, elems)
+        self.begin_set(line.no, weight)?;
+        while let Some((ecol, tok)) = line.maybe_next() {
+            let j = tok
+                .parse::<ElemId>()
+                .map_err(|_| err(line.no, ecol, format!("bad element `{tok}`")))?;
+            self.accept_elem(line.no, (ecol, j))?;
+        }
+        self.end_set(sink, line.no, weight)
     }
 
-    /// The recognizer's route for the record at the head of `bytes` (see
-    /// [`GraphBody::plain_line`]); `elems` is scratch for the line's
-    /// elements and their columns.
-    fn plain_line<S: RecordSink>(
+    /// The recognizer's route (see [`GraphBody::plain_lines`]). An
+    /// element is checked as soon as it is read: the general route would
+    /// read the same fields up to it and report the same failure.
+    fn plain_lines<S: RecordSink>(
         &mut self,
         sink: &mut S,
-        line: usize,
-        bytes: &[u8],
-        elems: &mut Vec<Field<ElemId>>,
-    ) -> Result<Option<usize>, IoError> {
-        if bytes[0] != b's' {
-            return Ok(None);
+        line_no: &mut usize,
+        text: &str,
+    ) -> Result<usize, IoError> {
+        let mut scan = Scan::new(text);
+        'lines: while scan.tag() == Some(b's') {
+            let line = *line_no + 1;
+            let Some(weight) = scan.float() else { break };
+            self.begin_set(line, weight)?;
+            while !scan.at_line_end() {
+                let Some(elem) = scan.int() else {
+                    break 'lines;
+                };
+                self.accept_elem(line, elem)?;
+            }
+            self.end_set(sink, line, weight)?;
+            *line_no = line;
+            scan.next_line();
         }
-        let Some((len, weight)) = Scan::set_line(bytes, elems) else {
-            return Ok(None);
-        };
-        self.accept_set(sink, line, weight, elems.iter().copied().map(Ok))?;
-        Ok(Some(len))
+        Ok(scan.line_start)
     }
 }
 
@@ -695,137 +743,211 @@ fn is_blank(b: u8) -> bool {
     is_ascii_space(b) && b != b'\n'
 }
 
-/// The plain-record recognizer's cursor over the unconsumed bytes of a
-/// chunk, which start at the head of a line. Each field reader skips the
-/// blanks before its field and yields the field's 1-based column with its
-/// value, or `None` to decline the line — never an error (module docs).
+/// The plain-record recognizer's cursor over whole lines of text. Each
+/// field reader skips the blanks before its field and yields the field's
+/// 1-based column with its value, or `None` to decline the line — never
+/// an error (module docs). A reader that runs out of text declines too.
+///
+/// The readers, the checks they feed and the sink's edge push are
+/// `#[inline(always)]`: left to the optimizer, several were called out of
+/// line once per field, which cost ~10% of loading a file of plain
+/// records.
 struct Scan<'a> {
-    bytes: &'a [u8],
-    /// The part of `bytes` not yet read.
-    rest: &'a [u8],
+    text: &'a str,
+    /// Where the line being read starts: all before it is accepted.
+    line_start: usize,
+    /// The next byte to read.
+    pos: usize,
 }
 
 impl<'a> Scan<'a> {
-    /// A cursor past the one-byte tag at the head of `bytes`, which a
-    /// blank must follow.
-    #[inline]
-    fn past_tag(bytes: &'a [u8]) -> Option<Self> {
-        let rest = bytes.get(2..)?;
-        is_blank(bytes[1]).then_some(Scan { bytes, rest })
-    }
-
-    /// Bytes read so far.
-    #[inline]
-    fn at(&self) -> usize {
-        self.bytes.len() - self.rest.len()
-    }
-
-    #[inline]
-    fn skip_blanks(&mut self) {
-        while let [b, rest @ ..] = self.rest {
-            if !is_blank(*b) {
-                break;
-            }
-            self.rest = rest;
+    fn new(text: &'a str) -> Self {
+        Scan {
+            text,
+            line_start: 0,
+            pos: 0,
         }
     }
 
-    /// 1–9 ASCII digits, then a blank or the line break.
-    #[inline]
+    #[inline(always)]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The column of the byte at the cursor.
+    #[inline(always)]
+    fn col(&self) -> usize {
+        self.pos - self.line_start + 1
+    }
+
+    /// The line's one-byte tag, which a blank must follow; the cursor
+    /// moves past both.
+    #[inline(always)]
+    fn tag(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        let tag = *bytes.get(self.pos)?;
+        is_blank(*bytes.get(self.pos + 1)?).then(|| {
+            self.pos += 2;
+            tag
+        })
+    }
+
+    #[inline(always)]
+    fn skip_blanks(&mut self) {
+        while self.peek().is_some_and(is_blank) {
+            self.pos += 1;
+        }
+    }
+
+    /// The eight bytes at `at`, the first in the lowest byte.
+    #[inline(always)]
+    fn word(&self, at: usize) -> Option<u64> {
+        let bytes = self.text.as_bytes().get(at..at + 8)?;
+        Some(u64::from_le_bytes(bytes.try_into().ok()?))
+    }
+
+    /// 1–9 ASCII digits, then a blank or the line break. Up to seven
+    /// digits are read eight bytes at a time ([`leading_digits`]).
+    #[inline(always)]
     fn int(&mut self) -> Option<Field<u32>> {
         self.skip_blanks();
-        let col = self.at() + 1;
+        let col = self.col();
+        if let Some(word) = self.word(self.pos) {
+            let (digits, value) = leading_digits(word);
+            if digits < 8 {
+                self.pos += digits;
+                let next = (word >> (8 * digits)) as u8;
+                return (digits > 0 && is_ascii_space(next)).then_some((col, value));
+            }
+        }
         let mut value = 0u32;
         let mut digits = 0;
         loop {
-            let [b, rest @ ..] = self.rest else {
-                return None;
-            };
+            let b = self.peek()?;
             let digit = b.wrapping_sub(b'0');
             if digit >= 10 {
-                return (digits > 0 && is_ascii_space(*b)).then_some((col, value));
+                return (digits > 0 && is_ascii_space(b)).then_some((col, value));
             }
             if digits == 9 {
                 return None;
             }
             value = value * 10 + digit as u32;
             digits += 1;
-            self.rest = rest;
+            self.pos += 1;
         }
     }
 
     /// A token that parses as an `f64` (all ASCII, then), followed by a
     /// blank or the line break.
-    #[inline]
+    #[inline(always)]
     fn float(&mut self) -> Option<Field<f64>> {
         self.skip_blanks();
-        let col = self.at() + 1;
-        let len = self.rest.iter().position(|&b| is_ascii_space(b))?;
-        let (token, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        let token = std::str::from_utf8(token).ok()?;
-        Some((col, token.parse().ok()?))
+        let start = self.pos;
+        // The token runs to the first byte at or below a space, which
+        // must be ASCII whitespace: any other such byte would be part of
+        // the token, and no `f64` has one.
+        while let Some(word) = self.word(self.pos) {
+            let low = word.wrapping_sub(BYTES_21) & !word & HIGH_BITS;
+            if low != 0 {
+                self.pos += low.trailing_zeros() as usize / 8;
+                break;
+            }
+            self.pos += 8;
+        }
+        while self.peek()? > b' ' {
+            self.pos += 1;
+        }
+        if !is_ascii_space(self.peek()?) {
+            return None;
+        }
+        // Both ends sit next to ASCII bytes, so on char boundaries.
+        let w = self.text.get(start..self.pos)?.parse().ok()?;
+        Some((start - self.line_start + 1, w))
     }
 
     /// Whether only blanks remain before the line break.
-    #[inline]
+    #[inline(always)]
     fn at_line_end(&mut self) -> bool {
         self.skip_blanks();
-        self.rest.first() == Some(&b'\n')
+        self.peek() == Some(b'\n')
     }
 
-    /// The line's length, its `\n` included, if only blanks remain.
-    #[inline]
-    fn line_end(&mut self) -> Option<usize> {
-        self.at_line_end().then(|| self.at() + 1)
+    /// Accepts the line: the cursor moves past its `\n`.
+    #[inline(always)]
+    fn next_line(&mut self) {
+        self.pos += 1;
+        self.line_start = self.pos;
     }
 
-    /// `e <int> <int> [<float>]`: the line's length, its endpoints and
-    /// its weight.
-    #[inline]
-    fn edge_line(bytes: &'a [u8]) -> Option<(usize, EdgeFields)> {
-        let mut scan = Scan::past_tag(bytes)?;
-        let u = scan.int()?;
-        let v = scan.int()?;
-        let weight = if scan.at_line_end() {
+    /// `e <int> <int> [<float>]` past the tag: its endpoints and weight.
+    #[inline(always)]
+    fn edge(&mut self) -> Option<EdgeFields> {
+        let u = self.int()?;
+        let v = self.int()?;
+        let weight = if self.at_line_end() {
             None
         } else {
-            Some(scan.float()?)
+            Some(self.float()?)
         };
-        Some((scan.line_end()?, (u, v, weight)))
+        self.at_line_end().then_some((u, v, weight))
     }
 
-    /// `n <int> <int>` (`capacities`) or `n <int> <float>`: the line's
-    /// length, its vertex id and its value.
-    #[inline]
-    fn vertex_line(
-        bytes: &'a [u8],
-        capacities: bool,
-    ) -> Option<(usize, Field<usize>, Field<VertexValue>)> {
-        let mut scan = Scan::past_tag(bytes)?;
-        let (vcol, v) = scan.int()?;
+    /// `n <int> <int>` (`capacities`) or `n <int> <float>` past the tag:
+    /// its vertex id and its value.
+    #[inline(always)]
+    fn vertex(&mut self, capacities: bool) -> Option<(Field<usize>, Field<VertexValue>)> {
+        let (vcol, v) = self.int()?;
         let value = if capacities {
-            let (col, b) = scan.int()?;
+            let (col, b) = self.int()?;
             (col, VertexValue::Capacity(b))
         } else {
-            let (col, w) = scan.float()?;
+            let (col, w) = self.float()?;
             (col, VertexValue::Weight(w))
         };
-        Some((scan.line_end()?, (vcol, v as usize), value))
+        self.at_line_end().then_some(((vcol, v as usize), value))
     }
+}
 
-    /// `s <float> [<int> …]`: the line's length and its weight, with the
-    /// elements left in `elems`.
-    #[inline]
-    fn set_line(bytes: &'a [u8], elems: &mut Vec<Field<ElemId>>) -> Option<(usize, Field<f64>)> {
-        let mut scan = Scan::past_tag(bytes)?;
-        let weight = scan.float()?;
-        elems.clear();
-        while !scan.at_line_end() {
-            elems.push(scan.int()?);
-        }
-        Some((scan.line_end()?, weight))
+/// Eight copies of a byte's high bit, and of `0x21`, for the word-at-a-time
+/// scans: `(x - BYTES_21) & !x & HIGH_BITS` flags the bytes of `x` below
+/// `0x21`, exactly up to the first (a borrow may flag later bytes only).
+const HIGH_BITS: u64 = u64::from_ne_bytes([0x80; 8]);
+const BYTES_21: u64 = u64::from_ne_bytes([0x21; 8]);
+
+/// How many ASCII digits `word` (eight bytes, the first in the lowest
+/// byte) starts with, and — when there are fewer than eight — their
+/// value. A byte is a digit when its high nibble is 3 both before and
+/// after adding 6 to it; a carry out of a byte can only upset the bytes
+/// after a non-digit. The digits are shifted into the high bytes and
+/// combined pairwise: tens, then hundreds, then ten-thousands.
+#[inline(always)]
+fn leading_digits(word: u64) -> (usize, u32) {
+    const NIBBLES: u64 = u64::from_ne_bytes([0xF0; 8]);
+    const THREES: u64 = u64::from_ne_bytes([0x30; 8]);
+    const SIXES: u64 = u64::from_ne_bytes([0x06; 8]);
+    let other = ((word & NIBBLES) ^ THREES) | ((word.wrapping_add(SIXES) & NIBBLES) ^ THREES);
+    let digits = other.trailing_zeros() as usize / 8;
+    if digits == 0 || digits == 8 {
+        return (digits, 0);
     }
+    let v = (word & !NIBBLES) << (64 - 8 * digits);
+    let v = (v.wrapping_mul(10 << 8 | 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    let v = (v.wrapping_mul(100 << 16 | 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    let v = v.wrapping_mul(10_000 << 32 | 1) >> 32;
+    (digits, v as u32)
+}
+
+/// The longest prefix of `bytes` that is whole lines of valid UTF-8.
+fn valid_lines(bytes: &[u8]) -> &str {
+    whole_lines(match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default(),
+    })
+}
+
+/// `text` up to and including its last `\n`.
+fn whole_lines(text: &str) -> &str {
+    text.rfind('\n').map_or("", |end| &text[..=end])
 }
 
 /// Offset of the first `\n` in `bytes`, searched eight bytes at a time.
@@ -869,8 +991,6 @@ pub struct StreamParser<S: RecordSink> {
     carry: Vec<u8>,
     line_no: usize,
     state: State,
-    /// The recognizer's scratch for the elements of one `s` line.
-    elems: Vec<Field<ElemId>>,
     /// Whether plain records are tried on the recognizer first — always,
     /// outside the differential tests.
     recognize: bool,
@@ -884,7 +1004,6 @@ impl<S: RecordSink> StreamParser<S> {
             carry: Vec::new(),
             line_no: 0,
             state: State::Start,
-            elems: Vec::new(),
             recognize: true,
         }
     }
@@ -922,15 +1041,32 @@ impl<S: RecordSink> StreamParser<S> {
             bytes = &bytes[pos + 1..];
             self.handle_carry()?;
         }
-        loop {
-            bytes = &bytes[self.plain_lines(bytes)?..];
-            let Some(pos) = find_newline(bytes) else {
-                break;
-            };
+        let text = valid_lines(bytes);
+        self.text_lines(text)?;
+        // What is left: a line that is not UTF-8, whose error the general
+        // route reports, and the line the chunk cuts.
+        bytes = &bytes[text.len()..];
+        while let Some(pos) = find_newline(bytes) {
             self.general_line(&bytes[..pos])?;
             bytes = &bytes[pos + 1..];
         }
         self.carry.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Every line of `text`, whole lines of validated UTF-8: runs of
+    /// plain records on the recognizer, each line it declines on the
+    /// general route.
+    fn text_lines(&mut self, text: &str) -> Result<(), IoError> {
+        let mut at = 0;
+        while at < text.len() {
+            at += self.plain_lines(&text[at..])?;
+            let Some(len) = find_newline(&text.as_bytes()[at..]) else {
+                break;
+            };
+            self.general_text(&text[at..at + len])?;
+            at += len + 1;
+        }
         Ok(())
     }
 
@@ -1008,36 +1144,38 @@ impl<S: RecordSink> StreamParser<S> {
         }
     }
 
-    /// Reads plain records off the head of `bytes` (the start of a line)
-    /// for as long as the recognizer accepts them; returns how many bytes
-    /// that consumed. The line after them is the general route's.
-    fn plain_lines(&mut self, bytes: &[u8]) -> Result<usize, IoError> {
-        let sink = self.sink.as_mut().expect("sink alive while parsing");
-        let mut at = 0;
-        while self.recognize && at < bytes.len() {
-            let line = self.line_no + 1;
-            let len = match &mut self.state {
-                State::Graph(body) => body.plain_line(sink, line, &bytes[at..])?,
-                State::Sets(body) => body.plain_line(sink, line, &bytes[at..], &mut self.elems)?,
-                State::Start | State::Failed(_) => None,
-            };
-            let Some(len) = len else {
-                break;
-            };
-            self.line_no = line;
-            at += len;
+    /// Reads plain records off the head of `text` (whole lines) for as
+    /// long as the recognizer accepts them; returns how many bytes that
+    /// consumed. The line after them is the general route's.
+    fn plain_lines(&mut self, text: &str) -> Result<usize, IoError> {
+        if !self.recognize {
+            return Ok(0);
         }
-        Ok(at)
+        let sink = self.sink.as_mut().expect("sink alive while parsing");
+        match &mut self.state {
+            State::Graph(body) => body.plain_lines(sink, &mut self.line_no, text),
+            State::Sets(body) => body.plain_lines(sink, &mut self.line_no, text),
+            State::Start | State::Failed(_) => Ok(0),
+        }
     }
 
     /// The general route: one whole line, its `\n` removed.
     fn general_line(&mut self, raw: &[u8]) -> Result<(), IoError> {
+        match std::str::from_utf8(raw) {
+            Ok(text) => self.general_text(text),
+            Err(_) => {
+                self.line_no += 1;
+                Err(err(self.line_no, 0, "invalid UTF-8 in input"))
+            }
+        }
+    }
+
+    /// [`StreamParser::general_line`] on a line already known to be UTF-8.
+    fn general_text(&mut self, raw: &str) -> Result<(), IoError> {
         self.line_no += 1;
         // `str::lines()` semantics: a line break is `\n` with one optional
         // preceding `\r` stripped.
-        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-        let text =
-            std::str::from_utf8(raw).map_err(|_| err(self.line_no, 0, "invalid UTF-8 in input"))?;
+        let text = raw.strip_suffix('\r').unwrap_or(raw);
         let mut line = Line::new(self.line_no, text);
         // Blank lines have no first token; comments start with `#` or
         // have a first token of exactly `c`.
@@ -1058,6 +1196,7 @@ impl<S: RecordSink> StreamParser<S> {
                         universe,
                         n_sets,
                         sets: 0,
+                        row: Vec::new(),
                     }),
                     StreamHeader::Graph { n, m }
                     | StreamHeader::VertexWeighted { n, m }
@@ -1187,20 +1326,24 @@ impl RecordSink for InstanceSink {
         Ok(())
     }
 
+    #[inline(always)]
     fn record(&mut self, record: Record) -> Result<(), IoError> {
         match record {
             Record::Edge { u, v, w, .. } => self.edges.push(Edge::new(u, v, w)),
             Record::VertexWeight { v, w } => self.vertex_data.push((v, w)),
             Record::Capacity { v, b } => self.vertex_data.push((v, b as f64)),
-            Record::Set { index, w, elems } => {
-                // Set ids and the arena's offsets are `u32`s.
-                if index >= SetId::MAX as usize || self.sets.push_row(&elems).is_err() {
-                    let message = format!("set {index} overflows the u32 ids or offsets");
-                    return Err(err(0, 0, message));
-                }
-                self.set_weights.push(w);
-            }
+            Record::Set { index, w, elems } => return self.set_row(index, w, &elems),
         }
+        Ok(())
+    }
+
+    fn set_row(&mut self, index: usize, w: f64, elems: &[ElemId]) -> Result<(), IoError> {
+        // Set ids and the arena's offsets are `u32`s.
+        if index >= SetId::MAX as usize || self.sets.push_row(elems).is_err() {
+            let message = format!("set {index} overflows the u32 ids or offsets");
+            return Err(err(0, 0, message));
+        }
+        self.set_weights.push(w);
         Ok(())
     }
 
@@ -1516,7 +1659,31 @@ mod tests {
         parser.finish()
     }
 
-    const CHUNKS: [usize; 6] = [1, 2, 3, 7, 64, 4096];
+    const CHUNKS: [usize; 7] = [1, 2, 3, 7, 64, 4096, 65536];
+
+    /// How many bytes of `lines` the recognizer reads, in the body that
+    /// `header` opens — the general route takes over from there — or the
+    /// error a check owes a line it read.
+    fn recognized(header: &str, lines: &str) -> Result<usize, IoError> {
+        let mut parser = StreamParser::new(InstanceSink::default());
+        parser.feed_str(&format!("{header}\n")).unwrap();
+        parser.plain_lines(lines)
+    }
+
+    /// Runs `read` on the line at the head of `text`, past its tag: the
+    /// line's length, its `\n` included, and what `read` returned.
+    fn scan<'a, T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Scan<'a>) -> Option<T>,
+    ) -> Option<(usize, T)> {
+        let mut scan = Scan::new(text);
+        scan.tag()?;
+        let fields = read(&mut scan)?;
+        scan.at_line_end().then(|| {
+            scan.next_line();
+            (scan.line_start, fields)
+        })
+    }
 
     /// Lines the recognizer must leave to the general route, which owns
     /// their meaning: what each parses to, or its exact located error.
@@ -1532,8 +1699,14 @@ mod tests {
                 "e 4294967294 4294967295",
                 edge(4294967294, 4294967295, 1.0),
             ),
+            (
+                "p graph 1234567891 1",
+                "e 1234567890 7",
+                edge(1234567890, 7, 1.0),
+            ),
             ("p graph 3 1", " e 0 1", edge(0, 1, 1.0)),
             ("p graph 3 1", "e 0\u{A0}1", edge(0, 1, 1.0)),
+            ("p graph 3 1", "e 0 1 1e-1\u{2003}", edge(0, 1, 0.1)),
             (
                 "p graph 9 1",
                 "e 1 2 3 4",
@@ -1549,6 +1722,11 @@ mod tests {
                 "e 0 1 2.5\u{E9}",
                 Err(err(2, 7, "bad weight `2.5\u{E9}`")),
             ),
+            (
+                "p graph 3 1",
+                "e 0 1 2.5\x1F",
+                Err(err(2, 7, "bad weight `2.5\x1F`")),
+            ),
             ("p graph 3 1", "e 0", Err(err(2, 4, "missing endpoint"))),
             ("p graph 3 1", "e", Err(err(2, 2, "missing endpoint"))),
             (
@@ -1559,8 +1737,9 @@ mod tests {
         ];
         for (header, line, expected) in cases {
             let terminated = format!("{line}\n");
-            assert!(
-                Scan::edge_line(terminated.as_bytes()).is_none(),
+            assert_eq!(
+                recognized(header, &terminated),
+                Ok(0),
                 "recognized {line:?}"
             );
             let text = format!("{header}\n{terminated}");
@@ -1574,41 +1753,97 @@ mod tests {
             }
         }
         // Wrong field counts and kinds on the other record tags.
-        assert!(Scan::vertex_line(b"n 1 2 3\n", true).is_none());
-        assert!(Scan::vertex_line(b"n 1 2.5\n", true).is_none());
-        assert!(Scan::vertex_line(b"n 1\n", false).is_none());
-        assert!(Scan::vertex_line(b"n 1 x\n", false).is_none());
-        assert!(Scan::set_line(b"s\n", &mut Vec::new()).is_none());
-        assert!(Scan::set_line(b"s 1.0 2 -3\n", &mut Vec::new()).is_none());
-        assert!(Scan::set_line(b"s 1.0 2 3.0\n", &mut Vec::new()).is_none());
+        let vertex_weighted = "p vertex-weighted 9 0";
+        let b_matching = "p b-matching 9 0 0.5";
+        let sets = "p set-system 9 1";
+        for (header, line) in [
+            (b_matching, "n 1 2 3\n"),
+            (b_matching, "n 1 2.5\n"),
+            (b_matching, "n 1 0000000002\n"),
+            (vertex_weighted, "n 1\n"),
+            (vertex_weighted, "n 1 x\n"),
+            (vertex_weighted, "n 1 2.5 3\n"),
+            (sets, "s\n"),
+            (sets, "s 1.0 2 -3\n"),
+            (sets, "s 1.0 2 3.0\n"),
+            (sets, "s 1.0 2 1234567890\n"),
+            (sets, "s 1.0 2 3\u{85}\n"),
+        ] {
+            assert_eq!(recognized(header, line), Ok(0), "recognized {line:?}");
+        }
     }
 
     /// What the recognizer does accept, with the columns it reports.
     #[test]
     fn recognized_lines_carry_byte_columns() {
         assert_eq!(
-            Scan::edge_line(b"e 10\t 21 \x0B2.5e0 \r\nrest"),
+            scan("e 10\t 21 \x0B2.5e0 \r\nrest", Scan::edge),
             Some((18, ((3, 10), (7, 21), Some((11, 2.5)))))
         );
         assert_eq!(
-            Scan::edge_line(b"e 007 999999999\r\n"),
+            scan("e 007 999999999\r\n", Scan::edge),
             Some((17, ((3, 7), (7, 999_999_999), None)))
         );
         assert_eq!(
-            Scan::edge_line(b"e 0 1 nan\n").map(|(len, (_, _, w))| (len, w.map(|w| w.0))),
+            scan("e 12345678 1234567\n", Scan::edge),
+            Some((19, ((3, 12_345_678), (12, 1_234_567), None)))
+        );
+        assert_eq!(
+            scan("e 0 1 nan\n", Scan::edge).map(|(len, (_, _, w))| (len, w.map(|w| w.0))),
             Some((10, Some(7)))
         );
-        let mut elems = Vec::new();
         assert_eq!(
-            Scan::set_line(b"s 0.5 3  14\x0C\n", &mut elems),
-            Some((13, (3, 0.5)))
+            scan("s 0.5 3  14\x0C\n", |s| Some((
+                s.float()?,
+                s.int()?,
+                s.int()?
+            ))),
+            Some((13, ((3, 0.5), (7, 3), (10, 14))))
         );
-        assert_eq!(elems, [(7, 3), (10, 14)]);
-        assert_eq!(
-            Scan::set_line(b"s inf\n", &mut elems),
-            Some((6, (3, f64::INFINITY)))
-        );
-        assert!(elems.is_empty());
+        assert_eq!(scan("s inf\n", Scan::float), Some((6, (3, f64::INFINITY))));
+        // Lines the recognizer reads whole: each is counted in its
+        // length, or fails the check both routes share.
+        let weight = |w| Err(err(2, 7, format!("weight {w} must be positive and finite")));
+        for (header, line, read) in [
+            ("p graph 9 1", "e 1 2 -0\n", weight("-0")),
+            ("p graph 9 1", "e 1 2 1e309\n", weight("inf")),
+            ("p graph 9 1", "e 1 2 00.50\n", Ok(12)),
+            ("p graph 9 1", "e 1 2 +1", Ok(0)),
+            ("p graph 9 1", "e 1 2 +1\n", Ok(9)),
+            ("p b-matching 9 0 0.5", "n 1 2\r\n", Ok(7)),
+            ("p set-system 9 1", "s 1.5\n", Ok(6)),
+            ("p set-system 9 1", "s 1.5 0 8\n", Ok(10)),
+        ] {
+            assert_eq!(recognized(header, line), read, "{line:?}");
+        }
+    }
+
+    /// Every prefix of an eight-byte word: the digits it starts with and,
+    /// below eight of them, their value.
+    #[test]
+    fn leading_digits_reads_words_like_the_byte_loop() {
+        let word = |bytes: &[u8]| {
+            let mut padded = [b'\n'; 8];
+            padded[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(padded)
+        };
+        for text in ["", "0", "7 ", "0012", "4294967", "12345678", "9999999\n"] {
+            let digits = text.bytes().take_while(u8::is_ascii_digit).count();
+            let value = match digits {
+                0 | 8 => 0,
+                _ => text[..digits].parse().unwrap(),
+            };
+            assert_eq!(
+                leading_digits(word(text.as_bytes())),
+                (digits, value),
+                "{text:?}"
+            );
+        }
+        // Neighbours of the digits, and carries out of high bytes.
+        for b in [b'/', b':', b' ', 0x06, 0xFA, 0xFF, 0x80, 0x36 + 0x80] {
+            assert_eq!(leading_digits(word(&[b'4', b, b'5'])), (1, 4), "{b:#x}");
+            assert_eq!(leading_digits(word(&[b, b'5'])), (0, 0), "{b:#x}");
+        }
     }
 
     /// A record cut by the chunk end is declined whole — at every offset —
@@ -1616,20 +1851,17 @@ mod tests {
     #[test]
     fn a_record_cut_by_the_chunk_end_is_declined() {
         let documents = [
-            ("p graph 30 2\n", "e 10 21 2.5 \r\n", "e 3 4\n"),
-            ("p b-matching 30 0 0.5\n", "n 12 34\n", ""),
-            ("p vertex-weighted 30 0\n", "n 12 3.75\n", ""),
-            ("p set-system 40 2\n", "s 1.25 3 14 15\n", "s 2.0\n"),
+            ("p graph 30 2", "e 10 21 2.5 \r\n", "e 3 4\n"),
+            ("p b-matching 30 0 0.5", "n 12 34\n", ""),
+            ("p vertex-weighted 30 0", "n 12 3.75\n", ""),
+            ("p set-system 40 2", "s 1.25 3 14 15\n", "s 2.0\n"),
         ];
         for (header, line, tail) in documents {
-            let text = format!("{header}{line}{tail}");
-            let start = header.len();
+            let text = format!("{header}\n{line}{tail}");
+            let start = header.len() + 1;
             for cut in 1..line.len() {
-                let head = &line.as_bytes()[..cut];
-                assert!(Scan::edge_line(head).is_none(), "{head:?}");
-                assert!(Scan::vertex_line(head, true).is_none(), "{head:?}");
-                assert!(Scan::vertex_line(head, false).is_none(), "{head:?}");
-                assert!(Scan::set_line(head, &mut Vec::new()).is_none(), "{head:?}");
+                let head = &line[..cut];
+                assert_eq!(recognized(header, head), Ok(0), "{head:?}");
 
                 let seen = std::cell::RefCell::new(Vec::new());
                 let mut parser = StreamParser::new(Logging {
@@ -1637,7 +1869,7 @@ mod tests {
                     fail_at: usize::MAX,
                 });
                 parser.feed(&text.as_bytes()[..start + cut]).unwrap();
-                assert_eq!(parser.carry, head, "cut at {cut}");
+                assert_eq!(parser.carry, head.as_bytes(), "cut at {cut}");
                 parser.feed(&text.as_bytes()[start + cut..]).unwrap();
                 // Incomplete vertex data is an end-of-input error, after
                 // every record has been seen.
@@ -1655,6 +1887,107 @@ mod tests {
                 assert!(!whole.borrow().is_empty());
                 assert_eq!(seen, whole, "cut at {cut}");
             }
+        }
+    }
+
+    /// UTF-8 is checked once per chunk, up to the chunk's last line
+    /// break. A sequence cut by the chunk end, anywhere in the document,
+    /// reads as it does whole; an invalid byte stops the recognizer at
+    /// its line, whose error the general route reports, with every
+    /// record before it delivered.
+    #[test]
+    fn utf8_is_checked_per_chunk_and_reported_by_line() {
+        let text =
+            "p graph 4 3\nc caf\u{E9} \u{2003}\u{1F600}\ne 0 1 2.5\ne 1 2\n# \u{85}\ne 2 3 0.5\n";
+        let whole = parse_instance(text).unwrap();
+        for cut in 0..=text.len() {
+            let mut parser = StreamParser::new(InstanceSink::default());
+            parser.feed(&text.as_bytes()[..cut]).unwrap();
+            parser.feed(&text.as_bytes()[cut..]).unwrap();
+            assert_eq!(parser.finish().unwrap(), whole, "cut at {cut}");
+        }
+        let bad = text.replace("e 1 2\n", "e 1 2 \u{E9}\n").into_bytes();
+        let at = bad.iter().rposition(|&b| b == 0xC3).unwrap();
+        for corrupt in [vec![0xFF], vec![0xC3], vec![0xE2, 0x80], vec![0x80]] {
+            let mut doc = bad.clone();
+            doc.splice(at..at + 2, corrupt);
+            let reference = feed_chunked(
+                StreamParser::general_only(InstanceSink::default()),
+                &doc,
+                doc.len(),
+            );
+            assert_eq!(reference, Err(err(4, 0, "invalid UTF-8 in input")));
+            for chunk in CHUNKS {
+                let seen = std::cell::RefCell::new(Vec::new());
+                let parser = StreamParser::new(Logging {
+                    seen: &seen,
+                    fail_at: usize::MAX,
+                });
+                assert_eq!(
+                    feed_chunked(parser, &doc, chunk),
+                    Err(err(4, 0, "invalid UTF-8 in input"))
+                );
+                assert_eq!(seen.borrow().len(), 1, "chunk size {chunk}");
+                let parser = StreamParser::new(InstanceSink::default());
+                assert_eq!(
+                    feed_chunked(parser, &doc, chunk),
+                    reference,
+                    "chunk size {chunk}"
+                );
+            }
+        }
+    }
+
+    /// Sets at the recognizer's size extremes — no elements and ten
+    /// thousand — read alike on both routes, clean and with a failure
+    /// planted at the far end of the long line: a tenth digit, a byte
+    /// above ASCII, an element out of range, one out of order.
+    #[test]
+    fn empty_and_ten_thousand_element_sets_read_alike() {
+        let long: String = (0..10_000).map(|j| format!(" {}", 3 * j)).collect();
+        let universe = 30_000;
+        let text = format!("p set-system {universe} 3\ns 1.5\ns 2{long}\ns 0.5\n");
+        let reference = |doc: &[u8]| {
+            feed_chunked(
+                StreamParser::general_only(InstanceSink::default()),
+                doc,
+                doc.len(),
+            )
+        };
+        let clean = reference(text.as_bytes()).unwrap();
+        let Instance::SetSystem(sys) = &clean else {
+            panic!("{clean:?}")
+        };
+        assert_eq!(
+            (sys.sets().row(0).len(), sys.sets().row(1).len()),
+            (0, 10_000)
+        );
+        let tail = " 29997\n";
+        for planted in [
+            " 29997 1234567890\n",
+            " 29997\u{E9}\n",
+            " 29997 30000\n",
+            " 29997 29996\n",
+            " 29997 \x0B\x0C\r\n",
+        ] {
+            let doc = text.replacen(tail, planted, 1);
+            let expected = reference(doc.as_bytes());
+            assert_ne!(doc, text);
+            for chunk in CHUNKS {
+                let parser = StreamParser::new(InstanceSink::default());
+                assert_eq!(
+                    feed_chunked(parser, doc.as_bytes(), chunk),
+                    expected,
+                    "{planted:?} at chunk size {chunk}"
+                );
+            }
+        }
+        for chunk in CHUNKS {
+            let parser = StreamParser::new(InstanceSink::default());
+            assert_eq!(
+                feed_chunked(parser, text.as_bytes(), chunk),
+                Ok(clean.clone())
+            );
         }
     }
 
@@ -1688,10 +2021,11 @@ mod tests {
     }
 
     /// What a mutation splices in: every whitespace kind, signs, integers
-    /// at and past the recognizer's nine digits and past `u32`, floats
-    /// that parse to non-finite or zero, multi-byte and invalid UTF-8,
-    /// tags, and whole lines (self-loops, likely duplicates, an indented
-    /// record, records of the wrong body).
+    /// at the recognizer's word of eight digits, at and past its nine and
+    /// past `u32`, leading zeros, floats that parse to non-finite or zero,
+    /// multi-byte and invalid UTF-8 (a lone continuation byte, a cut
+    /// sequence), tags, and whole lines (self-loops, likely duplicates,
+    /// an indented record, records of the wrong body, an empty set).
     const PIECES: &[&[u8]] = &[
         b" ",
         b"\t",
@@ -1709,25 +2043,34 @@ mod tests {
         b"\xFF",
         b"\xC3",
         b"\xE2\x80",
+        b"\x80",
         b"\x1F",
         b"+",
         b"-",
         b".",
         b"0",
         b"7",
+        b"12345678",
+        b"123456789",
         b"999999999",
+        b"1234567890",
         b"1000000000",
         b"0000000001",
+        b"00",
         b"4294967295",
         b"4294967296",
         b"99999999999999999999",
         b"nan",
+        b"NaN",
         b"inf",
         b"-inf",
+        b"1e309",
         b"1e400",
         b"1e-400",
         b"0.0",
         b"-0.0",
+        b"-0",
+        b"+1",
         b".5",
         b"5.",
         b"1e3",
@@ -1747,17 +2090,24 @@ mod tests {
         b"n 0 1.5\n",
         b"s 1.0 0 0\n",
         b"s 1.0 0 1\n",
+        b"s 1.0\n",
         b"c e 0 1\n",
     ];
 
     /// One byte-level edit: `(position, piece, operation)`, all reduced
     /// modulo what the document offers. Operations: insert the piece,
-    /// overwrite with it, delete a few bytes, or repeat a whole line
-    /// somewhere else (duplicate edges, vertex data and sets).
+    /// overwrite with it, delete a few bytes, repeat a whole line
+    /// somewhere else (duplicate edges, vertex data and sets), or drop
+    /// the final line break.
     fn mutate(doc: &mut Vec<u8>, (pos, piece, op): (usize, usize, usize)) {
         let at = pos % (doc.len() + 1);
         let piece = PIECES[piece % PIECES.len()];
-        match op % 4 {
+        match op % 5 {
+            4 => {
+                if doc.last() == Some(&b'\n') {
+                    doc.pop();
+                }
+            }
             0 => drop(doc.splice(at..at, piece.iter().copied())),
             1 => {
                 let end = (at + piece.len()).min(doc.len());

@@ -11,16 +11,18 @@
 //!   edges without replacement.
 //!
 //! A machine's block is flat: its `(vertex, b(v))` records, one [`Csr`]
-//! arena holding every incidence list, and the edge → local-vertex reverse
-//! index as a second `Csr` whose row number is the edge id, so a pushed
-//! edge is marked by direct offset. The *metered* size is still the
-//! record-per-vertex formula (the index charged as a mirror of the
-//! incidence lists); only `ϕ` values and pushed flags change after
-//! distribution, so it is computed once.
+//! arena holding every incidence list, and an edge → local-vertex index
+//! with one `(edge, slot)` entry per resident incidence, ascending in
+//! edge id, so a pushed edge is found by binary search. The *metered*
+//! size is still the record-per-vertex formula (the index charged as a
+//! mirror of the incidence lists); only `ϕ` values and pushed flags
+//! change after distribution, so it is computed once.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::DetRng;
-use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
+use std::collections::HashSet;
+
+use mrlr_mapreduce::{Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
 use crate::mr::{place_rows, MrConfig};
 use crate::rlr::bmatching::{push_budget, BMatchingParams, BMATCH_RNG_TAG};
@@ -37,8 +39,11 @@ struct BMatchState {
     inc: Csr<Incidence>,
     phi: Vec<f64>,
     eps: f64,
-    /// Edge id → local vertex slots it is incident to.
-    index: Csr<u32>,
+    /// `(edge id, local vertex slot)` of every incidence in `inc`,
+    /// ascending in edge id: the distribution scatter appends them as it
+    /// walks the edges in id order. An edge with both endpoints here has
+    /// its two entries side by side.
+    index: Vec<(EdgeId, u32)>,
     /// Round-local alive-incidence staging, reused across sampling rounds
     /// (empty between supersteps; never part of the metered state words).
     scratch: Vec<(EdgeId, VertexId, f64)>,
@@ -70,7 +75,8 @@ impl BMatchState {
     }
 
     fn mark_pushed(&mut self, e: EdgeId) {
-        for &slot in self.index.row(e as usize) {
+        let from = self.index.partition_point(|&(id, _)| id < e);
+        for &(_, slot) in self.index[from..].iter().take_while(|&&(id, _)| id == e) {
             let inc = self.inc.row_mut(slot as usize);
             let pos = inc
                 .binary_search_by_key(&e, |&(id, _, _, _)| id)
@@ -96,7 +102,8 @@ impl WordSized for BMatchState {
 }
 
 /// Distributes vertices by hash with their incidence lists, scattered
-/// straight from the edge list (so each list is ascending in edge id).
+/// straight from the edge list (so each list, and each machine's index,
+/// is ascending in edge id).
 fn distribute(g: &Graph, b: &[u32], eps: f64, cfg: &MrConfig) -> MrResult<Vec<BMatchState>> {
     let degree = g.degrees();
     let mut placed = place_rows(
@@ -106,21 +113,28 @@ fn distribute(g: &Graph, b: &[u32], eps: f64, cfg: &MrConfig) -> MrResult<Vec<BM
         |v| degree[v],
         (0, 0, 0.0, false),
     )?;
+    let mut index: Vec<Vec<(EdgeId, u32)>> = placed
+        .ids
+        .iter()
+        .map(|ids| Vec::with_capacity(ids.iter().map(|&v| degree[v as usize]).sum()))
+        .collect();
     for (idx, e) in g.edges().iter().enumerate() {
         for (x, other) in [(e.u, e.v), (e.v, e.u)] {
             let (dst, row) = placed.at[x as usize];
             placed.arenas[dst as usize].push(row as usize, (idx as EdgeId, other, e.w, false));
+            index[dst as usize].push((idx as EdgeId, row));
         }
     }
     placed
         .ids
         .iter()
         .zip(placed.arenas)
-        .map(|(ids, arena)| {
+        .zip(index)
+        .map(|((ids, arena), index)| {
             let inc = arena.finish();
             let mut state = BMatchState {
                 vertices: ids.iter().map(|&v| (v, b[v as usize])).collect(),
-                index: inc.invert(g.m(), |&(e, _, _, _)| e as usize)?,
+                index,
                 inc,
                 phi: vec![0.0; g.n()],
                 eps,
@@ -234,9 +248,10 @@ pub fn run(
         // pushes of the heaviest-by-current-modified-weight sampled edges.
         sample.sort_unstable_by_key(|&(v, e, _, _)| (v, e));
         let mut pushed_now: Vec<EdgeId> = Vec::new();
-        // Bitset shadow of `pushed_now` for O(1) membership in the inner
-        // best-edge scan (the Vec stays as the ordered broadcast payload).
-        let mut pushed_bits = Bitset::new(g.m());
+        // Set shadow of `pushed_now` for membership in the inner best-edge
+        // scan (the Vec stays as the ordered broadcast payload), sized by
+        // this iteration's pushes rather than by `m`.
+        let mut pushed_set: HashSet<EdgeId> = HashSet::new();
         let mut touched: Vec<VertexId> = Vec::new();
         let mut idx = 0usize;
         let mut group: Vec<(EdgeId, VertexId, f64)> = Vec::new();
@@ -251,7 +266,7 @@ pub fn run(
             for _ in 0..budget {
                 let mut best: Option<(f64, usize)> = None;
                 for (pos, &(e, o, w)) in group.iter().enumerate() {
-                    if pushed_bits.get(e as usize) || !lr.alive(v, o, w) {
+                    if pushed_set.contains(&e) || !lr.alive(v, o, w) {
                         continue;
                     }
                     let m = lr.modified(v, o, w);
@@ -266,7 +281,7 @@ pub fn run(
                 let Some((_, pos)) = best else { break };
                 let (e, o, w) = group.swap_remove(pos);
                 if lr.push(e, v, o, w) {
-                    pushed_bits.set(e as usize);
+                    pushed_set.insert(e);
                     pushed_now.push(e);
                     touched.push(v);
                     touched.push(o);
@@ -351,7 +366,8 @@ mod tests {
     /// The stored state size is the record-per-vertex formula of the
     /// nested layout (index charged as a mirror), recounted from the
     /// instance, and nothing a superstep does changes it (`words()`
-    /// re-asserts that on every pass of a debug run).
+    /// re-asserts that on every pass of a debug run). The index itself
+    /// holds exactly one entry per resident half, in edge id order.
     #[test]
     fn stored_words_equal_a_recount_through_a_run() {
         let g = with_uniform_weights(&densified(40, 0.4, 2), 0.5, 8.0, 19);
@@ -365,6 +381,14 @@ mod tests {
                 .map(|v| 2 + 1 + 4 * adj[v].len())
                 .sum();
             assert_eq!(state.words, 1 + 2 * recs + g.n(), "machine {id}");
+            // One index entry per resident half, ascending in edge id.
+            assert_eq!(state.index.len(), state.inc.len(), "machine {id}");
+            assert!(state.index.windows(2).all(|p| p[0] <= p[1]), "machine {id}");
+            for (slot, inc) in state.inc.iter().enumerate() {
+                for &(e, _, _, _) in inc {
+                    assert!(state.index.contains(&(e, slot as u32)), "machine {id}");
+                }
+            }
             assert_eq!(state.words(), state.metered_words());
             for e in 0..g.m() as EdgeId {
                 state.mark_pushed(e);

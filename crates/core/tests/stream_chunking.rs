@@ -176,3 +176,103 @@ fn prefix_errors_carry_exact_positions() {
         assert_eq!(parse_chunked(text, &[size]), Ok(full.clone()));
     }
 }
+
+/// The chunk lengths every hostile document is read at. At one byte no
+/// line is ever whole inside a chunk, so every line takes the parser's
+/// general route: that reading is the reference the others must match.
+/// At 4096 and 65536 bytes whole runs of lines take the plain-record
+/// recognizer, checked for UTF-8 once per chunk.
+const CHUNK_LENS: [usize; 6] = [1, 2, 3, 7, 4096, 65536];
+
+/// Bytes aimed at the recognizer's decline points: integers of eight,
+/// nine and ten digits and past `u32`, leading zeros, signs, weights that
+/// parse to non-finite or zero, the blanks other than space, bytes at and
+/// above `0x80` (a lone continuation byte, a cut sequence, a whole one).
+const HOSTILE: &[&str] = &[
+    "12345678",
+    "123456789",
+    "1234567890",
+    "4294967296",
+    "0007",
+    "+1",
+    "-0",
+    "inf",
+    "NaN",
+    "1e309",
+    "\x0B",
+    "\x0C",
+    "\r",
+    "\r\n",
+    "\u{E9}",
+    "\u{2003}",
+    "\u{85}",
+    " ",
+    "\n",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hostile bytes spliced into a rendered document, or put in place
+    /// of the field at a position — and the document's final line break
+    /// dropped, or a set of ten thousand elements appended —
+    /// read the same at every chunk length of the matrix and through
+    /// `read_instance` at those buffer lengths: the same instance, or
+    /// the same located error.
+    #[test]
+    fn hostile_bytes_read_alike_at_every_chunk_length(
+        inst in arb_instance(),
+        edits in proptest::collection::vec((0.0f64..1.0, 0usize..21, any::<bool>()), 1..4),
+        raw in proptest::collection::vec(0x80u8..=0xFF, 0..3),
+        tail in 0usize..3,
+    ) {
+        let inst = match (tail, inst) {
+            (2, Instance::SetSystem(sys)) => {
+                let mut sets: Vec<Vec<u32>> = sys.sets().iter().map(<[u32]>::to_vec).collect();
+                sets.push((0..10_000).collect());
+                let mut weights = sys.weights().to_vec();
+                weights.push(1.5);
+                Instance::SetSystem(SetSystem::new(10_000, sets, weights))
+            }
+            (_, inst) => inst,
+        };
+        let mut bytes = render_instance(&inst).into_bytes();
+        if tail == 1 {
+            bytes.pop();
+        }
+        for (at, pick, replace) in edits {
+            let at = (bytes.len() as f64 * at) as usize;
+            let piece = match HOSTILE.get(pick) {
+                Some(piece) => piece.as_bytes(),
+                None => &raw[..],
+            };
+            let field = if replace {
+                let start = bytes[..at].iter().rposition(|b| b.is_ascii_whitespace()).map_or(0, |i| i + 1);
+                let end = bytes[at..].iter().position(|b| b.is_ascii_whitespace()).map_or(bytes.len(), |i| at + i);
+                start..end
+            } else {
+                at..at
+            };
+            bytes.splice(field, piece.iter().copied());
+        }
+        let reference = parse_bytes(&bytes, 1);
+        for len in CHUNK_LENS {
+            prop_assert_eq!(&parse_bytes(&bytes, len), &reference, "chunk length {}", len);
+            prop_assert_eq!(
+                &read_instance(Cursor::new(&bytes), len),
+                &reference,
+                "buffer length {}",
+                len
+            );
+        }
+    }
+}
+
+/// Feeds `bytes` in `len`-byte chunks.
+fn parse_bytes(bytes: &[u8], len: usize) -> Result<Instance, IoError> {
+    let mut parser = StreamParser::new(InstanceSink::default());
+    for chunk in bytes.chunks(len) {
+        parser.feed(chunk)?;
+    }
+    parser.finish()
+}
