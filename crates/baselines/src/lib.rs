@@ -21,6 +21,7 @@
 //!   ([`filtering::greedy_weighted_matching`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coreset;
 pub mod filtering;

@@ -19,6 +19,8 @@
 //! Usage: `cargo run --release -p mrlr-bench --bin bench_dist [out.json]`
 //! (default output path: `BENCH_dist.json` in the current directory).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use mrlr_bench::{vertex_weights, weighted_graph};

@@ -19,6 +19,8 @@
 //!   `bench_scale --leg --file PATH`  internal subprocess entry; prints
 //!       one JSON object.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -24,6 +24,8 @@
 //!       is emitted, then validate the committed artifact's schema
 //!       without touching it.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -12,6 +12,8 @@
 //! Usage: `cargo run --release -p mrlr-bench --bin experiments [e1 e2 …]`
 //! (no arguments = run everything). Output is markdown.
 
+#![forbid(unsafe_code)]
+
 use mrlr_baselines::{
     coreset_matching, crouch_stubbs_matching, greedy_weighted_matching, layered_weighted_matching,
     luby_mis,
@@ -612,7 +614,7 @@ fn e12_eta_ablation(registry: &Registry) {
 }
 
 /// E14 — executor scaling (the seam behind `Backend::Mr`): the same run
-/// under the sequential executor and 2/4/8-thread pools. Solutions and
+/// on the 1-thread pool and 2/4/8-thread pools. Solutions and
 /// `Metrics` are asserted bit-identical at every thread count — the
 /// executor only moves wall-clock, and only on hosts with real cores
 /// (single-CPU hosts read flat; the substrate's rendezvous test proves

@@ -12,6 +12,8 @@
 //!
 //! Usage: `cargo run --release -p mrlr-bench --bin figure1`
 
+#![forbid(unsafe_code)]
+
 use mrlr_baselines::{
     coreset_matching, crouch_stubbs_matching, filtering_maximal_matching, filtering_vertex_cover,
     layered_weighted_matching, luby_colouring, luby_mis,

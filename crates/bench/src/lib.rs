@@ -5,6 +5,7 @@
 //! solvers or dual certificates, and markdown table rendering.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod sweep;
 pub mod workloads;

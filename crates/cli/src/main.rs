@@ -26,6 +26,8 @@
 //! Exit codes: 0 success, 1 runtime failure (unreadable file, infeasible
 //! instance, solver error, failed verification), 2 usage error.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use mrlr_bench::sweep::SweepSpec;

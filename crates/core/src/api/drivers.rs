@@ -120,24 +120,18 @@ impl Driver for SetCoverFDriver {
     }
 }
 
-/// Algorithm 3 / Theorem 4.6: `(1+ε) ln Δ` greedy set cover.
+/// Algorithm 3 / Theorem 4.6: `(1+ε) ln Δ` greedy set cover, at
+/// `ε =` [`DEFAULT_GREEDY_SC_EPS`] (approximation `(1+ε) H_Δ`).
 #[derive(Debug, Clone, Copy)]
 pub struct GreedySetCoverDriver {
     /// Backend to run.
     pub backend: Backend,
-    /// The ε-greedy slack (`> 0`); approximation `(1+ε) H_Δ`.
-    /// [`audit`](super::audit) holds reports to the default
-    /// [`DEFAULT_GREEDY_SC_EPS`], the only `ε` it can read back.
-    pub eps: f64,
 }
 
 impl GreedySetCoverDriver {
-    /// Driver with the default ε.
+    /// Driver on `backend`.
     pub fn new(backend: Backend) -> Self {
-        GreedySetCoverDriver {
-            backend,
-            eps: DEFAULT_GREEDY_SC_EPS,
-        }
+        GreedySetCoverDriver { backend }
     }
 }
 
@@ -155,7 +149,7 @@ impl Driver for GreedySetCoverDriver {
 
     fn solve(&self, sys: &SetSystem, cfg: &MrConfig) -> MrResult<Report<CoverResult>> {
         let t = Instant::now();
-        let params = HungryScParams::new(sys.universe(), cfg.mu, self.eps, cfg.seed);
+        let params = HungryScParams::new(sys.universe(), cfg.mu, DEFAULT_GREEDY_SC_EPS, cfg.seed);
         let (sol, metrics) = match self.backend {
             Backend::Seq => (seq::greedy_set_cover(sys).map_err(seq_err)?, None),
             Backend::Rlr => {

@@ -645,6 +645,29 @@ struct RatioBound {
     ratio: f64,
 }
 
+/// The theorem bound on `algorithm`'s ratio over `instance`, for every
+/// key that claims a ratio; `None` for the structural keys (and for an
+/// instance of the wrong kind, which [`audit`] rejects first).
+fn theorem_bound(instance: &Instance, algorithm: &str) -> Option<RatioBound> {
+    let (theorem, ratio) = match (algorithm, instance) {
+        ("set-cover-f", Instance::SetSystem(sys)) => {
+            ("Theorem 2.4", sys.max_frequency().max(1) as f64)
+        }
+        ("set-cover-greedy", Instance::SetSystem(sys)) => (
+            "Theorem 4.6",
+            (1.0 + super::DEFAULT_GREEDY_SC_EPS) * crate::seq::harmonic(sys.max_set_size().max(1)),
+        ),
+        ("vertex-cover", Instance::VertexWeighted(_)) => ("Theorem 2.4, f = 2", 2.0),
+        ("matching", Instance::Graph(_)) => ("Theorem 5.6", 2.0),
+        ("b-matching", Instance::BMatching(inst)) => (
+            "Theorem D.3",
+            crate::seq::b_matching_multiplier(&inst.b, inst.eps),
+        ),
+        _ => return None,
+    };
+    Some(RatioBound { theorem, ratio })
+}
+
 /// Checks a certified ratio (already matched to its recomputation)
 /// against the theorem's bound, with [`AUDIT_TOL`] as a relative
 /// tolerance. A ratio the certificate cannot bound (`None`) exceeds
@@ -906,14 +929,11 @@ fn audit_colouring(
 /// confirms the claimed lower bound and approximation ratio, and holds
 /// the ratio to its theorem's bound — `f` (the instance's largest
 /// frequency) for `set-cover-f`, `(1 + ε)·H(Δ)` (`ε` =
-/// [`DEFAULT_GREEDY_SC_EPS`](super::DEFAULT_GREEDY_SC_EPS), `Δ` the
-/// largest set) for `set-cover-greedy`, 2 for `vertex-cover` and
-/// `matching`, and `3 − 2/max(2, b_max) + 2ε` (the instance's `ε`) for
-/// `b-matching`. The other keys carry structural guarantees, no ratio.
-/// A report does not record the greedy driver's `ε`, so only
-/// `set-cover-greedy` reports solved at the default `ε` (the one the
-/// registry registers) are auditable; a larger `ε` certifies a ratio
-/// above this bound.
+/// [`DEFAULT_GREEDY_SC_EPS`](super::DEFAULT_GREEDY_SC_EPS), the greedy
+/// driver's one `ε`; `Δ` the largest set) for `set-cover-greedy`, 2 for
+/// `vertex-cover` and `matching`, and `3 − 2/max(2, b_max) + 2ε` (the
+/// instance's `ε`) for `b-matching`. The other keys carry structural
+/// guarantees, no ratio.
 ///
 /// Returns the list of human-readable checks that passed, or the first
 /// [`AuditError`] (with a dotted location into the report).
@@ -948,9 +968,7 @@ pub fn audit(
             ),
         )
     };
-    // Each arm runs its family's audit and names the theorem's ratio
-    // bound, for every key that claims a ratio.
-    let bound = match algorithm {
+    match algorithm {
         "set-cover-f" | "set-cover-greedy" => {
             let Instance::SetSystem(sys) = instance else {
                 return Err(wrong_instance("set system"));
@@ -967,18 +985,6 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
-            Some(if algorithm == "set-cover-f" {
-                RatioBound {
-                    theorem: "Theorem 2.4",
-                    ratio: sys.max_frequency().max(1) as f64,
-                }
-            } else {
-                RatioBound {
-                    theorem: "Theorem 4.6",
-                    ratio: (1.0 + super::DEFAULT_GREEDY_SC_EPS)
-                        * crate::seq::harmonic(sys.max_set_size().max(1)),
-                }
-            })
         }
         "vertex-cover" => {
             let Instance::VertexWeighted(inst) = instance else {
@@ -999,10 +1005,6 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
-            Some(RatioBound {
-                theorem: "Theorem 2.4, f = 2",
-                ratio: 2.0,
-            })
         }
         "matching" => {
             let Instance::Graph(g) = instance else {
@@ -1012,10 +1014,6 @@ pub fn audit(
                 return Err(wrong_solution("matching"));
             };
             audit_matching(g, None, sol, claims, witness, &mut checks)?;
-            Some(RatioBound {
-                theorem: "Theorem 5.6",
-                ratio: 2.0,
-            })
         }
         "b-matching" => {
             let Instance::BMatching(inst) = instance else {
@@ -1025,10 +1023,6 @@ pub fn audit(
                 return Err(wrong_solution("matching"));
             };
             audit_matching(&inst.graph, Some(inst), sol, claims, witness, &mut checks)?;
-            Some(RatioBound {
-                theorem: "Theorem D.3",
-                ratio: crate::seq::b_matching_multiplier(&inst.b, inst.eps),
-            })
         }
         "mis1" | "mis2" | "clique" => {
             let Instance::Graph(g) = instance else {
@@ -1038,7 +1032,6 @@ pub fn audit(
                 return Err(wrong_solution("selection"));
             };
             audit_selection(g, algorithm == "clique", sol, claims, witness, &mut checks)?;
-            None
         }
         "vertex-colouring" | "edge-colouring" => {
             let Instance::Graph(g) = instance else {
@@ -1055,7 +1048,6 @@ pub fn audit(
                 witness,
                 &mut checks,
             )?;
-            None
         }
         other => {
             return Err(AuditError::new(
@@ -1063,8 +1055,8 @@ pub fn audit(
                 format!("unknown registry key '{other}'"),
             ));
         }
-    };
-    if let Some(bound) = bound {
+    }
+    if let Some(bound) = theorem_bound(instance, algorithm) {
         checks.push(check_ratio_bound(claims.certified_ratio, &bound)?);
     }
     Ok(checks)
@@ -1132,6 +1124,19 @@ mod tests {
             ("vertex-colouring", &graph),
             ("edge-colouring", &graph),
         ];
+        // Each theorem bound holds at its edge: a ratio 0.1% above it is
+        // rejected, on the instance its reports are audited against.
+        for (key, instance) in &cases {
+            if let Some(bound) = theorem_bound(instance, key) {
+                let above = bound.ratio * 1.001;
+                assert!(
+                    check_ratio_bound(Some(bound.ratio), &bound).is_ok(),
+                    "{key}"
+                );
+                let err = check_ratio_bound(Some(above), &bound).unwrap_err();
+                assert!(err.message.contains(bound.theorem), "{key}: {err}");
+            }
+        }
         for backend in crate::api::Backend::ALL {
             for (key, instance) in &cases {
                 let scfg = instance.auto_config(0.4, 3);
@@ -1223,68 +1228,69 @@ mod tests {
         assert!(err.location.contains("witness.colour_counts"), "{err}");
     }
 
+    /// A stored cover report over one dual value `y_0 = 1`: the cover
+    /// `cover` of weight `weight`, at ratio `weight`.
+    fn stored_cover(cover: Vec<u32>, weight: f64) -> (Solution, Claims) {
+        let solution = Solution::Cover(CoverResult {
+            cover,
+            weight,
+            lower_bound: 1.0,
+            dual: vec![],
+            iterations: 1,
+        });
+        let claims = Claims {
+            feasible: true,
+            objective: weight,
+            certified_ratio: Some(weight),
+        };
+        (solution, claims)
+    }
+
     #[test]
     fn a_clean_cover_above_the_theorem_bound_is_rejected() {
-        // Two sets over one element, so f = 2. Taking both (weight 6)
-        // against the dual y_0 = 1 is a feasible cover with a feasible
-        // dual, and the claim matches its recomputation — but 6 > f.
-        let sys = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, 5.0]);
-        let instance = Instance::SetSystem(sys);
+        // Two sets over one element, so f = 2. Taking both against the
+        // dual y_0 = 1 is a feasible cover with a feasible dual, and the
+        // claim matches its recomputation — but its ratio exceeds f: far
+        // above it (weights 1 and 5, ratio 6) and at its edge (weights 1
+        // and 1.02, ratio 2.02). The same two sets are the endpoints of
+        // one edge, so each case is also a vertex cover above f = 2.
         let witness = Witness::CoverDual {
             dual: vec![(0, 1.0)],
         };
-        let stored = |cover: Vec<u32>, weight: f64| {
-            let solution = Solution::Cover(CoverResult {
-                cover,
-                weight,
-                lower_bound: 1.0,
-                dual: vec![],
-                iterations: 1,
-            });
-            let claims = Claims {
-                feasible: true,
-                objective: weight,
-                certified_ratio: Some(weight),
-            };
-            (solution, claims)
-        };
-        let (solution, claims) = stored(vec![0], 1.0);
-        let checks = audit(&instance, "set-cover-f", &solution, &claims, &witness).unwrap();
-        assert!(checks.last().unwrap().contains("Theorem 2.4"), "{checks:?}");
+        for heavy in [5.0, 1.02] {
+            let sys = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, heavy]);
+            let graph = Graph::new(2, vec![mrlr_graph::Edge::new(0, 1, 1.0)]);
+            let vw = crate::api::VertexWeightedGraph::new(graph, vec![1.0, heavy]);
+            let cases = [
+                ("set-cover-f", Instance::SetSystem(sys)),
+                ("vertex-cover", Instance::VertexWeighted(vw)),
+            ];
+            for (key, instance) in &cases {
+                let (solution, claims) = stored_cover(vec![0], 1.0);
+                let checks = audit(instance, key, &solution, &claims, &witness).unwrap();
+                assert!(checks.last().unwrap().contains("Theorem 2.4"), "{checks:?}");
 
-        let (solution, claims) = stored(vec![0, 1], 6.0);
-        let err = audit(&instance, "set-cover-f", &solution, &claims, &witness).unwrap_err();
-        assert_eq!(err.location, "certificate.certified_ratio", "{err}");
-        assert!(err.message.contains("exceeds"), "{err}");
+                let (solution, claims) = stored_cover(vec![0, 1], 1.0 + heavy);
+                let err = audit(instance, key, &solution, &claims, &witness).unwrap_err();
+                assert_eq!(err.location, "certificate.certified_ratio", "{key}: {err}");
+                assert!(err.message.contains("exceeds"), "{key}: {err}");
+            }
+        }
     }
 
     #[test]
     fn a_clean_greedy_cover_above_the_theorem_bound_is_rejected() {
-        // The fixture above: Δ = 1, so Theorem 4.6 allows (1 + ε)·H(1) =
-        // 1.2. Both sets (weight 6) against the dual y_0 = 1 is a clean
-        // report — feasible cover, feasible dual, claim recomputed — at
-        // ratio 6.
-        let sys = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, 5.0]);
-        let instance = Instance::SetSystem(sys);
+        // Δ = 1, so Theorem 4.6 allows (1 + ε)·H(1) = 1.2. Against the
+        // dual y_0 = 1, a clean report — feasible cover, feasible dual,
+        // claim recomputed — sits far above it (two sets over one
+        // element, weights 1 and 5: both sets, ratio 6) or at its edge
+        // (one set per element, weights 1 and 0.25: ratio 1.25).
         let witness = Witness::CoverDual {
             dual: vec![(0, 1.0)],
         };
-        let stored = |cover: Vec<u32>, weight: f64| {
-            let solution = Solution::Cover(CoverResult {
-                cover,
-                weight,
-                lower_bound: 1.0,
-                dual: vec![],
-                iterations: 1,
-            });
-            let claims = Claims {
-                feasible: true,
-                objective: weight,
-                certified_ratio: Some(weight),
-            };
-            (solution, claims)
-        };
-        let (solution, claims) = stored(vec![0], 1.0);
+        let far = SetSystem::new(1, vec![vec![0], vec![0]], vec![1.0, 5.0]);
+        let instance = Instance::SetSystem(far);
+        let (solution, claims) = stored_cover(vec![0], 1.0);
         let checks = audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap();
         let bound = 1.0 + crate::api::DEFAULT_GREEDY_SC_EPS;
         assert_eq!(
@@ -1292,10 +1298,14 @@ mod tests {
             &format!("bound: certified ratio 1.0000 ≤ {bound} (Theorem 4.6)")
         );
 
-        let (solution, claims) = stored(vec![0, 1], 6.0);
-        let err = audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap_err();
-        assert_eq!(err.location, "certificate.certified_ratio", "{err}");
-        assert!(err.message.contains("Theorem 4.6"), "{err}");
+        let near = SetSystem::new(2, vec![vec![0], vec![1]], vec![1.0, 0.25]);
+        for (instance, weight) in [(instance, 6.0), (Instance::SetSystem(near), 1.25)] {
+            let (solution, claims) = stored_cover(vec![0, 1], weight);
+            let err =
+                audit(&instance, "set-cover-greedy", &solution, &claims, &witness).unwrap_err();
+            assert_eq!(err.location, "certificate.certified_ratio", "{err}");
+            assert!(err.message.contains("Theorem 4.6"), "{err}");
+        }
     }
 
     /// A replayed b-matching transcript unwinds to a matching at least as
@@ -1307,12 +1317,11 @@ mod tests {
         let registry = Registry::with_defaults();
         let g = generators::with_uniform_weights(&generators::densified(30, 0.4, 5), 1.0, 9.0, 5);
         let b: Vec<u32> = (0..g.n()).map(|v| 1 + (v % 3) as u32).collect();
-        let bound = RatioBound {
-            theorem: "Theorem D.3",
-            ratio: crate::seq::b_matching_multiplier(&b, 0.25),
-        };
+        let multiplier = crate::seq::b_matching_multiplier(&b, 0.25);
         let cfg = MrConfig::auto(30, g.m(), 0.3, 5);
         let instance = Instance::BMatching(BMatchingInstance::new(g, b, 0.25));
+        let bound = theorem_bound(&instance, "b-matching").unwrap();
+        assert_eq!((bound.theorem, bound.ratio), ("Theorem D.3", multiplier));
         let report = registry.solve("b-matching", &instance, &cfg).unwrap();
         let certified = report.certificate.certified_ratio;
         let checks = audit_report(&instance, &report).unwrap();

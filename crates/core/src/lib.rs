@@ -37,6 +37,7 @@
 //! validators/certificates ([`verify`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod colouring;

@@ -5,6 +5,8 @@
 //! process-mode tests can point `MRLR_DIST_WORKER_BIN` at a known-good
 //! worker without re-executing a test harness.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     std::process::exit(mrlr_mapreduce::dist::worker::worker_main());
 }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crate::dist::{DistConfig, DistSession, Wire};
 use crate::error::{CapacityKind, MrError, MrResult};
-use crate::executor::{self, Executor};
+use crate::executor::{self, ThreadPoolExecutor};
 use crate::metrics::{Metrics, RoundKind, Violation};
 use crate::payload::{PayloadBatch, PayloadSink};
 use crate::router::{self, RouterScratch};
@@ -70,10 +70,10 @@ pub struct ClusterConfig {
     pub tree_fanout: usize,
     /// The designated central machine.
     pub central: MachineId,
-    /// OS threads for machine supersteps: `0` or `1` selects the
-    /// sequential executor, `t > 1` a shared `t`-thread pool (see
-    /// [`crate::executor`]). Outputs and metrics are bit-identical either
-    /// way; only wall-clock changes.
+    /// OS threads for machine supersteps: the shared `t`-thread pool
+    /// (see [`crate::executor`]), where `0` or `1` is the 1-thread pool
+    /// that runs every task inline, in machine order. Outputs and metrics
+    /// are bit-identical either way; only wall-clock changes.
     pub threads: usize,
     /// Which runtime executes the supersteps (in process, or over the
     /// dist transport). Bit-identical either way; defaults to the
@@ -205,14 +205,14 @@ impl<S: MachineState> Cluster<S> {
         Cluster::with_executor(cfg, states, exec)
     }
 
-    /// Creates a cluster running machine supersteps on an explicit
-    /// [`Executor`] (overriding [`ClusterConfig::threads`]). Outputs and
-    /// [`Metrics`] are bit-identical across executors and runtimes; only
-    /// the wall-clock [`crate::metrics::SuperstepTiming`]s differ.
+    /// Creates a cluster running machine supersteps on an explicit pool
+    /// (overriding [`ClusterConfig::threads`]). Outputs and [`Metrics`]
+    /// are bit-identical across pools and runtimes; only the wall-clock
+    /// [`crate::metrics::SuperstepTiming`]s differ.
     pub fn with_executor(
         cfg: ClusterConfig,
         states: Vec<S>,
-        exec: Arc<dyn Executor>,
+        exec: Arc<ThreadPoolExecutor>,
     ) -> MrResult<Self> {
         cfg.validate()?;
         if states.len() != cfg.machines {
@@ -240,11 +240,6 @@ impl<S: MachineState> Cluster<S> {
         };
         cluster.check_states()?;
         Ok(cluster)
-    }
-
-    /// The executor running this cluster's machine supersteps.
-    pub fn executor(&self) -> &Arc<dyn Executor> {
-        self.sched.executor()
     }
 
     /// The configuration this cluster runs under.

@@ -1,90 +1,48 @@
-//! The pluggable execution substrate behind the cluster's supersteps.
+//! The worker pool behind the cluster's supersteps.
 //!
-//! An [`Executor`] runs one task per simulated machine, possibly on real
-//! OS threads. The trait's only required operation, [`Executor::run`], is
-//! an *unordered* index-parallel for-loop; every ordered observable is
-//! reconstructed afterwards in machine-id order by the scheduling layer
-//! ([`crate::superstep::Scheduler`]), which submits one task per shard
-//! and owns the index-ordered maps the cluster runs its supersteps
-//! through. Because each task touches only its own
-//! machine's state and its own output slot, and all merges are
-//! index-ordered, a run is **bit-identical** across executors and thread
-//! counts — the determinism contract the equivalence suites assert.
+//! A [`ThreadPoolExecutor`] runs one task per simulated machine. Its one
+//! operation, [`ThreadPoolExecutor::run`], is an *unordered*
+//! index-parallel for-loop; every ordered observable is reconstructed
+//! afterwards in machine-id order by the scheduling layer
+//! ([`crate::superstep::Scheduler`]), which submits one task per shard.
+//! Because each task touches only its own machine's state and its own
+//! output cell, and all merges are index-ordered, a run is
+//! **bit-identical** across thread counts — the determinism contract the
+//! equivalence suites assert.
 //!
-//! Two executors ship:
+//! The pool is persistent, built on [`std::thread`] and
+//! [`std::sync::mpsc`] channels. Workers pull indices from a shared
+//! atomic counter, so load balances across machines with skewed state
+//! sizes; the submitting thread participates in the work. A 1-thread
+//! pool spawns no worker and runs every task inline in index order: it
+//! is the sequential schedule.
 //!
-//! * [`SeqExecutor`] — runs tasks inline in index order. Zero overhead;
-//!   the reference schedule.
-//! * [`ThreadPoolExecutor`] — a persistent pool built on [`std::thread`]
-//!   and [`std::sync::mpsc`] channels (the build environment has no
-//!   crates.io access, so rayon is not available; if it returns, a
-//!   `RayonExecutor` is a ~10-line impl of the same trait). Workers pull
-//!   indices from a shared atomic counter, so load balances across
-//!   machines with skewed state sizes; the submitting thread participates
-//!   in the work, so a 1-thread pool is simply the sequential schedule
-//!   with an atomic counter in the loop.
-//!
-//! The trait is `unsafe` to implement: the scheduler hands each task a
-//! `&mut` through a raw pointer, trusting the executor to run every index
-//! exactly once and to finish every task before `run` returns (see
-//! [`Executor`]'s *Safety* section).
+//! The pool's lifetime bridge is the crate's only `unsafe` code. Workers
+//! outlive any one `run` call, so `run` erases the task's borrow before
+//! queueing it, and blocks until every claimed index has completed — the
+//! invariant that keeps the erased borrow alive. Spawning scoped threads
+//! per run would need no bridge, but costs more than a whole superstep.
 //!
 //! [`executor_for`] caches one pool per thread count for the whole
 //! process, so every later solve at that count — the next job of a
 //! [`Registry::solve_batch`], the next request of a daemon — finds its
 //! threads already spawned; no caller pre-warms anything. The default
 //! thread count comes from the `MRLR_THREADS` environment variable
-//! (unset or `1` = the sequential executor; anything but a positive
+//! (unset or `1` = the sequential schedule; anything but a positive
 //! integer is an error).
 //!
 //! [`Registry::solve_batch`]: https://docs.rs/mrlr-core
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// Index-parallel task runner for machine supersteps.
-///
-/// The order and interleaving of tasks are unspecified — callers own
-/// determinism by writing per-index outputs and merging in index order
-/// (see [`crate::superstep::Scheduler`]).
-///
-/// # Safety
-///
-/// [`crate::superstep::Scheduler`] hands task `i` an exclusive `&mut` to
-/// slot `i` of a caller-owned buffer through a raw pointer, and the
-/// router's threaded scatter writes through one, relying on this contract
-/// alone. [`Executor::run`] must:
-///
-/// * call `task(i)` exactly once for every `i in 0..count`, and never with
-///   any other index — a panicking task included, so a panic must not
-///   stop or repeat the other calls;
-/// * return, or unwind, only after every call it made has returned, and
-///   start none afterwards.
-///
-/// An implementation that calls an index twice hands out two live `&mut`
-/// to one slot; one that returns early lets a task write into a buffer
-/// its caller has already freed or read.
-pub unsafe trait Executor: Send + Sync {
-    /// Short human-readable name (`"seq"`, `"threads(4)"`, …) for traces
-    /// and bench labels.
-    fn name(&self) -> String;
+use bridge::Job;
 
-    /// Number of OS threads that may run tasks concurrently (1 for the
-    /// sequential executor).
-    fn threads(&self) -> usize;
-
-    /// Runs `task(i)` for every `i in 0..count`, returning when all are
-    /// done. If any task panics, the others still run, and the first
-    /// panic is re-raised once all have returned.
-    fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync));
-}
-
-/// [`Executor::run`] on the calling thread, in index order.
+/// Runs `task(i)` for every `i in 0..count` on the calling thread, in
+/// index order; the first panic is re-raised once all have returned.
 fn run_inline(count: usize, task: &(dyn Fn(usize) + Sync)) {
     let mut panic = None;
     for i in 0..count {
@@ -97,175 +55,105 @@ fn run_inline(count: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// The reference executor: tasks run inline, in index order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqExecutor;
+/// The lifetime bridge: a borrowed task shared with the persistent
+/// workers. Everything `unsafe` in the crate is in this module.
+#[allow(unsafe_code)]
+mod bridge {
+    use std::any::Any;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::Sender;
+    use std::sync::{Arc, Condvar, Mutex};
 
-// SAFETY: `run_inline` calls each index of `0..count` once, in order, on
-// the calling thread, catching each panic, before it returns or re-raises.
-unsafe impl Executor for SeqExecutor {
-    fn name(&self) -> String {
-        "seq".into()
+    /// One submitted superstep: a lifetime-erased task plus completion
+    /// state.
+    ///
+    /// [`run`] blocks until `completed == count`, so the erased borrow
+    /// outlives every dereference — workers claim an index *before*
+    /// calling the task and can never claim one after the counter is
+    /// exhausted.
+    pub(super) struct Job {
+        /// The task, with its lifetime erased. Only dereferenced by
+        /// threads holding a claimed index, all of which complete before
+        /// the submitting [`run`] call returns.
+        task: *const (dyn Fn(usize) + Sync),
+        count: usize,
+        /// Next index to claim.
+        next: AtomicUsize,
+        /// Indices completed so far; the job is done at `count`.
+        completed: AtomicUsize,
+        /// First panic payload raised by a task, re-raised by the
+        /// submitter.
+        panic: Mutex<Option<Box<dyn Any + Send>>>,
+        done: Mutex<bool>,
+        signal: Condvar,
     }
 
-    fn threads(&self) -> usize {
-        1
-    }
+    // SAFETY: the raw task pointer is only dereferenced while the
+    // submitting `run` frame is alive (it blocks on `done`), and the
+    // pointee is `Sync`, so shared cross-thread calls are safe; every
+    // other field is an atomic, a `Mutex` or a `Condvar`.
+    unsafe impl Send for Job {}
+    // SAFETY: as for `Send` — workers only share `&Job`.
+    unsafe impl Sync for Job {}
 
-    fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        run_inline(count, task);
-    }
-}
-
-/// One submitted superstep: a lifetime-erased task plus completion state.
-///
-/// `run` blocks until `completed == count`, so the erased borrow outlives
-/// every dereference — workers claim an index *before* calling the task
-/// and can never claim one after the counter is exhausted.
-struct Job {
-    /// The task, with its lifetime erased. Only dereferenced by threads
-    /// holding a claimed index, all of which complete before the
-    /// submitting `run` call returns.
-    task: *const (dyn Fn(usize) + Sync),
-    count: usize,
-    /// Next index to claim.
-    next: AtomicUsize,
-    /// Indices completed so far; the job is done at `count`.
-    completed: AtomicUsize,
-    /// First panic payload raised by a task, re-raised by the submitter.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done: Mutex<bool>,
-    signal: Condvar,
-}
-
-// SAFETY: the raw task pointer is only dereferenced while the submitting
-// `ThreadPoolExecutor::run` frame is alive (it blocks on `done`), and the
-// pointee is `Sync`, so shared cross-thread calls are safe; every other
-// field is an atomic, a `Mutex` or a `Condvar`.
-unsafe impl Send for Job {}
-// SAFETY: as for `Send` — workers only share `&Job`.
-unsafe impl Sync for Job {}
-
-impl Job {
-    /// Claims and runs indices until the counter is exhausted. Returns
-    /// whether this call completed the last index.
-    fn work(&self) -> bool {
-        let mut finished_last = false;
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.count {
-                break;
+    impl Job {
+        /// Claims and runs indices until the counter is exhausted, and
+        /// wakes the submitter if this call completed the last index.
+        pub(super) fn help(&self) {
+            let mut finished_last = false;
+            loop {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                if i >= self.count {
+                    break;
+                }
+                // SAFETY: the reference is formed only while holding
+                // claim `i < count`, which implies the submitter is still
+                // blocked in `run` (it cannot return before every claimed
+                // index completes), so the erased borrow is alive. A
+                // worker that dequeues the job late only ever sees an
+                // exhausted counter and never touches the pointer.
+                let task = unsafe { &*self.task };
+                // A panicking task must still count as completed, or the
+                // submitter would wait forever; the payload is re-raised
+                // on the submitting thread once the job drains.
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                    self.panic.lock().unwrap().get_or_insert(payload);
+                }
+                let done_so_far = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
+                finished_last = done_so_far == self.count;
             }
-            // SAFETY: the reference is formed only while holding claim
-            // `i < count`, which implies the submitter is still blocked in
-            // `run` (it cannot return before every claimed index
-            // completes), so the erased borrow is alive. A worker that
-            // dequeues the job late only ever sees an exhausted counter
-            // and never touches the pointer.
-            let task = unsafe { &*self.task };
-            // A panicking task must still count as completed, or the
-            // submitter would wait forever; the payload is re-raised on
-            // the submitting thread once the job drains.
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                let mut slot = self.panic.lock().unwrap();
-                slot.get_or_insert(payload);
+            if finished_last {
+                *self.done.lock().unwrap() = true;
+                self.signal.notify_all();
             }
-            let done_so_far = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
-            finished_last = done_so_far == self.count;
         }
-        finished_last
-    }
 
-    fn mark_done(&self) {
-        let mut done = self.done.lock().unwrap();
-        *done = true;
-        self.signal.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap();
-        while !*done {
-            done = self.signal.wait(done).unwrap();
+        fn wait(&self) {
+            let mut done = self.done.lock().unwrap();
+            while !*done {
+                done = self.signal.wait(done).unwrap();
+            }
         }
     }
-}
 
-/// A persistent worker pool on `std::thread` + mpsc channels.
-///
-/// `new(threads)` spawns `threads - 1` workers; the thread calling
-/// [`Executor::run`] is the remaining participant. Concurrent `run` calls
-/// from different threads are safe: each submission is an independent
-/// `Job` queued to every worker, and completion is tracked per job.
-pub struct ThreadPoolExecutor {
-    threads: usize,
-    senders: Mutex<Vec<Sender<PoolMsg>>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-enum PoolMsg {
-    Job(Arc<Job>),
-    Shutdown,
-}
-
-impl ThreadPoolExecutor {
-    /// A pool where up to `threads` OS threads (including the submitter)
-    /// run tasks concurrently. `threads` is clamped to at least 1.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for w in 1..threads {
-            let (tx, rx) = channel::<PoolMsg>();
-            senders.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mrlr-exec-{w}"))
-                    .spawn(move || {
-                        while let Ok(PoolMsg::Job(job)) = rx.recv() {
-                            if job.work() {
-                                job.mark_done();
-                            }
-                        }
-                    })
-                    .expect("spawning an executor worker thread"),
-            );
-        }
-        ThreadPoolExecutor {
-            threads,
-            senders: Mutex::new(senders),
-            handles,
-        }
-    }
-}
-
-// SAFETY: an index is claimed by one `fetch_add` on the job's counter, so
-// each of `0..count` runs once and no other index runs; panics are caught
-// per task, and `run` waits for `completed == count` before it returns or
-// re-raises. The inline path is `run_inline`.
-unsafe impl Executor for ThreadPoolExecutor {
-    fn name(&self) -> String {
-        format!("threads({})", self.threads)
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        if count == 0 {
-            return;
-        }
-        if self.threads == 1 || count == 1 {
-            // Nothing to fan out; skip the queueing machinery.
-            return run_inline(count, task);
-        }
+    /// Runs `task(i)` for every `i in 0..count` on the calling thread and
+    /// every worker reachable through `workers`, returning — or
+    /// re-raising the first task panic — only once every index has
+    /// completed. Each index is claimed by one `fetch_add`, so it runs
+    /// exactly once, and no other index runs.
+    pub(super) fn run(
+        workers: &Mutex<Vec<Sender<Arc<Job>>>>,
+        count: usize,
+        task: &(dyn Fn(usize) + Sync),
+    ) {
         // SAFETY: only the lifetime is transmuted. `run` blocks on
         // `job.wait()` below, so the borrow of `task` outlives every
         // dereference (see `Job`).
-        let task_static: *const (dyn Fn(usize) + Sync) =
+        let task: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&_, &'static (dyn Fn(usize) + Sync)>(task) };
         let job = Arc::new(Job {
-            task: task_static,
+            task,
             count,
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
@@ -273,19 +161,13 @@ unsafe impl Executor for ThreadPoolExecutor {
             done: Mutex::new(false),
             signal: Condvar::new(),
         });
-        {
-            let senders = self.senders.lock().unwrap();
-            for tx in senders.iter() {
-                // A worker that exited (only possible at shutdown) is fine
-                // to skip: the submitter and remaining workers drain the
-                // job.
-                let _ = tx.send(PoolMsg::Job(Arc::clone(&job)));
-            }
+        for tx in workers.lock().unwrap().iter() {
+            // A worker that exited (only possible at shutdown) is fine to
+            // skip: the submitter and remaining workers drain the job.
+            let _ = tx.send(Arc::clone(&job));
         }
         // The submitting thread is a full participant.
-        if job.work() {
-            job.mark_done();
-        }
+        job.help();
         job.wait();
         let payload = job.panic.lock().unwrap().take();
         if let Some(payload) = payload {
@@ -294,48 +176,79 @@ unsafe impl Executor for ThreadPoolExecutor {
     }
 }
 
-impl Drop for ThreadPoolExecutor {
-    fn drop(&mut self) {
-        let senders = std::mem::take(&mut *self.senders.lock().unwrap());
-        for tx in &senders {
-            let _ = tx.send(PoolMsg::Shutdown);
+/// A persistent worker pool on `std::thread` + mpsc channels.
+///
+/// `new(threads)` spawns `threads - 1` workers; the thread calling
+/// [`ThreadPoolExecutor::run`] is the remaining participant. Concurrent
+/// `run` calls from different threads are safe: each submission is an
+/// independent job queued to every worker, and completion is tracked per
+/// job.
+pub struct ThreadPoolExecutor {
+    threads: usize,
+    workers: Mutex<Vec<Sender<Arc<Job>>>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl ThreadPoolExecutor {
+    /// A pool where up to `threads` OS threads (including the submitter)
+    /// run tasks concurrently. `threads` is clamped to at least 1.
+    pub fn new(threads: usize) -> Self {
+        let threads = threads.max(1);
+        let mut workers = Vec::new();
+        let mut handles = Vec::new();
+        for w in 1..threads {
+            let (tx, rx) = channel::<Arc<Job>>();
+            workers.push(tx);
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("mrlr-exec-{w}"))
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            job.help();
+                        }
+                    })
+                    .expect("spawning an executor worker thread"),
+            );
         }
-        drop(senders);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        ThreadPoolExecutor {
+            threads,
+            workers: Mutex::new(workers),
+            handles,
+        }
+    }
+
+    /// Short human-readable name (`"threads(4)"`) for traces and bench
+    /// labels.
+    pub fn name(&self) -> String {
+        format!("threads({})", self.threads)
+    }
+
+    /// Number of OS threads that may run tasks concurrently.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Runs `task(i)` for every `i in 0..count`, in no particular order,
+    /// returning when all are done. If any task panics, the others still
+    /// run, and the first panic is re-raised once all have returned.
+    pub fn run(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
+        if self.threads == 1 || count <= 1 {
+            // Nothing to fan out; skip the queueing machinery.
+            run_inline(count, task)
+        } else {
+            bridge::run(&self.workers, count, task)
         }
     }
 }
 
-/// Pointer wrapper that lets disjoint-index tasks write into a shared
-/// buffer. Soundness: every task touches only its own index. Access goes
-/// through the method (not the field) so 2021-edition closures capture
-/// the `Sync` wrapper rather than the raw pointer inside it. Shared by
-/// the scheduler and routing layers ([`crate::superstep`],
-/// [`crate::router`]), which both use the same disjoint-index
-/// discipline.
-pub(crate) struct RawSlots<T>(*mut T);
-// SAFETY: sharing the wrapper only shares the base address; every
-// dereference goes through `slot`, whose contract forbids aliasing
-// accesses, and `T: Send` lets the slot values be written or moved from
-// whichever thread owns the index. Index ownership is the `Executor`
-// contract: each index runs in exactly one task, and every task has
-// returned before `run` does.
-unsafe impl<T: Send> Sync for RawSlots<T> {}
-
-impl<T> RawSlots<T> {
-    /// Wraps the base pointer of a buffer whose slots will be accessed
-    /// by disjoint indices.
-    pub(crate) fn new(base: *mut T) -> Self {
-        RawSlots(base)
-    }
-
-    /// Pointer to slot `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds, and no two live accesses may alias.
-    pub(crate) unsafe fn slot(&self, i: usize) -> *mut T {
-        self.0.add(i)
+impl Drop for ThreadPoolExecutor {
+    fn drop(&mut self) {
+        // Closing every channel ends its worker's receive loop.
+        let workers = self.workers.get_mut();
+        workers.unwrap_or_else(PoisonError::into_inner).clear();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
@@ -376,16 +289,13 @@ pub fn default_threads() -> usize {
     *DEFAULT.get_or_init(|| env_threads().unwrap_or_else(|e| panic!("{e}")))
 }
 
-/// The shared executor for `threads` threads: [`SeqExecutor`] for 0 or 1,
-/// else one process-wide cached [`ThreadPoolExecutor`] per thread count —
-/// repeated solves (and batched registry runs) reuse warm pools instead of
-/// respawning threads.
-pub fn executor_for(threads: usize) -> Arc<dyn Executor> {
-    static SEQ: OnceLock<Arc<SeqExecutor>> = OnceLock::new();
+/// The shared pool for `threads` threads (0 counts as 1): one
+/// process-wide cached [`ThreadPoolExecutor`] per thread count, so
+/// repeated solves (and batched registry runs) reuse warm pools instead
+/// of respawning threads.
+pub fn executor_for(threads: usize) -> Arc<ThreadPoolExecutor> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPoolExecutor>>>> = OnceLock::new();
-    if threads <= 1 {
-        return SEQ.get_or_init(|| Arc::new(SeqExecutor)).clone() as Arc<dyn Executor>;
-    }
+    let threads = threads.max(1);
     let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
     let mut pools = pools.lock().unwrap();
     pools
@@ -394,16 +304,12 @@ pub fn executor_for(threads: usize) -> Arc<dyn Executor> {
         .clone()
 }
 
-/// [`executor_for`] at [`default_threads`] — what `Cluster::new` uses when
-/// no executor is supplied explicitly.
-pub fn default_executor() -> Arc<dyn Executor> {
-    executor_for(default_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::superstep::Scheduler;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn pool_sched(threads: usize) -> Scheduler {
         Scheduler::new(Arc::new(ThreadPoolExecutor::new(threads)))
@@ -416,7 +322,7 @@ mod tests {
 
     #[test]
     fn seq_and_pool_agree_on_map() {
-        let expected = squares(&Scheduler::new(Arc::new(SeqExecutor)), 1000);
+        let expected = squares(&Scheduler::new(executor_for(1)), 1000);
         for threads in [1usize, 2, 3, 8] {
             let sched = pool_sched(threads);
             assert_eq!(squares(&sched, 1000), expected, "threads = {threads}");
@@ -509,7 +415,7 @@ mod tests {
     #[test]
     fn pool_tasks_genuinely_overlap() {
         // A rendezvous only two *concurrently live* tasks can pass: each
-        // blocks until the other arrives. A sequential executor would
+        // blocks until the other arrives. A 1-thread pool would
         // deadlock here; the pool (submitter + 1 worker, two OS threads)
         // completes even on a single-CPU host via preemption. This is the
         // structural proof that supersteps execute concurrently — the
@@ -525,14 +431,14 @@ mod tests {
         assert_eq!(crossed.load(Ordering::Relaxed), 2);
     }
 
-    /// The `Executor` safety contract, on every shipped executor: each
-    /// index of `0..count` runs exactly once and no other index runs —
-    /// also when one task panics, whose panic reaches the submitter only
-    /// after every other index has run — and the executor then serves the
-    /// next job. Through the scheduler, `map_mut` visits each item once.
+    /// The pool's contract, at every thread count: each index of
+    /// `0..count` runs exactly once and no other index runs — also when
+    /// one task panics, whose panic reaches the submitter only after
+    /// every other index has run — and the pool then serves the next job.
+    /// Through the scheduler, `map_mut` visits each item once.
     #[test]
     fn every_index_runs_exactly_once_even_when_one_panics() {
-        let mut executors: Vec<Arc<dyn Executor>> = vec![Arc::new(SeqExecutor)];
+        let mut executors = vec![executor_for(1)];
         for threads in [1, 2, 4] {
             executors.push(Arc::new(ThreadPoolExecutor::new(threads)));
         }
@@ -585,6 +491,37 @@ mod tests {
         }
     }
 
+    /// The lifetime bridge's invariant: `run` returns — here, unwinds —
+    /// only after every claimed task has finished with the borrowed
+    /// task. The first-claimed index panics at once while the others
+    /// sleep and then write into a stack-local buffer; a `run` that
+    /// re-raised the panic before the job drained would leave writes
+    /// missing (and land them in a dead frame) whenever a worker, not
+    /// the submitter, finishes last — so each pool size runs it often.
+    #[test]
+    fn a_panicking_run_unwinds_only_after_every_write() {
+        const COUNT: usize = 24;
+        for threads in [2, 4] {
+            let pool = ThreadPoolExecutor::new(threads);
+            for round in 0..8 {
+                let written = [const { AtomicU64::new(0) }; COUNT];
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    pool.run(COUNT, &|i| {
+                        if i == 0 {
+                            panic!("first task exploded");
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                        written[i].store(i as u64, Ordering::Relaxed);
+                    })
+                }));
+                let what = format!("{threads} threads, round {round}");
+                assert!(result.is_err(), "{what}: the panic is re-raised");
+                let seen: Vec<u64> = written.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+                assert_eq!(seen, (0..COUNT as u64).collect::<Vec<_>>(), "{what}");
+            }
+        }
+    }
+
     #[test]
     fn task_panics_propagate_to_the_submitter() {
         let pool = ThreadPoolExecutor::new(4);
@@ -610,7 +547,8 @@ mod tests {
         let b = executor_for(3);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.name(), "threads(3)");
-        assert_eq!(executor_for(0).name(), "seq");
+        assert_eq!(executor_for(0).name(), "threads(1)");
+        assert!(Arc::ptr_eq(&executor_for(0), &executor_for(1)));
         assert_eq!(executor_for(1).threads(), 1);
     }
 

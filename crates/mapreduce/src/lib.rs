@@ -20,7 +20,7 @@
 //!   and space accounting), [`router`] (the message-delivery plane; with
 //!   [`payload`], the flat staging sink of
 //!   [`cluster::Cluster::gather_payload`]) and [`superstep`]
-//!   (shard→thread scheduling over the executor seam).
+//!   (shard→thread scheduling on the worker pool).
 //! * [`rng`] provides partition-stable hash-derived randomness so that a
 //!   distributed run is bit-identical to its sequential counterpart.
 //! * [`bitset::Bitset`] and [`words::WordSized`] handle exact word-level
@@ -49,19 +49,21 @@
 //!
 //! ## The executor seam
 //!
-//! Machine supersteps run on a pluggable [`executor::Executor`]:
-//! [`executor::SeqExecutor`] runs machines inline in id order, and
-//! [`executor::ThreadPoolExecutor`] (a persistent `std::thread` + channel
-//! pool — the offline build has no rayon) runs them genuinely
-//! concurrently. Every ordered observable — outputs, message delivery,
-//! metrics, failures — is merged in machine-id order after each pass, so
-//! a run is **bit-identical across executors and thread counts** given
-//! the seed; only the wall-clock [`metrics::SuperstepTiming`]s differ.
-//! Select the executor with [`cluster::ClusterConfig::threads`] (default:
-//! the `MRLR_THREADS` environment variable) or inject one through
-//! [`cluster::Cluster::with_executor`]. If crates.io access returns, a
-//! rayon-backed executor is a small impl of the same trait — no call
-//! sites change.
+//! Machine supersteps run on a persistent worker pool,
+//! [`executor::ThreadPoolExecutor`] (`std::thread` + channels); a
+//! 1-thread pool runs machines inline in id order. Every ordered
+//! observable — outputs, message delivery, metrics, failures — is merged
+//! in machine-id order after each pass, so a run is **bit-identical
+//! across thread counts** given the seed; only the wall-clock
+//! [`metrics::SuperstepTiming`]s differ. Select the thread count with
+//! [`cluster::ClusterConfig::threads`] (default: the `MRLR_THREADS`
+//! environment variable) or inject a pool through
+//! [`cluster::Cluster::with_executor`].
+//!
+//! The scheduler and the router are safe code; the crate denies
+//! `unsafe_code` everywhere but the pool's lifetime bridge in
+//! [`executor`], which lends each superstep's borrowed task to threads
+//! that outlive it.
 //!
 //! ```
 //! use mrlr_mapreduce::cluster::{Cluster, ClusterConfig};
@@ -77,6 +79,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitset;
@@ -103,10 +106,7 @@ pub use cluster::{
 pub use csr::{Csr, CsrBuilder, CsrOverflow};
 pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader, WorkerKill};
 pub use error::{CapacityKind, MrError, MrResult};
-pub use executor::{
-    default_threads, env_threads, executor_for, parse_threads, Executor, SeqExecutor,
-    ThreadPoolExecutor,
-};
+pub use executor::{default_threads, env_threads, executor_for, parse_threads, ThreadPoolExecutor};
 pub use ingest::Ingest;
 pub use metrics::{
     DistSummary, Metrics, RecoveryEvent, RoundKind, RoundRecord, SuperstepTiming, Violation,

@@ -55,9 +55,9 @@ pub struct RoundRecord {
 /// machine-local work), recorded by the cluster around each executor pass.
 ///
 /// Timing is an *observation of the host machine*, not of the simulated
-/// model — it varies run to run and across executors, so it is **excluded
-/// from [`Metrics`] equality** (the determinism suites compare threaded
-/// and sequential runs with `==`). What it buys: the trace can show real
+/// model — it varies run to run and across thread counts, so it is
+/// **excluded from [`Metrics`] equality** (the determinism suites compare
+/// threaded and sequential runs with `==`). What it buys: the trace can show real
 /// straggler skew (`max_machine_nanos` vs the per-machine mean) under the
 /// threaded executor, and the experiments can report wall-clock speedup
 /// vs thread count.

@@ -17,10 +17,13 @@
 //! the scatter is stable, so each destination's range reads back in
 //! exactly `(sender id, send order)` — at every thread count. With
 //! enough traffic the count and scatter passes run concurrently over
-//! senders (each sender owns a disjoint row of the count matrix and a
-//! disjoint set of arena cursors); sparse rounds take a sequential
-//! two-pass counting sort, which is already `O(messages + machines)`
-//! with no nested buffers.
+//! senders: each sender owns a row of the count matrix, and the arena is
+//! split (`split_at_mut`, in prefix-sum order) into one block per
+//! (sender, destination) pair, so each sender writes only through its
+//! own row of blocks. Sparse rounds take a sequential two-pass counting
+//! sort, which is already `O(messages + machines)` with no nested
+//! buffers. Both scatters are safe code: the arena is first filled with
+//! a staged message (`M: Copy`), then overwritten slot by slot.
 //!
 //! The unit tests check both paths against `route_merge`, a test-only
 //! oracle that appends message by message into one `Vec` per destination
@@ -52,7 +55,6 @@
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
-use crate::executor::RawSlots;
 use crate::shard::MachineId;
 use crate::superstep::Scheduler;
 use crate::words::WordSized;
@@ -371,7 +373,9 @@ pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
     let senders = outboxes.len();
     let total: usize = outboxes.iter().map(Outbox::len).sum();
     let mut arena: Vec<M> = scratch.take_arena();
-    arena.reserve(total);
+    if let Some(&fill) = outboxes.iter().find_map(|outbox| outbox.msgs.first()) {
+        arena.resize(total, fill);
+    }
     let mut in_words = scratch.take_usizes(machines);
     let mut ranges = scratch.take_ranges(machines);
 
@@ -393,17 +397,22 @@ pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
         });
         drop(rows);
         // Column-major prefix sum: destination ranges in machine order,
-        // sender order within a destination. `counts[s][d]` becomes the
-        // arena cursor where sender `s`'s block for `d` starts.
+        // sender order within a destination. The arena is cut in the
+        // same order, so sender `s`'s block for `d` lands at `blocks[s *
+        // machines + d]`, and the blocks tile `0..total`.
+        let mut blocks: Vec<&mut [M]> = Vec::new();
+        blocks.resize_with(senders * machines, Default::default);
+        let mut rest = arena.as_mut_slice();
         let mut offset = 0usize;
         for (d, range) in ranges.iter_mut().enumerate() {
             let start = offset;
             let mut dwords = 0usize;
             for s in 0..senders {
                 let cell = s * machines + d;
-                let c = counts[cell];
-                counts[cell] = offset;
-                offset += c;
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(counts[cell]);
+                blocks[cell] = block;
+                rest = tail;
+                offset += counts[cell];
                 dwords += words[cell];
             }
             *range = (start, offset - start);
@@ -411,23 +420,18 @@ pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
         }
         assert_eq!(offset, total, "counted messages must fill the arena");
         // Stage 2: stable scatter, concurrent over senders. Each sender
-        // copies its messages to its own cursor block per destination;
-        // blocks are disjoint by construction of the prefix sums.
-        let arena_base = RawSlots::new(arena.as_mut_ptr());
+        // fills its own blocks front to back, one per destination.
         let mut rows: Vec<_> = outboxes
             .iter_mut()
-            .zip(counts.chunks_mut(machines))
+            .zip(blocks.chunks_mut(machines))
             .collect();
-        sched.map_mut(&mut rows, |_, (outbox, cursors)| {
+        sched.map_mut(&mut rows, |_, (outbox, blocks)| {
             for (&dst, &msg) in outbox.dsts.iter().zip(&outbox.msgs) {
-                // SAFETY: the prefix sums give every (sender, destination)
-                // pair its own block of `0..total`, which the arena
-                // reserved, and only this sender advances its cursors, so
-                // each write stays in its block and no two writes alias.
-                // The `Executor` contract runs each sender once and
-                // finishes every write before `map_mut` returns.
-                unsafe { arena_base.slot(cursors[dst]).write(msg) };
-                cursors[dst] += 1;
+                let (slot, rest) = std::mem::take(&mut blocks[dst])
+                    .split_first_mut()
+                    .expect("the count pass sized every block");
+                *slot = msg;
+                blocks[dst] = rest;
             }
         });
         drop(rows);
@@ -451,19 +455,14 @@ pub(crate) fn route<M: Copy + WordSized + Send + 'static>(
             offset += count;
         }
         assert_eq!(offset, total, "counted messages must fill the arena");
-        let slots = &mut arena.spare_capacity_mut()[..total];
         for outbox in &outboxes {
             for (&dst, &msg) in outbox.dsts.iter().zip(&outbox.msgs) {
-                slots[cursors[dst]].write(msg);
+                arena[cursors[dst]] = msg;
                 cursors[dst] += 1;
             }
         }
         scratch.put_usizes(cursors);
     }
-    // SAFETY: `total` slots were reserved, and whichever scatter ran
-    // wrote each slot of `0..total` exactly once: its per-destination
-    // blocks tile `0..offset`, and `offset == total` was asserted.
-    unsafe { arena.set_len(total) };
     for outbox in outboxes {
         scratch.put_columns(outbox.into_buffers());
     }

@@ -2,26 +2,32 @@
 //!
 //! One superstep of the MRC/MPC model runs the same computation on every
 //! machine (the paper's "map" / "reduce" halves of a round). The
-//! [`Scheduler`] hands every shard index of a pass to the raw
-//! [`Executor`], and an idle thread claims the next unclaimed shard — the
-//! master of the MapReduce execution overview handing the next task to
-//! whichever worker is free. Skewed passes (the colourings put all their
-//! groups on machines `0..κ`) therefore spread over every thread.
-//! [`StaticAssignment`] is the contiguous shard partition [`crate::dist`]
-//! hands its worker processes for the shuffle.
+//! [`Scheduler`] hands every shard index of a pass to the worker pool
+//! ([`ThreadPoolExecutor`]), and an idle thread claims the next unclaimed
+//! shard — the master of the MapReduce execution overview handing the
+//! next task to whichever worker is free. Skewed passes (the colourings
+//! put all their groups on machines `0..κ`) therefore spread over every
+//! thread. [`StaticAssignment`] is the contiguous shard partition
+//! [`crate::dist`] hands its worker processes for the shuffle.
+//!
+//! The scheduler is safe code. Each index of a pass owns one cell, a
+//! `Mutex` holding the task's input (an item, or its `&mut`) and then its
+//! result. A task takes its input out of the cell, so the master's "each
+//! task runs once" is a checked state: an index run twice panics instead
+//! of aliasing an item.
 //!
 //! Every ordered observable is reconstructed in shard-id order, so a run
-//! is bit-identical across executors and thread counts; only host
-//! wall-clock differs. [`RuntimeKind`] names where the shuffle happens —
-//! in process (`Shard`) or through the master/worker transport (`Dist`) —
+//! is bit-identical across thread counts; only host wall-clock differs.
+//! [`RuntimeKind`] names where the shuffle happens — in process
+//! (`Shard`) or through the master/worker transport (`Dist`) —
 //! selectable per run via [`crate::cluster::ClusterConfig::runtime`] or
 //! process-wide via the `MRLR_BACKEND` environment variable.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::executor::{env_value, Executor, RawSlots};
+use crate::executor::{env_value, ThreadPoolExecutor};
 
 /// Which cluster runtime executes the supersteps. Both are
 /// **bit-identical** in every model-level observable — solutions,
@@ -133,21 +139,16 @@ pub struct Pass<R> {
     pub task_nanos: Vec<u64>,
 }
 
-/// An [`Executor`] running shard tasks in index-ordered maps: everything
+/// A worker pool running shard tasks in index-ordered maps: everything
 /// the cluster facade needs to run one superstep's worth of shard tasks.
 pub struct Scheduler {
-    exec: Arc<dyn Executor>,
+    exec: Arc<ThreadPoolExecutor>,
 }
 
 impl Scheduler {
     /// A scheduler laying shard tasks onto `exec`.
-    pub fn new(exec: Arc<dyn Executor>) -> Self {
+    pub fn new(exec: Arc<ThreadPoolExecutor>) -> Self {
         Scheduler { exec }
-    }
-
-    /// The underlying executor.
-    pub fn executor(&self) -> &Arc<dyn Executor> {
-        &self.exec
     }
 
     /// OS threads available to a pass.
@@ -155,26 +156,31 @@ impl Scheduler {
         self.exec.threads()
     }
 
-    /// Runs `f(i)` for every index — each index is one executor task, so
-    /// an idle thread claims the next — and returns the results **in
-    /// index order** regardless of schedule.
-    pub(crate) fn map_count<R, F>(&self, count: usize, f: F) -> Vec<R>
+    /// Runs `f(i, input)` for the `i`-th input — each index is one pool
+    /// task, so an idle thread claims the next — and returns the results
+    /// **in index order** regardless of schedule.
+    fn map_cells<I, R, F>(&self, inputs: impl Iterator<Item = I>, f: F) -> Vec<R>
     where
+        I: Send,
         R: Send,
-        F: Fn(usize) -> R + Sync,
+        F: Fn(usize, I) -> R + Sync,
     {
-        let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
-        let slots = RawSlots::new(out.as_mut_ptr());
-        self.exec.run(count, &|i| {
-            // SAFETY: `i < count = out.len()`, and the `Executor` contract
-            // (an `unsafe trait`) runs every index exactly once, so each
-            // slot is written once with no aliasing; `out` outlives the
-            // pass because `run` returns or unwinds only after every task
-            // has returned.
-            unsafe { *slots.slot(i) = Some(f(i)) };
+        // Cell `i` holds task `i`'s input, then its result. The task
+        // holds the cell's lock while it runs; if it panics, `run`
+        // re-raises the panic and the poisoned cell is never read.
+        const ONCE: &str = "each index runs exactly once";
+        let cells: Vec<Mutex<(Option<I>, Option<R>)>> = inputs
+            .map(|input| Mutex::new((Some(input), None)))
+            .collect();
+        self.exec.run(cells.len(), &|i| {
+            let mut cell = cells[i].lock().expect(ONCE);
+            let input = cell.0.take().expect(ONCE);
+            cell.1 = Some(f(i, input));
         });
-        out.into_iter()
-            .map(|s| s.expect("scheduler ran every index"))
+        cells
+            .into_iter()
+            .map(|cell| cell.into_inner().expect("no task panicked").1)
+            .map(|result| result.expect("the pool ran every index"))
             .collect()
     }
 
@@ -185,7 +191,7 @@ impl Scheduler {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.map_count(items.len(), |i| f(i, &items[i]))
+        self.map_cells(items.iter(), f)
     }
 
     /// Index-ordered map with exclusive access to each item.
@@ -195,12 +201,7 @@ impl Scheduler {
         R: Send,
         F: Fn(usize, &mut T) -> R + Sync,
     {
-        let states = RawSlots::new(items.as_mut_ptr());
-        // SAFETY: `map_count` hands out each `i < items.len()` exactly
-        // once (the `Executor` contract), so `&mut items[i]` is exclusive
-        // for the task's duration, and no task outlives the borrow of
-        // `items`.
-        self.map_count(items.len(), |i| f(i, unsafe { &mut *states.slot(i) }))
+        self.map_cells(items.iter_mut(), f)
     }
 
     /// [`Scheduler::map_mut`] with per-task and whole-pass wall-clock
@@ -253,7 +254,6 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{SeqExecutor, ThreadPoolExecutor};
 
     #[test]
     fn static_assignment_is_a_balanced_partition() {
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn timed_passes_report_per_task_nanos() {
-        let sched = Scheduler::new(Arc::new(SeqExecutor));
+        let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(1)));
         let mut items = vec![0u64; 8];
         let pass = sched.timed_mut(&mut items, |i, x| {
             *x = i as u64;
@@ -306,8 +306,8 @@ mod tests {
     #[test]
     fn empty_and_degenerate_counts() {
         let sched = Scheduler::new(Arc::new(ThreadPoolExecutor::new(4)));
-        let empty: Vec<usize> = sched.map_count(0, |_| unreachable!("no tasks"));
+        let empty: Vec<usize> = sched.map_cells(0..0, |_, _: usize| unreachable!("no tasks"));
         assert!(empty.is_empty());
-        assert_eq!(sched.map_count(1, |i| i), vec![0]);
+        assert_eq!(sched.map_cells(0..1, |i, _| i), vec![0]);
     }
 }

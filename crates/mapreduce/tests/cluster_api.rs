@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig, Enforcement, MachineState};
 use mrlr_mapreduce::error::{CapacityKind, MrError};
-use mrlr_mapreduce::executor::{Executor, SeqExecutor, ThreadPoolExecutor};
+use mrlr_mapreduce::executor::{executor_for, ThreadPoolExecutor};
 use mrlr_mapreduce::metrics::Metrics;
 use mrlr_mapreduce::superstep::RuntimeKind;
 
@@ -256,11 +256,11 @@ fn shard_rng_streams_are_schedule_independent() {
 
 /// The runtime contract end-to-end: a mixed workload (local, skewed
 /// exchange, gather, broadcast, aggregate) is bit-identical — states
-/// and `Metrics` — across the sequential executor and thread pools of
+/// and `Metrics` — across the shared 1-thread pool and fresh pools of
 /// several sizes.
 #[test]
 fn runtimes_and_thread_counts_are_bit_identical() {
-    fn workload(exec: Arc<dyn Executor>) -> (Vec<Vec<u64>>, Metrics) {
+    fn workload(exec: Arc<ThreadPoolExecutor>) -> (Vec<Vec<u64>>, Metrics) {
         let machines = 16;
         let states: Vec<VecState> = (0..machines).map(|i| VecState(vec![i as u64])).collect();
         let mut c = Cluster::with_executor(config(machines, 100_000), states, exec).unwrap();
@@ -294,7 +294,7 @@ fn runtimes_and_thread_counts_are_bit_identical() {
         (states.into_iter().map(|s| s.0).collect(), metrics)
     }
 
-    let (seq_states, seq_metrics) = workload(Arc::new(SeqExecutor));
+    let (seq_states, seq_metrics) = workload(executor_for(1));
     for threads in [1usize, 2, 8] {
         let (states, metrics) = workload(Arc::new(ThreadPoolExecutor::new(threads)));
         assert_eq!(states, seq_states, "states diverged ({threads} threads)");

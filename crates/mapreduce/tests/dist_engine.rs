@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use mrlr_mapreduce::cluster::{Cluster, ClusterConfig, MachineState};
 use mrlr_mapreduce::dist::{DistConfig, SpawnKind, WorkerKill};
-use mrlr_mapreduce::executor::{Executor, SeqExecutor, ThreadPoolExecutor};
+use mrlr_mapreduce::executor::{executor_for, ThreadPoolExecutor};
 use mrlr_mapreduce::metrics::Metrics;
 use mrlr_mapreduce::superstep::RuntimeKind;
 use mrlr_mapreduce::trace::Timeline;
@@ -26,7 +26,7 @@ impl MachineState for VecState {
 /// The same mixed workload as `cluster_api.rs`: skewed local work, a
 /// value-dependent all-to-all exchange, gather, broadcast, aggregate.
 fn workload(
-    exec: Arc<dyn Executor>,
+    exec: Arc<ThreadPoolExecutor>,
     runtime: RuntimeKind,
     dist: DistConfig,
 ) -> (Vec<Vec<u64>>, Metrics) {
@@ -76,13 +76,9 @@ fn dist_cfg(workers: usize) -> DistConfig {
     }
 }
 
-/// Reference run: the in-process runtime on the sequential executor.
+/// Reference run: the in-process runtime on the 1-thread pool.
 fn reference() -> (Vec<Vec<u64>>, Metrics) {
-    workload(
-        Arc::new(SeqExecutor),
-        RuntimeKind::Shard,
-        DistConfig::default(),
-    )
+    workload(executor_for(1), RuntimeKind::Shard, DistConfig::default())
 }
 
 #[test]
@@ -131,7 +127,7 @@ fn killed_worker_recovers_bit_identically() {
                 superstep: kill_superstep,
             }],
         };
-        let (states, metrics) = workload(Arc::new(SeqExecutor), RuntimeKind::Dist, dist);
+        let (states, metrics) = workload(executor_for(1), RuntimeKind::Dist, dist);
         assert_eq!(states, ref_states, "kill@{kill_superstep}: states diverged");
         assert_eq!(
             metrics, ref_metrics,
@@ -168,7 +164,7 @@ fn process_workers_match_thread_workers() {
         spawn: SpawnKind::Process,
         kills: Vec::new(),
     };
-    let (states, metrics) = workload(Arc::new(SeqExecutor), RuntimeKind::Dist, dist);
+    let (states, metrics) = workload(executor_for(1), RuntimeKind::Dist, dist);
     assert_eq!(states, ref_states, "process-mode states diverged");
     assert_eq!(metrics, ref_metrics, "process-mode metrics diverged");
     let summary = metrics.dist.expect("dist summary");
@@ -191,7 +187,7 @@ fn killed_process_worker_recovers() {
             superstep: 2,
         }],
     };
-    let (states, metrics) = workload(Arc::new(SeqExecutor), RuntimeKind::Dist, dist);
+    let (states, metrics) = workload(executor_for(1), RuntimeKind::Dist, dist);
     assert_eq!(states, ref_states, "killed-process states diverged");
     assert_eq!(metrics, ref_metrics, "killed-process metrics diverged");
     let summary = metrics.dist.expect("dist summary");
@@ -209,7 +205,7 @@ fn heavy_exchange(runtime: RuntimeKind, dist: DistConfig) -> (Vec<Vec<u64>>, Met
         .with_runtime(runtime)
         .with_seed(11)
         .with_dist(dist);
-    let mut c = Cluster::with_executor(cfg, states, Arc::new(SeqExecutor)).unwrap();
+    let mut c = Cluster::with_executor(cfg, states, executor_for(1)).unwrap();
     c.exchange::<(u64, u64), _, _>(
         move |id, _, out| {
             for k in 0..3_200u64 {

@@ -25,6 +25,7 @@
 //!   the `bench_serve` load generator drive.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod protocol;

@@ -17,6 +17,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod generators;
 pub mod stats;

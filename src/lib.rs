@@ -8,6 +8,8 @@
 //! * [`core`] — the paper's algorithms (sequential, randomized, MapReduce).
 //! * [`baselines`] — literature baselines from Figure 1 (filtering, Luby).
 
+#![forbid(unsafe_code)]
+
 pub use mrlr_baselines as baselines;
 pub use mrlr_core as core;
 pub use mrlr_graph as graph;

@@ -83,10 +83,9 @@ fn identical_runs_are_bit_identical_including_metrics() {
 
 #[test]
 fn output_independent_of_execution_schedule() {
-    // The same job under the sequential executor and 2/4-thread pools
-    // (genuinely concurrent machine supersteps since the Executor seam
-    // landed) must be bit-identical: solution, rounds, volumes, per-round
-    // detail. Repeated runs additionally catch per-process nondeterminism
+    // The same job on the 1-thread pool and 2/4-thread pools
+    // (genuinely concurrent machine supersteps) must be bit-identical:
+    // solution, rounds, volumes, per-round detail. Repeated runs additionally catch per-process nondeterminism
     // leaking into observables — e.g. a driver iterating a `HashMap`
     // (whose hasher is randomly seeded per instance) in arbitrary order.
     let g = generators::with_uniform_weights(&generators::densified(60, 0.5, 8), 1.0, 9.0, 2);

@@ -1,11 +1,11 @@
 //! The executor contract, asserted end-to-end over the whole registry:
-//! for every algorithm key, `Backend::Mr` under the threaded executor (1,
-//! 2 and 8 threads) returns **bit-identical** solutions, certificates and
-//! model-level `Metrics` to the sequential executor on fixed seeds. Only
+//! for every algorithm key, `Backend::Mr` on 2- and 8-thread pools
+//! returns **bit-identical** solutions, certificates and
+//! model-level `Metrics` to the 1-thread pool on fixed seeds. Only
 //! host wall-clock (`superstep_timings`, `Report::wall`) may differ —
 //! and `Metrics`/`Timeline` equality deliberately exclude it.
 //!
-//! `MrConfig::with_threads(1)` resolves to the sequential executor;
+//! `MrConfig::with_threads(1)` resolves to the shared 1-thread pool;
 //! pools of 1..=8 threads driving a raw `Cluster` are covered by the
 //! substrate's own tests (`mrlr_mapreduce::cluster`), so here the
 //! interesting legs are the multi-thread pools behind the full drivers.
@@ -235,7 +235,7 @@ fn colourings_with_fewer_groups_than_machines_are_thread_count_invariant() {
 
 #[test]
 fn executor_selection_resolves_threads() {
-    assert_eq!(executor_for(1).name(), "seq");
+    assert_eq!(executor_for(1).name(), "threads(1)");
     assert_eq!(executor_for(4).name(), "threads(4)");
     let cfg = MrConfig::auto(20, 100, 0.3, 1);
     // Unset MRLR_THREADS (the test environment default) = sequential.
