@@ -10,7 +10,18 @@
 //! (filtering, layered filtering, Crouch–Stubbs, coresets, Luby) follow in
 //! their own section.
 //!
-//! Usage: `cargo run --release -p mrlr-bench --bin figure1`
+//! The paper rows are also written to `FIGURE1.json` at the workspace
+//! root: per row the measured ratio against the certificate's lower bound
+//! (or the colour count against Corollary 6.3's budget), iterations,
+//! rounds and supersteps, and `peak_machine_words`, `peak_central_words`
+//! and `total_message_words` each beside its bound, plus the driver
+//! function that ran and the test that asserts the row's guarantee. The
+//! file holds no timings: everything in it is fixed by the seed, so
+//! `--check` regenerates it and requires byte equality with the committed
+//! file (`crates/bench/tests/figure1_contract.rs` checks that every named
+//! driver and test exists and that every measured value keeps its bound).
+//!
+//! Usage: `cargo run --release -p mrlr-bench --bin figure1 [-- --check]`
 
 #![forbid(unsafe_code)]
 
@@ -19,12 +30,14 @@ use mrlr_baselines::{
     layered_weighted_matching, luby_colouring, luby_mis,
 };
 use mrlr_bench::{max_ratio, min_ratio, render_table, vertex_weights, weighted_graph, Row};
+use mrlr_core::api::witness::AUDIT_TOL;
 use mrlr_core::api::{
     BMatchingInstance, Instance, Registry, Report, Solution, VertexWeightedGraph,
     DEFAULT_GREEDY_SC_EPS,
 };
 use mrlr_core::colouring::colour_budget;
 use mrlr_core::exact;
+use mrlr_core::io::Json;
 use mrlr_core::mr::MrConfig;
 use mrlr_core::seq::{b_matching_multiplier, greedy_set_cover, harmonic};
 use mrlr_core::verify;
@@ -35,17 +48,32 @@ const C: f64 = 0.5;
 const MU: f64 = 0.25;
 const SEED: u64 = 42;
 
+/// Where the committed rows live: the workspace root.
+const FIGURE1_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FIGURE1.json");
+
 /// One Figure-1 row: theory columns plus the workload to measure them on.
 struct Fig1Row {
     problem: &'static str,
     algorithm: &'static str,
     weighted: &'static str,
     approx_theory: String,
+    /// The theorem's approximation ratio, for the keys whose certificate
+    /// bounds it (`None`: the guarantee is maximality or a colour count).
+    ratio_bound: Option<f64>,
     rounds_theory: String,
     reference: &'static str,
+    /// The cluster driver the registry key dispatches to.
+    driver: &'static str,
+    /// The test that asserts this key's Figure-1 guarantee.
+    test: &'static str,
     instance: Instance,
     cfg: MrConfig,
 }
+
+const COVER_TEST: &str =
+    "tests/conformance.rs::cover_family_meets_figure_1_ratios_on_every_backend";
+const GRAPH_TEST: &str =
+    "tests/conformance.rs::graph_family_meets_figure_1_bounds_on_every_backend";
 
 fn paper_rows() -> Vec<Fig1Row> {
     let g = weighted_graph(N, C, SEED);
@@ -67,6 +95,7 @@ fn paper_rows() -> Vec<Fig1Row> {
         SEED,
     );
     let sc_cfg = MrConfig::auto(universe, sys_d.total_size(), mu_sc, SEED);
+    let greedy_bound = (1.0 + DEFAULT_GREEDY_SC_EPS) * harmonic(sys_d.max_set_size());
     // Dense G(n, 1/2) for the clique row.
     let dense = mrlr_graph::generators::gnp(120, 0.5, SEED);
     let dense_cfg = MrConfig::auto(120, dense.m(), 0.4, SEED);
@@ -80,8 +109,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "vertex-cover",
             weighted: "Y",
             approx_theory: "2".into(),
+            ratio_bound: Some(2.0),
             rounds_theory: rounds_c_mu.clone(),
             reference: "Thm 2.4",
+            driver: "mrlr_core::mr::vertex_cover::run",
+            test: COVER_TEST,
             instance: Instance::VertexWeighted(VertexWeightedGraph::new(
                 g.clone(),
                 vertex_weights(N, SEED),
@@ -93,8 +125,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "set-cover-f",
             weighted: "Y",
             approx_theory: format!("f = {}", sys_f.max_frequency()),
+            ratio_bound: Some(sys_f.max_frequency() as f64),
             rounds_theory: "O((c/mu)^2)".into(),
             reference: "Thm 2.4",
+            driver: "mrlr_core::mr::set_cover::run",
+            test: COVER_TEST,
             instance: Instance::SetSystem(sys_f),
             cfg,
         },
@@ -102,12 +137,12 @@ fn paper_rows() -> Vec<Fig1Row> {
             problem: "Set Cover",
             algorithm: "set-cover-greedy",
             weighted: "Y",
-            approx_theory: format!(
-                "(1+e)H_D = {:.2}",
-                (1.0 + DEFAULT_GREEDY_SC_EPS) * harmonic(sys_d.max_set_size())
-            ),
+            approx_theory: format!("(1+e)H_D = {greedy_bound:.2}"),
+            ratio_bound: Some(greedy_bound),
             rounds_theory: "O(log-ish / mu^2)".into(),
             reference: "Thm 4.6",
+            driver: "mrlr_core::mr::set_cover_greedy::run",
+            test: COVER_TEST,
             instance: Instance::SetSystem(sys_d),
             cfg: sc_cfg,
         },
@@ -116,8 +151,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "mis1",
             weighted: "-",
             approx_theory: "maximal".into(),
+            ratio_bound: None,
             rounds_theory: "O(1/mu^2)".into(),
             reference: "Thm 3.3 (Alg 2)",
+            driver: "mrlr_core::mr::mis::run_simple",
+            test: GRAPH_TEST,
             instance: Instance::Graph(g.unweighted()),
             cfg,
         },
@@ -126,8 +164,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "mis2",
             weighted: "-",
             approx_theory: "maximal".into(),
+            ratio_bound: None,
             rounds_theory: rounds_c_mu.clone(),
             reference: "Thm A.3 (Alg 6)",
+            driver: "mrlr_core::mr::mis::run_fast",
+            test: GRAPH_TEST,
             instance: Instance::Graph(g.unweighted()),
             cfg,
         },
@@ -136,8 +177,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "clique",
             weighted: "-",
             approx_theory: "maximal".into(),
+            ratio_bound: None,
             rounds_theory: "O(1/mu)".into(),
             reference: "Cor B.1",
+            driver: "mrlr_core::mr::clique::run",
+            test: GRAPH_TEST,
             instance: Instance::Graph(dense),
             cfg: dense_cfg,
         },
@@ -146,8 +190,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "matching",
             weighted: "Y",
             approx_theory: "2".into(),
+            ratio_bound: Some(2.0),
             rounds_theory: rounds_c_mu,
             reference: "Thm 5.6",
+            driver: "mrlr_core::mr::matching::run",
+            test: "tests/conformance.rs::matching_meets_theorem_5_6_on_densified_families",
             instance: Instance::Graph(g.clone()),
             cfg,
         },
@@ -156,8 +203,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "b-matching",
             weighted: "Y",
             approx_theory: format!("3-2/b+2e = {mult:.2}"),
+            ratio_bound: Some(mult),
             rounds_theory: "O(c/mu)".into(),
             reference: "Thm D.3",
+            driver: "mrlr_core::mr::bmatching::run",
+            test: COVER_TEST,
             instance: Instance::BMatching(BMatchingInstance::new(g.clone(), b, 0.25)),
             cfg,
         },
@@ -166,8 +216,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "vertex-colouring",
             weighted: "-",
             approx_theory: "(1+o(1))D".into(),
+            ratio_bound: None,
             rounds_theory: "O(1)".into(),
             reference: "Thm 6.4",
+            driver: "mrlr_core::mr::colouring::run_vertex",
+            test: GRAPH_TEST,
             instance: Instance::Graph(g.clone()),
             cfg,
         },
@@ -176,8 +229,11 @@ fn paper_rows() -> Vec<Fig1Row> {
             algorithm: "edge-colouring",
             weighted: "-",
             approx_theory: "(1+o(1))D".into(),
+            ratio_bound: None,
             rounds_theory: "O(1)".into(),
             reference: "Thm 6.6",
+            driver: "mrlr_core::mr::colouring::run_edge",
+            test: GRAPH_TEST,
             instance: Instance::Graph(g),
             cfg,
         },
@@ -204,7 +260,112 @@ fn approx_measured(report: &Report<Solution>, instance: &Instance) -> String {
     }
 }
 
+/// A measured value beside the bound it must keep.
+fn kept(measured: Json, bound: Json) -> Json {
+    Json::Obj(vec![("measured", measured), ("bound", bound)])
+}
+
+/// The `FIGURE1.json` row of one paper key. Panics if a measured value
+/// breaks its bound: the committed file only ever holds kept bounds.
+fn json_row(spec: &Fig1Row, report: &Report<Solution>) -> Json {
+    let key = spec.algorithm;
+    let m = report.metrics.as_ref().expect("Mr reports meter");
+    let words = |what: &str, measured: usize, bound: usize| {
+        assert!(measured <= bound, "{key}: {what} {measured} > {bound}");
+        kept(Json::count(measured), Json::count(bound))
+    };
+    let ratio = spec.ratio_bound.map_or(Json::Null, |bound| {
+        let ratio = report
+            .certificate
+            .certified_ratio
+            .unwrap_or_else(|| panic!("{key}: no certified ratio"));
+        // Greedy's fitted dual certifies exactly its bound, up to rounding.
+        assert!(
+            ratio <= bound * (1.0 + AUDIT_TOL),
+            "{key}: ratio {ratio} > {bound}"
+        );
+        kept(Json::F64(ratio), Json::F64(bound))
+    });
+    let colours = report.solution.as_colouring().map_or(Json::Null, |c| {
+        let g = spec
+            .instance
+            .graph()
+            .expect("colouring instances are graphs");
+        let budget = colour_budget(g.n(), g.max_degree(), spec.cfg.mu);
+        assert!(c.num_colours as f64 <= budget, "{key}: colours over budget");
+        kept(Json::count(c.num_colours), Json::F64(budget))
+    });
+    Json::Obj(vec![
+        ("key", Json::str(key)),
+        ("problem", Json::str(spec.problem)),
+        ("reference", Json::str(spec.reference)),
+        ("driver", Json::str(spec.driver)),
+        ("test", Json::str(spec.test)),
+        ("approx_theory", Json::str(&spec.approx_theory)),
+        ("rounds_theory", Json::str(&spec.rounds_theory)),
+        ("ratio", ratio),
+        ("colours", colours),
+        ("iterations", Json::count(report.solution.iterations())),
+        ("rounds", Json::count(m.rounds)),
+        ("supersteps", Json::count(m.supersteps)),
+        ("machines", Json::count(m.machines)),
+        (
+            "peak_machine_words",
+            words("peak machine words", m.peak_machine_words, m.capacity),
+        ),
+        (
+            "peak_central_words",
+            words("peak central words", m.peak_central_words, m.capacity),
+        ),
+        // Each machine sends at most its capacity per round.
+        (
+            "total_message_words",
+            words(
+                "total message words",
+                m.total_message_words,
+                m.rounds * m.machines * m.capacity,
+            ),
+        ),
+    ])
+}
+
+/// Writes `doc` to [`FIGURE1_JSON`], or with `check` compares it with
+/// the committed file and exits 1 on the first differing line.
+fn commit_or_check(doc: &str, check: bool) {
+    if !check {
+        std::fs::write(FIGURE1_JSON, doc).expect("write FIGURE1.json");
+        println!("wrote FIGURE1.json\n");
+        return;
+    }
+    let committed = std::fs::read_to_string(FIGURE1_JSON).unwrap_or_default();
+    if committed == doc {
+        println!("FIGURE1.json: regenerated rows equal the committed file\n");
+        return;
+    }
+    let (line, (want, got)) = committed
+        .lines()
+        .chain(std::iter::repeat(""))
+        .zip(doc.lines().chain(std::iter::repeat("")))
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+        .expect("the texts differ");
+    eprintln!(
+        "FIGURE1.json differs from the regenerated rows at line {}:\n  committed:   {want}\n  regenerated: {got}\n\
+         rerun `cargo run --release -p mrlr-bench --bin figure1` and commit the file if the change is intended",
+        line + 1
+    );
+    std::process::exit(1);
+}
+
 fn main() {
+    let check = match std::env::args().nth(1).as_deref() {
+        None => false,
+        Some("--check") => true,
+        Some(other) => {
+            eprintln!("figure1: unknown argument `{other}` (usage: figure1 [--check])");
+            std::process::exit(2);
+        }
+    };
     let registry = Registry::with_defaults();
     let g = weighted_graph(N, C, SEED);
     let m = g.m();
@@ -217,12 +378,14 @@ fn main() {
 
     // ---- The paper's rows: one registry dispatch per spec entry ----
     let mut rows: Vec<Row> = Vec::new();
+    let mut json_rows: Vec<Json> = Vec::new();
     let mut reports: Vec<(&'static str, Report<Solution>)> = Vec::new();
     for spec in paper_rows() {
         let report = registry
             .solve(spec.algorithm, &spec.instance, &spec.cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.algorithm));
         assert!(report.certificate.feasible, "{} infeasible", spec.algorithm);
+        json_rows.push(json_row(&spec, &report));
         let metrics = report.metrics.as_ref().expect("Mr reports meter");
         rows.push(Row(vec![
             spec.problem.into(),
@@ -256,6 +419,21 @@ fn main() {
             &rows
         )
     );
+
+    let doc = Json::Obj(vec![
+        (
+            "workload",
+            Json::Obj(vec![
+                ("n", Json::count(N)),
+                ("m", Json::count(m)),
+                ("c", Json::F64(C)),
+                ("mu", Json::F64(MU)),
+                ("seed", Json::U64(SEED)),
+            ]),
+        ),
+        ("rows", Json::Arr(json_rows)),
+    ]);
+    commit_or_check(&doc.render(), check);
 
     // ---- Literature baselines (Figure 1 rows [27], [14], [4], [31], [32]) ----
     // The comparison anchor is the matching report already computed in the

@@ -20,8 +20,8 @@
 //! * `()`: zero bytes.
 //! * `Option<T>`: tag byte `0`/`1`, then the value if `1`.
 //! * `Vec<T>`: `u64` length, then the elements. Decoding never
-//!   pre-reserves more than the bytes that remain can justify, so a
-//!   corrupted length cannot balloon memory.
+//!   pre-reserves more bytes than remain in the buffer, so a corrupted
+//!   length cannot balloon memory.
 //! * `String`: `u64` byte length, then validated UTF-8.
 //! * Tuples (2–5): fields in order, no framing.
 //!
@@ -288,10 +288,14 @@ impl<T: Wire> Wire for Vec<T> {
             offset: at,
             reason: format!("vector length {len} exceeds host width"),
         })?;
-        // Never trust the announced length for allocation: each element is
-        // at least one byte on the wire (except zero-sized ones, which
-        // can't be Vec'd meaningfully), so cap the reserve by what remains.
-        let mut items = Vec::with_capacity(len.min(r.remaining()));
+        // Never trust the announced length for allocation: reserve at most
+        // as many *bytes* as remain in the buffer. An element may take
+        // fewer bytes on the wire than in memory (a `String` is 24 bytes
+        // in memory and 8 on the wire), so an honest vector of such
+        // elements grows past the reserve by pushing; a hostile length
+        // cannot make the reserve outgrow the frame.
+        let cap = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(cap));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }

@@ -14,7 +14,10 @@
 //! queue, with overload answered by an explicit `Busy` frame and every
 //! wait bounded by a per-request deadline. Identical concurrent solves
 //! — same `(instance, key, cfg, backend)` — are *coalesced* onto one
-//! solver run whose bit-identical report fans out to every waiter.
+//! solver run whose bit-identical report fans out to every waiter. The
+//! instance text is digested once per solve ([`protocol::CoalesceKey`]);
+//! that digest buckets both the coalescer and the parse cache, and a
+//! match counts only once the whole spec or text compares equal.
 //!
 //! * [`protocol`] — the tagged request/response wire frames (dist wire
 //!   discipline: canonical little-endian encodings, offset-exact decode
@@ -33,6 +36,6 @@ pub mod server;
 
 pub use client::{Client, ClientError, Served};
 pub use protocol::{
-    BatchJob, RenderOpts, ReportFormat, Request, Response, SolveSpec, StatsSnapshot,
+    BatchJob, CoalesceKey, RenderOpts, ReportFormat, Request, Response, SolveSpec, StatsSnapshot,
 };
 pub use server::{serve, ServeConfig};

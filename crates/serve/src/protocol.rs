@@ -20,13 +20,16 @@
 //! before the solver runs, so clients (and the smoke tests) can
 //! sequence concurrent requests deterministically.
 
-use mrlr_mapreduce::dist::wire::{encode_value, Wire, WireError, WireReader};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use mrlr_mapreduce::dist::wire::{Wire, WireError, WireReader};
 
 /// Everything that identifies one solver run. Two concurrent
-/// [`Request::Solve`]s with byte-identical [`SolveSpec`] encodings are
-/// *coalesced*: the daemon runs the solver once and fans the shared
-/// report out to every waiter. Rendering options deliberately live
-/// outside the spec — waiters render their own view of the shared run.
+/// [`Request::Solve`]s with equal [`SolveSpec`]s are *coalesced*: the
+/// daemon runs the solver once and fans the shared report out to every
+/// waiter. Rendering options deliberately live outside the spec —
+/// waiters render their own view of the shared run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveSpec {
     /// Registry key of the algorithm.
@@ -54,10 +57,78 @@ impl SolveSpec {
     pub fn mu(&self) -> f64 {
         f64::from_bits(self.mu_bits)
     }
+}
 
-    /// The canonical encoding bytes — the daemon's coalescing key.
-    pub fn coalesce_key(&self) -> Vec<u8> {
-        encode_value(self)
+/// A 64-bit digest of an instance text: four independent lanes each fold
+/// one little-endian word per 32-byte block by xor, multiply and rotate,
+/// and the lanes and the length are mixed at the end. It only picks a
+/// hash bucket — every table keyed by it compares the full text before
+/// it trusts a match — so it is built for speed, not for resistance to
+/// crafted collisions: one pass over a served instance costs a fraction
+/// of a SipHash pass.
+pub fn text_digest(text: &str) -> u64 {
+    const K: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xC2B2_AE3D_27D4_EB4F,
+        0x1656_67B1_9E37_79F9,
+        0xD6E8_FEB8_6659_FD93,
+    ];
+    fn fold(lanes: &mut [u64; 4], block: &[u8]) {
+        for ((lane, word), k) in lanes.iter_mut().zip(block.chunks_exact(8)).zip(K) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = (*lane ^ word).wrapping_mul(k).rotate_left(31);
+        }
+    }
+    let bytes = text.as_bytes();
+    let mut lanes = K;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        fold(&mut lanes, block);
+    }
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 32];
+    tail[..rest.len()].copy_from_slice(rest);
+    fold(&mut lanes, &tail);
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(K[0]).rotate_left(29);
+    }
+    h ^ (h >> 32)
+}
+
+/// The daemon's coalescing key: the [`text_digest`] of the spec's
+/// instance text beside the spec itself. Hashing writes only the digest;
+/// equality compares the digest and then the whole spec, so two keys are
+/// equal exactly when their specs are, and a digest collision costs a
+/// comparison, never a shared run.
+#[derive(Debug, Clone)]
+pub struct CoalesceKey {
+    pub(crate) digest: u64,
+    pub(crate) spec: Arc<SolveSpec>,
+}
+
+impl CoalesceKey {
+    /// Digests `spec`'s instance text once and takes the spec.
+    pub fn new(spec: SolveSpec) -> Self {
+        CoalesceKey {
+            digest: text_digest(&spec.instance_text),
+            spec: Arc::new(spec),
+        }
+    }
+}
+
+impl PartialEq for CoalesceKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest
+            && (Arc::ptr_eq(&self.spec, &other.spec) || self.spec == other.spec)
+    }
+}
+
+impl Eq for CoalesceKey {}
+
+impl Hash for CoalesceKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.digest.hash(state);
     }
 }
 
@@ -190,7 +261,8 @@ pub enum Request {
     /// Run one solver job (or join an identical in-flight run) and
     /// return the rendered report.
     Solve {
-        /// The run identity (also the coalescing key).
+        /// The run identity; the daemon coalesces on it through
+        /// [`CoalesceKey`].
         spec: SolveSpec,
         /// How to render the terminal report document.
         render: RenderOpts,
@@ -544,7 +616,7 @@ impl Wire for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrlr_mapreduce::dist::wire::decode_value;
+    use mrlr_mapreduce::dist::wire::{decode_value, encode_value};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = encode_value(&value);
@@ -638,10 +710,29 @@ mod tests {
 
     #[test]
     fn identical_specs_share_a_coalescing_key() {
-        assert_eq!(sample_spec().coalesce_key(), sample_spec().coalesce_key());
+        let key = || CoalesceKey::new(sample_spec());
+        assert_eq!(key(), key());
+        assert_eq!(key().digest, text_digest(&sample_spec().instance_text));
         let mut other = sample_spec();
         other.seed = 43;
-        assert_ne!(sample_spec().coalesce_key(), other.coalesce_key());
+        assert_ne!(key(), CoalesceKey::new(other));
+    }
+
+    #[test]
+    fn the_text_digest_sees_every_byte_and_the_length() {
+        let base = "p graph 40 2\ne 0 1 1.5\ne 2 3 2.5\n".repeat(3);
+        let d = text_digest(&base);
+        assert_eq!(d, text_digest(&base.clone()), "deterministic");
+        // One changed byte anywhere, in a whole block or in the tail.
+        for at in 0..base.len() {
+            let mut bytes = base.clone().into_bytes();
+            bytes[at] ^= 0x01;
+            let flipped = String::from_utf8(bytes).unwrap();
+            assert_ne!(text_digest(&flipped), d, "byte {at}");
+        }
+        // A zero-padded tail is not the same text as a shorter one.
+        assert_ne!(text_digest("ab"), text_digest("ab\0"));
+        assert_ne!(text_digest(""), text_digest("\0"));
     }
 
     #[test]

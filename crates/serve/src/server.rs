@@ -8,17 +8,29 @@
 //!   with a per-request deadline). When both are full the daemon
 //!   answers [`Response::Busy`] *immediately* — overload is an explicit
 //!   frame, never a hang.
-//! * **Request coalescing** (`Coalescer`): concurrent solves with
-//!   byte-identical [`SolveSpec`] encodings share one solver run. The
-//!   first arrival becomes the *runner* (and pays admission); later
-//!   arrivals attach as *waiters*, consume no slot, and receive the
-//!   same bit-identical `Report` the runner produced — each waiter
-//!   renders its own view of the shared run.
+//! * **Request coalescing** (`Coalescer`): concurrent solves with equal
+//!   [`SolveSpec`]s share one solver run. The first arrival becomes the
+//!   *runner* (and pays admission); later arrivals attach as *waiters*,
+//!   consume no slot, and receive the same bit-identical `Report` the
+//!   runner produced — each waiter renders its own view of the shared
+//!   run.
 //! * **Warm execution**: every solve is a `Registry::solve_with` call in
 //!   a process that stays up, so thread pools come from the
 //!   process-wide executor cache already spawned and a hot instance's
 //!   text is parsed once (`ParseCache`). Each job still distributes its
 //!   own input, exactly as `mrlr solve` and `mrlr batch` do offline.
+//!
+//! Both tables are keyed digest-then-compare: a solve's instance text is
+//! digested once ([`text_digest`], inside [`CoalesceKey::new`]), that
+//! digest picks the bucket in the coalescer and in the parse cache, and a
+//! match counts only after the whole spec (coalescer) or the whole text
+//! (parse cache) compares equal. A digest collision therefore costs a
+//! comparison and, in the parse cache, a re-parse — never a shared run or
+//! a wrong instance. The digest is unkeyed, so a client can craft
+//! colliding texts; that buys it no more than it has already: the
+//! coalescer holds one entry per run being admitted or solved (at most
+//! `max_inflight + queue` live ones), and a client that sends distinct
+//! texts forces the same re-parses.
 //!
 //! Shutdown is graceful: a [`Request::Shutdown`] flips the drain flag
 //! (queued and future requests are rejected with an error frame),
@@ -43,7 +55,8 @@ use mrlr_mapreduce::dist::wire::decode_value;
 use mrlr_mapreduce::{SpawnKind, Timeline};
 
 use crate::protocol::{
-    BatchJob, RenderOpts, ReportFormat, Request, Response, SolveSpec, StatsSnapshot,
+    text_digest, BatchJob, CoalesceKey, RenderOpts, ReportFormat, Request, Response, SolveSpec,
+    StatsSnapshot,
 };
 
 /// Daemon configuration.
@@ -293,7 +306,7 @@ enum Ticket<'a> {
 /// tells the waiters so instead of leaving them parked.
 struct Runner<'a> {
     coalescer: &'a Coalescer,
-    key: Vec<u8>,
+    key: CoalesceKey,
     job: Arc<Job>,
 }
 
@@ -315,9 +328,10 @@ impl Drop for Runner<'_> {
     }
 }
 
-/// The in-flight run table, keyed by canonical [`SolveSpec`] bytes.
+/// The in-flight run table, keyed by [`CoalesceKey`]: bucketed by the
+/// instance text's digest, matched on the whole spec.
 struct Coalescer {
-    jobs: Mutex<HashMap<Vec<u8>, Arc<Job>>>,
+    jobs: Mutex<HashMap<CoalesceKey, Arc<Job>>>,
 }
 
 impl Coalescer {
@@ -327,7 +341,7 @@ impl Coalescer {
         }
     }
 
-    fn join(&self, key: Vec<u8>) -> Ticket<'_> {
+    fn join(&self, key: CoalesceKey) -> Ticket<'_> {
         let mut jobs = self.jobs.lock().expect("coalescer poisoned");
         if let Some(job) = jobs.get(&key) {
             Ticket::Waiter(Arc::clone(job))
@@ -345,11 +359,14 @@ impl Coalescer {
 
 // -------------------------------------------------------------- engine --
 
-/// Bounded cache of parsed instances keyed by their exact text, so a
-/// hot instance is parsed once across requests. Cleared wholesale when
-/// it outgrows its cap — correctness never depends on a hit.
+/// Bounded cache of parsed instances keyed by their text's
+/// [`text_digest`], so a hot instance is parsed once across requests.
+/// Each entry keeps its text, and a hit counts only when that text equals
+/// the requested one; a digest collision is a miss, re-parsed and
+/// replacing the entry. Cleared wholesale when it outgrows its cap —
+/// correctness never depends on a hit.
 struct ParseCache {
-    map: Mutex<HashMap<String, Arc<Instance>>>,
+    map: Mutex<HashMap<u64, (String, Arc<Instance>)>>,
 }
 
 const PARSE_CACHE_CAP: usize = 64;
@@ -361,16 +378,19 @@ impl ParseCache {
         }
     }
 
-    fn get_or_parse(&self, text: &str) -> Result<Arc<Instance>, String> {
-        if let Some(hit) = self.map.lock().expect("cache poisoned").get(text) {
-            return Ok(Arc::clone(hit));
+    /// The parsed instance of `text`, whose [`text_digest`] is `digest`.
+    fn get_or_parse(&self, digest: u64, text: &str) -> Result<Arc<Instance>, String> {
+        if let Some((cached, hit)) = self.map.lock().expect("cache poisoned").get(&digest) {
+            if cached == text {
+                return Ok(Arc::clone(hit));
+            }
         }
         let parsed = Arc::new(core_io::parse_instance(text).map_err(|e| e.to_string())?);
         let mut map = self.map.lock().expect("cache poisoned");
         if map.len() >= PARSE_CACHE_CAP {
             map.clear();
         }
-        map.insert(text.to_string(), Arc::clone(&parsed));
+        map.insert(digest, (text.to_string(), Arc::clone(&parsed)));
         Ok(parsed)
     }
 }
@@ -472,13 +492,18 @@ impl Engine {
     }
 
     /// Runs one solve: the registry call `mrlr solve` makes offline, on
-    /// this process's cached instance and already-spawned pools.
-    fn run_solve(&self, spec: &SolveSpec) -> RunOutcome {
+    /// this process's cached instance and already-spawned pools. The
+    /// parse cache is looked up with the digest `key` already carries.
+    fn run_solve(&self, key: &CoalesceKey) -> RunOutcome {
+        let spec = &key.spec;
         let backend = match self.parse_backend(&spec.backend) {
             Ok(b) => b,
             Err(e) => return RunOutcome::Failed(e),
         };
-        let instance = match self.parse_cache.get_or_parse(&spec.instance_text) {
+        let instance = match self
+            .parse_cache
+            .get_or_parse(key.digest, &spec.instance_text)
+        {
             Ok(i) => i,
             Err(e) => return RunOutcome::Failed(format!("instance: {e}")),
         };
@@ -575,13 +600,13 @@ impl Engine {
     fn handle_solve(
         &self,
         stream: &mut UnixStream,
-        spec: &SolveSpec,
+        spec: SolveSpec,
         render: RenderOpts,
         timeout_millis: u64,
     ) -> io::Result<()> {
         Stats::bump(&self.stats.requests);
         let budget = self.budget(timeout_millis);
-        let (outcome, coalesced) = match self.coalescer.join(spec.coalesce_key()) {
+        let (outcome, coalesced) = match self.coalescer.join(CoalesceKey::new(spec)) {
             Ticket::Waiter(job) => {
                 Stats::bump(&self.stats.coalesce_hits);
                 let Some(outcome) = job.wait(budget) else {
@@ -606,7 +631,7 @@ impl Engine {
                     }
                 };
                 write_wire_frame(stream, &Response::Admitted)?;
-                let outcome = self.run_solve(spec);
+                let outcome = self.run_solve(&runner.key);
                 if !self.cfg.hold.is_zero() {
                     // Keep the slot and the coalescing entry alive so
                     // tests can provoke Busy/coalesced paths on cue.
@@ -697,7 +722,7 @@ impl Engine {
         for (path, text) in instances {
             let instance = self
                 .parse_cache
-                .get_or_parse(text)
+                .get_or_parse(text_digest(text), text)
                 .map_err(|e| BatchStop::Failed(format!("{path}: {e}")))?;
             parsed.push(instance);
         }
@@ -792,7 +817,7 @@ impl Engine {
     ) -> Result<(String, String, Vec<String>), String> {
         let instance = self
             .parse_cache
-            .get_or_parse(instance_text)
+            .get_or_parse(text_digest(instance_text), instance_text)
             .map_err(|e| format!("instance: {e}"))?;
         let stored = core_io::parse_report(report_json).map_err(|e| format!("report: {e}"))?;
         let witness = stored.witness.as_ref().ok_or_else(|| {
@@ -818,7 +843,7 @@ impl Engine {
                 render,
                 timeout_millis,
             } => {
-                self.handle_solve(stream, &spec, render, timeout_millis)?;
+                self.handle_solve(stream, spec, render, timeout_millis)?;
                 Ok(Flow::Continue)
             }
             Request::Batch {
@@ -955,4 +980,74 @@ pub fn serve(cfg: ServeConfig) -> io::Result<StatsSnapshot> {
     let snapshot = engine.stats.snapshot();
     eprintln!("note: {}", snapshot.note_line());
     Ok(snapshot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(text: &str, seed: u64) -> SolveSpec {
+        SolveSpec {
+            algorithm: "matching".into(),
+            backend: "shard".into(),
+            instance_text: text.into(),
+            mu_bits: 0.3f64.to_bits(),
+            seed,
+            threads: None,
+            machines: None,
+            workers: None,
+        }
+    }
+
+    /// A key whose digest is forced, so two different specs can share it.
+    fn key_with_digest(digest: u64, spec: SolveSpec) -> CoalesceKey {
+        CoalesceKey {
+            digest,
+            spec: Arc::new(spec),
+        }
+    }
+
+    const A: &str = "p graph 3 1\ne 0 1 1.0\n";
+    const B: &str = "p graph 3 1\ne 1 2 2.0\n";
+
+    #[test]
+    fn specs_sharing_a_digest_never_coalesce() {
+        let coalescer = Coalescer::new();
+        let (a, b) = (
+            key_with_digest(7, spec(A, 1)),
+            key_with_digest(7, spec(B, 1)),
+        );
+        assert_ne!(a, b);
+        let Ticket::Runner(first) = coalescer.join(a.clone()) else {
+            panic!("the first arrival runs");
+        };
+        let Ticket::Runner(second) = coalescer.join(b) else {
+            panic!("a different spec under the same digest joined a run");
+        };
+        // An equal spec under that digest still finds its run.
+        let Ticket::Waiter(job) = coalescer.join(key_with_digest(7, spec(A, 1))) else {
+            panic!("an equal spec did not coalesce");
+        };
+        assert!(Arc::ptr_eq(&job, &first.job));
+        assert!(!Arc::ptr_eq(&first.job, &second.job));
+        drop((first, second));
+        assert!(coalescer.jobs.lock().unwrap().is_empty(), "runners retire");
+    }
+
+    #[test]
+    fn texts_sharing_a_digest_never_share_a_parsed_instance() {
+        let cache = ParseCache::new();
+        let parse = |text| Arc::new(core_io::parse_instance(text).unwrap());
+        let a = cache.get_or_parse(7, A).unwrap();
+        let b = cache.get_or_parse(7, B).unwrap();
+        assert_eq!(*a, *parse(A));
+        assert_eq!(*b, *parse(B));
+        assert_ne!(*a, *b);
+        // The collision replaced the entry; `A` is parsed afresh.
+        let again = cache.get_or_parse(7, A).unwrap();
+        assert_eq!(*again, *parse(A));
+        assert!(!Arc::ptr_eq(&again, &a));
+        // A hit hands out the cached parse itself.
+        assert!(Arc::ptr_eq(&cache.get_or_parse(7, A).unwrap(), &again));
+    }
 }

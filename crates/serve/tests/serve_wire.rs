@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use mrlr_mapreduce::dist::wire::{decode_value, encode_value};
 use mrlr_serve::protocol::{
-    BatchJob, RenderOpts, ReportFormat, Request, Response, SolveSpec, StatsSnapshot,
+    BatchJob, CoalesceKey, RenderOpts, ReportFormat, Request, Response, SolveSpec, StatsSnapshot,
 };
 
 fn arb_format() -> impl Strategy<Value = ReportFormat> {
@@ -242,8 +242,11 @@ proptest! {
 
     #[test]
     fn coalescing_keys_are_injective_on_specs(a in arb_spec(), b in arb_spec()) {
-        // The canonical encoding is the coalescing key: equal keys must
-        // mean equal specs (no two distinct runs ever share a report).
-        prop_assert_eq!(a.coalesce_key() == b.coalesce_key(), a == b);
+        // Key equality is spec equality: equal keys must mean equal specs
+        // (no two distinct runs ever share a report), and an equal spec
+        // always finds the run in flight.
+        let key = |spec: &SolveSpec| CoalesceKey::new(spec.clone());
+        prop_assert_eq!(key(&a) == key(&b), a == b);
+        prop_assert!(key(&a) == key(&a));
     }
 }
