@@ -6,11 +6,14 @@
 //! colouring (Theorems 6.4/6.6). These tests run parameter sweeps and
 //! assert the measured iteration/round counts against the theory formulas
 //! with generous constants — the point is the *growth shape*, not the
-//! constant.
+//! constant. The `cluster_*` tests hold the cluster drivers themselves
+//! to their theorems, on a `densified` ladder, with every constant
+//! written out as a named item.
 
-use mrlr::core::colouring::group_count;
+use mrlr::core::api::{Backend, Instance, Registry};
+use mrlr::core::colouring::{colour_budget, group_count};
 use mrlr::core::hungry::{mis_fast, MisParams};
-use mrlr::core::mr::{colouring, MrConfig};
+use mrlr::core::mr::{self, colouring, MrConfig};
 use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f, predicted_rounds};
 use mrlr::graph::generators;
 use mrlr::setsys::generators as setgen;
@@ -145,4 +148,82 @@ fn smaller_mu_means_more_iterations() {
         lo.iterations,
         hi.iterations
     );
+}
+
+/// Theorem A.3's `O(c/µ)` for Algorithm 6, as `MIS2_C_OVER_MU · c/µ +
+/// MIS2_SLACK` central iterations: `α = µ/8` gives `1/α = 8/µ` degree
+/// classes, and each class empties within two rounds of its threshold,
+/// hence 16; the slack covers the central finish and tiny `n`.
+const MIS2_C_OVER_MU: f64 = 16.0;
+const MIS2_SLACK: usize = 6;
+
+/// The `(n, c)` rungs of the cluster ladder: `densified(n, c)` has
+/// `m = n^{1+c}` edges.
+const LADDER: [(usize, f64); 3] = [(80, 0.45), (140, 0.45), (200, 0.6)];
+
+#[test]
+fn cluster_mis2_iterations_scale_as_c_over_mu() {
+    for &(n, c_nominal) in &LADDER {
+        let g = generators::densified(n, c_nominal, 17);
+        let c = measured_c(g.n(), g.m());
+        for &mu in &[0.25f64, 0.4] {
+            let cfg = MrConfig::auto(n, g.m(), mu, 3);
+            let (r, _) = mr::mis::run_fast(&g, MisParams::mis2(n, mu, 3), cfg).unwrap();
+            let bound = (MIS2_C_OVER_MU * c / mu).ceil() as usize + MIS2_SLACK;
+            assert!(
+                r.iterations <= bound,
+                "n={n} mu={mu}: {} iterations > bound {bound}",
+                r.iterations
+            );
+        }
+    }
+}
+
+#[test]
+fn cluster_clique_iterations_scale_as_complement_c_over_mu() {
+    // Corollary B.1: the clique driver is Algorithm 6 on the complement,
+    // so its density exponent is the complement's, `m̄ = C(n,2) − m`.
+    for &(n, c_nominal) in &LADDER {
+        let g = generators::densified(n, c_nominal, 23);
+        let complement = n * (n - 1) / 2 - g.m();
+        let c = measured_c(n, complement);
+        for &mu in &[0.25f64, 0.4] {
+            let cfg = MrConfig::auto(n, g.m().max(1), mu, 5);
+            let (r, _) = mr::clique::run(&g, MisParams::mis2(n, mu, 5), cfg).unwrap();
+            let bound = (MIS2_C_OVER_MU * c / mu).ceil() as usize + MIS2_SLACK;
+            assert!(
+                r.iterations <= bound,
+                "n={n} mu={mu}: {} iterations > bound {bound}",
+                r.iterations
+            );
+        }
+    }
+}
+
+#[test]
+fn cluster_colouring_keeps_corollary_6_3_budget_at_three_or_more_groups() {
+    // Corollary 6.3: `(1 + n^{-µ/2}√(6 ln n) + n^{-µ})Δ` colours, for
+    // vertex groups (Algorithm 5) and edge groups (Remark 6.5) alike.
+    let registry = Registry::with_defaults();
+    // κ = n^{(c−µ)/2} ≥ 3 here, and the final gather of all `m` edge
+    // colours still fits the central machine.
+    let mu = 0.3;
+    for &(n, c) in &[(150usize, 0.8f64), (300, 0.75)] {
+        let g = generators::densified(n, c, 29);
+        let budget = colour_budget(n, g.max_degree(), mu);
+        let instance = Instance::Graph(g);
+        let cfg = MrConfig::auto(n, instance.graph().unwrap().m(), mu, 29);
+        for key in ["vertex-colouring", "edge-colouring"] {
+            let report = registry
+                .solve_with(key, Backend::Shard, &instance, &cfg)
+                .unwrap();
+            let c = report.solution.as_colouring().unwrap();
+            assert!(c.groups >= 3, "{key} n={n}: only {} groups", c.groups);
+            assert!(
+                c.num_colours as f64 <= budget,
+                "{key} n={n}: {} colours > budget {budget}",
+                c.num_colours
+            );
+        }
+    }
 }
