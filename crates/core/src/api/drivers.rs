@@ -442,23 +442,9 @@ impl Driver for CliqueDriver {
     }
 }
 
-/// Per-group edge budget of the colouring drivers (Lemma 6.2's line-4
-/// guard): exceeding it is an algorithm failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EdgeLimit {
-    /// The paper's budget `⌈13 · n^{1+µ}⌉`, derived from the instance and
-    /// `cfg.mu` (the default — runs that would exceed the memory bound
-    /// the theorems assume fail loudly instead of reporting quietly).
-    Paper,
-    /// No guard: never fail on group size (the groups still exist; only
-    /// the Lemma 6.2 check is skipped).
-    Unlimited,
-    /// An explicit budget in edges per group.
-    Words(usize),
-}
-
 /// Algorithm 5 / Theorems 6.4 and 6.6: vertex or edge colouring with
-/// `(1+o(1))Δ` colours in `O(1)` rounds.
+/// `(1+o(1))Δ` colours in `O(1)` rounds, over the paper's [`group_count`]
+/// groups and under Lemma 6.2's [`ColouringDriver::paper_edge_limit`].
 #[derive(Debug, Clone, Copy)]
 pub struct ColouringDriver {
     /// Backend to run.
@@ -466,51 +452,30 @@ pub struct ColouringDriver {
     /// `false` = vertex colouring (Algorithm 5), `true` = edge colouring
     /// (Remark 6.5, on the line graph's groups).
     pub edges: bool,
-    /// Number of random groups `κ`; `None` derives the paper's
-    /// [`group_count`] from the instance and `cfg.mu`.
-    pub kappa: Option<usize>,
-    /// Per-group edge budget (Lemma 6.2 guard).
-    pub edge_limit: EdgeLimit,
 }
 
 impl ColouringDriver {
-    /// Vertex-colouring driver with the paper's default `κ` and budget.
+    /// Vertex-colouring driver.
     pub fn vertex(backend: Backend) -> Self {
         ColouringDriver {
             backend,
             edges: false,
-            kappa: None,
-            edge_limit: EdgeLimit::Paper,
         }
     }
 
-    /// Edge-colouring driver with the paper's default `κ` and budget.
+    /// Edge-colouring driver.
     pub fn edge(backend: Backend) -> Self {
         ColouringDriver {
             backend,
             edges: true,
-            kappa: None,
-            edge_limit: EdgeLimit::Paper,
         }
     }
 
-    fn kappa_for(&self, g: &Graph, cfg: &MrConfig) -> usize {
-        self.kappa
-            .unwrap_or_else(|| group_count(g.n().max(2), g.m().max(1), cfg.mu))
-            .max(1)
-    }
-
-    /// The Lemma 6.2 budget for an `n`-vertex graph at exponent `µ`.
+    /// The Lemma 6.2 budget for an `n`-vertex graph at exponent `µ`: runs
+    /// that would exceed the memory bound the theorems assume fail loudly
+    /// instead of reporting quietly.
     pub fn paper_edge_limit(n: usize, mu: f64) -> usize {
         (13.0 * (n.max(2) as f64).powf(1.0 + mu)).ceil() as usize
-    }
-
-    fn limit_for(&self, g: &Graph, cfg: &MrConfig) -> Option<usize> {
-        match self.edge_limit {
-            EdgeLimit::Paper => Some(Self::paper_edge_limit(g.n(), cfg.mu)),
-            EdgeLimit::Unlimited => None,
-            EdgeLimit::Words(w) => Some(w),
-        }
     }
 }
 
@@ -532,8 +497,8 @@ impl Driver for ColouringDriver {
 
     fn solve(&self, g: &Graph, cfg: &MrConfig) -> MrResult<Report<ColouringResult>> {
         let t = Instant::now();
-        let kappa = self.kappa_for(g, cfg);
-        let limit = self.limit_for(g, cfg);
+        let kappa = group_count(g.n().max(2), g.m().max(1), cfg.mu).max(1);
+        let limit = Self::paper_edge_limit(g.n(), cfg.mu);
         let (sol, metrics) = match (self.backend, self.edges) {
             (Backend::Seq, false) => (seq::greedy_colouring(g), None),
             (Backend::Seq, true) => (seq::misra_gries_edge_colouring(g), None),

@@ -66,9 +66,9 @@ use crate::mr::MrConfig;
 
 pub use commit::{audit_chunk, audit_committed, commit_witness, open_witness, Commitment, Digest};
 pub use drivers::{
-    BMatchingDriver, CliqueDriver, ColouringDriver, EdgeLimit, GreedySetCoverDriver,
-    MatchingDriver, MisDriver, MisVariant, SetCoverFDriver, VertexCoverDriver,
-    DEFAULT_BMATCHING_EPS, DEFAULT_GREEDY_SC_EPS,
+    BMatchingDriver, CliqueDriver, ColouringDriver, GreedySetCoverDriver, MatchingDriver,
+    MisDriver, MisVariant, SetCoverFDriver, VertexCoverDriver, DEFAULT_BMATCHING_EPS,
+    DEFAULT_GREEDY_SC_EPS,
 };
 pub use problems::{
     BMatching, BMatchingInstance, ColouringCertificate, CoverCertificate, EdgeColouring, Matching,

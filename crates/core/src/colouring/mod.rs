@@ -84,66 +84,14 @@ pub(crate) fn offset_palettes(group: &[usize], local: &[u32], kappa: usize) -> (
 
 /// Algorithm 5: `(1+o(1))Δ` vertex colouring with `kappa` random groups.
 /// `edge_limit` is the per-group edge bound of line 4 (`13 n^{1+µ}`);
-/// exceeding it triggers the paper's `fail`. Pass `None` to skip the check.
+/// exceeding it triggers the paper's `fail` (`usize::MAX` never fails).
 pub fn vertex_colouring(
     g: &Graph,
     kappa: usize,
-    edge_limit: Option<usize>,
+    edge_limit: usize,
     seed: u64,
 ) -> MrResult<ColouringResult> {
-    if kappa == 0 {
-        return Err(MrError::BadConfig("kappa must be positive".into()));
-    }
-    let n = g.n();
-    let groups: Vec<usize> = (0..n as VertexId)
-        .map(|v| vertex_group(seed, v, kappa))
-        .collect();
-
-    // Partition intra-group edges.
-    let mut group_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); kappa];
-    for (idx, e) in g.edges().iter().enumerate() {
-        let gu = groups[e.u as usize];
-        if gu == groups[e.v as usize] {
-            group_edges[gu].push(idx as EdgeId);
-        }
-    }
-    if let Some(limit) = edge_limit {
-        for (i, ge) in group_edges.iter().enumerate() {
-            if ge.len() > limit {
-                return Err(MrError::AlgorithmFailed {
-                    round: 0,
-                    reason: format!(
-                        "group {i} has {} > {limit} edges (Lemma 6.2 guard)",
-                        ge.len()
-                    ),
-                });
-            }
-        }
-    }
-
-    // Colour each group greedily with a private palette; offset palettes so
-    // colours are globally distinct per group.
-    let members = group_members(&groups, kappa)?;
-    let mut local = vec![0u32; n];
-    for (gi, members) in members.iter().enumerate() {
-        if members.is_empty() {
-            continue;
-        }
-        // The induced subgraph keeps original vertex ids, so the greedy
-        // subroutine colours members directly.
-        let sub = g.induced(|v| groups[v as usize] == gi);
-        let coloured = greedy_colouring_with_order(&sub, members);
-        for &v in members {
-            local[v as usize] = coloured.colours[v as usize];
-        }
-    }
-    let (colours, num_colours) = offset_palettes(&groups, &local, kappa);
-
-    Ok(ColouringResult {
-        colours,
-        num_colours,
-        groups: kappa,
-    })
+    group_pass(g, kappa, edge_limit, seed, false)
 }
 
 /// Remark 6.5: `(1+o(1))Δ` edge colouring — random *edge* groups, each
@@ -151,41 +99,82 @@ pub fn vertex_colouring(
 pub fn edge_colouring(
     g: &Graph,
     kappa: usize,
-    edge_limit: Option<usize>,
+    edge_limit: usize,
     seed: u64,
+) -> MrResult<ColouringResult> {
+    group_pass(g, kappa, edge_limit, seed, true)
+}
+
+/// The group of every entity: vertex `v`'s, or with `edges` edge `e`'s.
+pub(crate) fn entity_groups(g: &Graph, seed: u64, kappa: usize, edges: bool) -> Vec<usize> {
+    if edges {
+        (0..g.m() as EdgeId)
+            .map(|e| edge_group(seed, e, kappa))
+            .collect()
+    } else {
+        (0..g.n() as VertexId)
+            .map(|v| vertex_group(seed, v, kappa))
+            .collect()
+    }
+}
+
+/// Algorithm 5's group pass, over vertex groups (an edge counts in its
+/// endpoints' group when they share one) or, with `edges`, over edge
+/// groups (Remark 6.5). Each group is coloured with a private palette —
+/// greedily in ascending vertex order, or by Misra–Gries — and the
+/// palettes are offset in ascending group order.
+fn group_pass(
+    g: &Graph,
+    kappa: usize,
+    edge_limit: usize,
+    seed: u64,
+    edges: bool,
 ) -> MrResult<ColouringResult> {
     if kappa == 0 {
         return Err(MrError::BadConfig("kappa must be positive".into()));
     }
-    let m = g.m();
-    let groups: Vec<usize> = (0..m as EdgeId)
-        .map(|e| edge_group(seed, e, kappa))
-        .collect();
-    if let Some(limit) = edge_limit {
-        let mut counts = vec![0usize; kappa];
-        for &gi in &groups {
-            counts[gi] += 1;
+    let groups = entity_groups(g, seed, kappa, edges);
+
+    // Line 4's guard: the first group over the edge budget fails.
+    let mut counts = vec![0usize; kappa];
+    for (idx, e) in g.edges().iter().enumerate() {
+        if edges {
+            counts[groups[idx]] += 1;
+        } else if groups[e.u as usize] == groups[e.v as usize] {
+            counts[groups[e.u as usize]] += 1;
         }
-        if let Some((i, &cnt)) = counts.iter().enumerate().find(|&(_, &c)| c > limit) {
-            return Err(MrError::AlgorithmFailed {
-                round: 0,
-                reason: format!("edge group {i} has {cnt} > {limit} edges"),
-            });
-        }
+    }
+    if let Some((i, &cnt)) = counts.iter().enumerate().find(|&(_, &c)| c > edge_limit) {
+        let reason = if edges {
+            format!("edge group {i} has {cnt} > {edge_limit} edges")
+        } else {
+            format!("group {i} has {cnt} > {edge_limit} edges (Lemma 6.2 guard)")
+        };
+        return Err(MrError::AlgorithmFailed { round: 0, reason });
     }
 
     let members = group_members(&groups, kappa)?;
-    let mut local = vec![0u32; m];
-    for members in members.iter() {
+    let mut local = vec![0u32; groups.len()];
+    for (gi, members) in members.iter().enumerate() {
         if members.is_empty() {
             continue;
         }
-        // Subgraph containing exactly this group's edges (vertex ids kept);
-        // a subgraph of a simple graph is simple.
-        let sub = Graph::from_validated(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
-        let coloured = misra_gries_edge_colouring(&sub);
-        for (&orig, &c) in members.iter().zip(&coloured.colours) {
-            local[orig as usize] = c;
+        if edges {
+            // This group's edges, vertex ids kept; a subgraph of a simple
+            // graph is simple. Misra–Gries colours them in member order.
+            let sub = Graph::from_validated(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
+            let coloured = misra_gries_edge_colouring(&sub);
+            for (&e, &c) in members.iter().zip(&coloured.colours) {
+                local[e as usize] = c;
+            }
+        } else {
+            // The induced subgraph keeps original vertex ids, so the greedy
+            // subroutine colours members directly.
+            let sub = g.induced(|v| groups[v as usize] == gi);
+            let coloured = greedy_colouring_with_order(&sub, members);
+            for &v in members {
+                local[v as usize] = coloured.colours[v as usize];
+            }
         }
     }
     let (colours, num_colours) = offset_palettes(&groups, &local, kappa);
@@ -218,7 +207,7 @@ mod tests {
     fn vertex_colouring_proper_all_kappa() {
         let g = gnm(60, 400, 3);
         for kappa in [1usize, 2, 4, 8] {
-            let r = vertex_colouring(&g, kappa, None, 7).unwrap();
+            let r = vertex_colouring(&g, kappa, usize::MAX, 7).unwrap();
             assert!(is_proper_colouring(&g, &r.colours), "kappa {kappa}");
             assert_eq!(r.groups, kappa);
             // Union of per-group palettes ≤ κ(Δ+1) — and never more than n.
@@ -229,7 +218,7 @@ mod tests {
     #[test]
     fn kappa_one_is_plain_greedy_bound() {
         let g = gnm(40, 200, 1);
-        let r = vertex_colouring(&g, 1, None, 1).unwrap();
+        let r = vertex_colouring(&g, 1, usize::MAX, 1).unwrap();
         assert!(is_proper_colouring(&g, &r.colours));
         assert!(r.num_colours <= g.max_degree() + 1);
     }
@@ -238,7 +227,7 @@ mod tests {
     fn edge_colouring_proper_all_kappa() {
         let g = gnm(40, 250, 5);
         for kappa in [1usize, 3, 6] {
-            let r = edge_colouring(&g, kappa, None, 11).unwrap();
+            let r = edge_colouring(&g, kappa, usize::MAX, 11).unwrap();
             assert!(is_proper_edge_colouring(&g, &r.colours), "kappa {kappa}");
         }
     }
@@ -246,7 +235,7 @@ mod tests {
     #[test]
     fn edge_colouring_kappa_one_vizing() {
         let g = complete(9);
-        let r = edge_colouring(&g, 1, None, 2).unwrap();
+        let r = edge_colouring(&g, 1, usize::MAX, 2).unwrap();
         assert!(is_proper_edge_colouring(&g, &r.colours));
         assert!(r.num_colours <= g.max_degree() + 1);
     }
@@ -259,7 +248,7 @@ mod tests {
         let mu = 0.3;
         let kappa = group_count(n, g.m(), mu);
         assert!(kappa >= 2, "kappa {kappa}");
-        let r = vertex_colouring(&g, kappa, None, 5).unwrap();
+        let r = vertex_colouring(&g, kappa, usize::MAX, 5).unwrap();
         assert!(is_proper_colouring(&g, &r.colours));
         let budget = colour_budget(n, g.max_degree(), mu);
         assert!(
@@ -272,9 +261,9 @@ mod tests {
     #[test]
     fn edge_limit_guard_fires() {
         let g = complete(10); // 45 edges; kappa = 1 puts them all in one group
-        let err = vertex_colouring(&g, 1, Some(10), 3).unwrap_err();
+        let err = vertex_colouring(&g, 1, 10, 3).unwrap_err();
         assert!(matches!(err, MrError::AlgorithmFailed { .. }));
-        let err = edge_colouring(&g, 1, Some(10), 3).unwrap_err();
+        let err = edge_colouring(&g, 1, 10, 3).unwrap_err();
         assert!(matches!(err, MrError::AlgorithmFailed { .. }));
     }
 
@@ -307,8 +296,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = gnm(30, 150, 2);
-        let a = vertex_colouring(&g, 4, None, 9).unwrap();
-        let b = vertex_colouring(&g, 4, None, 9).unwrap();
+        let a = vertex_colouring(&g, 4, usize::MAX, 9).unwrap();
+        let b = vertex_colouring(&g, 4, usize::MAX, 9).unwrap();
         assert_eq!(a.colours, b.colours);
     }
 }

@@ -14,7 +14,7 @@
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Csr, MrError, MrResult};
 
-use crate::hungry::mis::{degree_class, group_choice, MisParams};
+use crate::hungry::mis::{class_schedule, ClassState, MisParams};
 use crate::types::SelectionResult;
 
 /// Tag mixed into the clique sampling RNG (shared with the MR driver).
@@ -106,93 +106,45 @@ impl<'g> CliqueState<'g> {
     }
 }
 
-/// Hungry-greedy maximal clique (Corollary B.1): the MIS2 schedule run on
-/// complement degrees, terminating centrally once the complement of the
-/// active subgraph has fewer than `η` edges.
+/// Hungry-greedy maximal clique (Corollary B.1): Algorithm 6's class
+/// schedule ([`crate::hungry::mis`]'s `class_schedule`, the loop
+/// [`crate::hungry::mis_fast`] runs) on complement degrees, terminating
+/// centrally once the complement of the active subgraph has fewer than
+/// `η` edges.
 pub fn maximal_clique(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
     if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
         return Err(MrError::BadConfig(
             "invalid hungry-greedy parameters".into(),
         ));
     }
-    let n = g.n();
-    if n == 0 {
-        return Ok(SelectionResult {
-            vertices: vec![],
-            phases: 0,
-            iterations: 0,
-        });
-    }
-    let nf = (n.max(2)) as f64;
-    let num_classes = (1.0 / params.alpha).ceil() as usize;
-    let mut st = CliqueState::new(g);
-    let mut k = 0usize;
+    class_schedule(CliqueState::new(g), params)
+}
 
-    while st.complement_edges() >= params.eta && st.active_count > 0 {
-        k += 1;
-        if k > 64 + 4 * n {
-            return Err(MrError::AlgorithmFailed {
-                round: k,
-                reason: "clique round budget exhausted".into(),
-            });
-        }
-        let mut classes: Vec<Vec<VertexId>> = vec![Vec::new(); num_classes + 1];
-        for v in 0..n {
-            if !st.active[v] {
-                continue;
-            }
-            let d = st.dbar(v as VertexId);
-            if d == 0 {
-                continue;
-            }
-            classes[degree_class(d, nf, params.alpha, num_classes)].push(v as VertexId);
-        }
-        for (i, class) in classes.iter().enumerate().skip(1) {
-            if class.is_empty() {
-                continue;
-            }
-            let groups_count = nf.powf((i + 1) as f64 * params.alpha).ceil() as usize;
-            let accept = nf.powf(1.0 - (i + 1) as f64 * params.alpha);
-            let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); groups_count];
-            for &v in class {
-                if let Some(gid) = group_choice(
-                    params.seed,
-                    &[CLIQUE_RNG_TAG, k as u64, i as u64],
-                    v as u64,
-                    groups_count,
-                    params.group_size,
-                    class.len(),
-                ) {
-                    members[gid].push(v);
-                }
-            }
-            for group in &members {
-                let mut best: Option<VertexId> = None;
-                for &v in group {
-                    if !st.active[v as usize] || (st.dbar(v) as f64) < accept {
-                        continue;
-                    }
-                    best = match best {
-                        None => Some(v),
-                        Some(b) if st.dbar(v) > st.dbar(b) => Some(v),
-                        other => other,
-                    };
-                }
-                if let Some(v) = best {
-                    st.add(v);
-                }
-            }
-        }
+impl ClassState for CliqueState<'_> {
+    const TAGS: &'static [u64] = &[CLIQUE_RNG_TAG];
+    const BUDGET: &'static str = "clique round budget exhausted";
+
+    fn n(&self) -> usize {
+        self.active.len()
     }
 
-    st.finish_greedy();
-    let mut clique = st.clique;
-    clique.sort_unstable();
-    Ok(SelectionResult {
-        vertices: clique,
-        phases: k,
-        iterations: k + 1,
-    })
+    fn live_degree(&self, v: VertexId) -> Option<usize> {
+        self.active[v as usize].then(|| self.dbar(v))
+    }
+
+    fn live_edges(&self) -> usize {
+        self.complement_edges()
+    }
+
+    fn add(&mut self, v: VertexId) {
+        CliqueState::add(self, v);
+    }
+
+    fn finish(mut self) -> Vec<VertexId> {
+        self.finish_greedy();
+        self.clique.sort_unstable();
+        self.clique
+    }
 }
 
 #[cfg(test)]

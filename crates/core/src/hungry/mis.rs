@@ -136,7 +136,7 @@ impl<'g> MisState<'g> {
 /// `(seed, tags..., entity)`.
 pub(crate) fn group_choice(
     seed: u64,
-    tags: &[u64],
+    tags: impl IntoIterator<Item = u64>,
     entity: u64,
     groups: usize,
     group_size: usize,
@@ -148,9 +148,12 @@ pub(crate) fn group_choice(
     // Called once per qualifying record per round: the tag list lives on
     // the stack (callers pass at most four context tags).
     let mut tagv = [0u64; 8];
-    tagv[..tags.len()].copy_from_slice(tags);
-    tagv[tags.len()] = entity;
-    let mut rng = DetRng::derive(seed, &tagv[..=tags.len()]);
+    let mut len = 0;
+    for t in tags.into_iter().chain([entity]) {
+        tagv[len] = t;
+        len += 1;
+    }
+    let mut rng = DetRng::derive(seed, &tagv[..len]);
     let p = ((groups * group_size) as f64 / population as f64).min(1.0);
     if rng.f64() < p {
         Some(rng.range_usize(groups))
@@ -211,7 +214,7 @@ pub fn mis_simple(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
             for &v in &heavy {
                 if let Some(gid) = group_choice(
                     params.seed,
-                    &[MIS_RNG_TAG, i as u64, guard as u64],
+                    [MIS_RNG_TAG, i as u64, guard as u64],
                     v as u64,
                     groups_target,
                     params.group_size,
@@ -253,7 +256,36 @@ pub fn mis_simple(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
 /// Algorithm 6 (`MIS2`): all degree classes per round, `O(c/µ)` rounds.
 pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
     validate(params)?;
-    let n = g.n();
+    class_schedule(MisState::new(g), params)
+}
+
+/// A state Algorithm 6's class schedule drives: [`MisState`] on alive
+/// degrees, and the clique state (Corollary B.1) on complement degrees.
+pub(crate) trait ClassState {
+    /// The [`group_choice`] tags in front of the round and the class.
+    const TAGS: &'static [u64];
+    /// The failure reason once the round budget runs out.
+    const BUDGET: &'static str;
+    /// Number of vertices.
+    fn n(&self) -> usize;
+    /// `v`'s degree in the graph being thinned, `None` once `v` is out.
+    fn live_degree(&self, v: VertexId) -> Option<usize>;
+    /// Edges left in the graph being thinned.
+    fn live_edges(&self) -> usize;
+    /// Takes live vertex `v` into the answer.
+    fn add(&mut self, v: VertexId);
+    /// The central greedy finish; returns the answer, ascending.
+    fn finish(self) -> Vec<VertexId>;
+}
+
+/// Algorithm 6's class schedule: while `η` or more edges are live, sort
+/// live vertices into degree classes, sample groups per class, and take
+/// the hungriest qualifying member of each group; then finish centrally.
+pub(crate) fn class_schedule<S: ClassState>(
+    mut st: S,
+    params: MisParams,
+) -> MrResult<SelectionResult> {
+    let n = st.n();
     if n == 0 {
         return Ok(SelectionResult {
             vertices: vec![],
@@ -263,26 +295,23 @@ pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
     }
     let nf = (n.max(2)) as f64;
     let num_classes = (1.0 / params.alpha).ceil() as usize;
-    let mut st = MisState::new(g);
     let mut k = 0usize;
 
-    while st.alive_edges() >= params.eta {
+    while st.live_edges() >= params.eta {
         k += 1;
         if k > 64 + 4 * n {
             return Err(MrError::AlgorithmFailed {
                 round: k,
-                reason: "MIS2 round budget exhausted".into(),
+                reason: S::BUDGET.into(),
             });
         }
-        // Classify alive vertices by degree: class i has
+        // Classify live vertices by degree: class i has
         // d ∈ [n^{1-iα}, n^{1-(i-1)α}).
         let mut classes: Vec<Vec<VertexId>> = vec![Vec::new(); num_classes + 1];
-        for v in 0..n {
-            if st.removed[v] || st.d_alive[v] == 0 {
-                continue;
+        for v in 0..n as VertexId {
+            if let Some(d) = st.live_degree(v).filter(|&d| d > 0) {
+                classes[degree_class(d, nf, params.alpha, num_classes)].push(v);
             }
-            let i = degree_class(st.d_alive[v], nf, params.alpha, num_classes);
-            classes[i].push(v as VertexId);
         }
         for (i, class) in classes.iter().enumerate().skip(1) {
             if class.is_empty() {
@@ -294,7 +323,7 @@ pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
             for &v in class {
                 if let Some(gid) = group_choice(
                     params.seed,
-                    &[MIS_RNG_TAG, 0x6d32, k as u64, i as u64],
+                    S::TAGS.iter().copied().chain([k as u64, i as u64]),
                     v as u64,
                     groups_count,
                     params.group_size,
@@ -304,18 +333,17 @@ pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
                 }
             }
             for group in &members {
-                let mut best: Option<VertexId> = None;
+                // Hungriest qualifying vertex: max live degree, tie -> id.
+                let mut best: Option<(usize, VertexId)> = None;
                 for &v in group {
-                    if st.removed[v as usize] || (st.d_alive[v as usize] as f64) < accept {
-                        continue;
+                    match st.live_degree(v) {
+                        Some(d) if d as f64 >= accept && best.is_none_or(|(bd, _)| d > bd) => {
+                            best = Some((d, v));
+                        }
+                        _ => {}
                     }
-                    best = match best {
-                        None => Some(v),
-                        Some(b) if st.d_alive[v as usize] > st.d_alive[b as usize] => Some(v),
-                        other => other,
-                    };
                 }
-                if let Some(v) = best {
+                if let Some((_, v)) = best {
                     st.add(v);
                 }
             }
@@ -323,12 +351,37 @@ pub fn mis_fast(g: &Graph, params: MisParams) -> MrResult<SelectionResult> {
     }
 
     // Final central round over the residual graph (< η edges).
-    st.finish_greedy(0..n as VertexId);
     Ok(SelectionResult {
-        vertices: st.independent_set(),
+        vertices: st.finish(),
         phases: k,
         iterations: k + 1,
     })
+}
+
+impl ClassState for MisState<'_> {
+    const TAGS: &'static [u64] = &[MIS_RNG_TAG, 0x6d32];
+    const BUDGET: &'static str = "MIS2 round budget exhausted";
+
+    fn n(&self) -> usize {
+        self.in_i.len()
+    }
+
+    fn live_degree(&self, v: VertexId) -> Option<usize> {
+        (!self.removed[v as usize]).then(|| self.d_alive[v as usize])
+    }
+
+    fn live_edges(&self) -> usize {
+        self.alive_edges()
+    }
+
+    fn add(&mut self, v: VertexId) {
+        MisState::add(self, v);
+    }
+
+    fn finish(mut self) -> Vec<VertexId> {
+        self.finish_greedy(0..self.n() as VertexId);
+        self.independent_set()
+    }
 }
 
 /// Class index `i ∈ [1, num_classes]` with `d ∈ [n^{1-iα}, n^{1-(i-1)α})`.

@@ -187,7 +187,7 @@ pub fn hungry_set_cover(
                 for &l in class {
                     if let Some(gid) = group_choice(
                         params.seed,
-                        &[HSC_RNG_TAG, k as u64, i as u64],
+                        [HSC_RNG_TAG, k as u64, i as u64],
                         l as u64,
                         groups_count,
                         params.group_size,

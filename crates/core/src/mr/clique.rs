@@ -15,13 +15,11 @@
 //! [`Cluster::gather_payload`] like `mis`'s.
 
 use mrlr_graph::{Graph, VertexId};
-use mrlr_mapreduce::{
-    Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, PayloadSink, WordSized,
-};
+use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrResult, PayloadSink, WordSized};
 
 use crate::hungry::clique::CLIQUE_RNG_TAG;
-use crate::hungry::mis::{degree_class, group_choice, MisParams};
-use crate::mr::mis::{process_groups, CentralRound, SampleHead};
+use crate::hungry::mis::MisParams;
+use crate::mr::mis::{run_classes, ClassChunk};
 use crate::mr::{place_neighbours, MrConfig};
 use crate::types::SelectionResult;
 
@@ -60,51 +58,6 @@ impl CliqueChunk {
         let recs: usize = self.nbrs.iter().map(|nbrs| 2 + 1 + nbrs.len()).sum();
         2 + recs + self.active.words()
     }
-
-    /// Deactivates `delta` and takes it out of every active record's
-    /// alive-neighbour count, testing membership in the scratch bitmap
-    /// (set, used, cleared bit by bit).
-    fn apply_delta(&mut self, delta: &[VertexId]) {
-        for &v in delta {
-            self.active.clear(v as usize);
-            self.delta_bits.set(v as usize);
-        }
-        self.active_count -= delta.len();
-        for (slot, rec) in self.recs.iter_mut().enumerate() {
-            if !self.active.get(rec.v as usize) {
-                continue;
-            }
-            rec.g_alive -= self.nbrs[slot]
-                .iter()
-                .filter(|&&x| self.delta_bits.get(x as usize))
-                .count();
-        }
-        for &v in delta {
-            self.delta_bits.clear(v as usize);
-        }
-    }
-
-    fn dbar(&self, rec: &CliqueRec) -> usize {
-        self.active_count - 1 - rec.g_alive
-    }
-
-    /// Streams the complement list `A \ N[v] \ {v}` of the active record in
-    /// `slot` into a payload sink under `head`: one merge walk of the
-    /// active set against the sorted neighbour row.
-    fn sink_complement<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
-    where
-        H: Copy + WordSized,
-    {
-        let v = self.recs[slot].v;
-        let mut nbrs = self.nbrs[slot].iter().copied().peekable();
-        let mut w = sink.begin(head);
-        for u in self.active.iter_ones().map(|u| u as VertexId) {
-            while nbrs.next_if(|&x| x < u).is_some() {}
-            if u != v && nbrs.peek() != Some(&u) {
-                w.push(u);
-            }
-        }
-    }
 }
 
 fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<CliqueChunk>> {
@@ -133,155 +86,89 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<CliqueChunk>> {
         .collect())
 }
 
-/// Appendix B's maximal clique on the cluster. Output is bit-identical to
+impl ClassChunk for CliqueChunk {
+    const TAGS: &'static [u64] = &[CLIQUE_RNG_TAG];
+    const BUDGET: &'static str = "clique round budget exhausted";
+
+    fn slots(&self) -> usize {
+        self.recs.len()
+    }
+
+    /// An active vertex and its complement degree `|A| − 1 − |N(v) ∩ A|`.
+    fn live(&self, slot: usize) -> Option<(VertexId, usize)> {
+        let r = self.recs[slot];
+        let dbar = || self.active_count - 1 - r.g_alive;
+        self.active.get(r.v as usize).then(|| (r.v, dbar()))
+    }
+
+    /// Streams the complement list `A \ N[v] \ {v}`: one merge walk of the
+    /// active set against the sorted neighbour row.
+    fn sink_list<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
+    where
+        H: Copy + WordSized,
+    {
+        let v = self.recs[slot].v;
+        let mut nbrs = self.nbrs[slot].iter().copied().peekable();
+        let mut w = sink.begin(head);
+        for u in self.active.iter_ones().map(|u| u as VertexId) {
+            while nbrs.next_if(|&x| x < u).is_some() {}
+            if u != v && nbrs.peek() != Some(&u) {
+                w.push(u);
+            }
+        }
+    }
+
+    /// Deactivates `delta` and takes it out of every active record's
+    /// alive-neighbour count, testing membership in the scratch bitmap
+    /// (set, used, cleared bit by bit).
+    fn apply_delta(&mut self, delta: &[VertexId]) {
+        for &v in delta {
+            self.active.clear(v as usize);
+            self.delta_bits.set(v as usize);
+        }
+        self.active_count -= delta.len();
+        for (slot, rec) in self.recs.iter_mut().enumerate() {
+            if !self.active.get(rec.v as usize) {
+                continue;
+            }
+            rec.g_alive -= self.nbrs[slot]
+                .iter()
+                .filter(|&&x| self.delta_bits.get(x as usize))
+                .count();
+        }
+        for &v in delta {
+            self.delta_bits.clear(v as usize);
+        }
+    }
+
+    /// Complement edges among the active vertices, from a 2-word
+    /// `(active, alive-degree sum)` aggregate; none once the replicated
+    /// active count reaches zero.
+    fn live_edges(cluster: &mut Cluster<Self>) -> MrResult<usize> {
+        let (active_count, alive_sum) = cluster.aggregate(
+            |_, s: &CliqueChunk| {
+                let active = s.recs.iter().filter(|r| s.active.get(r.v as usize));
+                let alive: usize = active.clone().map(|r| r.g_alive).sum();
+                (active.count(), alive)
+            },
+            |a, b| (a.0 + b.0, a.1 + b.1),
+        )?;
+        if active_count < 2 || cluster.state(0).active_count == 0 {
+            return Ok(0);
+        }
+        Ok(active_count * (active_count - 1) / 2 - alive_sum / 2)
+    }
+}
+
+/// Appendix B's maximal clique on the cluster: `mis::run_classes`, the loop
+/// [`crate::mr::mis::run_fast`] runs, on complement degrees and
+/// complement lists. Output is bit-identical to
 /// [`crate::hungry::clique::maximal_clique`] with the same parameters.
 ///
 /// [`crate::api::CliqueDriver`] runs this for every cluster backend,
 /// on the runtime `cfg.exec.runtime` names.
 pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionResult, Metrics)> {
-    if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
-        return Err(MrError::BadConfig(
-            "invalid hungry-greedy parameters".into(),
-        ));
-    }
-    let n = g.n();
-    if n == 0 {
-        return Ok((
-            SelectionResult {
-                vertices: vec![],
-                phases: 0,
-                iterations: 0,
-            },
-            Metrics::new(cfg.machines, cfg.capacity),
-        ));
-    }
-    let nf = (n.max(2)) as f64;
-    let num_classes = (1.0 / params.alpha).ceil() as usize;
-
-    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg)?)?;
-    let mut clique: Vec<VertexId> = Vec::new();
-    cluster.charge_central(2 + n / 32)?;
-
-    let mut k = 0usize;
-    loop {
-        let comp_edges = {
-            let (active_count, alive_sum) = cluster.aggregate(
-                |_, s: &CliqueChunk| {
-                    let active: usize =
-                        s.recs.iter().filter(|r| s.active.get(r.v as usize)).count();
-                    let alive: usize = s
-                        .recs
-                        .iter()
-                        .filter(|r| s.active.get(r.v as usize))
-                        .map(|r| r.g_alive)
-                        .sum();
-                    (active, alive)
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            )?;
-            if active_count < 2 {
-                0
-            } else {
-                active_count * (active_count - 1) / 2 - alive_sum / 2
-            }
-        };
-        let global_active = cluster.state(0).active_count; // replicated scalar
-        if comp_edges < params.eta || global_active == 0 {
-            break;
-        }
-        k += 1;
-        if k > 64 + 4 * n {
-            return Err(cluster.fail("clique round budget exhausted"));
-        }
-
-        // Class sizes over complement degrees.
-        let class_sizes: Vec<u64> = cluster.aggregate(
-            |_, s: &CliqueChunk| {
-                let mut counts = vec![0u64; num_classes + 1];
-                for r in &s.recs {
-                    if s.active.get(r.v as usize) {
-                        let d = s.dbar(r);
-                        if d > 0 {
-                            counts[degree_class(d, nf, params.alpha, num_classes)] += 1;
-                        }
-                    }
-                }
-                counts
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )?;
-        cluster.broadcast(&class_sizes)?;
-
-        let seed = params.seed;
-        let alpha = params.alpha;
-        let gs = params.group_size;
-        let sizes = class_sizes.clone();
-        let sample: PayloadBatch<SampleHead, VertexId> =
-            cluster.gather_payload(move |_, s: &mut CliqueChunk, sink| {
-                for (slot, r) in s.recs.iter().enumerate() {
-                    if !s.active.get(r.v as usize) {
-                        continue;
-                    }
-                    let d = s.dbar(r);
-                    if d == 0 {
-                        continue;
-                    }
-                    let i = degree_class(d, nf, alpha, num_classes);
-                    let groups_count = nf.powf((i + 1) as f64 * alpha).ceil() as usize;
-                    if let Some(gid) = group_choice(
-                        seed,
-                        &[CLIQUE_RNG_TAG, k as u64, i as u64],
-                        r.v as u64,
-                        groups_count,
-                        gs,
-                        sizes[i] as usize,
-                    ) {
-                        s.sink_complement(sink, (i as u64, gid as u64, r.v), slot);
-                    }
-                }
-            })?;
-
-        // Central: one qualifying vertex per group, hungriest (max current
-        // complement degree) first within a group — `mis`'s group pass with
-        // complement lists in the alive-neighbour role.
-        let mut round = CentralRound::new(n);
-        process_groups(&sample, &mut round, |c| {
-            nf.powf(1.0 - (c as f64 + 1.0) * params.alpha)
-        });
-        clique.extend_from_slice(&round.added);
-        let mut delta = round.delta;
-        delta.sort_unstable();
-        cluster.broadcast(&delta)?;
-        cluster.local(move |_, s: &mut CliqueChunk| s.apply_delta(&delta))?;
-    }
-
-    // Final central round: greedy clique over the residual active set using
-    // gathered complement lists (ascending vertex order).
-    let residual: PayloadBatch<VertexId, VertexId> =
-        cluster.gather_payload(|_, s: &mut CliqueChunk, sink| {
-            for (slot, r) in s.recs.iter().enumerate() {
-                if s.active.get(r.v as usize) {
-                    s.sink_complement(sink, r.v, slot);
-                }
-            }
-        })?;
-    let mut round = CentralRound::new(n);
-    round.add_ascending(&residual);
-    clique.extend(round.added);
-
-    clique.sort_unstable();
-    let result = SelectionResult {
-        vertices: clique,
-        phases: k,
-        iterations: k + 1,
-    };
-    let (_, metrics) = cluster.into_parts();
-    Ok((result, metrics))
+    run_classes(g, params, cfg, build_chunks)
 }
 
 #[cfg(test)]
@@ -290,6 +177,7 @@ mod tests {
     use crate::hungry::clique::maximal_clique;
     use crate::verify::is_maximal_clique;
     use mrlr_graph::generators::gnp;
+    use mrlr_mapreduce::PayloadBatch;
 
     #[test]
     fn matches_driver_bit_for_bit() {
@@ -353,7 +241,7 @@ mod tests {
         let lists: PayloadBatch<VertexId, VertexId> = cluster
             .gather_payload(|_, s: &mut CliqueChunk, sink| {
                 for (slot, r) in s.recs.iter().enumerate() {
-                    s.sink_complement(sink, r.v, slot);
+                    s.sink_list(sink, r.v, slot);
                 }
             })
             .unwrap();

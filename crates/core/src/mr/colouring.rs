@@ -24,7 +24,7 @@
 use mrlr_graph::{Edge, EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Cluster, Metrics, MrError, MrResult, WordSized};
 
-use crate::colouring::{edge_group, offset_palettes, vertex_group};
+use crate::colouring::{entity_groups, offset_palettes};
 use crate::mr::MrConfig;
 use crate::seq::greedy_graph::greedy_colouring_with_order;
 use crate::seq::misra_gries::misra_gries_edge_colouring;
@@ -70,27 +70,57 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<ColourChunk> {
 pub fn run_vertex(
     g: &Graph,
     kappa: usize,
-    edge_limit: Option<usize>,
+    edge_limit: usize,
     cfg: MrConfig,
+) -> MrResult<(ColouringResult, Metrics)> {
+    group_pass(g, kappa, edge_limit, cfg, false)
+}
+
+/// Remark 6.5 on the cluster. Output is bit-identical to
+/// [`crate::colouring::edge_colouring`] with the same `(kappa, seed)`.
+///
+/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
+/// on the runtime `cfg.exec.runtime` names.
+pub fn run_edge(
+    g: &Graph,
+    kappa: usize,
+    edge_limit: usize,
+    cfg: MrConfig,
+) -> MrResult<(ColouringResult, Metrics)> {
+    group_pass(g, kappa, edge_limit, cfg, true)
+}
+
+/// Algorithm 5's group pass on the cluster, over vertex groups or, with
+/// `edges`, over edge groups (Remark 6.5): route each edge to its group's
+/// machine, guard the group sizes, colour every group locally, gather.
+fn group_pass(
+    g: &Graph,
+    kappa: usize,
+    edge_limit: usize,
+    cfg: MrConfig,
+    edges: bool,
 ) -> MrResult<(ColouringResult, Metrics)> {
     if kappa == 0 {
         return Err(MrError::BadConfig("kappa must be positive".into()));
     }
     let n = g.n();
     let machines = cfg.machines;
-    let groups: Vec<usize> = (0..n as VertexId)
-        .map(|v| vertex_group(cfg.seed, v, kappa))
-        .collect();
+    let groups = entity_groups(g, cfg.seed, kappa, edges);
     let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
 
-    // Route intra-group edges to group machines (one round).
+    // Route every edge of a group to the group's machine (one round): an
+    // edge's own group, or its endpoints' group when they share one.
     cluster.exchange::<(u64, EdgeId, VertexId, VertexId), _, _>(
         |_, s, out| {
             for &(e, u, v) in &s.input {
-                let gu = groups[u as usize];
-                if gu == groups[v as usize] {
-                    out.send(gu % machines, (gu as u64, e, u, v));
-                }
+                let grp = if edges {
+                    groups[e as usize]
+                } else if groups[u as usize] == groups[v as usize] {
+                    groups[u as usize]
+                } else {
+                    continue;
+                };
+                out.send(grp % machines, (grp as u64, e, u, v));
             }
             s.input.clear();
         },
@@ -104,50 +134,54 @@ pub fn run_vertex(
         },
     )?;
 
-    // Guard of line 4 (Lemma 6.2): per-group edge budget.
-    if let Some(limit) = edge_limit {
-        let worst = cluster.aggregate(
-            |_, s: &ColourChunk| {
-                let mut best: (u64, u64) = (0, 0); // (count, group)
-                let mut idx = 0usize;
-                let rec = &s.received; // sorted by (group, edge) at receipt
-                while idx < rec.len() {
-                    let grp = rec[idx].0;
-                    let mut count = 0u64;
-                    while idx < rec.len() && rec[idx].0 == grp {
-                        count += 1;
-                        idx += 1;
-                    }
-                    if count > best.0 {
-                        best = (count, grp);
-                    }
+    // Guard of line 4 (Lemma 6.2): per-group edge budget. A machine
+    // reports its largest group: the first of equals for vertex groups,
+    // the last for edge groups.
+    let worst = cluster.aggregate(
+        |_, s: &ColourChunk| {
+            let mut best: (u64, u64) = (0, 0); // (count, group)
+            for group in s.received.chunk_by(|a, b| a.0 == b.0) {
+                let count = group.len() as u64;
+                if count > best.0 || (edges && count == best.0) {
+                    best = (count, group[0].0);
                 }
-                best
-            },
-            |a, b| if a.0 >= b.0 { a } else { b },
-        )?;
-        if worst.0 as usize > limit {
-            return Err(cluster.fail(format!(
-                "group {} has {} > {limit} edges (Lemma 6.2 guard)",
-                worst.1, worst.0
-            )));
-        }
+            }
+            best
+        },
+        |a, b| if a.0 >= b.0 { a } else { b },
+    )?;
+    if worst.0 as usize > edge_limit {
+        let (grp, count) = worst;
+        return Err(cluster.fail(if edges {
+            format!("edge group {grp} has {count} > {edge_limit} edges")
+        } else {
+            format!("group {grp} has {count} > {edge_limit} edges (Lemma 6.2 guard)")
+        }));
     }
 
-    // Colour each owned group locally with the same greedy subroutine the
-    // in-memory driver uses.
+    // Colour each owned group locally with the in-memory driver's
+    // subroutine: greedy over its vertices, or Misra–Gries over its edges.
     cluster.local(move |_, s: &mut ColourChunk| {
         let rec = std::mem::take(&mut s.received); // sorted at receipt
         for group in rec.chunk_by(|a, b| a.0 == b.0) {
             let grp = group[0].0;
-            let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
-            let sub = Graph::from_validated(n, edges.collect());
-            let mut members: Vec<VertexId> = sub.edges().iter().flat_map(|e| [e.u, e.v]).collect();
-            members.sort_unstable();
-            members.dedup();
-            let local = greedy_colouring_with_order(&sub, &members);
-            for &v in &members {
-                s.colours.push((grp, v, local.colours[v as usize]));
+            let sub_edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
+            let sub = Graph::from_validated(n, sub_edges.collect());
+            if edges {
+                // The sub-graph's edge `pos` is the group's `pos`-th record.
+                let local = misra_gries_edge_colouring(&sub);
+                let coloured = group.iter().zip(&local.colours);
+                s.colours
+                    .extend(coloured.map(|(&(_, e, _, _), &c)| (grp, e, c)));
+            } else {
+                let mut members: Vec<VertexId> =
+                    sub.edges().iter().flat_map(|e| [e.u, e.v]).collect();
+                members.sort_unstable();
+                members.dedup();
+                let local = greedy_colouring_with_order(&sub, &members);
+                for &v in &members {
+                    s.colours.push((grp, v, local.colours[v as usize]));
+                }
             }
         }
     })?;
@@ -159,110 +193,9 @@ pub fn run_vertex(
     // Assemble exactly like the in-memory driver: groups ascending, private
     // palettes offset sequentially; vertices without intra-group edges get
     // local colour 0 of their group.
-    let mut local_colour = vec![0u32; n];
-    for &(_, v, c) in &coloured {
-        local_colour[v as usize] = c;
-    }
-    let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
-
-    let (_, metrics) = cluster.into_parts();
-    Ok((
-        ColouringResult {
-            colours,
-            num_colours,
-            groups: kappa,
-        },
-        metrics,
-    ))
-}
-
-/// Remark 6.5 on the cluster. Output is bit-identical to
-/// [`crate::colouring::edge_colouring`] with the same `(kappa, seed)`.
-///
-/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
-pub fn run_edge(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: Option<usize>,
-    cfg: MrConfig,
-) -> MrResult<(ColouringResult, Metrics)> {
-    if kappa == 0 {
-        return Err(MrError::BadConfig("kappa must be positive".into()));
-    }
-    let n = g.n();
-    let m = g.m();
-    let machines = cfg.machines;
-    let groups: Vec<usize> = (0..m as EdgeId)
-        .map(|e| edge_group(cfg.seed, e, kappa))
-        .collect();
-    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg))?;
-
-    cluster.exchange::<(u64, EdgeId, VertexId, VertexId), _, _>(
-        |_, s, out| {
-            for &(e, u, v) in &s.input {
-                let grp = groups[e as usize];
-                out.send(grp % machines, (grp as u64, e, u, v));
-            }
-            s.input.clear();
-        },
-        |_, s, inbox| {
-            // Sort once at receipt (see the vertex-colouring exchange).
-            inbox.sort_unstable_by_key(|&(grp, e, _, _)| (grp, e));
-            s.received = inbox.to_vec();
-        },
-    )?;
-
-    if let Some(limit) = edge_limit {
-        let worst = cluster.aggregate(
-            |_, s: &ColourChunk| {
-                // Grouped scan over the pre-sorted incidence; `>=` keeps
-                // the old `.max()` tie-break (greatest group id wins).
-                let mut best: (u64, u64) = (0, 0); // (count, group)
-                let mut idx = 0usize;
-                let rec = &s.received;
-                while idx < rec.len() {
-                    let grp = rec[idx].0;
-                    let mut count = 0u64;
-                    while idx < rec.len() && rec[idx].0 == grp {
-                        count += 1;
-                        idx += 1;
-                    }
-                    if count >= best.0 {
-                        best = (count, grp);
-                    }
-                }
-                best
-            },
-            |a, b| if a.0 >= b.0 { a } else { b },
-        )?;
-        if worst.0 as usize > limit {
-            return Err(cluster.fail(format!(
-                "edge group {} has {} > {limit} edges",
-                worst.1, worst.0
-            )));
-        }
-    }
-
-    cluster.local(move |_, s: &mut ColourChunk| {
-        let rec = std::mem::take(&mut s.received); // sorted at receipt
-        for group in rec.chunk_by(|a, b| a.0 == b.0) {
-            let edges = group.iter().map(|&(_, _, u, v)| Edge::new(u, v, 1.0));
-            let sub = Graph::from_validated(n, edges.collect());
-            let local = misra_gries_edge_colouring(&sub);
-            // The sub-graph's edge `pos` is the group's `pos`-th record.
-            let coloured = group.iter().zip(&local.colours);
-            s.colours
-                .extend(coloured.map(|(&(grp, orig, _, _), &c)| (grp, orig, c)));
-        }
-    })?;
-
-    let coloured: Vec<(u64, u32, u32)> =
-        cluster.gather(|_, s: &mut ColourChunk| std::mem::take(&mut s.colours))?;
-
-    let mut local_colour = vec![0u32; m];
-    for &(_, e, c) in &coloured {
-        local_colour[e as usize] = c;
+    let mut local_colour = vec![0u32; groups.len()];
+    for &(_, x, c) in &coloured {
+        local_colour[x as usize] = c;
     }
     let (colours, num_colours) = offset_palettes(&groups, &local_colour, kappa);
 
@@ -289,8 +222,8 @@ mod tests {
         for seed in 0..3 {
             let g = densified(60, 0.5, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
-            let (mr, metrics) = run_vertex(&g, 4, None, cfg).unwrap();
-            let seq = vertex_colouring(&g, 4, None, seed).unwrap();
+            let (mr, metrics) = run_vertex(&g, 4, usize::MAX, cfg).unwrap();
+            let seq = vertex_colouring(&g, 4, usize::MAX, seed).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert_eq!(mr.num_colours, seq.num_colours);
             assert!(is_proper_colouring(&g, &mr.colours));
@@ -304,8 +237,8 @@ mod tests {
         for seed in 0..3 {
             let g = densified(40, 0.4, seed);
             let cfg = MrConfig::auto(40, g.m(), 0.3, seed);
-            let (mr, metrics) = run_edge(&g, 3, None, cfg).unwrap();
-            let seq = edge_colouring(&g, 3, None, seed).unwrap();
+            let (mr, metrics) = run_edge(&g, 3, usize::MAX, cfg).unwrap();
+            let seq = edge_colouring(&g, 3, usize::MAX, seed).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert!(is_proper_edge_colouring(&g, &mr.colours));
             assert!(metrics.rounds <= 3);
@@ -316,7 +249,7 @@ mod tests {
     fn limit_guard_fires() {
         let g = densified(30, 0.6, 1);
         let cfg = MrConfig::auto(30, g.m(), 0.3, 1);
-        assert!(run_vertex(&g, 1, Some(5), cfg).is_err());
-        assert!(run_edge(&g, 1, Some(5), cfg).is_err());
+        assert!(run_vertex(&g, 1, 5, cfg).is_err());
+        assert!(run_edge(&g, 1, 5, cfg).is_err());
     }
 }

@@ -58,49 +58,6 @@ impl MisChunk {
         let recs: usize = self.nbrs.iter().map(|nbrs| 3 + 1 + nbrs.len()).sum();
         1 + recs + self.removed.words()
     }
-
-    /// Applies a removal delta: marks removed vertices, zeroes their
-    /// degrees, decrements neighbours' alive degrees. Membership runs
-    /// through the scratch bitmap — set, used, and cleared bit by bit — so
-    /// the adjacency walk is O(1) per neighbour and a round allocates
-    /// nothing.
-    fn apply_delta(&mut self, delta: &[VertexId]) {
-        for &v in delta {
-            self.delta_bits.set(v as usize);
-            self.removed.set(v as usize);
-        }
-        for (slot, rec) in self.recs.iter_mut().enumerate() {
-            if !rec.alive {
-                continue;
-            }
-            if self.delta_bits.get(rec.v as usize) {
-                rec.alive = false;
-                rec.d_alive = 0;
-            } else {
-                rec.d_alive -= self.nbrs[slot]
-                    .iter()
-                    .filter(|&&x| self.delta_bits.get(x as usize))
-                    .count();
-            }
-        }
-        for &v in delta {
-            self.delta_bits.clear(v as usize);
-        }
-    }
-
-    /// Streams the alive neighbours (via the replicated removed bitmap) of
-    /// the record in `slot` into a payload sink under `head`.
-    fn sink_alive_nbrs<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
-    where
-        H: Copy + WordSized,
-    {
-        let mut w = sink.begin(head);
-        for &x in &self.nbrs[slot] {
-            if !self.removed.get(x as usize) {
-                w.push(x);
-            }
-        }
-    }
 }
 
 fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<MisChunk>> {
@@ -128,18 +85,105 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<MisChunk>> {
         .collect())
 }
 
+/// A machine's block under Algorithm 6's class schedule ([`run_classes`]):
+/// [`MisChunk`] with alive degrees and alive-neighbour lists, and
+/// `clique`'s chunk with complement degrees and complement lists
+/// (Corollary B.1).
+pub(crate) trait ClassChunk: WordSized + Send + Sync + Sized {
+    /// The [`group_choice`] tags in front of the round and the class.
+    const TAGS: &'static [u64];
+    /// The failure reason once the round budget runs out.
+    const BUDGET: &'static str;
+    /// Number of vertex slots on this machine.
+    fn slots(&self) -> usize;
+    /// The vertex in `slot` and its live degree, `None` once it is out.
+    fn live(&self, slot: usize) -> Option<(VertexId, usize)>;
+    /// Streams the live list of the vertex in `slot` (its live degree
+    /// long) into a payload sink under `head`.
+    fn sink_list<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
+    where
+        H: Copy + WordSized;
+    /// Applies a broadcast removal delta.
+    fn apply_delta(&mut self, delta: &[VertexId]);
+    /// Edges left in the graph being thinned, aggregated the key's way.
+    fn live_edges(cluster: &mut Cluster<Self>) -> MrResult<usize>;
+}
+
+impl ClassChunk for MisChunk {
+    const TAGS: &'static [u64] = &[MIS_RNG_TAG, 0x6d32];
+    const BUDGET: &'static str = "MIS2 round budget exhausted";
+
+    fn slots(&self) -> usize {
+        self.recs.len()
+    }
+
+    fn live(&self, slot: usize) -> Option<(VertexId, usize)> {
+        let r = self.recs[slot];
+        r.alive.then_some((r.v, r.d_alive))
+    }
+
+    /// Streams the alive neighbours (via the replicated removed bitmap).
+    fn sink_list<H>(&self, sink: &mut PayloadSink<H, VertexId>, head: H, slot: usize)
+    where
+        H: Copy + WordSized,
+    {
+        let mut w = sink.begin(head);
+        for &x in &self.nbrs[slot] {
+            if !self.removed.get(x as usize) {
+                w.push(x);
+            }
+        }
+    }
+
+    /// Marks removed vertices, zeroes their degrees, decrements
+    /// neighbours' alive degrees. Membership runs through the scratch
+    /// bitmap — set, used, and cleared bit by bit — so the adjacency walk
+    /// is O(1) per neighbour and a round allocates nothing.
+    fn apply_delta(&mut self, delta: &[VertexId]) {
+        for &v in delta {
+            self.delta_bits.set(v as usize);
+            self.removed.set(v as usize);
+        }
+        for (slot, rec) in self.recs.iter_mut().enumerate() {
+            if !rec.alive {
+                continue;
+            }
+            if self.delta_bits.get(rec.v as usize) {
+                rec.alive = false;
+                rec.d_alive = 0;
+            } else {
+                rec.d_alive -= self.nbrs[slot]
+                    .iter()
+                    .filter(|&&x| self.delta_bits.get(x as usize))
+                    .count();
+            }
+        }
+        for &v in delta {
+            self.delta_bits.clear(v as usize);
+        }
+    }
+
+    fn live_edges(cluster: &mut Cluster<Self>) -> MrResult<usize> {
+        let degrees = cluster.aggregate_sum(|_, s: &MisChunk| {
+            s.recs.iter().filter(|r| r.alive).map(|r| r.d_alive).sum()
+        })?;
+        Ok(degrees / 2)
+    }
+}
+
 /// The central machine's view of this round's additions: processes a
-/// sampled group member, returning the removal delta it causes. Shared
-/// with `clique`, whose complement lists play the alive-neighbour role.
-pub(crate) struct CentralRound {
+/// sampled group member, returning the removal delta it causes. A
+/// member's list is its live list ([`ClassChunk::sink_list`]): alive
+/// neighbours for MIS, the complement list for clique.
+struct CentralRound {
     /// Vertices removed this round (a [`Bitset`] for O(1) membership).
     removed_now: Bitset,
-    pub(crate) delta: Vec<VertexId>,
-    pub(crate) added: Vec<VertexId>,
+    delta: Vec<VertexId>,
+    added: Vec<VertexId>,
 }
 
 impl CentralRound {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         CentralRound {
             removed_now: Bitset::new(n),
             delta: Vec::new(),
@@ -168,7 +212,7 @@ impl CentralRound {
 
     /// The greedy finish over gathered `(v, list)` messages: in ascending
     /// `v`, adds every vertex nothing added before it has removed.
-    pub(crate) fn add_ascending(&mut self, batch: &PayloadBatch<VertexId, VertexId>) {
+    fn add_ascending(&mut self, batch: &PayloadBatch<VertexId, VertexId>) {
         let mut order: Vec<usize> = (0..batch.len()).collect();
         order.sort_unstable_by_key(|&i| batch.head(i));
         for i in order {
@@ -184,14 +228,14 @@ impl CentralRound {
 /// the variable-size alive-neighbour list rides in the flat element arena.
 /// Word count (3 + 1 + len) is identical to the `(u64, u64, VertexId,
 /// Vec<VertexId>)` tuple it replaced, so metrics and goldens don't move.
-pub(crate) type SampleHead = (u64, u64, VertexId);
+type SampleHead = (u64, u64, VertexId);
 
 /// Processes gathered samples group-by-group, `accept(class)` giving the
 /// degree threshold; returns the removal delta. Ordering matches the
 /// in-memory drivers: groups ascending, members ascending, max current
 /// degree wins (first max = smallest id). The batch stays flat — sorting
 /// permutes an index column, never the neighbour lists.
-pub(crate) fn process_groups(
+fn process_groups(
     sample: &PayloadBatch<SampleHead, VertexId>,
     round: &mut CentralRound,
     accept: impl Fn(u64) -> f64,
@@ -200,48 +244,61 @@ pub(crate) fn process_groups(
     // so the index sort reproduces the old in-place message sort exactly.
     let mut order: Vec<usize> = (0..sample.len()).collect();
     order.sort_unstable_by_key(|&i| sample.head(i));
-    let mut idx = 0usize;
-    while idx < order.len() {
-        let (c, gid, _) = sample.head(order[idx]);
+    let group_of = |i: usize| (sample.head(i).0, sample.head(i).1);
+    for group in order.chunk_by(|&a, &b| group_of(a) == group_of(b)) {
+        let threshold = accept(sample.head(group[0]).0);
         let mut best: Option<(usize, usize)> = None; // (degree, batch index)
-        while idx < order.len() {
-            let (c2, g2, v) = sample.head(order[idx]);
-            if (c2, g2) != (c, gid) {
-                break;
+        for &bi in group {
+            if round.removed_now.get(sample.head(bi).2 as usize) {
+                continue;
             }
-            if !round.removed_now.get(v as usize) {
-                let d = round.current_degree(sample.payload(order[idx]));
-                if (d as f64) >= accept(c) {
-                    best = match best {
-                        None => Some((d, order[idx])),
-                        Some((bd, _)) if d > bd => Some((d, order[idx])),
-                        other => other,
-                    };
-                }
+            let d = round.current_degree(sample.payload(bi));
+            if d as f64 >= threshold && best.is_none_or(|(bd, _)| d > bd) {
+                best = Some((d, bi));
             }
-            idx += 1;
         }
         if let Some((_, bi)) = best {
-            let (_, _, v) = sample.head(bi);
-            round.add(v, sample.payload(bi));
+            round.add(sample.head(bi).2, sample.payload(bi));
         }
     }
 }
 
 /// The final central round: gathers the residual graph and finishes with
-/// the greedy MIS in ascending vertex order. Returns the chosen vertices.
-fn central_finish(cluster: &mut Cluster<MisChunk>, n: usize) -> MrResult<Vec<VertexId>> {
+/// the greedy in ascending vertex order. Returns the chosen vertices.
+fn central_finish<C: ClassChunk>(cluster: &mut Cluster<C>, n: usize) -> MrResult<Vec<VertexId>> {
     let residual: PayloadBatch<VertexId, VertexId> =
-        cluster.gather_payload(|_, s: &mut MisChunk, sink| {
-            for (slot, rec) in s.recs.iter().enumerate() {
-                if rec.alive {
-                    s.sink_alive_nbrs(sink, rec.v, slot);
+        cluster.gather_payload(|_, s: &mut C, sink| {
+            for slot in 0..s.slots() {
+                if let Some((v, _)) = s.live(slot) {
+                    s.sink_list(sink, v, slot);
                 }
             }
         })?;
     let mut round = CentralRound::new(n);
     round.add_ascending(&residual);
     Ok(round.added)
+}
+
+/// Rejects parameters no hungry-greedy run can use, and answers an empty
+/// graph without starting a cluster.
+fn trivial_run(
+    n: usize,
+    params: MisParams,
+    cfg: &MrConfig,
+) -> MrResult<Option<(SelectionResult, Metrics)>> {
+    if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
+        return Err(MrError::BadConfig(
+            "invalid hungry-greedy parameters".into(),
+        ));
+    }
+    Ok((n == 0).then(|| {
+        let empty = SelectionResult {
+            vertices: vec![],
+            phases: 0,
+            iterations: 0,
+        };
+        (empty, Metrics::new(cfg.machines, cfg.capacity))
+    }))
 }
 
 /// Algorithm 6 (`MIS2`) on the cluster. Output is bit-identical to
@@ -254,48 +311,45 @@ pub fn run_fast(
     params: MisParams,
     cfg: MrConfig,
 ) -> MrResult<(SelectionResult, Metrics)> {
-    if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
-        return Err(MrError::BadConfig(
-            "invalid hungry-greedy parameters".into(),
-        ));
-    }
+    run_classes(g, params, cfg, build_chunks)
+}
+
+/// Algorithm 6's class schedule on the cluster, for MIS2 and (on
+/// complement degrees) clique: while `η` or more edges are live, class
+/// sizes go up the tree and back down, every machine samples its live
+/// vertices into groups per degree class, the central machine takes the
+/// hungriest qualifying member of each group, and the removal delta is
+/// broadcast; then the residual graph finishes centrally.
+pub(crate) fn run_classes<C: ClassChunk>(
+    g: &Graph,
+    params: MisParams,
+    cfg: MrConfig,
+    build: fn(&Graph, &MrConfig) -> MrResult<Vec<C>>,
+) -> MrResult<(SelectionResult, Metrics)> {
     let n = g.n();
-    if n == 0 {
-        return Ok((
-            SelectionResult {
-                vertices: vec![],
-                phases: 0,
-                iterations: 0,
-            },
-            Metrics::new(cfg.machines, cfg.capacity),
-        ));
+    if let Some(done) = trivial_run(n, params, &cfg)? {
+        return Ok(done);
     }
     let nf = (n.max(2)) as f64;
     let num_classes = (1.0 / params.alpha).ceil() as usize;
-    let mut cluster = Cluster::new(cfg.cluster(), build_chunks(g, &cfg)?)?;
-    let mut in_i = vec![false; n];
+    let mut cluster = Cluster::new(cfg.cluster(), build(g, &cfg)?)?;
+    let mut chosen: Vec<VertexId> = Vec::new();
     cluster.charge_central(2 + n / 32)?;
 
     let mut k = 0usize;
-    loop {
-        let alive_edges = cluster.aggregate_sum(|_, s: &MisChunk| {
-            s.recs.iter().filter(|r| r.alive).map(|r| r.d_alive).sum()
-        })? / 2;
-        if alive_edges < params.eta {
-            break;
-        }
+    while C::live_edges(&mut cluster)? >= params.eta {
         k += 1;
         if k > 64 + 4 * n {
-            return Err(cluster.fail("MIS2 round budget exhausted"));
+            return Err(cluster.fail(C::BUDGET));
         }
 
         // Class sizes up the tree, back down for local group choices.
         let class_sizes: Vec<u64> = cluster.aggregate(
-            |_, s: &MisChunk| {
+            |_, s: &C| {
                 let mut counts = vec![0u64; num_classes + 1];
-                for r in &s.recs {
-                    if r.alive && r.d_alive > 0 {
-                        counts[degree_class(r.d_alive, nf, params.alpha, num_classes)] += 1;
+                for slot in 0..s.slots() {
+                    if let Some((_, d)) = s.live(slot).filter(|&(_, d)| d > 0) {
+                        counts[degree_class(d, nf, params.alpha, num_classes)] += 1;
                     }
                 }
                 counts
@@ -309,27 +363,23 @@ pub fn run_fast(
         )?;
         cluster.broadcast(&class_sizes)?;
 
-        let seed = params.seed;
-        let alpha = params.alpha;
-        let gs = params.group_size;
-        let sizes = class_sizes.clone();
         let sample: PayloadBatch<SampleHead, VertexId> =
-            cluster.gather_payload(move |_, s: &mut MisChunk, sink| {
-                for (slot, r) in s.recs.iter().enumerate() {
-                    if !r.alive || r.d_alive == 0 {
+            cluster.gather_payload(|_, s: &mut C, sink| {
+                for slot in 0..s.slots() {
+                    let Some((v, d)) = s.live(slot).filter(|&(_, d)| d > 0) else {
                         continue;
-                    }
-                    let i = degree_class(r.d_alive, nf, alpha, num_classes);
-                    let groups_count = nf.powf((i + 1) as f64 * alpha).ceil() as usize;
+                    };
+                    let i = degree_class(d, nf, params.alpha, num_classes);
+                    let groups_count = nf.powf((i + 1) as f64 * params.alpha).ceil() as usize;
                     if let Some(gid) = group_choice(
-                        seed,
-                        &[MIS_RNG_TAG, 0x6d32, k as u64, i as u64],
-                        r.v as u64,
+                        params.seed,
+                        C::TAGS.iter().copied().chain([k as u64, i as u64]),
+                        v as u64,
                         groups_count,
-                        gs,
-                        sizes[i] as usize,
+                        params.group_size,
+                        class_sizes[i] as usize,
                     ) {
-                        s.sink_alive_nbrs(sink, (i as u64, gid as u64, r.v), slot);
+                        s.sink_list(sink, (i as u64, gid as u64, v), slot);
                     }
                 }
             })?;
@@ -338,21 +388,18 @@ pub fn run_fast(
         process_groups(&sample, &mut round, |c| {
             nf.powf(1.0 - (c as f64 + 1.0) * params.alpha)
         });
-        for &v in &round.added {
-            in_i[v as usize] = true;
-        }
+        chosen.extend_from_slice(&round.added);
 
         let mut delta = round.delta;
         delta.sort_unstable();
         cluster.broadcast(&delta)?;
-        cluster.local(move |_, s: &mut MisChunk| s.apply_delta(&delta))?;
+        cluster.local(move |_, s: &mut C| s.apply_delta(&delta))?;
     }
 
-    for v in central_finish(&mut cluster, n)? {
-        in_i[v as usize] = true;
-    }
+    chosen.extend(central_finish(&mut cluster, n)?);
+    chosen.sort_unstable();
     let result = SelectionResult {
-        vertices: (0..n as VertexId).filter(|&v| in_i[v as usize]).collect(),
+        vertices: chosen,
         phases: k,
         iterations: k + 1,
     };
@@ -370,21 +417,9 @@ pub fn run_simple(
     params: MisParams,
     cfg: MrConfig,
 ) -> MrResult<(SelectionResult, Metrics)> {
-    if !(params.alpha > 0.0 && params.alpha <= 1.0) || params.group_size == 0 || params.eta == 0 {
-        return Err(MrError::BadConfig(
-            "invalid hungry-greedy parameters".into(),
-        ));
-    }
     let n = g.n();
-    if n == 0 {
-        return Ok((
-            SelectionResult {
-                vertices: vec![],
-                phases: 0,
-                iterations: 0,
-            },
-            Metrics::new(cfg.machines, cfg.capacity),
-        ));
+    if let Some(done) = trivial_run(n, params, &cfg)? {
+        return Ok(done);
     }
     let nf = (n.max(2)) as f64;
     let final_degree = (params.eta as f64 / nf).max(1.0);
@@ -417,7 +452,7 @@ pub fn run_simple(
                     cluster.gather_payload(move |_, s: &mut MisChunk, sink| {
                         for (slot, r) in s.recs.iter().enumerate() {
                             if r.alive && r.d_alive as f64 >= tau {
-                                s.sink_alive_nbrs(sink, r.v, slot);
+                                s.sink_list(sink, r.v, slot);
                             }
                         }
                     })?;
@@ -449,13 +484,13 @@ pub fn run_simple(
                         }
                         if let Some(gid) = group_choice(
                             seed,
-                            &[MIS_RNG_TAG, i as u64, guard as u64],
+                            [MIS_RNG_TAG, i as u64, guard as u64],
                             r.v as u64,
                             groups_target,
                             gs,
                             heavy_count,
                         ) {
-                            s.sink_alive_nbrs(sink, (0u64, gid as u64, r.v), slot);
+                            s.sink_list(sink, (0u64, gid as u64, r.v), slot);
                         }
                     }
                 })?;

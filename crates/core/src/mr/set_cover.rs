@@ -98,6 +98,48 @@ fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ElemChunk>> {
         .collect())
 }
 
+/// Fails the run when a gathered sample `U'` holds more than
+/// [`SET_COVER_SAMPLE_SLACK`]` · η` elements (Algorithm 1's `fail`).
+pub(crate) fn check_sample<S: mrlr_mapreduce::MachineState>(
+    cluster: &Cluster<S>,
+    len: usize,
+    eta: usize,
+) -> MrResult<()> {
+    if len > SET_COVER_SAMPLE_SLACK * eta {
+        return Err(cluster.fail(format!(
+            "|U'| = {len} > {SET_COVER_SAMPLE_SLACK}η = {}",
+            SET_COVER_SAMPLE_SLACK * eta
+        )));
+    }
+    Ok(())
+}
+
+/// Algorithm 1's central pass: walks the sample's `(j, T_j)` in element
+/// order through the sequential local ratio and returns the sets it
+/// zeroed, ascending and without repeats.
+pub(crate) fn central_pass<T: AsRef<[SetId]>>(
+    lr: &mut ScLocalRatio,
+    sample: impl IntoIterator<Item = (ElemId, T)>,
+) -> Vec<SetId> {
+    let mut newly_zero: Vec<SetId> = Vec::new();
+    let mut zero_before: Vec<bool> = Vec::new();
+    for (j, tj) in sample {
+        let tj = tj.as_ref();
+        zero_before.clear();
+        zero_before.extend(tj.iter().map(|&i| lr.in_cover(i)));
+        if lr.process(j, tj).is_some() {
+            for (&i, &was_zero) in tj.iter().zip(&zero_before) {
+                if !was_zero && lr.in_cover(i) {
+                    newly_zero.push(i);
+                }
+            }
+        }
+    }
+    newly_zero.sort_unstable();
+    newly_zero.dedup();
+    newly_zero
+}
+
 /// Runs Algorithm 1 on the cluster simulator. Returns the cover and the
 /// cluster metrics. Output is bit-identical to
 /// [`crate::rlr::setcover::approx_set_cover_f`] with `(cfg.eta, cfg.seed)`.
@@ -117,10 +159,8 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     // Central state: residual weights (n words) + dual accumulator.
     let mut lr = ScLocalRatio::new(sys.weights());
     cluster.charge_central(n_sets + 2)?;
-    // Central scratch, reused every round: the sample's sort permutation
-    // and the per-element "already zero" flags.
+    // Central scratch, reused every round: the sample's sort permutation.
     let mut order: Vec<usize> = Vec::new();
-    let mut zero_before: Vec<bool> = Vec::new();
 
     let mut round = 0usize;
     loop {
@@ -142,35 +182,14 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
                     }
                 }
             })?;
-        if sample.len() > SET_COVER_SAMPLE_SLACK * cfg.eta {
-            return Err(cluster.fail(format!(
-                "|U'| = {} > {}η = {}",
-                sample.len(),
-                SET_COVER_SAMPLE_SLACK,
-                SET_COVER_SAMPLE_SLACK * cfg.eta
-            )));
-        }
+        check_sample(&cluster, sample.len(), cfg.eta)?;
 
         // Central: sequential local ratio on the sample in ascending
         // element order (matching the sequential driver).
         order.clear();
         order.extend(0..sample.len());
         order.sort_unstable_by_key(|&i| sample.head(i));
-        let mut newly_zero: Vec<SetId> = Vec::new();
-        for &i in &order {
-            let (j, tj) = sample.get(i);
-            zero_before.clear();
-            zero_before.extend(tj.iter().map(|&i| lr.in_cover(i)));
-            if lr.process(j, tj).is_some() {
-                for (&i, &was_zero) in tj.iter().zip(&zero_before) {
-                    if !was_zero && lr.in_cover(i) {
-                        newly_zero.push(i);
-                    }
-                }
-            }
-        }
-        newly_zero.sort_unstable();
-        newly_zero.dedup();
+        let newly_zero = central_pass(&mut lr, order.iter().map(|&i| sample.get(i)));
 
         // Broadcast the cover delta down the tree; machines update.
         cluster.broadcast(&newly_zero)?;

@@ -309,7 +309,7 @@ pub fn run(
                         let i = degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes);
                         if let Some(gid) = group_choice(
                             seed,
-                            &[HSC_RNG_TAG, k as u64, i as u64],
+                            [HSC_RNG_TAG, k as u64, i as u64],
                             r.id as u64,
                             group_counts[i],
                             gs,

@@ -32,7 +32,8 @@ use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::coin;
 use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, WordSized};
 
-use crate::mr::{place_rows, MrConfig, SET_COVER_SAMPLE_SLACK};
+use crate::mr::set_cover::{central_pass, check_sample};
+use crate::mr::{place_rows, MrConfig};
 use crate::rlr::setcover::{sample_probability, SC_COIN_TAG};
 use crate::seq::local_ratio_sc::ScLocalRatio;
 use crate::types::CoverResult;
@@ -177,35 +178,14 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
                     .map(|(r, _)| (r.id, r.u, r.v))
                     .collect::<Vec<_>>()
             })?;
-        if sample.len() > SET_COVER_SAMPLE_SLACK * cfg.eta {
-            return Err(cluster.fail(format!(
-                "|U'| = {} > {}η = {}",
-                sample.len(),
-                SET_COVER_SAMPLE_SLACK,
-                SET_COVER_SAMPLE_SLACK * cfg.eta
-            )));
-        }
+        check_sample(&cluster, sample.len(), cfg.eta)?;
+        // Elements of the vertex-cover system are edge ids, `T_j = {u, v}`.
         sample.sort_unstable_by_key(|(j, _, _)| *j);
-        let mut newly_zero: Vec<VertexId> = Vec::new();
-        for &(j, u, v) in &sample {
-            let tj = [u, v];
-            let zero_before = [lr.in_cover(u), lr.in_cover(v)];
-            // Elements of the vertex-cover system are edge ids.
-            if lr.process(j, &tj).is_some() {
-                for (&i, was) in tj.iter().zip(zero_before) {
-                    if !was && lr.in_cover(i) {
-                        newly_zero.push(i);
-                    }
-                }
-            }
-        }
-        newly_zero.sort_unstable();
-        newly_zero.dedup();
+        let delta = central_pass(&mut lr, sample.iter().map(|&(j, u, v)| (j, [u, v])));
 
         // Hop 1: central → chosen vertices (one id each).
         // Hop 2: each chosen vertex → its incident edges' machines.
         let central = cluster.config().central;
-        let delta = newly_zero;
         // Hop 1 meters central → chosen-vertex delivery; the chosen ids are
         // then available on the vertex machines (captured `delta` stands in
         // for the delivered values: metered data, captured control).

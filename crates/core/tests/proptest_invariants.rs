@@ -144,7 +144,7 @@ proptest! {
 
     #[test]
     fn vertex_colouring_always_proper(g in arb_graph(24, 80), kappa in 1usize..6, seed in any::<u64>()) {
-        let r = vertex_colouring(&g, kappa, None, seed).unwrap();
+        let r = vertex_colouring(&g, kappa, usize::MAX, seed).unwrap();
         prop_assert!(verify::is_proper_colouring(&g, &r.colours));
         prop_assert_eq!(r.groups, kappa);
         // κ groups each need at most Δ+1 colours.
@@ -153,7 +153,7 @@ proptest! {
 
     #[test]
     fn edge_colouring_always_proper(g in arb_graph(20, 60), kappa in 1usize..5, seed in any::<u64>()) {
-        let r = edge_colouring(&g, kappa, None, seed).unwrap();
+        let r = edge_colouring(&g, kappa, usize::MAX, seed).unwrap();
         prop_assert!(verify::is_proper_edge_colouring(&g, &r.colours));
         // Misra–Gries per group: ≤ Δ+1 each.
         prop_assert!(r.num_colours <= kappa * (g.max_degree() + 1));

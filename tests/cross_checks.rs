@@ -62,7 +62,7 @@ fn matching_lower_bounds_vertex_cover() {
 fn colour_classes_are_independent_sets() {
     let g = generators::densified(80, 0.4, 3);
     let cfg = MrConfig::auto(80, g.m(), 0.3, 3);
-    let (colouring, _) = colouring::run_vertex(&g, 4, None, cfg).unwrap();
+    let (colouring, _) = colouring::run_vertex(&g, 4, usize::MAX, cfg).unwrap();
     let max_colour = *colouring.colours.iter().max().unwrap();
     for colour in 0..=max_colour {
         let class: Vec<VertexId> = (0..80u32)

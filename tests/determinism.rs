@@ -59,10 +59,10 @@ fn clique_equivalent_across_machine_counts() {
 fn colouring_equivalent_across_machine_counts() {
     let g = generators::densified(70, 0.45, 4);
     let base = MrConfig::auto(70, g.m(), 0.3, 17);
-    let reference = colouring::run_vertex(&g, 4, None, base).unwrap().0;
+    let reference = colouring::run_vertex(&g, 4, usize::MAX, base).unwrap().0;
     for machines in [1usize, 6] {
         let cfg = base.with_machines(machines);
-        let (r, _) = colouring::run_vertex(&g, 4, None, cfg).unwrap();
+        let (r, _) = colouring::run_vertex(&g, 4, usize::MAX, cfg).unwrap();
         assert_eq!(r.colours, reference.colours, "machines = {machines}");
         assert_eq!(r.num_colours, reference.num_colours);
     }

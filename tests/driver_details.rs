@@ -57,9 +57,9 @@ fn metrics_invariants_hold_for_every_driver() {
     structural_invariants(&m, &cfg);
     let (_, m) = clique::run(&g, MisParams::mis2(n, 0.3, 7), cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = colouring::run_vertex(&g, 3, None, cfg).unwrap();
+    let (_, m) = colouring::run_vertex(&g, 3, usize::MAX, cfg).unwrap();
     structural_invariants(&m, &cfg);
-    let (_, m) = colouring::run_edge(&g, 3, None, cfg).unwrap();
+    let (_, m) = colouring::run_edge(&g, 3, usize::MAX, cfg).unwrap();
     structural_invariants(&m, &cfg);
     let b: Vec<u32> = vec![2; n];
     let params = BMatchingParams {
@@ -117,9 +117,9 @@ fn degenerate_instances_run_cleanly() {
     );
     // Colours are (group, within-group colour) pairs, so κ groups use up
     // to κ colours even on an edgeless graph.
-    let (r, _) = colouring::run_vertex(&g, 2, None, cfg).unwrap();
+    let (r, _) = colouring::run_vertex(&g, 2, usize::MAX, cfg).unwrap();
     assert!(r.num_colours <= 2);
-    let (r, _) = colouring::run_edge(&g, 2, None, cfg).unwrap();
+    let (r, _) = colouring::run_edge(&g, 2, usize::MAX, cfg).unwrap();
     assert_eq!(r.num_colours, 0);
 
     // One-edge graph.
@@ -167,16 +167,16 @@ fn colouring_edge_limit_guard_fires() {
     // parameters; with an adversarially tiny limit it must).
     let g = generators::densified(60, 0.5, 9);
     let cfg = MrConfig::auto(60, g.m(), 0.3, 9);
-    let err = colouring::run_vertex(&g, 2, Some(3), cfg).unwrap_err();
+    let err = colouring::run_vertex(&g, 2, 3, cfg).unwrap_err();
     assert!(
         matches!(err, MrError::AlgorithmFailed { .. }),
         "expected the Lemma 6.2 guard, got {err:?}"
     );
-    let err = colouring::run_edge(&g, 2, Some(3), cfg).unwrap_err();
+    let err = colouring::run_edge(&g, 2, 3, cfg).unwrap_err();
     assert!(matches!(err, MrError::AlgorithmFailed { .. }));
     // With the paper's 13 n^{1+mu} limit the guard never fires.
     let limit = (13.0 * (60f64).powf(1.3)).ceil() as usize;
-    assert!(colouring::run_vertex(&g, 2, Some(limit), cfg).is_ok());
+    assert!(colouring::run_vertex(&g, 2, limit, cfg).is_ok());
 }
 
 #[test]

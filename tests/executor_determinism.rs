@@ -215,17 +215,17 @@ fn colourings_with_fewer_groups_than_machines_are_thread_count_invariant() {
     let cfg = MrConfig::auto(400, g.m(), 0.05, SEED);
     for kappa in [2usize, 5] {
         assert!(kappa < cfg.machines, "κ {kappa} vs M {}", cfg.machines);
-        let vertex = colouring::run_vertex(&g, kappa, None, cfg.with_threads(1)).unwrap();
-        let edge = colouring::run_edge(&g, kappa, None, cfg.with_threads(1)).unwrap();
+        let vertex = colouring::run_vertex(&g, kappa, usize::MAX, cfg.with_threads(1)).unwrap();
+        let edge = colouring::run_edge(&g, kappa, usize::MAX, cfg.with_threads(1)).unwrap();
         for threads in [2usize, 4] {
             let cfg = cfg.with_threads(threads);
             assert_eq!(
-                colouring::run_vertex(&g, kappa, None, cfg).unwrap(),
+                colouring::run_vertex(&g, kappa, usize::MAX, cfg).unwrap(),
                 vertex,
                 "vertex colouring, κ {kappa}, {threads} threads"
             );
             assert_eq!(
-                colouring::run_edge(&g, kappa, None, cfg).unwrap(),
+                colouring::run_edge(&g, kappa, usize::MAX, cfg).unwrap(),
                 edge,
                 "edge colouring, κ {kappa}, {threads} threads"
             );

@@ -119,10 +119,10 @@ fn colouring_pipelines() {
     let g = workload();
     let kappa = group_count(N, g.m(), MU).max(2);
     let cfg = MrConfig::auto(N, g.m(), MU, SEED);
-    let (rv, mv) = colouring::run_vertex(&g, kappa, None, cfg).unwrap();
+    let (rv, mv) = colouring::run_vertex(&g, kappa, usize::MAX, cfg).unwrap();
     assert!(verify::is_proper_colouring(&g, &rv.colours));
     assert!(mv.rounds <= 3, "vertex colouring took {} rounds", mv.rounds);
-    let (re, me) = colouring::run_edge(&g, kappa, None, cfg).unwrap();
+    let (re, me) = colouring::run_edge(&g, kappa, usize::MAX, cfg).unwrap();
     assert!(verify::is_proper_edge_colouring(&g, &re.colours));
     assert!(me.rounds <= 3);
     // Colour budget: far below the trivial kappa * (Delta + 1).

@@ -161,7 +161,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
             "vertex-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
-                let limit = Some(ColouringDriver::paper_edge_limit(g.n(), cfg.mu));
+                let limit = ColouringDriver::paper_edge_limit(g.n(), cfg.mu);
                 let (direct, lm) = colouring::run_vertex(g, kappa, limit, cfg).unwrap();
                 assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
@@ -169,7 +169,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
             "edge-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
-                let limit = Some(ColouringDriver::paper_edge_limit(g.n(), cfg.mu));
+                let limit = ColouringDriver::paper_edge_limit(g.n(), cfg.mu);
                 let (direct, lm) = colouring::run_edge(g, kappa, limit, cfg).unwrap();
                 assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");

@@ -114,11 +114,11 @@ fn colouring_rounds_are_constant_in_n() {
         let mu = 0.3;
         let kappa = group_count(g.n(), g.m(), mu).max(1);
         let cfg = MrConfig::auto(n, g.m(), mu, 9);
-        let (res, metrics) = colouring::run_vertex(&g, kappa, None, cfg).unwrap();
+        let (res, metrics) = colouring::run_vertex(&g, kappa, usize::MAX, cfg).unwrap();
         assert!(res.num_colours >= 1);
         vertex_rounds.push(metrics.rounds);
         let cfg = MrConfig::auto(n, g.m(), mu, 9);
-        let (_, metrics) = colouring::run_edge(&g, kappa, None, cfg).unwrap();
+        let (_, metrics) = colouring::run_edge(&g, kappa, usize::MAX, cfg).unwrap();
         edge_rounds.push(metrics.rounds);
     }
     for &r in vertex_rounds.iter().chain(&edge_rounds) {
