@@ -714,6 +714,69 @@ fn hostile_headers_exit_1_with_a_parse_message() {
     }
 }
 
+/// A committed witness's shape is a claim too. A report and a two-line
+/// transcript that both claim one chunk of 2^40 (or `u64::MAX`) entries
+/// must be rejected at that chunk with exit 1 — never an allocation
+/// abort (killed by a signal) or a panic (exit 101).
+#[test]
+fn hostile_committed_witnesses_exit_1_with_a_located_error() {
+    let dir = workdir("hostile-witness");
+    mrlr(
+        &dir,
+        "1",
+        &["gen", "densified", "--n", "40", "--out", "g.inst"],
+    );
+    mrlr(
+        &dir,
+        "1",
+        &[
+            "solve",
+            "matching",
+            "--input",
+            "g.inst",
+            "--format",
+            "json",
+            "--mask-timings",
+            "--certificates",
+            "committed",
+            "--chunk-len",
+            "8",
+            "--witness-out",
+            "w.txt",
+            "--out",
+            "r.json",
+        ],
+    );
+    let report = std::fs::read_to_string(dir.join("r.json")).unwrap();
+    let transcript = std::fs::read_to_string(dir.join("w.txt")).unwrap();
+    let head: Vec<&str> = transcript.lines().next().unwrap().split(' ').collect();
+    let (of, entries, root) = (head[2], head[3], head[5]);
+    for claim in [1u64 << 40, u64::MAX] {
+        let forged = report
+            .replace(
+                &format!("\"entries\": {entries},"),
+                &format!("\"entries\": {claim},"),
+            )
+            .replace("\"chunk_len\": 8,", &format!("\"chunk_len\": {claim},"));
+        assert_ne!(forged, report);
+        std::fs::write(dir.join("forged.json"), forged).unwrap();
+        let two_lines = format!("mrlr-commit v1 {of} {claim} {claim} {root}\nchunk 0\n");
+        std::fs::write(dir.join("forged.txt"), two_lines).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .args(["verify", "g.inst", "forged.json", "--witness", "forged.txt"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mrlr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "claim {claim}: {stderr}");
+        assert!(
+            stderr.contains("transcript.chunk[0]"),
+            "claim {claim}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "claim {claim}: {stderr}");
+    }
+}
+
 /// `--format` is checked before any input is read: a bad format next to
 /// a missing instance is the usage error (exit 2), not the missing file
 /// (exit 1) — and no solve runs first.

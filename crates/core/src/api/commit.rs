@@ -180,10 +180,9 @@ fn chunk_entries(entries: usize, chunk_len: usize, index: usize) -> usize {
 /// Depth of the padded Merkle tree over `num_chunks` leaves — the length
 /// of every authentication path.
 pub fn tree_depth(num_chunks: usize) -> usize {
-    if num_chunks <= 1 {
-        return 0;
-    }
-    num_chunks.next_power_of_two().trailing_zeros() as usize
+    // ⌈log2 num_chunks⌉, without rounding up to a power of two first:
+    // that overflows past 2^63 chunks, which a hostile header may claim.
+    (usize::BITS - num_chunks.saturating_sub(1).leading_zeros()) as usize
 }
 
 fn leaf_hash(index: usize, entries: &[(u32, f64)]) -> Digest {
@@ -605,7 +604,10 @@ pub fn open_witness(committed: &Witness, transcript: &str) -> Result<Witness, Au
             ),
         ));
     }
-    let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(entries);
+    // Reserve for the entries the transcript carries, not the header's
+    // claim: a chunk is checked against that claim only below.
+    let carried = t.chunks.iter().map(|c| c.entries.len()).sum();
+    let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(carried);
     for (want, chunk) in t.chunks.iter().enumerate() {
         if chunk.index != want {
             return Err(AuditError::new(
