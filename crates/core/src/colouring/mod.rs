@@ -8,7 +8,9 @@
 //! colours. The union uses `κ(max_i Δ_i + 1) = (1+o(1))Δ` colours
 //! (Corollary 6.3). Remark 6.5: edge colouring works identically with
 //! *edges* partitioned and Misra–Gries (`Δ_i + 1` colours, Vizing) as the
-//! per-group subroutine.
+//! per-group subroutine, so [`vertex_colouring`] and [`edge_colouring`]
+//! run one group pass; only an edge's group, the subroutine and the
+//! coloured entity differ.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::mix_tags;

@@ -10,6 +10,10 @@
 //! so each round touches only `O(n^{1+µ})` words even though the
 //! complement is dense. The relabelling scheme of Appendix B is realized
 //! here as the shrinking active set plus per-round removal deltas.
+//!
+//! [`maximal_clique`] runs the same loop as [`crate::hungry::mis_fast`]
+//! (Algorithm 6's class schedule), over this module's active-set state
+//! instead of the MIS state.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::{Csr, MrError, MrResult};

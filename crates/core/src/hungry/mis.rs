@@ -336,11 +336,11 @@ pub(crate) fn class_schedule<S: ClassState>(
                 // Hungriest qualifying vertex: max live degree, tie -> id.
                 let mut best: Option<(usize, VertexId)> = None;
                 for &v in group {
-                    match st.live_degree(v) {
-                        Some(d) if d as f64 >= accept && best.is_none_or(|(bd, _)| d > bd) => {
-                            best = Some((d, v));
-                        }
-                        _ => {}
+                    let Some(d) = st.live_degree(v) else {
+                        continue;
+                    };
+                    if d as f64 >= accept && best.is_none_or(|(bd, _)| d > bd) {
+                        best = Some((d, v));
                     }
                 }
                 if let Some((_, v)) = best {

@@ -97,8 +97,8 @@ impl ClassChunk for CliqueChunk {
     /// An active vertex and its complement degree `|A| − 1 − |N(v) ∩ A|`.
     fn live(&self, slot: usize) -> Option<(VertexId, usize)> {
         let r = self.recs[slot];
-        let dbar = || self.active_count - 1 - r.g_alive;
-        self.active.get(r.v as usize).then(|| (r.v, dbar()))
+        let active = self.active.get(r.v as usize);
+        active.then(|| (r.v, self.active_count - 1 - r.g_alive))
     }
 
     /// Streams the complement list `A \ N[v] \ {v}`: one merge walk of the

@@ -8,6 +8,21 @@
 //! round/space/communication [`mrlr_mapreduce::Metrics`]. The equivalence
 //! is asserted by the integration tests.
 //!
+//! Where the paper proves one result by rerunning another algorithm, the
+//! two keys share one loop here:
+//! - `mis2` ([`mis::run_fast`]) and `clique` ([`clique::run`], Corollary
+//!   B.1) run Algorithm 6's class schedule, `mis::run_classes`, on alive
+//!   degrees and on complement degrees respectively;
+//! - `vertex-colouring` ([`colouring::run_vertex`]) and `edge-colouring`
+//!   ([`colouring::run_edge`], Remark 6.5) run Algorithm 5's group pass
+//!   over vertex groups and over edge groups;
+//! - `set-cover-f` ([`set_cover::run`]) and `vertex-cover`
+//!   ([`vertex_cover::run`]) share Algorithm 1's central pass and its
+//!   sample-slack failure.
+//!
+//! Every other key (`mis1`, `set-cover-greedy`, `matching`,
+//! `b-matching`) runs a loop of its own.
+//!
 //! Machine supersteps execute on the simulator's pluggable executor
 //! ([`mrlr_mapreduce::executor`]); [`MrConfig::exec`] selects the thread
 //! count. This is wall-clock only — solutions and metrics are identical

@@ -94,7 +94,7 @@ struct Case {
 }
 
 fn real_case(seed: u64) -> Case {
-    let (key, instance) = if seed % 2 == 0 {
+    let (key, instance) = if seed.is_multiple_of(2) {
         let g = generators::gnm(12, 24, seed);
         let w = (0..g.n()).map(|v| 1.0 + (v % 5) as f64).collect();
         let vw = VertexWeightedGraph::new(g, w);
