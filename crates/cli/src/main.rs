@@ -35,7 +35,7 @@ use mrlr_bench::workloads::{self, GenParams};
 use mrlr_core::api::{self, witness, Backend, Instance, Registry, Witness};
 use mrlr_core::io::{self, CertificateMode, Json, TimingMode};
 use mrlr_core::mr::MrConfig;
-use mrlr_mapreduce::{SpawnKind, Timeline, WorkerKill};
+use mrlr_mapreduce::{SpawnKind, WorkerKill};
 use mrlr_serve::ReportFormat;
 
 const USAGE: &str = "mrlr — greedy and local ratio algorithms in the MapReduce model
@@ -706,20 +706,18 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
     // them on stderr so operators — and the fault-injection smoke — can
     // see the kill actually fired.
     if let Some(metrics) = report.metrics.as_ref() {
-        for line in Timeline::from_metrics(metrics).annotations() {
+        for line in metrics.notes() {
             eprintln!("note: {line}");
         }
     }
 
     if let Some(path) = timings_csv {
-        let csv = report
-            .metrics
-            .as_ref()
-            .map(|m| Timeline::from_metrics(m).timing_csv())
-            .unwrap_or_else(|| {
-                "pass,superstep,wall_nanos,max_machine_nanos,sum_machine_nanos,tasks,skew\n"
-                    .to_string()
-            });
+        let csv = io::timings_csv(
+            report
+                .metrics
+                .as_ref()
+                .map_or(&[], |m| &m.superstep_timings),
+        );
         std::fs::write(&path, csv)
             .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?;
     }
@@ -1076,7 +1074,7 @@ fn connect(flags: &mut Flags) -> Result<mrlr_serve::Client, CliError> {
 
 /// Runs a remote solve/batch conversation to its document, narrating
 /// `note:` frames on stderr exactly like the offline commands narrate
-/// their Timeline annotations.
+/// their [`Metrics::notes`](mrlr_mapreduce::Metrics::notes).
 fn run_served(
     client: &mut mrlr_serve::Client,
     request: &mrlr_serve::Request,

@@ -39,7 +39,7 @@ pub use json::{parse_json, Json, JsonValue};
 pub use manifest::{parse_manifest, JobSpec, Manifest};
 pub use report::{
     metrics_json, report_csv_row, report_json, report_json_with, report_text, solution_json,
-    TimingMode, REPORT_CSV_HEADER,
+    timings_csv, TimingMode, REPORT_CSV_HEADER,
 };
 pub use stream::{
     read_instance, stream_records, InstanceSink, Record, RecordSink, StreamHeader, StreamParser,

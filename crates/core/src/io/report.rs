@@ -158,6 +158,29 @@ pub fn metrics_json(m: &Metrics, timing: TimingMode) -> Json {
     ])
 }
 
+/// The executor-pass timings as CSV (the CLI's `--timings-csv` file): a
+/// header row, then one row per pass in execution order with its
+/// straggler skew. Host wall-clock is written as measured, never masked.
+pub fn timings_csv(timings: &[SuperstepTiming]) -> String {
+    use std::fmt::Write as _;
+    let mut s =
+        String::from("pass,superstep,wall_nanos,max_machine_nanos,sum_machine_nanos,tasks,skew\n");
+    for (i, t) in timings.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "{},{},{},{},{},{},{:.3}",
+            i + 1,
+            t.superstep,
+            t.wall_nanos,
+            t.max_machine_nanos,
+            t.sum_machine_nanos,
+            t.tasks,
+            t.skew()
+        );
+    }
+    s
+}
+
 /// One solved [`Report`] as a JSON object with a full (re-verifiable)
 /// certificate — shorthand for [`report_json_with`] at
 /// [`CertificateMode::Full`].
@@ -301,6 +324,20 @@ mod tests {
         let text = report_json(&r, TimingMode::Real).render();
         assert!(r.metrics.as_ref().unwrap().total_wall_nanos() > 0);
         assert!(!text.contains("\"total_wall_nanos\": 0"));
+    }
+
+    #[test]
+    fn timings_csv_has_a_row_per_pass() {
+        let mut m = Metrics::new(2, 100);
+        m.supersteps = 2;
+        m.record_timing(1_000, &[100, 900]);
+        m.record_timing(500, &[250, 250]);
+        // Pass 1: the slowest machine took 900 ns against a 500 ns mean.
+        assert_eq!(
+            timings_csv(&m.superstep_timings),
+            "pass,superstep,wall_nanos,max_machine_nanos,sum_machine_nanos,tasks,skew\n\
+             1,2,1000,900,1000,2,1.800\n2,2,500,250,500,2,1.000\n"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mrlr_core::api::{audit_report, Backend, Instance, Registry};
 use mrlr_graph::generators;
-use mrlr_mapreduce::{Timeline, WorkerKill};
+use mrlr_mapreduce::WorkerKill;
 
 /// One instance per registry key, matching the witness-suite shapes.
 fn cases() -> Vec<(&'static str, Instance)> {
@@ -127,11 +127,10 @@ fn killed_worker_runs_stay_bit_identical_and_audit_clean() {
         let summary = metrics.dist.as_ref().unwrap();
         assert_eq!(summary.recoveries.len(), 1, "{key}: expected one recovery");
         assert_eq!(summary.recoveries[0].worker, 1, "{key}");
-        // The recovery is narrated in the timeline...
-        let t = Timeline::from_metrics(metrics);
+        // The recovery is narrated as a note...
         assert!(
-            t.annotations().iter().any(|a| a.contains("recovery")),
-            "{key}: no recovery annotation"
+            metrics.notes().iter().any(|a| a.contains("recovery")),
+            "{key}: no recovery note"
         );
         // ...and the recovered certificate re-verifies offline.
         let checks = audit_report(instance, &healed)

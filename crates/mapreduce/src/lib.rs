@@ -27,10 +27,8 @@
 //!   space accounting; [`csr::Csr`] is the flat "one list per record"
 //!   layout resident driver states are built on.
 //! * [`model::ComputeModel`] audits cluster shapes against the MRC/MPC side
-//!   conditions, and [`trace::Timeline`] renders per-round traces
-//!   (CSV/ASCII) including per-superstep wall-clock and straggler skew.
-//!   Drivers place records on machines themselves, by hashing record
-//!   ids ([`rng::mix2`]).
+//!   conditions. Drivers place records on machines themselves, by hashing
+//!   record ids ([`rng::mix2`]).
 //!
 //! ## The runtime seam
 //!
@@ -96,7 +94,6 @@ pub mod rng;
 pub mod router;
 pub mod shard;
 pub mod superstep;
-pub mod trace;
 pub mod words;
 
 pub use bitset::Bitset;
@@ -119,5 +116,4 @@ pub use shard::Shard;
 pub use superstep::{
     default_runtime, env_runtime, parse_runtime, RuntimeKind, Scheduler, StaticAssignment,
 };
-pub use trace::{KindSummary, Timeline, TimelineRow};
 pub use words::{Payload, WordSized};

@@ -235,8 +235,7 @@ impl Metrics {
     }
 
     /// Records one communication round. Called by the cluster primitives;
-    /// public so tests and benches can construct synthetic run records for
-    /// the trace tooling.
+    /// public so tests and benches can construct synthetic run records.
     pub fn record_round(&mut self, kind: RoundKind, max_out: usize, max_in: usize, total: usize) {
         self.rounds += 1;
         self.total_message_words += total;
@@ -280,18 +279,20 @@ impl Metrics {
             .fold(0.0, f64::max)
     }
 
-    /// The worst *measured* straggler skew among the executor passes of
-    /// one superstep (see [`SuperstepTiming::skew`]). `None` when the
-    /// superstep recorded no timing, or the timings carry no signal —
-    /// masked/zeroed wall-clock, or passes with no measurable work.
-    pub fn superstep_skew(&self, superstep: usize) -> Option<f64> {
-        let max = self
-            .superstep_timings
+    /// Host-event lines for operators, one per dist [`RecoveryEvent`], in
+    /// detection order; empty for a clean or in-process run. The CLI and
+    /// the daemon print each as a `note:` line.
+    pub fn notes(&self) -> Vec<String> {
+        self.dist
             .iter()
-            .filter(|t| t.superstep == superstep)
-            .map(SuperstepTiming::skew)
-            .fold(0.0, f64::max);
-        (max > 0.0).then_some(max)
+            .flat_map(|d| &d.recoveries)
+            .map(|r| {
+                format!(
+                    "recovery: worker {} respawned at superstep {} (replayed {} bytes, {} ns)",
+                    r.worker, r.superstep, r.replayed_bytes, r.wall_nanos
+                )
+            })
+            .collect()
     }
 
     /// Peak space on any machine as a multiple of capacity (1.0 = at budget).
@@ -391,17 +392,34 @@ mod tests {
     }
 
     #[test]
-    fn superstep_skew_joins_rounds_to_timings() {
+    fn record_round_attributes_the_current_superstep() {
         let mut m = Metrics::new(4, 100);
         m.supersteps = 1;
         m.record_round(RoundKind::Exchange, 1, 1, 1);
         m.record_timing(1_000, &[400, 100, 100, 100]);
         assert_eq!(m.per_round[0].superstep, 1);
-        assert!((m.superstep_skew(1).unwrap() - 400.0 / 175.0).abs() < 1e-12);
-        assert_eq!(m.superstep_skew(2), None, "untimed superstep has no skew");
-        m.supersteps = 2;
-        m.record_timing(0, &[0, 0]);
-        assert_eq!(m.superstep_skew(2), None, "masked timings carry no signal");
+        assert_eq!(m.superstep_timings[0].superstep, 1);
+    }
+
+    #[test]
+    fn notes_pin_the_recovery_line() {
+        let clean = Metrics::new(4, 100);
+        assert!(clean.notes().is_empty());
+        let mut healed = clean.clone();
+        healed.dist = Some(DistSummary {
+            recoveries: vec![RecoveryEvent {
+                worker: 1,
+                superstep: 3,
+                wall_nanos: 1234,
+                replayed_bytes: 456,
+            }],
+            ..DistSummary::default()
+        });
+        // `scripts/fault_smoke.sh` parses this line: the text is a contract.
+        assert_eq!(
+            healed.notes(),
+            ["recovery: worker 1 respawned at superstep 3 (replayed 456 bytes, 1234 ns)"]
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use mrlr_mapreduce::dist::{DistConfig, SpawnKind, WorkerKill};
 use mrlr_mapreduce::executor::{executor_for, ThreadPoolExecutor};
 use mrlr_mapreduce::metrics::Metrics;
 use mrlr_mapreduce::superstep::RuntimeKind;
-use mrlr_mapreduce::trace::Timeline;
 
 #[derive(Debug)]
 struct VecState(Vec<u64>);
@@ -138,15 +137,13 @@ fn killed_worker_recovers_bit_identically() {
         let rec = &summary.recoveries[0];
         assert_eq!(rec.worker, 1);
         assert!(rec.wall_nanos > 0);
-        // The recovery surfaces in the timeline narrative without
-        // perturbing timeline equality against the clean run.
-        let t = Timeline::from_metrics(&metrics);
+        // The recovery surfaces as a note; the clean run has none.
+        let notes = metrics.notes();
         assert!(
-            t.annotations().iter().any(|a| a.contains("recovery")),
-            "kill@{kill_superstep}: no recovery annotation in {:?}",
-            t.annotations()
+            notes.iter().any(|a| a.contains("recovery")),
+            "kill@{kill_superstep}: no recovery note in {notes:?}"
         );
-        assert_eq!(t, Timeline::from_metrics(&ref_metrics));
+        assert!(ref_metrics.notes().is_empty());
     }
 }
 

@@ -1,10 +1,9 @@
-//! Property-based tests for the trace and model extensions of the
+//! Property-based tests for the metrics and model extensions of the
 //! simulator substrate.
 
 use proptest::prelude::*;
 
 use mrlr_mapreduce::metrics::{Metrics, RoundKind};
-use mrlr_mapreduce::trace::Timeline;
 use mrlr_mapreduce::{ClusterConfig, ComputeModel};
 
 fn arb_metrics() -> impl Strategy<Value = Metrics> {
@@ -28,25 +27,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn timeline_is_consistent_with_any_metrics(m in arb_metrics()) {
-        let t = Timeline::from_metrics(&m);
-        prop_assert_eq!(t.len(), m.rounds);
-        prop_assert_eq!(t.total_words(), m.total_message_words);
-        // Cumulative is nondecreasing.
-        let mut last = 0usize;
-        for row in t.rows() {
-            prop_assert!(row.cumulative >= last);
-            last = row.cumulative;
-        }
-        // Kind summary partitions the rounds.
-        prop_assert_eq!(t.summary_by_kind().iter().map(|k| k.rounds).sum::<usize>(), m.rounds);
-        // CSV has exactly one line per round plus header.
-        prop_assert_eq!(t.to_csv().lines().count(), m.rounds + 1);
-        // Histogram covers all rounds.
-        if m.rounds > 0 {
-            let h = t.volume_histogram(5);
-            prop_assert_eq!(h.iter().map(|&(_, _, c)| c).sum::<usize>(), m.rounds);
-        }
+    fn per_round_detail_sums_to_the_totals(m in arb_metrics()) {
+        prop_assert_eq!(m.per_round.len(), m.rounds);
+        prop_assert_eq!(m.per_round.iter().map(|r| r.total).sum::<usize>(), m.total_message_words);
+        let (e, g, b, a) = m.rounds_by_kind();
+        prop_assert_eq!(e + g + b + a, m.rounds);
     }
 
     #[test]

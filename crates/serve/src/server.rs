@@ -52,7 +52,7 @@ use mrlr_core::io::{self as core_io, CertificateMode, TimingMode};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::dist::transport::{frame_len, read_body, write_wire_frame};
 use mrlr_mapreduce::dist::wire::decode_value;
-use mrlr_mapreduce::{SpawnKind, Timeline};
+use mrlr_mapreduce::SpawnKind;
 
 use crate::protocol::{
     text_digest, BatchJob, CoalesceKey, RenderOpts, ReportFormat, Request, Response, SolveSpec,
@@ -551,14 +551,14 @@ impl Engine {
         }
     }
 
-    /// Host-event lines for a served report: the offline annotations
-    /// (dist recoveries) plus the serve counters. They travel as `note:`
+    /// Host-event lines for a served report: the offline notes (dist
+    /// recoveries) plus the serve counters. They travel as `note:`
     /// frames and stay out of the rendered document.
     fn notes_for(&self, report: &Report<Solution>) -> Vec<String> {
         let Some(metrics) = report.metrics.as_ref() else {
             return Vec::new();
         };
-        let mut notes = Timeline::from_metrics(metrics).annotations().to_vec();
+        let mut notes = metrics.notes();
         notes.push(self.stats.snapshot().note_line());
         notes
     }

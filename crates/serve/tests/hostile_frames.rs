@@ -20,7 +20,7 @@ use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mrlr_mapreduce::dist::transport::{read_wire_frame, MAX_FRAME};
@@ -33,11 +33,10 @@ use mrlr_serve::protocol::{
 use mrlr_serve::server::{serve, ServeConfig};
 
 /// Counts every byte requested from the allocator, process-wide: the
-/// daemon allocates on its own connection threads. The tests of this
-/// file run in parallel and each requests a few kilobytes, far inside
-/// the bound — except a thread inside [`largest_allocation`], whose
-/// allocations are measured on that thread alone and kept out of the
-/// process-wide count.
+/// daemon allocates on its own connection threads. A thread inside
+/// [`largest_allocation`] is measured on that thread alone and kept out
+/// of the process-wide count; the file's other tests are kept out of it
+/// by [`SERIAL`].
 struct Counting;
 
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
@@ -83,7 +82,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f`, returning its result and the bytes requested meanwhile.
+/// Taken by every test of this file. Outside [`largest_allocation`]
+/// they allocate megabytes (samples, mutated bodies, daemon threads), so
+/// run in parallel they would leak into each other's process-wide count.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f`, returning its result and the bytes requested meanwhile, by
+/// every thread of the process.
 fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = REQUESTED.load(Ordering::Relaxed);
     let out = f();
@@ -141,6 +150,7 @@ fn joined_within(handle: Daemon, bound: Duration) -> StatsSnapshot {
 
 #[test]
 fn a_gigabyte_prefix_then_eof_is_a_short_read_not_an_allocation() {
+    let _serial = serial();
     for sent in [0usize, 10] {
         let mut bytes = gigabyte_prefix().to_vec();
         bytes.resize(4 + sent, 7);
@@ -157,6 +167,7 @@ fn a_gigabyte_prefix_then_eof_is_a_short_read_not_an_allocation() {
 
 #[test]
 fn a_gigabyte_prefix_then_eof_costs_a_live_daemon_nothing() {
+    let _serial = serial();
     let (socket, handle) = start("claim", Duration::from_secs(30));
     let ((), requested) = requested_by(|| {
         let mut peer = UnixStream::connect(&socket).unwrap();
@@ -179,6 +190,7 @@ fn a_gigabyte_prefix_then_eof_costs_a_live_daemon_nothing() {
 
 #[test]
 fn a_peer_stalled_mid_frame_is_dropped_and_never_blocks_shutdown() {
+    let _serial = serial();
     const TIMEOUT: Duration = Duration::from_millis(300);
     const SLACK: Duration = Duration::from_secs(2);
     let (socket, handle) = start("stall", TIMEOUT);
@@ -220,6 +232,7 @@ fn decodes<T: Wire>(body: &[u8]) -> Option<bool> {
 
 #[test]
 fn a_batch_frame_announcing_a_million_instances_reserves_at_most_its_length() {
+    let _serial = serial();
     const FRAME: usize = 1 << 20;
     let tag = encode_value(&batch(Vec::new(), Vec::new()))[0];
     let mut body = vec![tag];
@@ -463,6 +476,7 @@ fn rejected_within_bound(seed: u64, s: &Sample, mutation: &str, body: &[u8]) {
 
 #[test]
 fn truncated_and_overstated_frames_are_rejected_in_bounded_memory() {
+    let _serial = serial();
     const SEEDS: u64 = 16;
     for seed in 0..SEEDS {
         let mut rng = DetRng::new(seed);

@@ -1,18 +1,17 @@
-//! Cluster observability: per-round traces and model audits.
+//! Cluster observability: per-round metrics and model audits.
 //!
-//! Runs the weighted-matching algorithm, then exercises the simulator's
-//! observability surface: the per-round [`Timeline`] (ASCII + CSV), the
-//! per-superstep wall-clock/straggler trace recorded by the executor, and
-//! the MRC/MPC model audit of the cluster shape.
+//! Runs the weighted-matching algorithm, then reads the simulator's one
+//! run record, [`Metrics`](mrlr::mapreduce::Metrics): the per-round
+//! volumes, the per-superstep wall-clock and straggler skew recorded by
+//! the executor, and the MRC/MPC model audit of the cluster shape.
 //!
 //! Run with: `cargo run --release --example cluster_observability`
 //! (set `MRLR_THREADS=4` to watch the same run under the thread pool —
-//! identical timeline and metrics, different wall-clock trace).
+//! identical model metrics, different wall-clock).
 
 use mrlr::core::api::{Instance, Registry};
 use mrlr::core::mr::MrConfig;
 use mrlr::graph::generators;
-use mrlr::mapreduce::trace::Timeline;
 use mrlr::mapreduce::ComputeModel;
 
 fn main() {
@@ -34,43 +33,32 @@ fn main() {
         result.iterations
     );
 
-    // --- Per-round timeline ---
-    let timeline = Timeline::from_metrics(&metrics);
+    // --- Per-round volumes ---
     println!(
-        "timeline ({} rounds, {} words moved):",
-        timeline.len(),
-        timeline.total_words()
+        "{} rounds, {} words moved",
+        metrics.rounds, metrics.total_message_words
     );
-    print!("{}", timeline.render_ascii(40));
-    if let Some(busy) = timeline.busiest_round() {
+    if let Some(busy) = metrics.per_round.iter().max_by_key(|r| r.total) {
         println!(
-            "busiest: round {} ({}, {} words)\n",
+            "busiest: round {} ({}, {} words)",
             busy.round, busy.kind, busy.total
         );
     }
-    println!("per-kind summary:");
-    for k in timeline.summary_by_kind() {
-        println!(
-            "  {:<9} {:>3} rounds {:>9} words",
-            k.kind.to_string(),
-            k.rounds,
-            k.words
-        );
-    }
-    println!("\nfirst CSV rows (feed to any plotting tool):");
-    for line in timeline.to_csv().lines().take(4) {
-        println!("  {line}");
-    }
+    let (exchange, gather, broadcast, aggregate) = metrics.rounds_by_kind();
+    println!(
+        "rounds by kind: {exchange} exchange, {gather} gather, \
+         {broadcast} broadcast, {aggregate} aggregate"
+    );
 
-    // --- Wall-clock / straggler trace (host time, not model rounds) ---
+    // --- Wall-clock / straggler skew (host time, not model rounds) ---
     println!(
         "\nexecutor wall-clock: {} passes, {:.2} ms total, worst straggler skew {:.2}",
-        timeline.timings().len(),
-        timeline.total_wall_nanos() as f64 / 1e6,
-        timeline.max_straggler_skew()
+        metrics.superstep_timings.len(),
+        metrics.total_wall_nanos() as f64 / 1e6,
+        metrics.max_straggler_skew()
     );
     println!("slowest executor passes (superstep, wall, skew):");
-    let mut slowest: Vec<_> = timeline.timings().to_vec();
+    let mut slowest = metrics.superstep_timings.clone();
     slowest.sort_by_key(|t| std::cmp::Reverse(t.wall_nanos));
     for t in slowest.iter().take(3) {
         println!(
