@@ -265,23 +265,15 @@ fn timing_mode(flags: &mut Flags) -> TimingMode {
     }
 }
 
-/// `--backend` for `solve` and `batch`, parsed against [`Backend::ALL`]
+/// `--backend` for `solve` and `batch`, parsed by `Backend`'s `FromStr`
 /// (the single source of truth for backend names — `mrlr list` and the
-/// README table derive from the same slice); `mr` is the default, and
-/// the cluster backends (`mr`/`shard`/`dist`) are bit-identical.
+/// README table derive from the same [`Backend::ALL`]); `mr` is the
+/// default, and the cluster backends (`mr`/`shard`/`dist`) are
+/// bit-identical.
 fn parse_backend(flags: &mut Flags) -> Result<Backend, CliError> {
     match flags.take("backend") {
         None => Ok(Backend::Mr),
-        Some(raw) => Backend::ALL
-            .into_iter()
-            .find(|b| b.to_string() == raw)
-            .ok_or_else(|| {
-                let names: Vec<String> = Backend::ALL.iter().map(Backend::to_string).collect();
-                CliError::usage(format!(
-                    "unknown backend `{raw}` (expected one of: {})",
-                    names.join(", ")
-                ))
-            }),
+        Some(raw) => raw.parse().map_err(CliError::usage),
     }
 }
 
@@ -395,7 +387,6 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
         "text" => {
             println!("algorithms (mrlr solve <key>):");
             for name in registry.algorithms() {
-                let driver = registry.get(name).expect("Mr driver registered");
                 let backends: Vec<String> = registry
                     .backends(name)
                     .into_iter()
@@ -404,7 +395,7 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
                 let info = registry.info(name).expect("paper key has an info row");
                 println!(
                     "  {name:<18} {:<22} backends: {:<10} {} (ratio {}, rounds {})",
-                    driver.instance_kind().to_string(),
+                    info.instance.to_string(),
                     backends.join(","),
                     info.theorem,
                     info.ratio,
@@ -427,14 +418,10 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
                 .algorithms()
                 .into_iter()
                 .map(|name| {
-                    let driver = registry.get(name).expect("Mr driver registered");
                     let info = registry.info(name).expect("paper key has an info row");
                     Json::Obj(vec![
                         ("key", Json::str(name)),
-                        (
-                            "instance_kind",
-                            Json::str(driver.instance_kind().to_string()),
-                        ),
+                        ("instance_kind", Json::str(info.instance.to_string())),
                         (
                             "backends",
                             Json::Arr(

@@ -1,4 +1,4 @@
-//! The unified solver API: [`Problem`]s, [`Driver`]s, [`Report`]s and the
+//! The unified solver API: [`Problem`]s, [`Report`]s and the
 //! string-keyed [`Registry`].
 //!
 //! Every algorithm in this crate shares one shape — an instance, a cluster
@@ -7,9 +7,12 @@
 //!
 //! * [`Problem`] names a problem family and ties together its instance,
 //!   solution and verification-certificate types.
-//! * [`Driver`] is one algorithm for one problem, available in up to five
-//!   [`Backend`]s: `Seq` (deterministic sequential reference), `Rlr` (the
-//!   paper's randomized in-memory driver from [`crate::rlr`],
+//! * [`Registry`] runs every paper algorithm under a stable string key
+//!   (`"matching"`, `"vertex-cover"`, …) for data-driven dispatch: the
+//!   experiment binaries, benches and examples loop over the registry
+//!   instead of hand-wiring per-algorithm entry points. Each key runs on
+//!   five [`Backend`]s: `Seq` (deterministic sequential reference), `Rlr`
+//!   (the paper's randomized in-memory driver from [`crate::rlr`],
 //!   [`crate::hungry`] or [`crate::colouring`]), `Mr` (the cluster
 //!   implementation from [`crate::mr`] on whichever runtime the config
 //!   — by default the `MRLR_BACKEND` environment variable — names),
@@ -20,16 +23,14 @@
 //!   fault-tolerant re-execution). For identical seeds the `Rlr`, `Mr`,
 //!   `Shard` and `Dist` backends return **bit-identical** solutions; the
 //!   cluster backends additionally report honest (and mutually
-//!   identical) [`Metrics`].
-//! * [`Report`] uniformly bundles the solution with its certificate,
-//!   cluster metrics and wall-clock timing.
-//! * [`Registry`] enumerates every driver under a stable string key
-//!   (`"matching"`, `"vertex-cover"`, …) for data-driven dispatch: the
-//!   experiment binaries, benches and examples loop over the registry
-//!   instead of hand-wiring per-algorithm entry points.
+//!   identical) [`Metrics`]. One private dispatch function derives each
+//!   key's paper parameters from `(instance, cfg)`, runs the backend and
+//!   certifies the solution.
 //!   [`Registry::solve_batch`] runs one instance set across many
 //!   `(algorithm, cfg)` jobs: the nested loop over
 //!   [`Registry::solve_with`], each job distributing its own input.
+//! * [`Report`] uniformly bundles the solution with its certificate,
+//!   cluster metrics and wall-clock timing.
 //!
 //! The cluster backends run machine supersteps on the pluggable executor
 //! behind [`crate::mr::MrConfig::exec`] ([`crate::mr::ExecConfig`]):
@@ -51,38 +52,32 @@
 //! ```
 
 pub mod commit;
-mod drivers;
+mod dispatch;
 mod problems;
 mod registry;
 pub mod stream;
 pub mod witness;
 
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-use mrlr_mapreduce::{Metrics, MrResult};
+use mrlr_mapreduce::Metrics;
 
 use crate::mr::MrConfig;
 
 pub use commit::{audit_chunk, audit_committed, commit_witness, open_witness, Commitment, Digest};
-pub use drivers::{
-    BMatchingDriver, CliqueDriver, ColouringDriver, GreedySetCoverDriver, MatchingDriver,
-    MisDriver, MisVariant, SetCoverFDriver, VertexCoverDriver, DEFAULT_BMATCHING_EPS,
-    DEFAULT_GREEDY_SC_EPS,
-};
+pub use dispatch::{paper_edge_limit, DEFAULT_BMATCHING_EPS, DEFAULT_GREEDY_SC_EPS};
 pub use problems::{
     BMatching, BMatchingInstance, ColouringCertificate, CoverCertificate, EdgeColouring, Matching,
     MatchingCertificate, MaximalClique, Mis, SelectionCertificate, SetCover, VertexColouring,
     VertexCover, VertexWeightedGraph,
 };
-pub use registry::{
-    AlgorithmInfo, ErasedDriver, FromInstance, Instance, InstanceKind, IntoSolution, Registry,
-    Solution, ALGORITHM_INFO, ALL_BACKENDS,
-};
+pub use registry::{AlgorithmInfo, Instance, InstanceKind, Registry, Solution, ALGORITHM_INFO};
 pub use stream::{solve_matching_stream, StreamError};
 pub use witness::{audit, audit_report, AuditError, Claims, Witness};
 
-/// Which implementation of an algorithm a [`Driver`] runs.
+/// Which implementation of an algorithm a [`Registry`] solve runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Backend {
     /// Deterministic sequential reference (test oracle / baseline).
@@ -134,6 +129,25 @@ impl fmt::Display for Backend {
     }
 }
 
+impl FromStr for Backend {
+    type Err = String;
+
+    /// Parses a backend's [`Display`](fmt::Display) name; the error lists
+    /// every name in [`Backend::ALL`] order.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.to_string() == name)
+            .ok_or_else(|| {
+                let names: Vec<String> = Backend::ALL.iter().map(Backend::to_string).collect();
+                format!(
+                    "unknown backend `{name}` (expected one of: {})",
+                    names.join(", ")
+                )
+            })
+    }
+}
+
 /// Uniform verification record carried by every [`Report`]: the scalar
 /// summary (feasibility, objective, certified ratio) **plus** the typed
 /// [`Witness`] that makes the record independently re-checkable — the LP
@@ -164,7 +178,7 @@ pub struct Certificate {
     pub witness: Witness,
 }
 
-/// Uniform outcome of one [`Driver::solve`] call.
+/// Uniform outcome of one [`Registry::solve_with`] call.
 #[derive(Debug, Clone)]
 pub struct Report<S> {
     /// Registry key of the algorithm that produced this report.
@@ -226,26 +240,6 @@ pub trait Problem {
     fn certify(instance: &Self::Instance, solution: &Self::Solution) -> Self::Certificate;
 }
 
-/// One algorithm for one problem, in one [`Backend`].
-///
-/// Implementations derive every per-algorithm parameter (phase granularity
-/// `α`, group sizes, `κ`, sampling budgets) from the instance and the
-/// cluster regime in `cfg`, exactly as the paper's theorems parameterize
-/// them — so a [`Registry`] consumer needs nothing beyond `(instance,
-/// cfg)`.
-pub trait Driver: Send + Sync {
-    /// Input instance type.
-    type Instance;
-    /// Solution type.
-    type Solution;
-    /// Registry key of this algorithm (e.g. `"set-cover-f"`, `"mis2"`).
-    fn algorithm(&self) -> &'static str;
-    /// Which backend this driver runs.
-    fn backend(&self) -> Backend;
-    /// Runs the algorithm and bundles the outcome into a [`Report`].
-    fn solve(&self, instance: &Self::Instance, cfg: &MrConfig) -> MrResult<Report<Self::Solution>>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +256,13 @@ mod tests {
         // files key off them.
         let names: Vec<String> = Backend::ALL.iter().map(Backend::to_string).collect();
         assert_eq!(names, ["seq", "rlr", "mr", "shard", "dist"]);
+        for b in Backend::ALL {
+            assert_eq!(b.to_string().parse::<Backend>(), Ok(b));
+        }
+        assert_eq!(
+            "gpu".parse::<Backend>(),
+            Err("unknown backend `gpu` (expected one of: seq, rlr, mr, shard, dist)".to_string())
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The string-keyed driver [`Registry`]: type-erased dispatch over every
-//! algorithm × backend combination, plus the paper-bounds table
-//! ([`ALGORITHM_INFO`]) mapping each key to its theorem.
+//! The string-keyed [`Registry`]: the public entry point to the one solve
+//! dispatch over every algorithm × backend combination, plus the
+//! paper-bounds table ([`ALGORITHM_INFO`]) mapping each key to its
+//! theorem and instance kind.
 //!
 //! # Registry keys and their theorems
 //!
@@ -25,26 +26,22 @@
 //! The same table is available programmatically as [`ALGORITHM_INFO`] /
 //! [`Registry::info`] and is served by `mrlr list --format json`. The
 //! *witness* column names the [`Witness`](super::Witness) kind each
-//! driver's [`Certificate`](super::Certificate) carries, re-checkable
+//! key's [`Certificate`](super::Certificate) carries, re-checkable
 //! offline via [`super::witness::audit`] / `mrlr verify`. Every key runs
-//! on all five [`Backend`]s ([`AlgorithmInfo::backends`]); the three
+//! on all five [`Backend`]s ([`Registry::backends`]); the three
 //! cluster backends (`mr` on the configured runtime, `shard` on the
 //! in-process runtime, `dist` on the master/worker control plane) return
 //! bit-identical reports.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mrlr_graph::Graph;
-use mrlr_mapreduce::{MrError, MrResult};
+use mrlr_mapreduce::MrResult;
 use mrlr_setsys::SetSystem;
 
-use super::drivers::{
-    BMatchingDriver, CliqueDriver, ColouringDriver, GreedySetCoverDriver, MatchingDriver,
-    MisDriver, MisVariant, SetCoverFDriver, VertexCoverDriver,
-};
+use super::dispatch;
 use super::problems::{BMatchingInstance, VertexWeightedGraph};
-use super::{Backend, Driver, MrConfig, Report};
+use super::{Backend, MrConfig, Report};
 use crate::types::{ColouringResult, CoverResult, MatchingResult, SelectionResult};
 
 /// The shape of instance an algorithm consumes; lets data-driven harnesses
@@ -125,16 +122,18 @@ impl Instance {
 }
 
 /// Paper-derived metadata of one registry key: theorem number, round and
-/// space bounds, certified approximation ratio and witness kind. The
-/// bounds are the *symbolic* statements of the theorems (they depend on
-/// the regime `(c, µ, ε)`), kept as display strings for dashboards and
-/// `mrlr list --format json`; the module-level docs of
-/// `crates/core/src/api/registry.rs` carry the full key → theorem table
-/// with context.
+/// space bounds, certified approximation ratio, witness kind and the
+/// instance kind the key consumes. The bounds are the *symbolic*
+/// statements of the theorems (they depend on the regime `(c, µ, ε)`),
+/// kept as display strings for dashboards and `mrlr list --format json`;
+/// the module-level docs of `crates/core/src/api/registry.rs` carry the
+/// full key → theorem table with context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmInfo {
     /// Registry key.
     pub key: &'static str,
+    /// The instance shape this algorithm consumes.
+    pub instance: InstanceKind,
     /// Theorem (or appendix result) of the paper backing the bounds.
     pub theorem: &'static str,
     /// Communication-round bound.
@@ -143,112 +142,103 @@ pub struct AlgorithmInfo {
     pub space: &'static str,
     /// Certified approximation guarantee.
     pub ratio: &'static str,
-    /// Witness kind the driver's certificate carries
+    /// Witness kind the key's certificate carries
     /// (`cover-dual` / `stack` / `maximality` / `properness`).
     pub witness: &'static str,
-    /// Backends this key supports, in `Backend::ALL` order. Every paper
-    /// key runs on all five; the cluster backends (`mr`, `shard`,
-    /// `dist`) are bit-identical (a cross-check against
-    /// [`Registry::backends`] lives in the tests).
-    pub backends: &'static [Backend],
 }
-
-/// The backend set every paper key supports (all of [`Backend::ALL`] —
-/// one source of truth; this is a slice view of that array).
-pub const ALL_BACKENDS: &[Backend] = &Backend::ALL;
 
 /// One [`AlgorithmInfo`] row per registry key, sorted by key (the order
 /// [`Registry::algorithms`] returns).
 pub const ALGORITHM_INFO: &[AlgorithmInfo] = &[
     AlgorithmInfo {
         key: "b-matching",
+        instance: InstanceKind::BMatching,
         theorem: "Theorem D.3",
         rounds: "O(c/µ · log(1/ε))",
         space: "O(n^{1+µ})",
         ratio: "3 − 2/max{2,b} + 2ε",
         witness: "stack",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "clique",
+        instance: InstanceKind::Graph,
         theorem: "Corollary B.1",
         rounds: "O(c/µ)",
         space: "O(n^{1+µ})",
         ratio: "maximal",
         witness: "maximality",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "edge-colouring",
+        instance: InstanceKind::Graph,
         theorem: "Theorem 6.6",
         rounds: "O(1)",
         space: "O(n^{1+µ})",
         ratio: "(1+o(1))Δ colours",
         witness: "properness",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "matching",
+        instance: InstanceKind::Graph,
         theorem: "Theorems 5.5/5.6, Appendix C",
         rounds: "O(c/µ); O(log n) at µ = 0",
         space: "O(n^{1+µ})",
         ratio: "2",
         witness: "stack",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "mis1",
+        instance: InstanceKind::Graph,
         theorem: "Theorem 3.3",
         rounds: "O(1/µ²)",
         space: "O(n^{1+µ})",
         ratio: "maximal",
         witness: "maximality",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "mis2",
+        instance: InstanceKind::Graph,
         theorem: "Theorem A.3",
         rounds: "O(c/µ)",
         space: "O(n^{1+µ})",
         ratio: "maximal",
         witness: "maximality",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "set-cover-f",
+        instance: InstanceKind::SetSystem,
         theorem: "Theorem 2.4",
         rounds: "O((c/µ)²)",
         space: "O(f·n^{1+µ})",
         ratio: "f",
         witness: "cover-dual",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "set-cover-greedy",
+        instance: InstanceKind::SetSystem,
         theorem: "Theorem 4.6",
         rounds: "O((c/µ)·(1/µ)·log(Δ)/ε)",
         space: "O(n^{1+µ})",
         ratio: "(1+ε)·H_Δ",
         witness: "cover-dual",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "vertex-colouring",
+        instance: InstanceKind::Graph,
         theorem: "Theorem 6.4",
         rounds: "O(1)",
         space: "O(n^{1+µ})",
         ratio: "(1+o(1))Δ colours",
         witness: "properness",
-        backends: ALL_BACKENDS,
     },
     AlgorithmInfo {
         key: "vertex-cover",
+        instance: InstanceKind::VertexWeighted,
         theorem: "Theorem 2.4 (f = 2)",
         rounds: "O(c/µ)",
         space: "O(n^{1+µ})",
         ratio: "2",
         witness: "cover-dual",
-        backends: ALL_BACKENDS,
     },
 ];
 
@@ -311,200 +301,21 @@ impl Solution {
     }
 }
 
-/// Typed instances that can be pulled out of an [`Instance`].
-pub trait FromInstance: Sized {
-    /// The kind tag this type corresponds to.
-    const KIND: InstanceKind;
-    /// Borrows the typed instance, if `inst` holds this kind.
-    fn from_instance(inst: &Instance) -> Option<&Self>;
-}
-
-impl FromInstance for Graph {
-    const KIND: InstanceKind = InstanceKind::Graph;
-    fn from_instance(inst: &Instance) -> Option<&Self> {
-        match inst {
-            Instance::Graph(g) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-impl FromInstance for VertexWeightedGraph {
-    const KIND: InstanceKind = InstanceKind::VertexWeighted;
-    fn from_instance(inst: &Instance) -> Option<&Self> {
-        match inst {
-            Instance::VertexWeighted(vw) => Some(vw),
-            _ => None,
-        }
-    }
-}
-
-impl FromInstance for BMatchingInstance {
-    const KIND: InstanceKind = InstanceKind::BMatching;
-    fn from_instance(inst: &Instance) -> Option<&Self> {
-        match inst {
-            Instance::BMatching(bm) => Some(bm),
-            _ => None,
-        }
-    }
-}
-
-impl FromInstance for SetSystem {
-    const KIND: InstanceKind = InstanceKind::SetSystem;
-    fn from_instance(inst: &Instance) -> Option<&Self> {
-        match inst {
-            Instance::SetSystem(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Typed solutions that can be erased into a [`Solution`].
-pub trait IntoSolution {
-    /// Wraps the typed solution.
-    fn into_solution(self) -> Solution;
-}
-
-impl IntoSolution for CoverResult {
-    fn into_solution(self) -> Solution {
-        Solution::Cover(self)
-    }
-}
-
-impl IntoSolution for MatchingResult {
-    fn into_solution(self) -> Solution {
-        Solution::Matching(self)
-    }
-}
-
-impl IntoSolution for SelectionResult {
-    fn into_solution(self) -> Solution {
-        Solution::Selection(self)
-    }
-}
-
-impl IntoSolution for ColouringResult {
-    fn into_solution(self) -> Solution {
-        Solution::Colouring(self)
-    }
-}
-
-/// Object-safe view of a registered [`Driver`].
-pub trait ErasedDriver: Send + Sync {
-    /// Registry key of the algorithm.
-    fn algorithm(&self) -> &'static str;
-    /// Backend this entry runs.
-    fn backend(&self) -> Backend;
-    /// The instance shape this algorithm consumes.
-    fn instance_kind(&self) -> InstanceKind;
-    /// Dispatches [`Driver::solve`], checking the instance kind.
-    fn solve(&self, instance: &Instance, cfg: &MrConfig) -> MrResult<Report<Solution>>;
-}
-
-struct Erased<D>(D);
-
-impl<D> ErasedDriver for Erased<D>
-where
-    D: Driver,
-    D::Instance: FromInstance,
-    D::Solution: IntoSolution,
-{
-    fn algorithm(&self) -> &'static str {
-        self.0.algorithm()
-    }
-
-    fn backend(&self) -> Backend {
-        self.0.backend()
-    }
-
-    fn instance_kind(&self) -> InstanceKind {
-        D::Instance::KIND
-    }
-
-    fn solve(&self, instance: &Instance, cfg: &MrConfig) -> MrResult<Report<Solution>> {
-        let typed = D::Instance::from_instance(instance).ok_or_else(|| {
-            MrError::BadConfig(format!(
-                "algorithm '{}' expects a {} instance, got a {}",
-                self.0.algorithm(),
-                D::Instance::KIND,
-                instance.kind()
-            ))
-        })?;
-        Ok(self.0.solve(typed, cfg)?.map(IntoSolution::into_solution))
-    }
-}
-
-/// String-keyed collection of every registered driver, for data-driven
-/// dispatch. See the [module docs](crate::api) for an example.
-pub struct Registry {
-    entries: BTreeMap<(&'static str, Backend), Box<dyn ErasedDriver>>,
-}
+/// The string-keyed entry point for data-driven dispatch: every paper
+/// key on every [`Backend`]. See the [module docs](crate::api) for an
+/// example.
+#[derive(Debug, Default)]
+pub struct Registry(());
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry {
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// A registry holding all eight paper algorithms (ten registry keys —
-    /// MIS and colouring contribute two each) in every backend that
-    /// implements them: 50 entries, five [`Backend`]s per key.
+    /// The registry of all eight paper algorithms (ten registry keys —
+    /// MIS and colouring contribute two each), each on all five
+    /// [`Backend`]s.
     pub fn with_defaults() -> Self {
-        let mut r = Registry::new();
-        for backend in Backend::ALL {
-            r.register(SetCoverFDriver { backend });
-            r.register(GreedySetCoverDriver::new(backend));
-            r.register(VertexCoverDriver { backend });
-            r.register(MatchingDriver { backend });
-            r.register(BMatchingDriver { backend });
-            r.register(MisDriver {
-                backend,
-                variant: MisVariant::Mis1,
-            });
-            r.register(MisDriver {
-                backend,
-                variant: MisVariant::Mis2,
-            });
-            r.register(CliqueDriver { backend });
-            r.register(ColouringDriver::vertex(backend));
-            r.register(ColouringDriver::edge(backend));
-        }
-        r
+        Registry(())
     }
 
-    /// Registers `driver` under `(driver.algorithm(), driver.backend())`,
-    /// replacing any previous entry for that key.
-    pub fn register<D>(&mut self, driver: D)
-    where
-        D: Driver + 'static,
-        D::Instance: FromInstance,
-        D::Solution: IntoSolution,
-    {
-        self.entries.insert(
-            (driver.algorithm(), driver.backend()),
-            Box::new(Erased(driver)),
-        );
-    }
-
-    /// The cluster ([`Backend::Mr`]) driver registered under `algorithm`.
-    pub fn get(&self, algorithm: &str) -> Option<&dyn ErasedDriver> {
-        self.get_backend(algorithm, Backend::Mr)
-    }
-
-    /// The driver registered under `(algorithm, backend)`.
-    pub fn get_backend(&self, algorithm: &str, backend: Backend) -> Option<&dyn ErasedDriver> {
-        // The map is keyed by `&'static str`; a lookup by a short-lived
-        // `&str` can't borrow into the tuple key, and with ~30 entries a
-        // scan is as good as a tree descent.
-        self.entries
-            .iter()
-            .find(|((name, b), _)| *name == algorithm && *b == backend)
-            .map(|(_, d)| d.as_ref())
-    }
-
-    /// Dispatches `instance` to the [`Backend::Mr`] driver of `algorithm`.
+    /// Dispatches `instance` to `algorithm` on [`Backend::Mr`].
     pub fn solve(
         &self,
         algorithm: &str,
@@ -514,9 +325,9 @@ impl Registry {
         self.solve_with(algorithm, Backend::Mr, instance, cfg)
     }
 
-    /// Dispatches every instance to every `(algorithm, cfg)` job on the
-    /// [`Backend::Mr`] drivers, returning `results[instance][job]`: the
-    /// plain nested loop over [`Registry::solve_with`], instances outer.
+    /// Dispatches every instance to every `(algorithm, cfg)` job on
+    /// [`Backend::Mr`], returning `results[instance][job]`: the plain
+    /// nested loop over [`Registry::solve_with`], instances outer.
     ///
     /// Every job distributes its instance itself, once, before round one
     /// (the paper's model); nothing is shared between jobs except the
@@ -557,7 +368,7 @@ impl Registry {
             .collect()
     }
 
-    /// Dispatches `instance` to the `(algorithm, backend)` driver.
+    /// Dispatches `instance` to `algorithm` on `backend`.
     pub fn solve_with(
         &self,
         algorithm: &str,
@@ -565,62 +376,28 @@ impl Registry {
         instance: &Instance,
         cfg: &MrConfig,
     ) -> MrResult<Report<Solution>> {
-        let driver = self.get_backend(algorithm, backend).ok_or_else(|| {
-            MrError::BadConfig(format!(
-                "no driver registered for algorithm '{algorithm}' on backend '{backend}'"
-            ))
-        })?;
-        driver.solve(instance, cfg)
+        dispatch::solve(algorithm, backend, instance, cfg)
     }
 
-    /// The paper-bounds row of `algorithm` (theorem, round/space bounds,
-    /// ratio, witness kind), if the key is one of the ten paper keys.
+    /// The paper-bounds row of `algorithm` (instance kind, theorem,
+    /// round/space bounds, ratio, witness kind), if the key is one of the
+    /// ten paper keys.
     pub fn info(&self, algorithm: &str) -> Option<&'static AlgorithmInfo> {
         ALGORITHM_INFO.iter().find(|i| i.key == algorithm)
     }
 
     /// Distinct algorithm keys, sorted.
     pub fn algorithms(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.entries.keys().map(|(n, _)| *n).collect();
-        names.dedup();
-        names
+        ALGORITHM_INFO.iter().map(|i| i.key).collect()
     }
 
-    /// Backends registered for `algorithm`, in `Seq < Rlr < Mr` order.
+    /// Backends `algorithm` runs on, in `Seq < Rlr < Mr < Shard < Dist`
+    /// order: all of [`Backend::ALL`] for a paper key, none otherwise.
     pub fn backends(&self, algorithm: &str) -> Vec<Backend> {
-        Backend::ALL
-            .into_iter()
-            .filter(|b| self.get_backend(algorithm, *b).is_some())
-            .collect()
-    }
-
-    /// All registered entries, ordered by `(algorithm, backend)`.
-    pub fn entries(&self) -> impl Iterator<Item = &dyn ErasedDriver> {
-        self.entries.values().map(AsRef::as_ref)
-    }
-
-    /// Number of registered `(algorithm, backend)` entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_defaults()
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field("entries", &self.entries.keys().collect::<Vec<_>>())
-            .finish()
+        match self.info(algorithm) {
+            Some(_) => Backend::ALL.to_vec(),
+            None => Vec::new(),
+        }
     }
 }
 
@@ -628,11 +405,11 @@ impl fmt::Debug for Registry {
 mod tests {
     use super::*;
     use mrlr_graph::generators;
+    use mrlr_mapreduce::MrError;
 
     #[test]
     fn defaults_cover_all_algorithms_and_backends() {
         let r = Registry::with_defaults();
-        assert_eq!(r.len(), 50);
         let names = r.algorithms();
         for name in [
             "b-matching",
@@ -648,23 +425,21 @@ mod tests {
         ] {
             assert!(names.contains(&name), "missing {name}");
             assert_eq!(r.backends(name), Backend::ALL.to_vec(), "{name}");
-            assert!(r.get(name).is_some(), "{name} has no Mr driver");
         }
+        assert_eq!(names.len(), 10);
+        assert!(r.backends("max-cut").is_empty());
     }
 
     #[test]
     fn info_table_covers_exactly_the_registry_keys() {
         let r = Registry::with_defaults();
         let keys = r.algorithms();
-        let info_keys: Vec<&str> = ALGORITHM_INFO.iter().map(|i| i.key).collect();
-        assert_eq!(keys, info_keys, "ALGORITHM_INFO must mirror the registry");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
         for key in keys {
             let info = r.info(key).unwrap();
             assert!(info.theorem.contains("eorem") || info.theorem.contains("orollary"));
             assert!(info.rounds.starts_with('O'), "{key}");
             assert!(!info.ratio.is_empty() && !info.witness.is_empty());
-            // The static backends column must mirror what is registered.
-            assert_eq!(info.backends, r.backends(key), "{key} backends drifted");
         }
         assert!(r.info("max-cut").is_none());
     }
@@ -678,7 +453,10 @@ mod tests {
             .solve("set-cover-f", &Instance::Graph(g), &cfg)
             .unwrap_err();
         assert!(matches!(err, MrError::BadConfig(_)), "{err:?}");
-        assert!(err.to_string().contains("set system"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "bad configuration: algorithm 'set-cover-f' expects a set system instance, got a graph"
+        );
     }
 
     /// `p graph 4294967296 0`: no cluster layout numbers 2^32 vertices as
@@ -690,7 +468,7 @@ mod tests {
         let instance = Instance::Graph(Graph::new(1 << 32, vec![]));
         let cfg = instance.auto_config(0.25, 1);
         for key in r.algorithms() {
-            if r.get(key).unwrap().instance_kind() != InstanceKind::Graph {
+            if r.info(key).unwrap().instance != InstanceKind::Graph {
                 continue;
             }
             let err = r
@@ -706,7 +484,10 @@ mod tests {
         let g = generators::densified(10, 0.3, 1);
         let cfg = MrConfig::auto(10, g.m().max(1), 0.3, 1);
         let err = r.solve("max-cut", &Instance::Graph(g), &cfg).unwrap_err();
-        assert!(err.to_string().contains("no driver"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "bad configuration: no driver registered for algorithm 'max-cut' on backend 'mr'"
+        );
     }
 
     #[test]

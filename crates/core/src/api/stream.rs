@@ -1,14 +1,14 @@
 //! `matching` solved straight off a reader.
 //!
 //! [`solve_matching_stream`] loads the instance the one way every command
-//! loads it — [`read_instance`] through a fixed window, then the driver
-//! distributes it — so its report is `Registry::solve("matching", …)`'s,
+//! loads it — [`read_instance`] through a fixed window, then the cluster
+//! run distributes it — so its report is `Registry::solve("matching", …)`'s,
 //! byte for byte. It keeps the benchmark's in-process replay of `mrlr
 //! solve --stream` (a flag the CLI accepts and ignores) compiling.
 
 use mrlr_mapreduce::MrError;
 
-use super::{Backend, Driver, Instance, MatchingDriver, Report};
+use super::{dispatch, Backend, Instance, Report};
 use crate::io::{read_instance, IoError};
 use crate::mr::MrConfig;
 use crate::types::MatchingResult;
@@ -69,7 +69,7 @@ pub fn solve_matching_stream<R: std::io::Read>(
         }));
     };
     let cfg = configure(g.n(), g.m());
-    Ok(MatchingDriver { backend }.solve(&g, &cfg)?)
+    Ok(dispatch::matching(backend, &g, &cfg)?)
 }
 
 #[cfg(test)]

@@ -492,4 +492,32 @@ mod tests {
         };
         assert!(mis_simple(&g, bad).is_err());
     }
+
+    /// An entity joins a group with probability
+    /// `p = min(1, groups·size/population)`, and then one of the
+    /// `groups` groups. Pooled over 32 seeds, the empirical join rate lies
+    /// within 4σ of `p`.
+    #[test]
+    fn group_choice_joins_at_rate_groups_times_size_over_population() {
+        let (groups, size, population) = (4usize, 25usize, 1000usize);
+        let seeds = 32u64;
+        let mut joined = 0usize;
+        for seed in 0..seeds {
+            for entity in 0..population as u64 {
+                if let Some(gid) = group_choice(seed, [7], entity, groups, size, population) {
+                    assert!(gid < groups, "seed {seed} entity {entity}");
+                    joined += 1;
+                }
+            }
+        }
+        let trials = seeds as f64 * population as f64;
+        let p = (groups * size) as f64 / population as f64;
+        let sigma = (trials * p * (1.0 - p)).sqrt();
+        let expected = trials * p;
+        assert!(
+            (joined as f64 - expected).abs() <= 4.0 * sigma,
+            "{joined} of {trials} joined, expected {expected:.0} ± {:.0}",
+            4.0 * sigma
+        );
+    }
 }

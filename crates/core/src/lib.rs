@@ -2,10 +2,11 @@
 //!
 //! Implementations of every algorithm in *"Greedy and Local Ratio
 //! Algorithms in the MapReduce Model"* (Harvey, Liaw, Liu; SPAA 2018),
-//! exposed uniformly through the [`api`] registry: each algorithm is one
-//! [`api::Driver`] with a stable string key and up to three
-//! [`api::Backend`]s (`Seq` reference, `Rlr` in-memory randomized driver,
-//! `Mr` cluster run — `Rlr` and `Mr` are bit-identical for equal seeds).
+//! exposed uniformly through the [`api`] registry: each algorithm runs
+//! under a stable string key on five [`api::Backend`]s (`Seq` reference,
+//! `Rlr` in-memory randomized driver, and the `Mr`, `Shard` and `Dist`
+//! cluster runs — `Rlr` and the cluster runs are bit-identical for equal
+//! seeds).
 //!
 //! | Paper | Registry key | Backend modules |
 //! |---|---|---|
@@ -50,5 +51,5 @@ pub mod seq;
 pub mod types;
 pub mod verify;
 
-pub use api::{Backend, Certificate, Driver, Problem, Registry, Report};
+pub use api::{Backend, Certificate, Problem, Registry, Report};
 pub use types::{ColouringResult, CoverResult, MatchingResult, SelectionResult, POS_TOL};

@@ -150,8 +150,8 @@ fn distribute(g: &Graph, b: &[u32], eps: f64, cfg: &MrConfig) -> MrResult<Vec<BM
 /// Runs Algorithm 7 on the cluster. Output is bit-identical to
 /// [`crate::rlr::bmatching::approx_b_matching`] with the same parameters.
 ///
-/// [`crate::api::BMatchingDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `b-matching` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run(
     g: &Graph,
     b: &[u32],

@@ -165,8 +165,8 @@ impl ClassChunk for CliqueChunk {
 /// complement lists. Output is bit-identical to
 /// [`crate::hungry::clique::maximal_clique`] with the same parameters.
 ///
-/// [`crate::api::CliqueDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `clique` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionResult, Metrics)> {
     run_classes(g, params, cfg, build_chunks)
 }

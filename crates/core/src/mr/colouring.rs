@@ -65,8 +65,8 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<ColourChunk> {
 /// Algorithm 5 on the cluster. Output is bit-identical to
 /// [`crate::colouring::vertex_colouring`] with the same `(kappa, seed)`.
 ///
-/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `vertex-colouring` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run_vertex(
     g: &Graph,
     kappa: usize,
@@ -79,8 +79,8 @@ pub fn run_vertex(
 /// Remark 6.5 on the cluster. Output is bit-identical to
 /// [`crate::colouring::edge_colouring`] with the same `(kappa, seed)`.
 ///
-/// [`crate::api::ColouringDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `edge-colouring` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run_edge(
     g: &Graph,
     kappa: usize,

@@ -201,8 +201,8 @@ fn vertex_groups(sample: &[Half], n: usize) -> impl Iterator<Item = &[Half]> + '
 /// Runs Algorithm 4 on the cluster. Output is bit-identical to
 /// [`crate::rlr::matching::approx_max_matching`] with `(cfg.eta, cfg.seed)`.
 ///
-/// [`crate::api::MatchingDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names. Central bookkeeping records
+/// [`crate::api::Registry`] runs this for `matching` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names. Central bookkeeping records
 /// the endpoints and weight of every pushed edge in a flat column, which
 /// is all the unwind looks up: `O(stack)` words, never `O(m)`, so the
 /// unwind never reads the central [`Graph`].

@@ -304,8 +304,8 @@ fn trivial_run(
 /// Algorithm 6 (`MIS2`) on the cluster. Output is bit-identical to
 /// [`crate::hungry::mis::mis_fast`] with the same parameters.
 ///
-/// [`crate::api::MisDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `mis2` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run_fast(
     g: &Graph,
     params: MisParams,
@@ -410,8 +410,8 @@ pub(crate) fn run_classes<C: ClassChunk>(
 /// Algorithm 2 (`MIS1`) on the cluster. Output is bit-identical to
 /// [`crate::hungry::mis::mis_simple`] with the same parameters.
 ///
-/// [`crate::api::MisDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `mis1` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run_simple(
     g: &Graph,
     params: MisParams,

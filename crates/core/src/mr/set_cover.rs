@@ -144,8 +144,8 @@ pub(crate) fn central_pass<T: AsRef<[SetId]>>(
 /// cluster metrics. Output is bit-identical to
 /// [`crate::rlr::setcover::approx_set_cover_f`] with `(cfg.eta, cfg.seed)`.
 ///
-/// [`crate::api::SetCoverFDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `set-cover-f` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     require_coverable(sys)?;
     if cfg.eta == 0 {
@@ -302,5 +302,46 @@ mod tests {
         assert!(is_cover(&sys, &r.cover));
         // One machine: broadcasts are free, gathers still counted.
         assert!(metrics.rounds >= 1);
+    }
+
+    /// Line 4 of Algorithm 1 samples each alive element with probability
+    /// `p = 2η/|U|`. Every element here lies in exactly two sets, so a
+    /// sampled element ships `1 + 1 + 2` words and the first gather's
+    /// volume counts the first round's sample exactly. Pooled over 32
+    /// seeds, the empirical rate lies within 4σ of `p`.
+    #[test]
+    fn first_round_samples_each_element_at_rate_two_eta_over_u() {
+        let (n_sets, universe) = (40usize, 2000usize);
+        let mut sets = vec![Vec::new(); n_sets];
+        for j in 0..universe {
+            sets[j % n_sets].push(j as ElemId);
+            sets[(j + 1) % n_sets].push(j as ElemId);
+        }
+        let sys = SetSystem::new(universe, sets, vec![1.0; n_sets]);
+        let seeds = 32u64;
+        let mut sampled = 0usize;
+        let mut eta = 0;
+        for seed in 0..seeds {
+            let cfg = MrConfig::auto(n_sets, universe, 0.1, seed);
+            eta = cfg.eta;
+            let (_, metrics) = run(&sys, cfg).unwrap();
+            let gather = metrics
+                .per_round
+                .iter()
+                .find(|r| r.kind == mrlr_mapreduce::RoundKind::Gather)
+                .expect("round one gathers its sample");
+            assert_eq!(gather.total % 4, 0, "seed {seed}");
+            sampled += gather.total / 4;
+        }
+        let trials = seeds as f64 * universe as f64;
+        let p = 2.0 * eta as f64 / universe as f64;
+        assert!(p < 0.5, "the regime must leave room to sample (p = {p})");
+        let sigma = (trials * p * (1.0 - p)).sqrt();
+        let expected = trials * p;
+        assert!(
+            (sampled as f64 - expected).abs() <= 4.0 * sigma,
+            "sampled {sampled} of {trials} elements, expected {expected:.0} ± {:.0}",
+            4.0 * sigma
+        );
     }
 }

@@ -206,8 +206,8 @@ fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ScChunk>> {
 /// Algorithm 3 on the cluster. Output is bit-identical to
 /// [`crate::hungry::setcover::hungry_set_cover`] with the same parameters.
 ///
-/// [`crate::api::GreedySetCoverDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `set-cover-greedy` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run(
     sys: &SetSystem,
     params: HungryScParams,

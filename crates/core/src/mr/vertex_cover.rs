@@ -131,8 +131,8 @@ fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
 /// bit-identical to running [`crate::rlr::setcover::approx_set_cover_f`] on
 /// [`mrlr_setsys::SetSystem::vertex_cover_of`]`(g, weights)`.
 ///
-/// [`crate::api::VertexCoverDriver`] runs this for every cluster backend,
-/// on the runtime `cfg.exec.runtime` names.
+/// [`crate::api::Registry`] runs this for `vertex-cover` on every cluster
+/// backend, on the runtime `cfg.exec.runtime` names.
 pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
     assert_eq!(weights.len(), g.n());
     if cfg.eta == 0 {

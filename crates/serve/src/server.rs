@@ -448,19 +448,6 @@ impl Engine {
         }
     }
 
-    fn parse_backend(&self, name: &str) -> Result<Backend, String> {
-        Backend::ALL
-            .into_iter()
-            .find(|b| b.to_string() == name)
-            .ok_or_else(|| {
-                let names: Vec<String> = Backend::ALL.iter().map(Backend::to_string).collect();
-                format!(
-                    "unknown backend `{name}` (expected one of: {})",
-                    names.join(", ")
-                )
-            })
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn job_cfg(
         &self,
@@ -496,7 +483,7 @@ impl Engine {
     /// parse cache is looked up with the digest `key` already carries.
     fn run_solve(&self, key: &CoalesceKey) -> RunOutcome {
         let spec = &key.spec;
-        let backend = match self.parse_backend(&spec.backend) {
+        let backend = match spec.backend.parse::<Backend>() {
             Ok(b) => b,
             Err(e) => return RunOutcome::Failed(e),
         };
@@ -698,9 +685,7 @@ impl Engine {
         backend_name: &str,
         render: RenderOpts,
     ) -> Result<String, BatchStop> {
-        let backend = self
-            .parse_backend(backend_name)
-            .map_err(BatchStop::Failed)?;
+        let backend = backend_name.parse::<Backend>().map_err(BatchStop::Failed)?;
         let format = match render.format {
             ReportFormat::Json if render.certificates_full => {
                 core_io::BatchFormat::Json(CertificateMode::Full)

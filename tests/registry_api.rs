@@ -1,11 +1,11 @@
-//! Registry round-trip guarantees: every registered `Mr` driver returns
+//! Registry round-trip guarantees: every registry key's `Mr` run returns
 //! bit-identical solutions and identical `Metrics` to its direct
 //! `mr::*::run` entry point on fixed seeds, and the `Rlr`/`Mr` backends of
-//! the same driver agree wherever the paper guarantees equivalence (they
+//! the same key agree wherever the paper guarantees equivalence (they
 //! share the same hash-derived coin streams).
 
 use mrlr::core::api::{
-    BMatchingInstance, Backend, ColouringDriver, Instance, Registry, VertexWeightedGraph,
+    paper_edge_limit, BMatchingInstance, Backend, Instance, Registry, VertexWeightedGraph,
     DEFAULT_GREEDY_SC_EPS,
 };
 use mrlr::core::colouring::group_count;
@@ -77,9 +77,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
     let registry = Registry::with_defaults();
     for (name, instance, cfg) in workloads() {
         let report = registry
-            .get(name)
-            .unwrap_or_else(|| panic!("{name} not registered"))
-            .solve(&instance, &cfg)
+            .solve(name, &instance, &cfg)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(report.backend, Backend::Mr);
         let metrics = report.metrics.as_ref().expect("Mr backend reports metrics");
@@ -161,7 +159,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
             "vertex-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
-                let limit = ColouringDriver::paper_edge_limit(g.n(), cfg.mu);
+                let limit = paper_edge_limit(g.n(), cfg.mu);
                 let (direct, lm) = colouring::run_vertex(g, kappa, limit, cfg).unwrap();
                 assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
@@ -169,7 +167,7 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
             "edge-colouring" => {
                 let g = instance.graph().unwrap();
                 let kappa = group_count(g.n(), g.m(), cfg.mu);
-                let limit = ColouringDriver::paper_edge_limit(g.n(), cfg.mu);
+                let limit = paper_edge_limit(g.n(), cfg.mu);
                 let (direct, lm) = colouring::run_edge(g, kappa, limit, cfg).unwrap();
                 assert_eq!(report.solution.as_colouring().unwrap(), &direct, "{name}");
                 assert_eq!(metrics, &lm, "{name} metrics");
