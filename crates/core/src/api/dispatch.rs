@@ -179,7 +179,7 @@ pub(crate) fn solve(
         // Algorithm 7 / Theorem D.3: `(3 − 2/b + 2ε)`-approximate maximum
         // weight b-matching.
         ("b-matching", Instance::BMatching(inst)) => {
-            let params = || BMatchingParams {
+            let params = BMatchingParams {
                 eps: inst.eps,
                 n_mu: (inst.graph.n().max(2) as f64).powf(cfg.mu).max(1.0),
                 eta: cfg.eta,
@@ -190,15 +190,12 @@ pub(crate) fn solve(
                     seq::local_ratio_b_matching(&inst.graph, &inst.b, inst.eps),
                     None,
                 ),
-                Backend::Rlr => (
-                    rlr::approx_b_matching(&inst.graph, &inst.b, params())?,
-                    None,
-                ),
+                Backend::Rlr => (rlr::approx_b_matching(&inst.graph, &inst.b, params)?, None),
                 Backend::Mr | Backend::Shard | Backend::Dist => {
                     let (s, m) = mr::bmatching::run(
                         &inst.graph,
                         &inst.b,
-                        params(),
+                        params,
                         cluster_cfg(backend, cfg),
                     )?;
                     (s, Some(m))

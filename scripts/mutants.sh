@@ -76,7 +76,10 @@ for i in "${!names[@]}"; do
         "$file" "${froms[$i]}" "${tos[$i]}"
     log="$work/$name.log"
     start=$(date +%s)
-    (cd "$tree" && cargo test --no-fail-fast -- -q) >"$log" 2>&1 && status=0 || status=$?
+    # tests/mutants_list.rs checks this list against the unmutated tree,
+    # so it fails under every mutant by construction: skip it here.
+    (cd "$tree" && cargo test --no-fail-fast -- -q \
+        --skip every_mutant_from_text_occurs_once_in_its_file) >"$log" 2>&1 && status=0 || status=$?
     cp "$work/pristine" "$file"
     # Failing tests as `<target>::<test>`: cargo's "Running" line names the
     # target; libtest's second "failures:" block lists the tests.
