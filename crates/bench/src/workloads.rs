@@ -10,7 +10,9 @@
 //!
 //! [`Registry`]: mrlr_core::api::Registry
 
-use mrlr_core::api::{BMatchingInstance, Instance, InstanceKind, VertexWeightedGraph};
+use mrlr_core::api::{
+    BMatchingInstance, Instance, InstanceKind, VertexWeightedGraph, DEFAULT_BMATCHING_EPS,
+};
 use mrlr_graph::generators as ggen;
 use mrlr_setsys::generators as sgen;
 
@@ -43,7 +45,8 @@ pub struct GenParams {
     pub w_max: f64,
     /// Skip the weighting pass (unit weights).
     pub unweighted: bool,
-    /// Reduction slack `ε` (`b-matching`, `greedy-trap`).
+    /// Reduction slack `ε` (`b-matching`, `greedy-trap`); by default
+    /// [`DEFAULT_BMATCHING_EPS`].
     pub eps: f64,
     /// Capacities cycle through `1..=b_max` (`b-matching` family).
     pub b_max: u32,
@@ -65,7 +68,7 @@ impl Default for GenParams {
             w_min: 1.0,
             w_max: 10.0,
             unweighted: false,
-            eps: 0.25,
+            eps: DEFAULT_BMATCHING_EPS,
             b_max: 3,
             seed: 42,
         }

@@ -23,11 +23,14 @@
 //! replays it offline via [`mrlr_core::api::witness::audit`] — no solver
 //! re-run.
 //!
-//! Exit codes: 0 success, 1 runtime failure (unreadable file, infeasible
-//! instance, solver error, failed verification), 2 usage error.
+//! Exit codes: 0 success (also when stdout's reader closes the pipe
+//! early, as `mrlr list | head -1` does), 1 runtime failure (unreadable
+//! file, infeasible instance, solver error, failed verification), 2 usage
+//! error.
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use mrlr_bench::sweep::SweepSpec;
@@ -154,43 +157,75 @@ fn main() -> ExitCode {
         "batch" => cmd_batch(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
-        "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        "--help" | "-h" | "help" => print_stdout(USAGE),
         other => Err(CliError::usage(format!("unknown command `{other}`"))),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mrlr {command}: {}", e.message);
-            if e.usage {
+            if e.code == 2 {
                 eprint!("\n{USAGE}");
             }
-            ExitCode::from(if e.usage { 2 } else { 1 })
+            ExitCode::from(e.code)
         }
     }
 }
 
 struct CliError {
     message: String,
-    usage: bool,
+    /// The process exit code: 2 for a usage error, 1 for a runtime
+    /// failure, 0 when stdout's reader closed it (see [`stdout_error`]).
+    code: u8,
 }
 
 impl CliError {
     fn usage(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
-            usage: true,
+            code: 2,
         }
     }
 
     fn runtime(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
-            usage: false,
+            code: 1,
         }
     }
+}
+
+/// A failed write to stdout. A reader that closed the pipe early (`mrlr
+/// list | head -1`) has taken all it wanted, so that ends the command
+/// quietly with exit 0 rather than with a panic; any other failure is a
+/// runtime error.
+fn stdout_error(e: std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError {
+            message: String::new(),
+            code: 0,
+        }
+    } else {
+        CliError::runtime(format!("cannot write to stdout: {e}"))
+    }
+}
+
+/// `writeln!` to a locked stdout, leaving the command through
+/// [`stdout_error`] if the write fails.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// Writes `text` to stdout through one locked handle (see
+/// [`stdout_error`]).
+fn print_stdout(text: &str) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(stdout_error)
 }
 
 /// Parsed `--flag value` / `--switch` arguments plus positionals.
@@ -248,10 +283,7 @@ impl Flags {
 
 fn write_output(out: Option<String>, content: &str) -> Result<(), CliError> {
     match out {
-        None => {
-            print!("{content}");
-            Ok(())
-        }
+        None => print_stdout(content),
         Some(path) => std::fs::write(&path, content)
             .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}"))),
     }
@@ -385,7 +417,8 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
     let registry = Registry::with_defaults();
     match format.as_str() {
         "text" => {
-            println!("algorithms (mrlr solve <key>):");
+            let mut out = std::io::stdout().lock();
+            outln!(out, "algorithms (mrlr solve <key>):");
             for name in registry.algorithms() {
                 let backends: Vec<String> = registry
                     .backends(name)
@@ -393,7 +426,8 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
                     .map(|b| b.to_string())
                     .collect();
                 let info = registry.info(name).expect("paper key has an info row");
-                println!(
+                outln!(
+                    out,
                     "  {name:<18} {:<22} backends: {:<10} {} (ratio {}, rounds {})",
                     info.instance.to_string(),
                     backends.join(","),
@@ -402,9 +436,10 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
                     info.rounds,
                 );
             }
-            println!("\ngenerator families (mrlr gen <family>):");
+            outln!(out, "\ngenerator families (mrlr gen <family>):");
             for spec in workloads::FAMILIES {
-                println!(
+                outln!(
+                    out,
                     "  {:<18} {:<22} {}",
                     spec.name,
                     spec.kind.to_string(),
@@ -450,15 +485,13 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
                     ])
                 })
                 .collect();
-            print!(
-                "{}",
-                Json::Obj(vec![
+            print_stdout(
+                &Json::Obj(vec![
                     ("algorithms", Json::Arr(algorithms)),
                     ("families", Json::Arr(families)),
                 ])
-                .render()
-            );
-            Ok(())
+                .render(),
+            )
         }
         other => Err(CliError::usage(format!("unknown format `{other}`"))),
     }
@@ -531,11 +564,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     let instance = workloads::build(family, &params).map_err(CliError::usage)?;
     match out {
         Some(path) => write_instance_file(std::path::Path::new(&path), &instance),
-        None => {
-            let stdout = std::io::stdout();
-            write_instance_to(stdout.lock(), &instance)
-                .map_err(|e| CliError::runtime(format!("cannot write to stdout: {e}")))
-        }
+        None => write_instance_to(std::io::stdout().lock(), &instance).map_err(stdout_error),
     }
 }
 
@@ -562,11 +591,18 @@ fn gen_sweep(spec_path: &str, out_dir: &str) -> Result<(), CliError> {
         SweepSpec::parse(&text).map_err(|e| CliError::runtime(format!("{spec_path}: {e}")))?;
     std::fs::create_dir_all(out_dir)
         .map_err(|e| CliError::runtime(format!("cannot create {out_dir}: {e}")))?;
+    let mut out = std::io::stdout().lock();
     for point in spec.points() {
         let instance = spec.build(&point).map_err(CliError::runtime)?;
         let path = std::path::Path::new(out_dir).join(&point.out);
         write_instance_file(&path, &instance)?;
-        println!("wrote {} ({} = {})", path.display(), spec.knob, point.value);
+        outln!(
+            out,
+            "wrote {} ({} = {})",
+            path.display(),
+            spec.knob,
+            point.value
+        );
     }
     Ok(())
 }
@@ -776,12 +812,16 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
                 None => audit_stored(&instance, &stored, report_path)?,
             };
             if !quiet {
+                let mut out = std::io::stdout().lock();
                 for check in &checks {
-                    println!("ok: {check}");
+                    outln!(out, "ok: {check}");
                 }
-                println!(
+                outln!(
+                    out,
                     "verified: {} ({}) report against {}",
-                    stored.algorithm, stored.backend, instance_path
+                    stored.algorithm,
+                    stored.backend,
+                    instance_path
                 );
             }
             Ok(())
@@ -875,6 +915,7 @@ fn verify_batch(
         .map(|rel| load_instance_file(&base.join(rel).to_string_lossy()))
         .collect::<Result<_, _>>()?;
 
+    let mut out = std::io::stdout().lock();
     let mut audited = 0usize;
     let mut skipped = 0usize;
     let mut failures: Vec<String> = Vec::new();
@@ -885,7 +926,7 @@ fn verify_batch(
                 io::BatchSlot::Error(e) => {
                     skipped += 1;
                     if !quiet {
-                        println!("skip: results[{i}][{j}] recorded error: {e}");
+                        outln!(out, "skip: results[{i}][{j}] recorded error: {e}");
                     }
                 }
                 io::BatchSlot::Report(stored) => {
@@ -894,7 +935,7 @@ fn verify_batch(
                             audited += 1;
                             if !quiet {
                                 for check in &checks {
-                                    println!("ok: results[{i}][{j}] {check}");
+                                    outln!(out, "ok: results[{i}][{j}] {check}");
                                 }
                             }
                         }
@@ -916,7 +957,8 @@ fn verify_batch(
         )));
     }
     if !quiet {
-        println!(
+        outln!(
+            out,
             "verified: {audited} report slots against {} instances ({skipped} error slots skipped)",
             batch.instances.len()
         );
@@ -1194,10 +1236,14 @@ fn client_verify(args: &[String]) -> Result<(), CliError> {
         .verify(instance_text, report_json)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     if !quiet {
+        let mut out = std::io::stdout().lock();
         for check in &checks {
-            println!("ok: {check}");
+            outln!(out, "ok: {check}");
         }
-        println!("verified: {algorithm} ({backend}) report against {instance_path}");
+        outln!(
+            out,
+            "verified: {algorithm} ({backend}) report against {instance_path}"
+        );
     }
     Ok(())
 }
@@ -1228,8 +1274,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
                     "daemon echoed nonce {echoed}, expected {nonce}"
                 )));
             }
-            println!("pong {echoed}");
-            Ok(())
+            print_stdout(&format!("pong {echoed}\n"))
         }
         "stats" => {
             let mut flags = Flags::parse(rest, &[])?;
@@ -1238,9 +1283,8 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             let stats = client
                 .stats()
                 .map_err(|e| CliError::runtime(e.to_string()))?;
-            print!(
-                "{}",
-                Json::Obj(vec![
+            print_stdout(
+                &Json::Obj(vec![
                     ("requests", Json::U64(stats.requests)),
                     ("solver_runs", Json::U64(stats.solver_runs)),
                     ("coalesce_hits", Json::U64(stats.coalesce_hits)),
@@ -1252,9 +1296,8 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
                         Json::U64(stats.queue_depth_high_water),
                     ),
                 ])
-                .render()
-            );
-            Ok(())
+                .render(),
+            )
         }
         "shutdown" => {
             let mut flags = Flags::parse(rest, &[])?;
@@ -1263,8 +1306,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             client
                 .shutdown()
                 .map_err(|e| CliError::runtime(e.to_string()))?;
-            println!("daemon drained and exited");
-            Ok(())
+            print_stdout("daemon drained and exited\n")
         }
         other => Err(CliError::usage(format!("unknown client action `{other}`"))),
     }

@@ -623,6 +623,37 @@ fn mistyped_env_defaults_exit_2_with_the_accepted_values() {
     }
 }
 
+/// A reader that stops early (`mrlr list | head -1`) closes the pipe
+/// while `list` is still printing: that is a clean exit 0, never a
+/// `failed printing to stdout` panic (exit 101). Whether the close lands
+/// before the last write is a race, so the read-one-line-and-close runs
+/// 20 times.
+#[test]
+fn list_exits_0_when_its_reader_closes_the_pipe_early() {
+    for run in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .arg("list")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn mrlr");
+        {
+            let mut stdout = child.stdout.take().expect("piped stdout");
+            let mut first = Vec::new();
+            let mut byte = [0u8];
+            while first.last() != Some(&b'\n') {
+                std::io::Read::read_exact(&mut stdout, &mut byte).expect("a first line");
+                first.push(byte[0]);
+            }
+            assert_eq!(first, b"algorithms (mrlr solve <key>):\n");
+        } // Dropping the read end closes the pipe.
+        let out = child.wait_with_output().expect("wait for mrlr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "run {run}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "run {run}: {stderr}");
+    }
+}
+
 /// A problem line that promises an absurd count must fail like any other
 /// bad file — exit 1 with the parser's or the cluster layout's message —
 /// never a panic (exit 101) or an allocation abort (killed by a signal,

@@ -28,9 +28,10 @@ use crate::types::MatchingResult;
 /// Default ε of the `(1+ε) ln Δ` greedy set cover (Algorithm 3).
 pub const DEFAULT_GREEDY_SC_EPS: f64 = 0.2;
 
-/// Default ε of the b-matching reduction (Algorithm 7) used by
-/// [`BMatchingInstance`](super::BMatchingInstance) constructors that
-/// don't specify one.
+/// Default ε of the b-matching reduction (Algorithm 7). A
+/// [`BMatchingInstance`](super::BMatchingInstance) always carries its own
+/// ε; this is the one the workload generators (`mrlr gen`, whose
+/// `--eps` overrides it) give the instances they build.
 pub const DEFAULT_BMATCHING_EPS: f64 = 0.25;
 
 /// The Lemma 6.2 budget for an `n`-vertex graph at exponent `µ`: colouring

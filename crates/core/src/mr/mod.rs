@@ -338,30 +338,24 @@ pub(crate) fn place_rows<T: Copy>(
 
 /// The vertex partition of the hungry-greedy drivers (`mis`, `clique`):
 /// per machine, its vertex ids ascending and one arena whose row `slot`
-/// lists vertex `ids[slot]`'s neighbours ascending. The rows are filled by
-/// a transposing scatter over the graph's adjacency — walk `u` ascending,
-/// push `u` into each neighbour's row — so they come out sorted without a
-/// comparison sort or a copy of any list.
-pub(crate) fn place_neighbours(
-    g: &Graph,
+/// lists vertex `ids[slot]`'s neighbours ascending — a copy of that
+/// vertex's row of [`Graph::neighbours`], which the instance derives once
+/// and every job placed on it shares.
+pub(crate) fn place_neighbours<'g>(
+    g: &'g Graph,
     cfg: &MrConfig,
-) -> MrResult<impl Iterator<Item = (Vec<VertexId>, Csr<VertexId>)>> {
-    let adj = g.adjacency();
-    let mut placed = place_rows(
-        cfg.machines,
-        g.n(),
-        |v| cfg.place(v as u64),
-        |v| adj[v].len(),
-        0,
-    )?;
-    for (u, nbrs) in adj.iter().enumerate() {
-        for &(w, _) in nbrs {
-            let (dst, row) = placed.at[w as usize];
-            placed.arenas[dst as usize].push(row as usize, u as VertexId);
+) -> MrResult<impl Iterator<Item = (Vec<VertexId>, Csr<VertexId>)> + 'g> {
+    let nbrs = g.neighbours();
+    let Placement { ids, .. } = place_records(cfg.machines, g.n(), |v| cfg.place(v as u64))?;
+    Ok(ids.into_iter().map(move |ids| {
+        let items = ids.iter().map(|&v| nbrs[v as usize].len()).sum();
+        let mut rows = Csr::with_capacity(ids.len(), items);
+        for &v in &ids {
+            rows.push_row(&nbrs[v as usize])
+                .expect("a machine holds at most the view's 2m items");
         }
-    }
-    let arenas = placed.arenas.into_iter().map(CsrBuilder::finish);
-    Ok(placed.ids.into_iter().zip(arenas))
+        (ids, rows)
+    }))
 }
 
 #[cfg(test)]
@@ -396,6 +390,53 @@ mod tests {
         assert_eq!(cfg.cluster().seed, 9);
         // …and thread overrides keep the chosen runtime.
         assert_eq!(cfg.with_threads(4).exec.runtime, RuntimeKind::Dist);
+    }
+
+    /// The transposing scatter `place_neighbours` ran per job before the
+    /// instance kept a sorted view: walk `u` ascending, push `u` into
+    /// each neighbour's placed row. The oracle the row copies must equal.
+    fn scattered_neighbours(g: &Graph, cfg: &MrConfig) -> Vec<(Vec<VertexId>, Csr<VertexId>)> {
+        let adj = g.adjacency();
+        let mut placed = place_rows(
+            cfg.machines,
+            g.n(),
+            |v| cfg.place(v as u64),
+            |v| adj[v].len(),
+            0,
+        )
+        .unwrap();
+        for (u, nbrs) in adj.iter().enumerate() {
+            for &(w, _) in nbrs {
+                let (dst, row) = placed.at[w as usize];
+                placed.arenas[dst as usize].push(row as usize, u as VertexId);
+            }
+        }
+        let arenas = placed.arenas.into_iter().map(CsrBuilder::finish);
+        placed.ids.into_iter().zip(arenas).collect()
+    }
+
+    #[test]
+    fn placed_neighbour_rows_copy_the_sorted_view() {
+        for seed in 0..6u64 {
+            // Sparse enough at the low seeds to leave isolated vertices.
+            let g = mrlr_graph::generators::gnm(80, 40 + 40 * seed as usize, seed);
+            for machines in [1, 2, 7] {
+                let cfg = MrConfig::auto(g.n(), g.m(), 0.2, seed).with_machines(machines);
+                let blocks: Vec<_> = place_neighbours(&g, &cfg).unwrap().collect();
+                assert_eq!(blocks.len(), machines);
+                for (machine, (ids, rows)) in blocks.iter().enumerate() {
+                    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascending");
+                    assert_eq!(rows.rows(), ids.len());
+                    for (slot, &v) in ids.iter().enumerate() {
+                        assert_eq!(cfg.place(v as u64), machine);
+                        assert_eq!(&rows[slot], &g.neighbours()[v as usize]);
+                    }
+                }
+                let placed: usize = blocks.iter().map(|(ids, _)| ids.len()).sum();
+                assert_eq!(placed, g.n());
+                assert_eq!(blocks, scattered_neighbours(&g, &cfg), "seed {seed}");
+            }
+        }
     }
 
     #[test]

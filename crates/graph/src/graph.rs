@@ -3,10 +3,12 @@
 //! The paper's graph algorithms treat edges as first-class records that are
 //! partitioned across machines, so [`Graph`] is edge-list centred: each edge
 //! has a stable [`EdgeId`] (its index), endpoints, and a positive weight.
-//! The one adjacency view, [`Graph::adjacency`], is a flat [`Csr`] built
-//! from the edge list on first use and kept for the graph's lifetime: a
-//! graph is immutable, so the view can never go stale, and every caller —
-//! drivers, validators, witness builders — reads the same rows.
+//! Its two adjacency views — [`Graph::adjacency`] (neighbour and edge id,
+//! in edge-id order) and [`Graph::neighbours`] (neighbour ids ascending)
+//! — are flat [`Csr`]s built on first use and kept for the graph's
+//! lifetime: a graph is immutable, so a view can never go stale, and every
+//! caller — drivers, validators, witness builders, every job of a batch —
+//! reads the same rows.
 
 use std::sync::OnceLock;
 
@@ -72,10 +74,13 @@ pub struct Graph {
     /// takes `&mut self`, so once built it is the adjacency of this graph
     /// for good.
     adj: OnceLock<Csr<(VertexId, EdgeId)>>,
+    /// [`Graph::neighbours`], derived from the adjacency on first use.
+    nbrs: OnceLock<Csr<VertexId>>,
 }
 
 /// Two graphs are equal when their vertex counts and edge lists are;
-/// whether either has built its adjacency yet is not part of its value.
+/// whether either has built its adjacency or neighbour view yet is not
+/// part of its value.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.edges == other.edges
@@ -123,6 +128,7 @@ impl Graph {
             n,
             edges,
             adj: OnceLock::new(),
+            nbrs: OnceLock::new(),
         }
     }
 
@@ -189,6 +195,26 @@ impl Graph {
             for (i, e) in self.edges.iter().enumerate() {
                 rows.push(e.u as usize, (e.v, i as EdgeId));
                 rows.push(e.v as usize, (e.u, i as EdgeId));
+            }
+            rows.finish()
+        })
+    }
+
+    /// Per-vertex neighbour ids: row `v` holds `v`'s neighbours in
+    /// ascending order. The first call derives it from
+    /// [`Graph::adjacency`] by a transposing scatter — walk `u` ascending,
+    /// push `u` into each neighbour's row — so the rows come out sorted
+    /// without a comparison sort; every later call, from any thread,
+    /// returns the same rows.
+    pub fn neighbours(&self) -> &Csr<VertexId> {
+        self.nbrs.get_or_init(|| {
+            let adj = self.adjacency();
+            let mut rows = Csr::builder(adj.iter().map(<[_]>::len), 0)
+                .expect("every constructor bounds 2m by u32::MAX");
+            for (u, row) in adj.iter().enumerate() {
+                for &(w, _) in row {
+                    rows.push(w as usize, u as VertexId);
+                }
             }
             rows.finish()
         })

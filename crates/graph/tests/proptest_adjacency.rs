@@ -1,9 +1,10 @@
-//! The one adjacency a [`Graph`] owns: its rows against a nest built here,
-//! its independence from clones and from who asked first.
+//! The adjacency views a [`Graph`] owns: their rows against nests built
+//! here, their independence from clones and from who asked first.
 
 use std::sync::Barrier;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use mrlr_graph::{Edge, EdgeId, Graph, VertexId};
 
@@ -75,6 +76,35 @@ proptest! {
         // A derived graph starts cold and builds its own.
         let derived = g.unweighted();
         prop_assert_eq!(derived.adjacency(), g.adjacency());
+    }
+
+    #[test]
+    fn neighbour_rows_are_the_adjacency_ids_sorted(g in arb_graph(24, 60)) {
+        check_neighbours(&g)?;
+    }
+}
+
+/// Row `v` of [`Graph::neighbours`] is the neighbour ids of
+/// `adjacency()[v]`, sorted, and a second call answers from the same rows.
+fn check_neighbours(g: &Graph) -> Result<(), TestCaseError> {
+    let nbrs = g.neighbours();
+    prop_assert_eq!(nbrs.rows(), g.n());
+    prop_assert_eq!(nbrs.len(), 2 * g.m());
+    for v in 0..g.n() {
+        let mut expected: Vec<VertexId> = g.adjacency()[v].iter().map(|&(w, _)| w).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(&nbrs[v], expected.as_slice());
+    }
+    prop_assert!(std::ptr::eq(nbrs, g.neighbours()));
+    Ok(())
+}
+
+#[test]
+fn neighbour_rows_of_zero_and_one_vertex_graphs_are_empty() {
+    for n in [0, 1] {
+        let g = Graph::new(n, vec![]);
+        check_neighbours(&g).unwrap();
+        assert_eq!(g.neighbours().rows(), n);
     }
 }
 

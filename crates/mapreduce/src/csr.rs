@@ -149,6 +149,18 @@ impl<T: Copy> From<Vec<Vec<T>>> for Csr<T> {
 }
 
 impl<T> Csr<T> {
+    /// An empty arena with room for `rows` rows holding `items` items in
+    /// all, so that as many [`Csr::push_row`]s fill it without a
+    /// reallocation.
+    pub fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
@@ -305,6 +317,19 @@ mod tests {
         };
         assert_eq!(pushed, scattered);
         assert_eq!(Csr::from(nested), scattered);
+    }
+
+    #[test]
+    fn a_presized_arena_takes_its_rows_without_reallocating() {
+        let rows = [&[4u32, 5][..], &[], &[6, 7, 8]];
+        let mut csr = Csr::with_capacity(rows.len(), 5);
+        let (offsets, items) = (csr.offsets.as_ptr(), csr.items.as_ptr());
+        for row in rows {
+            csr.push_row(row).unwrap();
+        }
+        assert_eq!(csr.iter().collect::<Vec<_>>(), rows);
+        assert_eq!((csr.offsets.as_ptr(), csr.items.as_ptr()), (offsets, items));
+        assert_eq!(Csr::<u8>::with_capacity(3, 9), Csr::default());
     }
 
     #[test]

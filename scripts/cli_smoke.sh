@@ -78,6 +78,17 @@ echo "ok: batch (diff + verify)"
 
 mrlr list --format json > "$work/list.json"
 diff -u "$golden/list.json" "$work/list.json"
+# A reader that stops early closes the pipe under `list`: a clean exit 0,
+# not a panic. pipefail is off for this one pipeline so that `list`'s own
+# status is read and reported.
+set +o pipefail
+mrlr list | head -n 1 >/dev/null
+list_status="${PIPESTATUS[0]}"
+set -o pipefail
+if [ "$list_status" != 0 ]; then
+  echo "mrlr list exited $list_status when its reader closed the pipe" >&2
+  exit 1
+fi
 echo "ok: list"
 
 echo "cli smoke passed (MRLR_THREADS=${MRLR_THREADS:-unset}, MRLR_BACKEND=${MRLR_BACKEND:-unset})"
