@@ -138,14 +138,14 @@ fn main() -> ExitCode {
     // The env defaults are read lazily, deep inside the first cluster
     // run; a mistyped value is a usage error here, not a panic there.
     if let Err(e) = mrlr_mapreduce::env_threads().and_then(|_| mrlr_mapreduce::env_runtime()) {
-        eprintln!("mrlr: {e}");
+        print_stderr(format_args!("mrlr: {e}\n"));
         return ExitCode::from(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, rest) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            eprint!("{USAGE}");
+            print_stderr(format_args!("{USAGE}"));
             return ExitCode::from(2);
         }
     };
@@ -164,9 +164,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("mrlr {command}: {}", e.message);
+            print_stderr(format_args!("mrlr {command}: {}\n", e.message));
             if e.code == 2 {
-                eprint!("\n{USAGE}");
+                print_stderr(format_args!("\n{USAGE}"));
             }
             ExitCode::from(e.code)
         }
@@ -226,6 +226,13 @@ fn print_stdout(text: &str) -> Result<(), CliError> {
     out.write_all(text.as_bytes())
         .and_then(|()| out.flush())
         .map_err(stdout_error)
+}
+
+/// Writes to stderr through one locked handle. A failed write is
+/// ignored: a diagnostic whose reader has gone has nowhere else to go,
+/// and the exit code still tells what happened.
+fn print_stderr(args: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().lock().write_fmt(args);
 }
 
 /// Parsed `--flag value` / `--switch` arguments plus positionals.
@@ -730,7 +737,7 @@ fn cmd_solve(args: &[String]) -> Result<(), CliError> {
     // see the kill actually fired.
     if let Some(metrics) = report.metrics.as_ref() {
         for line in metrics.notes() {
-            eprintln!("note: {line}");
+            print_stderr(format_args!("note: {line}\n"));
         }
     }
 
@@ -940,7 +947,7 @@ fn verify_batch(
                             }
                         }
                         Err(e) => {
-                            eprintln!("mrlr verify: {}", e.message);
+                            print_stderr(format_args!("mrlr verify: {}\n", e.message));
                             failures.push(format!("results[{i}][{j}] ({})", stored.algorithm));
                         }
                     }
@@ -1110,10 +1117,14 @@ fn run_served(
     out: Option<String>,
 ) -> Result<(), CliError> {
     let served = client
-        .solve(request, &mut |line| eprintln!("note: {line}"))
+        .solve(request, &mut |line| {
+            print_stderr(format_args!("note: {line}\n"))
+        })
         .map_err(|e| CliError::runtime(e.to_string()))?;
     if served.coalesced {
-        eprintln!("note: coalesced onto a concurrent identical request");
+        print_stderr(format_args!(
+            "note: coalesced onto a concurrent identical request\n"
+        ));
     }
     write_output(out, &served.content)
 }

@@ -654,6 +654,27 @@ fn list_exits_0_when_its_reader_closes_the_pipe_early() {
     }
 }
 
+/// A usage error whose stderr reader has already gone (`mrlr list
+/// --bogus 2>&1 >/dev/null | true`) still exits 2: the message and usage
+/// text have nowhere to go, and a `failed printing to stderr` panic
+/// (exit 101, whose own message is lost too) would hide the usage
+/// error's code. The read end is closed as soon as the child is spawned;
+/// the child may still win that race, so the run repeats 20 times.
+#[test]
+fn usage_error_exits_2_when_stderr_closes_early() {
+    for run in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .args(["list", "--bogus"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn mrlr");
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for mrlr");
+        assert_eq!(status.code(), Some(2), "run {run}");
+    }
+}
+
 /// A problem line that promises an absurd count must fail like any other
 /// bad file — exit 1 with the parser's or the cluster layout's message —
 /// never a panic (exit 101) or an allocation abort (killed by a signal,

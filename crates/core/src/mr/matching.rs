@@ -379,6 +379,43 @@ mod tests {
         assert!(is_matching(&g, &direct.matching));
     }
 
+    /// Algorithm 4 samples each alive edge's halves with probability
+    /// `p = η/|E|`, a coin per half. The instance keeps `|E| ≥ 4η`, so
+    /// round one samples instead of finishing centrally, and its first
+    /// gather ships `4` words per sampled half: the sample's size exactly.
+    /// Pooled over 32 seeds, the `2|E|` halves a seed offers are sampled
+    /// within 4σ of the rate `p`.
+    #[test]
+    fn first_round_samples_each_alive_half_at_rate_eta_over_e() {
+        let g = with_uniform_weights(&densified(200, 0.5, 1), 1.0, 2.0, 1);
+        let seeds = 32u64;
+        let mut sampled = 0usize;
+        let mut eta = 0;
+        for seed in 0..seeds {
+            let cfg = MrConfig::auto(g.n(), g.m(), 0.1, seed);
+            eta = cfg.eta;
+            assert!(g.m() >= CENTRAL_FINISH_SLACK * eta, "round one must sample");
+            let (_, metrics) = run(&g, cfg).unwrap();
+            let gather = metrics
+                .per_round
+                .iter()
+                .find(|r| r.kind == mrlr_mapreduce::RoundKind::Gather)
+                .expect("round one gathers its sample");
+            assert_eq!(gather.total % 4, 0, "seed {seed}");
+            sampled += gather.total / 4;
+        }
+        let trials = seeds as f64 * 2.0 * g.m() as f64;
+        let p = eta as f64 / g.m() as f64;
+        assert!(p < 0.5, "the regime must leave room to sample (p = {p})");
+        let sigma = (trials * p * (1.0 - p)).sqrt();
+        let expected = trials * p;
+        assert!(
+            (sampled as f64 - expected).abs() <= 4.0 * sigma,
+            "sampled {sampled} of {trials} halves, expected {expected:.0} ± {:.0}",
+            4.0 * sigma
+        );
+    }
+
     #[test]
     fn mu_zero_regime_runs() {
         let n = 60;

@@ -13,29 +13,40 @@
 //! lines 15–17 prescribe.
 //!
 //! A machine's block is flat: fixed-width set records, one [`Csr`] arena
-//! holding every set's elements, and the element → local-set reverse
-//! index as a second `Csr` whose row number is the element id, so a
-//! covered delta is applied by direct offset. The *metered* size is still
-//! the record-per-set formula (the index charged as a mirror of the
-//! input); nothing in it changes after distribution, so it is computed
-//! once.
+//! holding every set's elements (each row copied whole from the
+//! instance), and the element → local-set reverse index over only the
+//! elements the machine holds. A ranked `holds` bitmap
+//! ([`RankedBitset`]) numbers those elements, so held element `j` is row
+//! `holds.rank(j)` of the index, filled in one pass over the instance's
+//! cached [`SetSystem::dual`]. The central machine packs each covered
+//! delta into `(word, bits)` pairs once; a machine ORs each word into its
+//! covered bitmap and walks only the newly covered bits it holds, so a
+//! delta costs a machine its own elements, not one offset per element of
+//! the universe. The *metered* size is still the record-per-set formula
+//! (the index charged as a mirror of the input); nothing in it changes
+//! after distribution, so it is computed once.
 //!
 //! Beside that block a machine keeps two candidate lists, unmetered
 //! scratch like `mis`'s `delta_bits`: the ascending slots of the sets that
 //! clear the current threshold, and of those that clear the next level's,
 //! each tagged with its threshold. The `local` pass applying a delta
-//! rebuilds both; the exists/Φ, class-size and sample passes walk the list
+//! refreshes both: it filters a list that already carries the threshold
+//! it is refreshed for, and scans every record only for a threshold no
+//! list carries. The exists/Φ, class-size and sample passes walk the list
 //! whose tag is their threshold, or every record when none is. A set only
 //! ever stops qualifying (`uncov` falls, `chosen` rises), so a list stays
 //! a superset of the qualifying sets, and every pass re-checks its
 //! predicate: the lists decide what is scanned, never what is found.
 
-use mrlr_mapreduce::{Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, WordSized};
+use mrlr_mapreduce::{
+    pack_words, Bitset, Cluster, Csr, Metrics, MrError, MrResult, PayloadBatch, RankedBitset,
+    WordSized,
+};
 use mrlr_setsys::{ElemId, SetId, SetSystem};
 
 use crate::hungry::mis::{degree_class_ln, group_choice};
 use crate::hungry::setcover::{class_group_counts, HungryScParams, HungryScTrace, HSC_RNG_TAG};
-use crate::mr::{place_rows, MrConfig};
+use crate::mr::{place_records, MrConfig, Placement};
 use crate::rlr::setcover::require_coverable;
 use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
@@ -64,12 +75,32 @@ struct Candidates {
     slots: Vec<u32>,
 }
 
+impl Candidates {
+    /// Refreshes the list for threshold `tag`. A list already tagged
+    /// `tag` is filtered down to the sets that still qualify; any other
+    /// is emptied and retagged, and `true` says it awaits a scan.
+    fn filter_or_clear(&mut self, tag: f64, recs: &[SetRecM]) -> bool {
+        if self.tag == tag {
+            self.slots
+                .retain(|&slot| qualifies(&recs[slot as usize], tag));
+            false
+        } else {
+            self.tag = tag;
+            self.slots.clear();
+            true
+        }
+    }
+}
+
 struct ScChunk {
     /// Ascending set id.
     recs: Vec<SetRecM>,
     elems: Csr<ElemId>,
     covered: Bitset,
-    /// Element → local set slots.
+    /// The elements some resident set holds, ranked.
+    holds: RankedBitset,
+    /// Held element `j` → the local slots of the sets holding it,
+    /// ascending, as row `holds.rank(j)`.
     index: Csr<u32>,
     /// Unmetered scratch: the lists for the current and the next level's
     /// threshold, rebuilt by [`ScChunk::refresh_candidates`]. A `NaN` tag
@@ -87,7 +118,13 @@ impl WordSized for ScChunk {
 }
 
 impl ScChunk {
-    fn new(sys: &SetSystem, ids: &[SetId], elems: Csr<ElemId>) -> MrResult<Self> {
+    fn new(
+        sys: &SetSystem,
+        ids: &[SetId],
+        elems: Csr<ElemId>,
+        holds: RankedBitset,
+        index: Csr<u32>,
+    ) -> Self {
         let recs = ids
             .iter()
             .zip(elems.iter())
@@ -100,9 +137,10 @@ impl ScChunk {
             .collect();
         let mut chunk = ScChunk {
             recs,
-            index: elems.invert(sys.universe(), |&j| j as usize)?,
             elems,
             covered: Bitset::new(sys.universe()),
+            holds,
+            index,
             candidates: [(); 2].map(|_| Candidates {
                 tag: f64::NAN,
                 slots: Vec::new(),
@@ -110,7 +148,7 @@ impl ScChunk {
             words: 0,
         };
         chunk.words = chunk.metered_words();
-        Ok(chunk)
+        chunk
     }
 
     /// The simulated size: a 4-word record plus its element list per set,
@@ -120,12 +158,33 @@ impl ScChunk {
         1 + recs * 2 + self.covered.words()
     }
 
-    fn apply_delta(&mut self, covered_delta: &[ElemId], chosen_delta: &[SetId]) {
-        for &j in covered_delta {
-            if self.covered.set(j as usize) {
-                for &slot in self.index.row(j as usize) {
+    /// The census of what the block holds: its containers' heap bytes,
+    /// from their capacities, in words. The candidate lists are declared
+    /// unmetered scratch and are left out.
+    #[cfg(test)]
+    fn resident_words(&self) -> usize {
+        let bytes = self.recs.capacity() * std::mem::size_of::<SetRecM>()
+            + self.elems.resident_bytes()
+            + self.covered.resident_bytes()
+            + self.holds.resident_bytes()
+            + self.index.resident_bytes();
+        bytes.div_ceil(8)
+    }
+
+    /// Applies a round's delta: `covered_words` is the covered delta
+    /// packed by [`pack_words`], `chosen_delta` the chosen sets ascending.
+    /// Each element this machine holds that the delta newly covers costs
+    /// every local set holding it one from `uncov`.
+    fn apply_delta(&mut self, covered_words: &[(usize, u64)], chosen_delta: &[SetId]) {
+        for &(w, bits) in covered_words {
+            let newly = self.covered.or_word(w, bits);
+            let mut fresh = newly & self.holds.word(w);
+            while fresh != 0 {
+                let j = 64 * w + fresh.trailing_zeros() as usize;
+                for &slot in self.index.row(self.holds.rank(j)) {
                     self.recs[slot as usize].uncov -= 1;
                 }
+                fresh &= fresh - 1;
             }
         }
         for &i in chosen_delta {
@@ -137,21 +196,35 @@ impl ScChunk {
         }
     }
 
-    /// Rebuilds the candidate lists, in one scan, for `threshold` and for
-    /// `next`, the threshold one level down.
+    /// Refreshes the candidate lists for `threshold` and for `next`, the
+    /// threshold one level down. A list already tagged with its threshold
+    /// is filtered in place (a set only stops qualifying, so it holds
+    /// every set that still does); the others are rebuilt by one scan of
+    /// the records.
     fn refresh_candidates(&mut self, threshold: f64, next: f64) {
-        let [cur, below] = &mut self.candidates;
-        cur.slots.clear();
-        below.slots.clear();
-        for (slot, r) in self.recs.iter().enumerate() {
-            if qualifies(r, threshold) {
-                cur.slots.push(slot as u32);
-            }
-            if qualifies(r, next) {
-                below.slots.push(slot as u32);
+        if self.candidates[1].tag == threshold {
+            // The level dropped: the next level's list is this one's.
+            self.candidates.swap(0, 1);
+        }
+        let ScChunk {
+            recs,
+            candidates: [cur, below],
+            ..
+        } = self;
+        let scan = [
+            cur.filter_or_clear(threshold, recs),
+            below.filter_or_clear(next, recs),
+        ];
+        if scan[0] || scan[1] {
+            for (slot, r) in recs.iter().enumerate() {
+                if scan[0] && qualifies(r, threshold) {
+                    cur.slots.push(slot as u32);
+                }
+                if scan[1] && qualifies(r, next) {
+                    below.slots.push(slot as u32);
+                }
             }
         }
-        (cur.tag, below.tag) = (threshold, next);
     }
 
     /// The sets qualifying at `threshold` with their slots, ascending:
@@ -181,26 +254,48 @@ impl ScChunk {
 /// elements.
 type SampleHead = (u64, u64, SetId, f64);
 
+/// Hash-partitions the sets. A machine copies each of its sets' rows
+/// whole and ranks the elements they hold; its index rows come from one
+/// pass over the instance's dual, in which `T_j`'s sets go, in set order,
+/// to their machines' slots, and a machine opens `j`'s row at the first of
+/// them it holds. Rows open in element order, so `j`'s is row
+/// `holds.rank(j)`.
 fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ScChunk>> {
-    let n = sys.n_sets();
-    let mut placed = place_rows(
-        cfg.machines,
-        n,
-        |l| cfg.place(l as u64),
-        |l| sys.set(l as SetId).len(),
-        0,
-    )?;
-    for (l, &(dst, row)) in placed.at.iter().enumerate() {
-        for &j in sys.set(l as SetId) {
-            placed.arenas[dst as usize].push(row as usize, j);
+    let Placement { at, ids } = place_records(cfg.machines, sys.n_sets(), |l| cfg.place(l as u64))?;
+    let mut blocks = Vec::with_capacity(ids.len());
+    for ids in &ids {
+        let items = ids.iter().map(|&l| sys.set(l).len()).sum();
+        let mut elems = Csr::with_capacity(ids.len(), items);
+        let mut holds = Bitset::new(sys.universe());
+        for &l in ids {
+            elems.push_row(sys.set(l))?;
+            for &j in sys.set(l) {
+                holds.set(j as usize);
+            }
+        }
+        let holds = RankedBitset::new(holds)?;
+        let index = Csr::with_capacity(holds.ones(), items);
+        blocks.push((elems, holds, index));
+    }
+    // The element whose row each machine opened last.
+    let mut opened = vec![usize::MAX; blocks.len()];
+    for (j, sets) in sys.dual().iter().enumerate() {
+        for &l in sets {
+            let (dst, slot) = at[l as usize];
+            let (_, holds, index) = &mut blocks[dst as usize];
+            if opened[dst as usize] != j {
+                opened[dst as usize] = j;
+                debug_assert_eq!(index.rows(), holds.rank(j));
+                index.push_row(&[])?;
+            }
+            index.push_to_last_row(slot)?;
         }
     }
-    placed
-        .ids
+    Ok(ids
         .iter()
-        .zip(placed.arenas)
-        .map(|(ids, arena)| ScChunk::new(sys, ids, arena.finish()))
-        .collect()
+        .zip(blocks)
+        .map(|(ids, (elems, holds, index))| ScChunk::new(sys, ids, elems, holds, index))
+        .collect())
 }
 
 /// Algorithm 3 on the cluster. Output is bit-identical to
@@ -383,10 +478,11 @@ pub fn run(
             }
             covered_delta.sort_unstable();
             chosen_delta.sort_unstable();
+            let covered_words = pack_words(covered_delta.iter().map(|&j| j as usize));
             let delta = (covered_delta, chosen_delta);
             cluster.broadcast(&delta)?;
             cluster.local(|_, s: &mut ScChunk| {
-                s.apply_delta(&delta.0, &delta.1);
+                s.apply_delta(&covered_words, &delta.1);
                 s.refresh_candidates(threshold, next);
             })?;
         }
@@ -417,7 +513,8 @@ mod tests {
     use super::*;
     use crate::hungry::setcover::hungry_set_cover;
     use crate::verify::is_cover;
-    use mrlr_setsys::generators::{bounded_set_size, with_uniform_weights};
+    use mrlr_mapreduce::mix2;
+    use mrlr_setsys::generators::{bounded_frequency, bounded_set_size, with_uniform_weights};
     use proptest::prelude::*;
     use std::cell::Cell;
 
@@ -452,7 +549,7 @@ mod tests {
         let cfg = MrConfig::auto(60, sys.total_size(), 0.4, 2).with_machines(5);
         let mut chunks = distribute(&sys, &cfg).unwrap();
         let bitmap = 1 + sys.universe().div_ceil(64);
-        let all_elems: Vec<ElemId> = (0..sys.universe() as ElemId).collect();
+        let all_elems = pack_words(0..sys.universe());
         let all_sets: Vec<SetId> = (0..sys.n_sets() as SetId).collect();
         for (id, chunk) in chunks.iter_mut().enumerate() {
             let recs: usize = all_sets
@@ -467,6 +564,166 @@ mod tests {
             assert_eq!(chunk.words(), chunk.metered_words());
         }
         run(&sys, HungryScParams::new(60, 0.4, 0.2, 2), cfg).unwrap();
+    }
+
+    /// The universe-keyed layout the ranked index replaced, kept as the
+    /// oracle: one index row per universe element, inverted from the set
+    /// rows, and a covered delta applied element by element.
+    struct UniverseIndex {
+        index: Csr<u32>,
+        covered: Bitset,
+        uncov: Vec<u32>,
+        chosen: Vec<bool>,
+    }
+
+    impl UniverseIndex {
+        fn of(chunk: &ScChunk, universe: usize) -> Self {
+            UniverseIndex {
+                index: chunk.elems.invert(universe, |&j| j as usize).unwrap(),
+                covered: Bitset::new(universe),
+                uncov: chunk.recs.iter().map(|r| r.uncov).collect(),
+                chosen: vec![false; chunk.recs.len()],
+            }
+        }
+
+        fn apply_delta(&mut self, ids: &[SetId], covered_delta: &[ElemId], chosen: &[SetId]) {
+            for &j in covered_delta {
+                if self.covered.set(j as usize) {
+                    for &slot in self.index.row(j as usize) {
+                        self.uncov[slot as usize] -= 1;
+                    }
+                }
+            }
+            for &i in chosen {
+                if let Ok(pos) = ids.binary_search(&i) {
+                    self.chosen[pos] = true;
+                }
+            }
+        }
+    }
+
+    /// Random systems (universes that are not a multiple of 64 among
+    /// them) and one that leaves elements in no set at all, on 1, 2 and 7
+    /// machines, so that some machine holds no set containing a given
+    /// element.
+    fn systems() -> Vec<SetSystem> {
+        let mut systems = vec![SetSystem::unit(
+            130,
+            vec![vec![0, 64, 129], vec![1, 2], vec![], vec![63, 127, 128]],
+        )];
+        for (seed, universe) in [
+            (1u64, 1usize),
+            (2, 63),
+            (3, 64),
+            (4, 65),
+            (5, 130),
+            (6, 300),
+        ] {
+            systems.push(bounded_set_size(40, universe, 8.min(universe), seed));
+            systems.push(bounded_frequency(30, universe, 3, seed));
+        }
+        systems
+    }
+
+    fn chunks(sys: &SetSystem, machines: usize) -> Vec<ScChunk> {
+        let cfg = MrConfig::auto(sys.n_sets(), sys.universe(), 0.3, 9).with_machines(machines);
+        distribute(sys, &cfg).unwrap()
+    }
+
+    #[test]
+    fn held_index_rows_are_the_universe_keyed_oracles_rows() {
+        for sys in systems() {
+            for machines in [1, 2, 7] {
+                for (id, chunk) in chunks(&sys, machines).iter().enumerate() {
+                    let oracle = UniverseIndex::of(chunk, sys.universe());
+                    let case = format!("universe {}, machine {id} of {machines}", sys.universe());
+                    assert_eq!(chunk.index.rows(), chunk.holds.ones(), "{case}");
+                    assert_eq!(chunk.index.len(), chunk.elems.len(), "{case}");
+                    for j in 0..sys.universe() {
+                        let row = oracle.index.row(j);
+                        assert_eq!(chunk.holds.bits().get(j), !row.is_empty(), "{case}, j {j}");
+                        if !row.is_empty() {
+                            let held = chunk.index.row(chunk.holds.rank(j));
+                            assert_eq!(held, row, "{case}, j {j}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deltas applied word-wise leave `uncov`, `chosen` and the covered
+    /// bitmap as the element-by-element oracle leaves them, through a
+    /// sequence that starts and ends empty, re-covers covered elements
+    /// and ends by covering everything.
+    #[test]
+    fn word_wise_deltas_leave_the_element_by_element_oracles_state() {
+        for (case_seed, sys) in systems().into_iter().enumerate() {
+            let (m, n) = (sys.universe(), sys.n_sets());
+            let mut deltas: Vec<(Vec<ElemId>, Vec<SetId>)> = vec![(vec![], vec![])];
+            for step in 0..4u64 {
+                let coin = |id: usize, salt: u64, rate: u64| {
+                    mix2(case_seed as u64 * 8 + step, salt ^ id as u64).is_multiple_of(rate)
+                };
+                deltas.push((
+                    (0..m)
+                        .filter(|&j| coin(j, 1, 2 + step))
+                        .map(|j| j as ElemId)
+                        .collect(),
+                    (0..n)
+                        .filter(|&i| coin(i, 2, 5))
+                        .map(|i| i as SetId)
+                        .collect(),
+                ));
+            }
+            deltas.push(((0..m as ElemId).collect(), (0..n as SetId).collect()));
+            deltas.push((vec![], vec![]));
+            for machines in [1, 2, 7] {
+                for (id, mut chunk) in chunks(&sys, machines).into_iter().enumerate() {
+                    let ids: Vec<SetId> = chunk.recs.iter().map(|r| r.id).collect();
+                    let mut oracle = UniverseIndex::of(&chunk, m);
+                    for (step, (covered, chosen)) in deltas.iter().enumerate() {
+                        let words = pack_words(covered.iter().map(|&j| j as usize));
+                        chunk.apply_delta(&words, chosen);
+                        oracle.apply_delta(&ids, covered, chosen);
+                        let case = format!("universe {m}, machine {id} of {machines}, step {step}");
+                        let uncov: Vec<u32> = chunk.recs.iter().map(|r| r.uncov).collect();
+                        let chosen: Vec<bool> = chunk.recs.iter().map(|r| r.chosen).collect();
+                        assert_eq!(uncov, oracle.uncov, "{case}");
+                        assert_eq!(chosen, oracle.chosen, "{case}");
+                        assert_eq!(chunk.covered, oracle.covered, "{case}");
+                    }
+                    assert!(chunk.recs.iter().all(|r| r.uncov == 0 && r.chosen));
+                }
+            }
+        }
+    }
+
+    /// A machine's block holds no more than it is metered for, on
+    /// `batch-cover`'s two set-system shapes at both of its µ: the
+    /// set-frequency one (universe 200 000, 15 machines at µ 0.15),
+    /// where an index with an offset per universe element would not fit,
+    /// and the set-size one (200 000 sets on one machine).
+    #[test]
+    fn resident_words_stay_within_the_metered_words() {
+        let shapes = [
+            bounded_frequency(4000, 200_000, 4, 42),
+            bounded_set_size(200_000, 4000, 12, 42),
+        ];
+        for sys in &shapes {
+            for mu in [0.3, 0.15] {
+                let cfg = MrConfig::auto(sys.n_sets(), sys.universe(), mu, 42);
+                for (id, chunk) in distribute(sys, &cfg).unwrap().iter().enumerate() {
+                    let (resident, metered) = (chunk.resident_words(), chunk.words());
+                    assert!(
+                        resident <= metered,
+                        "universe {}, µ {mu}, machine {id} of {}: {resident} resident > {metered} metered words",
+                        sys.universe(),
+                        cfg.machines,
+                    );
+                }
+            }
+        }
     }
 
     thread_local! {

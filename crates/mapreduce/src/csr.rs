@@ -132,6 +132,18 @@ impl<T: Copy> Csr<T> {
         self.items.extend_from_slice(row);
         Ok(())
     }
+
+    /// Appends `item` to the last row: after `push_row(&[])` opens a row,
+    /// the way to fill rows from a scan that meets each row's items in
+    /// order but interleaved with other arenas' items. Refused like
+    /// [`Csr::push_row`]; panics if there is no row.
+    pub fn push_to_last_row(&mut self, item: T) -> Result<(), CsrOverflow> {
+        assert!(self.rows() > 0, "no row to append to");
+        let end = u32::try_from(self.items.len() + 1).map_err(|_| CsrOverflow)?;
+        *self.offsets.last_mut().expect("offsets start with 0") = end;
+        self.items.push(item);
+        Ok(())
+    }
 }
 
 /// Flattens nested rows built in code (generators, tests), panicking past
@@ -164,6 +176,12 @@ impl<T> Csr<T> {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// Heap bytes held, from the buffers' capacities.
+    pub fn resident_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.items.capacity() * std::mem::size_of::<T>()
     }
 
     /// Total number of items over all rows.
@@ -330,6 +348,25 @@ mod tests {
         assert_eq!(csr.iter().collect::<Vec<_>>(), rows);
         assert_eq!((csr.offsets.as_ptr(), csr.items.as_ptr()), (offsets, items));
         assert_eq!(Csr::<u8>::with_capacity(3, 9), Csr::default());
+    }
+
+    #[test]
+    fn items_appended_to_opened_rows_equal_whole_rows_pushed() {
+        let mut grown = Csr::with_capacity(3, 5);
+        for row in [&[4u32, 5][..], &[], &[6, 7, 8]] {
+            grown.push_row(&[]).unwrap();
+            for &item in row {
+                grown.push_to_last_row(item).unwrap();
+            }
+        }
+        assert_eq!(grown, Csr::from(vec![vec![4, 5], vec![], vec![6, 7, 8]]));
+        assert_eq!(grown.resident_bytes(), 4 * 4 + 5 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no row")]
+    fn appending_to_an_arena_without_rows_panics() {
+        Csr::<u8>::default().push_to_last_row(1).unwrap();
     }
 
     #[test]

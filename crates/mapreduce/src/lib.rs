@@ -25,7 +25,9 @@
 //!   distributed run is bit-identical to its sequential counterpart.
 //! * [`bitset::Bitset`] and [`words::WordSized`] handle exact word-level
 //!   space accounting; [`csr::Csr`] is the flat "one list per record"
-//!   layout resident driver states are built on.
+//!   layout resident driver states are built on, and
+//!   [`bitset::RankedBitset`] numbers the keys a machine holds, so a
+//!   `Csr` indexed by them has a row per held key, not per key.
 //! * [`model::ComputeModel`] audits cluster shapes against the MRC/MPC side
 //!   conditions. Drivers place records on machines themselves, by hashing
 //!   record ids ([`rng::mix2`]).
@@ -96,7 +98,7 @@ pub mod shard;
 pub mod superstep;
 pub mod words;
 
-pub use bitset::Bitset;
+pub use bitset::{pack_words, Bitset, RankedBitset};
 pub use cluster::{
     tree_depth, Cluster, ClusterConfig, Enforcement, MachineId, MachineState, Outbox,
 };

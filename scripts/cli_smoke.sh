@@ -89,6 +89,16 @@ if [ "$list_status" != 0 ]; then
   echo "mrlr list exited $list_status when its reader closed the pipe" >&2
   exit 1
 fi
+# A usage error whose stderr reader has gone still exits 2, not with a
+# panic; pipefail is off again so that `mrlr`'s own status is read.
+set +o pipefail
+mrlr list --bogus 2>&1 >/dev/null | true
+usage_status="${PIPESTATUS[0]}"
+set -o pipefail
+if [ "$usage_status" != 2 ]; then
+  echo "mrlr list --bogus exited $usage_status when its stderr reader closed the pipe" >&2
+  exit 1
+fi
 echo "ok: list"
 
 echo "cli smoke passed (MRLR_THREADS=${MRLR_THREADS:-unset}, MRLR_BACKEND=${MRLR_BACKEND:-unset})"
