@@ -52,20 +52,20 @@ use crate::seq::greedy_sc::{fitted_dual, harmonic};
 use crate::types::CoverResult;
 
 /// The fixed-width part of a resident set; its elements are the row of
-/// [`ScChunk::elems`] with the record's slot number.
+/// [`ScChunk::elems`] with the record's slot number, and its uncovered
+/// count the entry of [`ScChunk::uncov`] with that number.
 #[derive(Clone, Copy)]
 struct SetRecM {
     id: SetId,
     w: f64,
-    uncov: u32,
     chosen: bool,
 }
 
 /// A set the passes at `threshold` consider: not chosen, with an element
-/// left to cover, and a ratio clearing the threshold.
+/// left to cover (`uncov` of them), and a ratio clearing the threshold.
 #[inline]
-fn qualifies(r: &SetRecM, threshold: f64) -> bool {
-    !r.chosen && r.uncov > 0 && r.uncov as f64 / r.w >= threshold
+fn qualifies(r: &SetRecM, uncov: u32, threshold: f64) -> bool {
+    !r.chosen && uncov > 0 && uncov as f64 / r.w >= threshold
 }
 
 /// Ascending slots holding every set that qualifies at threshold `tag`,
@@ -79,10 +79,10 @@ impl Candidates {
     /// Refreshes the list for threshold `tag`. A list already tagged
     /// `tag` is filtered down to the sets that still qualify; any other
     /// is emptied and retagged, and `true` says it awaits a scan.
-    fn filter_or_clear(&mut self, tag: f64, recs: &[SetRecM]) -> bool {
+    fn filter_or_clear(&mut self, tag: f64, recs: &[SetRecM], uncov: &[u32]) -> bool {
         if self.tag == tag {
             self.slots
-                .retain(|&slot| qualifies(&recs[slot as usize], tag));
+                .retain(|&slot| qualifies(&recs[slot as usize], uncov[slot as usize], tag));
             false
         } else {
             self.tag = tag;
@@ -95,6 +95,9 @@ impl Candidates {
 struct ScChunk {
     /// Ascending set id.
     recs: Vec<SetRecM>,
+    /// Each set's uncovered count, by slot: a column of its own, so that
+    /// a delta's decrements touch four bytes a set.
+    uncov: Vec<u32>,
     elems: Csr<ElemId>,
     covered: Bitset,
     /// The elements some resident set holds, ranked.
@@ -127,16 +130,15 @@ impl ScChunk {
     ) -> Self {
         let recs = ids
             .iter()
-            .zip(elems.iter())
-            .map(|(&id, row)| SetRecM {
+            .map(|&id| SetRecM {
                 id,
                 w: sys.weight(id),
-                uncov: row.len() as u32,
                 chosen: false,
             })
             .collect();
         let mut chunk = ScChunk {
             recs,
+            uncov: elems.iter().map(|row| row.len() as u32).collect(),
             elems,
             covered: Bitset::new(sys.universe()),
             holds,
@@ -164,6 +166,7 @@ impl ScChunk {
     #[cfg(test)]
     fn resident_words(&self) -> usize {
         let bytes = self.recs.capacity() * std::mem::size_of::<SetRecM>()
+            + self.uncov.capacity() * std::mem::size_of::<u32>()
             + self.elems.resident_bytes()
             + self.covered.resident_bytes()
             + self.holds.resident_bytes()
@@ -182,7 +185,7 @@ impl ScChunk {
             while fresh != 0 {
                 let j = 64 * w + fresh.trailing_zeros() as usize;
                 for &slot in self.index.row(self.holds.rank(j)) {
-                    self.recs[slot as usize].uncov -= 1;
+                    self.uncov[slot as usize] -= 1;
                 }
                 fresh &= fresh - 1;
             }
@@ -208,34 +211,35 @@ impl ScChunk {
         }
         let ScChunk {
             recs,
+            uncov,
             candidates: [cur, below],
             ..
         } = self;
         let scan = [
-            cur.filter_or_clear(threshold, recs),
-            below.filter_or_clear(next, recs),
+            cur.filter_or_clear(threshold, recs, uncov),
+            below.filter_or_clear(next, recs, uncov),
         ];
         if scan[0] || scan[1] {
-            for (slot, r) in recs.iter().enumerate() {
-                if scan[0] && qualifies(r, threshold) {
+            for (slot, (r, &u)) in recs.iter().zip(uncov.iter()).enumerate() {
+                if scan[0] && qualifies(r, u, threshold) {
                     cur.slots.push(slot as u32);
                 }
-                if scan[1] && qualifies(r, next) {
+                if scan[1] && qualifies(r, u, next) {
                     below.slots.push(slot as u32);
                 }
             }
         }
     }
 
-    /// The sets qualifying at `threshold` with their slots, ascending:
-    /// the candidate list tagged `threshold` re-checked record by record,
-    /// or every record when no list carries that tag.
-    fn qualifying(&self, threshold: f64) -> impl Iterator<Item = (usize, &SetRecM)> + '_ {
+    /// The sets qualifying at `threshold` with their slots and uncovered
+    /// counts, ascending: the candidate list tagged `threshold` re-checked
+    /// record by record, or every record when no list carries that tag.
+    fn qualifying(&self, threshold: f64) -> impl Iterator<Item = (usize, &SetRecM, u32)> + '_ {
         let list = self.candidates.iter().find(|c| c.tag == threshold);
         debug_assert!(list.is_none_or(|c| {
-            (0..self.recs.len() as u32)
-                .filter(|&s| qualifies(&self.recs[s as usize], threshold))
-                .all(|s| c.slots.binary_search(&s).is_ok())
+            (0..self.recs.len())
+                .filter(|&s| qualifies(&self.recs[s], self.uncov[s], threshold))
+                .all(|s| c.slots.binary_search(&(s as u32)).is_ok())
         }));
         let (listed, rest) = match list {
             Some(c) => (c.slots.as_slice(), 0..0),
@@ -245,8 +249,8 @@ impl ScChunk {
             .iter()
             .map(|&slot| slot as usize)
             .chain(rest)
-            .map(|slot| (slot, &self.recs[slot]))
-            .filter(move |(_, r)| qualifies(r, threshold))
+            .map(|slot| (slot, &self.recs[slot], self.uncov[slot]))
+            .filter(move |&(_, r, uncov)| qualifies(r, uncov, threshold))
     }
 }
 
@@ -255,47 +259,45 @@ impl ScChunk {
 type SampleHead = (u64, u64, SetId, f64);
 
 /// Hash-partitions the sets. A machine copies each of its sets' rows
-/// whole and ranks the elements they hold; its index rows come from one
-/// pass over the instance's dual, in which `T_j`'s sets go, in set order,
-/// to their machines' slots, and a machine opens `j`'s row at the first of
-/// them it holds. Rows open in element order, so `j`'s is row
-/// `holds.rank(j)`.
+/// whole; its index rows come from one pass over the instance's dual, in
+/// which `T_j`'s sets go, in set order, to their machines' slots, and a
+/// machine marks `j` held and opens its row at the first of them it
+/// holds. Rows open in element order, so `j`'s is row `holds.rank(j)`.
 fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ScChunk>> {
     let Placement { at, ids } = place_records(cfg.machines, sys.n_sets(), |l| cfg.place(l as u64))?;
     let mut blocks = Vec::with_capacity(ids.len());
     for ids in &ids {
         let items = ids.iter().map(|&l| sys.set(l).len()).sum();
         let mut elems = Csr::with_capacity(ids.len(), items);
-        let mut holds = Bitset::new(sys.universe());
         for &l in ids {
             elems.push_row(sys.set(l))?;
-            for &j in sys.set(l) {
-                holds.set(j as usize);
-            }
         }
-        let holds = RankedBitset::new(holds)?;
-        let index = Csr::with_capacity(holds.ones(), items);
-        blocks.push((elems, holds, index));
+        // A row per held element: no more than the items or the universe.
+        let index = Csr::with_capacity(items.min(sys.universe()), items);
+        blocks.push((elems, Bitset::new(sys.universe()), index));
     }
-    // The element whose row each machine opened last.
-    let mut opened = vec![usize::MAX; blocks.len()];
     for (j, sets) in sys.dual().iter().enumerate() {
         for &l in sets {
             let (dst, slot) = at[l as usize];
             let (_, holds, index) = &mut blocks[dst as usize];
-            if opened[dst as usize] != j {
-                opened[dst as usize] = j;
-                debug_assert_eq!(index.rows(), holds.rank(j));
+            if holds.set(j) {
                 index.push_row(&[])?;
             }
             index.push_to_last_row(slot)?;
         }
     }
-    Ok(ids
-        .iter()
+    ids.iter()
         .zip(blocks)
-        .map(|(ids, (elems, holds, index))| ScChunk::new(sys, ids, elems, holds, index))
-        .collect())
+        .map(|(ids, (elems, holds, index))| {
+            Ok(ScChunk::new(
+                sys,
+                ids,
+                elems,
+                RankedBitset::new(holds)?,
+                index,
+            ))
+        })
+        .collect()
 }
 
 /// Algorithm 3 on the cluster. Output is bit-identical to
@@ -340,7 +342,8 @@ pub fn run(
     let mut level = cluster.aggregate_max_f64(|_, s: &ScChunk| {
         s.recs
             .iter()
-            .map(|r| r.uncov as f64 / r.w)
+            .zip(&s.uncov)
+            .map(|(r, &uncov)| uncov as f64 / r.w)
             .fold(0.0f64, f64::max)
     })?;
     let mut k = 0usize;
@@ -359,9 +362,9 @@ pub fn run(
                 |_, s: &ScChunk| {
                     let mut any = 0u64;
                     let mut pot = 0.0f64;
-                    for (_, r) in s.qualifying(threshold) {
+                    for (_, _, uncov) in s.qualifying(threshold) {
                         any = 1;
-                        pot += r.uncov as f64;
+                        pot += uncov as f64;
                     }
                     (any, pot)
                 },
@@ -381,8 +384,8 @@ pub fn run(
             let class_sizes: Vec<u64> = cluster.aggregate(
                 |_, s: &ScChunk| {
                     let mut counts = vec![0u64; num_classes + 1];
-                    for (_, r) in s.qualifying(threshold) {
-                        counts[degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes)] += 1;
+                    for (_, _, uncov) in s.qualifying(threshold) {
+                        counts[degree_class_ln(uncov as usize, ln_mf, alpha, num_classes)] += 1;
                     }
                     counts
                 },
@@ -400,8 +403,8 @@ pub fn run(
             let gs = params.group_size;
             let sample: PayloadBatch<SampleHead, ElemId> =
                 cluster.gather_payload(|_, s: &mut ScChunk, sink| {
-                    for (slot, r) in s.qualifying(threshold) {
-                        let i = degree_class_ln(r.uncov as usize, ln_mf, alpha, num_classes);
+                    for (slot, r, uncov) in s.qualifying(threshold) {
+                        let i = degree_class_ln(uncov as usize, ln_mf, alpha, num_classes);
                         if let Some(gid) = group_choice(
                             seed,
                             [HSC_RNG_TAG, k as u64, i as u64],
@@ -560,7 +563,8 @@ mod tests {
             assert_eq!(chunk.words, 1 + 2 * recs + bitmap, "machine {id}");
             assert_eq!(chunk.words(), chunk.metered_words());
             chunk.apply_delta(&all_elems, &all_sets);
-            assert!(chunk.recs.iter().all(|r| r.uncov == 0 && r.chosen));
+            assert!(chunk.uncov.iter().all(|&u| u == 0));
+            assert!(chunk.recs.iter().all(|r| r.chosen));
             assert_eq!(chunk.words(), chunk.metered_words());
         }
         run(&sys, HungryScParams::new(60, 0.4, 0.2, 2), cfg).unwrap();
@@ -581,7 +585,7 @@ mod tests {
             UniverseIndex {
                 index: chunk.elems.invert(universe, |&j| j as usize).unwrap(),
                 covered: Bitset::new(universe),
-                uncov: chunk.recs.iter().map(|r| r.uncov).collect(),
+                uncov: chunk.uncov.clone(),
                 chosen: vec![false; chunk.recs.len()],
             }
         }
@@ -687,13 +691,13 @@ mod tests {
                         chunk.apply_delta(&words, chosen);
                         oracle.apply_delta(&ids, covered, chosen);
                         let case = format!("universe {m}, machine {id} of {machines}, step {step}");
-                        let uncov: Vec<u32> = chunk.recs.iter().map(|r| r.uncov).collect();
                         let chosen: Vec<bool> = chunk.recs.iter().map(|r| r.chosen).collect();
-                        assert_eq!(uncov, oracle.uncov, "{case}");
+                        assert_eq!(chunk.uncov, oracle.uncov, "{case}");
                         assert_eq!(chosen, oracle.chosen, "{case}");
                         assert_eq!(chunk.covered, oracle.covered, "{case}");
                     }
-                    assert!(chunk.recs.iter().all(|r| r.uncov == 0 && r.chosen));
+                    assert!(chunk.uncov.iter().all(|&u| u == 0));
+                    assert!(chunk.recs.iter().all(|r| r.chosen));
                 }
             }
         }
