@@ -26,8 +26,8 @@ use mrlr_core::api::{
 };
 use mrlr_core::colouring::{colour_budget, group_count};
 use mrlr_core::exact;
-use mrlr_core::hungry::{hungry_set_cover, HungryScParams};
-use mrlr_core::mr::MrConfig;
+use mrlr_core::hungry::HungryScParams;
+use mrlr_core::mr::{set_cover_greedy, MrConfig};
 use mrlr_core::seq::b_matching_multiplier;
 use mrlr_setsys::generators as setgen;
 
@@ -234,7 +234,7 @@ fn e3_mis_rounds(registry: &Registry) {
 }
 
 /// E4 — Lemmas 4.3/4.4: potential decay of the hungry-greedy set cover.
-/// Uses the instrumented `hungry_set_cover` entry point directly — the
+/// Calls the cluster driver `mr::set_cover_greedy::run` directly — the
 /// per-round potential trace is ablation-only detail a uniform `Report`
 /// deliberately does not carry.
 fn e4_potential_decay() {
@@ -248,7 +248,8 @@ fn e4_potential_decay() {
             17,
         );
         let params = HungryScParams::new(m, mu, 0.2, 17);
-        let (r, trace) = hungry_set_cover(&sys, params).expect("e4");
+        let cfg = MrConfig::auto(sys.n_sets(), sys.universe(), mu, 17);
+        let (r, trace, _) = set_cover_greedy::run(&sys, params, cfg).expect("e4");
         assert!(sys.covers(&r.cover));
         // Geometric decay factor across the first level's rounds.
         let decays: Vec<f64> = trace

@@ -675,6 +675,62 @@ fn usage_error_exits_2_when_stderr_closes_early() {
     }
 }
 
+/// `mrlr serve` whose stderr reader has gone (`mrlr serve … 2>&1 | true`)
+/// still serves and exits 0 on shutdown: its listening line and its
+/// closing counter note have nowhere to go, and a `failed printing to
+/// stderr` panic (exit 101) would end the daemon with its socket bound.
+/// The read end is closed as soon as the daemon is spawned.
+#[test]
+fn serve_exits_0_when_stderr_closes_early() {
+    let dir = workdir("serve-stderr");
+    mrlr(
+        &dir,
+        "1",
+        &["gen", "densified", "--n", "20", "--out", "g.inst"],
+    );
+    let socket = dir.join("serve.sock");
+    let socket_arg = socket.to_str().expect("utf-8 temp path");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_mrlr"))
+        .args(["serve", "--socket", socket_arg])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mrlr serve");
+    drop(daemon.stderr.take());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !socket.exists() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let client = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_mrlr"))
+            .arg("client")
+            .args(args)
+            .args(["--socket", socket_arg])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mrlr client")
+    };
+    let solved = client(&["solve", "matching", "--input", "g.inst", "--format", "json"]);
+    let shutdown = client(&["shutdown"]);
+    if !shutdown.status.success() {
+        let _ = daemon.kill();
+    }
+    let status = daemon.wait().expect("wait for mrlr serve");
+    assert!(
+        solved.status.success(),
+        "client solve: {}",
+        String::from_utf8_lossy(&solved.stderr)
+    );
+    assert!(String::from_utf8_lossy(&solved.stdout).contains("\"algorithm\": \"matching\""));
+    assert!(
+        shutdown.status.success(),
+        "client shutdown: {}",
+        String::from_utf8_lossy(&shutdown.stderr)
+    );
+    assert_eq!(status.code(), Some(0));
+    assert!(!socket.exists(), "socket left behind");
+}
+
 /// A problem line that promises an absurd count must fail like any other
 /// bad file — exit 1 with the parser's or the cluster layout's message —
 /// never a panic (exit 101) or an allocation abort (killed by a signal,

@@ -5,8 +5,10 @@
 //! Per-algorithm parameters (phase granularity `α`, group sizes `n^{µ/2}`,
 //! colour-group counts `κ`, sampling budgets) are derived from the
 //! instance and the cluster regime exactly as the paper parameterizes
-//! them, so `Rlr` and `Mr` runs of the same key use the same coins and
-//! return bit-identical solutions.
+//! them. Every backend but `Seq` runs the key's one cluster driver
+//! (`mr::*`) on the shape [`cluster_cfg`] gives it, so `Rlr`, `Mr`,
+//! `Shard` and `Dist` runs of the same key use the same coins and return
+//! bit-identical solutions.
 
 use std::time::Instant;
 
@@ -18,10 +20,10 @@ use super::problems::{
 };
 use super::registry::ALGORITHM_INFO;
 use super::{Backend, Instance, Problem, Report, Solution};
-use crate::colouring::{self, group_count};
-use crate::hungry::{self, HungryScParams, MisParams};
+use crate::colouring::group_count;
+use crate::hungry::{HungryScParams, MisParams};
 use crate::mr::{self, MrConfig};
-use crate::rlr::{self, BMatchingParams};
+use crate::rlr::BMatchingParams;
 use crate::seq;
 use crate::types::MatchingResult;
 
@@ -45,18 +47,26 @@ fn seq_err(e: String) -> MrError {
     MrError::Infeasible(e)
 }
 
-/// The cluster shape a `Mr`/`Shard`/`Dist` run uses: `Backend::Shard`
-/// forces the in-process runtime ([`RuntimeKind::Shard`]),
-/// `Backend::Dist` the distributed master/worker runtime
-/// ([`RuntimeKind::Dist`]); `Backend::Mr` keeps the config's runtime
-/// (`MRLR_BACKEND` by default, else `Shard`). The run itself is the same
-/// `mr::*::run` in all cases, so Rlr/Mr/Shard/Dist reports (witnesses
-/// included) are bit-identical.
+/// The cluster shape a backend runs the key's driver on. `Backend::Rlr`
+/// is one machine on the in-process runtime whose capacity is recorded
+/// rather than enforced, so it succeeds wherever the algorithm does, even
+/// where the model's capacities refuse `Shard`; [`report`] withholds its
+/// [`Metrics`]. `Backend::Shard` forces the in-process runtime
+/// ([`RuntimeKind::Shard`]), `Backend::Dist` the distributed
+/// master/worker runtime ([`RuntimeKind::Dist`]), and `Backend::Mr` keeps
+/// the config's runtime (`MRLR_BACKEND` by default, else `Shard`). The
+/// run itself is the same `mr::*::run` in all cases, and a driver's
+/// output does not depend on its machine count, so Rlr/Mr/Shard/Dist
+/// solutions are bit-identical.
 fn cluster_cfg(backend: Backend, cfg: &MrConfig) -> MrConfig {
     match backend {
+        Backend::Rlr => cfg
+            .with_machines(1)
+            .with_runtime(RuntimeKind::Shard)
+            .recording(),
         Backend::Shard => cfg.with_runtime(RuntimeKind::Shard),
         Backend::Dist => cfg.with_runtime(RuntimeKind::Dist),
-        _ => *cfg,
+        Backend::Mr | Backend::Seq => *cfg,
     }
 }
 
@@ -69,6 +79,8 @@ fn graph_cluster_cfg(backend: Backend, g: &Graph, cfg: &MrConfig) -> MrResult<Mr
 }
 
 /// Assembles a [`Report`], running the problem validator on the solution.
+/// An `Rlr` run's metrics describe an unmetered machine, so they are
+/// dropped.
 fn report<P: Problem>(
     algorithm: &'static str,
     backend: Backend,
@@ -83,7 +95,7 @@ fn report<P: Problem>(
         backend,
         solution,
         certificate,
-        metrics,
+        metrics: metrics.filter(|_| backend != Backend::Rlr),
         wall: started.elapsed(),
     }
 }
@@ -98,8 +110,7 @@ pub(crate) fn matching(
     let t = Instant::now();
     let (sol, metrics) = match backend {
         Backend::Seq => (seq::local_ratio_matching(g), None),
-        Backend::Rlr => (rlr::approx_max_matching(g, cfg.eta, cfg.seed)?, None),
-        Backend::Mr | Backend::Shard | Backend::Dist => {
+        _ => {
             let (s, m) = mr::matching::run(g, graph_cluster_cfg(backend, g, cfg)?)?;
             (s, Some(m))
         }
@@ -130,8 +141,7 @@ pub(crate) fn solve(
         ("set-cover-f", Instance::SetSystem(sys)) => {
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::local_ratio_set_cover(sys).map_err(seq_err)?, None),
-                Backend::Rlr => (rlr::approx_set_cover_f(sys, cfg.eta, cfg.seed)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) = mr::set_cover::run(sys, cluster_cfg(backend, cfg))?;
                     (s, Some(m))
                 }
@@ -145,8 +155,7 @@ pub(crate) fn solve(
                 HungryScParams::new(sys.universe(), cfg.mu, DEFAULT_GREEDY_SC_EPS, cfg.seed);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::greedy_set_cover(sys).map_err(seq_err)?, None),
-                Backend::Rlr => (hungry::hungry_set_cover(sys, params)?.0, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, _trace, m) =
                         mr::set_cover_greedy::run(sys, params, cluster_cfg(backend, cfg))?;
                     (s, Some(m))
@@ -161,11 +170,7 @@ pub(crate) fn solve(
                     let sys = inst.as_set_system();
                     (seq::local_ratio_set_cover(&sys).map_err(seq_err)?, None)
                 }
-                Backend::Rlr => {
-                    let sys = inst.as_set_system();
-                    (rlr::approx_set_cover_f(&sys, cfg.eta, cfg.seed)?, None)
-                }
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) = mr::vertex_cover::run(
                         &inst.graph,
                         &inst.weights,
@@ -191,8 +196,7 @@ pub(crate) fn solve(
                     seq::local_ratio_b_matching(&inst.graph, &inst.b, inst.eps),
                     None,
                 ),
-                Backend::Rlr => (rlr::approx_b_matching(&inst.graph, &inst.b, params)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) = mr::bmatching::run(
                         &inst.graph,
                         &inst.b,
@@ -209,8 +213,7 @@ pub(crate) fn solve(
             let params = MisParams::mis1(g.n(), cfg.mu, cfg.seed);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::greedy_mis(g), None),
-                Backend::Rlr => (hungry::mis_simple(g, params)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) =
                         mr::mis::run_simple(g, params, graph_cluster_cfg(backend, g, cfg)?)?;
                     (s, Some(m))
@@ -223,8 +226,7 @@ pub(crate) fn solve(
             let params = MisParams::mis2(g.n(), cfg.mu, cfg.seed);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::greedy_mis(g), None),
-                Backend::Rlr => (hungry::mis_fast(g, params)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) = mr::mis::run_fast(g, params, graph_cluster_cfg(backend, g, cfg)?)?;
                     (s, Some(m))
                 }
@@ -237,8 +239,7 @@ pub(crate) fn solve(
             let params = MisParams::mis2(g.n(), cfg.mu, cfg.seed);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::greedy_maximal_clique(g), None),
-                Backend::Rlr => (hungry::maximal_clique(g, params)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let (s, m) = mr::clique::run(g, params, graph_cluster_cfg(backend, g, cfg)?)?;
                     (s, Some(m))
                 }
@@ -253,11 +254,7 @@ pub(crate) fn solve(
             let limit = paper_edge_limit(g.n(), cfg.mu);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::greedy_colouring(g), None),
-                Backend::Rlr => (
-                    colouring::vertex_colouring(g, kappa, limit, cfg.seed)?,
-                    None,
-                ),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let gcfg = graph_cluster_cfg(backend, g, cfg)?;
                     let (s, m) = mr::colouring::run_vertex(g, kappa, limit, gcfg)?;
                     (s, Some(m))
@@ -275,8 +272,7 @@ pub(crate) fn solve(
             let limit = paper_edge_limit(g.n(), cfg.mu);
             let (sol, metrics) = match backend {
                 Backend::Seq => (seq::misra_gries_edge_colouring(g), None),
-                Backend::Rlr => (colouring::edge_colouring(g, kappa, limit, cfg.seed)?, None),
-                Backend::Mr | Backend::Shard | Backend::Dist => {
+                _ => {
                     let gcfg = graph_cluster_cfg(backend, g, cfg)?;
                     let (s, m) = mr::colouring::run_edge(g, kappa, limit, gcfg)?;
                     (s, Some(m))

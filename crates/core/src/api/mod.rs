@@ -11,21 +11,20 @@
 //!   (`"matching"`, `"vertex-cover"`, …) for data-driven dispatch: the
 //!   experiment binaries, benches and examples loop over the registry
 //!   instead of hand-wiring per-algorithm entry points. Each key runs on
-//!   five [`Backend`]s: `Seq` (deterministic sequential reference), `Rlr`
-//!   (the paper's randomized in-memory driver from [`crate::rlr`],
-//!   [`crate::hungry`] or [`crate::colouring`]), `Mr` (the cluster
-//!   implementation from [`crate::mr`] on whichever runtime the config
-//!   — by default the `MRLR_BACKEND` environment variable — names),
-//!   `Shard` (the same implementation pinned to the in-process runtime:
+//!   five [`Backend`]s: `Seq` (deterministic sequential reference) and
+//!   four shapes of the key's one cluster driver from [`crate::mr`]:
+//!   `Rlr` (one machine on the in-process runtime, capacity recorded
+//!   rather than enforced, no metrics reported), `Mr` (on whichever
+//!   runtime the config — by default the `MRLR_BACKEND` environment
+//!   variable — names), `Shard` (pinned to the in-process runtime:
 //!   static shard→thread scheduling with counting-sort routing) and
-//!   `Dist` (the same implementation again, shuffling through the
-//!   master/worker control plane of [`mrlr_mapreduce::dist`] with
-//!   fault-tolerant re-execution). For identical seeds the `Rlr`, `Mr`,
-//!   `Shard` and `Dist` backends return **bit-identical** solutions; the
-//!   cluster backends additionally report honest (and mutually
-//!   identical) [`Metrics`]. One private dispatch function derives each
-//!   key's paper parameters from `(instance, cfg)`, runs the backend and
-//!   certifies the solution.
+//!   `Dist` (shuffling through the master/worker control plane of
+//!   [`mrlr_mapreduce::dist`] with fault-tolerant re-execution). For
+//!   identical seeds the `Rlr`, `Mr`, `Shard` and `Dist` backends return
+//!   **bit-identical** solutions; the metered backends additionally
+//!   report honest (and mutually identical) [`Metrics`]. One private
+//!   dispatch function derives each key's paper parameters from
+//!   `(instance, cfg)`, runs the backend and certifies the solution.
 //!   [`Registry::solve_batch`] runs one instance set across many
 //!   `(algorithm, cfg)` jobs: the nested loop over
 //!   [`Registry::solve_with`], each job distributing its own input.
@@ -82,14 +81,18 @@ pub use witness::{audit, audit_report, AuditError, Claims, Witness};
 pub enum Backend {
     /// Deterministic sequential reference (test oracle / baseline).
     Seq,
-    /// The paper's randomized driver on an in-memory instance
-    /// ([`crate::rlr`], [`crate::hungry`], [`crate::colouring`]).
+    /// The key's cluster driver ([`crate::mr`]) on one machine on the
+    /// in-process runtime, whose capacity is recorded rather than
+    /// enforced: `Shard` on one unmetered machine, without metrics. It
+    /// succeeds wherever the algorithm does, even where the model's
+    /// capacities refuse `Shard`, and its solution is bit-identical to
+    /// every other cluster backend's.
     Rlr,
     /// The cluster implementation ([`crate::mr`]), metered by the
     /// simulator, on the runtime [`MrConfig::exec`] names — by default
     /// the `MRLR_BACKEND` environment variable, else the in-process
-    /// runtime, where it is `Shard` under another label. Bit-identical
-    /// to `Rlr` for identical seeds.
+    /// runtime, where it is `Shard` under another label. Its solution is
+    /// bit-identical to `Rlr`'s for identical seeds.
     Mr,
     /// The cluster implementation pinned to the in-process runtime
     /// ([`mrlr_mapreduce::RuntimeKind::Shard`]: work-stealing-free

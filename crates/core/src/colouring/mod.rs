@@ -8,19 +8,16 @@
 //! colours. The union uses `κ(max_i Δ_i + 1) = (1+o(1))Δ` colours
 //! (Corollary 6.3). Remark 6.5: edge colouring works identically with
 //! *edges* partitioned and Misra–Gries (`Δ_i + 1` colours, Vizing) as the
-//! per-group subroutine, so [`vertex_colouring`] and [`edge_colouring`]
-//! run one group pass; only an edge's group, the subroutine and the
-//! coloured entity differ.
+//! per-group subroutine, so [`crate::mr::colouring::run_vertex`] and
+//! [`crate::mr::colouring::run_edge`] run one group pass; only an edge's
+//! group, the subroutine and the coloured entity differ. This module
+//! keeps what that pass reads: the group count, the group hashes and the
+//! palette offsets, and Corollary 6.3's colour budget.
 
 use mrlr_graph::{EdgeId, Graph, VertexId};
 use mrlr_mapreduce::rng::mix_tags;
-use mrlr_mapreduce::{Csr, MrError, MrResult};
 
-use crate::seq::greedy_graph::greedy_colouring_with_order;
-use crate::seq::misra_gries::misra_gries_edge_colouring;
-use crate::types::ColouringResult;
-
-/// Tag mixed into the group-assignment hashes (shared with the MR driver).
+/// Tag mixed into the group-assignment hashes.
 pub const COLOUR_TAG: u64 = 0x434f_4c52;
 
 /// The paper's group count `κ = n^{(c−µ)/2}` for a graph with `m = n^{1+c}`
@@ -47,20 +44,6 @@ pub fn edge_group(seed: u64, e: EdgeId, kappa: usize) -> usize {
     (mix_tags(seed, &[COLOUR_TAG, 0x6564_6765, e as u64]) % kappa as u64) as usize
 }
 
-/// The members of every group as rows of one arena, ascending within a
-/// row: `group[i]` is entity `i`'s group. One counting pass, one scatter.
-fn group_members(group: &[usize], kappa: usize) -> MrResult<Csr<u32>> {
-    let mut sizes = vec![0usize; kappa];
-    for &gi in group {
-        sizes[gi] += 1;
-    }
-    let mut members = Csr::builder(sizes, 0u32)?;
-    for (i, &gi) in group.iter().enumerate() {
-        members.push(gi, i as u32);
-    }
-    Ok(members.finish())
-}
-
 /// Makes per-group colourings globally distinct: `group[i]` is entity
 /// `i`'s group and `local[i]` its colour inside it. Groups take
 /// consecutive private palettes in ascending group order, each as wide as
@@ -84,29 +67,6 @@ pub(crate) fn offset_palettes(group: &[usize], local: &[u32], kappa: usize) -> (
     (colours, next as usize)
 }
 
-/// Algorithm 5: `(1+o(1))Δ` vertex colouring with `kappa` random groups.
-/// `edge_limit` is the per-group edge bound of line 4 (`13 n^{1+µ}`);
-/// exceeding it triggers the paper's `fail` (`usize::MAX` never fails).
-pub fn vertex_colouring(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: usize,
-    seed: u64,
-) -> MrResult<ColouringResult> {
-    group_pass(g, kappa, edge_limit, seed, false)
-}
-
-/// Remark 6.5: `(1+o(1))Δ` edge colouring — random *edge* groups, each
-/// coloured by Misra–Gries with a private palette of `Δ_i + 1` colours.
-pub fn edge_colouring(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: usize,
-    seed: u64,
-) -> MrResult<ColouringResult> {
-    group_pass(g, kappa, edge_limit, seed, true)
-}
-
 /// The group of every entity: vertex `v`'s, or with `edges` edge `e`'s.
 pub(crate) fn entity_groups(g: &Graph, seed: u64, kappa: usize, edges: bool) -> Vec<usize> {
     if edges {
@@ -118,74 +78,6 @@ pub(crate) fn entity_groups(g: &Graph, seed: u64, kappa: usize, edges: bool) -> 
             .map(|v| vertex_group(seed, v, kappa))
             .collect()
     }
-}
-
-/// Algorithm 5's group pass, over vertex groups (an edge counts in its
-/// endpoints' group when they share one) or, with `edges`, over edge
-/// groups (Remark 6.5). Each group is coloured with a private palette —
-/// greedily in ascending vertex order, or by Misra–Gries — and the
-/// palettes are offset in ascending group order.
-fn group_pass(
-    g: &Graph,
-    kappa: usize,
-    edge_limit: usize,
-    seed: u64,
-    edges: bool,
-) -> MrResult<ColouringResult> {
-    if kappa == 0 {
-        return Err(MrError::BadConfig("kappa must be positive".into()));
-    }
-    let groups = entity_groups(g, seed, kappa, edges);
-
-    // Line 4's guard: the first group over the edge budget fails.
-    let mut counts = vec![0usize; kappa];
-    for (idx, e) in g.edges().iter().enumerate() {
-        if edges {
-            counts[groups[idx]] += 1;
-        } else if groups[e.u as usize] == groups[e.v as usize] {
-            counts[groups[e.u as usize]] += 1;
-        }
-    }
-    if let Some((i, &cnt)) = counts.iter().enumerate().find(|&(_, &c)| c > edge_limit) {
-        let reason = if edges {
-            format!("edge group {i} has {cnt} > {edge_limit} edges")
-        } else {
-            format!("group {i} has {cnt} > {edge_limit} edges (Lemma 6.2 guard)")
-        };
-        return Err(MrError::AlgorithmFailed { round: 0, reason });
-    }
-
-    let members = group_members(&groups, kappa)?;
-    let mut local = vec![0u32; groups.len()];
-    for (gi, members) in members.iter().enumerate() {
-        if members.is_empty() {
-            continue;
-        }
-        if edges {
-            // This group's edges, vertex ids kept; a subgraph of a simple
-            // graph is simple. Misra–Gries colours them in member order.
-            let sub = Graph::from_validated(g.n(), members.iter().map(|&e| *g.edge(e)).collect());
-            let coloured = misra_gries_edge_colouring(&sub);
-            for (&e, &c) in members.iter().zip(&coloured.colours) {
-                local[e as usize] = c;
-            }
-        } else {
-            // The induced subgraph keeps original vertex ids, so the greedy
-            // subroutine colours members directly.
-            let sub = g.induced(|v| groups[v as usize] == gi);
-            let coloured = greedy_colouring_with_order(&sub, members);
-            for &v in members {
-                local[v as usize] = coloured.colours[v as usize];
-            }
-        }
-    }
-    let (colours, num_colours) = offset_palettes(&groups, &local, kappa);
-
-    Ok(ColouringResult {
-        colours,
-        num_colours,
-        groups: kappa,
-    })
 }
 
 /// Corollary 6.3's colour budget
@@ -202,8 +94,31 @@ pub fn colour_budget(n: usize, delta: usize, mu: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mr::{colouring, one_machine};
+    use crate::types::ColouringResult;
     use crate::verify::{is_proper_colouring, is_proper_edge_colouring};
     use mrlr_graph::generators::{complete, densified, gnm};
+    use mrlr_mapreduce::{MrError, MrResult};
+
+    /// Algorithm 5 over `kappa` groups, as the `Rlr` backend runs it.
+    fn vertex_colouring(
+        g: &Graph,
+        kappa: usize,
+        edge_limit: usize,
+        seed: u64,
+    ) -> MrResult<ColouringResult> {
+        colouring::run_vertex(g, kappa, edge_limit, one_machine(1, seed)).map(|(r, _)| r)
+    }
+
+    /// Remark 6.5's edge colouring, as the `Rlr` backend runs it.
+    fn edge_colouring(
+        g: &Graph,
+        kappa: usize,
+        edge_limit: usize,
+        seed: u64,
+    ) -> MrResult<ColouringResult> {
+        colouring::run_edge(g, kappa, edge_limit, one_machine(1, seed)).map(|(r, _)| r)
+    }
 
     #[test]
     fn vertex_colouring_proper_all_kappa() {
@@ -279,10 +194,6 @@ mod tests {
         assert_eq!(colours, vec![4, 1, 2, 0, 3]);
         assert_eq!(total, 5);
         assert_eq!(offset_palettes(&[], &[], 3), (vec![], 0));
-        let members = group_members(&group, 4).unwrap();
-        assert_eq!(members[0], [1, 3]);
-        assert_eq!(members[3], [0, 2, 4]);
-        assert!(members[1].is_empty() && members[2].is_empty());
     }
 
     #[test]

@@ -147,8 +147,8 @@ fn distribute(g: &Graph, b: &[u32], eps: f64, cfg: &MrConfig) -> MrResult<Vec<BM
         .collect()
 }
 
-/// Runs Algorithm 7 on the cluster. Output is bit-identical to
-/// [`crate::rlr::bmatching::approx_b_matching`] with the same parameters.
+/// Runs Algorithm 7 on the cluster. The output does not depend on the
+/// machine count: every coin is hash-derived from `params.seed`.
 ///
 /// [`crate::api::Registry`] runs this for `b-matching` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -333,7 +333,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rlr::bmatching::approx_b_matching;
     use crate::seq::local_ratio_bmatching::b_matching_multiplier;
     use crate::verify::is_b_matching;
     use mrlr_graph::generators::{densified, with_uniform_weights};
@@ -353,7 +352,7 @@ mod tests {
             let mut cfg = cfg;
             cfg.eta = params.eta;
             let (mr, metrics) = run(&g, &b, params, cfg).unwrap();
-            let seq = approx_b_matching(&g, &b, params).unwrap();
+            let (seq, _) = run(&g, &b, params, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.matching, seq.matching, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
             assert!(is_b_matching(&g, &b, &mr.matching));

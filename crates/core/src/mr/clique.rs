@@ -162,8 +162,7 @@ impl ClassChunk for CliqueChunk {
 
 /// Appendix B's maximal clique on the cluster: `mis::run_classes`, the loop
 /// [`crate::mr::mis::run_fast`] runs, on complement degrees and
-/// complement lists. Output is bit-identical to
-/// [`crate::hungry::clique::maximal_clique`] with the same parameters.
+/// complement lists. The output does not depend on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `clique` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -174,7 +173,6 @@ pub fn run(g: &Graph, params: MisParams, cfg: MrConfig) -> MrResult<(SelectionRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungry::clique::maximal_clique;
     use crate::verify::is_maximal_clique;
     use mrlr_graph::generators::gnp;
     use mrlr_mapreduce::PayloadBatch;
@@ -186,7 +184,7 @@ mod tests {
             let params = MisParams::mis2(40, 0.3, seed);
             let cfg = MrConfig::auto(40, g.m().max(1), 0.3, seed);
             let (mr, metrics) = run(&g, params, cfg).unwrap();
-            let seq = maximal_clique(&g, params).unwrap();
+            let (seq, _) = run(&g, params, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_clique(&g, &mr.vertices));
             assert!(metrics.rounds > 0);

@@ -62,8 +62,8 @@ fn build_chunks(g: &Graph, cfg: &MrConfig) -> Vec<ColourChunk> {
     chunks
 }
 
-/// Algorithm 5 on the cluster. Output is bit-identical to
-/// [`crate::colouring::vertex_colouring`] with the same `(kappa, seed)`.
+/// Algorithm 5 on the cluster. The output depends on `(kappa, cfg.seed)`
+/// only, not on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `vertex-colouring` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -76,8 +76,8 @@ pub fn run_vertex(
     group_pass(g, kappa, edge_limit, cfg, false)
 }
 
-/// Remark 6.5 on the cluster. Output is bit-identical to
-/// [`crate::colouring::edge_colouring`] with the same `(kappa, seed)`.
+/// Remark 6.5 on the cluster. The output depends on `(kappa, cfg.seed)`
+/// only, not on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `edge-colouring` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -159,8 +159,8 @@ fn group_pass(
         }));
     }
 
-    // Colour each owned group locally with the in-memory driver's
-    // subroutine: greedy over its vertices, or Misra–Gries over its edges.
+    // Colour each owned group locally: greedy over its vertices, or
+    // Misra–Gries over its edges.
     cluster.local(move |_, s: &mut ColourChunk| {
         let rec = std::mem::take(&mut s.received); // sorted at receipt
         for group in rec.chunk_by(|a, b| a.0 == b.0) {
@@ -190,9 +190,8 @@ fn group_pass(
     let coloured: Vec<(u64, u32, u32)> =
         cluster.gather(|_, s: &mut ColourChunk| std::mem::take(&mut s.colours))?;
 
-    // Assemble exactly like the in-memory driver: groups ascending, private
-    // palettes offset sequentially; vertices without intra-group edges get
-    // local colour 0 of their group.
+    // Assemble: groups ascending, private palettes offset sequentially;
+    // vertices without intra-group edges get local colour 0 of their group.
     let mut local_colour = vec![0u32; groups.len()];
     for &(_, x, c) in &coloured {
         local_colour[x as usize] = c;
@@ -213,7 +212,6 @@ fn group_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colouring::{edge_colouring, vertex_colouring};
     use crate::verify::{is_proper_colouring, is_proper_edge_colouring};
     use mrlr_graph::generators::densified;
 
@@ -223,7 +221,8 @@ mod tests {
             let g = densified(60, 0.5, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
             let (mr, metrics) = run_vertex(&g, 4, usize::MAX, cfg).unwrap();
-            let seq = vertex_colouring(&g, 4, usize::MAX, seed).unwrap();
+            let one = cfg.with_machines(1).recording();
+            let (seq, _) = run_vertex(&g, 4, usize::MAX, one).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert_eq!(mr.num_colours, seq.num_colours);
             assert!(is_proper_colouring(&g, &mr.colours));
@@ -238,7 +237,8 @@ mod tests {
             let g = densified(40, 0.4, seed);
             let cfg = MrConfig::auto(40, g.m(), 0.3, seed);
             let (mr, metrics) = run_edge(&g, 3, usize::MAX, cfg).unwrap();
-            let seq = edge_colouring(&g, 3, usize::MAX, seed).unwrap();
+            let one = cfg.with_machines(1).recording();
+            let (seq, _) = run_edge(&g, 3, usize::MAX, one).unwrap();
             assert_eq!(mr.colours, seq.colours, "seed {seed}");
             assert!(is_proper_edge_colouring(&g, &mr.colours));
             assert!(metrics.rounds <= 3);

@@ -198,8 +198,8 @@ fn vertex_groups(sample: &[Half], n: usize) -> impl Iterator<Item = &[Half]> + '
         })
 }
 
-/// Runs Algorithm 4 on the cluster. Output is bit-identical to
-/// [`crate::rlr::matching::approx_max_matching`] with `(cfg.eta, cfg.seed)`.
+/// Runs Algorithm 4 on the cluster. The output depends on
+/// `(cfg.eta, cfg.seed)` only, not on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `matching` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names. Central bookkeeping records
@@ -321,7 +321,6 @@ pub fn run(g: &Graph, cfg: MrConfig) -> MrResult<(MatchingResult, Metrics)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rlr::matching::approx_max_matching;
     use crate::verify::is_matching;
     use mrlr_graph::generators::{densified, with_uniform_weights};
     use mrlr_graph::Edge;
@@ -332,7 +331,7 @@ mod tests {
             let g = with_uniform_weights(&densified(50, 0.4, seed), 0.5, 10.0, seed + 31);
             let cfg = MrConfig::auto(50, g.m(), 0.3, seed);
             let (mr, metrics) = run(&g, cfg).unwrap();
-            let seq = approx_max_matching(&g, cfg.eta, seed).unwrap();
+            let (seq, _) = run(&g, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.matching, seq.matching, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
             assert!((mr.stack_gain - seq.stack_gain).abs() < 1e-9);

@@ -231,10 +231,10 @@ impl CentralRound {
 type SampleHead = (u64, u64, VertexId);
 
 /// Processes gathered samples group-by-group, `accept(class)` giving the
-/// degree threshold; returns the removal delta. Ordering matches the
-/// in-memory drivers: groups ascending, members ascending, max current
-/// degree wins (first max = smallest id). The batch stays flat — sorting
-/// permutes an index column, never the neighbour lists.
+/// degree threshold; returns the removal delta. Ordering: groups
+/// ascending, members ascending, max current degree wins (first max =
+/// smallest id). The batch stays flat — sorting permutes an index
+/// column, never the neighbour lists.
 fn process_groups(
     sample: &PayloadBatch<SampleHead, VertexId>,
     round: &mut CentralRound,
@@ -261,6 +261,14 @@ fn process_groups(
             round.add(sample.head(bi).2, sample.payload(bi));
         }
     }
+}
+
+/// Algorithm 6's accept threshold for degree class `class`: the lower end
+/// of class `class + 1`, `n^{1-(class+1)α}`. A sampled member whose live
+/// degree fell by at most one class since it was sampled still
+/// qualifies; one that fell further does not.
+fn class_accept(nf: f64, alpha: f64, class: u64) -> f64 {
+    nf.powf(1.0 - (class as f64 + 1.0) * alpha)
 }
 
 /// The final central round: gathers the residual graph and finishes with
@@ -301,8 +309,8 @@ fn trivial_run(
     }))
 }
 
-/// Algorithm 6 (`MIS2`) on the cluster. Output is bit-identical to
-/// [`crate::hungry::mis::mis_fast`] with the same parameters.
+/// Algorithm 6 (`MIS2`) on the cluster. The output does not depend on
+/// the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `mis2` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -385,9 +393,7 @@ pub(crate) fn run_classes<C: ClassChunk>(
             })?;
 
         let mut round = CentralRound::new(n);
-        process_groups(&sample, &mut round, |c| {
-            nf.powf(1.0 - (c as f64 + 1.0) * params.alpha)
-        });
+        process_groups(&sample, &mut round, |c| class_accept(nf, params.alpha, c));
         chosen.extend_from_slice(&round.added);
 
         let mut delta = round.delta;
@@ -407,8 +413,8 @@ pub(crate) fn run_classes<C: ClassChunk>(
     Ok((result, metrics))
 }
 
-/// Algorithm 2 (`MIS1`) on the cluster. Output is bit-identical to
-/// [`crate::hungry::mis::mis_simple`] with the same parameters.
+/// Algorithm 2 (`MIS1`) on the cluster. The output does not depend on
+/// the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `mis1` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -523,7 +529,6 @@ pub fn run_simple(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungry::mis::{mis_fast, mis_simple};
     use crate::verify::is_maximal_independent_set;
     use mrlr_graph::generators::densified;
 
@@ -534,7 +539,7 @@ mod tests {
             let params = MisParams::mis2(60, 0.3, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
             let (mr, metrics) = run_fast(&g, params, cfg).unwrap();
-            let seq = mis_fast(&g, params).unwrap();
+            let (seq, _) = run_fast(&g, params, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert_eq!(mr.phases, seq.phases);
             assert!(is_maximal_independent_set(&g, &mr.vertices));
@@ -549,7 +554,7 @@ mod tests {
             let params = MisParams::mis1(60, 0.3, seed);
             let cfg = MrConfig::auto(60, g.m(), 0.3, seed);
             let (mr, _) = run_simple(&g, params, cfg).unwrap();
-            let seq = mis_simple(&g, params).unwrap();
+            let (seq, _) = run_simple(&g, params, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.vertices, seq.vertices, "seed {seed}");
             assert!(is_maximal_independent_set(&g, &mr.vertices));
         }
@@ -588,6 +593,33 @@ mod tests {
         }
         run_fast(&g, MisParams::mis2(60, 0.3, 2), cfg).unwrap();
         run_simple(&g, MisParams::mis1(60, 0.3, 2), cfg).unwrap();
+    }
+
+    /// Algorithm 6's rule, checked against the threshold the central pass
+    /// applies: every degree `degree_class` puts in class `i` or `i + 1`
+    /// clears class `i`'s threshold, so a group whose hungriest member
+    /// not yet removed is still in its class, or one class lower, adds a
+    /// vertex; no degree of class `i + 2` or beyond clears it.
+    #[test]
+    fn class_accept_admits_a_class_and_the_next_but_no_lower() {
+        for n in [60usize, 300, 1000, 10_000] {
+            let nf = n as f64;
+            for mu in [0.1f64, 0.2, 0.3, 0.5, 1.0, 2.0] {
+                let alpha = mu / 8.0;
+                let num_classes = (1.0 / alpha).ceil() as usize;
+                for d in 1..=n {
+                    let class = degree_class(d, nf, alpha, num_classes);
+                    for i in 1..=num_classes {
+                        let clears = d as f64 >= class_accept(nf, alpha, i as u64);
+                        assert_eq!(
+                            clears,
+                            class <= i + 1,
+                            "n {n} α {alpha}: degree {d} of class {class} against class {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! MapReduce implementations of the paper's algorithms, running on the
-//! [`mrlr_mapreduce`] cluster simulator.
+//! [`mrlr_mapreduce`] cluster simulator: the one text of each key's loop.
 //!
-//! Every module here mirrors a driver from [`crate::rlr`], [`crate::hungry`]
-//! or [`crate::colouring`] — same hash-derived coins, same central-machine
-//! subroutines — so for identical seeds the MapReduce run returns
-//! *bit-identical* solutions while additionally producing honest
-//! round/space/communication [`mrlr_mapreduce::Metrics`]. The equivalence
-//! is asserted by the integration tests.
+//! Every coin is hash-derived from the seed and the record id, never from
+//! where a record is placed, so a run's solution does not depend on the
+//! machine count, while its round/space/communication
+//! [`mrlr_mapreduce::Metrics`] describe the cluster it ran on.
+//! `tests/equivalence.rs` asserts this for all ten keys. The registry's
+//! `Rlr` backend runs these drivers on one machine whose capacity is
+//! recorded rather than enforced. The parameters, tags and formulas the
+//! drivers read live beside the paper's prose in [`crate::rlr`],
+//! [`crate::hungry`] and [`crate::colouring`].
 //!
 //! Where the paper proves one result by rerunning another algorithm, the
 //! two keys share one loop here:
@@ -356,6 +359,21 @@ pub(crate) fn place_neighbours<'g>(
         }
         (ids, rows)
     }))
+}
+
+/// The shape `Backend::Rlr` runs a driver on (see `api::dispatch`): one
+/// machine on the in-process runtime whose capacity is recorded, not
+/// enforced, with sample budget `eta` and coins from `seed`. Unit tests
+/// that state a driver's guarantee at a given `η` run it here.
+#[cfg(test)]
+pub(crate) fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
 }
 
 #[cfg(test)]

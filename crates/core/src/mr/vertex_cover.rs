@@ -128,7 +128,7 @@ fn distribute(g: &Graph, cfg: &MrConfig) -> MrResult<Vec<VcState>> {
 }
 
 /// Runs the `f = 2` vertex-cover algorithm on the cluster. Output is
-/// bit-identical to running [`crate::rlr::setcover::approx_set_cover_f`] on
+/// bit-identical to running [`crate::mr::set_cover::run`] on
 /// [`mrlr_setsys::SetSystem::vertex_cover_of`]`(g, weights)`.
 ///
 /// [`crate::api::Registry`] runs this for `vertex-cover` on every cluster
@@ -249,7 +249,7 @@ pub fn run(g: &Graph, weights: &[f64], cfg: MrConfig) -> MrResult<(CoverResult, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rlr::setcover::approx_set_cover_f;
+    use crate::mr::set_cover;
     use crate::verify::is_vertex_cover;
     use mrlr_graph::generators::densified;
     use mrlr_mapreduce::DetRng;
@@ -268,7 +268,7 @@ mod tests {
             let cfg = MrConfig::auto(50, g.m(), 0.4, seed);
             let (mr, metrics) = run(&g, &w, cfg).unwrap();
             let sys = SetSystem::vertex_cover_of(&g, w.clone());
-            let seq = approx_set_cover_f(&sys, cfg.eta, seed).unwrap();
+            let (seq, _) = set_cover::run(&sys, cfg.with_machines(1).recording()).unwrap();
             let seq_cover: Vec<VertexId> = seq.cover.clone();
             assert_eq!(mr.cover, seq_cover, "seed {seed}");
             assert!(is_vertex_cover(&g, &mr.cover));

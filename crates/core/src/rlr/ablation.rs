@@ -216,7 +216,7 @@ pub fn degree_decay_trace(
 mod tests {
     use super::*;
     use crate::exact::max_weight_matching;
-    use crate::rlr::approx_max_matching;
+    use crate::mr::{matching, one_machine};
     use crate::verify::is_matching;
     use mrlr_graph::generators::{gnm, with_degree_weights, with_uniform_weights};
 
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn per_vertex_trace_matches_algorithm_iterations() {
         let g = with_uniform_weights(&gnm(60, 900, 2), 1.0, 9.0, 3);
-        let r = approx_max_matching(&g, 50, 7).unwrap();
+        let (r, _) = matching::run(&g, one_machine(50, 7)).unwrap();
         let trace = degree_decay_trace(&g, 50, 7, SamplingStrategy::PerVertex).unwrap();
         assert_eq!(trace.len(), r.iterations);
     }

@@ -7,15 +7,11 @@
 //! replacement), the central machine pushes up to `b(v)·ln(1/δ)` edges per
 //! vertex per iteration using ε-adjusted reductions (`δ = ε/(1+ε)`), and an
 //! edge dies once `w ≤ (1+ε)(ϕ(u)+ϕ(v))`.
+//!
+//! The loop itself is [`crate::mr::bmatching::run`]; this module keeps
+//! its parameters, its RNG tag and the per-vertex push budget.
 
-use mrlr_graph::{EdgeId, Graph};
-use mrlr_mapreduce::rng::DetRng;
-use mrlr_mapreduce::{MrError, MrResult};
-
-use crate::seq::local_ratio_bmatching::BMatchingLocalRatio;
-use crate::types::MatchingResult;
-
-/// Tag mixed into Algorithm 7's sampling RNG (shared with the MR driver).
+/// Tag mixed into Algorithm 7's sampling RNG.
 pub const BMATCH_RNG_TAG: u64 = 0x424d_4154_4348;
 
 /// Parameters of Algorithm 7.
@@ -39,136 +35,26 @@ pub fn push_budget(b_v: u32, eps: f64) -> usize {
     (b_v as f64 * (1.0 / delta).ln()).ceil().max(1.0) as usize
 }
 
-/// Runs Algorithm 7. `b[v] ≥ 1` is the per-vertex capacity.
-pub fn approx_b_matching(
-    g: &Graph,
-    b: &[u32],
-    params: BMatchingParams,
-) -> MrResult<MatchingResult> {
-    if params.eps <= 0.0 || !params.eps.is_finite() {
-        return Err(MrError::BadConfig("eps must be positive".into()));
-    }
-    if params.eta == 0 || params.n_mu < 1.0 {
-        return Err(MrError::BadConfig(
-            "eta must be positive and n_mu >= 1".into(),
-        ));
-    }
-    assert_eq!(b.len(), g.n());
-    let n = g.n();
-    let adj = g.adjacency();
-    let delta = params.eps / (1.0 + params.eps);
-    let ln_inv_delta = (1.0 / delta).ln();
-    let b_max = b.iter().copied().max().unwrap_or(1) as f64;
-    let central_threshold = (2.0 * b_max * ln_inv_delta * params.eta as f64) as usize;
-
-    let mut lr = BMatchingLocalRatio::new(b, params.eps);
-    let mut alive: Vec<bool> = vec![true; g.m()];
-    let mut alive_count = g.m();
-    let mut iteration = 0usize;
-
-    while alive_count > 0 {
-        iteration += 1;
-        if alive_count < central_threshold.max(crate::mr::CENTRAL_FINISH_SLACK * params.eta) {
-            // Residual graph fits centrally: exhaustive ε-adjusted pass.
-            for (idx, e) in g.edges().iter().enumerate() {
-                if alive[idx] {
-                    lr.push(idx as EdgeId, e.u, e.v, e.w);
-                    alive[idx] = false;
-                }
-            }
-            break;
-        }
-
-        // Per-vertex sample of b(v)·ln(1/δ)·n^µ alive incident edges,
-        // without replacement, in deterministic per-vertex RNG streams.
-        let mut samples: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        for (v, nbrs) in adj.iter().enumerate() {
-            let alive_inc: Vec<EdgeId> = nbrs
-                .iter()
-                .map(|&(_, eid)| eid)
-                .filter(|&eid| alive[eid as usize])
-                .collect();
-            if alive_inc.is_empty() {
-                continue;
-            }
-            let k = (b[v] as f64 * ln_inv_delta * params.n_mu).ceil() as usize;
-            let mut rng =
-                DetRng::derive(params.seed, &[BMATCH_RNG_TAG, iteration as u64, v as u64]);
-            samples[v] = rng
-                .sample_indices(alive_inc.len(), k)
-                .into_iter()
-                .map(|i| alive_inc[i])
-                .collect();
-        }
-
-        // Central: per vertex, push up to b(v)·ln(1/δ) heaviest-by-current-
-        // modified-weight sampled edges with ε-adjusted reductions.
-        for (v, sample) in samples.iter().enumerate() {
-            let budget = push_budget(b[v], params.eps);
-            let mut remaining: Vec<EdgeId> = sample.clone();
-            for _ in 0..budget {
-                let mut best: Option<(f64, usize)> = None;
-                for (pos, &eid) in remaining.iter().enumerate() {
-                    if !alive[eid as usize] {
-                        continue;
-                    }
-                    let e = g.edge(eid);
-                    if !lr.alive(e.u, e.v, e.w) {
-                        continue;
-                    }
-                    let m = lr.modified(e.u, e.v, e.w);
-                    let better = match best {
-                        None => true,
-                        Some((bm, bpos)) => m > bm || (m == bm && eid < remaining[bpos]),
-                    };
-                    if better {
-                        best = Some((m, pos));
-                    }
-                }
-                let Some((_, pos)) = best else { break };
-                let eid = remaining.swap_remove(pos);
-                let e = g.edge(eid);
-                if lr.push(eid, e.u, e.v, e.w) {
-                    alive[eid as usize] = false;
-                    alive_count -= 1;
-                }
-            }
-        }
-
-        // E_{i+1}: recompute ε-adjusted aliveness.
-        for (idx, e) in g.edges().iter().enumerate() {
-            if alive[idx] && !lr.alive(e.u, e.v, e.w) {
-                alive[idx] = false;
-                alive_count -= 1;
-            }
-        }
-
-        if iteration > 64 + 4 * g.m() {
-            return Err(MrError::AlgorithmFailed {
-                round: iteration,
-                reason: "iteration budget exhausted".into(),
-            });
-        }
-    }
-
-    let matching = lr.unwind(g);
-    let weight: f64 = matching.iter().map(|&e| g.edge(e).w).sum();
-    Ok(MatchingResult {
-        matching,
-        weight,
-        stack_gain: lr.gain(),
-        stack: lr.stack().to_vec(),
-        iterations: iteration,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::max_weight_b_matching;
+    use crate::mr::{bmatching, one_machine};
     use crate::seq::local_ratio_bmatching::b_matching_multiplier;
+    use crate::types::MatchingResult;
     use crate::verify::is_b_matching;
     use mrlr_graph::generators::{gnm, with_uniform_weights};
+    use mrlr_graph::Graph;
+    use mrlr_mapreduce::MrResult;
+
+    /// Algorithm 7, as the `Rlr` backend runs it.
+    fn approx_b_matching(
+        g: &Graph,
+        b: &[u32],
+        params: BMatchingParams,
+    ) -> MrResult<MatchingResult> {
+        bmatching::run(g, b, params, one_machine(params.eta, params.seed)).map(|(r, _)| r)
+    }
 
     fn params(eta: usize, seed: u64) -> BMatchingParams {
         BMatchingParams {

@@ -9,128 +9,27 @@
 //! whole residual graph moves to the central machine, which finishes the
 //! local-ratio pass exhaustively and unwinds the stack.
 //!
-//! Sampling coins are derived from `(seed, iteration, vertex, edge)`, so
-//! the MapReduce driver ([`crate::mr::matching`]) reproduces this exactly.
+//! The loop itself is [`crate::mr::matching::run`]. Sampling coins are
+//! derived from `(seed, iteration, vertex, edge)`, so its output does not
+//! depend on how many machines the edges are spread over.
 
-use mrlr_graph::{EdgeId, Graph};
-use mrlr_mapreduce::rng::coin;
-use mrlr_mapreduce::{MrError, MrResult};
-
-use crate::seq::local_ratio_matching::{finish, MatchingLocalRatio};
-use crate::types::MatchingResult;
-
-/// Tag mixed into Algorithm 4's sampling coins (shared with the MR driver).
+/// Tag mixed into Algorithm 4's sampling coins.
 pub const MATCH_COIN_TAG: u64 = 0x4d41_5443_4834;
-
-/// Runs Algorithm 4 with sample budget `eta` (`η = n^{1+µ}`; `η = n` gives
-/// the Appendix C `O(log n)` regime).
-///
-/// Fails with [`MrError::AlgorithmFailed`] when `Σ_v |E'_v| > 8η`
-/// (line 10 of Algorithm 4).
-pub fn approx_max_matching(g: &Graph, eta: usize, seed: u64) -> MrResult<MatchingResult> {
-    if eta == 0 {
-        return Err(MrError::BadConfig("eta must be positive".into()));
-    }
-    let n = g.n();
-    let adj = g.adjacency();
-    let mut lr = MatchingLocalRatio::new(n);
-    // alive[e] ⟺ e ∈ E_i (positive modified weight, not pushed).
-    let mut alive: Vec<bool> = vec![true; g.m()];
-    let mut alive_count = g.m();
-    let mut iteration = 0usize;
-
-    while alive_count > 0 {
-        iteration += 1;
-        if alive_count < 4 * eta {
-            // Final iteration: the whole residual graph fits centrally; one
-            // exhaustive local-ratio pass (any order) kills everything.
-            for (idx, e) in g.edges().iter().enumerate() {
-                if alive[idx] {
-                    lr.push(idx as EdgeId, e.u, e.v, e.w);
-                    alive[idx] = false;
-                }
-            }
-            break;
-        }
-
-        let p = (eta as f64 / alive_count as f64).min(1.0);
-        // E'_v per vertex; total sample volume guard.
-        let mut samples: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        let mut total = 0usize;
-        for (v, nbrs) in adj.iter().enumerate() {
-            for &(_, eid) in nbrs {
-                if alive[eid as usize]
-                    && coin(
-                        seed,
-                        &[MATCH_COIN_TAG, iteration as u64, v as u64, eid as u64],
-                        p,
-                    )
-                {
-                    samples[v].push(eid);
-                    total += 1;
-                }
-            }
-        }
-        if total > crate::mr::MATCHING_GATHER_SLACK * eta {
-            return Err(MrError::AlgorithmFailed {
-                round: iteration,
-                reason: format!(
-                    "Σ|E'_v| = {total} > {}η = {}",
-                    crate::mr::MATCHING_GATHER_SLACK,
-                    crate::mr::MATCHING_GATHER_SLACK * eta
-                ),
-            });
-        }
-
-        // Central: per vertex in ascending order, push the heaviest sampled
-        // edge by *current* modified weight (ties: smaller edge id).
-        for sample in samples.iter() {
-            let mut best: Option<(f64, EdgeId)> = None;
-            for &eid in sample {
-                let e = g.edge(eid);
-                let m = lr.modified(e.u, e.v, e.w);
-                let better = match best {
-                    None => true,
-                    Some((bm, bid)) => m > bm || (m == bm && eid < bid),
-                };
-                if better {
-                    best = Some((m, eid));
-                }
-            }
-            if let Some((_, eid)) = best {
-                let e = g.edge(eid);
-                if lr.push(eid, e.u, e.v, e.w) {
-                    alive[eid as usize] = false;
-                    alive_count -= 1;
-                }
-            }
-        }
-
-        // E_{i+1}: recompute aliveness under the new potentials.
-        for (idx, e) in g.edges().iter().enumerate() {
-            if alive[idx] && !lr.alive(e.u, e.v, e.w) {
-                alive[idx] = false;
-                alive_count -= 1;
-            }
-        }
-
-        if iteration > 64 + 4 * g.m() {
-            return Err(MrError::AlgorithmFailed {
-                round: iteration,
-                reason: "iteration budget exhausted".into(),
-            });
-        }
-    }
-
-    Ok(finish(g, lr, iteration))
-}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::exact::max_weight_matching;
+    use crate::mr::{matching, one_machine};
+    use crate::types::MatchingResult;
     use crate::verify::is_matching;
     use mrlr_graph::generators::{gnm, with_uniform_weights};
+    use mrlr_graph::Graph;
+    use mrlr_mapreduce::MrResult;
+
+    /// Algorithm 4 with sample budget `eta`, as the `Rlr` backend runs it.
+    fn approx_max_matching(g: &Graph, eta: usize, seed: u64) -> MrResult<MatchingResult> {
+        matching::run(g, one_machine(eta, seed)).map(|(r, _)| r)
+    }
 
     #[test]
     fn valid_and_two_approx_certified() {

@@ -2,9 +2,13 @@
 //! sample i.i.d., run the sequential local-ratio algorithm on the sample
 //! centrally, and let the weight reductions eliminate unsampled elements.
 //!
-//! These drivers operate on in-memory instances; the [`crate::mr`] module
-//! contains the cluster implementations, which share these modules' coin
-//! streams and therefore produce identical output for identical seeds.
+//! Each key's one loop is its cluster driver in [`crate::mr`]
+//! ([`crate::mr::set_cover`], [`crate::mr::vertex_cover`],
+//! [`crate::mr::matching`], [`crate::mr::bmatching`]); the registry's
+//! `Rlr` backend runs it on one unmetered machine. These modules keep the
+//! parameters, coin tags and formulas those drivers read, and
+//! [`ablation`], the pooled-sampling variant of Algorithm 4 that
+//! experiment E13 compares against.
 //!
 //! # The local-ratio stack as a certificate
 //!
@@ -23,15 +27,22 @@
 //!
 //! ```
 //! use mrlr_core::api::witness::{check_cover_dual, replay_matching_stack};
-//! use mrlr_core::rlr::{approx_max_matching, approx_set_cover_f};
+//! use mrlr_core::api::{Backend, Instance, Registry};
+//! use mrlr_core::mr::{matching, MrConfig};
 //!
-//! // Algorithm 1 on a tiny system: {0,1} w=1, {1,2} w=1, {0,2} w=10.
+//! // Algorithm 1 on a tiny system: {0,1} w=1, {1,2} w=1, {0,2} w=10,
+//! // through the registry's `Rlr` backend (one unmetered machine).
 //! let sys = mrlr_setsys::SetSystem::new(
 //!     3,
 //!     vec![vec![0, 1], vec![1, 2], vec![0, 2]],
 //!     vec![1.0, 1.0, 10.0],
 //! );
-//! let cover = approx_set_cover_f(&sys, 10, 7).unwrap();
+//! let instance = Instance::SetSystem(sys.clone());
+//! let cfg = MrConfig { eta: 10, ..instance.auto_config(0.5, 7) };
+//! let report = Registry::with_defaults()
+//!     .solve_with("set-cover-f", Backend::Rlr, &instance, &cfg)
+//!     .unwrap();
+//! let cover = report.solution.as_cover().unwrap();
 //! // The recorded reductions are a feasible dual summing to the claimed
 //! // lower bound — the whole Theorem 2.3 guarantee, re-checked.
 //! check_cover_dual(&sys, &cover.dual, cover.lower_bound).unwrap();
@@ -46,7 +57,8 @@
 //!         mrlr_graph::Edge::new(2, 3, 1.0),
 //!     ],
 //! );
-//! let matching = approx_max_matching(&g, 10, 7).unwrap();
+//! let cfg = MrConfig { eta: 10, ..MrConfig::auto(4, 3, 0.5, 7) };
+//! let (matching, _metrics) = matching::run(&g, cfg).unwrap();
 //! let replay = replay_matching_stack(&g, &matching.stack).unwrap();
 //! assert_eq!(replay.matching, matching.matching);
 //! assert_eq!(replay.gain.to_bits(), matching.stack_gain.to_bits());
@@ -59,6 +71,5 @@ pub mod matching;
 pub mod setcover;
 
 pub use ablation::{approx_max_matching_pooled, degree_decay_trace, SamplingStrategy};
-pub use bmatching::{approx_b_matching, push_budget, BMatchingParams};
-pub use matching::approx_max_matching;
-pub use setcover::{approx_set_cover_f, predicted_rounds, sample_probability};
+pub use bmatching::{push_budget, BMatchingParams};
+pub use setcover::{predicted_rounds, sample_probability};

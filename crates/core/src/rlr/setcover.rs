@@ -8,19 +8,18 @@
 //! `≈ η/n` per round, so with `η = n^{1+µ}` and `m ≤ n^{1+c}` the loop ends
 //! within `⌈c/µ⌉` rounds w.h.p.
 //!
-//! All sampling coins are hash-derived from `(seed, round, element)`
-//! ([`mrlr_mapreduce::rng::coin`]), so this driver and the MapReduce
-//! implementation ([`crate::mr::set_cover`]) produce *identical* output for
-//! identical seeds.
+//! The loop itself is [`crate::mr::set_cover::run`] (and its `f = 2`
+//! fast path [`crate::mr::vertex_cover::run`]); this module keeps what
+//! both read: the sampling probability, the coin tag and the
+//! coverability check. All sampling coins are hash-derived from
+//! `(seed, round, element)` ([`mrlr_mapreduce::rng::coin`]), so the
+//! output does not depend on how many machines the elements are spread
+//! over.
 
-use mrlr_mapreduce::rng::coin;
 use mrlr_mapreduce::{MrError, MrResult};
-use mrlr_setsys::{ElemId, SetSystem};
+use mrlr_setsys::SetSystem;
 
-use crate::seq::local_ratio_sc::ScLocalRatio;
-use crate::types::CoverResult;
-
-/// Tag mixed into Algorithm 1's sampling coins (shared with the MR driver).
+/// Tag mixed into Algorithm 1's sampling coins.
 pub const SC_COIN_TAG: u64 = 0x5343_414c_4731;
 
 /// The per-round sampling probability `p = min(1, 2η/|U_r|)`.
@@ -44,75 +43,6 @@ pub(crate) fn require_coverable(sys: &SetSystem) -> MrResult<()> {
     }
 }
 
-/// Runs Algorithm 1 with sample budget `eta` (the paper's `η = n^{1+µ}`).
-///
-/// Fails with [`MrError::AlgorithmFailed`] when a sample exceeds `6η`
-/// (line 6 of Algorithm 1) and with [`MrError::Infeasible`] when some
-/// element is contained in no set.
-pub fn approx_set_cover_f(sys: &SetSystem, eta: usize, seed: u64) -> MrResult<CoverResult> {
-    require_coverable(sys)?;
-    if eta == 0 {
-        return Err(MrError::BadConfig("eta must be positive".into()));
-    }
-    let m = sys.universe();
-    let dual_view = sys.dual();
-    let mut lr = ScLocalRatio::new(sys.weights());
-    // alive[j] ⟺ j ∈ U_r: no containing set has zero residual weight.
-    let mut alive = vec![true; m];
-    let mut alive_count = m;
-    let mut round = 0usize;
-
-    while alive_count > 0 {
-        round += 1;
-        let p = sample_probability(eta, alive_count);
-        // Sample U' ⊆ U_r i.i.d.
-        let sample: Vec<ElemId> = (0..m as ElemId)
-            .filter(|&j| alive[j as usize] && coin(seed, &[SC_COIN_TAG, round as u64, j as u64], p))
-            .collect();
-        if sample.len() > crate::mr::SET_COVER_SAMPLE_SLACK * eta {
-            return Err(MrError::AlgorithmFailed {
-                round,
-                reason: format!(
-                    "|U'| = {} > {}η = {}",
-                    sample.len(),
-                    crate::mr::SET_COVER_SAMPLE_SLACK,
-                    crate::mr::SET_COVER_SAMPLE_SLACK * eta
-                ),
-            });
-        }
-        // Central: local ratio on the sample (natural order).
-        for &j in &sample {
-            lr.process(j, &dual_view[j as usize]);
-        }
-        // U_{r+1} = U_r \ S(C): drop every element some zero-weight set
-        // covers.
-        for j in 0..m {
-            if alive[j] && dual_view[j].iter().any(|&i| lr.in_cover(i)) {
-                alive[j] = false;
-                alive_count -= 1;
-            }
-        }
-        if round > 64 + 2 * m {
-            // Unreachable under the algorithm's invariants (p = 1 clears
-            // everything); guards against an accounting bug looping forever.
-            return Err(MrError::AlgorithmFailed {
-                round,
-                reason: "round budget exhausted".into(),
-            });
-        }
-    }
-
-    let cover = lr.cover();
-    debug_assert!(sys.covers(&cover));
-    Ok(CoverResult {
-        weight: sys.cover_weight(&cover),
-        cover,
-        lower_bound: lr.dual(),
-        dual: lr.dual_vector(),
-        iterations: round,
-    })
-}
-
 /// Theorem 2.3's predicted iteration bound `⌈c/µ⌉ + 1` for `m = n^{1+c}`
 /// elements, `η = n^{1+µ}`.
 pub fn predicted_rounds(n: usize, m: usize, eta: usize) -> usize {
@@ -131,8 +61,15 @@ pub fn predicted_rounds(n: usize, m: usize, eta: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mr::{one_machine, set_cover};
+    use crate::types::CoverResult;
     use crate::verify::is_cover;
     use mrlr_setsys::generators::{bounded_frequency, with_uniform_weights};
+
+    /// Algorithm 1 with sample budget `eta`, as the `Rlr` backend runs it.
+    fn approx_set_cover_f(sys: &SetSystem, eta: usize, seed: u64) -> MrResult<CoverResult> {
+        set_cover::run(sys, one_machine(eta, seed)).map(|(r, _)| r)
+    }
 
     #[test]
     fn covers_and_meets_f_guarantee() {

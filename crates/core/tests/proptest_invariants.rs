@@ -4,17 +4,31 @@
 
 use proptest::prelude::*;
 
-use mrlr_core::colouring::{edge_colouring, vertex_colouring};
 use mrlr_core::exact;
-use mrlr_core::hungry::{maximal_clique, mis_fast, mis_simple, MisParams};
-use mrlr_core::rlr::{approx_b_matching, approx_max_matching, approx_set_cover_f, BMatchingParams};
+use mrlr_core::hungry::MisParams;
+use mrlr_core::mr::{bmatching, clique, colouring, matching, mis, set_cover, MrConfig};
+use mrlr_core::rlr::BMatchingParams;
 use mrlr_core::seq::{
     eps_greedy_set_cover, greedy_set_cover, harmonic, local_ratio_b_matching, local_ratio_matching,
     local_ratio_set_cover, misra_gries_edge_colouring,
 };
 use mrlr_core::verify;
 use mrlr_graph::{Edge, Graph};
+use mrlr_mapreduce::RuntimeKind;
 use mrlr_setsys::SetSystem;
+
+/// The shape the registry's `Rlr` backend runs a driver on: one machine
+/// on the in-process runtime whose capacity is recorded rather than
+/// enforced, with sample budget `eta` and coins from `seed`.
+fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
+}
 
 /// Strategy: an arbitrary weighted simple graph with up to `nmax` vertices.
 fn arb_graph(nmax: usize, mmax: usize) -> impl Strategy<Value = Graph> {
@@ -82,7 +96,7 @@ proptest! {
 
     #[test]
     fn randomized_matching_invariants(g in arb_graph(14, 30), eta in 1usize..20, seed in any::<u64>()) {
-        let r = approx_max_matching(&g, eta, seed).unwrap();
+        let r = matching::run(&g, one_machine(eta, seed)).unwrap().0;
         prop_assert!(verify::is_matching(&g, &r.matching));
         prop_assert!(r.certified_ratio(2.0) <= 2.0 + 1e-6);
     }
@@ -100,7 +114,7 @@ proptest! {
 
     #[test]
     fn randomized_cover_invariants(sys in arb_system(8, 14), eta in 1usize..10, seed in any::<u64>()) {
-        let r = approx_set_cover_f(&sys, eta, seed).unwrap();
+        let r = set_cover::run(&sys, one_machine(eta, seed)).unwrap().0;
         prop_assert!(sys.covers(&r.cover));
         let (opt, _) = exact::min_weight_set_cover(&sys).unwrap();
         prop_assert!(r.weight <= sys.max_frequency() as f64 * opt + 1e-6);
@@ -124,13 +138,15 @@ proptest! {
 
     #[test]
     fn hungry_mis_always_maximal(g in arb_graph(20, 60), seed in any::<u64>()) {
-        let r = mis_fast(&g, MisParams::mis2(g.n(), 0.4, seed)).unwrap();
+        let params = MisParams::mis2(g.n(), 0.4, seed);
+        let (r, _) = mis::run_fast(&g, params, one_machine(params.eta, seed)).unwrap();
         prop_assert!(verify::is_maximal_independent_set(&g, &r.vertices));
     }
 
     #[test]
     fn hungry_clique_always_maximal(g in arb_graph(18, 60), seed in any::<u64>()) {
-        let r = maximal_clique(&g, MisParams::mis2(g.n(), 0.4, seed)).unwrap();
+        let params = MisParams::mis2(g.n(), 0.4, seed);
+        let (r, _) = clique::run(&g, params, one_machine(params.eta, seed)).unwrap();
         prop_assert!(verify::is_maximal_clique(&g, &r.vertices));
     }
 
@@ -144,7 +160,7 @@ proptest! {
 
     #[test]
     fn vertex_colouring_always_proper(g in arb_graph(24, 80), kappa in 1usize..6, seed in any::<u64>()) {
-        let r = vertex_colouring(&g, kappa, usize::MAX, seed).unwrap();
+        let (r, _) = colouring::run_vertex(&g, kappa, usize::MAX, one_machine(1, seed)).unwrap();
         prop_assert!(verify::is_proper_colouring(&g, &r.colours));
         prop_assert_eq!(r.groups, kappa);
         // κ groups each need at most Δ+1 colours.
@@ -153,7 +169,7 @@ proptest! {
 
     #[test]
     fn edge_colouring_always_proper(g in arb_graph(20, 60), kappa in 1usize..5, seed in any::<u64>()) {
-        let r = edge_colouring(&g, kappa, usize::MAX, seed).unwrap();
+        let (r, _) = colouring::run_edge(&g, kappa, usize::MAX, one_machine(1, seed)).unwrap();
         prop_assert!(verify::is_proper_edge_colouring(&g, &r.colours));
         // Misra–Gries per group: ≤ Δ+1 each.
         prop_assert!(r.num_colours <= kappa * (g.max_degree() + 1));
@@ -175,7 +191,7 @@ proptest! {
     fn randomized_b_matching_invariants(g in arb_graph(12, 26), seed in any::<u64>()) {
         let b: Vec<u32> = (0..g.n() as u32).map(|v| 1 + (v % 3)).collect();
         let params = BMatchingParams { eps: 0.25, n_mu: 2.0, eta: 24, seed };
-        let r = approx_b_matching(&g, &b, params).unwrap();
+        let (r, _) = bmatching::run(&g, &b, params, one_machine(params.eta, seed)).unwrap();
         prop_assert!(verify::is_b_matching(&g, &b, &r.matching));
         if g.m() <= 20 {
             let (opt, _) = exact::max_weight_b_matching(&g, &b);
@@ -195,20 +211,22 @@ proptest! {
 
     #[test]
     fn mis_simple_and_fast_both_maximal(g in arb_graph(18, 50), seed in any::<u64>()) {
-        let r1 = mis_simple(&g, MisParams::mis1(g.n(), 0.4, seed)).unwrap();
+        let p1 = MisParams::mis1(g.n(), 0.4, seed);
+        let (r1, _) = mis::run_simple(&g, p1, one_machine(p1.eta, seed)).unwrap();
         prop_assert!(verify::is_maximal_independent_set(&g, &r1.vertices));
-        let r2 = mis_fast(&g, MisParams::mis2(g.n(), 0.4, seed)).unwrap();
+        let p2 = MisParams::mis2(g.n(), 0.4, seed);
+        let (r2, _) = mis::run_fast(&g, p2, one_machine(p2.eta, seed)).unwrap();
         prop_assert!(verify::is_maximal_independent_set(&g, &r2.vertices));
     }
 
     #[test]
     fn matching_seed_invariance_of_validity_under_extreme_eta(g in arb_graph(14, 30), seed in any::<u64>()) {
         // η = 1 (pathologically small sample) must still be correct, only slow.
-        let tiny = approx_max_matching(&g, 1, seed).unwrap();
+        let tiny = matching::run(&g, one_machine(1, seed)).unwrap().0;
         prop_assert!(verify::is_matching(&g, &tiny.matching));
         prop_assert!(tiny.certified_ratio(2.0) <= 2.0 + 1e-6);
         // η ≥ m (everything sampled) degenerates to one central pass.
-        let big = approx_max_matching(&g, g.m().max(1) * 4, seed).unwrap();
+        let (big, _) = matching::run(&g, one_machine(g.m().max(1) * 4, seed)).unwrap();
         prop_assert!(verify::is_matching(&g, &big.matching));
         prop_assert!(big.iterations <= 2);
     }

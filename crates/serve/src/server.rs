@@ -944,7 +944,10 @@ pub fn serve(cfg: ServeConfig) -> io::Result<StatsSnapshot> {
     let listener = UnixListener::bind(&cfg.socket)?;
     let socket = cfg.socket.clone();
     let engine = Arc::new(Engine::new(cfg));
-    eprintln!("mrlr serve: listening on {}", socket.display());
+    print_stderr(format_args!(
+        "mrlr serve: listening on {}\n",
+        socket.display()
+    ));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let (stream, _) = listener.accept()?;
@@ -963,8 +966,15 @@ pub fn serve(cfg: ServeConfig) -> io::Result<StatsSnapshot> {
     }
     let _ = std::fs::remove_file(&socket);
     let snapshot = engine.stats.snapshot();
-    eprintln!("note: {}", snapshot.note_line());
+    print_stderr(format_args!("note: {}\n", snapshot.note_line()));
     Ok(snapshot)
+}
+
+/// Writes to stderr, ignoring the error when its reader has gone
+/// (`mrlr serve … 2>&1 | true`): the daemon's narration must not end the
+/// daemon, as `eprintln!`'s panic on a closed pipe would.
+fn print_stderr(args: std::fmt::Arguments<'_>) {
+    let _ = io::Write::write_fmt(&mut io::stderr().lock(), args);
 }
 
 #[cfg(test)]

@@ -85,8 +85,8 @@ fn main() {
         matching.iterations, metrics.rounds, metrics.total_message_words
     );
 
-    // The same driver is available on the in-memory backends too:
-    // `Backend::Rlr` (bit-identical solution, no cluster) and
-    // `Backend::Seq` (deterministic reference). See `Registry::solve_with`.
+    // The same driver also runs as `Backend::Rlr` (one unmetered machine:
+    // bit-identical solution, no metrics), and `Backend::Seq` runs the
+    // deterministic sequential reference. See `Registry::solve_with`.
     println!("\nregistered algorithms: {:?}", registry.algorithms());
 }

@@ -5,16 +5,29 @@
 //! cross-checks between independent code paths (vertex cover vs the f = 2
 //! set-cover view; edge colouring vs vertex-colouring the line graph).
 
-use mrlr::core::hungry::{maximal_clique, MisParams};
-use mrlr::core::mr::{set_cover, vertex_cover, MrConfig};
-use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f};
+use mrlr::core::hungry::MisParams;
+use mrlr::core::mr::{clique, matching, set_cover, vertex_cover, MrConfig};
 use mrlr::core::seq::{
     greedy_colouring, greedy_set_cover, local_ratio_set_cover, misra_gries_edge_colouring,
 };
 use mrlr::core::verify;
 use mrlr::graph::{generators, line_graph};
+use mrlr::mapreduce::RuntimeKind;
 use mrlr::setsys::generators as setgen;
 use mrlr::setsys::SetSystem;
+
+/// The shape the registry's `Rlr` backend runs a driver on: one machine
+/// on the in-process runtime whose capacity is recorded rather than
+/// enforced, with sample budget `eta` and coins from `seed`.
+fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
+}
 
 /// On the tight-f instance the local ratio method takes *every* copy of the
 /// universe: the certified ratio meets its bound with equality.
@@ -28,7 +41,7 @@ fn tight_f_instance_realizes_the_f_ratio() {
         // OPT = 1 (any single copy), so the realized ratio is exactly f.
         assert!((r.certified_ratio() - f as f64).abs() < 1e-9);
         // The randomized variant inherits the same behaviour.
-        let rr = approx_set_cover_f(&sys, 4, 7).unwrap();
+        let rr = set_cover::run(&sys, one_machine(4, 7)).unwrap().0;
         assert_eq!(rr.cover.len(), f);
     }
 }
@@ -121,7 +134,7 @@ fn planted_cliques_are_found_at_low_noise() {
         let size = 10usize;
         let g = generators::planted_cliques(4, size, 0.02, seed);
         let params = MisParams::mis2(g.n(), 0.4, seed);
-        let r = maximal_clique(&g, params).unwrap();
+        let (r, _) = clique::run(&g, params, one_machine(params.eta, seed)).unwrap();
         assert!(verify::is_maximal_clique(&g, &r.vertices));
         assert!(
             r.vertices.len() >= size - 2,
@@ -150,7 +163,7 @@ fn hub_graphs_do_not_break_matching() {
         }
         let g0 = mrlr::graph::Graph::from_pairs(40, &pairs);
         let g = generators::with_degree_weights(&g0, 1.0);
-        let r = approx_max_matching(&g, 20, seed).unwrap();
+        let r = matching::run(&g, one_machine(20, seed)).unwrap().0;
         assert!(verify::is_matching(&g, &r.matching));
         assert!(r.certified_ratio(2.0) <= 2.0 + 1e-9);
         // The hub can be matched at most once.
@@ -167,7 +180,7 @@ fn interval_covers_respect_frequency_bound() {
     for seed in 0..4 {
         let sys = setgen::interval_cover(40, 200, 15, seed);
         let f = sys.max_frequency() as f64;
-        let r = approx_set_cover_f(&sys, 60, seed).unwrap();
+        let r = set_cover::run(&sys, one_machine(60, seed)).unwrap().0;
         assert!(sys.covers(&r.cover));
         assert!(r.certified_ratio() <= f + 1e-9, "seed {seed}");
     }

@@ -6,14 +6,27 @@ use mrlr::baselines::{
     coreset_matching, crouch_stubbs_matching, filtering_vertex_cover, greedy_weighted_matching,
     layered_weighted_matching, luby_mis,
 };
-use mrlr::core::hungry::{mis_fast, MisParams};
-use mrlr::core::rlr::approx_max_matching;
-use mrlr::core::rlr::approx_set_cover_f;
+use mrlr::core::hungry::MisParams;
+use mrlr::core::mr::{matching, mis, set_cover, MrConfig};
 use mrlr::core::seq::greedy_set_cover;
 use mrlr::core::verify::{is_matching, matching_weight};
 use mrlr::graph::generators;
+use mrlr::mapreduce::RuntimeKind;
 use mrlr::setsys::generators as setgen;
 use mrlr::setsys::SetSystem;
+
+/// The shape the registry's `Rlr` backend runs a driver on: one machine
+/// on the in-process runtime whose capacity is recorded rather than
+/// enforced, with sample budget `eta` and coins from `seed`.
+fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
+}
 
 /// Our 2-approximate weighted matching should dominate the 8-approximate
 /// layered filtering of [27] on weight-spread instances (Figure 1: row
@@ -29,7 +42,7 @@ fn randomized_local_ratio_beats_layered_filtering_on_weight() {
             256.0,
             seed + 40,
         );
-        let ours = approx_max_matching(&g, 700, seed).unwrap();
+        let ours = matching::run(&g, one_machine(700, seed)).unwrap().0;
         let layered = layered_weighted_matching(&g, 700, seed).unwrap();
         let lw = matching_weight(&g, &layered.matching);
         if ours.weight >= lw {
@@ -64,7 +77,7 @@ fn weighted_matching_quality_ordering() {
             128.0,
             seed + 7,
         );
-        let ours = approx_max_matching(&g, 600, seed).unwrap();
+        let ours = matching::run(&g, one_machine(600, seed)).unwrap().0;
         let cs = crouch_stubbs_matching(&g, 0.5, 600, seed).unwrap();
         let layered = layered_weighted_matching(&g, 600, seed).unwrap();
         assert!(is_matching(&g, &ours.matching));
@@ -97,7 +110,7 @@ fn coreset_trades_rounds_for_quality() {
             9.0,
             seed,
         );
-        let ours = approx_max_matching(&g, 500, seed).unwrap();
+        let ours = matching::run(&g, one_machine(500, seed)).unwrap().0;
         let coreset = coreset_matching(&g, 6, seed).unwrap();
         assert!(is_matching(&g, &coreset.matching));
         if ours.weight >= coreset.weight {
@@ -122,7 +135,8 @@ fn mis_iteration_comparison() {
     for seed in 0..4 {
         let g = generators::densified(100, 0.5, seed + 300);
         let luby = luby_mis(&g, seed);
-        let ours = mis_fast(&g, MisParams::mis2(100, 0.35, seed)).unwrap();
+        let params = MisParams::mis2(100, 0.35, seed);
+        let (ours, _) = mis::run_fast(&g, params, one_machine(params.eta, seed)).unwrap();
         assert!(
             is_maximal_independent_set(&g, &luby.vertices),
             "luby seed {seed}"
@@ -187,7 +201,7 @@ fn greedy_trap_separates_the_two_set_cover_algorithms() {
     // The local-ratio f-approximation: f = 2 here (big set + singleton per
     // element), so its cover costs at most 2·OPT ≈ 2.1.
     let f = sys.max_frequency() as f64;
-    let lr = approx_set_cover_f(&sys, 32, 3).unwrap();
+    let lr = set_cover::run(&sys, one_machine(32, 3)).unwrap().0;
     assert!(
         lr.weight <= f * opt + 1e-9,
         "local ratio paid {} > f·OPT = {}",
@@ -209,7 +223,7 @@ fn certified_ratios_hold_against_greedy_reference() {
             9.0,
             seed,
         );
-        let ours = approx_max_matching(&g, 600, seed).unwrap();
+        let ours = matching::run(&g, one_machine(600, seed)).unwrap().0;
         assert!(
             ours.certified_ratio(2.0) <= 2.0 + 1e-9,
             "seed {seed}: certified ratio {}",
@@ -225,7 +239,7 @@ fn certified_ratios_hold_against_greedy_reference() {
 #[test]
 fn partition_systems_are_solved_exactly() {
     let sys: SetSystem = setgen::partition_system(40, 8, 9);
-    let r = approx_set_cover_f(&sys, 16, 1).unwrap();
+    let r = set_cover::run(&sys, one_machine(16, 1)).unwrap().0;
     // Every set must be taken (each is the sole cover of its elements), and
     // the certified ratio collapses to 1.
     assert_eq!(r.cover.len(), 8);

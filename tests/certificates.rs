@@ -2,17 +2,29 @@
 //! every guarantee in Figure 1's "our results" rows, measured.
 
 use mrlr::core::exact;
-use mrlr::core::hungry::{hungry_set_cover, HungryScParams};
-use mrlr::core::rlr::{
-    approx_b_matching, approx_max_matching, approx_set_cover_f, BMatchingParams,
-};
+use mrlr::core::hungry::HungryScParams;
+use mrlr::core::mr::{bmatching, matching, set_cover, set_cover_greedy, MrConfig};
+use mrlr::core::rlr::BMatchingParams;
 use mrlr::core::seq::{
     b_matching_multiplier, harmonic, local_ratio_matching, local_ratio_set_cover,
 };
 use mrlr::core::verify;
 use mrlr::graph::generators;
-use mrlr::mapreduce::DetRng;
+use mrlr::mapreduce::{DetRng, RuntimeKind};
 use mrlr::setsys::SetSystem;
+
+/// The shape the registry's `Rlr` backend runs a driver on: one machine
+/// on the in-process runtime whose capacity is recorded rather than
+/// enforced, with sample budget `eta` and coins from `seed`.
+fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
+}
 
 fn small_graph(seed: u64) -> mrlr::graph::Graph {
     generators::with_uniform_weights(&generators::gnm(12, 24, seed), 1.0, 9.0, seed ^ 0xab)
@@ -25,7 +37,7 @@ fn matching_within_two_of_optimum() {
         let (opt, _) = exact::max_weight_matching(&g);
         let seq = local_ratio_matching(&g);
         assert!(2.0 * seq.weight + 1e-9 >= opt, "seq seed {seed}");
-        let rand = approx_max_matching(&g, 8, seed).unwrap();
+        let rand = matching::run(&g, one_machine(8, seed)).unwrap().0;
         assert!(2.0 * rand.weight + 1e-9 >= opt, "rand seed {seed}");
     }
 }
@@ -38,7 +50,7 @@ fn vertex_cover_within_two_of_optimum() {
         let w: Vec<f64> = (0..g.n()).map(|_| rng.f64_range(1.0, 9.0)).collect();
         let (opt, _) = exact::min_weight_vertex_cover(&g, &w);
         let sys = SetSystem::vertex_cover_of(&g, w.clone());
-        let r = approx_set_cover_f(&sys, 6, seed).unwrap();
+        let r = set_cover::run(&sys, one_machine(6, seed)).unwrap().0;
         assert!(sys.covers(&r.cover));
         assert!(
             r.weight <= 2.0 * opt + 1e-9,
@@ -62,7 +74,7 @@ fn set_cover_within_f_of_optimum() {
         let f = sys.max_frequency() as f64;
         let lr = local_ratio_set_cover(&sys).unwrap();
         assert!(lr.weight <= f * opt + 1e-9, "seq seed {seed}");
-        let r = approx_set_cover_f(&sys, 4, seed).unwrap();
+        let r = set_cover::run(&sys, one_machine(4, seed)).unwrap().0;
         assert!(r.weight <= f * opt + 1e-9, "rand seed {seed}");
     }
 }
@@ -78,7 +90,8 @@ fn hungry_set_cover_within_ln_delta() {
         );
         let (opt, _) = exact::min_weight_set_cover(&sys).unwrap();
         let eps = 0.2;
-        let (r, _) = hungry_set_cover(&sys, HungryScParams::new(16, 0.5, eps, seed)).unwrap();
+        let params = HungryScParams::new(16, 0.5, eps, seed);
+        let (r, _, _) = set_cover_greedy::run(&sys, params, one_machine(1, seed)).unwrap();
         let bound = (1.0 + eps) * harmonic(sys.max_set_size());
         assert!(
             r.weight <= bound * opt + 1e-9,
@@ -102,7 +115,7 @@ fn b_matching_within_bound_of_optimum() {
             eta: 4,
             seed,
         };
-        let r = approx_b_matching(&g, &b, params).unwrap();
+        let (r, _) = bmatching::run(&g, &b, params, one_machine(params.eta, seed)).unwrap();
         assert!(verify::is_b_matching(&g, &b, &r.matching));
         let mult = b_matching_multiplier(&b, params.eps);
         assert!(mult * r.weight + 1e-9 >= opt, "seed {seed}");

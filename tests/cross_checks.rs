@@ -15,7 +15,8 @@ fn clique_is_mis_of_complement() {
     for seed in 0..6 {
         let g = generators::gnp(30, 0.5, seed);
         let params = MisParams::mis2(30, 0.4, seed);
-        let clique = mrlr::core::hungry::maximal_clique(&g, params).unwrap();
+        let cfg = MrConfig::auto(30, g.m().max(1), 0.4, seed);
+        let (clique, _) = mrlr::core::mr::clique::run(&g, params, cfg).unwrap();
         assert!(verify::is_maximal_clique(&g, &clique.vertices));
 
         // Build the complement explicitly.

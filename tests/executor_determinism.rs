@@ -160,8 +160,8 @@ fn repeated_threaded_runs_are_bit_identical_to_each_other() {
 
 #[test]
 fn rlr_mr_equivalence_survives_the_thread_pool() {
-    // The paper's Rlr/Mr bit-equivalence is seed-based; the executor must
-    // not perturb it.
+    // Rlr (one machine, one thread) and Mr (the auto machine count on an
+    // 8-thread pool) agree bit for bit; the executor must not perturb it.
     let registry = Registry::with_defaults();
     for (name, instance, cfg) in workloads() {
         let rlr = registry

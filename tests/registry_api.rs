@@ -179,9 +179,10 @@ fn every_mr_driver_is_bit_identical_to_its_legacy_entry_point() {
 
 #[test]
 fn rlr_and_mr_backends_of_the_same_driver_agree() {
-    // The paper's equivalence: the cluster run shares the in-memory
-    // driver's coin streams, so for identical seeds the solutions are
-    // bit-identical (the Mr report additionally carries metrics).
+    // Rlr runs the same driver on one unmetered machine, and a driver's
+    // coins do not depend on the machine count, so for identical seeds
+    // the solutions are bit-identical (only the Mr report carries
+    // metrics).
     let registry = Registry::with_defaults();
     for (name, instance, cfg) in workloads() {
         let rlr = registry

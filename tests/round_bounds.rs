@@ -12,11 +12,25 @@
 
 use mrlr::core::api::{Backend, Instance, Registry};
 use mrlr::core::colouring::{colour_budget, group_count};
-use mrlr::core::hungry::{mis_fast, MisParams};
-use mrlr::core::mr::{self, colouring, MrConfig};
-use mrlr::core::rlr::{approx_max_matching, approx_set_cover_f, predicted_rounds};
+use mrlr::core::hungry::MisParams;
+use mrlr::core::mr::{self, colouring, matching, set_cover, MrConfig};
+use mrlr::core::rlr::predicted_rounds;
 use mrlr::graph::generators;
+use mrlr::mapreduce::RuntimeKind;
 use mrlr::setsys::generators as setgen;
+
+/// The shape the registry's `Rlr` backend runs a driver on: one machine
+/// on the in-process runtime whose capacity is recorded rather than
+/// enforced, with sample budget `eta` and coins from `seed`.
+fn one_machine(eta: usize, seed: u64) -> MrConfig {
+    MrConfig {
+        eta,
+        ..MrConfig::auto(2, 1, 0.0, seed)
+    }
+    .with_machines(1)
+    .with_runtime(RuntimeKind::Shard)
+    .recording()
+}
 
 /// Density exponent of a generated graph (measured, not nominal).
 fn measured_c(n: usize, m: usize) -> f64 {
@@ -32,7 +46,7 @@ fn set_cover_iterations_scale_as_c_over_mu() {
         for &mu in &[0.2f64, 0.35] {
             let sys = setgen::bounded_frequency(n_sets, m, 3, 11);
             let eta = (n_sets as f64).powf(1.0 + mu).ceil() as usize;
-            let r = approx_set_cover_f(&sys, eta, 11).unwrap();
+            let r = set_cover::run(&sys, one_machine(eta, 11)).unwrap().0;
             let bound = (c / mu).ceil() as usize + 2;
             assert!(
                 r.iterations <= bound,
@@ -53,7 +67,7 @@ fn matching_iterations_scale_as_c_over_mu() {
         let c = measured_c(g.n(), g.m());
         for &mu in &[0.2f64, 0.35] {
             let eta = (n as f64).powf(1.0 + mu).ceil() as usize;
-            let r = approx_max_matching(&g, eta, 7).unwrap();
+            let r = matching::run(&g, one_machine(eta, 7)).unwrap().0;
             let bound = (4.0 * c / mu).ceil() as usize + 6;
             assert!(
                 r.iterations <= bound,
@@ -72,7 +86,7 @@ fn matching_mu_zero_iterations_logarithmic() {
     let mut iters = Vec::new();
     for &n in &[50usize, 200] {
         let g = generators::with_uniform_weights(&generators::densified(n, 0.45, 9), 1.0, 5.0, 2);
-        let r = approx_max_matching(&g, n, 13).unwrap();
+        let r = matching::run(&g, one_machine(n, 13)).unwrap().0;
         let bound = (20.0 * (n as f64).ln()).ceil() as usize + 10;
         assert!(r.iterations <= bound, "n={n}: {} > {bound}", r.iterations);
         iters.push(r.iterations);
@@ -91,7 +105,8 @@ fn mis_fast_phases_scale_as_c_over_mu() {
         let g = generators::densified(n, 0.45, 17);
         let c = measured_c(g.n(), g.m());
         for &mu in &[0.25f64, 0.4] {
-            let r = mis_fast(&g, MisParams::mis2(n, mu, 3)).unwrap();
+            let params = MisParams::mis2(n, mu, 3);
+            let (r, _) = mr::mis::run_fast(&g, params, one_machine(params.eta, 3)).unwrap();
             let bound = (16.0 * c / mu).ceil() as usize + 6;
             assert!(
                 r.iterations <= bound,
@@ -140,8 +155,8 @@ fn smaller_mu_means_more_iterations() {
     let g = generators::with_uniform_weights(&generators::densified(n, 0.5, 31), 1.0, 9.0, 8);
     let eta_hi = (n as f64).powf(1.35).ceil() as usize;
     let eta_lo = (n as f64).powf(1.05).ceil() as usize;
-    let hi = approx_max_matching(&g, eta_hi, 3).unwrap();
-    let lo = approx_max_matching(&g, eta_lo, 3).unwrap();
+    let hi = matching::run(&g, one_machine(eta_hi, 3)).unwrap().0;
+    let lo = matching::run(&g, one_machine(eta_lo, 3)).unwrap().0;
     assert!(
         lo.iterations >= hi.iterations,
         "eta {eta_lo} gave {} iterations, eta {eta_hi} gave {}",
