@@ -499,7 +499,8 @@ pub fn run(
 
     solution.sort_unstable();
     let weight = sys.cover_weight(&solution);
-    let h = harmonic(sys.max_set_size());
+    // H_1 for an empty universe, as in `seq::greedy_sc`: 0/0 would be NaN.
+    let h = harmonic(sys.max_set_size().max(1));
     let result = CoverResult {
         cover: solution,
         weight,

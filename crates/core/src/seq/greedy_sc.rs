@@ -44,7 +44,7 @@ pub fn greedy_set_cover(sys: &SetSystem) -> Result<CoverResult, String> {
 pub fn eps_greedy_set_cover(sys: &SetSystem, eps: f64, seed: u64) -> Result<CoverResult, String> {
     assert!(eps >= 0.0 && eps.is_finite());
     if !sys.is_coverable() {
-        return Err("instance is not coverable".into());
+        return Err("set cover instance leaves an element uncovered".into());
     }
     let m = sys.universe();
     let n = sys.n_sets();
@@ -106,7 +106,9 @@ pub fn eps_greedy_set_cover(sys: &SetSystem, eps: f64, seed: u64) -> Result<Cove
         chosen.push(pick as SetId);
     }
 
-    let h = harmonic(sys.max_set_size());
+    // An empty universe has Δ = 0 and H_0 = 0; its price sum is 0 and so
+    // is its optimum, so H_1 keeps the bound at 0 instead of 0/0.
+    let h = harmonic(sys.max_set_size().max(1));
     let weight = sys.cover_weight(&chosen);
     chosen.sort_unstable();
     Ok(CoverResult {

@@ -100,7 +100,7 @@ where
     I: IntoIterator<Item = ElemId>,
 {
     if !sys.is_coverable() {
-        return Err("instance is not coverable".into());
+        return Err("set cover instance leaves an element uncovered".into());
     }
     let dual_view = sys.dual();
     let mut lr = ScLocalRatio::new(sys.weights());

@@ -17,7 +17,8 @@
 //! pool spawns no worker and runs every task inline in index order: it
 //! is the sequential schedule.
 //!
-//! The pool's lifetime bridge is the crate's only `unsafe` code. Workers
+//! The pool's lifetime bridge is the crate's only `unsafe` code besides
+//! [`retain_freed_memory`]'s allocator call. Workers
 //! outlive any one `run` call, so `run` erases the task's borrow before
 //! queueing it, and blocks until every claimed index has completed — the
 //! invariant that keeps the erased borrow alive. Spawning scoped threads
@@ -56,7 +57,8 @@ fn run_inline(count: usize, task: &(dyn Fn(usize) + Sync)) {
 }
 
 /// The lifetime bridge: a borrowed task shared with the persistent
-/// workers. Everything `unsafe` in the crate is in this module.
+/// workers. Everything `unsafe` in the crate is in this module, but for
+/// [`retain_freed_memory`]'s one allocator call.
 #[allow(unsafe_code)]
 mod bridge {
     use std::any::Any;
@@ -302,6 +304,45 @@ pub fn executor_for(threads: usize) -> Arc<ThreadPoolExecutor> {
         .entry(threads)
         .or_insert_with(|| Arc::new(ThreadPoolExecutor::new(threads)))
         .clone()
+}
+
+/// Makes the process keep the memory it frees, for a server whose every
+/// request allocates and frees a working set of the same shape: glibc
+/// stops trimming the heap top back to the kernel, and blocks under
+/// 32 MiB, glibc's largest mmap threshold, come from the heap instead of
+/// their own mappings. The next request then reuses pages the last one
+/// touched instead of faulting them in again. Blocks of 32 MiB or more
+/// are still mapped and unmapped one by one, and each allocator arena
+/// keeps at most its own high-water mark.
+///
+/// Process-wide and irreversible; call it once, before the server
+/// spawns threads. A one-shot run gains nothing from it and keeps a
+/// larger heap. A no-op on every target but Linux with glibc.
+pub fn retain_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[allow(unsafe_code)]
+    {
+        use std::os::raw::{c_int, c_long};
+        // `<malloc.h>` parameter numbers.
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // glibc's `DEFAULT_MMAP_THRESHOLD_MAX`: 32 MiB on 64-bit targets.
+        const MMAP_THRESHOLD_MAX: c_int = 4 * 1024 * 1024 * std::mem::size_of::<c_long>() as c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        // SAFETY: `mallopt` takes two integers and touches no memory of
+        // ours. glibc marks it MT-Unsafe (`const:mallopt`): it stores the
+        // thresholds in globals that `malloc` and `free` read without a
+        // lock, so it is called before the server spawns a thread. An
+        // allocation racing it on another thread of an embedding process
+        // reads either the old or the new threshold, each a valid policy.
+        // A rejected value (return 0) leaves glibc's default in place.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, -1);
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX);
+        }
+    }
 }
 
 #[cfg(test)]

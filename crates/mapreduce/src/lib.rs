@@ -61,9 +61,10 @@
 //! [`cluster::Cluster::with_executor`].
 //!
 //! The scheduler and the router are safe code; the crate denies
-//! `unsafe_code` everywhere but the pool's lifetime bridge in
-//! [`executor`], which lends each superstep's borrowed task to threads
-//! that outlive it.
+//! `unsafe_code` everywhere but two places in [`executor`]: the pool's
+//! lifetime bridge, which lends each superstep's borrowed task to
+//! threads that outlive it, and [`executor::retain_freed_memory`]'s
+//! call into glibc's `mallopt`.
 //!
 //! ```
 //! use mrlr_mapreduce::cluster::{Cluster, ClusterConfig};
@@ -105,7 +106,10 @@ pub use cluster::{
 pub use csr::{Csr, CsrBuilder, CsrOverflow};
 pub use dist::{DistConfig, DistParams, SpawnKind, Wire, WireError, WireReader, WorkerKill};
 pub use error::{CapacityKind, MrError, MrResult};
-pub use executor::{default_threads, env_threads, executor_for, parse_threads, ThreadPoolExecutor};
+pub use executor::{
+    default_threads, env_threads, executor_for, parse_threads, retain_freed_memory,
+    ThreadPoolExecutor,
+};
 pub use ingest::Ingest;
 pub use metrics::{
     DistSummary, Metrics, RecoveryEvent, RoundKind, RoundRecord, SuperstepTiming, Violation,

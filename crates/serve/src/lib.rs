@@ -3,11 +3,11 @@
 //! The paper's algorithms are round-efficient precisely so they can run
 //! as a *shared service* over big inputs; this crate is that service. A
 //! long-running daemon ([`server::serve`]) listens on a Unix socket,
-//! keeps thread pools and parsed instances warm across requests,
-//! and answers `solve` / `batch` / `verify` requests whose rendered
-//! documents are **byte-identical** to the offline `mrlr` CLI's output
-//! (masked timings) — the CI serve-smoke job diffs them against the
-//! same golden files.
+//! keeps thread pools, parsed instances and freed memory warm across
+//! requests, and answers `solve` / `batch` / `verify` requests whose
+//! rendered documents are **byte-identical** to the offline `mrlr` CLI's
+//! output (masked timings) — the CI serve-smoke job diffs them against
+//! the same golden files.
 //!
 //! The shared-cluster budget of the MRC model shows up here as
 //! *admission control*: a bounded in-flight set plus a bounded wait

@@ -19,6 +19,14 @@
 //!   process-wide executor cache already spawned and a hot instance's
 //!   text is parsed once (`ParseCache`). Each job still distributes its
 //!   own input, exactly as `mrlr solve` and `mrlr batch` do offline.
+//!   Memory stays warm too: before binding, [`serve`] sets
+//!   [`retain_freed_memory`], so what a request frees stays in the
+//!   process for the next one instead of going back to the kernel and
+//!   being faulted in again (on Linux with glibc; a no-op elsewhere).
+//!   Two bounds keep that from growing without limit: a block of
+//!   32 MiB or more is still unmapped when freed, and each allocator
+//!   arena keeps at most its own high-water mark. The one-shot `mrlr
+//!   solve` and `mrlr batch` leave glibc's default policy alone.
 //!
 //! Both tables are keyed digest-then-compare: a solve's instance text is
 //! digested once ([`text_digest`], inside [`CoalesceKey::new`]), that
@@ -52,7 +60,7 @@ use mrlr_core::io::{self as core_io, CertificateMode, TimingMode};
 use mrlr_core::mr::MrConfig;
 use mrlr_mapreduce::dist::transport::{frame_len, read_body, write_wire_frame};
 use mrlr_mapreduce::dist::wire::decode_value;
-use mrlr_mapreduce::SpawnKind;
+use mrlr_mapreduce::{retain_freed_memory, SpawnKind};
 
 use crate::protocol::{
     text_digest, BatchJob, CoalesceKey, RenderOpts, ReportFormat, Request, Response, SolveSpec,
@@ -937,7 +945,11 @@ impl Engine {
 /// [`Request::Shutdown`]. Blocks the calling thread; connections are
 /// served on one thread each. Returns the final counter snapshot after
 /// every in-flight connection has drained and the socket file is gone.
+///
+/// First sets [`retain_freed_memory`] for the whole process, so call it
+/// in a process that exists to serve.
 pub fn serve(cfg: ServeConfig) -> io::Result<StatsSnapshot> {
+    retain_freed_memory();
     // Replace a stale socket file (e.g. from a killed daemon) so
     // restarts are idempotent.
     let _ = std::fs::remove_file(&cfg.socket);
